@@ -54,7 +54,7 @@ fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
 // ---------------------------------------------------------------------
 
 /// Encodes a profile as its `(rank, kind) → stats` table.
-pub fn encode_profile(p: &MpiProfile, out: &mut BytesMut) {
+pub fn encode_profile(p: &MpiProfile, out: &mut impl BufMut) {
     // Reconstructable view: per-rank-kind stats (per-kind is derivable).
     let mut entries: Vec<(u32, EventKind, CallStats)> = Vec::new();
     for rank in 0..p.ranks() {
@@ -106,7 +106,7 @@ pub fn decode_profile(buf: &mut impl Buf) -> Result<MpiProfile, WireError> {
 // ---------------------------------------------------------------------
 
 /// Encodes a topology as its edge list.
-pub fn encode_topology(t: &Topology, out: &mut BytesMut) {
+pub fn encode_topology(t: &Topology, out: &mut impl BufMut) {
     let edges = t.sorted_edges();
     out.put_u32_le(edges.len() as u32);
     out.put_u32_le(t.ranks());
@@ -141,7 +141,7 @@ pub fn decode_topology(buf: &mut impl Buf) -> Result<Topology, WireError> {
 // WaitStats.
 // ---------------------------------------------------------------------
 
-fn encode_map(m: &std::collections::HashMap<u32, u64>, out: &mut BytesMut) {
+fn encode_map(m: &std::collections::HashMap<u32, u64>, out: &mut impl BufMut) {
     out.put_u32_le(m.len() as u32);
     let mut items: Vec<(u32, u64)> = m.iter().map(|(&k, &v)| (k, v)).collect();
     items.sort_unstable();
@@ -154,7 +154,7 @@ fn encode_map(m: &std::collections::HashMap<u32, u64>, out: &mut BytesMut) {
 fn decode_map(buf: &mut impl Buf) -> Result<std::collections::HashMap<u32, u64>, WireError> {
     need(buf, 4)?;
     let n = buf.get_u32_le() as usize;
-    let mut m = std::collections::HashMap::with_capacity(n);
+    let mut m = std::collections::HashMap::with_capacity(n.min(buf.remaining() / 12));
     for _ in 0..n {
         need(buf, 12)?;
         let k = buf.get_u32_le();
@@ -167,7 +167,7 @@ fn decode_map(buf: &mut impl Buf) -> Result<std::collections::HashMap<u32, u64>,
 /// Encodes wait-state statistics, including the dangling halves (they are
 /// needed so the merge root can match transfers whose send and receive were
 /// analyzed on different ranks).
-pub fn encode_waitstats(w: &WaitStats, out: &mut BytesMut) {
+pub fn encode_waitstats(w: &WaitStats, out: &mut impl BufMut) {
     out.put_u64_le(w.matched);
     out.put_u64_le(w.unmatched);
     out.put_u64_le(w.total_late_sender_ns);
@@ -273,31 +273,81 @@ pub struct AppPartial {
     pub metrics: Option<MetricsSeries>,
 }
 
-/// Encodes a set of per-application partials into one buffer.
+/// Appends one application's section after its id and before its first
+/// metrics window: counters, profile, topology, wait-state, and the
+/// metrics presence byte with the series header. Small, and the only part
+/// of a section that changes without growing it at the end.
+fn encode_app_head(a: &AppPartial, out: &mut impl BufMut) {
+    out.put_u64_le(a.packs);
+    out.put_u64_le(a.wire_bytes);
+    out.put_u64_le(a.decode_errors);
+    encode_profile(&a.profile, out);
+    encode_topology(&a.topology, out);
+    match &a.waitstate {
+        Some(w) => {
+            out.put_u8(1);
+            encode_waitstats(w, out);
+        }
+        None => out.put_u8(0),
+    }
+    match &a.metrics {
+        Some(m) => {
+            out.put_u8(1);
+            m.encode_header_into(out);
+        }
+        None => out.put_u8(0),
+    }
+}
+
+/// Appends everything of one application's section after its id (the
+/// form a full per-app replacement travels in inside a serve delta).
+pub fn encode_app_body(a: &AppPartial, out: &mut impl BufMut) {
+    encode_app_head(a, out);
+    for (w, cells) in a.metrics.iter().flat_map(|m| m.windows_from(0)) {
+        MetricsSeries::encode_window(w, cells, out);
+    }
+}
+
+/// Decodes what [`encode_app_body`] wrote.
+pub fn decode_app_body(app_id: u16, buf: &mut &[u8]) -> Result<AppPartial, WireError> {
+    need(buf, 24)?;
+    let packs = buf.get_u64_le();
+    let wire_bytes = buf.get_u64_le();
+    let decode_errors = buf.get_u64_le();
+    let profile = decode_profile(buf)?;
+    let topology = decode_topology(buf)?;
+    need(buf, 1)?;
+    let waitstate = match buf.get_u8() {
+        0 => None,
+        1 => Some(decode_waitstats(buf)?),
+        t => return Err(WireError::BadTag(t)),
+    };
+    need(buf, 1)?;
+    let metrics = match buf.get_u8() {
+        0 => None,
+        1 => Some(MetricsSeries::decode(buf)?),
+        t => return Err(WireError::BadTag(t)),
+    };
+    Ok(AppPartial {
+        app_id,
+        packs,
+        wire_bytes,
+        decode_errors,
+        profile,
+        topology,
+        waitstate,
+        metrics,
+    })
+}
+
+/// Encodes a set of per-application partials into one buffer:
+/// `u32 n_apps`, then per app `u16 app_id` and its [`encode_app_body`].
 pub fn encode_partials(apps: &[AppPartial]) -> Bytes {
     let mut out = BytesMut::new();
     out.put_u32_le(apps.len() as u32);
     for a in apps {
         out.put_u16_le(a.app_id);
-        out.put_u64_le(a.packs);
-        out.put_u64_le(a.wire_bytes);
-        out.put_u64_le(a.decode_errors);
-        encode_profile(&a.profile, &mut out);
-        encode_topology(&a.topology, &mut out);
-        match &a.waitstate {
-            Some(w) => {
-                out.put_u8(1);
-                encode_waitstats(w, &mut out);
-            }
-            None => out.put_u8(0),
-        }
-        match &a.metrics {
-            Some(m) => {
-                out.put_u8(1);
-                m.encode_into(&mut out);
-            }
-            None => out.put_u8(0),
-        }
+        encode_app_body(a, &mut out);
     }
     out.freeze()
 }
@@ -306,39 +356,212 @@ pub fn encode_partials(apps: &[AppPartial]) -> Bytes {
 pub fn decode_partials(mut buf: &[u8]) -> Result<Vec<AppPartial>, WireError> {
     need(&buf, 4)?;
     let n = buf.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n);
+    // No app section is shorter than its id, counters and empty tables.
+    let mut out = Vec::with_capacity(n.min(buf.len() / 52));
     for _ in 0..n {
-        need(&buf, 2 + 24)?;
+        need(&buf, 2)?;
         let app_id = buf.get_u16_le();
-        let packs = buf.get_u64_le();
-        let wire_bytes = buf.get_u64_le();
-        let decode_errors = buf.get_u64_le();
-        let profile = decode_profile(&mut buf)?;
-        let topology = decode_topology(&mut buf)?;
-        need(&buf, 1)?;
-        let waitstate = match buf.get_u8() {
-            0 => None,
-            1 => Some(decode_waitstats(&mut buf)?),
-            t => return Err(WireError::BadTag(t)),
-        };
-        need(&buf, 1)?;
-        let metrics = match buf.get_u8() {
-            0 => None,
-            1 => Some(MetricsSeries::decode(&mut buf)?),
-            t => return Err(WireError::BadTag(t)),
-        };
-        out.push(AppPartial {
-            app_id,
-            packs,
-            wire_bytes,
-            decode_errors,
-            profile,
-            topology,
-            waitstate,
-            metrics,
-        });
+        out.push(decode_app_body(app_id, &mut buf)?);
     }
     Ok(out)
+}
+
+// ---------------------------------------------------------------------
+// The patched snapshot image.
+// ---------------------------------------------------------------------
+
+/// What one delta changed in one application's section of a snapshot —
+/// reported by the serve plane's delta encoder and applier, consumed by
+/// [`SnapshotImage::patch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AppChange {
+    /// The section is byte-identical.
+    Unchanged,
+    /// Fields in front of the metrics windows moved, and the windows at or
+    /// after `windows_from` were replaced or appeared (`None`: no window
+    /// changed). Windows in front of it are as they were.
+    Sparse { windows_from: Option<u64> },
+    /// Anything else: a new application or a wholesale replacement.
+    Full,
+}
+
+/// Where one application's section lies inside a [`SnapshotImage`].
+struct AppSection {
+    app_id: u16,
+    /// Bytes from the app id up to the first metrics window.
+    head_len: usize,
+    /// `(window index, byte offset from the first window)` of every
+    /// encoded window, ascending in both.
+    windows: Vec<(u64, usize)>,
+    /// Bytes the encoded windows take.
+    windows_len: usize,
+}
+
+/// Replaces `bytes[range]` by `new`: in place when the length holds, at
+/// the end of the buffer without moving anything, by a splice otherwise.
+fn replace(bytes: &mut Vec<u8>, range: std::ops::Range<usize>, new: &[u8]) {
+    if range.len() == new.len() {
+        bytes[range].copy_from_slice(new);
+    } else if range.end == bytes.len() {
+        bytes.truncate(range.start);
+        bytes.extend_from_slice(new);
+    } else {
+        bytes.splice(range, new.iter().copied());
+    }
+}
+
+impl AppSection {
+    /// Appends `a`'s section to `bytes` and indexes it.
+    fn append(a: &AppPartial, bytes: &mut Vec<u8>) -> AppSection {
+        let start = bytes.len();
+        bytes.put_u16_le(a.app_id);
+        encode_app_head(a, bytes);
+        let head_len = bytes.len() - start;
+        let first = bytes.len();
+        let mut windows = Vec::new();
+        for (w, cells) in a.metrics.iter().flat_map(|m| m.windows_from(0)) {
+            windows.push((w, bytes.len() - first));
+            MetricsSeries::encode_window(w, cells, bytes);
+        }
+        AppSection {
+            app_id: a.app_id,
+            head_len,
+            windows,
+            windows_len: bytes.len() - first,
+        }
+    }
+
+    /// Brings the section (at `start` in `bytes`) up to `a`, given that
+    /// only its head and its windows from `windows_from` on differ:
+    /// truncates the windows at the lowest changed one, appends the
+    /// re-encoded tail, then re-encodes the head (which carries
+    /// `n_windows`). Returns the bytes written, or `None` when `a` cannot
+    /// be what the section plus that change describes.
+    fn patch(
+        &mut self,
+        bytes: &mut Vec<u8>,
+        start: usize,
+        a: &AppPartial,
+        windows_from: Option<u64>,
+        scratch: &mut Vec<u8>,
+    ) -> Option<usize> {
+        let mut written = 0;
+        if let Some(from) = windows_from {
+            let series = a.metrics.as_ref()?;
+            let keep = self.windows.partition_point(|(w, _)| *w < from);
+            let cut = self
+                .windows
+                .get(keep)
+                .map_or(self.windows_len, |(_, at)| *at);
+            self.windows.truncate(keep);
+            scratch.clear();
+            for (w, cells) in series.windows_from(from) {
+                self.windows.push((w, cut + scratch.len()));
+                MetricsSeries::encode_window(w, cells, scratch);
+            }
+            let first = start + self.head_len;
+            replace(bytes, first + cut..first + self.windows_len, scratch);
+            self.windows_len = cut + scratch.len();
+            written += scratch.len();
+        }
+        if self.windows.len() != a.metrics.as_ref().map_or(0, |m| m.len()) {
+            return None;
+        }
+        scratch.clear();
+        scratch.put_u16_le(a.app_id);
+        encode_app_head(a, scratch);
+        replace(bytes, start..start + self.head_len, scratch);
+        self.head_len = scratch.len();
+        Some(written + scratch.len())
+    }
+}
+
+/// The [`encode_partials`] bytes of a report snapshot, kept together with
+/// the offsets needed to bring them up to the next snapshot by rewriting
+/// only what a delta changed: each application's head is re-encoded, its
+/// metrics windows are cut at the lowest changed window and the tail is
+/// appended again. A window that has closed never changes, so under a
+/// growing series the work per version follows the delta, not the
+/// snapshot. Both ends of the serve plane hold one — the store to produce
+/// each version's bytes, a subscriber to hold them — and both patch it
+/// through [`SnapshotImage::patch`], which is what keeps them
+/// byte-identical.
+pub struct SnapshotImage {
+    bytes: Vec<u8>,
+    apps: Vec<AppSection>,
+    /// Reused encode buffer for heads and window tails.
+    scratch: Vec<u8>,
+}
+
+impl Default for SnapshotImage {
+    /// The image of the empty snapshot.
+    fn default() -> Self {
+        SnapshotImage::build(&[])
+    }
+}
+
+impl std::ops::Deref for SnapshotImage {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl SnapshotImage {
+    /// Encodes `parts` in full: `image[..] == encode_partials(parts)[..]`.
+    pub fn build(parts: &[AppPartial]) -> SnapshotImage {
+        let mut bytes = Vec::new();
+        bytes.put_u32_le(parts.len() as u32);
+        let apps = parts
+            .iter()
+            .map(|a| AppSection::append(a, &mut bytes))
+            .collect();
+        SnapshotImage {
+            bytes,
+            apps,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Brings the image up to `parts`, the snapshot it encoded plus the
+    /// per-application `changes` of one delta (in `parts` order). Returns
+    /// the bytes it rewrote — or `None` when it encoded `parts` in full
+    /// instead, because the change is not a patch: the application set
+    /// moved, an application was replaced wholesale, or `changes` does not
+    /// line up with `parts`. Either way the image equals
+    /// `encode_partials(parts)` afterwards, provided every window in front
+    /// of each `windows_from` is unchanged.
+    pub fn patch(&mut self, parts: &[AppPartial], changes: &[(u16, AppChange)]) -> Option<usize> {
+        let aligned = self.apps.len() == parts.len()
+            && changes.len() == parts.len()
+            && (self.apps.iter().zip(parts).zip(changes)).all(|((section, a), (id, change))| {
+                section.app_id == a.app_id && *id == a.app_id && *change != AppChange::Full
+            });
+        let patched = aligned
+            .then(|| self.patch_sections(parts, changes))
+            .flatten();
+        if patched.is_none() {
+            *self = SnapshotImage::build(parts);
+        }
+        patched
+    }
+
+    fn patch_sections(
+        &mut self,
+        parts: &[AppPartial],
+        changes: &[(u16, AppChange)],
+    ) -> Option<usize> {
+        let mut start = 4;
+        let mut written = 0;
+        for ((section, a), (_, change)) in self.apps.iter_mut().zip(parts).zip(changes) {
+            if let AppChange::Sparse { windows_from } = *change {
+                written +=
+                    section.patch(&mut self.bytes, start, a, windows_from, &mut self.scratch)?;
+            }
+            start += section.head_len + section.windows_len;
+        }
+        Some(written)
+    }
 }
 
 #[cfg(test)]
@@ -476,6 +699,63 @@ mod tests {
         assert_eq!(dec[1].topology.edge(1, 0).unwrap().hits, 5);
         assert_eq!(dec[1].waitstate.as_ref().unwrap().matched, 4);
         assert_eq!(dec[1].metrics, apps[1].metrics);
+    }
+
+    #[test]
+    fn image_patch_rewrites_only_what_changed_and_equals_the_full_encoding() {
+        let app = |app_id: u16| AppPartial {
+            app_id,
+            packs: 1,
+            wire_bytes: 48,
+            decode_errors: 0,
+            profile: sample_profile(),
+            topology: Topology::new(),
+            waitstate: None,
+            metrics: Some({
+                let mut m = MetricsSeries::new(1000);
+                for i in 0..200u64 {
+                    m.add(&Event::basic(
+                        EventKind::Send,
+                        (i % 4) as u32,
+                        i * 1000,
+                        400,
+                    ));
+                }
+                m
+            }),
+        };
+        let mut parts = vec![app(1), app(4)];
+        let mut image = SnapshotImage::build(&parts);
+        assert_eq!(&image[..], &encode_partials(&parts)[..]);
+        let full = image.len();
+
+        // App 1 (not the last section: the splice path) gains a window,
+        // an older one moves and its head grows by a topology edge; app 4
+        // only counts a pack (same length: the in-place path).
+        let m = parts[0].metrics.as_mut().unwrap();
+        m.add(&Event::basic(EventKind::Wait, 2, 200_000, 300));
+        m.add(&Event::basic(EventKind::Wait, 2, 150_000, 300));
+        parts[0].topology.add_weighted(0, 1, 1, 64, 10);
+        parts[1].packs += 1;
+        let changes = [
+            (
+                1,
+                AppChange::Sparse {
+                    windows_from: Some(150),
+                },
+            ),
+            (4, AppChange::Sparse { windows_from: None }),
+        ];
+        let written = image
+            .patch(&parts, &changes)
+            .expect("a patch, not a rebuild");
+        assert_eq!(&image[..], &encode_partials(&parts)[..]);
+        assert!(written < full / 2, "{written} of {full} bytes rewritten");
+
+        // A change set that does not line up is answered by a full encode.
+        parts.remove(0);
+        assert_eq!(image.patch(&parts, &changes), None);
+        assert_eq!(&image[..], &encode_partials(&parts)[..]);
     }
 
     #[test]

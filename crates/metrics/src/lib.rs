@@ -29,7 +29,9 @@
 mod series;
 mod view;
 
-pub use series::{MetricsConfig, MetricsSeries, MetricsWireError, WindowCell, DEFAULT_WINDOW_NS};
+pub use series::{
+    MetricsConfig, MetricsSeries, MetricsWireError, WindowCell, WindowCells, DEFAULT_WINDOW_NS,
+};
 pub use view::{WindowMetrics, WINDOW_CSV_HEADER};
 
 pub(crate) mod obs {
@@ -44,6 +46,9 @@ pub(crate) mod obs {
         /// Series merges that had to drop the other side because its
         /// window width differed (misconfigured reduction tree).
         pub merge_mismatches: Arc<Counter>,
+        /// Chunks copied because a snapshot still shared them when the
+        /// fold (or a merge, or a delta) wrote into them.
+        pub chunks_copied: Arc<Counter>,
         /// Per-pack fold cost, nanoseconds.
         pub fold_ns: Arc<Histogram>,
     }
@@ -56,6 +61,7 @@ pub(crate) mod obs {
                 windows_opened: r.counter("metrics_windows_opened_total"),
                 events_folded: r.counter("metrics_events_folded_total"),
                 merge_mismatches: r.counter("metrics_merge_mismatch_total"),
+                chunks_copied: r.counter("metrics_chunks_copied_total"),
                 fold_ns: r.histogram("metrics_fold_ns"),
             }
         })

@@ -5,9 +5,11 @@
 //! framed point queries and — once subscribed — folds the
 //! snapshot-then-deltas stream into locally held per-shard
 //! [`ClientReport`]s. Because deltas carry replacement values and the wire
-//! codecs encode deterministically, re-encoding a folded shard report
-//! yields bytes identical to the server's stored shard snapshot at every
-//! version; the acceptance tests assert exactly that.
+//! codecs encode deterministically, a folded shard report encodes to bytes
+//! identical to the server's stored shard snapshot at every version; the
+//! acceptance tests assert exactly that. The held bytes are a
+//! [`SnapshotImage`] the client patches from each delta the same way the
+//! store patched its own, so holding them costs what the delta changed.
 //!
 //! Each update names its store shard; the `finished` flag on the wire is
 //! *per shard*, and the client aggregates the per-shard finals (using the
@@ -16,7 +18,7 @@
 //! [`ServeClient::connect_as`]; quota refusals surface as
 //! [`ServeError::QuotaExceeded`].
 
-use crate::delta::{apply_delta, delta_versions};
+use crate::delta::{apply_delta_changes, build_image, delta_versions, patch_image};
 use crate::proto::{NotFoundReason, QueryKind, Request, Response, VersionInfo, SERVE_STREAM_ID};
 use crate::{mono_ns, ServeConfig, ServeError};
 use bytes::{Buf, Bytes};
@@ -24,8 +26,8 @@ use opmr_analysis::profiler::MpiProfile;
 use opmr_analysis::topology::Topology;
 use opmr_analysis::waitstate::WaitStats;
 use opmr_analysis::wire::{
-    decode_partials, decode_profile, decode_topology, decode_waitstats, encode_partials,
-    AppPartial, WireError,
+    decode_partials, decode_profile, decode_topology, decode_waitstats, AppPartial, SnapshotImage,
+    WireError,
 };
 use opmr_events::frame::{try_frame, FrameBuf};
 use opmr_vmpi::{DuplexStream, ReadMode, Vmpi, VmpiError};
@@ -43,7 +45,46 @@ pub struct ClientReport {
     pub parts: Vec<AppPartial>,
     /// `encode_partials` bytes of the held report — byte-identical to the
     /// server's stored shard snapshot of the same version.
-    pub encoded: Bytes,
+    pub encoded: SnapshotImage,
+}
+
+impl ClientReport {
+    /// The report a full snapshot payload (a subscription opener or a
+    /// resync) carries.
+    pub fn from_snapshot(version: u64, payload: &[u8]) -> Result<ClientReport, WireError> {
+        let parts = decode_partials(payload)?;
+        let encoded = build_image(&parts);
+        Ok(ClientReport {
+            version,
+            parts,
+            encoded,
+        })
+    }
+
+    /// Folds the delta payload of an update to `version`: applies it to
+    /// the parts and patches the held bytes from what it changed. A delta
+    /// that does not lead from the held version to `version` is refused
+    /// untouched. A malformed one yields the typed error and may leave the
+    /// parts half-applied under the old version number — the bytes are
+    /// then re-encoded from them, so the two never disagree.
+    pub fn apply_delta(&mut self, version: u64, payload: &[u8]) -> crate::Result<()> {
+        let (from, to) = delta_versions(payload)?;
+        if from != self.version || to != version {
+            return Err(ServeError::ProtocolViolation {
+                expected: "a delta extending the held shard version",
+                got: format!("delta {from}->{to} against held version {}", self.version),
+            });
+        }
+        match apply_delta_changes(&mut self.parts, payload) {
+            Ok(changes) => patch_image(&mut self.encoded, &self.parts, &changes),
+            Err(e) => {
+                self.encoded = build_image(&self.parts);
+                return Err(e.into());
+            }
+        }
+        self.version = version;
+        Ok(())
+    }
 }
 
 /// One consumed subscription update.
@@ -420,16 +461,9 @@ impl ServeClient {
                 finished,
                 payload,
             } => {
-                let parts = decode_partials(&payload)?;
+                let report = ClientReport::from_snapshot(version, &payload)?;
                 self.shards_total.get_or_insert(shards.max(1));
-                self.reports.insert(
-                    shard,
-                    ClientReport {
-                        version,
-                        parts,
-                        encoded: payload,
-                    },
-                );
+                self.reports.insert(shard, report);
                 if finished {
                     self.final_shards.insert(shard);
                 }
@@ -460,19 +494,7 @@ impl ServeClient {
                             expected: "a shard snapshot before its first delta",
                             got: format!("delta for shard {shard} with no held report"),
                         })?;
-                let (from, to) = delta_versions(&payload)?;
-                if from != report.version || to != version {
-                    return Err(ServeError::ProtocolViolation {
-                        expected: "a delta extending the held shard version",
-                        got: format!(
-                            "shard {shard} delta {from}->{to} against held version {}",
-                            report.version
-                        ),
-                    });
-                }
-                apply_delta(&mut report.parts, &payload)?;
-                report.version = version;
-                report.encoded = encode_partials(&report.parts);
+                report.apply_delta(version, &payload)?;
                 if finished {
                     self.final_shards.insert(shard);
                 }

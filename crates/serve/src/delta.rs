@@ -18,8 +18,8 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use opmr_analysis::profiler::{CallStats, MpiProfile};
 use opmr_analysis::topology::Topology;
 use opmr_analysis::wire::{
-    decode_profile, decode_topology, decode_waitstats, encode_profile, encode_topology,
-    encode_waitstats, AppPartial, WireError,
+    decode_app_body, decode_waitstats, encode_app_body, encode_waitstats, AppChange, AppPartial,
+    SnapshotImage, WireError,
 };
 use opmr_events::EventKind;
 use opmr_metrics::MetricsSeries;
@@ -100,12 +100,23 @@ mod obs {
 
     pub struct Obs {
         pub encode_overflows: Arc<Counter>,
+        /// Snapshot-image bytes rewritten by delta patches (store and
+        /// subscribers alike): follows the deltas, not the snapshots.
+        pub image_bytes_patched: Arc<Counter>,
+        /// Snapshot images encoded in full: a first version, a resync
+        /// payload, an app-set change or an unencodable delta.
+        pub image_rebuilds: Arc<Counter>,
     }
 
     pub fn obs() -> &'static Obs {
         static OBS: OnceLock<Obs> = OnceLock::new();
-        OBS.get_or_init(|| Obs {
-            encode_overflows: registry().counter("serve_encode_overflows_total"),
+        OBS.get_or_init(|| {
+            let r = registry();
+            Obs {
+                encode_overflows: r.counter("serve_encode_overflows_total"),
+                image_bytes_patched: r.counter("serve_image_bytes_patched_total"),
+                image_rebuilds: r.counter("serve_image_rebuilds_total"),
+            }
         })
     }
 }
@@ -160,73 +171,53 @@ fn encoded_waitstate(a: &AppPartial) -> Option<Bytes> {
     })
 }
 
-/// True when `to` can be expressed as a sparse cell/edge update on `from`
-/// (nothing shrank or disappeared).
-fn sparse_applicable(from: &AppPartial, to: &AppPartial) -> bool {
-    let from_cells = profile_cells(&from.profile);
-    let to_cells = profile_cells(&to.profile);
-    if !from_cells.keys().all(|k| to_cells.contains_key(k)) {
-        return false;
-    }
-    let from_edges = topology_edges(&from.topology);
-    let to_edges = topology_edges(&to.topology);
-    if !from_edges.keys().all(|k| to_edges.contains_key(k)) {
-        return false;
-    }
-    // A wait-state block that vanished cannot be patched sparsely.
-    if from.waitstate.is_some() && to.waitstate.is_none() {
-        return false;
-    }
-    // Likewise the metrics series. A window-width change invalidates every
-    // cell, and a vanished window would survive a changed-window patch
-    // (the encoder only walks the target's windows) — both travel full.
-    match (&from.metrics, &to.metrics) {
-        (Some(_), None) => false,
-        (Some(a), Some(b)) => {
-            a.window_ns() == b.window_ns() && a.window_indices().all(|w| b.window(w).is_some())
-        }
-        _ => true,
-    }
-}
-
-fn encode_app_full(a: &AppPartial, out: &mut BytesMut) {
-    out.put_u64_le(a.packs);
-    out.put_u64_le(a.wire_bytes);
-    out.put_u64_le(a.decode_errors);
-    encode_profile(&a.profile, out);
-    encode_topology(&a.topology, out);
-    match &a.waitstate {
-        Some(w) => {
-            out.put_u8(1);
-            encode_waitstats(w, out);
-        }
-        None => out.put_u8(0),
-    }
-    match &a.metrics {
-        Some(m) => {
-            out.put_u8(1);
-            m.encode_into(out);
-        }
-        None => out.put_u8(0),
-    }
-}
-
+/// Encodes `to` as a sparse cell/edge/window update on `from` and reports
+/// what that changes in `to`'s snapshot section. Writes nothing and
+/// returns `None` when `to` is not `from` plus replacements — something
+/// shrank or disappeared — so it must travel as a full replacement.
 fn encode_app_sparse(
     from: &AppPartial,
     to: &AppPartial,
     out: &mut BytesMut,
-) -> Result<(), EncodeError> {
+) -> Result<Option<AppChange>, EncodeError> {
+    let from_cells = profile_cells(&from.profile);
+    let to_cells = profile_cells(&to.profile);
+    let from_edges = topology_edges(&from.topology);
+    let to_edges = topology_edges(&to.topology);
+    if !from_cells.keys().all(|k| to_cells.contains_key(k))
+        || !from_edges.keys().all(|k| to_edges.contains_key(k))
+        // A wait-state block that vanished cannot be patched sparsely.
+        || (from.waitstate.is_some() && to.waitstate.is_none())
+    {
+        return Ok(None);
+    }
+    // Metrics windows only accumulate, so changed (or new) windows travel
+    // as per-window replacement values — the "delta chain over windows".
+    // A vanished series or window, or another window width, travels full.
+    let windows = match (&from.metrics, &to.metrics) {
+        (Some(_), None) => return Ok(None),
+        (None, None) => None,
+        (None, Some(m)) => Some(m.window_indices().collect()),
+        (Some(prev), Some(m)) => match m.changed_since(prev) {
+            None => return Ok(None),
+            Some(changed) => Some(changed).filter(|c: &Vec<u64>| !c.is_empty()),
+        },
+    };
+
+    out.put_u8(APP_SPARSE);
     out.put_u64_le(to.packs);
     out.put_u64_le(to.wire_bytes);
     out.put_u64_le(to.decode_errors);
     out.put_u64_le(to.profile.span_ns());
+    let mut head_moved = (from.packs, from.wire_bytes, from.decode_errors)
+        != (to.packs, to.wire_bytes, to.decode_errors)
+        || from.profile.span_ns() != to.profile.span_ns();
 
-    let from_cells = profile_cells(&from.profile);
-    let to_cells = profile_cells(&to.profile);
     let changed: Vec<(&(u32, u16), &CallStats)> = to_cells
         .iter()
         .filter(|(k, s)| from_cells.get(*k) != Some(*s))
         .collect();
+    head_moved |= !changed.is_empty();
     out.put_u32_le(checked_u32(
         changed.len(),
         EncodeError::TooManyCells(changed.len()),
@@ -241,12 +232,11 @@ fn encode_app_sparse(
         out.put_u64_le(s.max_ns);
     }
 
-    let from_edges = topology_edges(&from.topology);
-    let to_edges = topology_edges(&to.topology);
     let changed: Vec<_> = to_edges
         .iter()
         .filter(|(k, w)| from_edges.get(*k) != Some(*w))
         .collect();
+    head_moved |= !changed.is_empty();
     out.put_u32_le(checked_u32(
         changed.len(),
         EncodeError::TooManyEdges(changed.len()),
@@ -264,38 +254,33 @@ fn encode_app_sparse(
         encoded_waitstate(from) == encoded_waitstate(to),
     ) {
         (Some(w), false) => {
+            head_moved = true;
             out.put_u8(1);
             encode_waitstats(w, out);
         }
         _ => out.put_u8(0),
     }
 
-    // Metrics windows only accumulate, so changed (or new) windows travel
-    // as per-window replacement values — the "delta chain over windows".
-    match &to.metrics {
-        None => out.put_u8(0),
-        Some(to_m) => {
-            let prev = from.metrics.as_ref();
-            let changed: Vec<u64> = to_m
-                .window_indices()
-                .filter(|&w| prev.and_then(|p| p.window(w)) != to_m.window(w))
-                .collect();
-            if changed.is_empty() && prev.is_some() {
-                out.put_u8(0);
-            } else {
-                out.put_u8(1);
-                out.put_u64_le(to_m.window_ns());
-                out.put_u32_le(checked_u32(
-                    changed.len(),
-                    EncodeError::TooManyWindows(changed.len()),
-                )?);
-                for w in changed {
-                    to_m.encode_window_into(w, out);
-                }
+    match (&to.metrics, &windows) {
+        (Some(to_m), Some(changed)) => {
+            out.put_u8(1);
+            out.put_u64_le(to_m.window_ns());
+            out.put_u32_le(checked_u32(
+                changed.len(),
+                EncodeError::TooManyWindows(changed.len()),
+            )?);
+            for w in changed {
+                to_m.encode_window_into(*w, out);
             }
         }
+        _ => out.put_u8(0),
     }
-    Ok(())
+    Ok(Some(match windows {
+        None if !head_moved => AppChange::Unchanged,
+        windows => AppChange::Sparse {
+            windows_from: windows.and_then(|w| w.first().copied()),
+        },
+    }))
 }
 
 /// Encodes the delta turning snapshot `from` (version `from_version`) into
@@ -307,6 +292,19 @@ pub fn encode_delta(
     to_version: u64,
     to: &[AppPartial],
 ) -> Result<Bytes, EncodeError> {
+    encode_delta_changes(from_version, from, to_version, to).map(|(delta, _)| delta)
+}
+
+/// [`encode_delta`], plus what the delta changes in each of `to`'s
+/// snapshot sections (in `to` order) — the dirty set the store patches its
+/// [`SnapshotImage`] from, and whose being all
+/// [`AppChange::Unchanged`] is the test for "nothing to publish".
+pub(crate) fn encode_delta_changes(
+    from_version: u64,
+    from: &[AppPartial],
+    to_version: u64,
+    to: &[AppPartial],
+) -> Result<(Bytes, Vec<(u16, AppChange)>), EncodeError> {
     let mut out = BytesMut::new();
     out.put_u32_le(DELTA_MAGIC);
     out.put_u16_le(DELTA_VERSION);
@@ -324,20 +322,23 @@ pub fn encode_delta(
         return Err(overflow(EncodeError::AppRemoved(*gone)));
     }
     out.put_u16_le(checked_u16(to.len(), EncodeError::TooManyApps(to.len()))?);
+    let mut changes = Vec::with_capacity(to.len());
     for a in to {
         out.put_u16_le(a.app_id);
-        match base.get(&a.app_id) {
-            Some(prev) if sparse_applicable(prev, a) => {
-                out.put_u8(APP_SPARSE);
-                encode_app_sparse(prev, a, &mut out)?;
-            }
-            _ => {
+        let sparse = match base.get(&a.app_id) {
+            Some(prev) => encode_app_sparse(prev, a, &mut out)?,
+            None => None,
+        };
+        changes.push((
+            a.app_id,
+            sparse.unwrap_or_else(|| {
                 out.put_u8(APP_FULL);
-                encode_app_full(a, &mut out);
-            }
-        }
+                encode_app_body(a, &mut out);
+                AppChange::Full
+            }),
+        ));
     }
-    Ok(out.freeze())
+    Ok((out.freeze(), changes))
 }
 
 fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
@@ -371,38 +372,9 @@ pub fn delta_versions(mut buf: &[u8]) -> Result<(u64, u64), WireError> {
     Ok((from, to))
 }
 
-fn decode_app_full(app_id: u16, buf: &mut &[u8]) -> Result<AppPartial, WireError> {
-    need(buf, 24)?;
-    let packs = buf.get_u64_le();
-    let wire_bytes = buf.get_u64_le();
-    let decode_errors = buf.get_u64_le();
-    let profile = decode_profile(buf)?;
-    let topology = decode_topology(buf)?;
-    need(buf, 1)?;
-    let waitstate = match buf.get_u8() {
-        0 => None,
-        1 => Some(decode_waitstats(buf)?),
-        t => return Err(WireError::BadTag(t)),
-    };
-    need(buf, 1)?;
-    let metrics = match buf.get_u8() {
-        0 => None,
-        1 => Some(MetricsSeries::decode(buf).map_err(WireError::from)?),
-        t => return Err(WireError::BadTag(t)),
-    };
-    Ok(AppPartial {
-        app_id,
-        packs,
-        wire_bytes,
-        decode_errors,
-        profile,
-        topology,
-        waitstate,
-        metrics,
-    })
-}
-
-fn apply_app_sparse(base: &mut AppPartial, buf: &mut &[u8]) -> Result<(), WireError> {
+/// Applies one sparse per-app block; reports the lowest metrics window it
+/// replaced (window 0 when it had to restart the series).
+fn apply_app_sparse(base: &mut AppPartial, buf: &mut &[u8]) -> Result<AppChange, WireError> {
     need(buf, 32)?;
     base.packs = buf.get_u64_le();
     base.wire_bytes = buf.get_u64_le();
@@ -452,55 +424,94 @@ fn apply_app_sparse(base: &mut AppPartial, buf: &mut &[u8]) -> Result<(), WireEr
     }
 
     need(buf, 1)?;
+    let mut windows_from = None;
     match buf.get_u8() {
         0 => {}
         1 => {
             need(buf, 12)?;
             let window_ns = buf.get_u64_le();
             let n_windows = buf.get_u32_le() as usize;
-            let mut m = match base.metrics.take() {
+            let m = match &mut base.metrics {
                 Some(m) if m.window_ns() == window_ns => m,
-                _ => MetricsSeries::new(window_ns),
+                slot => {
+                    windows_from = Some(0);
+                    slot.insert(MetricsSeries::new(window_ns))
+                }
             };
             for _ in 0..n_windows {
                 let (w, cells) = MetricsSeries::decode_window(buf).map_err(WireError::from)?;
+                windows_from = Some(windows_from.map_or(w, |lowest: u64| lowest.min(w)));
                 m.replace_window(w, cells);
             }
-            base.metrics = Some(m);
         }
         t => return Err(WireError::BadTag(t)),
     }
-    Ok(())
+    Ok(AppChange::Sparse { windows_from })
 }
 
 /// Applies an encoded delta to `base` (sorted by `app_id`), mutating it
 /// into the target snapshot. Returns `(from_version, to_version)`; the
 /// caller is responsible for checking `from_version` against the version
 /// `base` currently represents.
-pub fn apply_delta(base: &mut Vec<AppPartial>, mut buf: &[u8]) -> Result<(u64, u64), WireError> {
-    let (from_version, to_version, n_apps) = decode_header(&mut buf)?;
+pub fn apply_delta(base: &mut Vec<AppPartial>, buf: &[u8]) -> Result<(u64, u64), WireError> {
+    let versions = delta_versions(buf)?;
+    apply_delta_changes(base, buf)?;
+    Ok(versions)
+}
+
+/// [`apply_delta`], plus what the delta changed in each snapshot section
+/// it names (in delta order) — the dirty set a subscriber patches its
+/// [`SnapshotImage`] from. On an error `base` may be left half-applied.
+pub(crate) fn apply_delta_changes(
+    base: &mut Vec<AppPartial>,
+    mut buf: &[u8],
+) -> Result<Vec<(u16, AppChange)>, WireError> {
+    let (_, _, n_apps) = decode_header(&mut buf)?;
+    let mut changes = Vec::with_capacity(n_apps);
     for _ in 0..n_apps {
         need(&buf, 3)?;
         let app_id = buf.get_u16_le();
         let tag = buf.get_u8();
-        match tag {
+        let change = match tag {
             APP_FULL => {
-                let app = decode_app_full(app_id, &mut buf)?;
+                let app = decode_app_body(app_id, &mut buf)?;
                 match base.binary_search_by_key(&app_id, |a| a.app_id) {
                     Ok(i) => base[i] = app,
                     Err(i) => base.insert(i, app),
                 }
+                AppChange::Full
             }
             APP_SPARSE => {
                 let i = base
                     .binary_search_by_key(&app_id, |a| a.app_id)
                     .map_err(|_| WireError::BadTag(tag))?;
-                apply_app_sparse(&mut base[i], &mut buf)?;
+                apply_app_sparse(&mut base[i], &mut buf)?
             }
             t => return Err(WireError::BadTag(t)),
-        }
+        };
+        changes.push((app_id, change));
     }
-    Ok((from_version, to_version))
+    Ok(changes)
+}
+
+/// Encodes `parts` in full (counted): a subscriber's snapshot or resync.
+pub(crate) fn build_image(parts: &[AppPartial]) -> SnapshotImage {
+    obs::obs().image_rebuilds.inc();
+    SnapshotImage::build(parts)
+}
+
+/// Brings `image` up to `parts` through [`SnapshotImage::patch`] — the one
+/// path by which the store and every subscriber move their snapshot bytes
+/// from version to version — and counts what it cost.
+pub(crate) fn patch_image(
+    image: &mut SnapshotImage,
+    parts: &[AppPartial],
+    changes: &[(u16, AppChange)],
+) {
+    match image.patch(parts, changes) {
+        Some(bytes) => obs::obs().image_bytes_patched.add(bytes as u64),
+        None => obs::obs().image_rebuilds.inc(),
+    }
 }
 
 #[cfg(test)]

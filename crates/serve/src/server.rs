@@ -37,7 +37,7 @@ use bytes::{BufMut, BytesMut};
 use opmr_analysis::profiler::MpiProfile;
 use opmr_analysis::topology::Topology;
 use opmr_analysis::waitstate::WaitStats;
-use opmr_analysis::wire::{decode_partials, encode_profile, encode_topology, encode_waitstats};
+use opmr_analysis::wire::{encode_profile, encode_topology, encode_waitstats};
 use opmr_analysis::AnalysisEngine;
 use opmr_events::frame::{try_frame, FrameBuf};
 use opmr_reduce::{FanoutNode, Tree};
@@ -769,11 +769,7 @@ fn answer_query(
             None => return not_found(NotFoundReason::VersionGone),
         }
     };
-    let parts = match decode_partials(&entry.encoded) {
-        Ok(p) => p,
-        Err(_) => return not_found(NotFoundReason::BadRequest),
-    };
-    let Some(app) = parts.into_iter().find(|a| a.app_id == app_id) else {
+    let Some(app) = entry.parts.iter().find(|a| a.app_id == app_id) else {
         return not_found(NotFoundReason::UnknownApp);
     };
     let in_range = |rank: u32| rank >= rank_lo && rank < rank_hi;

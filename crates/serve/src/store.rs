@@ -5,14 +5,29 @@
 //! pumping subscriptions) take a short read lock to clone the current
 //! `Arc` — the swap-on-publish "current pointer plus bounded history"
 //! shape of an arc-swap, built from the vendored `parking_lot`
-//! primitives. Every version stores its full encoding plus the delta
-//! from its predecessor, so a subscriber inside the ring advances by
-//! deltas and one outside it resyncs from `current` in O(1).
+//! primitives.
+//!
+//! Publishing costs what changed, not what is held. The store diffs the
+//! new partials against the previous version's (metrics chunks the two
+//! still share are skipped by pointer), and then does to its own
+//! [`SnapshotImage`] exactly what a subscriber does with that delta:
+//! patches the bytes in place. An all-unchanged delta is the "nothing to
+//! publish" test. The image is encoded in full only where that is the
+//! definition — the first version, or a version no delta can express (the
+//! app set shrank, a count overflowed), which subscribers cross by resync.
+//!
+//! Each ring entry keeps the version's contiguous bytes (one copy of the
+//! image per version: a resync payload in O(1), and what the byte-identity
+//! audits read), the delta from its predecessor, and the decoded partials
+//! behind an `Arc` for point queries — cheap to retain, since consecutive
+//! versions share every metrics chunk that did not change. A subscriber
+//! inside the ring advances by deltas; one outside it resyncs from
+//! `current`.
 
-use crate::delta::{checked_u16, encode_delta, EncodeError};
+use crate::delta::{checked_u16, encode_delta_changes, patch_image, EncodeError};
 use crate::mono_ns;
 use bytes::Bytes;
-use opmr_analysis::wire::{decode_partials, encode_partials, AppPartial, WireError};
+use opmr_analysis::wire::{AppChange, AppPartial, SnapshotImage, WireError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -57,6 +72,9 @@ pub struct SnapshotEntry {
     pub encoded: Bytes,
     /// Delta from `version - 1` (absent on the first version).
     pub delta: Option<Bytes>,
+    /// The snapshot `encoded` encodes, sorted by `app_id`: what point
+    /// queries read and the next version is diffed against.
+    pub parts: Arc<Vec<AppPartial>>,
 }
 
 /// Store counters.
@@ -69,8 +87,8 @@ pub struct StoreStats {
 }
 
 struct Inner {
-    /// Decoded form of the latest snapshot (the delta base).
-    last_parts: Vec<AppPartial>,
+    /// The newest version's bytes, patched from version to version.
+    image: SnapshotImage,
     ring: VecDeque<Arc<SnapshotEntry>>,
     next_version: u64,
     writers_done: usize,
@@ -95,7 +113,7 @@ impl SnapshotStore {
             ring_cap: ring.max(1),
             writers: writers.max(1),
             inner: Mutex::new(Inner {
-                last_parts: Vec::new(),
+                image: SnapshotImage::default(),
                 ring: VecDeque::new(),
                 next_version: 1,
                 writers_done: 0,
@@ -118,25 +136,33 @@ impl SnapshotStore {
             return Ok(Some(inner.next_version - 1));
         }
         let apps = checked_u16(parts.len(), EncodeError::TooManyApps(parts.len()))?;
-        let encoded = encode_partials(&parts);
-        if skip_unchanged && !is_final {
-            if let Some(back) = inner.ring.back() {
-                if back.encoded == encoded {
-                    obs::m().shard_skips.inc();
-                    return Ok(None);
-                }
-            }
-        }
         let version = inner.next_version;
-        inner.next_version += 1;
-        let delta = if version > 1 {
-            // A delta that cannot be encoded (count overflow, already
-            // counted at the failure site) degrades to a counted resync
-            // for subscribers instead of poisoning the whole version.
-            encode_delta(version - 1, &inner.last_parts, version, &parts).ok()
-        } else {
-            None
+        // A delta that cannot be encoded (count overflow or a vanished
+        // app, already counted at the failure site) degrades to a counted
+        // resync for subscribers instead of poisoning the whole version.
+        let (delta, changes) = match inner
+            .ring
+            .back()
+            .map(|prev| encode_delta_changes(version - 1, &prev.parts, version, &parts))
+        {
+            Some(Ok((delta, changes))) => (Some(delta), changes),
+            _ => (None, Vec::new()),
         };
+        if skip_unchanged
+            && !is_final
+            && delta.is_some()
+            && changes.iter().all(|(_, c)| *c == AppChange::Unchanged)
+        {
+            obs::m().shard_skips.inc();
+            return Ok(None);
+        }
+        // With no delta there is no change set to line up with `parts`,
+        // and the patch is a full encode.
+        patch_image(&mut inner.image, &parts, &changes);
+        // The one O(snapshot) step left per version, taken before the
+        // publication timestamp like the full encode it replaces.
+        let encoded = Bytes::copy_from_slice(&inner.image);
+        inner.next_version += 1;
         let entry = Arc::new(SnapshotEntry {
             version,
             publish_ns: mono_ns(),
@@ -144,6 +170,7 @@ impl SnapshotStore {
             apps,
             encoded,
             delta,
+            parts: Arc::new(parts),
         });
         inner.ring.push_back(Arc::clone(&entry));
         obs::m().publishes.inc();
@@ -152,7 +179,6 @@ impl SnapshotStore {
             inner.evicted += 1;
             obs::m().evictions.inc();
         }
-        inner.last_parts = parts;
         inner.finished = is_final;
         // Swap `current` before releasing the writer lock so a reader can
         // never observe a ring newer than the current pointer.
@@ -172,8 +198,8 @@ impl SnapshotStore {
     }
 
     /// Like [`SnapshotStore::publish`] but skips the version bump when the
-    /// encoded snapshot is byte-identical to the current one, returning
-    /// `None`. Sharded publishes route every engine snapshot at every
+    /// snapshot equals the current one (its delta changes nothing),
+    /// returning `None`. Sharded publishes route every engine snapshot at every
     /// shard; a shard whose apps saw no new packs would otherwise spam
     /// each subscriber with an empty delta per engine publication.
     pub fn publish_if_changed(&self, parts: Vec<AppPartial>) -> Result<Option<u64>, EncodeError> {
@@ -295,7 +321,7 @@ impl ShardedStore {
     }
 
     /// Publishes one engine snapshot across the shards. A shard whose
-    /// slice is byte-identical to its current version is skipped (counted)
+    /// slice equals its current version is skipped (counted)
     /// rather than version-bumped; a shard with no apps at all is left
     /// untouched until [`ShardedStore::publish_final`].
     pub fn publish(&self, parts: Vec<AppPartial>) -> Result<(), EncodeError> {
@@ -344,10 +370,11 @@ impl ShardedStore {
             .collect()
     }
 
-    /// Assembles the cross-shard current snapshot on read: decodes each
-    /// shard's current version and merges the app partials back into one
+    /// Assembles the cross-shard current snapshot on read: merges the app
+    /// partials of each shard's current version back into one
     /// `app_id`-sorted report. Returns the partials plus the per-shard
-    /// version vector they were assembled from.
+    /// version vector they were assembled from. (Nothing is decoded any
+    /// more, so this cannot fail; the signature is its callers'.)
     pub fn assemble_current(&self) -> Result<(Vec<AppPartial>, Vec<u64>), WireError> {
         let mut parts = Vec::new();
         let mut versions = Vec::with_capacity(self.shards.len());
@@ -355,7 +382,7 @@ impl ShardedStore {
             match s.current() {
                 Some(e) => {
                     versions.push(e.version);
-                    parts.extend(decode_partials(&e.encoded)?);
+                    parts.extend(e.parts.iter().cloned());
                 }
                 None => versions.push(0),
             }
@@ -398,7 +425,7 @@ mod tests {
     use crate::delta::apply_delta;
     use opmr_analysis::profiler::MpiProfile;
     use opmr_analysis::topology::Topology;
-    use opmr_analysis::wire::decode_partials;
+    use opmr_analysis::wire::{decode_partials, encode_partials};
     use opmr_events::EventKind;
 
     fn parts(hits: u64) -> Vec<AppPartial> {
