@@ -27,6 +27,7 @@ mod obs {
         pub ks_invocations: Arc<Counter>,
         pub ks_panics: Arc<Counter>,
         pub worker_failures: Arc<Counter>,
+        pub worker_wakeups: Arc<Counter>,
         pub backlog: Arc<Histogram>,
     }
 
@@ -40,6 +41,7 @@ mod obs {
                 ks_invocations: r.counter("blackboard_ks_invocations_total"),
                 ks_panics: r.counter("blackboard_ks_panics_total"),
                 worker_failures: r.counter("blackboard_worker_failures_total"),
+                worker_wakeups: r.counter("blackboard_worker_wakeups_total"),
                 backlog: r.histogram("blackboard_job_backlog"),
             }
         })
@@ -102,7 +104,14 @@ struct Inner {
     shutdown: AtomicBool,
     /// Worker/drain parking.
     sleep_lock: Mutex<()>,
+    /// Parked workers wait here; `enqueue` signals it only when
+    /// `sleepers` says somebody is parked.
     sleep_cv: Condvar,
+    /// Drainers wait here for `outstanding` to reach zero.
+    idle_cv: Condvar,
+    /// Workers parked on `sleep_cv` or about to be. Changed only under
+    /// `sleep_lock`; `enqueue` reads it without the lock.
+    sleepers: AtomicUsize,
     next_ks: AtomicU64,
     queue_pick: AtomicUsize,
     stat_posted: AtomicU64,
@@ -136,6 +145,8 @@ impl Blackboard {
                 shutdown: AtomicBool::new(false),
                 sleep_lock: Mutex::new(()),
                 sleep_cv: Condvar::new(),
+                idle_cv: Condvar::new(),
+                sleepers: AtomicUsize::new(0),
                 next_ks: AtomicU64::new(1),
                 queue_pick: AtomicUsize::new(0),
                 stat_posted: AtomicU64::new(0),
@@ -248,7 +259,21 @@ impl Blackboard {
         let pick = self.inner.queue_pick.fetch_add(1, Ordering::Relaxed);
         let qi = (pick.wrapping_mul(0x9E37_79B9) >> 8) % self.inner.queues.len();
         self.inner.queues[qi].lock().push_back(job);
-        self.inner.sleep_cv.notify_one();
+        // A condvar signal is a system call whether or not anyone waits,
+        // so signal only a parked worker. No wake-up is lost: a worker
+        // raises `sleepers` (SeqCst, under `sleep_lock`) *before* its last
+        // look at the queues, and this load comes *after* the push — one
+        // of the two sees the other. Taking `sleep_lock` orders the signal
+        // after the worker has actually started waiting.
+        if self.inner.sleepers.load(Ordering::SeqCst) > 0 {
+            let _parked = self.inner.sleep_lock.lock();
+            self.inner.sleep_cv.notify_one();
+            obs::m().worker_wakeups.inc();
+        }
+    }
+
+    fn any_job_queued(&self) -> bool {
+        self.inner.queues.iter().any(|q| !q.lock().is_empty())
     }
 
     /// Tries to pop and execute one job; true if one ran.
@@ -292,7 +317,7 @@ impl Blackboard {
         obs::m().ks_invocations.inc();
         if self.inner.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
             // Possibly quiescent: wake drainers.
-            self.inner.sleep_cv.notify_all();
+            self.inner.idle_cv.notify_all();
         }
     }
 
@@ -359,9 +384,16 @@ impl Blackboard {
                 std::thread::yield_now();
             } else {
                 let mut g = self.inner.sleep_lock.lock();
-                self.inner
-                    .sleep_cv
-                    .wait_for(&mut g, Duration::from_micros(500));
+                self.inner.sleepers.fetch_add(1, Ordering::SeqCst);
+                // Re-check after announcing: a job pushed before the
+                // announcement was visible gets no signal. The timed wait
+                // stays as the backstop (and lets shutdown be noticed).
+                if !self.any_job_queued() {
+                    self.inner
+                        .sleep_cv
+                        .wait_for(&mut g, Duration::from_micros(500));
+                }
+                self.inner.sleepers.fetch_sub(1, Ordering::SeqCst);
             }
         }
     }
@@ -384,7 +416,7 @@ impl Blackboard {
                 return;
             }
             self.inner
-                .sleep_cv
+                .idle_cv
                 .wait_for(&mut g, Duration::from_micros(500));
         }
     }

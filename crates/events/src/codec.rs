@@ -23,7 +23,7 @@
 //! ```
 
 use crate::event::{Event, EventKind};
-use crate::pack::{PackHeader, EVENT_WIRE_SIZE, PACK_HEADER_SIZE};
+use crate::pack::{PackHeader, DELTA_EVENT_MAX_WIRE_SIZE, EVENT_WIRE_SIZE, PACK_HEADER_SIZE};
 use crate::vint;
 use bytes::{Buf, BufMut};
 
@@ -69,48 +69,44 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Appends one event to `out`.
+/// Appends one event to `out`: its 48 bytes are built on the stack and
+/// appended once.
+#[inline]
 pub fn encode_event(e: &Event, out: &mut impl BufMut) {
-    out.put_u64_le(e.time_ns);
-    out.put_u64_le(e.duration_ns);
-    out.put_u64_le(e.bytes);
-    out.put_u16_le(e.kind as u16);
-    out.put_u16_le(0);
-    out.put_u32_le(e.rank);
-    out.put_i32_le(e.peer);
-    out.put_i32_le(e.tag);
-    out.put_u32_le(e.comm);
-    out.put_u32_le(0);
+    let mut raw = [0u8; EVENT_WIRE_SIZE];
+    raw[0..8].copy_from_slice(&e.time_ns.to_le_bytes());
+    raw[8..16].copy_from_slice(&e.duration_ns.to_le_bytes());
+    raw[16..24].copy_from_slice(&e.bytes.to_le_bytes());
+    raw[24..26].copy_from_slice(&(e.kind as u16).to_le_bytes());
+    raw[28..32].copy_from_slice(&e.rank.to_le_bytes());
+    raw[32..36].copy_from_slice(&e.peer.to_le_bytes());
+    raw[36..40].copy_from_slice(&e.tag.to_le_bytes());
+    raw[40..44].copy_from_slice(&e.comm.to_le_bytes());
+    out.put_slice(&raw);
 }
 
-/// Decodes one event from the front of `buf`.
-pub fn decode_event(buf: &mut impl Buf) -> Result<Event, CodecError> {
-    if buf.remaining() < EVENT_WIRE_SIZE {
-        return Err(CodecError::Truncated {
-            need: EVENT_WIRE_SIZE,
-            have: buf.remaining(),
-        });
-    }
-    let time_ns = buf.get_u64_le();
-    let duration_ns = buf.get_u64_le();
-    let bytes = buf.get_u64_le();
-    let kind_raw = buf.get_u16_le();
-    let _pad = buf.get_u16_le();
-    let rank = buf.get_u32_le();
-    let peer = buf.get_i32_le();
-    let tag = buf.get_i32_le();
-    let comm = buf.get_u32_le();
-    let _pad2 = buf.get_u32_le();
+/// `N` bytes of a fixed-layout event at a constant offset.
+#[inline]
+fn field<const N: usize>(raw: &[u8; EVENT_WIRE_SIZE], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&raw[at..at + N]);
+    out
+}
+
+/// Decodes one event from its 48-byte wire form.
+#[inline]
+pub fn decode_event(raw: &[u8; EVENT_WIRE_SIZE]) -> Result<Event, CodecError> {
+    let kind_raw = u16::from_le_bytes(field(raw, 24));
     let kind = EventKind::from_u16(kind_raw).ok_or(CodecError::BadKind(kind_raw))?;
     Ok(Event {
-        time_ns,
-        duration_ns,
+        time_ns: u64::from_le_bytes(field(raw, 0)),
+        duration_ns: u64::from_le_bytes(field(raw, 8)),
         kind,
-        rank,
-        peer,
-        tag,
-        comm,
-        bytes,
+        rank: u32::from_le_bytes(field(raw, 28)),
+        peer: i32::from_le_bytes(field(raw, 32)),
+        tag: i32::from_le_bytes(field(raw, 36)),
+        comm: u32::from_le_bytes(field(raw, 40)),
+        bytes: u64::from_le_bytes(field(raw, 16)),
     })
 }
 
@@ -150,20 +146,25 @@ impl DeltaState {
     }
 }
 
-/// Appends one delta/varint-coded event to `out`.
+/// Appends one delta/varint-coded event to `out`: its at most
+/// [`DELTA_EVENT_MAX_WIRE_SIZE`] bytes are built on the stack and
+/// appended once.
+#[inline]
 pub fn encode_event_delta(e: &Event, st: &mut DeltaState, out: &mut impl BufMut) {
     let dt = e.time_ns.wrapping_sub(st.prev_time_ns) as i64;
     st.prev_time_ns = e.time_ns;
-    vint::put_uvarint(out, vint::zigzag(dt));
-    vint::put_uvarint(out, e.duration_ns);
-    vint::put_uvarint(out, e.bytes);
-    vint::put_uvarint(out, e.kind as u16 as u64);
     let dr = e.rank as i64 - st.prev_rank as i64;
     st.prev_rank = e.rank;
-    vint::put_uvarint(out, vint::zigzag(dr));
-    vint::put_uvarint(out, vint::zigzag(e.peer as i64));
-    vint::put_uvarint(out, vint::zigzag(e.tag as i64));
-    vint::put_uvarint(out, e.comm as u64);
+    let mut raw = [0u8; DELTA_EVENT_MAX_WIRE_SIZE];
+    let mut at = vint::write_uvarint(&mut raw, 0, vint::zigzag(dt));
+    at = vint::write_uvarint(&mut raw, at, e.duration_ns);
+    at = vint::write_uvarint(&mut raw, at, e.bytes);
+    at = vint::write_uvarint(&mut raw, at, e.kind as u16 as u64);
+    at = vint::write_uvarint(&mut raw, at, vint::zigzag(dr));
+    at = vint::write_uvarint(&mut raw, at, vint::zigzag(e.peer as i64));
+    at = vint::write_uvarint(&mut raw, at, vint::zigzag(e.tag as i64));
+    at = vint::write_uvarint(&mut raw, at, e.comm as u64);
+    out.put_slice(&raw[..at]);
 }
 
 /// Decodes one delta/varint-coded event from the front of `*buf`.
@@ -212,6 +213,13 @@ pub fn encode_header_versioned(h: &PackHeader, version: u16, out: &mut impl BufM
     out.put_u32_le(h.seq);
     out.put_u32_le(h.count);
     out.put_u32_le(0);
+}
+
+/// Overwrites the `count` field of the encoded pack header at the front
+/// of `header` (at least [`PACK_HEADER_SIZE`] bytes): a producer that
+/// encodes events in place behind the header stamps the count last.
+pub fn patch_header_count(header: &mut [u8], count: u32) {
+    header[16..20].copy_from_slice(&count.to_le_bytes());
 }
 
 /// Decodes a fixed-layout (version 1) pack header from the front of `buf`.
@@ -283,6 +291,12 @@ mod tests {
         assert_eq!(buf.len(), PACK_HEADER_SIZE);
     }
 
+    fn wire(e: &Event) -> [u8; EVENT_WIRE_SIZE] {
+        let mut buf = Vec::new();
+        encode_event(e, &mut buf);
+        buf.try_into().unwrap()
+    }
+
     #[test]
     fn event_roundtrip_all_fields() {
         let e = Event {
@@ -295,21 +309,7 @@ mod tests {
             comm: 7,
             bytes: 1 << 40,
         };
-        let mut buf = BytesMut::new();
-        encode_event(&e, &mut buf);
-        let got = decode_event(&mut buf.freeze()).unwrap();
-        assert_eq!(got, e);
-    }
-
-    #[test]
-    fn truncated_event_detected() {
-        let mut buf = BytesMut::new();
-        encode_event(&Event::basic(EventKind::Recv, 0, 0, 0), &mut buf);
-        let mut short = buf.freeze().slice(0..EVENT_WIRE_SIZE - 1);
-        assert!(matches!(
-            decode_event(&mut short),
-            Err(CodecError::Truncated { .. })
-        ));
+        assert_eq!(decode_event(&wire(&e)).unwrap(), e);
     }
 
     #[test]
@@ -455,13 +455,9 @@ mod tests {
 
     #[test]
     fn bad_kind_detected() {
-        let mut buf = BytesMut::new();
-        encode_event(&Event::basic(EventKind::Send, 0, 0, 0), &mut buf);
-        buf[24] = 0xFF;
-        buf[25] = 0xFF;
-        assert_eq!(
-            decode_event(&mut buf.freeze()),
-            Err(CodecError::BadKind(0xFFFF))
-        );
+        let mut raw = wire(&Event::basic(EventKind::Send, 0, 0, 0));
+        raw[24] = 0xFF;
+        raw[25] = 0xFF;
+        assert_eq!(decode_event(&raw), Err(CodecError::BadKind(0xFFFF)));
     }
 }

@@ -73,9 +73,27 @@ impl EventKind {
         EventKind::Marker,
     ];
 
+    /// Discriminant → kind, one slot per value up to the largest
+    /// discriminant (`Marker` = 91), built from [`EventKind::ALL`] at
+    /// compile time so a decode is one bounds check and one load.
+    const BY_DISCRIMINANT: [Option<EventKind>; EventKind::Marker as usize + 1] = {
+        let mut table = [None; EventKind::Marker as usize + 1];
+        let mut i = 0;
+        while i < EventKind::ALL.len() {
+            let kind = EventKind::ALL[i];
+            table[kind as usize] = Some(kind);
+            i += 1;
+        }
+        table
+    };
+
     /// Decodes a wire discriminant.
+    #[inline]
     pub fn from_u16(v: u16) -> Option<EventKind> {
-        EventKind::ALL.iter().copied().find(|k| *k as u16 == v)
+        EventKind::BY_DISCRIMINANT
+            .get(v as usize)
+            .copied()
+            .flatten()
     }
 
     /// Canonical display name (`MPI_Send`, `write`, ...).
@@ -227,6 +245,14 @@ mod tests {
             assert_eq!(EventKind::from_u16(k as u16), Some(k), "{}", k.name());
         }
         assert_eq!(EventKind::from_u16(9999), None);
+    }
+
+    #[test]
+    fn from_u16_agrees_with_the_discriminant_list_everywhere() {
+        for v in 0..=u16::MAX {
+            let listed = EventKind::ALL.iter().copied().find(|k| *k as u16 == v);
+            assert_eq!(EventKind::from_u16(v), listed, "discriminant {v}");
+        }
     }
 
     #[test]

@@ -173,7 +173,14 @@ impl EventPack {
         match encoding {
             PackEncoding::Fixed => {
                 for _ in 0..header.count {
-                    events.push(codec::decode_event(&mut buf)?);
+                    let (raw, rest) = buf.split_first_chunk::<EVENT_WIRE_SIZE>().ok_or(
+                        CodecError::Truncated {
+                            need: EVENT_WIRE_SIZE,
+                            have: buf.len(),
+                        },
+                    )?;
+                    events.push(codec::decode_event(raw)?);
+                    buf = rest;
                 }
             }
             PackEncoding::Delta => {
@@ -343,7 +350,13 @@ mod tests {
     fn truncated_pack_rejected() {
         let p = sample(4);
         let enc = p.encode();
-        assert!(EventPack::decode(&enc[..enc.len() - 1]).is_err());
+        assert_eq!(
+            EventPack::decode(&enc[..enc.len() - 1]),
+            Err(CodecError::Truncated {
+                need: EVENT_WIRE_SIZE,
+                have: EVENT_WIRE_SIZE - 1
+            })
+        );
         assert!(EventPack::decode(&enc[..PACK_HEADER_SIZE]).is_err());
         let delta = p.encode_with(PackEncoding::Delta);
         for cut in 0..delta.len() {

@@ -77,12 +77,12 @@ impl BufferPool {
     }
 
     /// Returns a buffer to the pool. Contents are discarded; buffers past
-    /// the retention cap are freed.
+    /// the retention cap (and ones that never allocated) are freed.
     pub fn put(&self, mut buf: BytesMut) {
         self.returns.fetch_add(1, Ordering::Relaxed);
         buf.clear();
         let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-        if free.len() < MAX_POOLED {
+        if free.len() < MAX_POOLED && buf.capacity() > 0 {
             free.push(buf);
         }
     }

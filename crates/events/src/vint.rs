@@ -13,14 +13,26 @@ use bytes::BufMut;
 /// Longest encoding of a `u64` (10 × 7 bits ≥ 64 bits).
 pub const MAX_UVARINT_LEN: usize = 10;
 
-/// Appends `v` as a LEB128 varint.
+/// Writes `v` as a LEB128 varint at `dst[at..]` and returns the offset
+/// just past it. The caller sizes `dst` for the worst case
+/// ([`MAX_UVARINT_LEN`] bytes for an arbitrary `u64`).
 #[inline]
-pub fn put_uvarint(out: &mut impl BufMut, mut v: u64) {
+pub fn write_uvarint(dst: &mut [u8], mut at: usize, mut v: u64) -> usize {
     while v >= 0x80 {
-        out.put_u8((v as u8) | 0x80);
+        dst[at] = (v as u8) | 0x80;
+        at += 1;
         v >>= 7;
     }
-    out.put_u8(v as u8);
+    dst[at] = v as u8;
+    at + 1
+}
+
+/// Appends `v` as a LEB128 varint (one append, whatever its length).
+#[inline]
+pub fn put_uvarint(out: &mut impl BufMut, v: u64) {
+    let mut raw = [0u8; MAX_UVARINT_LEN];
+    let len = write_uvarint(&mut raw, 0, v);
+    out.put_slice(&raw[..len]);
 }
 
 /// Reads a LEB128 varint from the front of `*buf`, advancing it.

@@ -1,13 +1,15 @@
-//! Event recorder: batches events into packs and streams them out.
+//! Event recorder: encodes events into packs and streams them out.
 //!
-//! The hot path is allocation-free in steady state: the event batch and
-//! the encode scratch buffer are both reused across packs (`clear()`, not
-//! reallocation), with the scratch checked out of the process-wide
-//! [`opmr_events::global_pool`] so successive recorders in one process
-//! recycle each other's buffers.
+//! Each event is encoded once, at record time, straight into the block
+//! the sink will ship: the pack header is stamped when the pack opens,
+//! events are appended behind it, and a flush only patches the header's
+//! `count` and hands the block over. There is no staged `Event` batch and
+//! no encode pass; the one block buffer is reused for every pack.
 
 use crate::sink::PackSink;
-use opmr_events::{Event, EventPack, PackEncoding};
+use bytes::BytesMut;
+use opmr_events::codec::{self, DeltaState};
+use opmr_events::{Event, EventPack, PackEncoding, PackHeader, PACK_HEADER_SIZE};
 use opmr_vmpi::Result;
 
 mod obs {
@@ -15,7 +17,7 @@ mod obs {
     use std::sync::{Arc, OnceLock};
 
     pub(super) struct RecorderMetrics {
-        pub encode_ns: Arc<Histogram>,
+        pub flush_ns: Arc<Histogram>,
         pub packs: Arc<Counter>,
     }
 
@@ -24,7 +26,7 @@ mod obs {
         M.get_or_init(|| {
             let r = registry();
             RecorderMetrics {
-                encode_ns: r.histogram("instrument_encode_ns"),
+                flush_ns: r.histogram("instrument_flush_ns"),
                 packs: r.counter("instrument_packs_encoded_total"),
             }
         })
@@ -81,12 +83,17 @@ pub struct RecorderStats {
     pub wire_bytes: u64,
 }
 
-/// Batches events and writes one pack per sink block.
+/// Encodes events in place and writes one pack per sink block.
 pub struct Recorder {
     cfg: RecorderConfig,
     sink: PackSink,
-    buf: Vec<Event>,
-    scratch: bytes::BytesMut,
+    /// The open pack as it will leave: `[sink headroom][header][events]`.
+    block: BytesMut,
+    /// Length of the sink's headroom at the front of `block`.
+    head: usize,
+    /// Events encoded into the open pack so far.
+    count: u32,
+    delta: DeltaState,
     seq: u32,
     stats: RecorderStats,
 }
@@ -96,50 +103,69 @@ impl Recorder {
     /// classical trace baseline).
     pub fn new(cfg: RecorderConfig, sink: PackSink) -> Recorder {
         assert!(cfg.events_per_pack > 0);
-        let scratch_cap = opmr_events::PACK_HEADER_SIZE
-            + cfg.events_per_pack * cfg.encoding.max_event_wire_size();
-        Recorder {
-            buf: Vec::with_capacity(cfg.events_per_pack),
-            scratch: opmr_events::global_pool().get(scratch_cap),
+        let block = sink
+            .new_block(PACK_HEADER_SIZE + cfg.events_per_pack * cfg.encoding.max_event_wire_size());
+        let mut rec = Recorder {
+            head: block.len(),
+            block,
+            delta: DeltaState::new(cfg.rank),
             cfg,
             sink,
+            count: 0,
             seq: 0,
             stats: RecorderStats::default(),
-        }
+        };
+        rec.open_pack();
+        rec
     }
 
-    /// Records one event, flushing a pack when the batch is full.
+    /// Stamps the next pack's header behind the headroom; its `count` is
+    /// patched when the pack is flushed.
+    fn open_pack(&mut self) {
+        let header = PackHeader {
+            app_id: self.cfg.app_id,
+            rank: self.cfg.rank,
+            seq: self.seq,
+            count: 0,
+        };
+        codec::encode_header_versioned(&header, self.cfg.encoding.version(), &mut self.block);
+        self.delta = DeltaState::new(self.cfg.rank);
+        self.count = 0;
+    }
+
+    /// Records one event, flushing a pack when it is full.
     pub fn record(&mut self, event: Event) -> Result<()> {
-        self.buf.push(event);
+        match self.cfg.encoding {
+            PackEncoding::Fixed => codec::encode_event(&event, &mut self.block),
+            PackEncoding::Delta => {
+                codec::encode_event_delta(&event, &mut self.delta, &mut self.block)
+            }
+        }
+        self.count += 1;
         self.stats.events += 1;
-        if self.buf.len() >= self.cfg.events_per_pack {
+        if self.count as usize >= self.cfg.events_per_pack {
             self.flush_pack()?;
         }
         Ok(())
     }
 
-    /// Flushes the current partial pack, if any, as one stream block.
-    /// Steady state reuses both the event batch and the encode scratch —
-    /// no allocation per pack.
+    /// Flushes the current partial pack, if any, as one stream block: the
+    /// events are already encoded, so this patches the count and hands the
+    /// block to the sink.
     pub fn flush_pack(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
+        if self.count == 0 {
             return Ok(());
         }
-        let events = std::mem::take(&mut self.buf);
-        let pack = EventPack::new(self.cfg.app_id, self.cfg.rank, self.seq, events);
-        self.seq += 1;
         let t0 = std::time::Instant::now();
-        self.scratch.clear();
-        let n = pack.encode_into(self.cfg.encoding, &mut self.scratch);
-        let m = obs::m();
-        m.encode_ns.record(t0.elapsed().as_nanos() as u64);
-        m.packs.inc();
+        codec::patch_header_count(&mut self.block[self.head..], self.count);
         self.stats.packs += 1;
-        self.stats.wire_bytes += n as u64;
-        let res = self.sink.put(&self.scratch);
-        // Hand the event Vec back to the batch so its allocation lives on.
-        self.buf = pack.events;
-        self.buf.clear();
+        self.stats.wire_bytes += (self.block.len() - self.head) as u64;
+        let res = self.sink.put(&mut self.block);
+        self.seq += 1;
+        self.open_pack();
+        let m = obs::m();
+        m.flush_ns.record(t0.elapsed().as_nanos() as u64);
+        m.packs.inc();
         res
     }
 
@@ -147,7 +173,7 @@ impl Recorder {
     pub fn finish(mut self) -> Result<RecorderStats> {
         self.flush_pack()?;
         let stats = self.stats;
-        opmr_events::global_pool().put(std::mem::take(&mut self.scratch));
+        opmr_events::global_pool().put(std::mem::take(&mut self.block));
         self.sink.close()?;
         Ok(stats)
     }
@@ -159,6 +185,6 @@ impl Recorder {
 
     /// Events waiting in the current partial pack.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.count as usize
     }
 }

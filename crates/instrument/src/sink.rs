@@ -7,7 +7,7 @@
 //! file per rank — the "task-local files" pattern whose metadata pressure
 //! the paper criticizes).
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use opmr_vmpi::{Result, VmpiError, WriteStream};
 use std::io::Write;
 
@@ -42,25 +42,30 @@ impl PackSink {
         })
     }
 
-    /// Writes one encoded pack.
-    pub fn put(&mut self, pack: &[u8]) -> Result<()> {
+    /// An empty buffer for [`PackSink::put`] to be filled with one pack of
+    /// up to `pack_cap` bytes. Whatever it already holds is headroom the
+    /// sink stamps itself (a stream's frame header); the pack goes behind.
+    pub fn new_block(&self, pack_cap: usize) -> BytesMut {
         match self {
-            PackSink::Stream(stream) => {
-                stream.write(pack)?;
-                // One pack == one block.
-                stream.flush()
-            }
-            PackSink::File { writer, .. } => {
-                let len = (pack.len() as u32).to_le_bytes();
-                writer
-                    .write_all(&len)
-                    .and_then(|_| writer.write_all(pack))
-                    .map_err(|_| VmpiError::StreamClosed)
-            }
-            PackSink::Sion { file, rank } => {
-                file.write(*rank, pack).map_err(|_| VmpiError::StreamClosed)
-            }
+            PackSink::Stream(stream) => stream.new_block(),
+            _ => opmr_events::global_pool().get(pack_cap),
         }
+    }
+
+    /// Writes the encoded pack behind the headroom of `block` (a buffer
+    /// from [`PackSink::new_block`]) and empties it back to that headroom.
+    pub fn put(&mut self, block: &mut BytesMut) -> Result<()> {
+        let written = match self {
+            // One pack == one block, sent from where it was encoded.
+            PackSink::Stream(stream) => return stream.send_block(block),
+            PackSink::File { writer, .. } => {
+                let len = (block.len() as u32).to_le_bytes();
+                writer.write_all(&len).and_then(|_| writer.write_all(block))
+            }
+            PackSink::Sion { file, rank } => file.write(*rank, block),
+        };
+        block.clear();
+        written.map_err(|_| VmpiError::StreamClosed)
     }
 
     /// Closes the sink (EOF markers for streams, flush for files).
@@ -110,8 +115,12 @@ mod tests {
             Bytes::from_static(b""),
             Bytes::from(vec![7u8; 1000]),
         ];
+        let mut block = sink.new_block(1000);
+        assert!(block.is_empty(), "a file sink stamps no headroom");
         for p in &packs {
-            sink.put(p).unwrap();
+            block.extend_from_slice(p);
+            sink.put(&mut block).unwrap();
+            assert!(block.is_empty());
         }
         sink.close().unwrap();
         let back = read_trace_file(&path).unwrap();

@@ -16,6 +16,7 @@ use opmr_vmpi::map::{map_partitions, map_partitions_directed};
 use opmr_vmpi::{Map, MapPolicy, Result, StreamConfig, Vmpi, VmpiError, WriteStream};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Interceptor hook: observes every recorded event (PNMPI-module analogue).
@@ -36,6 +37,8 @@ pub struct InstrumentedMpi {
     world: Comm,
     rec: Mutex<Option<Recorder>>,
     hooks: Mutex<Vec<Hook>>,
+    /// Set once a hook is registered: a hook-less `record` skips the lock.
+    hooked: AtomicBool,
     comms: Mutex<HashMap<CommId, u32>>,
     t0: u64,
 }
@@ -158,6 +161,7 @@ impl InstrumentedMpi {
             world,
             rec: Mutex::new(Some(rec)),
             hooks: Mutex::new(Vec::new()),
+            hooked: AtomicBool::new(false),
             comms: Mutex::new(HashMap::new()),
             t0: t_start,
         };
@@ -169,6 +173,8 @@ impl InstrumentedMpi {
     /// Adds an interceptor layer observing every event.
     pub fn add_hook(&self, hook: impl Fn(&Event) + Send + 'static) {
         self.hooks.lock().push(Box::new(hook));
+        // Release: pairs with the Acquire load in `record`.
+        self.hooked.store(true, Ordering::Release);
     }
 
     /// Nanoseconds since this rank's `init`.
@@ -203,8 +209,10 @@ impl InstrumentedMpi {
     }
 
     fn record(&self, event: Event) -> Result<()> {
-        for hook in self.hooks.lock().iter() {
-            hook(&event);
+        if self.hooked.load(Ordering::Acquire) {
+            for hook in self.hooks.lock().iter() {
+                hook(&event);
+            }
         }
         let mut g = self.rec.lock();
         match g.as_mut() {
@@ -511,8 +519,8 @@ impl InstrumentedMpi {
         let start = self.now_ns();
         if d >= Duration::from_micros(500) {
             std::thread::sleep(d);
-        } else {
-            let until = self.now_ns() + d.as_nanos() as u64;
+        } else if !d.is_zero() {
+            let until = start + d.as_nanos() as u64;
             while self.now_ns() < until {
                 std::hint::spin_loop();
             }

@@ -338,3 +338,33 @@ fn waitall_aggregates_pending_requests() {
     // The receiver's waitall carries the total received bytes.
     assert!(waitalls.iter().any(|e| e.bytes == 500));
 }
+
+#[test]
+fn flush_metrics_move_once_per_pack() {
+    // Process-wide metrics and tests run in parallel: this session's packs
+    // are a lower bound on the movement, never an exact delta.
+    let registry = opmr_obs::registry();
+    let packs_total = registry.counter("instrument_packs_encoded_total");
+    let flush_ns = registry.histogram("instrument_flush_ns");
+    let (packs_before, flushes_before) = (packs_total.get(), flush_ns.count());
+
+    let packs = Arc::new(Mutex::new(Vec::new()));
+    let p2 = Arc::clone(&packs);
+    Launcher::new()
+        .partition("app", 1, |mpi| {
+            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            for i in 0..500 {
+                imp.marker(i).unwrap();
+            }
+            imp.finalize().unwrap();
+        })
+        .partition("Analyzer", 1, move |mpi| {
+            analyzer_collect(mpi, Arc::clone(&p2))
+        })
+        .run()
+        .unwrap();
+    let sent = packs.lock().unwrap().len() as u64;
+    assert!(sent >= 2, "500 markers overflow one 4 KiB pack");
+    assert!(packs_total.get() - packs_before >= sent);
+    assert!(flush_ns.count() - flushes_before >= sent);
+}

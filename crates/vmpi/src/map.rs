@@ -271,7 +271,10 @@ pub fn map_partitions_directed(
         };
         // Per-master-local peer lists; the pivot is master-local 0.
         let mut assigned: Vec<Vec<u64>> = vec![Vec::new(); master.size];
-        for i in 0..slave.size {
+        // Registrations arrive in scheduling order; the policy is applied
+        // in world-rank order, so the same job always gets the same map.
+        let mut registered = Vec::with_capacity(slave.size);
+        for _ in 0..slave.size {
             let (_st, data) =
                 mpi.recv_ctx(Context::Stream, &universe, Src::Any, TagSel::Tag(tag))?;
             let slave_world = opmr_runtime::pod::from_bytes::<u64>(&data).ok_or_else(|| {
@@ -288,6 +291,10 @@ pub fn map_partitions_directed(
                     got: format!("rank {slave_world}"),
                 });
             }
+            registered.push(slave_world);
+        }
+        registered.sort_unstable();
+        for (i, slave_world) in registered.into_iter().enumerate() {
             let master_local = policy.assign(i, master.size, &mut rng)?;
             let master_world = master.first_world_rank + master_local;
             assigned[master_local].push(slave_world);
@@ -423,19 +430,11 @@ mod tests {
         let (w1, a1) = run_mapping(12, 4, MapPolicy::Random { seed: 42 });
         assert_consistent(&w1, &a1);
         let (w2, _a2) = run_mapping(12, 4, MapPolicy::Random { seed: 42 });
-        // Same seed → same pairing. Slave arrival order at the pivot can
-        // vary between runs, so compare the multiset of assignments.
-        let mut p1: Vec<_> = w1.iter().map(|(r, m)| (*r, m.peers()[0])).collect();
-        let mut p2: Vec<_> = w2.iter().map(|(r, m)| (*r, m.peers()[0])).collect();
-        p1.sort_unstable();
-        p2.sort_unstable();
-        let d1: Vec<usize> = p1.iter().map(|x| x.1).collect();
-        let d2: Vec<usize> = p2.iter().map(|x| x.1).collect();
-        let mut s1 = d1.clone();
-        let mut s2 = d2.clone();
-        s1.sort_unstable();
-        s2.sort_unstable();
-        assert_eq!(s1, s2, "seeded random assignment multiset is stable");
+        // Same seed → same pairing, rank by rank: the pivot applies the
+        // policy in world-rank order whatever order registrations arrive in.
+        let pairs =
+            |w: &RankMaps| -> Vec<_> { w.iter().map(|(r, m)| (*r, m.peers()[0])).collect() };
+        assert_eq!(pairs(&w1), pairs(&w2), "seeded random assignment is stable");
     }
 
     #[test]
@@ -524,7 +523,7 @@ mod tests {
             .unwrap();
         let mut t = t_maps.lock().unwrap().clone();
         t.sort_by_key(|e| e.0);
-        // Round-robin over arrival order: exactly ranks 0 and 1 adopt one
+        // Round-robin over world-rank order: exactly ranks 0 and 1 adopt one
         // writer each; ranks 2..4 stay empty.
         let lens: Vec<usize> = t.iter().map(|(_, m)| m.len()).collect();
         assert_eq!(lens.iter().sum::<usize>(), 2);

@@ -260,10 +260,20 @@ const FLAG_LZ4: u8 = 2;
 /// would eat the savings).
 const MIN_COMPRESS_LEN: usize = 64;
 
+/// Bytes a block buffer keeps free in front of its payload, where
+/// [`WriteStream::send_block`] stamps the frame header in place.
+pub const BLOCK_HEADROOM: usize = FRAME_HDR;
+
+fn stamp(framed: &mut [u8], seq: u64, flags: u8) {
+    framed[..8].copy_from_slice(&seq.to_le_bytes());
+    framed[8] = flags;
+}
+
+/// A standalone frame: the FIN marker, and the tests' reference.
 fn frame(seq: u64, flags: u8, body: &[u8]) -> Bytes {
     let mut b = BytesMut::with_capacity(FRAME_HDR + body.len());
-    b.extend_from_slice(&seq.to_le_bytes());
-    b.extend_from_slice(&[flags]);
+    b.resize(FRAME_HDR, 0);
+    stamp(&mut b, seq, flags);
     b.extend_from_slice(body);
     b.freeze()
 }
@@ -345,12 +355,12 @@ pub struct WriteStream {
     cfg: StreamConfig,
     tag: i32,
     chooser: EndpointChooser,
-    /// The block being filled. Cleared (not reallocated) after each send,
-    /// so steady-state writes reuse one buffer; returned to the global
-    /// pool on close.
+    /// The block [`WriteStream::write`] fills, payload behind
+    /// [`BLOCK_HEADROOM`]: pooled, taken on the first write, truncated to
+    /// the headroom after each send, returned on close.
     current: BytesMut,
-    /// Reusable compressor state (present when `cfg.compression` says so).
-    enc: Option<Lz4Encoder>,
+    /// Reusable compressor state and its headroom-prefixed output buffer.
+    enc: Option<(Lz4Encoder, BytesMut)>,
     /// Next frame sequence number, per endpoint index.
     next_seq: Vec<u64>,
     /// Blocks in flight; bounded by `cfg.n_async` (the shared output
@@ -388,9 +398,9 @@ impl WriteStream {
             next_seq: vec![0; endpoints.len()],
             endpoints,
             tag: stream_tag(stream_id),
-            current: opmr_events::global_pool().get(cfg.block_size),
+            current: BytesMut::new(),
             enc: match cfg.compression {
-                Compression::Lz4 => Some(Lz4Encoder::new()),
+                Compression::Lz4 => Some((Lz4Encoder::new(), BytesMut::new())),
                 Compression::None => None,
             },
             cfg,
@@ -403,20 +413,31 @@ impl WriteStream {
         })
     }
 
+    /// An empty pooled buffer for [`WriteStream::send_block`]: headroom in
+    /// place, room for one full block behind it.
+    pub fn new_block(&self) -> BytesMut {
+        let mut block = opmr_events::global_pool().get(BLOCK_HEADROOM + self.cfg.block_size);
+        block.resize(BLOCK_HEADROOM, 0);
+        block
+    }
+
     /// Appends bytes to the stream, sending full blocks as they fill
     /// (`VMPI_Stream_write`). Non-blocking until all async buffers are full.
     pub fn write(&mut self, mut data: &[u8]) -> Result<()> {
         if self.closed {
             return Err(VmpiError::StreamClosed);
         }
+        if self.current.is_empty() {
+            self.current = self.new_block();
+        }
         self.bytes_written += data.len() as u64;
         obs::m().write_bytes.add(data.len() as u64);
+        let full = BLOCK_HEADROOM + self.cfg.block_size;
         while !data.is_empty() {
-            let room = self.cfg.block_size - self.current.len();
-            let take = room.min(data.len());
+            let take = (full - self.current.len()).min(data.len());
             self.current.extend_from_slice(&data[..take]);
             data = &data[take..];
-            if self.current.len() == self.cfg.block_size {
+            if self.current.len() == full {
                 self.send_current()?;
             }
         }
@@ -428,40 +449,71 @@ impl WriteStream {
         if self.closed {
             return Err(VmpiError::StreamClosed);
         }
-        if !self.current.is_empty() {
-            self.send_current()?;
-        }
-        Ok(())
+        self.send_current()
     }
 
     fn send_current(&mut self) -> Result<()> {
-        let logical = self.current.len();
+        if self.current.len() <= BLOCK_HEADROOM {
+            return Ok(());
+        }
+        let mut block = std::mem::take(&mut self.current);
+        let res = self.send_framed(&mut block);
+        block.truncate(BLOCK_HEADROOM);
+        self.current = block;
+        res
+    }
+
+    /// Sends `block[BLOCK_HEADROOM..]` — serialised in place into a buffer
+    /// from [`WriteStream::new_block`] — as one stream block, after anything
+    /// [`WriteStream::write`] still buffers, and truncates `block` back to
+    /// its headroom whatever the outcome. The payload is copied once, into
+    /// the right-sized frame the receiver's mailbox keeps.
+    pub fn send_block(&mut self, block: &mut BytesMut) -> Result<()> {
+        let res = match block.len().checked_sub(BLOCK_HEADROOM) {
+            _ if self.closed => Err(VmpiError::StreamClosed),
+            None => Err(VmpiError::InvalidConfig("block buffer lost its headroom")),
+            Some(n) if n > self.cfg.block_size => Err(VmpiError::InvalidConfig(
+                "block exceeds the stream's block size",
+            )),
+            Some(0) => Ok(()),
+            Some(n) => self.send_current().and_then(|()| {
+                self.bytes_written += n as u64;
+                obs::m().write_bytes.add(n as u64);
+                self.send_framed(block)
+            }),
+        };
+        block.truncate(BLOCK_HEADROOM);
+        res
+    }
+
+    /// Compresses (if configured and worth it) and ships one block.
+    fn send_framed(&mut self, block: &mut [u8]) -> Result<()> {
+        let logical = block.len() - BLOCK_HEADROOM;
         let m = obs::m();
         m.bytes_logical.add(logical as u64);
-        // Compress into the frame body when the codec says so and it
-        // actually helps; the per-frame flag tells the reader which
-        // shape arrived, so an incompressible block falls back to the
-        // plain layout with zero coordination.
-        let (body, flags) = match self.enc.as_mut() {
-            Some(enc) if logical >= MIN_COMPRESS_LEN => {
+        // The per-frame flag tells the reader which shape arrived, so an
+        // incompressible block falls back to the plain layout with zero
+        // coordination.
+        let mut enc = self.enc.take();
+        let res = match enc.as_mut() {
+            Some((enc, packed)) if logical >= MIN_COMPRESS_LEN => {
                 let t0 = Instant::now();
-                let mut out = BytesMut::with_capacity(compress::max_compressed_len(logical));
-                enc.compress(&self.current, &mut out);
+                packed.resize(BLOCK_HEADROOM, 0);
+                packed.reserve(compress::max_compressed_len(logical));
+                enc.compress(&block[BLOCK_HEADROOM..], packed);
                 m.compress_ns.record(t0.elapsed().as_nanos() as u64);
-                if out.len() < logical {
+                if packed.len() - BLOCK_HEADROOM < logical {
                     m.blocks_compressed.inc();
-                    (out.freeze(), FLAG_DATA | FLAG_LZ4)
+                    self.push_block(packed, FLAG_DATA | FLAG_LZ4)
                 } else {
                     m.compress_skipped.inc();
-                    (Bytes::copy_from_slice(&self.current), FLAG_DATA)
+                    self.push_block(block, FLAG_DATA)
                 }
             }
-            _ => (Bytes::copy_from_slice(&self.current), FLAG_DATA),
+            _ => self.push_block(block, FLAG_DATA),
         };
-        self.current.clear();
-        self.bytes_on_wire += body.len() as u64;
-        m.bytes_on_wire.add(body.len() as u64);
-        self.push_block(body, flags)
+        self.enc = enc;
+        res
     }
 
     /// Resends on injected drops with linear backoff, up to the configured
@@ -489,7 +541,12 @@ impl WriteStream {
         }
     }
 
-    fn push_block(&mut self, block: Bytes, flags: u8) -> Result<()> {
+    /// Waits for a free async buffer, stamps the header into the frame's
+    /// headroom and hands the mailbox its one copy.
+    fn push_block(&mut self, framed: &mut [u8], flags: u8) -> Result<()> {
+        let body = (framed.len() - FRAME_HDR) as u64;
+        self.bytes_on_wire += body;
+        obs::m().bytes_on_wire.add(body);
         // Occupancy of the async buffer window as the producer sees it at
         // each block boundary (0..=n_async).
         obs::m().occupancy.record(self.in_flight.len() as u64);
@@ -518,8 +575,8 @@ impl WriteStream {
         }
         let epi = self.chooser.pick();
         let seq = self.next_seq[epi];
-        let payload = frame(seq, flags, &block);
-        let req = self.isend_retrying(self.endpoints[epi], payload)?;
+        stamp(framed, seq, flags);
+        let req = self.isend_retrying(self.endpoints[epi], Bytes::copy_from_slice(framed))?;
         self.next_seq[epi] = seq + 1;
         self.in_flight.push_back(req);
         self.blocks_sent += 1;
@@ -539,9 +596,7 @@ impl WriteStream {
         if self.closed {
             return Ok(());
         }
-        if !self.current.is_empty() {
-            self.send_current()?;
-        }
+        self.send_current()?;
         // Mark closed before the FIN fan-out: if it fails part-way the
         // stream is poisoned rather than half-closable again from `Drop`.
         self.closed = true;
@@ -1058,5 +1113,153 @@ impl ReadStream {
     /// Number of writers feeding this endpoint.
     pub fn source_count(&self) -> usize {
         self.sources.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use opmr_runtime::Launcher;
+    use proptest::prelude::*;
+    use std::sync::{Arc, Mutex};
+
+    /// Sends `bodies` as one block each — alternately through
+    /// [`WriteStream::send_block`] and through `write` + `flush` — and
+    /// returns every raw frame that reached the reader's mailbox, FIN
+    /// included.
+    fn raw_frames(cfg: StreamConfig, bodies: Vec<Vec<u8>>) -> Vec<Bytes> {
+        let frames = Arc::new(Mutex::new(Vec::new()));
+        let out = Arc::clone(&frames);
+        Launcher::new()
+            .partition("w", 1, move |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let mut st = WriteStream::open_to(&v, vec![1], cfg, 5).unwrap();
+                let mut block = st.new_block();
+                for (i, body) in bodies.iter().enumerate() {
+                    if i % 2 == 0 {
+                        block.extend_from_slice(body);
+                        st.send_block(&mut block).unwrap();
+                        assert_eq!(block.len(), BLOCK_HEADROOM);
+                    } else {
+                        st.write(body).unwrap();
+                        st.flush().unwrap();
+                    }
+                }
+                st.close().unwrap();
+            })
+            .partition("r", 1, move |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let (mpi, universe) = (v.mpi(), v.comm_universe());
+                loop {
+                    let (_, raw) = mpi
+                        .recv_ctx(
+                            Context::Stream,
+                            &universe,
+                            Src::Rank(0),
+                            TagSel::Tag(stream_tag(5)),
+                        )
+                        .unwrap();
+                    let fin = raw[8] == FLAG_FIN;
+                    out.lock().unwrap().push(raw);
+                    if fin {
+                        break;
+                    }
+                }
+            })
+            .run()
+            .unwrap();
+        let got = frames.lock().unwrap().clone();
+        got
+    }
+
+    /// `tile` repeated (compressible) or used to seed noise (not).
+    fn body(tile: &[u8], repeats: usize, compressible: bool) -> Vec<u8> {
+        let mut state = tile
+            .iter()
+            .fold(0x9E37_79B9u32, |s, &b| s.rotate_left(5) ^ b as u32);
+        (0..tile.len() * repeats)
+            .map(|i| {
+                if compressible {
+                    tile[i % tile.len()]
+                } else {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    (state >> 24) as u8
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Stamping the header into the block's headroom yields exactly
+        /// the frame the standalone `frame()` builds: plain blocks, LZ4
+        /// blocks and the incompressible fallback alike.
+        #[test]
+        fn in_place_frames_equal_the_reference_frame(
+            lz4 in any::<bool>(),
+            shapes in proptest::collection::vec(
+                (proptest::collection::vec(any::<u8>(), 1..64), 1usize..60, any::<bool>()),
+                0..24,
+            ),
+        ) {
+            // Two fixed bodies put both LZ4 outcomes in every case.
+            let mut bodies = vec![body(&[0], 2048, true), body(&[1], 2048, false)];
+            bodies.extend(shapes.iter().map(|(tile, n, c)| body(tile, *n, *c)));
+            let cfg = StreamConfig::new(4096, 3, Balance::None)
+                .with_compression(if lz4 { Compression::Lz4 } else { Compression::None });
+            let got = raw_frames(cfg, bodies.clone());
+            prop_assert_eq!(got.len(), bodies.len() + 1);
+            for (seq, (raw, body)) in got.iter().zip(&bodies).enumerate() {
+                let mut packed = Vec::new();
+                Lz4Encoder::new().compress(body, &mut packed);
+                let want = if !lz4 || body.len() < MIN_COMPRESS_LEN {
+                    frame(seq as u64, FLAG_DATA, body)
+                } else if packed.len() < body.len() {
+                    frame(seq as u64, FLAG_DATA | FLAG_LZ4, &packed)
+                } else {
+                    frame(seq as u64, FLAG_DATA, body)
+                };
+                prop_assert_eq!(raw, &want, "frame {} differs", seq);
+            }
+            prop_assert_eq!(&got[bodies.len()], &frame(bodies.len() as u64, FLAG_FIN, &[]));
+            if lz4 {
+                prop_assert_eq!(got[0][8], FLAG_DATA | FLAG_LZ4);
+                prop_assert_eq!(got[1][8], FLAG_DATA, "noise falls back to plain");
+            }
+        }
+    }
+
+    #[test]
+    fn send_block_rejects_what_it_cannot_frame() {
+        Launcher::new()
+            .partition("w", 1, |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let cfg = StreamConfig::new(64, 3, Balance::None);
+                let mut st = WriteStream::open_to(&v, vec![1], cfg, 6).unwrap();
+                let mut block = st.new_block();
+                st.send_block(&mut block).unwrap(); // empty: nothing to send
+                block.extend_from_slice(&[1u8; 65]);
+                assert!(matches!(
+                    st.send_block(&mut block),
+                    Err(VmpiError::InvalidConfig(_))
+                ));
+                assert_eq!(block.len(), BLOCK_HEADROOM, "emptied even on refusal");
+                let mut bare = BytesMut::new();
+                assert!(matches!(
+                    st.send_block(&mut bare),
+                    Err(VmpiError::InvalidConfig(_))
+                ));
+                assert_eq!(st.blocks_sent(), 0);
+                st.close().unwrap();
+            })
+            .partition("r", 1, |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let cfg = StreamConfig::new(64, 3, Balance::None);
+                let mut st = ReadStream::open_from(&v, vec![0], cfg, 6).unwrap();
+                assert!(st.read(ReadMode::Blocking).unwrap().is_none());
+            })
+            .run()
+            .unwrap();
     }
 }
