@@ -4,24 +4,32 @@
 //!
 //! ```text
 //! raw block ──▶ KS dispatcher ──▶ <level>/pack ──▶ KS unpacker ──▶ <level>/events
-//!                (creates the level's KSs                      ├──▶ KS profiler
-//!                 on first sight of an app)                    ├──▶ KS topology
-//!                                                              └──▶ KS timeline
+//!                (creates the level's KSs                      ├──▶ KS fold
+//!                 on first sight of an app)                    └──▶ plug-in KSs
 //! ```
 //!
 //! Each instrumented application gets its own blackboard *level* (type ids
 //! are hashed over the level name), so identical knowledge sources coexist
 //! per application and one engine concurrently profiles any number of
 //! programs into a single multi-chapter report.
+//!
+//! A pack is three jobs: route, decode, fold. The fold KS hands the decoded
+//! pack to [`fold_pack`], which takes the application's lock once and
+//! updates every aggregate and the pack accounting under it, so whatever
+//! [`AnalysisEngine::snapshot_partials`] sees is a whole number of packs,
+//! the same ones in every aggregate. `<level>/events` is also the plug-in
+//! point: a KS registered on it (the trace proxy, `examples/custom_ks.rs`)
+//! sees every decoded pack beside the fold.
 
 use crate::density::DensityMap;
+use crate::fold::{fold_pack, Aggregates, FoldTarget};
 use crate::profiler::{Metric, MpiProfile};
 use crate::timeline::{AdaptiveTimeline, Timeline};
 use crate::topology::Topology;
 use crate::trace_proxy::{Selection, TraceProxy};
 use crate::waitstate::{WaitStateAnalysis, WaitStats};
 use bytes::Bytes;
-use opmr_blackboard::{type_id, Blackboard, BlackboardConfig, DataEntry, KnowledgeSource};
+use opmr_blackboard::{type_id, Blackboard, BlackboardConfig, DataEntry, KnowledgeSource, TypeId};
 use opmr_events::{codec, EventKind, EventPack};
 use opmr_metrics::{MetricsConfig, MetricsSeries};
 use parking_lot::Mutex;
@@ -62,8 +70,25 @@ struct AppData {
     decode_errors: u64,
 }
 
+impl FoldTarget for AppData {
+    fn aggregates(&mut self) -> Aggregates<'_> {
+        Aggregates {
+            packs: &mut self.packs,
+            wire_bytes: &mut self.wire_bytes,
+            profile: &mut self.profile,
+            topology: &mut self.topology,
+            timeline: self.timeline.as_mut(),
+            waitstate: self.waitstate.as_mut(),
+            metrics: self.metrics.as_mut(),
+        }
+    }
+}
+
 struct AppSlot {
     app_id: u16,
+    /// Type ids of the level's `pack` and `events` entries.
+    ty_pack: TypeId,
+    ty_events: TypeId,
     name: Mutex<String>,
     data: Mutex<AppData>,
     /// Completes once the level's stock KSs have been registered. `Once`
@@ -192,9 +217,9 @@ pub type SnapshotHook = Arc<dyn Fn(Vec<crate::wire::AppPartial>) + Send + Sync>;
 
 #[derive(Default)]
 struct EngineExtras {
-    /// Register the wait-state KS on every level.
+    /// Fold wait states on every level.
     waitstate: bool,
-    /// Register the windowed standard-metrics KS on every level.
+    /// Fold the windowed standard-metrics series on every level.
     metrics: Option<MetricsConfig>,
     /// Attach a selective-trace proxy per level, writing under this dir.
     proxy: Option<(std::path::PathBuf, Selection)>,
@@ -254,7 +279,7 @@ impl AnalysisEngine {
         self.extras.lock().waitstate = true;
     }
 
-    /// Enables the time-resolved standard-metrics KS on every application
+    /// Enables the time-resolved standard metrics on every application
     /// level: the event stream is folded into per-window, per-rank integer
     /// cells (see `opmr_metrics`). Call before any packs arrive.
     pub fn enable_metrics(&self, cfg: MetricsConfig) {
@@ -277,9 +302,11 @@ impl AnalysisEngine {
     }
 
     /// The engine's current per-application partial aggregates, taken
-    /// mid-run without stopping the workers. Each slot is sampled under its
-    /// own lock, so a single application's aggregate is internally
-    /// consistent; cross-application skew is bounded by in-flight jobs.
+    /// mid-run without stopping the workers. Each slot is sampled under the
+    /// lock a pack is folded under, so a single application's aggregate is
+    /// a whole number of packs — the same ones in the pack counters, the
+    /// profile, the topology and the series; cross-application skew is
+    /// bounded by in-flight jobs.
     pub fn snapshot_partials(&self) -> Vec<crate::wire::AppPartial> {
         let mut slots: Vec<Arc<AppSlot>> = self.apps.lock().values().cloned().collect();
         slots.sort_by_key(|s| s.app_id);
@@ -327,9 +354,12 @@ impl AnalysisEngine {
         if let Some(slot) = apps.get(&app_id) {
             return Arc::clone(slot);
         }
+        let level = level_name(app_id);
         let slot = Arc::new(AppSlot {
             app_id,
-            name: Mutex::new(level_name(app_id)),
+            ty_pack: type_id(&level, "pack"),
+            ty_events: type_id(&level, "events"),
+            name: Mutex::new(level),
             data: Mutex::new(AppData {
                 timeline: Some(AdaptiveTimeline::new(
                     self.cfg.timeline_bins,
@@ -360,29 +390,28 @@ impl AnalysisEngine {
                     engine.slot(0).data.lock().decode_errors += 1;
                     return;
                 };
-                engine.ensure_level(header.app_id);
-                let level = level_name(header.app_id);
-                bb.post(DataEntry::bytes(type_id(&level, "pack"), bytes.clone()));
+                let slot = engine.ensure_level(header.app_id);
+                bb.post(DataEntry::bytes(slot.ty_pack, bytes.clone()));
             },
         ));
     }
 
     /// Registers the per-level stock KSs once per application
     /// (the multi-level blackboard of Figure 5).
-    fn ensure_level(&self, app_id: u16) {
+    fn ensure_level(&self, app_id: u16) -> Arc<AppSlot> {
         let slot = self.slot(app_id);
         // Exactly-once wiring, even when two dispatcher jobs race on the
         // first packs of a new application. `call_once` blocks the losers
         // until the winner has registered every KS: with a plain flag a
         // losing dispatcher could post its pack before the level was
         // sensitive to it, and the blackboard silently dropped the entry.
-        slot.wired.call_once(|| self.wire_level(&slot, app_id));
+        slot.wired.call_once(|| self.wire_level(&slot));
+        slot
     }
 
-    fn wire_level(&self, slot: &Arc<AppSlot>, app_id: u16) {
-        let level = level_name(app_id);
-        let ty_pack = type_id(&level, "pack");
-        let ty_events = type_id(&level, "events");
+    fn wire_level(&self, slot: &Arc<AppSlot>) {
+        let level = level_name(slot.app_id);
+        let (ty_pack, ty_events) = (slot.ty_pack, slot.ty_events);
         // Unpacker: pack bytes → decoded EventPack entry. Also the
         // publication clock: every N packs (across all levels) the snapshot
         // hook fires with the engine's current aggregates. The hook runs
@@ -400,12 +429,7 @@ impl AnalysisEngine {
                 };
                 match EventPack::decode(bytes) {
                     Ok(pack) => {
-                        {
-                            let mut data = uslot.data.lock();
-                            data.packs += 1;
-                            data.wire_bytes += bytes.len() as u64;
-                        }
-                        bb.post(DataEntry::value(ty_events, pack));
+                        bb.post(DataEntry::value_sized(ty_events, pack, bytes.len()));
                         if let Some((every, hook)) = &publisher {
                             let t = ticker.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
                             if t.is_multiple_of(*every) {
@@ -426,87 +450,29 @@ impl AnalysisEngine {
                 }
             },
         );
-        // Profiler: events → per-call aggregates.
-        let pslot = Arc::clone(slot);
-        let profiler = KnowledgeSource::new(
-            &format!("profiler/{level}"),
+        // Fold: decoded events → every aggregate of the application, and
+        // the pack accounting, under one acquisition of the slot's lock.
+        let fslot = Arc::clone(slot);
+        let fold = KnowledgeSource::new(
+            &format!("fold/{level}"),
             vec![ty_events],
             move |_bb, entries| {
                 if let Some(pack) = entries[0].downcast_ref::<EventPack>() {
-                    pslot.data.lock().profile.add_all(&pack.events);
+                    fold_pack(pack, entries[0].size(), || fslot.data.lock());
                 }
             },
         );
-        // Topology: events → communication matrix.
-        let tslot = Arc::clone(slot);
-        let topology = KnowledgeSource::new(
-            &format!("topology/{level}"),
-            vec![ty_events],
-            move |_bb, entries| {
-                if let Some(pack) = entries[0].downcast_ref::<EventPack>() {
-                    tslot.data.lock().topology.add_all(&pack.events);
-                }
-            },
-        );
-        // Timeline: events → temporal map.
-        let lslot = Arc::clone(slot);
-        let timeline = KnowledgeSource::new(
-            &format!("timeline/{level}"),
-            vec![ty_events],
-            move |_bb, entries| {
-                if let Some(pack) = entries[0].downcast_ref::<EventPack>() {
-                    let mut data = lslot.data.lock();
-                    if let Some(tl) = data.timeline.as_mut() {
-                        for e in &pack.events {
-                            tl.add(e);
-                        }
-                    }
-                }
-            },
-        );
-
-        self.bb.register(unpacker);
-        self.bb.register(profiler);
-        self.bb.register(topology);
-        self.bb.register(timeline);
 
         let extras = self.extras.lock();
-        if extras.waitstate {
-            slot.data.lock().waitstate = Some(WaitStateAnalysis::new());
-            let wslot = Arc::clone(slot);
-            self.bb.register(KnowledgeSource::new(
-                &format!("waitstate/{level}"),
-                vec![ty_events],
-                move |_bb, entries| {
-                    if let Some(pack) = entries[0].downcast_ref::<EventPack>() {
-                        let mut data = wslot.data.lock();
-                        if let Some(ws) = data.waitstate.as_mut() {
-                            for e in &pack.events {
-                                ws.add(e);
-                            }
-                        }
-                    }
-                },
-            ));
+        {
+            let mut data = slot.data.lock();
+            data.waitstate = extras.waitstate.then(WaitStateAnalysis::new);
+            data.metrics = extras.metrics.map(|c| MetricsSeries::new(c.window_ns));
         }
-        if let Some(mcfg) = extras.metrics {
-            slot.data.lock().metrics = Some(MetricsSeries::new(mcfg.window_ns));
-            let mslot = Arc::clone(slot);
-            self.bb.register(KnowledgeSource::new(
-                &format!("metrics/{level}"),
-                vec![ty_events],
-                move |_bb, entries| {
-                    if let Some(pack) = entries[0].downcast_ref::<EventPack>() {
-                        let mut data = mslot.data.lock();
-                        if let Some(m) = data.metrics.as_mut() {
-                            m.fold_pack(&pack.events);
-                        }
-                    }
-                },
-            ));
-        }
+        self.bb.register(unpacker);
+        self.bb.register(fold);
         if let Some((dir, selection)) = extras.proxy.clone() {
-            let path = dir.join(format!("app{app_id}_selected.opmr"));
+            let path = dir.join(format!("app{}_selected.opmr", slot.app_id));
             if let Ok(proxy) = TraceProxy::create(&path, selection) {
                 let handle = proxy.handle();
                 slot.data.lock().proxy = Some(proxy);
@@ -735,6 +701,64 @@ mod tests {
             "online fold must equal offline whole-trace fold"
         );
         assert!(report.apps[0].waitstate.is_none(), "waitstate not enabled");
+    }
+
+    #[test]
+    fn every_snapshot_is_a_whole_number_of_packs_in_every_aggregate() {
+        // Equal-sized packs of sends, so each aggregate counts events its
+        // own way: a snapshot that caught a pack in one of them and not in
+        // another (or in the pack counter) breaks an equality below.
+        const PER_PACK: u64 = 16;
+        const PACKS_PER_POSTER: u32 = 1500;
+        let engine = AnalysisEngine::new(EngineConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        engine.enable_metrics(MetricsConfig { window_ns: 1000 });
+        engine.start();
+        let block = |rank: u32, seq: u32| {
+            pack(
+                0,
+                rank,
+                seq,
+                vec![send(rank, 1 - rank as i32, 64); PER_PACK as usize],
+            )
+        };
+        let block_len = block(0, 0).len() as u64;
+        let posting = std::sync::atomic::AtomicUsize::new(2);
+        let mut snapshots = 0;
+        std::thread::scope(|scope| {
+            for rank in 0..2u32 {
+                let (engine, posting, block) = (&engine, &posting, &block);
+                scope.spawn(move || {
+                    for seq in 0..PACKS_PER_POSTER {
+                        engine.post_block(block(rank, seq));
+                    }
+                    posting.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                });
+            }
+            while posting.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+                for app in engine.snapshot_partials() {
+                    snapshots += 1;
+                    let events = app.profile.events();
+                    assert_eq!(events, app.packs * PER_PACK, "profile vs packs");
+                    assert_eq!(app.wire_bytes, app.packs * block_len, "wire bytes");
+                    let edges = app.topology.sorted_edges();
+                    let sent: u64 = edges.iter().map(|(_, w)| w.hits).sum();
+                    assert_eq!(sent, events, "topology vs profile");
+                    let series = app.metrics.as_ref().expect("metrics enabled");
+                    let windowed: u64 = series.cells().map(|(_, _, c)| c.hits).sum();
+                    assert_eq!(windowed, events, "metrics series vs profile");
+                }
+            }
+        });
+        assert!(snapshots > 0, "no snapshot raced the posters");
+        let report = engine.finish();
+        assert_eq!(report.apps[0].packs, 2 * PACKS_PER_POSTER as u64);
+        assert_eq!(
+            report.apps[0].events,
+            2 * PACKS_PER_POSTER as u64 * PER_PACK
+        );
     }
 
     #[test]

@@ -15,14 +15,17 @@
 //! * [`timeline`] — temporal maps: time-binned MPI activity per rank;
 //! * [`engine`] — the wiring: a dispatcher KS routes event packs to their
 //!   application's blackboard level (Figure 5), a per-level unpacker KS
-//!   decodes them (Figure 4), and per-level reducer KSs update the shared
+//!   decodes them (Figure 4), and a per-level fold KS updates the shared
 //!   aggregates;
+//! * [`fold`] — the pack fold itself: one decoded pack into every
+//!   aggregate of its application, shared with the reduce tree's frontier;
 //! * [`report`] — the profiling report: one chapter per instrumented
 //!   application, in Markdown and LaTeX (the paper emits a 20-70 page
 //!   LaTeX document).
 
 pub mod density;
 pub mod engine;
+pub mod fold;
 pub mod patterns;
 pub mod profiler;
 pub mod report;

@@ -26,7 +26,7 @@ impl Default for CallStats {
 }
 
 impl CallStats {
-    fn add(&mut self, e: &Event) {
+    pub(crate) fn add(&mut self, e: &Event) {
         self.hits += 1;
         self.time_ns += e.duration_ns;
         self.bytes += e.bytes;
@@ -102,20 +102,28 @@ impl MpiProfile {
         min_ns: u64,
         max_ns: u64,
     ) {
-        let cell = CallStats {
-            hits,
-            time_ns,
-            bytes,
-            min_ns,
-            max_ns,
-        };
-        self.per_kind.entry(kind).or_default().merge(&cell);
+        self.absorb_cell(
+            rank,
+            kind,
+            &CallStats {
+                hits,
+                time_ns,
+                bytes,
+                min_ns,
+                max_ns,
+            },
+        );
+    }
+
+    /// Merges a pre-aggregated `(rank, kind)` cell (the pack fold).
+    pub(crate) fn absorb_cell(&mut self, rank: u32, kind: EventKind, cell: &CallStats) {
+        self.per_kind.entry(kind).or_default().merge(cell);
         self.per_rank_kind
             .entry((rank, kind))
             .or_default()
-            .merge(&cell);
+            .merge(cell);
         self.ranks = self.ranks.max(rank + 1);
-        self.events += hits;
+        self.events += cell.hits;
     }
 
     /// Raises the observed span (wire decoding).

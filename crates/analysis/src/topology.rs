@@ -49,6 +49,12 @@ impl EdgeWeight {
         self.bytes += other.bytes;
         self.time_ns += other.time_ns;
     }
+
+    pub(crate) fn add(&mut self, e: &Event) {
+        self.hits += 1;
+        self.bytes += e.bytes;
+        self.time_ns += e.duration_ns;
+    }
 }
 
 /// The communication topology of one application.
@@ -63,18 +69,18 @@ impl Topology {
         Topology::default()
     }
 
-    /// Folds a point-to-point *send-side* event into the matrix (receive
-    /// sides would double-count the transfer).
+    /// The directed edge an event contributes to: point-to-point *send
+    /// sides* only (receive sides would double-count the transfer).
+    pub(crate) fn edge_of(e: &Event) -> Option<(u32, u32)> {
+        (e.kind.is_p2p_send() && e.peer >= 0).then_some((e.rank, e.peer as u32))
+    }
+
+    /// Folds one event into the matrix.
     pub fn add(&mut self, e: &Event) {
-        if !e.kind.is_p2p_send() || e.peer < 0 {
+        let Some((src, dst)) = Topology::edge_of(e) else {
             return;
-        }
-        let src = e.rank;
-        let dst = e.peer as u32;
-        let w = self.edges.entry((src, dst)).or_default();
-        w.hits += 1;
-        w.bytes += e.bytes;
-        w.time_ns += e.duration_ns;
+        };
+        self.edges.entry((src, dst)).or_default().add(e);
         self.ranks = self.ranks.max(src + 1).max(dst + 1);
     }
 

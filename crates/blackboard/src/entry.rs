@@ -66,6 +66,8 @@ impl Payload {
 #[derive(Clone)]
 pub struct DataEntry {
     ty: TypeId,
+    /// Wire bytes a typed value stands for (a byte payload has its length).
+    value_size: usize,
     payload: Arc<Payload>,
 }
 
@@ -74,14 +76,23 @@ impl DataEntry {
     pub fn bytes(ty: TypeId, data: Bytes) -> DataEntry {
         DataEntry {
             ty,
+            value_size: 0,
             payload: Arc::new(Payload::Bytes(data)),
         }
     }
 
-    /// Entry holding a typed value.
+    /// Entry holding a typed value (of unknown size: [`DataEntry::size`]
+    /// reads 0).
     pub fn value<T: Any + Send + Sync>(ty: TypeId, value: T) -> DataEntry {
+        DataEntry::value_sized(ty, value, 0)
+    }
+
+    /// Entry holding a typed value decoded from `size` bytes of wire data,
+    /// so a consumer can account the volume without seeing the blob.
+    pub fn value_sized<T: Any + Send + Sync>(ty: TypeId, value: T, size: usize) -> DataEntry {
         DataEntry {
             ty,
+            value_size: size,
             payload: Arc::new(Payload::Value(Box::new(value))),
         }
     }
@@ -96,9 +107,13 @@ impl DataEntry {
         &self.payload
     }
 
-    /// Payload size in bytes.
+    /// The paper's `Size` field: a byte payload's length, or the wire
+    /// bytes a typed value was declared to stand for.
     pub fn size(&self) -> usize {
-        self.payload.size()
+        match &*self.payload {
+            Payload::Bytes(b) => b.len(),
+            Payload::Value(_) => self.value_size,
+        }
     }
 
     /// Current number of references to the payload.
@@ -157,6 +172,9 @@ mod tests {
         assert!(e.downcast_ref::<String>().is_none());
         assert!(e.payload().as_bytes().is_none());
         assert_eq!(e.size(), 0);
+        let sized = DataEntry::value_sized(2, vec![1u32, 2, 3], 12);
+        assert_eq!(sized.size(), 12);
+        assert_eq!(sized.clone().size(), 12);
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl EventPack {
         // `decode_header_any` only admits known versions, so the fallback
         // arm is unreachable in practice; Fixed keeps it total.
         let encoding = PackEncoding::from_version(version).unwrap_or(PackEncoding::Fixed);
-        let mut events = Vec::with_capacity((header.count as usize).min(1 << 20));
+        let mut events = Vec::with_capacity(reservation(header.count, buf.len(), encoding));
         match encoding {
             PackEncoding::Fixed => {
                 for _ in 0..header.count {
@@ -199,12 +199,46 @@ impl EventPack {
     }
 }
 
+/// Events to reserve room for before decoding: what the header claims,
+/// bounded by what `payload_len` bytes can hold — a 24-byte block must not
+/// allocate for the 2²⁰ events its header lies about.
+fn reservation(claimed: u32, payload_len: usize, encoding: PackEncoding) -> usize {
+    let smallest_event = match encoding {
+        PackEncoding::Fixed => EVENT_WIRE_SIZE,
+        // Eight varints of at least one byte each.
+        PackEncoding::Delta => 8,
+    };
+    (claimed as usize).min(payload_len / smallest_event)
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
     use crate::event::EventKind;
+
+    #[test]
+    fn a_lying_count_is_a_typed_error_and_reserves_only_what_the_bytes_hold() {
+        for encoding in [PackEncoding::Fixed, PackEncoding::Delta] {
+            let honest = sample(3).encode_with(encoding);
+            let payload = honest.len() - PACK_HEADER_SIZE;
+            for keep in [PACK_HEADER_SIZE, honest.len()] {
+                let mut lying = honest[..keep].to_vec();
+                codec::patch_header_count(&mut lying, 1 << 20);
+                assert!(
+                    matches!(EventPack::decode(&lying), Err(CodecError::Truncated { .. })),
+                    "{encoding}, {keep} bytes kept"
+                );
+            }
+            assert_eq!(reservation(1 << 20, 0, encoding), 0, "{encoding}");
+            assert!(
+                reservation(1 << 20, payload, encoding) <= payload / 8,
+                "{encoding}"
+            );
+            assert_eq!(reservation(3, payload, encoding), 3, "{encoding}");
+        }
+    }
 
     fn sample(n: usize) -> EventPack {
         let events = (0..n)

@@ -24,6 +24,7 @@
 use crate::partial::{decode_partial_set, encode_partial_set, try_frame, FrameBuf, ReducePartial};
 use crate::tree::Tree;
 use bytes::Bytes;
+use opmr_analysis::fold::{fold_pack, Aggregates, FoldTarget};
 use opmr_analysis::waitstate::WaitStateAnalysis;
 use opmr_events::EventPack;
 use opmr_vmpi::{ReadMode, ReadStream, Result, StreamConfig, Vmpi, VmpiError, WriteStream};
@@ -188,18 +189,9 @@ impl Accum {
     }
 
     fn absorb_pack(&mut self, pack: &EventPack, block_len: usize) {
-        self.partial.packs += 1;
-        self.partial.wire_bytes += block_len as u64;
-        self.partial.profile.add_all(&pack.events);
-        self.partial.topology.add_all(&pack.events);
-        if let Some(m) = &mut self.partial.metrics {
-            m.fold_pack(&pack.events);
-        }
-        for e in &pack.events {
-            self.partial.density.add_event(e.rank);
-            if let Some(ws) = &mut self.ws {
-                ws.add(e);
-            }
+        let sums = fold_pack(pack, block_len, || &mut *self);
+        for (rank, events) in sums.rank_events() {
+            self.partial.density.add_events(rank, events);
         }
     }
 
@@ -219,6 +211,20 @@ impl Accum {
             self.partial.waitstate = Some(ws.finish().clone());
         }
         self.partial
+    }
+}
+
+impl FoldTarget for Accum {
+    fn aggregates(&mut self) -> Aggregates<'_> {
+        Aggregates {
+            packs: &mut self.partial.packs,
+            wire_bytes: &mut self.partial.wire_bytes,
+            profile: &mut self.partial.profile,
+            topology: &mut self.partial.topology,
+            timeline: None,
+            waitstate: self.ws.as_mut(),
+            metrics: self.partial.metrics.as_mut(),
+        }
     }
 }
 
@@ -492,4 +498,72 @@ fn close_window(
     m.windows_closed.inc();
     m.window_latency.record(t0.elapsed().as_nanos() as u64);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use super::*;
+    use opmr_analysis::wire::encode_partials;
+    use opmr_analysis::{AnalysisEngine, EngineConfig};
+    use opmr_events::{Event, EventKind, PackEncoding};
+    use opmr_metrics::MetricsConfig;
+
+    /// A frontier window and an engine are the same fold: fed the same
+    /// blocks they hold byte-equal partials, and the window's density is
+    /// the profile's per-rank event count.
+    #[test]
+    fn a_frontier_accum_and_an_engine_fed_the_same_packs_yield_equal_partials() {
+        let metrics = MetricsConfig { window_ns: 1000 };
+        let engine = AnalysisEngine::new(EngineConfig {
+            workers: 0,
+            ..EngineConfig::default()
+        });
+        engine.enable_waitstate();
+        engine.enable_metrics(metrics);
+        let mut accum = Accum::new(4, true, Some(metrics));
+
+        let kinds = [
+            EventKind::Isend,
+            EventKind::Recv,
+            EventKind::Wait,
+            EventKind::Allreduce,
+            EventKind::PosixWrite,
+            EventKind::Sendrecv,
+        ];
+        let mut per_rank = [0u64; 3];
+        for seq in 0..30u32 {
+            let rank = seq % 3;
+            let events: Vec<Event> = (0..seq % 7)
+                .map(|i| Event {
+                    time_ns: 400 * seq as u64 + 37 * i as u64,
+                    duration_ns: 90 * (i as u64 % 4),
+                    kind: kinds[(seq + i) as usize % kinds.len()],
+                    // Every fifth pack carries another rank's events too.
+                    rank: if seq % 5 == 0 { (rank + i) % 3 } else { rank },
+                    peer: ((rank + 1 + i % 2) % 3) as i32,
+                    tag: i as i32,
+                    comm: 0,
+                    bytes: 8 << (i % 5),
+                })
+                .collect();
+            for e in &events {
+                per_rank[e.rank as usize] += 1;
+            }
+            let encoding = [PackEncoding::Fixed, PackEncoding::Delta][seq as usize % 2];
+            let block = EventPack::new(4, rank, seq, events).encode_with(encoding);
+            accum.absorb_pack(&EventPack::decode(&block).unwrap(), block.len());
+            engine.post_block(block);
+            engine.blackboard().run_inline();
+        }
+
+        let reduced = accum.into_partial();
+        assert_eq!(reduced.density.counts(), &per_rank[..]);
+        let served = engine.finish().to_partials();
+        assert_eq!(
+            encode_partials(&[reduced.to_app_partial()]),
+            encode_partials(&served)
+        );
+    }
 }

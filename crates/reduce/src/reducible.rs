@@ -86,11 +86,16 @@ impl EventDensity {
 
     /// Counts one event issued by `rank`.
     pub fn add_event(&mut self, rank: u32) {
+        self.add_events(rank, 1);
+    }
+
+    /// Counts `n` events issued by `rank`.
+    pub fn add_events(&mut self, rank: u32, n: u64) {
         let idx = rank as usize;
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
-        self.counts[idx] += 1;
+        self.counts[idx] += n;
     }
 
     /// Events counted for `rank`.
