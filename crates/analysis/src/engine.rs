@@ -646,10 +646,16 @@ mod tests {
         let engine = AnalysisEngine::new(EngineConfig::default());
         engine.start();
         engine.post_block(Bytes::from_static(b"not a pack at all"));
+        // A pack of the retired wire version 2: one more counted error.
+        let mut retired = bytes::BytesMut::new();
+        let header = EventPack::new(1, 0, 0, vec![]).header;
+        codec::encode_header_versioned(&header, 2, &mut retired);
+        retired.extend_from_slice(&[0; 16]);
+        engine.post_block(retired.freeze());
         engine.post_block(pack(1, 0, 0, vec![send(0, 1, 10)]));
         let report = engine.finish();
         let errors: u64 = report.apps.iter().map(|a| a.decode_errors).sum();
-        assert_eq!(errors, 1);
+        assert_eq!(errors, 2);
         assert!(report.apps.iter().any(|a| a.events == 1));
     }
 
@@ -709,7 +715,14 @@ mod tests {
         // own way: a snapshot that caught a pack in one of them and not in
         // another (or in the pack counter) breaks an equality below.
         const PER_PACK: u64 = 16;
-        const PACKS_PER_POSTER: u32 = 1500;
+        // The overlap is constructed, not hoped for: the posters keep
+        // posting until the main thread has taken this many snapshots that
+        // saw the application, and give up at a cap the main thread cannot
+        // miss (seconds of posting) so a broken snapshot path fails instead
+        // of hanging.
+        const SNAPSHOTS_WANTED: usize = 32;
+        const MAX_PACKS_PER_POSTER: u32 = 400_000;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let engine = AnalysisEngine::new(EngineConfig {
             workers: 2,
             ..Default::default()
@@ -725,21 +738,29 @@ mod tests {
             )
         };
         let block_len = block(0, 0).len() as u64;
-        let posting = std::sync::atomic::AtomicUsize::new(2);
-        let mut snapshots = 0;
-        std::thread::scope(|scope| {
-            for rank in 0..2u32 {
-                let (engine, posting, block) = (&engine, &posting, &block);
-                scope.spawn(move || {
-                    for seq in 0..PACKS_PER_POSTER {
-                        engine.post_block(block(rank, seq));
-                    }
-                    posting.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-                });
-            }
-            while posting.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+        let (snapshots, posting) = (AtomicUsize::new(0), AtomicUsize::new(2));
+        let posted: u64 = std::thread::scope(|scope| {
+            let posters: Vec<_> = (0..2u32)
+                .map(|rank| {
+                    let (engine, snapshots, posting, block) =
+                        (&engine, &snapshots, &posting, &block);
+                    scope.spawn(move || {
+                        let mut seq = 0;
+                        while seq < MAX_PACKS_PER_POSTER
+                            && snapshots.load(Ordering::SeqCst) < SNAPSHOTS_WANTED
+                        {
+                            engine.post_block(block(rank, seq));
+                            seq += 1;
+                        }
+                        posting.fetch_sub(1, Ordering::SeqCst);
+                        seq as u64
+                    })
+                })
+                .collect();
+            while snapshots.load(Ordering::SeqCst) < SNAPSHOTS_WANTED
+                && posting.load(Ordering::SeqCst) > 0
+            {
                 for app in engine.snapshot_partials() {
-                    snapshots += 1;
                     let events = app.profile.events();
                     assert_eq!(events, app.packs * PER_PACK, "profile vs packs");
                     assert_eq!(app.wire_bytes, app.packs * block_len, "wire bytes");
@@ -749,16 +770,22 @@ mod tests {
                     let series = app.metrics.as_ref().expect("metrics enabled");
                     let windowed: u64 = series.cells().map(|(_, _, c)| c.hits).sum();
                     assert_eq!(windowed, events, "metrics series vs profile");
+                    snapshots.fetch_add(1, Ordering::SeqCst);
                 }
             }
+            posters
+                .into_iter()
+                .map(|p| p.join().expect("poster panicked"))
+                .sum()
         });
-        assert!(snapshots > 0, "no snapshot raced the posters");
-        let report = engine.finish();
-        assert_eq!(report.apps[0].packs, 2 * PACKS_PER_POSTER as u64);
         assert_eq!(
-            report.apps[0].events,
-            2 * PACKS_PER_POSTER as u64 * PER_PACK
+            snapshots.load(Ordering::SeqCst),
+            SNAPSHOTS_WANTED,
+            "the posters hit their cap before the snapshots were taken"
         );
+        let report = engine.finish();
+        assert_eq!(report.apps[0].packs, posted);
+        assert_eq!(report.apps[0].events, posted * PER_PACK);
     }
 
     #[test]

@@ -31,8 +31,9 @@ use bytes::{Buf, BufMut};
 pub const MAGIC: u32 = u32::from_le_bytes(*b"OPMR");
 /// Fixed-layout wire version (the legacy format old peers understand).
 pub const VERSION: u16 = 1;
-/// Delta/varint wire version (PR 9's batched compact encoding).
-pub const VERSION_DELTA: u16 = 2;
+/// Delta wire version: the compact row below. (Version 2, the
+/// eight-varint row it replaced, is a typed [`CodecError::BadVersion`].)
+pub const VERSION_DELTA: u16 = 3;
 
 /// Decoding failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +45,8 @@ pub enum CodecError {
     BadMagic(u32),
     BadVersion(u16),
     BadKind(u16),
+    /// A delta row's flags byte has reserved bits set.
+    BadFlags(u8),
     /// A varint ran past 64 bits.
     VarintOverflow,
     /// A decoded value does not fit its event field.
@@ -59,6 +62,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadMagic(m) => write!(f, "bad pack magic {m:#x}"),
             CodecError::BadVersion(v) => write!(f, "unsupported pack version {v}"),
             CodecError::BadKind(k) => write!(f, "unknown event kind {k}"),
+            CodecError::BadFlags(b) => write!(f, "reserved bits set in delta flags {b:#04x}"),
             CodecError::VarintOverflow => write!(f, "varint exceeds 64 bits"),
             CodecError::FieldOverflow(field) => {
                 write!(f, "decoded value does not fit event field `{field}`")
@@ -111,29 +115,50 @@ pub fn decode_event(raw: &[u8; EVENT_WIRE_SIZE]) -> Result<Event, CodecError> {
 }
 
 // ---------------------------------------------------------------------
-// Delta/varint event codec (pack wire version 2).
+// Delta event codec (pack wire version 3): a row carries one head byte,
+// the time delta, and only what differs from the previous event.
 //
-// Per event, in field order, each a LEB128 varint (signed fields zigzag):
-//   time_ns   zigzag(wrapping delta from the previous event's time_ns;
-//             the first event deltas from 0)
-//   duration  raw
-//   bytes     raw
-//   kind      raw (u16)
-//   rank      zigzag(delta from the previous event's rank; the first
-//             event deltas from the pack header's rank)
-//   peer      zigzag
-//   tag       zigzag
-//   comm      raw (u32)
+//   event  := head [flags] dt [duration] [bytes] [rankΔ] [peerΔ] [tagΔ] [comm]
+//   head   := kind | 0x80 if flags ≠ 0        (kind ≤ 127, see `EventKind`)
+//   flags  := 0x01 rank  0x02 peer  0x04 tag  0x08 comm   changed → field follows
+//             0x10 duration == 0  0x20 bytes == 0         → field absent
+//             0x40 | 0x80 reserved                        → `BadFlags`
+//   dt, rankΔ, peerΔ, tagΔ := uvarint(zigzag(value − previous))
+//   duration, bytes, comm  := uvarint
 //
-// Timestamps are monotone and ranks near-constant within a pack, so the
-// two delta fields collapse to one or two bytes each in practice.
+// "Previous" at the start of a pack is time 0, the header's rank,
+// peer −1, tag −1, comm 0. Timestamps are monotone and rank, peer, tag
+// and comm near-constant within a pack, so most rows are the head, a
+// one- or two-byte time delta, the duration and the byte count.
 // ---------------------------------------------------------------------
+
+const FLAG_RANK: u8 = 0x01;
+const FLAG_PEER: u8 = 0x02;
+const FLAG_TAG: u8 = 0x04;
+const FLAG_COMM: u8 = 0x08;
+const FLAG_NO_DURATION: u8 = 0x10;
+const FLAG_NO_BYTES: u8 = 0x20;
+const FLAGS_RESERVED: u8 = 0xC0;
+const HEAD_HAS_FLAGS: u8 = 0x80;
+
+/// Smallest row: head, flags (duration and bytes absent), one-byte `dt`.
+pub(crate) const DELTA_EVENT_MIN_WIRE_SIZE: usize = 3;
+/// Largest row: head, flags, three 64-bit varints (`dt`, duration, bytes),
+/// three zigzag deltas of 32-bit fields (33 bits) and a 32-bit `comm`.
+pub(crate) const DELTA_EVENT_WORST_WIRE_SIZE: usize =
+    2 + 3 * 64usize.div_ceil(7) + 3 * 33usize.div_ceil(7) + 32usize.div_ceil(7);
+const _: () = assert!(DELTA_EVENT_WORST_WIRE_SIZE <= DELTA_EVENT_MAX_WIRE_SIZE);
+// The head byte keeps 7 bits for the kind.
+const _: () = assert!((EventKind::Marker as u16) < HEAD_HAS_FLAGS as u16);
 
 /// Running per-pack state the delta codec threads between events.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaState {
     prev_time_ns: u64,
     prev_rank: u32,
+    prev_peer: i32,
+    prev_tag: i32,
+    prev_comm: u32,
 }
 
 impl DeltaState {
@@ -142,59 +167,139 @@ impl DeltaState {
         DeltaState {
             prev_time_ns: 0,
             prev_rank: header_rank,
+            prev_peer: -1,
+            prev_tag: -1,
+            prev_comm: 0,
         }
     }
 }
 
-/// Appends one delta/varint-coded event to `out`: its at most
+/// `flag` where `cond` holds, else 0 — arithmetic, not a branch.
+#[inline(always)]
+const fn bit(cond: bool, flag: u8) -> u8 {
+    cond as u8 * flag
+}
+
+/// Appends one delta-coded event to `out`: its at most
 /// [`DELTA_EVENT_MAX_WIRE_SIZE`] bytes are built on the stack and
 /// appended once.
 #[inline]
 pub fn encode_event_delta(e: &Event, st: &mut DeltaState, out: &mut impl BufMut) {
     let dt = e.time_ns.wrapping_sub(st.prev_time_ns) as i64;
     st.prev_time_ns = e.time_ns;
-    let dr = e.rank as i64 - st.prev_rank as i64;
-    st.prev_rank = e.rank;
+    // Compares OR-ed into a byte: what a row carries is data, not control
+    // flow, up to the one branch that guards the four rarely-sent fields.
+    let changed = bit(e.rank != st.prev_rank, FLAG_RANK)
+        | bit(e.peer != st.prev_peer, FLAG_PEER)
+        | bit(e.tag != st.prev_tag, FLAG_TAG)
+        | bit(e.comm != st.prev_comm, FLAG_COMM);
+    let flags =
+        changed | bit(e.duration_ns == 0, FLAG_NO_DURATION) | bit(e.bytes == 0, FLAG_NO_BYTES);
     let mut raw = [0u8; DELTA_EVENT_MAX_WIRE_SIZE];
-    let mut at = vint::write_uvarint(&mut raw, 0, vint::zigzag(dt));
-    at = vint::write_uvarint(&mut raw, at, e.duration_ns);
-    at = vint::write_uvarint(&mut raw, at, e.bytes);
-    at = vint::write_uvarint(&mut raw, at, e.kind as u16 as u64);
-    at = vint::write_uvarint(&mut raw, at, vint::zigzag(dr));
-    at = vint::write_uvarint(&mut raw, at, vint::zigzag(e.peer as i64));
-    at = vint::write_uvarint(&mut raw, at, vint::zigzag(e.tag as i64));
-    at = vint::write_uvarint(&mut raw, at, e.comm as u64);
+    raw[0] = e.kind as u8 | bit(flags != 0, HEAD_HAS_FLAGS);
+    raw[1] = flags;
+    let mut at = 1 + (flags != 0) as usize;
+    at = vint::write_uvarint(&mut raw, at, vint::zigzag(dt));
+    if e.duration_ns != 0 {
+        at = vint::write_uvarint(&mut raw, at, e.duration_ns);
+    }
+    if e.bytes != 0 {
+        at = vint::write_uvarint(&mut raw, at, e.bytes);
+    }
+    if changed != 0 {
+        if changed & FLAG_RANK != 0 {
+            let delta = e.rank as i64 - st.prev_rank as i64;
+            at = vint::write_uvarint(&mut raw, at, vint::zigzag(delta));
+            st.prev_rank = e.rank;
+        }
+        if changed & FLAG_PEER != 0 {
+            let delta = e.peer as i64 - st.prev_peer as i64;
+            at = vint::write_uvarint(&mut raw, at, vint::zigzag(delta));
+            st.prev_peer = e.peer;
+        }
+        if changed & FLAG_TAG != 0 {
+            let delta = e.tag as i64 - st.prev_tag as i64;
+            at = vint::write_uvarint(&mut raw, at, vint::zigzag(delta));
+            st.prev_tag = e.tag;
+        }
+        if changed & FLAG_COMM != 0 {
+            at = vint::write_uvarint(&mut raw, at, e.comm as u64);
+            st.prev_comm = e.comm;
+        }
+    }
     out.put_slice(&raw[..at]);
 }
 
-/// Decodes one delta/varint-coded event from the front of `*buf`.
+/// Takes one byte off the front of `*buf`.
+#[inline]
+fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
+    let (&byte, rest) = buf
+        .split_first()
+        .ok_or(CodecError::Truncated { need: 1, have: 0 })?;
+    *buf = rest;
+    Ok(byte)
+}
+
+/// Reads a zigzag delta and applies it to `prev`; a sum outside `T` is a
+/// typed overflow of `field`, never a wrap.
+#[inline]
+fn get_delta<T: TryFrom<i64>>(
+    buf: &mut &[u8],
+    prev: i64,
+    field: &'static str,
+) -> Result<T, CodecError> {
+    let delta = vint::unzigzag(vint::get_uvarint(buf)?);
+    prev.checked_add(delta)
+        .and_then(|v| T::try_from(v).ok())
+        .ok_or(CodecError::FieldOverflow(field))
+}
+
+/// Decodes one delta-coded event from the front of `*buf`.
 pub fn decode_event_delta(buf: &mut &[u8], st: &mut DeltaState) -> Result<Event, CodecError> {
-    let dt = vint::unzigzag(vint::get_uvarint(buf)?);
-    let time_ns = st.prev_time_ns.wrapping_add(dt as u64);
-    st.prev_time_ns = time_ns;
-    let duration_ns = vint::get_uvarint(buf)?;
-    let bytes = vint::get_uvarint(buf)?;
-    let kind_raw = vint::get_uvarint(buf)?;
-    let kind_raw = u16::try_from(kind_raw).map_err(|_| CodecError::FieldOverflow("kind"))?;
+    let head = get_u8(buf)?;
+    let kind_raw = (head & !HEAD_HAS_FLAGS) as u16;
     let kind = EventKind::from_u16(kind_raw).ok_or(CodecError::BadKind(kind_raw))?;
-    let dr = vint::unzigzag(vint::get_uvarint(buf)?);
-    let rank_wide = st.prev_rank as i64 + dr;
-    let rank = u32::try_from(rank_wide).map_err(|_| CodecError::FieldOverflow("rank"))?;
-    st.prev_rank = rank;
-    let peer = i32::try_from(vint::unzigzag(vint::get_uvarint(buf)?))
-        .map_err(|_| CodecError::FieldOverflow("peer"))?;
-    let tag = i32::try_from(vint::unzigzag(vint::get_uvarint(buf)?))
-        .map_err(|_| CodecError::FieldOverflow("tag"))?;
-    let comm =
-        u32::try_from(vint::get_uvarint(buf)?).map_err(|_| CodecError::FieldOverflow("comm"))?;
+    let flags = if head & HEAD_HAS_FLAGS != 0 {
+        get_u8(buf)?
+    } else {
+        0
+    };
+    if flags & FLAGS_RESERVED != 0 {
+        return Err(CodecError::BadFlags(flags));
+    }
+    let dt = vint::unzigzag(vint::get_uvarint(buf)?);
+    st.prev_time_ns = st.prev_time_ns.wrapping_add(dt as u64);
+    let duration_ns = if flags & FLAG_NO_DURATION == 0 {
+        vint::get_uvarint(buf)?
+    } else {
+        0
+    };
+    let bytes = if flags & FLAG_NO_BYTES == 0 {
+        vint::get_uvarint(buf)?
+    } else {
+        0
+    };
+    if flags & FLAG_RANK != 0 {
+        st.prev_rank = get_delta(buf, st.prev_rank as i64, "rank")?;
+    }
+    if flags & FLAG_PEER != 0 {
+        st.prev_peer = get_delta(buf, st.prev_peer as i64, "peer")?;
+    }
+    if flags & FLAG_TAG != 0 {
+        st.prev_tag = get_delta(buf, st.prev_tag as i64, "tag")?;
+    }
+    if flags & FLAG_COMM != 0 {
+        st.prev_comm = u32::try_from(vint::get_uvarint(buf)?)
+            .map_err(|_| CodecError::FieldOverflow("comm"))?;
+    }
     Ok(Event {
-        time_ns,
+        time_ns: st.prev_time_ns,
         duration_ns,
         kind,
-        rank,
-        peer,
-        tag,
-        comm,
+        rank: st.prev_rank,
+        peer: st.prev_peer,
+        tag: st.prev_tag,
+        comm: st.prev_comm,
         bytes,
     })
 }
@@ -392,35 +497,157 @@ mod tests {
         );
     }
 
+    /// A hand-built delta row: `head`, then `flags` when the head says one
+    /// follows, then `fields` as raw varints.
+    fn row(head: u8, flags: u8, fields: &[u64]) -> Vec<u8> {
+        let mut buf = vec![head];
+        if head & HEAD_HAS_FLAGS != 0 {
+            buf.push(flags);
+        }
+        for &f in fields {
+            vint::put_uvarint(&mut buf, f);
+        }
+        buf
+    }
+
+    fn decode_row(header_rank: u32, row: &[u8]) -> Result<Event, CodecError> {
+        decode_event_delta(&mut &row[..], &mut DeltaState::new(header_rank))
+    }
+
+    const SEND: u8 = EventKind::Send as u8;
+
     #[test]
     fn delta_field_overflows_typed() {
-        // rank delta pushing past u32::MAX.
-        let mut buf = BytesMut::new();
-        vint::put_uvarint(&mut buf, vint::zigzag(0)); // time
-        vint::put_uvarint(&mut buf, 0); // duration
-        vint::put_uvarint(&mut buf, 0); // bytes
-        vint::put_uvarint(&mut buf, 0); // kind = Send
-        vint::put_uvarint(&mut buf, vint::zigzag(u32::MAX as i64 + 1)); // rank delta
-        let mut st = DeltaState::new(0);
-        let mut s: &[u8] = &buf;
-        assert_eq!(
-            decode_event_delta(&mut s, &mut st),
-            Err(CodecError::FieldOverflow("rank"))
-        );
-
-        // peer outside i32.
-        let mut buf = BytesMut::new();
-        for _ in 0..4 {
-            vint::put_uvarint(&mut buf, 0);
+        // Every row: dt = 0, duration and bytes absent, one changed field.
+        let absent = FLAG_NO_DURATION | FLAG_NO_BYTES;
+        let one = |flag: u8, rank: u32, field: u64| {
+            decode_row(
+                rank,
+                &row(SEND | HEAD_HAS_FLAGS, absent | flag, &[0, field]),
+            )
+        };
+        let z = vint::zigzag;
+        // From the pack-start value of -1, the first deltas out of i32.
+        const BELOW_I32: i64 = i32::MIN as i64;
+        const ABOVE_I32: i64 = i32::MAX as i64 + 2;
+        // Deltas that leave the field's range, at both ends and at the
+        // ends of i64 (where `prev + delta` itself would wrap).
+        for (flag, name, rank, deltas) in [
+            (FLAG_RANK, "rank", 0, [-1, u32::MAX as i64 + 1, i64::MIN]),
+            (FLAG_RANK, "rank", u32::MAX, [1, i64::MAX, i64::MIN]),
+            (FLAG_PEER, "peer", 0, [BELOW_I32, ABOVE_I32, i64::MIN]),
+            (FLAG_TAG, "tag", 0, [BELOW_I32, ABOVE_I32, i64::MIN]),
+        ] {
+            for d in deltas {
+                assert_eq!(
+                    one(flag, rank, z(d)),
+                    Err(CodecError::FieldOverflow(name)),
+                    "{name} {d:+} from a pack of rank {rank}"
+                );
+            }
         }
-        vint::put_uvarint(&mut buf, vint::zigzag(0)); // rank delta
-        vint::put_uvarint(&mut buf, vint::zigzag(i32::MAX as i64 + 1)); // peer
-        let mut st = DeltaState::new(0);
-        let mut s: &[u8] = &buf;
         assert_eq!(
-            decode_event_delta(&mut s, &mut st),
-            Err(CodecError::FieldOverflow("peer"))
+            one(FLAG_COMM, 0, u32::MAX as u64 + 1),
+            Err(CodecError::FieldOverflow("comm"))
         );
+        // The last values still inside the range decode.
+        assert_eq!(
+            one(FLAG_RANK, 0, z(u32::MAX as i64)).unwrap().rank,
+            u32::MAX
+        );
+        assert_eq!(one(FLAG_PEER, 0, z(BELOW_I32 + 1)).unwrap().peer, i32::MIN);
+        assert_eq!(one(FLAG_TAG, 0, z(ABOVE_I32 - 1)).unwrap().tag, i32::MAX);
+        assert_eq!(one(FLAG_COMM, 0, u32::MAX as u64).unwrap().comm, u32::MAX);
+    }
+
+    #[test]
+    fn delta_head_and_flags_are_checked() {
+        // Kinds the head's seven bits can hold but `EventKind` does not
+        // define, with and without a flags byte.
+        for kind in EventKind::Marker as u8 + 1..=0x7F {
+            assert_eq!(
+                decode_row(0, &row(kind, 0, &[0, 0, 0])),
+                Err(CodecError::BadKind(kind as u16))
+            );
+            assert_eq!(
+                decode_row(0, &row(kind | HEAD_HAS_FLAGS, 0x30, &[0])),
+                Err(CodecError::BadKind(kind as u16))
+            );
+        }
+        for flags in [0x40, 0x80, 0xC0, 0xFF, 0x40 | FLAG_TAG] {
+            assert_eq!(
+                decode_row(0, &row(SEND | HEAD_HAS_FLAGS, flags, &[0; 7])),
+                Err(CodecError::BadFlags(flags))
+            );
+        }
+        // Head, dt, duration and bytes is a whole row; so is a head that
+        // announces an (empty) flags byte.
+        let plain = decode_row(7, &row(SEND, 0, &[vint::zigzag(5), 6, 7])).unwrap();
+        assert_eq!(
+            decode_row(7, &row(SEND | HEAD_HAS_FLAGS, 0, &[vint::zigzag(5), 6, 7])),
+            Ok(plain)
+        );
+        assert_eq!(
+            plain,
+            Event {
+                time_ns: 5,
+                duration_ns: 6,
+                kind: EventKind::Send,
+                rank: 7,
+                peer: -1,
+                tag: -1,
+                comm: 0,
+                bytes: 7,
+            }
+        );
+    }
+
+    #[test]
+    fn delta_row_cut_at_every_byte_is_truncated() {
+        // All six flags: everything changed, duration and bytes zero.
+        let e = Event {
+            time_ns: 1 << 40,
+            duration_ns: 0,
+            kind: EventKind::Marker,
+            rank: 70_000,
+            peer: i32::MAX,
+            tag: i32::MIN,
+            comm: 300,
+            bytes: 0,
+        };
+        let mut buf = Vec::new();
+        encode_event_delta(&e, &mut DeltaState::new(0), &mut buf);
+        assert_eq!(buf[0], EventKind::Marker as u8 | HEAD_HAS_FLAGS);
+        assert_eq!(buf[1], 0x3F);
+        assert_eq!(decode_row(0, &buf), Ok(e));
+        for cut in 0..buf.len() {
+            assert!(
+                matches!(
+                    decode_row(0, &buf[..cut]),
+                    Err(CodecError::Truncated { .. })
+                ),
+                "cut at {cut} of {}",
+                buf.len()
+            );
+        }
+    }
+
+    #[test]
+    fn smallest_delta_row_is_the_declared_minimum() {
+        // Nothing changed, nothing to say but the time.
+        let quiet = Event {
+            time_ns: 60,
+            duration_ns: 0,
+            kind: EventKind::Marker,
+            rank: 4,
+            peer: -1,
+            tag: -1,
+            comm: 0,
+            bytes: 0,
+        };
+        let mut buf = Vec::new();
+        encode_event_delta(&quiet, &mut DeltaState::new(4), &mut buf);
+        assert_eq!(buf.len(), DELTA_EVENT_MIN_WIRE_SIZE);
     }
 
     #[test]
@@ -434,7 +661,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_header_versioned(&h, VERSION_DELTA, &mut buf);
         let frozen = buf.freeze();
-        // The strict v1 decoder refuses v2...
+        // The strict v1 decoder refuses the delta version...
         assert_eq!(
             decode_header(&mut frozen.clone()),
             Err(CodecError::BadVersion(VERSION_DELTA))
@@ -444,13 +671,16 @@ mod tests {
             decode_header_any(&mut frozen.clone()).unwrap(),
             (h, VERSION_DELTA)
         );
-        // Unknown versions stay typed rejections.
-        let mut buf = BytesMut::new();
-        encode_header_versioned(&h, 9, &mut buf);
-        assert_eq!(
-            decode_header_any(&mut buf.freeze()),
-            Err(CodecError::BadVersion(9))
-        );
+        // Unknown versions stay typed rejections — the retired version 2
+        // among them.
+        for version in [0, 2, 4, 9] {
+            let mut buf = BytesMut::new();
+            encode_header_versioned(&h, version, &mut buf);
+            assert_eq!(
+                decode_header_any(&mut buf.freeze()),
+                Err(CodecError::BadVersion(version))
+            );
+        }
     }
 
     #[test]

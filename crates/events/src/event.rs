@@ -2,7 +2,9 @@
 
 /// Kind of intercepted call (or synthetic marker) an [`Event`] describes.
 ///
-/// The numeric discriminants are part of the wire format — append only.
+/// The numeric discriminants are part of the wire format — append only,
+/// and below 128: the delta row's head byte keeps seven bits for the kind
+/// (`codec.rs` asserts it at compile time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u16)]
 pub enum EventKind {

@@ -8,25 +8,26 @@ use bytes::{Bytes, BytesMut};
 pub const EVENT_WIRE_SIZE: usize = 48;
 /// Wire size of an encoded [`PackHeader`].
 pub const PACK_HEADER_SIZE: usize = 24;
-/// Worst-case wire size of one delta/varint-coded event: 10 bytes for
-/// each of the three u64 fields (time delta, duration, bytes), 3 for the
-/// kind, 5 each for rank delta, peer, tag and comm. Real workloads sit
-/// near 10 bytes; packing budgets must assume this bound so a full pack
-/// can never overflow its stream block.
+/// Per-event byte budget of the delta layout. The layout's worst case is
+/// 52 (`codec.rs` computes it and asserts it fits); the budget stays at
+/// the 53 that has sized every block so far, so events per pack — and
+/// with them pack fill time and blocks per event — are what they were.
+/// Real workloads sit near 8 bytes; packing budgets must assume the bound
+/// so a full pack can never overflow its stream block.
 pub const DELTA_EVENT_MAX_WIRE_SIZE: usize = 53;
 
 /// How a pack's event section is laid out on the wire.
 ///
 /// `Fixed` is the legacy 48-byte-per-event layout (wire version 1) that
-/// old peers decode; `Delta` is the batched delta/varint layout (wire
-/// version 2). Decoding always dispatches on the header's version, so any
-/// reader understands both.
+/// old peers decode; `Delta` is the compact changed-fields-only layout
+/// (wire version 3). Decoding always dispatches on the header's version,
+/// so any reader understands both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PackEncoding {
     /// Fixed 48-byte events — bitwise-identical to the pre-delta format.
     #[default]
     Fixed,
-    /// Per-pack delta/varint events.
+    /// A head byte, the time delta and the fields that changed, per event.
     Delta,
 }
 
@@ -169,27 +170,18 @@ impl EventPack {
         // `decode_header_any` only admits known versions, so the fallback
         // arm is unreachable in practice; Fixed keeps it total.
         let encoding = PackEncoding::from_version(version).unwrap_or(PackEncoding::Fixed);
-        let mut events = Vec::with_capacity(reservation(header.count, buf.len(), encoding));
-        match encoding {
-            PackEncoding::Fixed => {
-                for _ in 0..header.count {
-                    let (raw, rest) = buf.split_first_chunk::<EVENT_WIRE_SIZE>().ok_or(
-                        CodecError::Truncated {
-                            need: EVENT_WIRE_SIZE,
-                            have: buf.len(),
-                        },
-                    )?;
-                    events.push(codec::decode_event(raw)?);
-                    buf = rest;
-                }
-            }
+        let reserve = reservation(header.count, buf.len(), encoding);
+        let events = match encoding {
+            PackEncoding::Fixed => decode_fixed_rows(buf, header.count, reserve)?,
             PackEncoding::Delta => {
+                let mut events = Vec::with_capacity(reserve);
                 let mut st = codec::DeltaState::new(header.rank);
                 for _ in 0..header.count {
                     events.push(codec::decode_event_delta(&mut buf, &mut st)?);
                 }
+                events
             }
-        }
+        };
         Ok(EventPack { header, events })
     }
 
@@ -199,14 +191,31 @@ impl EventPack {
     }
 }
 
+/// The rows of a fixed-layout pack. Out of line: sharing a function (and
+/// its registers) with the delta loop costs this one a tenth of its speed.
+#[inline(never)]
+fn decode_fixed_rows(mut buf: &[u8], count: u32, reserve: usize) -> Result<Vec<Event>, CodecError> {
+    let mut events = Vec::with_capacity(reserve);
+    for _ in 0..count {
+        let (raw, rest) =
+            buf.split_first_chunk::<EVENT_WIRE_SIZE>()
+                .ok_or(CodecError::Truncated {
+                    need: EVENT_WIRE_SIZE,
+                    have: buf.len(),
+                })?;
+        events.push(codec::decode_event(raw)?);
+        buf = rest;
+    }
+    Ok(events)
+}
+
 /// Events to reserve room for before decoding: what the header claims,
 /// bounded by what `payload_len` bytes can hold — a 24-byte block must not
 /// allocate for the 2²⁰ events its header lies about.
 fn reservation(claimed: u32, payload_len: usize, encoding: PackEncoding) -> usize {
     let smallest_event = match encoding {
         PackEncoding::Fixed => EVENT_WIRE_SIZE,
-        // Eight varints of at least one byte each.
-        PackEncoding::Delta => 8,
+        PackEncoding::Delta => codec::DELTA_EVENT_MIN_WIRE_SIZE,
     };
     (claimed as usize).min(payload_len / smallest_event)
 }
@@ -232,8 +241,15 @@ mod tests {
                 );
             }
             assert_eq!(reservation(1 << 20, 0, encoding), 0, "{encoding}");
-            assert!(
-                reservation(1 << 20, payload, encoding) <= payload / 8,
+            let smallest_event = match encoding {
+                PackEncoding::Fixed => EVENT_WIRE_SIZE,
+                // `smallest_delta_row_is_the_declared_minimum` holds it
+                // to what the encoder really emits.
+                PackEncoding::Delta => codec::DELTA_EVENT_MIN_WIRE_SIZE,
+            };
+            assert_eq!(
+                reservation(1 << 20, payload, encoding),
+                payload / smallest_event,
                 "{encoding}"
             );
             assert_eq!(reservation(3, payload, encoding), 3, "{encoding}");
@@ -256,20 +272,24 @@ mod tests {
         EventPack::new(2, 3, 99, events)
     }
 
-    /// Events that hit the delta codec's worst case on every field.
+    /// Events that hit the delta codec's worst case on every field: each
+    /// one differs from its predecessor everywhere, by as much as it can.
     fn worst_case(n: usize) -> EventPack {
         let events = (0..n)
-            .map(|i| Event {
-                // Alternate across half the u64 range so every time delta
-                // is i64::MIN — the widest possible zigzag varint.
-                time_ns: if i % 2 == 0 { 1u64 << 63 } else { 0 },
-                duration_ns: u64::MAX,
-                kind: EventKind::ALL[EventKind::ALL.len() - 1],
-                rank: if i % 2 == 0 { u32::MAX } else { 0 },
-                peer: i32::MIN,
-                tag: i32::MIN,
-                comm: u32::MAX,
-                bytes: u64::MAX,
+            .map(|i| {
+                let even = i % 2 == 0;
+                Event {
+                    // Alternate across half the u64 range so every time
+                    // delta is i64::MIN — the widest possible zigzag varint.
+                    time_ns: if even { 1u64 << 63 } else { 0 },
+                    duration_ns: u64::MAX,
+                    kind: EventKind::Marker,
+                    rank: if even { u32::MAX } else { 0 },
+                    peer: if even { i32::MIN } else { i32::MAX },
+                    tag: if even { i32::MAX } else { i32::MIN },
+                    comm: u32::MAX - even as u32,
+                    bytes: u64::MAX,
+                }
             })
             .collect();
         EventPack::new(1, 0, 0, events)
@@ -360,14 +380,33 @@ mod tests {
 
     #[test]
     fn worst_case_event_bound_is_tight() {
-        // Real worst-case events reach the bound minus exactly the two
-        // bytes of headroom the bound reserves for the kind field (the
-        // bound budgets a full 3-byte u16 varint; today's largest
-        // discriminant, 91, encodes in one byte).
-        let p = worst_case(2);
+        // Worst-case events take exactly the layout's computed worst case,
+        // 52 bytes each, one under the budget blocks are sized with.
+        let p = worst_case(3);
         let enc = p.encode_with(PackEncoding::Delta);
         let body = enc.len() - PACK_HEADER_SIZE;
-        assert_eq!(body, 2 * (DELTA_EVENT_MAX_WIRE_SIZE - 2));
+        assert_eq!(body, 3 * 52);
+        assert_eq!(codec::DELTA_EVENT_WORST_WIRE_SIZE, 52);
+        assert_eq!(DELTA_EVENT_MAX_WIRE_SIZE, 53);
+        assert_eq!(EventPack::decode(&enc).unwrap(), p);
+    }
+
+    #[test]
+    fn delta_capacity_per_block_is_what_it_has_always_been() {
+        // Events per pack decide pack fill time and blocks per event; the
+        // compact row must not move them.
+        for (block, events) in [
+            (2 << 10, 38),
+            (4 << 10, 76),
+            (64 << 10, 1236),
+            (1 << 20, 19_784),
+        ] {
+            assert_eq!(
+                EventPack::capacity_for_block_with(block, PackEncoding::Delta),
+                events,
+                "{block} B block"
+            );
+        }
     }
 
     #[test]

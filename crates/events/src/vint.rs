@@ -1,7 +1,8 @@
 //! LEB128 variable-length integers and zigzag signed mapping.
 //!
-//! The delta event codec (pack wire version 2) stores almost-constant
-//! fields — timestamps, ranks, tags — as varints of their per-pack deltas.
+//! The delta event codec (pack wire version 3) stores what changes from
+//! one event to the next — timestamps, and now and then a rank, peer or
+//! tag — as varints of the difference.
 //! Encoding is the usual base-128 little-endian scheme: seven payload bits
 //! per byte, high bit set on every byte but the last; a `u64` therefore
 //! takes at most [`MAX_UVARINT_LEN`] bytes. Signed values go through
