@@ -9,6 +9,7 @@
 //! user can keep the zero-trace online workflow and still extract a small
 //! replayable trace of just the interesting region.
 
+use opmr_events::wire::Reader;
 use opmr_events::{Event, EventKind, EventPack};
 use parking_lot::Mutex;
 use std::io::Write;
@@ -153,23 +154,16 @@ impl TraceProxy {
 /// Reads a proxy trace back (for replay or hand-off to other tools).
 pub fn read_proxy_trace(path: &Path) -> std::io::Result<Vec<EventPack>> {
     let data = std::fs::read(path)?;
+    let truncated =
+        |_| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "truncated proxy trace");
     let mut out = Vec::new();
-    let mut off = 0usize;
-    while off + 4 <= data.len() {
-        let len =
-            u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]]) as usize;
-        off += 4;
-        if off + len > data.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "truncated proxy trace",
-            ));
-        }
-        let pack = EventPack::decode(&data[off..off + len]).map_err(|e| {
+    let mut r = Reader::new(&data);
+    while r.remaining() >= 4 {
+        let len = r.u32().map_err(truncated)? as usize;
+        let pack = EventPack::decode(r.bytes(len).map_err(truncated)?).map_err(|e| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad pack: {e}"))
         })?;
         out.push(pack);
-        off += len;
     }
     Ok(out)
 }

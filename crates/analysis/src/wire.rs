@@ -9,9 +9,10 @@
 use crate::profiler::{CallStats, MpiProfile};
 use crate::topology::Topology;
 use crate::waitstate::{RecvSide, SendSide, WaitStateAnalysis, WaitStats};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use opmr_events::wire::{Reader, Truncated, Width};
 use opmr_events::EventKind;
-use opmr_metrics::{MetricsSeries, MetricsWireError};
+use opmr_metrics::MetricsSeries;
 
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,19 +34,9 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<MetricsWireError> for WireError {
-    fn from(e: MetricsWireError) -> WireError {
-        match e {
-            MetricsWireError::Truncated => WireError::Truncated,
-        }
-    }
-}
-
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> WireError {
+        WireError::Truncated
     }
 }
 
@@ -79,22 +70,17 @@ pub fn encode_profile(p: &MpiProfile, out: &mut impl BufMut) {
 }
 
 /// Decodes a profile; the result merges into any other profile.
-pub fn decode_profile(buf: &mut impl Buf) -> Result<MpiProfile, WireError> {
-    need(buf, 16)?;
-    let n = buf.get_u32_le() as usize;
-    let _ranks = buf.get_u32_le();
-    let span = buf.get_u64_le();
+pub fn decode_profile(r: &mut Reader<'_>) -> Result<MpiProfile, WireError> {
+    let n = r.count(Width::U32, 4 + 2 + 5 * 8)?;
+    let _ranks = r.u32()?;
+    let span = r.u64()?;
     let mut p = MpiProfile::new();
     for _ in 0..n {
-        need(buf, 4 + 2 + 5 * 8)?;
-        let rank = buf.get_u32_le();
-        let kind_raw = buf.get_u16_le();
+        let rank = r.u32()?;
+        let kind_raw = r.u16()?;
         let kind = EventKind::from_u16(kind_raw).ok_or(WireError::BadKind(kind_raw))?;
-        let hits = buf.get_u64_le();
-        let time_ns = buf.get_u64_le();
-        let bytes = buf.get_u64_le();
-        let min_ns = buf.get_u64_le();
-        let max_ns = buf.get_u64_le();
+        let (hits, time_ns, bytes) = (r.u64()?, r.u64()?, r.u64()?);
+        let (min_ns, max_ns) = (r.u64()?, r.u64()?);
         p.absorb_stats(rank, kind, hits, time_ns, bytes, min_ns, max_ns);
     }
     p.absorb_span(span);
@@ -120,18 +106,13 @@ pub fn encode_topology(t: &Topology, out: &mut impl BufMut) {
 }
 
 /// Decodes a topology.
-pub fn decode_topology(buf: &mut impl Buf) -> Result<Topology, WireError> {
-    need(buf, 8)?;
-    let n = buf.get_u32_le() as usize;
-    let _ranks = buf.get_u32_le();
+pub fn decode_topology(r: &mut Reader<'_>) -> Result<Topology, WireError> {
+    let n = r.count(Width::U32, 8 + 3 * 8)?;
+    let _ranks = r.u32()?;
     let mut t = Topology::new();
     for _ in 0..n {
-        need(buf, 8 + 3 * 8)?;
-        let s = buf.get_u32_le();
-        let d = buf.get_u32_le();
-        let hits = buf.get_u64_le();
-        let bytes = buf.get_u64_le();
-        let time = buf.get_u64_le();
+        let (s, d) = (r.u32()?, r.u32()?);
+        let (hits, bytes, time) = (r.u64()?, r.u64()?, r.u64()?);
         t.add_weighted(s, d, hits, bytes, time);
     }
     Ok(t)
@@ -151,15 +132,11 @@ fn encode_map(m: &std::collections::HashMap<u32, u64>, out: &mut impl BufMut) {
     }
 }
 
-fn decode_map(buf: &mut impl Buf) -> Result<std::collections::HashMap<u32, u64>, WireError> {
-    need(buf, 4)?;
-    let n = buf.get_u32_le() as usize;
-    let mut m = std::collections::HashMap::with_capacity(n.min(buf.remaining() / 12));
+fn decode_map(r: &mut Reader<'_>) -> Result<std::collections::HashMap<u32, u64>, WireError> {
+    let n = r.count(Width::U32, 12)?;
+    let mut m = std::collections::HashMap::with_capacity(n);
     for _ in 0..n {
-        need(buf, 12)?;
-        let k = buf.get_u32_le();
-        let v = buf.get_u64_le();
-        m.insert(k, v);
+        m.insert(r.u32()?, r.u64()?);
     }
     Ok(m)
 }
@@ -192,46 +169,33 @@ pub fn encode_waitstats(w: &WaitStats, out: &mut impl BufMut) {
 }
 
 /// Decodes wait-state statistics.
-pub fn decode_waitstats(buf: &mut impl Buf) -> Result<WaitStats, WireError> {
-    need(buf, 32)?;
-    let matched = buf.get_u64_le();
-    let unmatched = buf.get_u64_le();
-    let total_late_sender_ns = buf.get_u64_le();
-    let total_late_receiver_ns = buf.get_u64_le();
-    let late_sender_by_victim = decode_map(buf)?;
-    let late_sender_by_culprit = decode_map(buf)?;
-    let late_receiver_by_victim = decode_map(buf)?;
-    need(buf, 4)?;
-    let n_sends = buf.get_u32_le() as usize;
-    let mut pending_sends = Vec::with_capacity(n_sends.min(4096));
+pub fn decode_waitstats(r: &mut Reader<'_>) -> Result<WaitStats, WireError> {
+    let matched = r.u64()?;
+    let unmatched = r.u64()?;
+    let total_late_sender_ns = r.u64()?;
+    let total_late_receiver_ns = r.u64()?;
+    let late_sender_by_victim = decode_map(r)?;
+    let late_sender_by_culprit = decode_map(r)?;
+    let late_receiver_by_victim = decode_map(r)?;
+    let n_sends = r.count(Width::U32, 8 + 3 * 8)?;
+    let mut pending_sends = Vec::with_capacity(n_sends);
     for _ in 0..n_sends {
-        need(buf, 8 + 3 * 8)?;
-        let src = buf.get_u32_le();
-        let dst = buf.get_u32_le();
+        let (src, dst) = (r.u32()?, r.u32()?);
         pending_sends.push((
             src,
             dst,
             SendSide {
-                start_ns: buf.get_u64_le(),
-                end_ns: buf.get_u64_le(),
-                bytes: buf.get_u64_le(),
+                start_ns: r.u64()?,
+                end_ns: r.u64()?,
+                bytes: r.u64()?,
             },
         ));
     }
-    need(buf, 4)?;
-    let n_recvs = buf.get_u32_le() as usize;
-    let mut pending_recvs = Vec::with_capacity(n_recvs.min(4096));
+    let n_recvs = r.count(Width::U32, 8 + 8)?;
+    let mut pending_recvs = Vec::with_capacity(n_recvs);
     for _ in 0..n_recvs {
-        need(buf, 8 + 8)?;
-        let src = buf.get_u32_le();
-        let dst = buf.get_u32_le();
-        pending_recvs.push((
-            src,
-            dst,
-            RecvSide {
-                start_ns: buf.get_u64_le(),
-            },
-        ));
+        let (src, dst) = (r.u32()?, r.u32()?);
+        pending_recvs.push((src, dst, RecvSide { start_ns: r.u64()? }));
     }
     Ok(WaitStats {
         matched,
@@ -309,23 +273,20 @@ pub fn encode_app_body(a: &AppPartial, out: &mut impl BufMut) {
 }
 
 /// Decodes what [`encode_app_body`] wrote.
-pub fn decode_app_body(app_id: u16, buf: &mut &[u8]) -> Result<AppPartial, WireError> {
-    need(buf, 24)?;
-    let packs = buf.get_u64_le();
-    let wire_bytes = buf.get_u64_le();
-    let decode_errors = buf.get_u64_le();
-    let profile = decode_profile(buf)?;
-    let topology = decode_topology(buf)?;
-    need(buf, 1)?;
-    let waitstate = match buf.get_u8() {
+pub fn decode_app_body(app_id: u16, r: &mut Reader<'_>) -> Result<AppPartial, WireError> {
+    let packs = r.u64()?;
+    let wire_bytes = r.u64()?;
+    let decode_errors = r.u64()?;
+    let profile = decode_profile(r)?;
+    let topology = decode_topology(r)?;
+    let waitstate = match r.u8()? {
         0 => None,
-        1 => Some(decode_waitstats(buf)?),
+        1 => Some(decode_waitstats(r)?),
         t => return Err(WireError::BadTag(t)),
     };
-    need(buf, 1)?;
-    let metrics = match buf.get_u8() {
+    let metrics = match r.u8()? {
         0 => None,
-        1 => Some(MetricsSeries::decode(buf)?),
+        1 => Some(MetricsSeries::decode(r)?),
         t => return Err(WireError::BadTag(t)),
     };
     Ok(AppPartial {
@@ -353,15 +314,14 @@ pub fn encode_partials(apps: &[AppPartial]) -> Bytes {
 }
 
 /// Decodes a partial set.
-pub fn decode_partials(mut buf: &[u8]) -> Result<Vec<AppPartial>, WireError> {
-    need(&buf, 4)?;
-    let n = buf.get_u32_le() as usize;
+pub fn decode_partials(buf: &[u8]) -> Result<Vec<AppPartial>, WireError> {
+    let mut r = Reader::new(buf);
     // No app section is shorter than its id, counters and empty tables.
-    let mut out = Vec::with_capacity(n.min(buf.len() / 52));
+    let n = r.count(Width::U32, 52)?;
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        need(&buf, 2)?;
-        let app_id = buf.get_u16_le();
-        out.push(decode_app_body(app_id, &mut buf)?);
+        let app_id = r.u16()?;
+        out.push(decode_app_body(app_id, &mut r)?);
     }
     Ok(out)
 }
@@ -591,7 +551,7 @@ mod tests {
         let p = sample_profile();
         let mut buf = BytesMut::new();
         encode_profile(&p, &mut buf);
-        let q = decode_profile(&mut buf.freeze()).unwrap();
+        let q = decode_profile(&mut Reader::new(&buf)).unwrap();
         assert_eq!(p.events(), q.events());
         assert_eq!(p.ranks(), q.ranks());
         assert_eq!(p.span_ns(), q.span_ns());
@@ -608,7 +568,7 @@ mod tests {
         direct.merge(&a);
         let mut buf = BytesMut::new();
         encode_profile(&a, &mut buf);
-        let decoded = decode_profile(&mut buf.freeze()).unwrap();
+        let decoded = decode_profile(&mut Reader::new(&buf)).unwrap();
         let mut via_wire = MpiProfile::new();
         via_wire.merge(&decoded);
         via_wire.merge(&decoded);
@@ -624,7 +584,7 @@ mod tests {
         t.add_weighted(5, 2, 1, 100, 10);
         let mut buf = BytesMut::new();
         encode_topology(&t, &mut buf);
-        let q = decode_topology(&mut buf.freeze()).unwrap();
+        let q = decode_topology(&mut Reader::new(&buf)).unwrap();
         assert_eq!(q.edge_count(), 2);
         assert_eq!(q.edge(0, 1).unwrap().bytes, 300);
         assert_eq!(q.edge(5, 2).unwrap().hits, 1);
@@ -642,7 +602,7 @@ mod tests {
         w.late_sender_by_culprit.insert(1, 500);
         let mut buf = BytesMut::new();
         encode_waitstats(&w, &mut buf);
-        let q = decode_waitstats(&mut buf.freeze()).unwrap();
+        let q = decode_waitstats(&mut Reader::new(&buf)).unwrap();
         assert_eq!(q.matched, 10);
         assert_eq!(q.late_sender_by_victim.get(&3), Some(&500));
 
@@ -756,23 +716,5 @@ mod tests {
         parts.remove(0);
         assert_eq!(image.patch(&parts, &changes), None);
         assert_eq!(&image[..], &encode_partials(&parts)[..]);
-    }
-
-    #[test]
-    fn truncation_is_an_error_not_a_panic() {
-        let apps = vec![AppPartial {
-            app_id: 0,
-            packs: 1,
-            wire_bytes: 1,
-            decode_errors: 0,
-            profile: sample_profile(),
-            topology: Topology::new(),
-            waitstate: None,
-            metrics: None,
-        }];
-        let enc = encode_partials(&apps);
-        for cut in [0, 3, 10, enc.len() - 1] {
-            assert!(decode_partials(&enc[..cut]).is_err(), "cut at {cut}");
-        }
     }
 }

@@ -6,6 +6,7 @@
 use bytes::BytesMut;
 use opmr_analysis::wire;
 use opmr_analysis::{DensityMap, MpiProfile, Topology};
+use opmr_events::wire::Reader;
 use opmr_events::{Event, EventKind};
 use proptest::prelude::*;
 
@@ -63,7 +64,7 @@ proptest! {
         p.add_all(&events);
         let mut buf = BytesMut::new();
         wire::encode_profile(&p, &mut buf);
-        let q = wire::decode_profile(&mut buf.freeze()).unwrap();
+        let q = wire::decode_profile(&mut Reader::new(&buf)).unwrap();
         prop_assert_eq!(p.events(), q.events());
         for kind in p.kinds() {
             prop_assert_eq!(p.kind(kind), q.kind(kind));
@@ -95,7 +96,7 @@ proptest! {
         }
         let mut buf = BytesMut::new();
         wire::encode_topology(&whole, &mut buf);
-        let q = wire::decode_topology(&mut buf.freeze()).unwrap();
+        let q = wire::decode_topology(&mut Reader::new(&buf)).unwrap();
         prop_assert_eq!(q.edge_count(), whole.edge_count());
         for ((s, d), w) in whole.sorted_edges() {
             prop_assert_eq!(q.edge(s, d), Some(&w));

@@ -3,8 +3,8 @@
 //! The instrumentation idiom caches metric handles in per-module
 //! `OnceLock` structs, so the steady-state cost of counting is one
 //! relaxed `fetch_add` — the acceptance bar is ~10 ns per counter
-//! increment on a laptop core. This binary measures that directly (no
-//! criterion: the loop is too tight to need statistics machinery) along
+//! increment on a laptop core. This binary measures that directly (the
+//! loop is too tight to need statistics machinery) along
 //! with the other paths a layer can hit: gauge updates, histogram
 //! records, the `OnceLock` re-read, and the mutex-guarded registry
 //! lookup that the idiom keeps off the hot path.

@@ -10,11 +10,11 @@
 //! | `fig17` | Figure 17 — communication matrices and topology graphs |
 //! | `fig18` | Figure 18 — density maps (LU.D @1024, BT.D @8281) |
 //! | `bi_table` | in-text `Bi` values and trace volumes |
-//! | `live_overhead` | thread-scale live analogue of Figure 16 |
+//! | `tbon_compare` | Section V — TBON overlay vs the analytic model |
+//! | `serve_bench`, `codec_bench`, `metrics_bench`, `obs_bench` | audits of the serve plane, pack codec, metrics fold and obs registry |
 //!
-//! Criterion benches (`cargo bench`) cover the ablations DESIGN.md calls
-//! out: stream window/block size/policy, blackboard striping, runtime
-//! eager threshold and the end-to-end pipeline.
+//! Timing lives in the repo benchmark (`perf/`, `bash perf/run.sh`): end
+//! to end per workload and per layer in its ledger.
 
 use opmr_analysis::Topology;
 use opmr_netsim::{Op, Phase, Workload};

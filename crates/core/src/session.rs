@@ -160,7 +160,6 @@ pub struct SessionBuilder {
     metrics: Option<opmr_metrics::MetricsConfig>,
     proxy: Option<(std::path::PathBuf, opmr_analysis::Selection)>,
     engine_setup: Option<EngineSetup>,
-    distributed: bool,
     fault_plan: Option<opmr_runtime::FaultPlan>,
     coupling: Coupling,
     reduce_op: ReduceOp,
@@ -187,7 +186,6 @@ impl Session {
             metrics: None,
             proxy: None,
             engine_setup: None,
-            distributed: false,
             fault_plan: None,
             coupling: Coupling::Direct,
             reduce_op: ReduceOp::PassThrough,
@@ -251,16 +249,6 @@ impl SessionBuilder {
         self.metrics = Some(opmr_metrics::MetricsConfig {
             window_ns: window_ns.max(1),
         });
-        self
-    }
-
-    /// Distributed analysis (Section VI future work): every analyzer rank
-    /// runs its *own* blackboard engine over its share of the streams;
-    /// partial aggregates are merged over MPI at the analyzer root when
-    /// the job ends. Temporal maps and the trace proxy are per-engine
-    /// views and are disabled in this mode.
-    pub fn distributed(mut self) -> Self {
-        self.distributed = true;
         self
     }
 
@@ -426,13 +414,6 @@ impl SessionBuilder {
         proc_index: usize,
         num_procs: usize,
     ) -> Result<SessionOutcome, SessionError> {
-        if self.distributed {
-            return Err(SessionError::Config(
-                "distributed analysis gathers partials inside one process; \
-                 multi-process sessions use the shared engine on process 0"
-                    .into(),
-            ));
-        }
         self.run_inner(LaunchPlan::Socket {
             socket,
             proc_index,
@@ -455,13 +436,6 @@ impl SessionBuilder {
         num_procs: usize,
         placement: Vec<usize>,
     ) -> Result<SessionOutcome, SessionError> {
-        if self.distributed {
-            return Err(SessionError::Config(
-                "distributed analysis gathers partials inside one process; \
-                 multi-process sessions use the shared engine on process 0"
-                    .into(),
-            ));
-        }
         if placement.len() != self.apps.len() {
             return Err(SessionError::Config(format!(
                 "placement names {} partitions but the session has {} applications",
@@ -503,20 +477,6 @@ impl SessionBuilder {
             None => 1 + (i % workers),
         };
         let coupling = self.coupling;
-        if self.distributed && matches!(coupling, Coupling::Serving) {
-            return Err(SessionError::Config(
-                "live serving publishes from the shared engine; distributed \
-                 analysis is unsupported"
-                    .into(),
-            ));
-        }
-        if self.distributed && !matches!(coupling, Coupling::Direct) {
-            return Err(SessionError::Config(
-                "distributed analysis and TBON coupling are alternative scaling \
-                 paths; pick one"
-                    .into(),
-            ));
-        }
         if !self.clients.is_empty() && !matches!(coupling, Coupling::Serving) {
             return Err(SessionError::Config(
                 "client partitions require Coupling::Serving".into(),
@@ -562,7 +522,6 @@ impl SessionBuilder {
             .enumerate()
             .map(|(id, s)| (id as u16, s.name.clone()))
             .collect();
-        let distributed = self.distributed;
         let waitstate = self.waitstate;
         let metrics = self.metrics;
         let engine_cfg = self.engine;
@@ -573,13 +532,12 @@ impl SessionBuilder {
             metrics,
         };
         // In-network aggregation produces merged partials, never raw event
-        // packs — the blackboard engine is bypassed like distributed mode.
+        // packs — the blackboard engine is bypassed.
         let tbon_aggregate = matches!(coupling, Coupling::Tbon { .. })
             && matches!(self.reduce_op, ReduceOp::Aggregate);
 
-        // Shared-engine mode keeps one engine for all analyzer ranks;
-        // distributed mode builds one per analyzer rank inside its closure.
-        let engine = if distributed || tbon_aggregate {
+        // Every other mode keeps one engine for all analyzer ranks.
+        let engine = if tbon_aggregate {
             None
         } else {
             let engine = AnalysisEngine::new(engine_cfg);
@@ -706,18 +664,13 @@ impl SessionBuilder {
         let serve_for_analyzer = serve_cfg.clone();
         launcher =
             launcher.partition_try("Analyzer", analyzer_ranks, move |mpi: Mpi| match coupling {
-                Coupling::Direct => match &engine_for_analyzer {
-                    Some(engine) => analyzer_rank(mpi, engine, stream_cfg),
-                    None => distributed_analyzer_rank(
-                        mpi,
-                        stream_cfg,
-                        engine_cfg,
-                        waitstate,
-                        metrics,
-                        &names_for_analyzer,
-                        &slot_for_analyzer,
-                    ),
-                },
+                Coupling::Direct => analyzer_rank(
+                    mpi,
+                    engine_for_analyzer
+                        .as_ref()
+                        .ok_or("direct coupling runs the shared engine")?,
+                    stream_cfg,
+                ),
                 Coupling::Tbon { fanout } => tbon_analyzer_rank(
                     mpi,
                     fanout,
@@ -795,9 +748,10 @@ impl SessionBuilder {
 
         let report = match engine {
             Some(engine) => engine.finish(),
-            None => merged_slot.lock().take().ok_or_else(|| {
-                SessionError::Config("distributed merge produced no report".into())
-            })?,
+            None => merged_slot
+                .lock()
+                .take()
+                .ok_or_else(|| SessionError::Config("aggregate merge produced no report".into()))?,
         };
         let mut recorders = Arc::try_unwrap(recorders)
             .map(|m| m.into_inner())
@@ -902,46 +856,6 @@ fn tbon_analyzer_rank(
         *slot.lock() = Some(MultiReport::from_partials(sets, names));
     }
     stats_sink.lock().push((v.rank(), outcome.stats));
-    Ok(())
-}
-
-/// Distributed-analysis analyzer rank (Section VI): local engine per rank,
-/// partial aggregates gathered to the analyzer root and merged.
-fn distributed_analyzer_rank(
-    mpi: Mpi,
-    stream_cfg: StreamConfig,
-    engine_cfg: EngineConfig,
-    waitstate: bool,
-    metrics: Option<opmr_metrics::MetricsConfig>,
-    names: &std::collections::HashMap<u16, String>,
-    slot: &Mutex<Option<MultiReport>>,
-) -> Result<(), RankError> {
-    let engine = AnalysisEngine::new(engine_cfg);
-    if waitstate {
-        engine.enable_waitstate();
-    }
-    if let Some(m) = metrics {
-        engine.enable_metrics(m);
-    }
-    engine.start();
-    // Drain this rank's share of the streams into the local engine.
-    analyzer_rank(mpi.clone(), &engine, stream_cfg)?;
-    let local = engine.finish();
-    let partials = local.to_partials();
-    let encoded = opmr_analysis::wire::encode_partials(&partials);
-
-    // Gather every analyzer rank's partials at the analyzer-partition root.
-    let v = Vmpi::new(mpi)?;
-    let analyzer_world = v.comm_world();
-    let gathered = v.mpi().gather(&analyzer_world, 0, encoded)?;
-    if let Some(parts) = gathered {
-        let mut sets: Vec<Vec<opmr_analysis::wire::AppPartial>> = Vec::with_capacity(parts.len());
-        for p in &parts {
-            sets.push(opmr_analysis::wire::decode_partials(p)?);
-        }
-        let merged = MultiReport::from_partials(sets, names);
-        *slot.lock() = Some(merged);
-    }
     Ok(())
 }
 
@@ -1245,14 +1159,5 @@ mod tests {
         for (_, s) in &tbon.reduce_stats {
             assert!(s.blocks_forwarded <= s.blocks_in);
         }
-    }
-
-    #[test]
-    fn distributed_and_tbon_are_mutually_exclusive() {
-        let res = quickstart_session()
-            .distributed()
-            .coupling(Coupling::Tbon { fanout: 2 })
-            .run();
-        assert!(matches!(res, Err(SessionError::Config(_))));
     }
 }

@@ -25,6 +25,7 @@
 use crate::event::{Event, EventKind};
 use crate::pack::{PackHeader, DELTA_EVENT_MAX_WIRE_SIZE, EVENT_WIRE_SIZE, PACK_HEADER_SIZE};
 use crate::vint;
+use crate::wire::{Reader, Truncated};
 use bytes::{Buf, BufMut};
 
 /// `"OPMR"` little-endian.
@@ -72,6 +73,15 @@ impl std::fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+impl From<Truncated> for CodecError {
+    fn from(t: Truncated) -> CodecError {
+        CodecError::Truncated {
+            need: t.need,
+            have: t.have,
+        }
+    }
+}
 
 /// Appends one event to `out`: its 48 bytes are built on the stack and
 /// appended once.
@@ -337,36 +347,28 @@ pub fn decode_header(buf: &mut impl Buf) -> Result<PackHeader, CodecError> {
 }
 
 /// Decodes a pack header of any supported wire version, returning the
-/// version so the caller can pick the matching event codec.
+/// version so the caller can pick the matching event codec. Reads the
+/// front chunk of `buf` (all of it, for the contiguous buffers this
+/// workspace uses) and advances past the header on success.
 pub fn decode_header_any(buf: &mut impl Buf) -> Result<(PackHeader, u16), CodecError> {
-    if buf.remaining() < PACK_HEADER_SIZE {
-        return Err(CodecError::Truncated {
-            need: PACK_HEADER_SIZE,
-            have: buf.remaining(),
-        });
-    }
-    let magic = buf.get_u32_le();
+    let mut r = Reader::new(buf.chunk());
+    let magic = r.u32()?;
     if magic != MAGIC {
         return Err(CodecError::BadMagic(magic));
     }
-    let version = buf.get_u16_le();
+    let version = r.u16()?;
     if version != VERSION && version != VERSION_DELTA {
         return Err(CodecError::BadVersion(version));
     }
-    let app_id = buf.get_u16_le();
-    let rank = buf.get_u32_le();
-    let seq = buf.get_u32_le();
-    let count = buf.get_u32_le();
-    let _pad = buf.get_u32_le();
-    Ok((
-        PackHeader {
-            app_id,
-            rank,
-            seq,
-            count,
-        },
-        version,
-    ))
+    let header = PackHeader {
+        app_id: r.u16()?,
+        rank: r.u32()?,
+        seq: r.u32()?,
+        count: r.u32()?,
+    };
+    let _pad = r.u32()?;
+    buf.advance(PACK_HEADER_SIZE);
+    Ok((header, version))
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 //! layer underneath already retries/reorders, so a poisoned buffer means
 //! real corruption, not loss).
 
+use crate::wire::Reader;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Hard upper bound on a single frame payload. Big enough for any merged
@@ -141,21 +142,19 @@ impl FrameBuf {
         if let Some(e) = self.poisoned {
             return Err(e);
         }
-        let Some((len_bytes, rest)) = self.buf.split_first_chunk::<4>() else {
+        // A header or payload that has not fully arrived is "not yet".
+        let mut r = Reader::new(&self.buf);
+        let Ok(len) = r.u32() else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(*len_bytes) as usize;
+        let len = len as usize;
         if len > MAX_FRAME_LEN {
             return Err(self.poison(FrameError::Oversize {
                 len: len as u64,
                 max: MAX_FRAME_LEN,
             }));
         }
-        let Some((ck_bytes, body)) = rest.split_first_chunk::<4>() else {
-            return Ok(None);
-        };
-        let expected = u32::from_le_bytes(*ck_bytes);
-        let Some(payload) = body.get(..len) else {
+        let (Ok(expected), Ok(payload)) = (r.u32(), r.bytes(len)) else {
             return Ok(None);
         };
         let found = fnv1a32(payload);

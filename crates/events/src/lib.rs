@@ -16,6 +16,8 @@
 //!
 //! The codec is explicit little-endian rather than a struct memcpy so packs
 //! are valid across any producer/consumer pair and truncation is detected.
+//! [`wire::Reader`] is the checked cursor every decoder in the workspace
+//! outside the per-event kernels reads through.
 
 pub mod codec;
 pub mod compress;
@@ -24,6 +26,7 @@ pub mod frame;
 pub mod pack;
 pub mod pool;
 pub mod vint;
+pub mod wire;
 
 pub use compress::{
     decompress, decompress_into, max_compressed_len, CompressError, Compression, Lz4Encoder,

@@ -29,9 +29,7 @@
 mod series;
 mod view;
 
-pub use series::{
-    MetricsConfig, MetricsSeries, MetricsWireError, WindowCell, WindowCells, DEFAULT_WINDOW_NS,
-};
+pub use series::{MetricsConfig, MetricsSeries, WindowCell, WindowCells, DEFAULT_WINDOW_NS};
 pub use view::{WindowMetrics, WINDOW_CSV_HEADER};
 
 pub(crate) mod obs {

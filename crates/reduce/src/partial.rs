@@ -9,7 +9,7 @@
 //! [`FrameBuf`].
 
 use crate::reducible::{EventDensity, Reducible};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use opmr_analysis::profiler::MpiProfile;
 use opmr_analysis::topology::Topology;
 use opmr_analysis::waitstate::WaitStats;
@@ -17,6 +17,7 @@ use opmr_analysis::wire::{
     decode_profile, decode_topology, decode_waitstats, encode_profile, encode_topology,
     encode_waitstats, merge_waitstats, AppPartial, WireError,
 };
+use opmr_events::wire::{Reader, Width};
 use opmr_metrics::MetricsSeries;
 
 /// Magic prefix of an encoded partial set ("OPRD").
@@ -85,17 +86,6 @@ impl Reducible for ReducePartial {
             _ => {}
         }
     }
-
-    fn encoded_size(&self) -> usize {
-        2 + 24
-            + self.profile.encoded_size()
-            + self.topology.encoded_size()
-            + self.density.encoded_size()
-            + 1
-            + self.waitstate.as_ref().map_or(0, |w| w.encoded_size())
-            + 1
-            + self.metrics.as_ref().map_or(0, |m| m.encoded_size())
-    }
 }
 
 /// Encodes a set of per-application partials (one node's window).
@@ -134,56 +124,40 @@ pub fn encode_partial_set(parts: &[ReducePartial]) -> Bytes {
 }
 
 /// Decodes a partial set; rejects buffers that do not start with `OPRD`.
-pub fn decode_partial_set(mut buf: &[u8]) -> Result<Vec<ReducePartial>, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let magic = buf.get_u32_le();
+pub fn decode_partial_set(buf: &[u8]) -> Result<Vec<ReducePartial>, WireError> {
+    let mut r = Reader::new(buf);
+    let magic = r.u32()?;
     if magic != REDUCE_MAGIC {
         return Err(WireError::BadTag((magic & 0xff) as u8));
     }
-    let version = buf.get_u16_le();
+    let version = r.u16()?;
     if version != REDUCE_VERSION {
         return Err(WireError::BadTag(version as u8));
     }
-    let n = buf.get_u16_le() as usize;
+    // No partial is shorter than its id, counters and empty tables.
+    let n = r.count(Width::U16, 2 + 24 + 16 + 8 + 4 + 1 + 1)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        if buf.remaining() < 2 + 24 {
-            return Err(WireError::Truncated);
-        }
-        let app_id = buf.get_u16_le();
-        let packs = buf.get_u64_le();
-        let wire_bytes = buf.get_u64_le();
-        let decode_errors = buf.get_u64_le();
-        let profile = decode_profile(&mut buf)?;
-        let topology = decode_topology(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let ranks = buf.get_u32_le() as usize;
-        if buf.remaining() < ranks * 8 {
-            return Err(WireError::Truncated);
-        }
+        let app_id = r.u16()?;
+        let packs = r.u64()?;
+        let wire_bytes = r.u64()?;
+        let decode_errors = r.u64()?;
+        let profile = decode_profile(&mut r)?;
+        let topology = decode_topology(&mut r)?;
+        let ranks = r.count(Width::U32, 8)?;
         let mut counts = Vec::with_capacity(ranks);
         for _ in 0..ranks {
-            counts.push(buf.get_u64_le());
+            counts.push(r.u64()?);
         }
         let density = EventDensity::from_counts(counts);
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        let waitstate = match buf.get_u8() {
+        let waitstate = match r.u8()? {
             0 => None,
-            1 => Some(decode_waitstats(&mut buf)?),
+            1 => Some(decode_waitstats(&mut r)?),
             t => return Err(WireError::BadTag(t)),
         };
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        let metrics = match buf.get_u8() {
+        let metrics = match r.u8()? {
             0 => None,
-            1 => Some(MetricsSeries::decode(&mut buf).map_err(WireError::from)?),
+            1 => Some(MetricsSeries::decode(&mut r)?),
             t => return Err(WireError::BadTag(t)),
         };
         out.push(ReducePartial {
@@ -292,6 +266,5 @@ mod tests {
         assert_eq!(a.profile.events(), 8);
         assert_eq!(a.topology.edge(0, 1).unwrap().hits, 2);
         assert_eq!(a.density.total(), 8);
-        assert_eq!(a.encoded_size(), encode_partial_set(&[a.clone()]).len() - 8);
     }
 }

@@ -65,6 +65,7 @@ use crate::mailbox::{Delivery, Mailbox};
 use crate::transport::Transport;
 use crate::{CommId, Result, RtError};
 use bytes::Bytes;
+use opmr_events::wire::{Reader, Truncated, Width};
 use opmr_events::{
     decompress_into, max_compressed_len, try_frame, Compression, FrameBuf, Lz4Encoder,
     MAX_FRAME_LEN,
@@ -186,8 +187,8 @@ pub struct SocketConfig {
     pub link_fault: Option<LinkFault>,
     /// Envelope codec this process is willing to speak. The coordinator
     /// negotiates the *session* codec down to the weakest codec any peer
-    /// advertised, so processes may legitimately differ here (a legacy
-    /// peer advertising nothing pins the whole session to plain frames).
+    /// advertised, so processes may legitimately differ here (one peer
+    /// advertising `None` pins the whole session to plain frames).
     pub compression: Compression,
 }
 
@@ -468,12 +469,9 @@ impl From<LaunchError> for MultiprocError {
 // ---------------------------------------------------------------------
 
 const MAGIC: u32 = 0x4F50_4D52; // "OPMR"
-/// Protocol version 3 adds the codec byte to `Hello` and `Roster`.
+/// The one protocol version spoken: `Hello` and `Roster` carry the codec
+/// byte. Any other version in a hello or reconnect is a typed rejection.
 const VERSION: u16 = 3;
-/// Version 2 peers (no codec negotiation) are still accepted; they pin
-/// the session codec to [`Compression::None`] and see only the frame
-/// kinds version 2 defined.
-const VERSION_LEGACY: u16 = 2;
 
 const K_HELLO: u8 = 1;
 const K_ENVELOPE: u8 = 2;
@@ -533,14 +531,15 @@ fn encode_envelope(dst_world: usize, env: &Envelope) -> Vec<u8> {
 }
 
 fn decode_envelope(p: &Bytes) -> Option<(usize, Envelope)> {
-    // p[0] is the kind byte, already matched by the caller.
-    let ctx = ctx_from_u8(*p.get(1)?)?;
-    let tag = i32::from_le_bytes(p.get(2..6)?.try_into().ok()?);
-    let comm = u64::from_le_bytes(p.get(6..14)?.try_into().ok()?);
-    let src_local = u32::from_le_bytes(p.get(14..18)?.try_into().ok()?) as usize;
-    let src_world = u32::from_le_bytes(p.get(18..22)?.try_into().ok()?) as usize;
-    let dst_world = u32::from_le_bytes(p.get(22..26)?.try_into().ok()?) as usize;
-    let payload = p.slice(26..);
+    let mut r = Reader::new(p);
+    // The kind byte was matched by the caller.
+    let _kind = r.u8().ok()?;
+    let ctx = ctx_from_u8(r.u8().ok()?)?;
+    let tag = r.i32().ok()?;
+    let comm = r.u64().ok()?;
+    let src_local = r.u32().ok()? as usize;
+    let src_world = r.u32().ok()? as usize;
+    let dst_world = r.u32().ok()? as usize;
     Some((
         dst_world,
         Envelope {
@@ -551,12 +550,12 @@ fn decode_envelope(p: &Bytes) -> Option<(usize, Envelope)> {
                 src_world,
                 tag,
             },
-            payload,
+            payload: p.slice(p.len() - r.remaining()..),
         },
     ))
 }
 
-/// Why a `Hello` was turned away. `UnknownCodec` is split out so the
+/// Why a `Hello` (or a reconnect frame) was turned away. `UnknownCodec` is split out so the
 /// mesh can count hostile/garbled codec advertisements separately from
 /// generic handshake noise.
 #[derive(Debug)]
@@ -565,6 +564,12 @@ enum HelloReject {
     UnknownCodec(u8),
     /// Anything else: bad magic, wrong topology, truncation, ...
     Other(String),
+}
+
+impl From<Truncated> for HelloReject {
+    fn from(_: Truncated) -> HelloReject {
+        HelloReject::Other("truncated handshake frame".to_string())
+    }
 }
 
 impl std::fmt::Display for HelloReject {
@@ -576,8 +581,7 @@ impl std::fmt::Display for HelloReject {
     }
 }
 
-/// v3: `[kind][magic u32][version u16][proc u16][topo_hash u64][codec u8][addr]`
-/// (v2 had no codec byte; the address started at offset 17).
+/// `[kind][magic u32][version u16][proc u16][topo_hash u64][codec u8][addr]`
 fn encode_hello(
     proc_index: usize,
     topo_hash: u64,
@@ -601,44 +605,22 @@ fn decode_hello(
     expect_hash: u64,
 ) -> std::result::Result<(usize, Compression, String), HelloReject> {
     let other = |what: String| Err(HelloReject::Other(what));
-    if p.first() != Some(&K_HELLO) {
-        return other(format!("first frame is not a hello (kind {:?})", p.first()));
+    let mut r = Reader::new(p);
+    let kind = r.u8()?;
+    if kind != K_HELLO {
+        return other(format!("first frame is not a hello (kind {kind})"));
     }
-    let magic = p
-        .get(1..5)
-        .and_then(|b| b.try_into().ok())
-        .map(u32::from_le_bytes);
-    if magic != Some(MAGIC) {
+    if r.u32()? != MAGIC {
         return other("bad protocol magic".to_string());
     }
-    let version = p
-        .get(5..7)
-        .and_then(|b| b.try_into().ok())
-        .map(u16::from_le_bytes);
-    if version != Some(VERSION) && version != Some(VERSION_LEGACY) {
-        return other(format!("unsupported protocol version {version:?}"));
+    let version = r.u16()?;
+    if version != VERSION {
+        return other(format!("unsupported protocol version {version}"));
     }
-    let proc = p
-        .get(7..9)
-        .and_then(|b| b.try_into().ok())
-        .map(u16::from_le_bytes)
-        .ok_or(HelloReject::Other("truncated hello".to_string()))? as usize;
-    let hash = p
-        .get(9..17)
-        .and_then(|b| b.try_into().ok())
-        .map(u64::from_le_bytes)
-        .ok_or(HelloReject::Other("truncated hello".to_string()))?;
-    // A legacy (v2) hello has no codec byte: the peer can only speak
-    // plain frames, which is exactly Compression::None.
-    let (codec, addr_from) = if version == Some(VERSION_LEGACY) {
-        (Compression::None, 17)
-    } else {
-        let codec_id = *p
-            .get(17)
-            .ok_or(HelloReject::Other("truncated hello".to_string()))?;
-        let codec = Compression::from_id(codec_id).ok_or(HelloReject::UnknownCodec(codec_id))?;
-        (codec, 18)
-    };
+    let proc = r.u16()? as usize;
+    let hash = r.u64()?;
+    let codec_id = r.u8()?;
+    let codec = Compression::from_id(codec_id).ok_or(HelloReject::UnknownCodec(codec_id))?;
     // Codec skew is diagnosed before the topology check: a peer that
     // speaks an unknown codec is off-protocol no matter what job it
     // thinks it joined.
@@ -647,15 +629,11 @@ fn decode_hello(
             "topology mismatch (peer {hash:#018x}, local {expect_hash:#018x})"
         ));
     }
-    let addr = String::from_utf8_lossy(p.get(addr_from..).unwrap_or(&[])).into_owned();
+    let addr = String::from_utf8_lossy(r.rest()).into_owned();
     Ok((proc, codec, addr))
 }
 
 /// `[kind][epoch u64][n u16]([len u16][addr bytes])*[codec u8]`
-///
-/// The session codec rides at the *tail* so a v2 roster (no codec byte)
-/// still decodes — as a plain session — and a v2 peer reading a v3
-/// roster parses its entries unchanged.
 fn encode_roster(epoch: u64, codec: Compression, addrs: &[String]) -> Vec<u8> {
     let mut out = vec![K_ROSTER];
     out.extend_from_slice(&epoch.to_le_bytes());
@@ -669,24 +647,19 @@ fn encode_roster(epoch: u64, codec: Compression, addrs: &[String]) -> Vec<u8> {
 }
 
 fn decode_roster(p: &Bytes) -> Option<(u64, Compression, Vec<String>)> {
-    if p.first() != Some(&K_ROSTER) {
+    let mut r = Reader::new(p);
+    if r.u8().ok()? != K_ROSTER {
         return None;
     }
-    let epoch = u64::from_le_bytes(p.get(1..9)?.try_into().ok()?);
-    let n = u16::from_le_bytes(p.get(9..11)?.try_into().ok()?) as usize;
+    let epoch = r.u64().ok()?;
+    // No entry is shorter than its length prefix.
+    let n = r.count(Width::U16, 2).ok()?;
     let mut addrs = Vec::with_capacity(n);
-    let mut off = 11usize;
     for _ in 0..n {
-        let len = u16::from_le_bytes(p.get(off..off + 2)?.try_into().ok()?) as usize;
-        off += 2;
-        addrs.push(String::from_utf8_lossy(p.get(off..off + len)?).into_owned());
-        off += len;
+        let len = r.u16().ok()? as usize;
+        addrs.push(String::from_utf8_lossy(r.bytes(len).ok()?).into_owned());
     }
-    let codec = match p.get(off) {
-        // Legacy roster without a codec tail: plain session.
-        None => Compression::None,
-        Some(&id) => Compression::from_id(id)?,
-    };
+    let codec = Compression::from_id(r.u8().ok()?)?;
     Some((epoch, codec, addrs))
 }
 
@@ -704,41 +677,22 @@ fn encode_reconn(proc_index: usize, epoch: u64, rx_seq: u64) -> Vec<u8> {
     out
 }
 
-/// Returns `(proc_index, epoch, rx_seq)` or a description of the defect.
-fn decode_reconn(p: &Bytes) -> std::result::Result<(usize, u64, u64), String> {
-    if p.first() != Some(&K_RECONN) {
-        return Err(format!("not a reconnect frame (kind {:?})", p.first()));
+/// Returns `(proc_index, epoch, rx_seq)` or why not.
+fn decode_reconn(p: &Bytes) -> std::result::Result<(usize, u64, u64), HelloReject> {
+    let other = |what: String| Err(HelloReject::Other(what));
+    let mut r = Reader::new(p);
+    let kind = r.u8()?;
+    if kind != K_RECONN {
+        return other(format!("not a reconnect frame (kind {kind})"));
     }
-    let magic = p
-        .get(1..5)
-        .and_then(|b| b.try_into().ok())
-        .map(u32::from_le_bytes);
-    if magic != Some(MAGIC) {
-        return Err("bad protocol magic".to_string());
+    if r.u32()? != MAGIC {
+        return other("bad protocol magic".to_string());
     }
-    let version = p
-        .get(5..7)
-        .and_then(|b| b.try_into().ok())
-        .map(u16::from_le_bytes);
-    if version != Some(VERSION) && version != Some(VERSION_LEGACY) {
-        return Err(format!("unsupported protocol version {version:?}"));
+    let version = r.u16()?;
+    if version != VERSION {
+        return other(format!("unsupported protocol version {version}"));
     }
-    let proc = p
-        .get(7..9)
-        .and_then(|b| b.try_into().ok())
-        .map(u16::from_le_bytes)
-        .ok_or("truncated reconnect frame")? as usize;
-    let epoch = p
-        .get(9..17)
-        .and_then(|b| b.try_into().ok())
-        .map(u64::from_le_bytes)
-        .ok_or("truncated reconnect frame")?;
-    let rx = p
-        .get(17..25)
-        .and_then(|b| b.try_into().ok())
-        .map(u64::from_le_bytes)
-        .ok_or("truncated reconnect frame")?;
-    Ok((proc, epoch, rx))
+    Ok((r.u16()? as usize, r.u64()?, r.u64()?))
 }
 
 /// `[kind][rx_seq u64]`: the acceptor's received-frame count.
@@ -750,10 +704,11 @@ fn encode_reconn_ok(rx_seq: u64) -> Vec<u8> {
 }
 
 fn decode_reconn_ok(p: &Bytes) -> Option<u64> {
-    if p.first() != Some(&K_RECONN_OK) {
+    let mut r = Reader::new(p);
+    if r.u8().ok()? != K_RECONN_OK {
         return None;
     }
-    Some(u64::from_le_bytes(p.get(1..9)?.try_into().ok()?))
+    r.u64().ok()
 }
 
 /// `[kind][rx_seq u64]`: cumulative data frames received on this link.
@@ -1114,10 +1069,9 @@ fn connect_mesh(
                             // A rogue or garbled connection: reject it,
                             // count it, keep waiting for the real peers.
                             // An unknown codec id gets its own counter —
-                            // a legitimate *older* peer never trips this
-                            // (it advertises a known id or none at all),
-                            // so it is either hostile or a skew bug worth
-                            // alerting on.
+                            // a legitimate peer never trips this (it
+                            // advertises a known id), so it is either
+                            // hostile or a skew bug worth alerting on.
                             if let HelloReject::UnknownCodec(_) = what {
                                 obs::m().codec_rejected.inc();
                             }
@@ -1180,11 +1134,13 @@ fn connect_mesh(
     })?;
     let mut coord_fb = FrameBuf::new();
     let roster_frame = read_one_frame(&mut coord, &mut coord_fb, dial_deadline, &coord_addr)?;
-    let (epoch, roster_codec, roster) =
-        decode_roster(&roster_frame).ok_or_else(|| SocketError::Handshake {
+    let (epoch, roster_codec, roster) = decode_roster(&roster_frame).ok_or_else(|| {
+        obs::m().handshake_rejected.inc();
+        SocketError::Handshake {
             addr: coord_addr.clone(),
             what: "coordinator sent an invalid roster".to_string(),
-        })?;
+        }
+    })?;
     // The coordinator already folded our advertisement into the session
     // codec; clamping again costs nothing and protects against a rogue
     // coordinator upgrading us past what we can speak.
@@ -2394,6 +2350,40 @@ mod tests {
         assert_eq!(back.payload, env.payload);
     }
 
+    /// The private handshake and envelope decoders under the workspace's
+    /// one hostile-input check (`tests/wire_hostile.rs` runs the public
+    /// decoders through the same function).
+    #[test]
+    fn socket_decoders_survive_hostile_bytes() {
+        use opmr_events::wire::check_decoder;
+        let env = make_envelope(
+            Context::Coll,
+            CommId(7),
+            1,
+            2,
+            -3,
+            Bytes::from(vec![5u8; 40]),
+        );
+        check_decoder("decode_envelope", &encode_envelope(11, &env), 26, |b| {
+            decode_envelope(&Bytes::copy_from_slice(b)).is_some()
+        });
+        let hello = encode_hello(3, 0xABCD, Compression::Lz4, "unix:/tmp/x");
+        check_decoder("decode_hello", &hello, 18, |b| {
+            decode_hello(&Bytes::copy_from_slice(b), 0xABCD).is_ok()
+        });
+        let addrs = ["tcp:127.0.0.1:9000".to_string(), String::new()];
+        let roster = encode_roster(0xFEED, Compression::Lz4, &addrs);
+        check_decoder("decode_roster", &roster, roster.len(), |b| {
+            decode_roster(&Bytes::copy_from_slice(b)).is_some()
+        });
+        check_decoder("decode_reconn", &encode_reconn(5, 0xE90C4, 1234), 25, |b| {
+            decode_reconn(&Bytes::copy_from_slice(b)).is_ok()
+        });
+        check_decoder("decode_reconn_ok", &encode_reconn_ok(987), 9, |b| {
+            decode_reconn_ok(&Bytes::copy_from_slice(b)).is_some()
+        });
+    }
+
     #[test]
     fn context_codes_are_stable() {
         for ctx in [Context::Pt2pt, Context::Coll, Context::Stream] {
@@ -2418,22 +2408,23 @@ mod tests {
         assert!(decode_hello(&garbage, 0xABCD).is_err());
     }
 
-    /// A version-2 hello (no codec byte, address at offset 17) still
-    /// decodes — as a plain-codec peer — so old builds can join.
+    /// Handshake frames of the retired version 2 — a hello without the
+    /// codec byte, a reconnect — are typed rejections, not plain peers.
     #[test]
-    fn legacy_v2_hello_decodes_as_plain_codec() {
-        let mut wire = Vec::new();
-        wire.push(K_HELLO);
-        wire.extend_from_slice(&MAGIC.to_le_bytes());
-        wire.extend_from_slice(&VERSION_LEGACY.to_le_bytes());
-        wire.extend_from_slice(&2u16.to_le_bytes());
-        wire.extend_from_slice(&0xABCDu64.to_le_bytes());
-        wire.extend_from_slice(b"unix:/tmp/legacy");
-        let (proc, codec, addr) = decode_hello(&Bytes::from(wire), 0xABCD).unwrap();
-        assert_eq!(
-            (proc, codec, addr.as_str()),
-            (2, Compression::None, "unix:/tmp/legacy")
-        );
+    fn v2_hello_and_reconnect_are_typed_rejections() {
+        let mut hello = vec![K_HELLO];
+        hello.extend_from_slice(&MAGIC.to_le_bytes());
+        hello.extend_from_slice(&2u16.to_le_bytes());
+        hello.extend_from_slice(&2u16.to_le_bytes());
+        hello.extend_from_slice(&0xABCDu64.to_le_bytes());
+        hello.extend_from_slice(b"unix:/tmp/legacy");
+        let err = decode_hello(&Bytes::from(hello), 0xABCD).unwrap_err();
+        assert!(err.to_string().contains("version 2"), "{err}");
+
+        let mut reconn = encode_reconn(5, 0xE90C4, 1234);
+        reconn[5..7].copy_from_slice(&2u16.to_le_bytes());
+        let err = decode_reconn(&Bytes::from(reconn)).unwrap_err();
+        assert!(err.to_string().contains("version 2"), "{err}");
     }
 
     /// An unknown codec id is a *typed* rejection, distinguishable from
@@ -2464,16 +2455,10 @@ mod tests {
             );
         }
         assert_eq!(decode_roster(&Bytes::from_static(b"\x07junk")), None);
-        // A legacy roster without the codec tail is a plain session.
-        let legacy = {
-            let mut w = encode_roster(7, Compression::Lz4, &addrs);
-            w.pop();
-            Bytes::from(w)
-        };
-        assert_eq!(
-            decode_roster(&legacy).unwrap(),
-            (7, Compression::None, addrs.clone())
-        );
+        // A roster without the codec tail is not a plain session: rejected.
+        let mut tailless = encode_roster(7, Compression::Lz4, &addrs);
+        tailless.pop();
+        assert_eq!(decode_roster(&Bytes::from(tailless)), None);
         // An unknown codec tail fails the parse instead of guessing.
         let mut bad = encode_roster(7, Compression::Lz4, &addrs);
         if let Some(last) = bad.last_mut() {
@@ -2489,12 +2474,8 @@ mod tests {
         // Garbage magic is rejected with a description.
         let mut bad = encode_reconn(5, 1, 2);
         bad[1] ^= 0xFF;
-        let err = decode_reconn(&Bytes::from(bad)).unwrap_err();
+        let err = decode_reconn(&Bytes::from(bad)).unwrap_err().to_string();
         assert!(err.contains("magic"), "{err}");
-        // Truncation never mis-decodes.
-        let trunc = Bytes::from(encode_reconn(5, 1, 2)[..10].to_vec());
-        assert!(decode_reconn(&trunc).is_err());
-
         let ok = Bytes::from(encode_reconn_ok(987));
         assert_eq!(decode_reconn_ok(&ok), Some(987));
         assert_eq!(decode_reconn_ok(&Bytes::from_static(b"\x09abc")), None);

@@ -21,7 +21,7 @@
 use crate::delta::{apply_delta_changes, build_image, delta_versions, patch_image};
 use crate::proto::{NotFoundReason, QueryKind, Request, Response, VersionInfo, SERVE_STREAM_ID};
 use crate::{mono_ns, ServeConfig, ServeError};
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
 use opmr_analysis::profiler::MpiProfile;
 use opmr_analysis::topology::Topology;
 use opmr_analysis::waitstate::WaitStats;
@@ -30,6 +30,7 @@ use opmr_analysis::wire::{
     WireError,
 };
 use opmr_events::frame::{try_frame, FrameBuf};
+use opmr_events::wire::{Reader, Width};
 use opmr_vmpi::{DuplexStream, ReadMode, Vmpi, VmpiError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -330,7 +331,7 @@ impl ServeClient {
         rank_hi: u32,
     ) -> crate::Result<(u64, MpiProfile)> {
         let (v, payload) = self.query_raw(QueryKind::Profile, app_id, version, rank_lo, rank_hi)?;
-        Ok((v, decode_profile(&mut &payload[..])?))
+        Ok((v, decode_profile(&mut Reader::new(&payload))?))
     }
 
     /// The source-rank-filtered communication topology.
@@ -343,7 +344,7 @@ impl ServeClient {
     ) -> crate::Result<(u64, Topology)> {
         let (v, payload) =
             self.query_raw(QueryKind::Topology, app_id, version, rank_lo, rank_hi)?;
-        Ok((v, decode_topology(&mut &payload[..])?))
+        Ok((v, decode_topology(&mut Reader::new(&payload))?))
     }
 
     /// The rank-filtered wait-state report, when the analyzer ran the
@@ -357,13 +358,10 @@ impl ServeClient {
     ) -> crate::Result<(u64, Option<WaitStats>)> {
         let (v, payload) =
             self.query_raw(QueryKind::Waitstate, app_id, version, rank_lo, rank_hi)?;
-        let mut view: &[u8] = &payload;
-        if view.remaining() < 1 {
-            return Err(WireError::Truncated.into());
-        }
-        match view.get_u8() {
+        let mut r = Reader::new(&payload);
+        match r.u8()? {
             0 => Ok((v, None)),
-            _ => Ok((v, Some(decode_waitstats(&mut view)?))),
+            _ => Ok((v, Some(decode_waitstats(&mut r)?))),
         }
     }
 
@@ -377,16 +375,10 @@ impl ServeClient {
         rank_hi: u32,
     ) -> crate::Result<(u64, Option<opmr_metrics::MetricsSeries>)> {
         let (v, payload) = self.query_raw(QueryKind::Metrics, app_id, version, rank_lo, rank_hi)?;
-        let mut view: &[u8] = &payload;
-        if view.remaining() < 1 {
-            return Err(WireError::Truncated.into());
-        }
-        match view.get_u8() {
+        let mut r = Reader::new(&payload);
+        match r.u8()? {
             0 => Ok((v, None)),
-            _ => Ok((
-                v,
-                Some(opmr_metrics::MetricsSeries::decode(&mut view).map_err(WireError::from)?),
-            )),
+            _ => Ok((v, Some(opmr_metrics::MetricsSeries::decode(&mut r)?))),
         }
     }
 
@@ -400,16 +392,11 @@ impl ServeClient {
         rank_hi: u32,
     ) -> crate::Result<(u64, u32, Vec<u64>)> {
         let (v, payload) = self.query_raw(QueryKind::Density, app_id, version, rank_lo, rank_hi)?;
-        let mut view: &[u8] = &payload;
-        if view.remaining() < 8 {
-            return Err(WireError::Truncated.into());
-        }
-        let lo = view.get_u32_le();
-        let n = view.get_u32_le() as usize;
-        if view.remaining() < n * 8 {
-            return Err(WireError::Truncated.into());
-        }
-        Ok((v, lo, (0..n).map(|_| view.get_u64_le()).collect()))
+        let mut r = Reader::new(&payload);
+        let lo = r.u32()?;
+        let n = r.count(Width::U32, 8)?;
+        let counts = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
+        Ok((v, lo, counts))
     }
 
     /// Starts the snapshot-then-deltas subscription (one chain per

@@ -14,13 +14,14 @@
 //! the publisher side) falls back to a full per-app replacement, keeping
 //! the apply path correct for arbitrary snapshot pairs.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use opmr_analysis::profiler::{CallStats, MpiProfile};
 use opmr_analysis::topology::Topology;
 use opmr_analysis::wire::{
     decode_app_body, decode_waitstats, encode_app_body, encode_waitstats, AppChange, AppPartial,
     SnapshotImage, WireError,
 };
+use opmr_events::wire::{Reader, Width};
 use opmr_events::EventKind;
 use opmr_metrics::MetricsSeries;
 use std::collections::BTreeMap;
@@ -341,96 +342,77 @@ pub(crate) fn encode_delta_changes(
     Ok((out.freeze(), changes))
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-fn decode_header(buf: &mut &[u8]) -> Result<(u64, u64, usize), WireError> {
-    need(buf, 4 + 2 + 8 + 8 + 2)?;
-    let magic = buf.get_u32_le();
+/// Reads `(from_version, to_version, n_apps)` off the front of a delta.
+fn decode_header(r: &mut Reader<'_>) -> Result<(u64, u64, usize), WireError> {
+    let magic = r.u32()?;
     if magic != DELTA_MAGIC {
         return Err(WireError::BadTag((magic & 0xff) as u8));
     }
-    let version = buf.get_u16_le();
+    let version = r.u16()?;
     if version != DELTA_VERSION {
         return Err(WireError::BadTag(version as u8));
     }
-    let from_version = buf.get_u64_le();
-    let to_version = buf.get_u64_le();
-    let n_apps = buf.get_u16_le() as usize;
+    let from_version = r.u64()?;
+    let to_version = r.u64()?;
+    // No per-app block is shorter than its id and tag.
+    let n_apps = r.count(Width::U16, 3)?;
     Ok((from_version, to_version, n_apps))
 }
 
 /// Reads the `(from_version, to_version)` pair off an encoded delta
 /// without applying it.
-pub fn delta_versions(mut buf: &[u8]) -> Result<(u64, u64), WireError> {
-    let (from, to, _) = decode_header(&mut buf)?;
+pub fn delta_versions(buf: &[u8]) -> Result<(u64, u64), WireError> {
+    let (from, to, _) = decode_header(&mut Reader::new(buf))?;
     Ok((from, to))
 }
 
 /// Applies one sparse per-app block; reports the lowest metrics window it
 /// replaced (window 0 when it had to restart the series).
-fn apply_app_sparse(base: &mut AppPartial, buf: &mut &[u8]) -> Result<AppChange, WireError> {
-    need(buf, 32)?;
-    base.packs = buf.get_u64_le();
-    base.wire_bytes = buf.get_u64_le();
-    base.decode_errors = buf.get_u64_le();
-    let span_ns = buf.get_u64_le();
+fn apply_app_sparse(base: &mut AppPartial, r: &mut Reader<'_>) -> Result<AppChange, WireError> {
+    base.packs = r.u64()?;
+    base.wire_bytes = r.u64()?;
+    base.decode_errors = r.u64()?;
+    let span_ns = r.u64()?;
 
-    need(buf, 4)?;
-    let n_cells = buf.get_u32_le() as usize;
+    let n_cells = r.count(Width::U32, 4 + 2 + 5 * 8)?;
     let mut cells = profile_cells(&base.profile);
     for _ in 0..n_cells {
-        need(buf, 4 + 2 + 5 * 8)?;
-        let rank = buf.get_u32_le();
-        let kind_raw = buf.get_u16_le();
+        let rank = r.u32()?;
+        let kind_raw = r.u16()?;
         EventKind::from_u16(kind_raw).ok_or(WireError::BadKind(kind_raw))?;
         cells.insert(
             (rank, kind_raw),
             CallStats {
-                hits: buf.get_u64_le(),
-                time_ns: buf.get_u64_le(),
-                bytes: buf.get_u64_le(),
-                min_ns: buf.get_u64_le(),
-                max_ns: buf.get_u64_le(),
+                hits: r.u64()?,
+                time_ns: r.u64()?,
+                bytes: r.u64()?,
+                min_ns: r.u64()?,
+                max_ns: r.u64()?,
             },
         );
     }
     base.profile = rebuild_profile(&cells, span_ns);
 
-    need(buf, 4)?;
-    let n_edges = buf.get_u32_le() as usize;
+    let n_edges = r.count(Width::U32, 8 + 3 * 8)?;
     let mut edges = topology_edges(&base.topology);
     for _ in 0..n_edges {
-        need(buf, 8 + 3 * 8)?;
-        let s = buf.get_u32_le();
-        let d = buf.get_u32_le();
-        edges.insert(
-            (s, d),
-            (buf.get_u64_le(), buf.get_u64_le(), buf.get_u64_le()),
-        );
+        let (s, d) = (r.u32()?, r.u32()?);
+        edges.insert((s, d), (r.u64()?, r.u64()?, r.u64()?));
     }
     base.topology = rebuild_topology(&edges);
 
-    need(buf, 1)?;
-    match buf.get_u8() {
+    match r.u8()? {
         0 => {}
-        1 => base.waitstate = Some(decode_waitstats(buf)?),
+        1 => base.waitstate = Some(decode_waitstats(r)?),
         t => return Err(WireError::BadTag(t)),
     }
 
-    need(buf, 1)?;
     let mut windows_from = None;
-    match buf.get_u8() {
+    match r.u8()? {
         0 => {}
         1 => {
-            need(buf, 12)?;
-            let window_ns = buf.get_u64_le();
-            let n_windows = buf.get_u32_le() as usize;
+            let window_ns = r.u64()?;
+            let n_windows = r.count(Width::U32, 12)?;
             let m = match &mut base.metrics {
                 Some(m) if m.window_ns() == window_ns => m,
                 slot => {
@@ -439,7 +421,7 @@ fn apply_app_sparse(base: &mut AppPartial, buf: &mut &[u8]) -> Result<AppChange,
                 }
             };
             for _ in 0..n_windows {
-                let (w, cells) = MetricsSeries::decode_window(buf).map_err(WireError::from)?;
+                let (w, cells) = MetricsSeries::decode_window(r)?;
                 windows_from = Some(windows_from.map_or(w, |lowest: u64| lowest.min(w)));
                 m.replace_window(w, cells);
             }
@@ -464,17 +446,17 @@ pub fn apply_delta(base: &mut Vec<AppPartial>, buf: &[u8]) -> Result<(u64, u64),
 /// [`SnapshotImage`] from. On an error `base` may be left half-applied.
 pub(crate) fn apply_delta_changes(
     base: &mut Vec<AppPartial>,
-    mut buf: &[u8],
+    buf: &[u8],
 ) -> Result<Vec<(u16, AppChange)>, WireError> {
-    let (_, _, n_apps) = decode_header(&mut buf)?;
+    let mut r = Reader::new(buf);
+    let (_, _, n_apps) = decode_header(&mut r)?;
     let mut changes = Vec::with_capacity(n_apps);
     for _ in 0..n_apps {
-        need(&buf, 3)?;
-        let app_id = buf.get_u16_le();
-        let tag = buf.get_u8();
+        let app_id = r.u16()?;
+        let tag = r.u8()?;
         let change = match tag {
             APP_FULL => {
-                let app = decode_app_body(app_id, &mut buf)?;
+                let app = decode_app_body(app_id, &mut r)?;
                 match base.binary_search_by_key(&app_id, |a| a.app_id) {
                     Ok(i) => base[i] = app,
                     Err(i) => base.insert(i, app),
@@ -485,7 +467,7 @@ pub(crate) fn apply_delta_changes(
                 let i = base
                     .binary_search_by_key(&app_id, |a| a.app_id)
                     .map_err(|_| WireError::BadTag(tag))?;
-                apply_app_sparse(&mut base[i], &mut buf)?
+                apply_app_sparse(&mut base[i], &mut r)?
             }
             t => return Err(WireError::BadTag(t)),
         };

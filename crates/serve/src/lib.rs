@@ -124,6 +124,12 @@ impl From<opmr_analysis::wire::WireError> for ServeError {
     }
 }
 
+impl From<opmr_events::wire::Truncated> for ServeError {
+    fn from(e: opmr_events::wire::Truncated) -> Self {
+        ServeError::Wire(e.into())
+    }
+}
+
 impl From<opmr_events::frame::FrameError> for ServeError {
     fn from(e: opmr_events::frame::FrameError) -> Self {
         ServeError::Frame(e)

@@ -6,8 +6,9 @@
 //! encodings are little-endian; each record starts with a one-byte
 //! message tag.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use opmr_analysis::wire::WireError;
+use opmr_events::wire::Reader;
 
 /// Stream id of the serve plane. Duplex streams derive their two
 /// directions as `2*id` / `2*id + 1`, so this keeps serve traffic clear
@@ -273,58 +274,33 @@ impl Request {
         out.freeze()
     }
 
-    pub fn decode(mut buf: &[u8]) -> Result<Request, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        let tag = buf.get_u8();
-        match tag {
+    pub fn decode(buf: &[u8]) -> Result<Request, WireError> {
+        let mut r = Reader::new(buf);
+        match r.u8()? {
             REQ_QUERY => {
-                if buf.remaining() < 4 + 1 + 2 + 8 + 4 + 4 {
-                    return Err(WireError::Truncated);
-                }
-                let req_id = buf.get_u32_le();
-                let kind_raw = buf.get_u8();
+                let req_id = r.u32()?;
+                let kind_raw = r.u8()?;
                 let kind = QueryKind::from_u8(kind_raw).ok_or(WireError::BadTag(kind_raw))?;
                 Ok(Request::Query {
                     req_id,
                     kind,
-                    app_id: buf.get_u16_le(),
-                    version: buf.get_u64_le(),
-                    rank_lo: buf.get_u32_le(),
-                    rank_hi: buf.get_u32_le(),
+                    app_id: r.u16()?,
+                    version: r.u64()?,
+                    rank_lo: r.u32()?,
+                    rank_hi: r.u32()?,
                 })
             }
-            REQ_VERSION => {
-                if buf.remaining() < 4 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(Request::VersionInfo {
-                    req_id: buf.get_u32_le(),
-                })
-            }
+            REQ_VERSION => Ok(Request::VersionInfo { req_id: r.u32()? }),
             REQ_HELLO => {
-                if buf.remaining() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                let n = buf.get_u16_le() as usize;
-                if buf.remaining() < n {
-                    return Err(WireError::Truncated);
-                }
-                let tenant = String::from_utf8_lossy(&buf[..n]).into_owned();
-                buf.advance(n);
+                let n = r.u16()? as usize;
+                let tenant = String::from_utf8_lossy(r.bytes(n)?).into_owned();
                 Ok(Request::Hello { tenant })
             }
             REQ_SUBSCRIBE => Ok(Request::Subscribe),
-            REQ_ACK => {
-                if buf.remaining() < 2 + 8 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(Request::Ack {
-                    shard: buf.get_u16_le(),
-                    version: buf.get_u64_le(),
-                })
-            }
+            REQ_ACK => Ok(Request::Ack {
+                shard: r.u16()?,
+                version: r.u64()?,
+            }),
             REQ_BYE => Ok(Request::Bye),
             REQ_PING => Ok(Request::Ping),
             t => Err(WireError::BadTag(t)),
@@ -412,95 +388,57 @@ impl Response {
     }
 
     pub fn decode(buf: &Bytes) -> Result<Response, WireError> {
-        let mut view: &[u8] = buf;
-        if view.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        let tag = view.get_u8();
-        match tag {
+        let mut r = Reader::new(buf);
+        // What follows the fixed fields, as a zero-copy slice of `buf`.
+        let tail = |r: &Reader<'_>| buf.slice(buf.len() - r.remaining()..);
+        match r.u8()? {
             RSP_QUERY_RESULT => {
-                if view.remaining() < 4 + 1 + 8 {
-                    return Err(WireError::Truncated);
-                }
-                let req_id = view.get_u32_le();
-                let kind_raw = view.get_u8();
+                let req_id = r.u32()?;
+                let kind_raw = r.u8()?;
                 let kind = QueryKind::from_u8(kind_raw).ok_or(WireError::BadTag(kind_raw))?;
-                let version = view.get_u64_le();
                 Ok(Response::QueryResult {
                     req_id,
                     kind,
-                    version,
-                    payload: buf.slice(buf.len() - view.len()..),
+                    version: r.u64()?,
+                    payload: tail(&r),
                 })
             }
             RSP_NOT_FOUND => {
-                if view.remaining() < 5 {
-                    return Err(WireError::Truncated);
-                }
-                let req_id = view.get_u32_le();
-                let reason_raw = view.get_u8();
+                let req_id = r.u32()?;
+                let reason_raw = r.u8()?;
                 Ok(Response::NotFound {
                     req_id,
                     reason: NotFoundReason::from_u8(reason_raw)
                         .ok_or(WireError::BadTag(reason_raw))?,
                 })
             }
-            RSP_VERSION_INFO => {
-                if view.remaining() < 4 + 8 + 8 + 2 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(Response::VersionInfo {
-                    req_id: view.get_u32_le(),
-                    current: view.get_u64_le(),
-                    oldest: view.get_u64_le(),
-                    apps: view.get_u16_le(),
-                    finished: view.get_u8() != 0,
-                })
-            }
-            RSP_SNAPSHOT => {
-                if view.remaining() < 2 + 2 + 8 + 8 + 2 {
-                    return Err(WireError::Truncated);
-                }
-                let shard = view.get_u16_le();
-                let shards = view.get_u16_le();
-                let version = view.get_u64_le();
-                let publish_ns = view.get_u64_le();
-                let resync = view.get_u8() != 0;
-                let finished = view.get_u8() != 0;
-                Ok(Response::Snapshot {
-                    shard,
-                    shards,
-                    version,
-                    publish_ns,
-                    resync,
-                    finished,
-                    payload: buf.slice(buf.len() - view.len()..),
-                })
-            }
-            RSP_DELTA => {
-                if view.remaining() < 2 + 2 + 8 + 8 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let shard = view.get_u16_le();
-                let shards = view.get_u16_le();
-                let version = view.get_u64_le();
-                let publish_ns = view.get_u64_le();
-                let finished = view.get_u8() != 0;
-                Ok(Response::Delta {
-                    shard,
-                    shards,
-                    version,
-                    publish_ns,
-                    finished,
-                    payload: buf.slice(buf.len() - view.len()..),
-                })
-            }
+            RSP_VERSION_INFO => Ok(Response::VersionInfo {
+                req_id: r.u32()?,
+                current: r.u64()?,
+                oldest: r.u64()?,
+                apps: r.u16()?,
+                finished: r.u8()? != 0,
+            }),
+            RSP_SNAPSHOT => Ok(Response::Snapshot {
+                shard: r.u16()?,
+                shards: r.u16()?,
+                version: r.u64()?,
+                publish_ns: r.u64()?,
+                resync: r.u8()? != 0,
+                finished: r.u8()? != 0,
+                payload: tail(&r),
+            }),
+            RSP_DELTA => Ok(Response::Delta {
+                shard: r.u16()?,
+                shards: r.u16()?,
+                version: r.u64()?,
+                publish_ns: r.u64()?,
+                finished: r.u8()? != 0,
+                payload: tail(&r),
+            }),
             RSP_QUOTA_EXCEEDED => {
-                if view.remaining() < 5 {
-                    return Err(WireError::Truncated);
-                }
-                let req_id = view.get_u32_le();
-                let kind_raw = view.get_u8();
+                let req_id = r.u32()?;
+                let kind_raw = r.u8()?;
                 Ok(Response::QuotaExceeded {
                     req_id,
                     kind: QuotaKind::from_u8(kind_raw).ok_or(WireError::BadTag(kind_raw))?,
@@ -557,20 +495,13 @@ impl FanoutRecord {
 
     /// Decodes a record payload; `framed_rsp` is a zero-copy slice.
     pub fn decode(buf: &Bytes) -> Result<FanoutRecord, WireError> {
-        let mut view: &[u8] = buf;
-        if view.remaining() < 2 + 8 + 8 + 1 {
-            return Err(WireError::Truncated);
-        }
-        let shard = view.get_u16_le();
-        let version = view.get_u64_le();
-        let publish_ns = view.get_u64_le();
-        let is_final = view.get_u8() != 0;
+        let mut r = Reader::new(buf);
         Ok(FanoutRecord {
-            shard,
-            version,
-            publish_ns,
-            is_final,
-            framed_rsp: buf.slice(buf.len() - view.len()..),
+            shard: r.u16()?,
+            version: r.u64()?,
+            publish_ns: r.u64()?,
+            is_final: r.u8()? != 0,
+            framed_rsp: buf.slice(buf.len() - r.remaining()..),
         })
     }
 }
@@ -701,14 +632,18 @@ mod tests {
         assert!(FanoutRecord::decode(&wire.slice(..10)).is_err());
     }
 
+    /// Unknown tags and enum codes are typed rejections (truncation of
+    /// every message kind is `tests/wire_hostile.rs`'s job).
     #[test]
     fn junk_is_rejected() {
-        assert!(Request::decode(&[]).is_err());
-        assert!(Request::decode(&[0xee]).is_err());
-        assert!(Request::decode(&[REQ_QUERY, 1, 2]).is_err());
-        assert!(Request::decode(&[REQ_HELLO, 9, 0, b'x']).is_err());
-        assert!(Response::decode(&Bytes::from_static(b"\x7f")).is_err());
-        assert!(Response::decode(&Bytes::from_static(b"\x84\x01")).is_err());
-        assert!(Response::decode(&Bytes::from_static(b"\x87\x01\x02\x03\x04\x09")).is_err());
+        assert_eq!(Request::decode(&[0xee]), Err(WireError::BadTag(0xee)));
+        assert_eq!(
+            Response::decode(&Bytes::from_static(b"\x7f")),
+            Err(WireError::BadTag(0x7f))
+        );
+        assert_eq!(
+            Response::decode(&Bytes::from_static(b"\x87\x01\x02\x03\x04\x09")),
+            Err(WireError::BadTag(9))
+        );
     }
 }

@@ -882,6 +882,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use opmr_analysis::wire::AppPartial;
+    use opmr_events::wire::Reader;
     use opmr_events::EventKind;
 
     fn partials_with(app_id: u16, hits_per_rank: &[u64]) -> AppPartial {
@@ -962,7 +963,7 @@ mod tests {
         let Response::QueryResult { payload, .. } = rsp else {
             panic!("expected result");
         };
-        let p = opmr_analysis::wire::decode_profile(&mut &payload[..]).unwrap();
+        let p = opmr_analysis::wire::decode_profile(&mut Reader::new(&payload)).unwrap();
         assert_eq!(p.events(), 70);
     }
 
@@ -973,9 +974,8 @@ mod tests {
         let Response::QueryResult { payload, .. } = rsp else {
             panic!("expected result");
         };
-        let mut view: &[u8] = &payload;
-        use bytes::Buf;
-        assert_eq!(view.get_u8(), 1, "series present");
+        let mut view = Reader::new(&payload);
+        assert_eq!(view.u8(), Ok(1), "series present");
         let m = opmr_metrics::MetricsSeries::decode(&mut view).unwrap();
         assert_eq!(m.window_ns(), 1000);
         let ranks: Vec<u32> = m.cells().map(|(_, r, _)| r).collect();

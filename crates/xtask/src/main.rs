@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! cargo run -p xtask -- panic-scan
+//! cargo run -p xtask -- wire-scan
 //! ```
 //!
 //! `panic-scan` is the second half of the panic lint gate: clippy's
@@ -12,6 +13,11 @@
 //! <reason>` marker on the same line; the allow-list may shrink but any
 //! growth past the committed baseline fails the scan, so new panicking
 //! sites need a deliberate baseline bump in this file.
+//!
+//! `wire-scan` keeps wire decoding in one place: decoders read through
+//! `opmr_events::wire::Reader`, so `Buf::get_*` calls, `.remaining() <`
+//! guards and `from_le_bytes` reads in the same library sources fail the
+//! scan unless their file is in [`WIRE_ALLOWED`] with room left.
 
 use std::error::Error;
 use std::path::{Path, PathBuf};
@@ -20,6 +26,24 @@ use std::process::ExitCode;
 /// Committed size of the `PANIC-OK` allow-list. Adding a marker without
 /// bumping this (with review) fails CI; removing markers is always fine.
 const ALLOWED_BASELINE: usize = 1;
+
+/// Files that may still read the wire by hand, with how many such lines
+/// each holds. The table may only shrink: a new file or a count above its
+/// entry fails `wire-scan`; port the decoder onto `wire::Reader` instead.
+const WIRE_ALLOWED: &[(&str, usize)] = &[
+    // The reader itself and the measured per-event kernels.
+    ("crates/events/src/wire.rs", 1),
+    ("crates/events/src/codec.rs", 8),
+    ("crates/events/src/compress.rs", 2),
+    // Not ported in ISSUE 23, which fenced off the crates on the socket
+    // ring's hot path: trace-file readers, the gather payload, the stream
+    // block's sequence number, two control-frame reads in the socket link.
+    ("crates/instrument/src/sink.rs", 1),
+    ("crates/instrument/src/sion.rs", 4),
+    ("crates/runtime/src/collectives.rs", 2),
+    ("crates/runtime/src/socket.rs", 2),
+    ("crates/vmpi/src/stream.rs", 1),
+];
 
 struct Site {
     file: PathBuf,
@@ -30,26 +54,28 @@ struct Site {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("panic-scan") => match panic_scan() {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("xtask: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        Some("panic-scan") => report(panic_scan()),
+        Some("wire-scan") => report(wire_scan()),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- panic-scan");
+            eprintln!("usage: cargo run -p xtask -- <panic-scan|wire-scan>");
             ExitCode::from(2)
         }
     }
 }
 
-fn panic_scan() -> Result<ExitCode, Box<dyn Error>> {
-    let root = workspace_root()?;
+fn report(outcome: Result<ExitCode, Box<dyn Error>>) -> ExitCode {
+    outcome.unwrap_or_else(|e| {
+        eprintln!("xtask: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Non-test library sources: `crates/*/src` (but not this scanner, which
+/// would flag its own pattern tables) and the root package's `src/`.
+fn library_sources(root: &Path) -> Result<Vec<PathBuf>, Box<dyn Error>> {
     let mut files = Vec::new();
     for entry in std::fs::read_dir(root.join("crates"))? {
         let dir = entry?.path();
-        // The scanner must not flag its own pattern table.
         if dir.file_name().is_some_and(|n| n == "xtask") {
             continue;
         }
@@ -57,6 +83,69 @@ fn panic_scan() -> Result<ExitCode, Box<dyn Error>> {
     }
     collect_rs(&root.join("src"), &mut files)?;
     files.sort();
+    Ok(files)
+}
+
+/// True for a line that reads wire bytes by hand: a `Buf::get_*` call, a
+/// hand-summed `.remaining() <` guard, or a `from_le_bytes` conversion
+/// (other than of a byte-string literal, which is how magics are spelt).
+fn reads_wire_by_hand(code: &str) -> bool {
+    let buf_get = code.contains(".get_u8()") || (code.contains(".get_") && code.contains("_le()"));
+    let from_le = code.contains("from_le_bytes") && !code.contains("from_le_bytes(*b\"");
+    buf_get || code.contains(".remaining() <") || from_le
+}
+
+fn wire_scan() -> Result<ExitCode, Box<dyn Error>> {
+    let root = workspace_root()?;
+    let files = library_sources(&root)?;
+    let mut failed = false;
+    let mut allowed_sites = 0;
+    for file in &files {
+        let src = std::fs::read_to_string(file)?;
+        let rel = file.strip_prefix(&root).unwrap_or(file);
+        let sites: Vec<(usize, &str)> = non_test_lines(&src)
+            .into_iter()
+            .filter(|(_, line)| reads_wire_by_hand(strip_comment(line)))
+            .collect();
+        let allowed = WIRE_ALLOWED
+            .iter()
+            .find(|(path, _)| Path::new(path) == rel)
+            .map_or(0, |(_, n)| *n);
+        if sites.len() > allowed {
+            failed = true;
+            for (line, text) in &sites {
+                eprintln!(
+                    "hand-rolled wire read {}:{line}: {}",
+                    rel.display(),
+                    text.trim()
+                );
+            }
+            eprintln!(
+                "  {} site(s) in {}, {allowed} allowed\n",
+                sites.len(),
+                rel.display()
+            );
+        }
+        allowed_sites += sites.len();
+    }
+    if failed {
+        eprintln!(
+            "wire-scan: decode through `opmr_events::wire::Reader` (counts through \
+             `Reader::count`); WIRE_ALLOWED in crates/xtask/src/main.rs may only shrink"
+        );
+        return Ok(ExitCode::FAILURE);
+    }
+    let budget: usize = WIRE_ALLOWED.iter().map(|(_, n)| n).sum();
+    println!(
+        "wire-scan: OK — {} files, {allowed_sites}/{budget} allow-listed hand-rolled reads",
+        files.len()
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn panic_scan() -> Result<ExitCode, Box<dyn Error>> {
+    let root = workspace_root()?;
+    let files = library_sources(&root)?;
 
     let patterns: Vec<String> = ["panic", "unreachable", "todo", "unimplemented"]
         .iter()

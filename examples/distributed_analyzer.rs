@@ -1,7 +1,8 @@
-//! Distributed analysis (the paper's Section VI direction): every analyzer
-//! rank runs its *own* blackboard engine over its share of the event
-//! streams; partial profiles, topologies and wait-state aggregates merge
-//! over MPI at the analyzer root when the job ends.
+//! Distributed analysis (the paper's Section VI direction): no shared
+//! engine — the analyzer ranks form a reduction tree whose frontier nodes
+//! each fold their own share of the event streams, and partial profiles,
+//! topologies and wait-state aggregates merge upward to the root
+//! (`Coupling::Tbon` with `ReduceOp::Aggregate`).
 //!
 //! ```sh
 //! cargo run --release --example distributed_analyzer
@@ -9,8 +10,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // examples favour brevity
 
-use opmr::core::{LiveOptions, Session};
+use opmr::core::{Coupling, LiveOptions, Session};
 use opmr::netsim::tera100;
+use opmr::reduce::ReduceOp;
 use opmr::workloads::{Benchmark, Class};
 
 fn main() {
@@ -22,7 +24,9 @@ fn main() {
 
     let outcome = Session::builder()
         .analyzer_ranks(4)
-        .distributed() // one engine per analyzer rank + MPI merge
+        // Analysis state per frontier rank, merged up a fanout-2 tree.
+        .coupling(Coupling::Tbon { fanout: 2 })
+        .reduce_op(ReduceOp::Aggregate)
         .waitstate()
         .app_workload("lu", lu, LiveOptions::default())
         .app_workload("cg", cg, LiveOptions::default())
@@ -30,7 +34,7 @@ fn main() {
         .expect("distributed session");
 
     println!(
-        "distributed analyzer (4 engines + MPI merge) profiled {} applications:\n",
+        "distributed analyzer (4-rank aggregate tree) profiled {} applications:\n",
         outcome.report.apps.len()
     );
     for app in &outcome.report.apps {
@@ -47,12 +51,10 @@ fn main() {
             app.waitstate.as_ref().map(|w| w.matched).unwrap_or(0),
         );
     }
-    // Note the wait-state counts: matching needs a channel's sender and
-    // receiver events on the *same* engine, but the round-robin mapping
-    // spreads ranks across analyzer engines — exactly the limitation the
-    // paper's planned one-sided distributed blackboard addresses. Matched
-    // pairs drop to the engines that happen to hold both endpoints; the
-    // rest are reported as unmatched.
+    // Wait-state matching needs a channel's send and receive side by
+    // side, and the leaf mapping spreads ranks across frontier nodes; each
+    // merge re-feeds the dangling halves through a matcher, so transfers
+    // split across nodes are still paired by the time they reach the root.
     println!("\nfull report:\n");
     println!("{}", outcome.markdown());
 }

@@ -727,7 +727,6 @@ fn socket_link_chaos_severs_every_busy_link_and_the_report_is_identical() {
 struct ServingRun {
     facts: (u64, Vec<ProfileRow>, Vec<EdgeRow>),
     client_resyncs: u64,
-    server_resyncs: u64,
 }
 
 /// Serving topology under chaos: the ring app streams into two serving
@@ -815,7 +814,6 @@ fn run_serving(plan: Option<FaultPlan>) -> ServingRun {
     ServingRun {
         facts: report_facts(&outcome),
         client_resyncs,
-        server_resyncs,
     }
 }
 
@@ -823,6 +821,7 @@ fn run_serving(plan: Option<FaultPlan>) -> ServingRun {
 fn serving_session_converges_byte_identically_under_faults() {
     let clean = run_serving(None);
     assert!(clean.facts.0 > 0, "ring app must produce events");
+    let mut resyncs = clean.client_resyncs;
 
     for seed in [31u64, 32] {
         let plan = FaultPlan::seeded(seed)
@@ -842,13 +841,15 @@ fn serving_session_converges_byte_identically_under_faults() {
             again.facts, faulted.facts,
             "seed {seed}: report must be reproducible under replay"
         );
+        resyncs += faulted.client_resyncs + again.client_resyncs;
     }
 
     // The laggard protocol actually degraded and recovered at least once
     // somewhere in the sweep (run_serving already asserted the per-run
-    // client/server resync agreement).
+    // client/server resync agreement). Any one run may see none: on a
+    // starved box the publications come slower than the laggard sleeps.
     assert!(
-        clean.client_resyncs > 0 && clean.server_resyncs > 0,
+        resyncs > 0,
         "laggard subscriber never exercised the resync path"
     );
 }

@@ -5,10 +5,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 use opmr::analysis::Selection;
-use opmr::core::{LiveOptions, Session, TraceSession};
+use opmr::core::{Coupling, LiveOptions, Session, TraceSession};
 use opmr::events::EventKind;
 use opmr::instrument::read_sion;
 use opmr::netsim::tera100;
+use opmr::reduce::ReduceOp;
 use opmr::runtime::{Src, TagSel};
 use opmr::workloads::{Benchmark, Class};
 use std::path::PathBuf;
@@ -209,8 +210,9 @@ fn custom_ks_via_engine_setup() {
 
 #[test]
 fn distributed_analyzer_equals_shared_engine() {
-    // Section VI: per-analyzer-rank engines + MPI merge must produce the
-    // same aggregates as the shared engine.
+    // Section VI: analysis state held per analyzer rank — each frontier
+    // node of an Aggregate tree folds its own share — and merged up the
+    // tree must produce the same aggregates as the shared engine.
     let m = tera100();
     let make = || Benchmark::Cg.build(Class::S, 8, &m, Some(2)).unwrap();
 
@@ -223,7 +225,8 @@ fn distributed_analyzer_equals_shared_engine() {
     let dist = Session::builder()
         .analyzer_ranks(3)
         .waitstate()
-        .distributed()
+        .coupling(Coupling::Tbon { fanout: 2 })
+        .reduce_op(ReduceOp::Aggregate)
         .app_workload("cg", make(), LiveOptions::default())
         .run()
         .unwrap();
@@ -249,8 +252,8 @@ fn distributed_analyzer_equals_shared_engine() {
             Some((w.hits, w.bytes))
         );
     }
-    // Wait-state matching is channel-local, so distributed matching finds
-    // the same transfers (each writer's events land on one analyzer rank).
+    // The merge re-feeds each side's dangling halves through a matcher,
+    // so the tree accounts for the same transfers.
     let (wa, wb) = (a.waitstate.as_ref().unwrap(), b.waitstate.as_ref().unwrap());
     assert_eq!(wa.matched + wa.unmatched, wb.matched + wb.unmatched);
 }

@@ -93,27 +93,6 @@ fn socket_session_report_is_byte_identical_to_inproc() {
 }
 
 // ---------------------------------------------------------------------
-// Distributed analysis gathers partials inside one process; asking for
-// it across processes is a typed configuration error, not a hang.
-// ---------------------------------------------------------------------
-#[test]
-fn distributed_mode_is_rejected_with_a_typed_config_error() {
-    let endpoint = fresh_unix_endpoint("distributed");
-    let Err(err) = demo_session()
-        .distributed()
-        .run_multiproc(socket_cfg(endpoint), 0, 2)
-    else {
-        panic!("distributed + multi-process must not launch")
-    };
-    match err {
-        SessionError::Config(msg) => {
-            assert!(msg.contains("distributed"), "names the conflict: {msg}")
-        }
-        other => panic!("expected a Config error, got: {other}"),
-    }
-}
-
-// ---------------------------------------------------------------------
 // Launcher-driven placement: an explicit placement vector (app partition
 // i → process placement[i]) must not change a byte of the analysis, and
 // invalid placements are typed configuration errors, not hangs.

@@ -115,14 +115,7 @@ fn garbage_before_handshake_is_rejected_and_the_job_completes() {
 
     // Coordinator first, so the rogue connection is the first accepted.
     let coord = spawn_proc(0);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut rogue = loop {
-        match UnixStream::connect(&path) {
-            Ok(s) => break s,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
-            Err(e) => panic!("rogue could not reach the coordinator: {e}"),
-        }
-    };
+    let mut rogue = connect_retrying(&path);
     // A hostile length header (u32::MAX): instantly unframeable, so the
     // coordinator rejects the connection before reading a payload.
     rogue
@@ -467,7 +460,7 @@ fn stale_epoch_redial_is_nakked_typed_and_counted() {
     let mut reconn = Vec::with_capacity(23);
     reconn.push(8u8); // K_RECONN
     reconn.extend_from_slice(&0x4F50_4D52u32.to_le_bytes()); // MAGIC "OPMR"
-    reconn.extend_from_slice(&2u16.to_le_bytes()); // VERSION
+    reconn.extend_from_slice(&3u16.to_le_bytes()); // VERSION
     reconn.extend_from_slice(&1u16.to_le_bytes()); // claims to be process 1
     reconn.extend_from_slice(&0xDEAD_BEEF_DEAD_BEEFu64.to_le_bytes()); // stale epoch
     reconn.extend_from_slice(&0u64.to_le_bytes()); // rx_seq
@@ -504,5 +497,151 @@ fn stale_epoch_redial_is_nakked_typed_and_counted() {
     assert!(
         counter("transport_socket_reconnect_stale_epoch_total") > before,
         "the stale-epoch rejection must be counted"
+    );
+}
+
+// ---------------------------------------------------------------------
+// The retired protocol version 2 — a hello without the codec byte, a
+// reconnect frame, a roster without the codec tail — is a typed, counted
+// rejection at each of the three places it used to be accepted.
+// ---------------------------------------------------------------------
+
+/// `[kind][magic "OPMR"][version u16][proc u16]` — the shared head of a
+/// hello and a reconnect frame.
+fn handshake_head(kind: u8, version: u16, proc: u16) -> Vec<u8> {
+    let mut out = vec![kind];
+    out.extend_from_slice(&0x4F50_4D52u32.to_le_bytes());
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&proc.to_le_bytes());
+    out
+}
+
+fn connect_retrying(path: &std::path::Path) -> UnixStream {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match UnixStream::connect(path) {
+            Ok(s) => return s,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+            Err(e) => panic!("could not reach the listener: {e}"),
+        }
+    }
+}
+
+/// Reads until the peer closes (or five seconds pass).
+fn read_to_close(s: &mut UnixStream) -> Vec<u8> {
+    use std::io::Read as _;
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut got = Vec::new();
+    let mut buf = [0u8; 64];
+    while let Ok(n @ 1..) = s.read(&mut buf) {
+        got.extend_from_slice(&buf[..n]);
+    }
+    got
+}
+
+#[test]
+fn v2_hello_and_v2_reconnect_are_rejected_and_counted() {
+    let endpoint = fresh_unix_endpoint("v2");
+    let Endpoint::Unix(path) = endpoint.clone() else {
+        unreachable!()
+    };
+    let launcher = Launcher::new()
+        .partition("a", 1, |mpi| {
+            std::thread::sleep(Duration::from_millis(700));
+            let w = mpi.world();
+            mpi.send(&w, 1, 7, vec![1, 2, 3]).unwrap();
+        })
+        .partition("b", 1, |mpi| {
+            let w = mpi.world();
+            let (_, d) = mpi.recv(&w, Src::Rank(0), TagSel::Tag(7)).unwrap();
+            assert_eq!(d, vec![1, 2, 3]);
+        });
+    let spawn_proc = |p: usize| {
+        let l = launcher.clone();
+        let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
+        let topo = MultiprocTopology::new(cfg, p, 2).assign(PartitionAssign::RoundRobin);
+        std::thread::spawn(move || l.run_multiproc(topo))
+    };
+
+    // A version-2 hello (no codec byte; the address follows the hash) is
+    // the first connection the coordinator accepts.
+    let before = counter("transport_socket_handshake_rejected_total");
+    let coord = spawn_proc(0);
+    let mut rogue = connect_retrying(&path);
+    let mut hello = handshake_head(1, 2, 1); // K_HELLO
+    hello.extend_from_slice(&0u64.to_le_bytes()); // topology hash
+    hello.extend_from_slice(b"unix:/tmp/legacy");
+    rogue.write_all(&opmr::events::frame(&hello)).unwrap();
+    assert!(
+        read_to_close(&mut rogue).is_empty(),
+        "a rejected hello is answered by closing the connection"
+    );
+    assert!(
+        counter("transport_socket_handshake_rejected_total") > before,
+        "the version-2 hello must be counted as rejected"
+    );
+
+    // The honest peer joins; mid-job, a version-2 reconnect frame reaches
+    // the retained listener. It is dropped before the epoch is even
+    // looked at: no NAK, one more rejection.
+    let peer = spawn_proc(1);
+    std::thread::sleep(Duration::from_millis(300));
+    let before = counter("transport_socket_handshake_rejected_total");
+    let mut rogue = connect_retrying(&path);
+    let mut reconn = handshake_head(8, 2, 1); // K_RECONN
+    reconn.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes()); // epoch
+    reconn.extend_from_slice(&0u64.to_le_bytes()); // rx_seq
+    rogue.write_all(&opmr::events::frame(&reconn)).unwrap();
+    assert!(
+        read_to_close(&mut rogue).is_empty(),
+        "a version-2 reconnect gets no NAK, only a closed connection"
+    );
+    assert!(
+        counter("transport_socket_handshake_rejected_total") > before,
+        "the version-2 reconnect must be counted as rejected"
+    );
+
+    coord.join().unwrap().expect("coordinator finishes its job");
+    peer.join().unwrap().expect("peer finishes its job");
+}
+
+#[test]
+fn roster_without_the_codec_byte_is_a_typed_handshake_failure() {
+    use std::os::unix::net::UnixListener;
+    let before = counter("transport_socket_handshake_rejected_total");
+    let endpoint = fresh_unix_endpoint("tailless");
+    let Endpoint::Unix(path) = endpoint.clone() else {
+        unreachable!()
+    };
+    // A stand-in coordinator: accept the dialer, swallow its hello, answer
+    // with a roster that ends after its two entries.
+    let listener = UnixListener::bind(&path).unwrap();
+    let coordinator = std::thread::spawn(move || {
+        use std::io::Read as _;
+        let (mut s, _) = listener.accept().unwrap();
+        let mut hello = [0u8; 26]; // frame header + the fixed part of a hello
+        s.read_exact(&mut hello).unwrap();
+        let mut roster = vec![6u8]; // K_ROSTER
+        roster.extend_from_slice(&77u64.to_le_bytes()); // epoch
+        roster.extend_from_slice(&2u16.to_le_bytes());
+        for addr in ["", "unix:/tmp/p1"] {
+            roster.extend_from_slice(&(addr.len() as u16).to_le_bytes());
+            roster.extend_from_slice(addr.as_bytes());
+        }
+        s.write_all(&opmr::events::frame(&roster)).unwrap();
+        read_to_close(&mut s);
+    });
+    let cfg = SocketConfig::new(endpoint).connect_timeout(Duration::from_secs(5));
+    let topo = MultiprocTopology::new(cfg, 1, 2).assign(PartitionAssign::RoundRobin);
+    match tiny_job().run_multiproc(topo) {
+        Err(MultiprocError::Socket(SocketError::Handshake { what, .. })) => {
+            assert!(what.contains("invalid roster"), "{what}")
+        }
+        other => panic!("expected a typed handshake failure, got: {other:?}"),
+    }
+    coordinator.join().unwrap();
+    assert!(
+        counter("transport_socket_handshake_rejected_total") > before,
+        "the roster without a codec byte must be counted as rejected"
     );
 }
