@@ -927,13 +927,8 @@ fn analyzer_rank(
         return Ok(());
     }
     let mut stream = ReadStream::open_map(&v, &map, stream_cfg, 0)?;
-    loop {
-        match stream.read(ReadMode::NonBlocking) {
-            Ok(Some(block)) => engine.post_block(block.data),
-            Ok(None) => break,
-            Err(VmpiError::Again) => std::thread::yield_now(),
-            Err(e) => return Err(e.into()),
-        }
+    while let Some(block) = stream.read(ReadMode::Blocking)? {
+        engine.post_block(block.data);
     }
     Ok(())
 }

@@ -293,10 +293,6 @@ pub fn run_node(
                 node_metrics().peers_lost.inc();
                 continue;
             }
-            Err(VmpiError::Again) => {
-                std::thread::yield_now();
-                continue;
-            }
             Err(e) => return Err(e),
         };
         out.stats.blocks_in += 1;

@@ -13,9 +13,28 @@
 //!   sender completes them directly at delivery time.
 //!
 //! Both queues are scanned in FIFO order, preserving MPI's non-overtaking
-//! guarantee for identical `(source, tag, communicator)` triples. All waits
-//! go through the mailbox's condition variable; receivers wait on their own
-//! mailbox, rendezvous senders wait on the destination's.
+//! guarantee for identical `(source, tag, communicator)` triples.
+//!
+//! # Waiting
+//!
+//! Every blocking wait — a receive, a posted request, a rendezvous send,
+//! a stream reader waiting for the next delivery — goes through one
+//! routine, `Mailbox::wait_for`; receivers wait on their own mailbox,
+//! rendezvous senders on the destination's. A waiter either spins on the
+//! atomic it waits for (yielding every `SPINS_PER_YIELD` probes) for at
+//! most `SPIN_NS`, about what a futex wake-up onto an idle core costs,
+//! and parks on the condition variable if that was not enough — or parks
+//! at once. It spins while the mailbox's estimate of how long its
+//! *spinning* waits took lately (an EWMA) is below that same `SPIN_NS`:
+//! a spin that does not cover the waits it precedes is CPU taken from
+//! the application for nothing. Only waits that spun feed the estimate,
+//! with everything they cost from first probe to return: a parked wait
+//! would report its own wake-up latency and keep the mailbox parked for
+//! ever, and on a box with more threads than cores spinning can itself be
+//! what makes waits long, which only a spinning wait observes. While the
+//! estimate says park, every `PROBE_EVERY`-th wait spins anyway and
+//! reports, so a mailbox returns to spinning once waits are short again.
+//! Deliverers signal only when `Inner::parked` says somebody sleeps.
 
 use crate::comm::CommId;
 use crate::envelope::{Context, Envelope, Src, Status, TagSel};
@@ -23,11 +42,13 @@ use crate::RtError;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 // Mailbox pressure metrics: recorded per delivery under the mailbox lock
-// we already hold, so the extra cost is two relaxed fetch_adds.
+// we already hold, so the extra cost is two relaxed fetch_adds. The wait
+// metrics are recorded once per blocking wait, never per probe.
 mod obs {
     use opmr_obs::{registry, Counter, Histogram};
     use std::sync::{Arc, OnceLock};
@@ -36,6 +57,9 @@ mod obs {
         pub delivered: Arc<Counter>,
         pub unexpected: Arc<Counter>,
         pub depth: Arc<Histogram>,
+        pub spin_hits: Arc<Counter>,
+        pub parks: Arc<Counter>,
+        pub wait_ns: Arc<Histogram>,
     }
 
     pub(super) fn m() -> &'static MailboxMetrics {
@@ -46,6 +70,9 @@ mod obs {
                 delivered: r.counter("runtime_envelopes_delivered_total"),
                 unexpected: r.counter("runtime_envelopes_unexpected_total"),
                 depth: r.histogram("runtime_mailbox_depth"),
+                spin_hits: r.counter("runtime_mailbox_spin_hits_total"),
+                parks: r.counter("runtime_mailbox_parks_total"),
+                wait_ns: r.histogram("runtime_mailbox_wait_ns"),
             }
         })
     }
@@ -69,22 +96,31 @@ impl SendHandle {
 /// Slot a posted receive is completed into.
 #[derive(Debug, Default)]
 pub struct RecvSlot {
+    /// Set (`Release`) after `filled` holds the envelope and read
+    /// (`Acquire`) before the mutex is touched, so an empty slot is probed
+    /// — by a spinning waiter, by every `ReadStream::sweep` — without a
+    /// lock.
+    ready: AtomicBool,
     filled: Mutex<Option<Envelope>>,
 }
 
 impl RecvSlot {
     /// Takes the delivered envelope, if any.
     pub fn take(&self) -> Option<Envelope> {
+        if !self.ready.load(Ordering::Acquire) {
+            return None;
+        }
         self.filled.lock().take()
     }
     /// True once a message has been delivered (without consuming it).
     pub fn is_filled(&self) -> bool {
-        self.filled.lock().is_some()
+        self.ready.load(Ordering::Acquire) && self.filled.lock().is_some()
     }
     fn fill(&self, env: Envelope) {
         let mut g = self.filled.lock();
         debug_assert!(g.is_none(), "recv slot filled twice");
         *g = Some(env);
+        self.ready.store(true, Ordering::Release);
     }
 }
 
@@ -107,12 +143,47 @@ struct Inner {
     offers: VecDeque<Offer>,
     posted: VecDeque<Posted>,
     shutdown: bool,
+    /// Waiters currently asleep on `cv`; nobody is signalled while it is 0.
+    parked: usize,
 }
+
+impl Inner {
+    /// Wakes the parked waiters, if any, to re-check what they wait for.
+    fn signal(&mut self, cv: &Condvar) {
+        if self.parked > 0 {
+            cv.notify_all();
+        }
+    }
+}
+
+/// Longest spin in front of a park, and the recent length of spinning
+/// waits under which the spin is taken at all: about one futex wake-up
+/// onto an idle core, in nanoseconds.
+const SPIN_NS: u64 = 50_000;
+/// Probes between two `yield_now`s (and two clock reads) while spinning:
+/// on a box with fewer cores than threads the thread being waited for
+/// may need this core.
+const SPINS_PER_YIELD: u32 = 32;
+/// A single wait moves the estimate by at most a sixteenth of this, so
+/// one idle second does not take thousands of short waits to forget,
+/// and one slow wait among short ones does not end the spinning.
+const WAIT_SAMPLE_CAP_NS: u64 = 8 * SPIN_NS;
+/// While the estimate says park, one wait in this many spins first.
+const PROBE_EVERY: u32 = 16;
 
 /// One rank's incoming-message state.
 pub struct Mailbox {
     inner: Mutex<Inner>,
     cv: Condvar,
+    /// Deliveries and liveness bumps so far. Written under `inner`'s lock,
+    /// read without it by a reader about to sweep its requests.
+    deliveries: AtomicU64,
+    /// EWMA (weight 1/16) of what recent waits that spun took, in ns;
+    /// starts at 0, so a fresh mailbox spins first. A statistic: racing
+    /// waiters may lose an update.
+    spin_wait_ewma_ns: AtomicU64,
+    /// Waits the estimate has sent to sleep so far: the probe cadence.
+    parked_waits: AtomicU32,
 }
 
 impl Default for Mailbox {
@@ -120,6 +191,9 @@ impl Default for Mailbox {
         Mailbox {
             inner: Mutex::new(Inner::default()),
             cv: Condvar::new(),
+            deliveries: AtomicU64::new(0),
+            spin_wait_ewma_ns: AtomicU64::new(0),
+            parked_waits: AtomicU32::new(0),
         }
     }
 }
@@ -150,37 +224,152 @@ impl Mailbox {
             .position(|p| env.matches(p.ctx, p.comm, p.src, p.tag));
         if let Some(posted) = pos.and_then(|p| g.posted.remove(p)) {
             posted.slot.fill(env);
-            self.cv.notify_all();
+            self.count_delivery();
+            g.signal(&self.cv);
             return Ok(Delivery::Complete);
         }
         m.unexpected.inc();
-        if env.payload.len() <= eager_limit {
+        let delivery = if env.payload.len() <= eager_limit {
             g.offers.push_back(Offer { env, done: None });
-            self.cv.notify_all();
-            Ok(Delivery::Complete)
+            Delivery::Complete
         } else {
             let handle = Arc::new(SendHandle::default());
             g.offers.push_back(Offer {
                 env,
                 done: Some(Arc::clone(&handle)),
             });
-            self.cv.notify_all();
-            Ok(Delivery::Pending(handle))
+            Delivery::Pending(handle)
+        };
+        self.count_delivery();
+        g.signal(&self.cv);
+        Ok(delivery)
+    }
+
+    /// Publishes one more delivery (or bump). Call with `inner` locked and
+    /// only once what the delivery brought is in place: a waiter that spins
+    /// on the count reads it without the lock and looks at once.
+    fn count_delivery(&self) {
+        let n = self.deliveries.load(Ordering::Relaxed);
+        self.deliveries.store(n + 1, Ordering::Release);
+    }
+
+    /// The one waiting routine: blocks until `done()` (a lock-free probe
+    /// of whatever a deliverer sets before it signals) or `deadline`,
+    /// spinning first while that has been paying on this mailbox (see the
+    /// module docs). Returns `Ok` at the deadline too: with one, the
+    /// caller checks for itself what it got.
+    fn wait_for(&self, deadline: Option<Instant>, done: impl Fn() -> bool) -> Result<(), RtError> {
+        let m = obs::m();
+        let t0 = Instant::now();
+        let spin = self.spins_first();
+        let outcome = if spin && Self::spin_until(t0, &done) {
+            m.spin_hits.inc();
+            Ok(())
+        } else {
+            self.park_until(deadline, &done)
+        };
+        let waited = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        m.wait_ns.record(waited);
+        if spin {
+            self.learn(waited);
+        }
+        outcome
+    }
+
+    /// True once `done()`, false once `SPIN_NS` have passed since `t0`.
+    fn spin_until(t0: Instant, done: impl Fn() -> bool) -> bool {
+        let mut probes = 0u32;
+        loop {
+            if done() {
+                return true;
+            }
+            probes += 1;
+            if !probes.is_multiple_of(SPINS_PER_YIELD) {
+                std::hint::spin_loop();
+            } else if t0.elapsed() < Duration::from_nanos(SPIN_NS) {
+                std::thread::yield_now();
+            } else {
+                return false;
+            }
         }
     }
 
-    /// Blocks the (rendezvous) sender until its offer has been taken.
-    pub fn wait_send(&self, handle: &SendHandle) -> Result<(), RtError> {
+    /// Sleeps on the condvar until `done()`, shutdown or `deadline`.
+    fn park_until(
+        &self,
+        deadline: Option<Instant>,
+        done: impl Fn() -> bool,
+    ) -> Result<(), RtError> {
         let mut g = self.inner.lock();
+        let mut slept = false;
         loop {
-            if handle.is_done() {
+            if done() {
                 return Ok(());
             }
             if g.shutdown {
                 return Err(RtError::Shutdown);
             }
-            self.cv.wait(&mut g);
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|l| l.is_zero()) {
+                return Ok(());
+            }
+            if !slept {
+                obs::m().parks.inc();
+                slept = true;
+            }
+            g.parked += 1;
+            match left {
+                Some(left) => drop(self.cv.wait_for(&mut g, left)),
+                None => self.cv.wait(&mut g),
+            }
+            g.parked -= 1;
         }
+    }
+
+    /// Whether the next wait spins: spinning waits have been short, or
+    /// it is this wait's turn to find out whether they would be by now.
+    fn spins_first(&self) -> bool {
+        self.spin_wait_ewma_ns.load(Ordering::Relaxed) < SPIN_NS
+            || self
+                .parked_waits
+                .fetch_add(1, Ordering::Relaxed)
+                .wrapping_add(1)
+                .is_multiple_of(PROBE_EVERY)
+    }
+
+    /// Feeds the estimate what a wait that spun took, park included.
+    fn learn(&self, waited_ns: u64) {
+        let old = self.spin_wait_ewma_ns.load(Ordering::Relaxed);
+        let new = old - old / 16 + waited_ns.min(WAIT_SAMPLE_CAP_NS) / 16;
+        self.spin_wait_ewma_ns.store(new, Ordering::Relaxed);
+    }
+
+    /// Blocks the (rendezvous) sender until its offer has been taken.
+    pub fn wait_send(&self, handle: &SendHandle) -> Result<(), RtError> {
+        self.wait_for(None, || handle.is_done())
+    }
+
+    /// Deliveries into this mailbox so far, plus one per [`Mailbox::bump`].
+    /// Read it *before* polling requests and hand it to
+    /// [`Mailbox::wait_delivery`]: a delivery in between is then seen
+    /// instead of slept through.
+    pub fn deliveries(&self) -> u64 {
+        self.deliveries.load(Ordering::Acquire)
+    }
+
+    /// Blocks until the delivery count differs from `seen` or `deadline`
+    /// passes (either way `Ok`: the caller polls again and judges for
+    /// itself).
+    pub fn wait_delivery(&self, seen: u64, deadline: Option<Instant>) -> Result<(), RtError> {
+        self.wait_for(deadline, || self.deliveries() != seen)
+    }
+
+    /// Counts a non-delivery that waiters in [`Mailbox::wait_delivery`]
+    /// must look at — a peer's liveness flag dropped — and wakes them.
+    pub fn bump(&self) {
+        let mut g = self.inner.lock();
+        self.count_delivery();
+        g.signal(&self.cv);
     }
 
     /// Non-destructive scan for a matching unexpected message.
@@ -224,7 +413,7 @@ impl Mailbox {
         if let Some(done) = offer.done {
             done.complete();
             // Wake the rendezvous sender parked on this mailbox.
-            cv.notify_all();
+            g.signal(cv);
         }
         Some(offer.env)
     }
@@ -253,15 +442,8 @@ impl Mailbox {
             tag,
             slot: Arc::clone(&slot),
         });
-        loop {
-            self.cv.wait(&mut g);
-            if let Some(env) = slot.take() {
-                return Ok(env);
-            }
-            if g.shutdown {
-                return Err(RtError::Shutdown);
-            }
-        }
+        drop(g);
+        self.wait_recv(&slot)
     }
 
     /// Posts a non-blocking receive. Returns the slot it will complete into;
@@ -294,23 +476,19 @@ impl Mailbox {
 
     /// Blocks until a posted receive completes.
     pub fn wait_recv(&self, slot: &RecvSlot) -> Result<Envelope, RtError> {
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(env) = slot.take() {
-                return Ok(env);
-            }
-            if g.shutdown {
-                return Err(RtError::Shutdown);
-            }
-            self.cv.wait(&mut g);
+        if let Some(env) = slot.take() {
+            return Ok(env);
         }
+        self.wait_for(None, || slot.ready.load(Ordering::Acquire))?;
+        slot.take()
+            .ok_or(RtError::Protocol("completed receive slot was empty"))
     }
 
     /// Marks the mailbox as shut down and wakes every waiter.
     pub fn shutdown(&self) {
         let mut g = self.inner.lock();
         g.shutdown = true;
-        self.cv.notify_all();
+        g.signal(&self.cv);
     }
 
     /// Number of unexpected messages currently parked (diagnostics).
@@ -463,6 +641,74 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         mb.shutdown();
         assert_eq!(t.join().unwrap().unwrap_err(), RtError::Shutdown);
+    }
+
+    #[test]
+    fn estimator_parks_after_long_waits_and_probes_its_way_back_to_spinning() {
+        const LONG: u64 = 3_000_000;
+        const SHORT: u64 = 2_000;
+        let mb = Mailbox::default();
+        assert!(mb.spins_first(), "a fresh mailbox spins");
+        for _ in 0..100 {
+            mb.learn(SHORT);
+        }
+        mb.learn(LONG);
+        assert!(mb.spins_first(), "one slow wait among short ones");
+        mb.learn(LONG);
+        mb.learn(LONG);
+        assert!(!mb.spins_first(), "a run of them stops the spinning");
+        // However long the mailbox then idles …
+        for _ in 0..1000 {
+            mb.learn(1_000_000_000);
+        }
+        // … every PROBE_EVERY-th wait still spins, and once those probes
+        // come back short the mailbox spins again.
+        let (mut waits, mut probes) = (0u32, 0u32);
+        while mb.spin_wait_ewma_ns.load(Ordering::Relaxed) >= SPIN_NS {
+            waits += 1;
+            if mb.spins_first() {
+                probes += 1;
+                mb.learn(SHORT);
+            }
+            assert!(waits <= 1000, "still parking after {waits} waits");
+        }
+        assert!(waits.abs_diff(probes * PROBE_EVERY) < PROBE_EVERY);
+        assert!(mb.spins_first() && mb.spins_first());
+    }
+
+    #[test]
+    fn wait_delivery_sees_what_landed_since_the_count_was_read() {
+        let mb = Arc::new(Mailbox::default());
+        let seen = mb.deliveries();
+        mb.deliver(env(0, 1, 8), 64).unwrap();
+        // Already moved: returns without sleeping, deadline or not.
+        mb.wait_delivery(seen, None).unwrap();
+        // Nothing new: the deadline ends the wait.
+        let seen = mb.deliveries();
+        let t0 = Instant::now();
+        mb.wait_delivery(seen, Some(t0 + Duration::from_millis(20)))
+            .unwrap();
+        assert!(t0.elapsed() >= Duration::from_millis(20));
+        assert_eq!(mb.deliveries(), seen);
+        // A bump (liveness change) and a shutdown both end a sleep that
+        // has no deadline.
+        for shutdown in [false, true] {
+            let seen = mb.deliveries();
+            let mb2 = Arc::clone(&mb);
+            let t = std::thread::spawn(move || mb2.wait_delivery(seen, None));
+            std::thread::sleep(Duration::from_millis(10));
+            if shutdown {
+                mb.shutdown();
+            } else {
+                mb.bump();
+            }
+            let want = if shutdown {
+                Err(RtError::Shutdown)
+            } else {
+                Ok(())
+            };
+            assert_eq!(t.join().unwrap(), want);
+        }
     }
 
     #[test]

@@ -200,6 +200,22 @@ impl Mpi {
         Ok(Request::pending_recv(mailbox, slot))
     }
 
+    /// Deliveries into this rank's mailbox so far (any context), plus one
+    /// per liveness change of any rank. A poller reads it *before* it
+    /// polls its requests and parks in [`Mpi::wait_delivery`] on the value
+    /// it read, so nothing that lands in between is slept through.
+    pub fn deliveries(&self) -> Result<u64> {
+        Ok(self.uni.local_mailbox(self.world_rank)?.deliveries())
+    }
+
+    /// Blocks until [`Mpi::deliveries`] differs from `seen` or `deadline`
+    /// passes; the caller then polls again.
+    pub fn wait_delivery(&self, seen: u64, deadline: Option<std::time::Instant>) -> Result<()> {
+        self.uni
+            .local_mailbox(self.world_rank)?
+            .wait_delivery(seen, deadline)
+    }
+
     /// Non-destructive check for a matching unexpected message.
     pub fn iprobe_ctx(&self, ctx: Context, comm: &Comm, src: Src, tag: TagSel) -> Option<Status> {
         self.uni

@@ -1487,6 +1487,7 @@ impl SocketTransport {
                 self.alive[r].store(false, Ordering::Release);
             }
         }
+        self.bump_local();
         self.shutdown_local();
         let _g = self.teardown.state.lock();
         self.teardown.cv.notify_all();
@@ -1662,6 +1663,7 @@ impl SocketTransport {
                 self.alive[r].store(false, Ordering::Release);
             }
         }
+        self.bump_local();
         let _g = self.teardown.state.lock();
         self.teardown.cv.notify_all();
     }
@@ -1669,6 +1671,14 @@ impl SocketTransport {
     fn shutdown_local(&self) {
         for mb in self.mailboxes.iter().flatten() {
             mb.shutdown();
+        }
+    }
+
+    /// After a liveness flag dropped: readers parked on a local mailbox
+    /// re-check it now, not at a timeout.
+    fn bump_local(&self) {
+        for mb in self.mailboxes.iter().flatten() {
+            mb.bump();
         }
     }
 
@@ -1717,6 +1727,7 @@ impl SocketTransport {
                 {
                     if let Some(flag) = self.alive.get(r as usize) {
                         flag.store(false, Ordering::Release);
+                        self.bump_local();
                     }
                 }
                 true
@@ -2157,6 +2168,7 @@ impl Transport for SocketTransport {
 
     fn mark_rank_done(&self, world_rank: usize) {
         self.alive[world_rank].store(false, Ordering::Release);
+        self.bump_local();
         // Ordered after every envelope the rank wrote (same per-link
         // sequence, same connection): peers observing the flag flip
         // already have all of the rank's data in their mailboxes.

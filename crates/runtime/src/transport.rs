@@ -65,7 +65,9 @@ pub trait Transport: Send + Sync {
     fn rank_alive(&self, world_rank: usize) -> bool;
 
     /// Marks a (local) rank's entry point as returned and propagates the
-    /// fact to every process, *after* all the rank's sends.
+    /// fact to every process, *after* all the rank's sends. Wherever the
+    /// flag drops, every local mailbox is [`Mailbox::bump`]ed afterwards,
+    /// so a reader parked in `wait_delivery` re-checks liveness.
     fn mark_rank_done(&self, world_rank: usize);
 
     /// Wakes every blocked rank in the whole job with
@@ -121,6 +123,11 @@ impl Transport for InProc {
 
     fn mark_rank_done(&self, world_rank: usize) {
         self.alive[world_rank].store(false, Ordering::Release);
+        // Readers parked on their mailbox learn of the exit now, not at a
+        // timeout.
+        for mb in &self.mailboxes {
+            mb.bump();
+        }
     }
 
     fn shutdown_all(&self) {

@@ -145,9 +145,12 @@ impl StreamConfig {
 /// Read behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadMode {
-    /// Block until a block arrives or every writer closed.
+    /// Block until a block arrives or every writer closed: a short spin,
+    /// then asleep on this rank's mailbox until the next delivery or
+    /// liveness change.
     Blocking,
-    /// Return [`VmpiError::Again`] when nothing is ready.
+    /// Return [`VmpiError::Again`] when nothing is ready (for callers that
+    /// multiplex several sources in one loop).
     NonBlocking,
 }
 
@@ -191,6 +194,7 @@ mod obs {
         pub aborts: Arc<Counter>,
         pub reads: Arc<Counter>,
         pub eagain: Arc<Counter>,
+        pub read_parks: Arc<Counter>,
         pub read_bytes: Arc<Counter>,
         pub blocks_read: Arc<Counter>,
         pub dups_dropped: Arc<Counter>,
@@ -224,6 +228,7 @@ mod obs {
                 aborts: r.counter("vmpi_stream_aborts_total"),
                 reads: r.counter("vmpi_stream_reads_total"),
                 eagain: r.counter("vmpi_stream_eagain_total"),
+                read_parks: r.counter("vmpi_stream_read_parks_total"),
                 read_bytes: r.counter("vmpi_stream_read_bytes_total"),
                 blocks_read: r.counter("vmpi_stream_blocks_read_total"),
                 dups_dropped: r.counter("vmpi_stream_dups_dropped_total"),
@@ -1057,6 +1062,10 @@ impl ReadStream {
         let deadline = self.cfg.read_timeout.map(|t| Instant::now() + t);
         let mut spins = 0u32;
         loop {
+            // Read before the sweep: whatever lands after this line moves
+            // the count (once it can be seen), so the park below returns
+            // at once.
+            let seen = self.mpi.deliveries()?;
             if let Some(block) = self.sweep()? {
                 return Ok(Some(block));
             }
@@ -1081,14 +1090,17 @@ impl ReadStream {
                             return Err(VmpiError::Timeout);
                         }
                     }
-                    // Progressive back-off: spin, yield, then micro-sleep.
+                    // Spin, yield (a saturated box wants the reader to
+                    // find several blocks per turn), then sleep until the
+                    // next delivery or liveness change.
                     spins += 1;
                     if spins < 64 {
                         std::hint::spin_loop();
                     } else if spins < 256 {
                         std::thread::yield_now();
                     } else {
-                        std::thread::sleep(std::time::Duration::from_micros(50));
+                        obs::m().read_parks.inc();
+                        self.mpi.wait_delivery(seen, deadline)?;
                     }
                 }
             }

@@ -626,3 +626,93 @@ fn read_after_writers_aborted_is_peer_lost_not_a_panic() {
         other => panic!("expected PeerLost after abort, got {other:?}"),
     }
 }
+
+#[test]
+fn parked_reader_without_a_timeout_learns_of_a_lost_writer_at_once() {
+    // No `read_timeout`: only the liveness flag's wake-up can end the
+    // reader's sleep once the writer is gone.
+    let parks_before = read_parks();
+    let exited = Arc::new(Mutex::new(None));
+    let noticed = Arc::new(Mutex::new(None));
+    let (exited2, noticed2) = (Arc::clone(&exited), Arc::clone(&noticed));
+    Launcher::new()
+        .partition("app", 1, move |mpi| {
+            let v = Vmpi::new(mpi).unwrap();
+            let mut st = WriteStream::open_to(&v, vec![1], small_cfg(256), 1).unwrap();
+            st.write(&[9u8; 32]).unwrap();
+            st.flush().unwrap();
+            // Long enough for the reader to run out of spins and sleep.
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            st.abort(); // the writer returns without `close`
+            *exited2.lock().unwrap() = Some(std::time::Instant::now());
+        })
+        .partition("Analyzer", 1, move |mpi| {
+            let v = Vmpi::new(mpi).unwrap();
+            let mut st = ReadStream::open_from(&v, vec![0], small_cfg(256), 1).unwrap();
+            assert_eq!(st.read(ReadMode::Blocking).unwrap().unwrap().data.len(), 32);
+            let got = st.read(ReadMode::Blocking);
+            *noticed2.lock().unwrap() = Some((std::time::Instant::now(), got));
+        })
+        .run()
+        .unwrap();
+    let exited = exited.lock().unwrap().expect("writer ran");
+    let (noticed, got) = noticed.lock().unwrap().take().expect("reader ran");
+    assert!(
+        matches!(got, Err(VmpiError::PeerLost { rank: 0 })),
+        "expected PeerLost, got {got:?}"
+    );
+    let late = noticed.saturating_duration_since(exited);
+    assert!(
+        late <= std::time::Duration::from_millis(100),
+        "PeerLost {late:?} after the writer returned"
+    );
+    assert!(
+        read_parks() > parks_before,
+        "the reader slept while it waited"
+    );
+}
+
+#[test]
+fn blocking_reads_with_no_timeout_never_sleep_through_a_block() {
+    // One block a round into each reader and nothing else, both ranks
+    // alive, no `read_timeout`: a reader that parks past its block stays
+    // parked. The echo's pause walks the reply across the reader's spin,
+    // yield and park legs.
+    const ROUNDS: u32 = 10_000;
+    Launcher::new()
+        .partition("ping", 1, |mpi| {
+            let v = Vmpi::new(mpi).unwrap();
+            let mut dx = opmr_vmpi::DuplexStream::open(&v, vec![1], small_cfg(64), 11).unwrap();
+            for round in 0..ROUNDS {
+                dx.write(&round.to_le_bytes()).unwrap();
+                dx.flush().unwrap();
+                let b = dx.read(ReadMode::Blocking).unwrap().expect("echo");
+                assert_eq!(b.data[..], round.to_le_bytes());
+            }
+            dx.close().unwrap();
+        })
+        .partition("pong", 1, |mpi| {
+            let v = Vmpi::new(mpi).unwrap();
+            let mut dx = opmr_vmpi::DuplexStream::open(&v, vec![0], small_cfg(64), 11).unwrap();
+            for round in 0..ROUNDS {
+                let b = dx.read(ReadMode::Blocking).unwrap().expect("ping");
+                let pause = std::time::Duration::from_micros(u64::from(round % 256));
+                let t0 = std::time::Instant::now();
+                while t0.elapsed() < pause {
+                    std::hint::spin_loop();
+                }
+                dx.write(&b.data).unwrap();
+                dx.flush().unwrap();
+            }
+            dx.close().unwrap();
+        })
+        .run()
+        .unwrap();
+}
+
+fn read_parks() -> u64 {
+    opmr_obs::registry()
+        .snapshot()
+        .counter("vmpi_stream_read_parks_total")
+        .unwrap_or(0)
+}
