@@ -7,10 +7,10 @@
 //! consume the per-shard snapshot-then-deltas stream, measuring the
 //! publication-to-consumption lag of every update on the shared
 //! in-process clock. Scenarios cover the slow-consumer resync path
-//! (`laggy`), wide fan-out at ≥256 subscribers delivered either as
-//! per-subscriber unicast chains (`unicast256`) or down the TBON
-//! replication tree (`tree256`), and a greedy tenant pinned by a
-//! subscription quota while compliant tenants ride along undisturbed.
+//! (`laggy`), wide delivery at ≥256 subscribers spread over five serving
+//! ranks that each write the store's once-framed deltas (`wide256`), and
+//! a greedy tenant pinned by a subscription quota while compliant tenants
+//! ride along undisturbed.
 //!
 //! Every subscriber folds its update stream and digests the resulting
 //! bytes per `(shard, version)`; the run asserts zero divergences across
@@ -19,7 +19,7 @@
 //!
 //! Reports queries/sec plus p50/p99 subscription lag per scenario; CSV
 //! lands in `out/serve_bench/`. Pass `--quick` for a CI-sized smoke run
-//! (64-subscriber tree + quota scenario included).
+//! (64-subscriber `wide64` + quota scenario included).
 
 use opmr_bench::{out_dir, row};
 use opmr_core::session::{Coupling, Session};
@@ -63,8 +63,6 @@ struct Run {
     divergences: u64,
     /// Greedy-tenant subscriptions refused with the typed quota signal.
     rejected: u64,
-    /// `reduce_fanout_records_total` movement across this scenario.
-    fanout_records: u64,
 }
 
 /// FNV-1a over the folded snapshot bytes: cheap, deterministic, and
@@ -92,7 +90,6 @@ fn aggregate(per_rank: &[(usize, ServeStats)]) -> ServeStats {
         total.clients_lost += s.clients_lost;
         total.quota_rejections += s.quota_rejections;
         total.quota_throttles += s.quota_throttles;
-        total.fanout_records += s.fanout_records;
     }
     total
 }
@@ -105,10 +102,6 @@ fn run_scenario(sc: &Scenario) -> Result<Run, Box<dyn std::error::Error>> {
     let digests = Arc::new(Mutex::new(HashMap::<(u16, u64), u64>::new()));
     let divergences = Arc::new(AtomicU64::new(0));
     let rejected = Arc::new(AtomicU64::new(0));
-
-    let fanout_before = opmr_obs::registry()
-        .snapshot()
-        .counter_family("reduce_fanout_records_total");
 
     let subscriber = |delay: Duration| {
         let l_sink = Arc::clone(&lags);
@@ -217,9 +210,6 @@ fn run_scenario(sc: &Scenario) -> Result<Run, Box<dyn std::error::Error>> {
         }
     }
 
-    let fanout_after = opmr_obs::registry()
-        .snapshot()
-        .counter_family("reduce_fanout_records_total");
     let (updates, deltas) = *update_counts.lock();
     let queries = *queries.lock();
     let lags = lags.lock().clone();
@@ -233,7 +223,6 @@ fn run_scenario(sc: &Scenario) -> Result<Run, Box<dyn std::error::Error>> {
         versions: store.stats().published,
         divergences,
         rejected: rejected.load(Ordering::Relaxed),
-        fanout_records: fanout_after.saturating_sub(fanout_before),
     })
 }
 
@@ -294,52 +283,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             subscriber_delay: Duration::from_millis(3),
         },
     ];
-    if quick {
-        // CI smoke: 64 subscribers on a fanout-2 tree over 3 serving
-        // ranks, two store shards, plus a quota-pinned greedy tenant.
-        scenarios.push(Scenario {
-            name: "tree64",
-            rounds,
-            apps: 2,
-            serving: 3,
-            subscribers: 64,
-            queriers: 4,
-            greedy: 8,
-            serve: ServeConfig {
-                publish_every_packs: 4,
-                ring: 4096,
-                shards: 2,
-                fan_out: Some(2),
-                tenant_quotas: vec![("greedy".to_string(), pinned(1))],
-                ..ServeConfig::default()
-            },
-            subscriber_delay: Duration::ZERO,
-        });
+    // Wide delivery: many subscribers spread round-robin over the serving
+    // ranks, two store shards, plus a quota-pinned greedy tenant. CI runs
+    // 64 subscribers on 3 serving ranks; the full profile 256 on 5.
+    let (name, serving, subscribers, queriers) = if quick {
+        ("wide64", 3, 64, 4)
     } else {
-        // The tentpole comparison: the same 256-subscriber load served
-        // as per-subscriber unicast chains vs. TBON tree replication
-        // (root frames each delta once, the frontier fans it out).
-        for (name, fan_out) in [("unicast256", None), ("tree256", Some(4))] {
-            scenarios.push(Scenario {
-                name,
-                rounds,
-                apps: 2,
-                serving: 5,
-                subscribers: 256,
-                queriers: 8,
-                greedy: 8,
-                serve: ServeConfig {
-                    publish_every_packs: 4,
-                    ring: 4096,
-                    shards: 2,
-                    fan_out,
-                    tenant_quotas: vec![("greedy".to_string(), pinned(1))],
-                    ..ServeConfig::default()
-                },
-                subscriber_delay: Duration::ZERO,
-            });
-        }
-    }
+        ("wide256", 5, 256, 8)
+    };
+    scenarios.push(Scenario {
+        name,
+        rounds,
+        apps: 2,
+        serving,
+        subscribers,
+        queriers,
+        greedy: 8,
+        serve: ServeConfig {
+            publish_every_packs: 4,
+            ring: 4096,
+            shards: 2,
+            tenant_quotas: vec![("greedy".to_string(), pinned(1))],
+            ..ServeConfig::default()
+        },
+        subscriber_delay: Duration::ZERO,
+    });
 
     let widths = [10, 8, 9, 10, 9, 8, 8, 8, 11, 11];
     row(
@@ -358,7 +326,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &widths,
     );
 
-    let mut p99_by_name: HashMap<&'static str, f64> = HashMap::new();
     let mut csv = format!("{}\n", opmr_bench::SERVE_BENCH_CSV_HEADER);
     for sc in &scenarios {
         let mut run = run_scenario(sc)?;
@@ -367,7 +334,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let qps = run.queries as f64 / run.wall_s.max(1e-9);
         let p50 = percentile_ms(&run.lags, 50.0);
         let p99 = percentile_ms(&run.lags, 99.0);
-        p99_by_name.insert(sc.name, p99);
         row(
             &[
                 sc.name.into(),
@@ -403,18 +369,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "slow consumers must trigger resyncs, not buffering"
             );
         }
-        if sc.serve.fan_out.is_some() {
-            assert!(
-                run.fanout_records > 0,
-                "{}: reduce_fanout_records_total never moved",
-                sc.name
-            );
-            assert!(
-                run.stats.fanout_records > 0,
-                "{}: the root never published onto the tree",
-                sc.name
-            );
-        }
         if sc.greedy > 0 {
             assert!(
                 run.rejected > 0,
@@ -427,17 +381,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 sc.name
             );
         }
-    }
-
-    if !quick {
-        let unicast = p99_by_name["unicast256"];
-        let tree = p99_by_name["tree256"];
-        println!("\ntree p99 {tree:.3} ms vs unicast p99 {unicast:.3} ms at 256 subscribers");
-        assert!(
-            tree < unicast,
-            "tree fan-out must beat unicast p99 lag at 256 subscribers \
-             ({tree:.3} ms >= {unicast:.3} ms)"
-        );
     }
 
     let path = out_dir("serve_bench")?.join("serve_bench.csv");

@@ -706,15 +706,15 @@ impl SessionBuilder {
             launcher = launcher.partition_try(&spec.name, spec.ranks, move |mpi: Mpi| {
                 let v = Vmpi::new(mpi)?;
                 let mut map = Map::new();
-                // With tree fan-out the clients attach to the frontier of
-                // the same tree the serving ranks derive from (fanout,
-                // analyzer size); otherwise they spread round-robin. Both
-                // sides of the pivot must evaluate the same policy.
-                let policy = match serve_for_client.fan_out {
-                    Some(f) => Tree::new(f, analyzer_ranks).leaf_policy(),
-                    None => MapPolicy::RoundRobin,
-                };
-                map_partitions_directed(&v, analyzer_pid, analyzer_pid, policy, &mut map)?;
+                // Clients spread round-robin over the serving ranks; both
+                // sides of the pivot evaluate the same policy.
+                map_partitions_directed(
+                    &v,
+                    analyzer_pid,
+                    analyzer_pid,
+                    MapPolicy::RoundRobin,
+                    &mut map,
+                )?;
                 let server = map
                     .peers()
                     .first()
@@ -879,20 +879,15 @@ fn serving_analyzer_rank(
         map_partitions(&v, pid, MapPolicy::RoundRobin, &mut app_map)?;
     }
     // The analyzer masters the client mappings so every client rank gets
-    // assigned exactly one serving rank: the fan-out tree's frontier under
-    // tree delivery, spread round-robin otherwise (must mirror the client
-    // side of the pivot).
-    let client_policy = match serve_cfg.fan_out {
-        Some(f) => Tree::new(f, v.my_partition().size).leaf_policy(),
-        None => MapPolicy::RoundRobin,
-    };
+    // assigned exactly one serving rank, spread round-robin (must mirror
+    // the client side of the pivot).
     let mut client_map = Map::new();
     for pid in (n_apps + 1)..v.partition_count() {
         map_partitions_directed(
             &v,
             pid,
             v.partition_id(),
-            client_policy.clone(),
+            MapPolicy::RoundRobin,
             &mut client_map,
         )?;
     }

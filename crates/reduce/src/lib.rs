@@ -15,24 +15,19 @@
 //!   partials travelling up the tree;
 //! * [`node`] — the windowed streaming reduction node: read child
 //!   streams, fold per the configured operator (pass-through ρ=1, 1-in-k
-//!   filter, full aggregation), forward upward with back-pressure;
-//! * [`fanout`] — the same tree run in *reverse* for the serve plane:
-//!   the root replicates each framed record once per child, interior
-//!   nodes re-forward blocks verbatim, frontier nodes reassemble the
-//!   records for their subscribers.
+//!   filter, full aggregation), forward upward with back-pressure.
 //!
-//! `opmr-core` wires this into sessions as `Coupling::Tbon { fanout }`
-//! (reduction) and via `ServeConfig::fan_out` (replication);
+//! `opmr-core` wires this into sessions as `Coupling::Tbon { fanout }`;
 //! `tbon_compare` benchmarks the measured overlay against the analytic
-//! model on the same topologies.
+//! model on the same topologies. The serve plane has no tree: its serving
+//! ranks share one process and one snapshot store, so each writes the
+//! store's pre-framed deltas to its own subscribers.
 
-pub mod fanout;
 pub mod node;
 pub mod partial;
 pub mod reducible;
 pub mod tree;
 
-pub use fanout::FanoutNode;
 pub use node::{run_node, NodeConfig, NodeOutcome, ReduceOp, ReduceStats};
 pub use partial::{
     decode_partial_set, encode_partial_set, frame, FrameBuf, ReducePartial, REDUCE_MAGIC,

@@ -1,7 +1,7 @@
 //! The client-partition side of the serve plane.
 //!
 //! A [`ServeClient`] holds one duplex VMPI stream to the serving rank it
-//! was mapped onto (a fan-out frontier rank under tree delivery), issues
+//! was mapped onto (clients spread round-robin over them), issues
 //! framed point queries and — once subscribed — folds the
 //! snapshot-then-deltas stream into locally held per-shard
 //! [`ClientReport`]s. Because deltas carry replacement values and the wire

@@ -24,23 +24,21 @@
 //!   that deliver one full snapshot followed by incremental deltas;
 //! * [`server`] — the `EAGAIN`-aware serving loop run by analyzer ranks:
 //!   drains instrumentation streams into the engine while answering
-//!   client traffic. Slow consumers are handled with **credit-based flow
-//!   control**: a subscriber with no credits left is simply tracked, not
-//!   buffered for; when it acks again and has fallen off the delta ring
-//!   it receives a typed snapshot **resync** (counted in
-//!   [`server::ServeStats::resyncs`]) instead of an unbounded backlog;
-//! * [`client`] — the client-partition side: maps onto the analyzer via
-//!   the VMPI Map pivot protocol, opens a duplex stream and exposes
-//!   queries plus a subscription iterator (folding one delta chain per
-//!   shard);
+//!   client traffic. Every serving rank delivers to its own subscribers
+//!   straight from the shared store, writing each version's delta as the
+//!   store framed it — once per `(shard, version)`, however many
+//!   subscribers read it. Slow consumers are handled with
+//!   **credit-based flow control**: a subscriber with no credits left is
+//!   simply tracked, not buffered for; when it acks again and has fallen
+//!   off the delta ring it receives a typed snapshot **resync** (counted
+//!   in [`server::ServeStats::resyncs`]) instead of an unbounded backlog;
+//! * [`client`] — the client-partition side: maps round-robin onto the
+//!   serving ranks via the VMPI Map pivot protocol, opens a duplex stream
+//!   and exposes queries plus a subscription iterator (folding one delta
+//!   chain per shard);
 //! * [`quota`] — **per-tenant admission control** on client partitions:
 //!   subscription caps, query-rate and delta-byte token buckets with
-//!   typed, counted rejections;
-//! * with `ServeConfig::fan_out` set, subscription delivery reverses the
-//!   TBON overlay: the root serving rank frames each published delta
-//!   once and replicates it down a fanout tree, interior ranks re-forward
-//!   blocks verbatim, and frontier ranks own per-subscriber
-//!   credits/resyncs.
+//!   typed, counted rejections.
 //!
 //! `opmr-core` wires this into sessions as `Coupling::Serving` with
 //! `SessionBuilder::client(...)` partitions; `serve_bench` measures query
@@ -58,10 +56,7 @@ use std::time::Instant;
 
 pub use client::{ClientReport, ServeClient, Update};
 pub use delta::{apply_delta, delta_versions, encode_delta, EncodeError};
-pub use proto::{
-    FanoutRecord, QueryKind, QuotaKind, Request, Response, VersionInfo, SERVE_FANOUT_STREAM_ID,
-    SERVE_STREAM_ID,
-};
+pub use proto::{QueryKind, QuotaKind, Request, Response, VersionInfo, SERVE_STREAM_ID};
 pub use quota::{TenantBook, TenantQuota, TenantState};
 pub use server::{run_server, ServeStats};
 pub use store::{ShardedStore, SnapshotEntry, SnapshotStore, StoreStats};
@@ -155,11 +150,6 @@ pub struct ServeConfig {
     /// Snapshot store shards; apps are routed `app_id % shards`. 1 (the
     /// default) reproduces the single-store serve plane exactly.
     pub shards: usize,
-    /// Tree fan-out for subscription delivery: `Some(f)` replicates each
-    /// published delta down a fanout-`f` tree over the serving ranks and
-    /// maps clients onto the tree's frontier; `None` (the default) keeps
-    /// one unicast delta chain per subscriber.
-    pub fan_out: Option<usize>,
     /// Default per-tenant quota (zero fields = unlimited).
     pub quota: TenantQuota,
     /// Per-tenant quota overrides by client partition name.
@@ -176,7 +166,6 @@ impl Default for ServeConfig {
             ring: 32,
             subscriber_credits: 2,
             shards: 1,
-            fan_out: None,
             quota: TenantQuota::default(),
             tenant_quotas: Vec::new(),
             stream: StreamConfig::new(16 * 1024, 4, opmr_vmpi::Balance::None),

@@ -15,11 +15,6 @@ use opmr_events::wire::Reader;
 /// of the instrumentation stream (id 0) and the reduction overlay.
 pub const SERVE_STREAM_ID: u16 = 0x0100;
 
-/// Stream id of the serve fan-out tree (plain down-tree streams between
-/// serving ranks). Chosen clear of the duplex-derived ids of
-/// [`SERVE_STREAM_ID`] (`0x200`/`0x201`) and the instrumentation id 0.
-pub const SERVE_FANOUT_STREAM_ID: u16 = 0x0180;
-
 /// `rank_hi` value meaning "no upper bound".
 pub const ALL_RANKS: u32 = u32::MAX;
 
@@ -461,51 +456,6 @@ pub struct VersionInfo {
     pub finished: bool,
 }
 
-/// One record replicated down the serve fan-out tree: the root frames a
-/// [`Response::Delta`] once (`framed_rsp` — frame header, checksum and
-/// all) and prefixes the routing header frontier ranks need, so interior
-/// ranks forward blocks verbatim and a frontier rank delivers the inner
-/// bytes to each subscriber without re-encoding or re-checksumming.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FanoutRecord {
-    /// Store shard this delta advances.
-    pub shard: u16,
-    /// Version the delta produces.
-    pub version: u64,
-    /// Publication timestamp on the serve clock.
-    pub publish_ns: u64,
-    /// The shard's final version.
-    pub is_final: bool,
-    /// The framed [`Response::Delta`] ready to write to a subscriber.
-    pub framed_rsp: Bytes,
-}
-
-impl FanoutRecord {
-    /// Encodes the record payload (the caller frames it for the tree
-    /// transport).
-    pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(2 + 8 + 8 + 1 + self.framed_rsp.len());
-        out.put_u16_le(self.shard);
-        out.put_u64_le(self.version);
-        out.put_u64_le(self.publish_ns);
-        out.put_u8(self.is_final as u8);
-        out.put_slice(&self.framed_rsp);
-        out.freeze()
-    }
-
-    /// Decodes a record payload; `framed_rsp` is a zero-copy slice.
-    pub fn decode(buf: &Bytes) -> Result<FanoutRecord, WireError> {
-        let mut r = Reader::new(buf);
-        Ok(FanoutRecord {
-            shard: r.u16()?,
-            version: r.u64()?,
-            publish_ns: r.u64()?,
-            is_final: r.u8()? != 0,
-            framed_rsp: buf.slice(buf.len() - r.remaining()..),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,31 +555,6 @@ mod tests {
         ] {
             assert_eq!(Response::decode(&rsp.encode()).unwrap(), rsp);
         }
-    }
-
-    #[test]
-    fn fanout_records_roundtrip_with_zero_copy_payload() {
-        let inner = Response::Delta {
-            shard: 2,
-            shards: 3,
-            version: 9,
-            publish_ns: 777,
-            finished: false,
-            payload: Bytes::from_static(b"sparse"),
-        };
-        let framed = opmr_events::frame::try_frame(&inner.encode()).unwrap();
-        let rec = FanoutRecord {
-            shard: 2,
-            version: 9,
-            publish_ns: 777,
-            is_final: false,
-            framed_rsp: framed.clone(),
-        };
-        let wire = rec.encode();
-        let back = FanoutRecord::decode(&wire).unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(back.framed_rsp, framed);
-        assert!(FanoutRecord::decode(&wire.slice(..10)).is_err());
     }
 
     /// Unknown tags and enum codes are typed rejections (truncation of

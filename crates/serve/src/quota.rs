@@ -11,10 +11,9 @@
 //!
 //! The token buckets are integer-only: an allowance in nanoseconds capped
 //! at one second of burst, where sending `n` units costs `n / rate`
-//! seconds. Enforcement is per serving rank — with tree fan-out a tenant's
-//! clients map to one frontier rank each, so the per-rank view is the
-//! whole-tenant view unless a tenant spans frontier ranks, in which case
-//! each rank grants it a full quota (documented, not hidden).
+//! seconds. Enforcement is per serving rank — a tenant's clients spread
+//! round-robin over the serving ranks, so a tenant with clients on several
+//! ranks gets a full quota from each (documented, not hidden).
 
 use crate::proto::QuotaKind;
 use std::collections::HashMap;

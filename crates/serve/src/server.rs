@@ -7,13 +7,15 @@
 //!   shared blackboard engine exactly as under direct coupling;
 //! * one duplex serve stream per mapped client, carrying framed
 //!   [`Request`]s in and [`Response`]s out, with per-tenant admission
-//!   control ([`crate::quota`]) at the request boundary;
-//! * with `ServeConfig::fan_out` set, the serve fan-out tree: the rank
-//!   whose tree role is *root* frames each published shard delta once and
-//!   replicates it down the tree ([`FanoutNode`]), interior ranks forward
-//!   blocks verbatim, and *frontier* ranks keep a bounded per-shard ring
-//!   of the pre-framed records from which their subscribers are served
-//!   without re-encoding.
+//!   control ([`crate::quota`]) at the request boundary.
+//!
+//! Every serving rank delivers to its own subscribers straight from the
+//! shared [`ShardedStore`]: the serve plane is single-process by
+//! construction (serving ranks and clients all live on process 0), so the
+//! store is the distribution medium. A delta goes out as the bytes the
+//! store framed once per `(shard, version)`
+//! ([`SnapshotEntry::framed_delta`]); only openers and resyncs are framed
+//! per subscriber.
 //!
 //! Subscriptions use credit-based flow control: each subscriber starts
 //! with `ServeConfig::subscriber_credits` credits, every update costs
@@ -22,27 +24,21 @@
 //! advances and when the consumer acks again it either continues down
 //! the retained delta chain or, having fallen off the ring, receives a
 //! typed snapshot **resync** (counted in [`ServeStats::resyncs`]). With a
-//! sharded store every subscription runs one such chain *per shard*;
-//! openers and resyncs are always full per-shard snapshots served from
-//! the shared store, so the tree only ever carries deltas.
+//! sharded store every subscription runs one such chain *per shard*.
 
-use crate::proto::{
-    FanoutRecord, NotFoundReason, QueryKind, Request, Response, SERVE_FANOUT_STREAM_ID,
-    SERVE_STREAM_ID,
-};
+use crate::proto::{NotFoundReason, QueryKind, Request, Response, SERVE_STREAM_ID};
 use crate::quota::TenantBook;
-use crate::store::ShardedStore;
+use crate::store::{ShardedStore, SnapshotEntry};
 use crate::{ServeConfig, ServeError};
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use opmr_analysis::profiler::MpiProfile;
 use opmr_analysis::topology::Topology;
 use opmr_analysis::waitstate::WaitStats;
 use opmr_analysis::wire::{encode_profile, encode_topology, encode_waitstats};
 use opmr_analysis::AnalysisEngine;
 use opmr_events::frame::{try_frame, FrameBuf};
-use opmr_reduce::{FanoutNode, Tree};
 use opmr_vmpi::{DuplexStream, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError};
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 // Serving-loop metrics: per-subscriber credit level at each scheduling
 // slice, publish-to-deliver lag of every update, and the counters mirrored
@@ -58,7 +54,6 @@ mod obs {
         pub resyncs: Arc<Counter>,
         pub quota_rejections: Arc<Counter>,
         pub quota_throttles: Arc<Counter>,
-        pub fanout_deliveries: Arc<Counter>,
         pub credits: Arc<Histogram>,
         pub deliver_lag: Arc<Histogram>,
     }
@@ -74,7 +69,6 @@ mod obs {
                 resyncs: r.counter("serve_resyncs_total"),
                 quota_rejections: r.counter("serve_quota_rejections_total"),
                 quota_throttles: r.counter("serve_quota_throttles_total"),
-                fanout_deliveries: r.counter("serve_fanout_deliveries_total"),
                 credits: r.histogram("serve_subscriber_credits"),
                 deliver_lag: r.histogram("serve_publish_to_deliver_lag_ns"),
             }
@@ -108,8 +102,6 @@ pub struct ServeStats {
     pub quota_rejections: u64,
     /// Subscription updates delayed by a tenant's delta-byte budget.
     pub quota_throttles: u64,
-    /// Fan-out records this rank published into the tree (root only).
-    pub fanout_records: u64,
 }
 
 struct Subscription {
@@ -147,14 +139,6 @@ impl ClientConn {
     }
 }
 
-/// The frontier's view of the fan-out tree inside [`pump_client`]: the
-/// per-shard rings of pre-framed delta records, plus whether the tree is
-/// already drained (a missing record then resyncs instead of waiting).
-struct TreeView<'a> {
-    rings: &'a [VecDeque<FanoutRecord>],
-    drained: bool,
-}
-
 /// Bounds how many blocks each source is drained per loop iteration, so
 /// one chatty stream cannot starve the others.
 const DRAIN_BURST: usize = 64;
@@ -169,8 +153,8 @@ const DRAIN_BURST: usize = 64;
 const KEEPALIVE_IDLE: u32 = 8192;
 
 /// Runs one analyzer rank's serving loop until every instrumentation
-/// stream closed, the final snapshot is published, the fan-out tree (if
-/// any) drained and every client said goodbye.
+/// stream closed, the final snapshot is published and every client said
+/// goodbye.
 pub fn run_server(
     v: &Vmpi,
     engine: &AnalysisEngine,
@@ -180,7 +164,6 @@ pub fn run_server(
     app_stream: StreamConfig,
     cfg: &ServeConfig,
 ) -> Result<ServeStats, ServeError> {
-    let n_shards = store.shards();
     let mut stats = ServeStats {
         clients: client_peers.len() as u64,
         ..ServeStats::default()
@@ -191,20 +174,6 @@ pub fn run_server(
     } else {
         Some(ReadStream::open_from(v, app_peers.to_vec(), app_stream, 0)?)
     };
-    // The fan-out tree spans the whole serving partition; a single-rank
-    // partition degenerates to root == frontier with no streams.
-    let mut fan = match cfg.fan_out {
-        Some(f) => Some(FanoutNode::open(
-            v,
-            &Tree::new(f, v.my_partition().size),
-            cfg.stream,
-            SERVE_FANOUT_STREAM_ID,
-        )?),
-        None => None,
-    };
-    let mut fan_closed = false;
-    let mut fanned: Vec<u64> = vec![0; n_shards];
-    let mut rings: Vec<VecDeque<FanoutRecord>> = (0..n_shards).map(|_| VecDeque::new()).collect();
     let mut clients: Vec<ClientConn> = client_peers
         .iter()
         .map(|&world| {
@@ -259,40 +228,9 @@ pub fn run_server(
             progressed = true;
         }
 
-        // 2. Fan-out tree: the root turns fresh shard versions into
-        // records, everyone else pumps the parent; frontiers fill their
-        // per-shard rings.
-        if let Some(f) = fan.as_mut() {
-            if f.is_root() {
-                progressed |=
-                    pump_fanout_root(f, store, &mut fanned, &mut rings, cfg.ring, &mut stats)?;
-                if !fan_closed && store.finished() && root_caught_up(store, &fanned) {
-                    f.close()?;
-                    fan_closed = true;
-                    progressed = true;
-                }
-            } else {
-                let mut raw = Vec::new();
-                progressed |= f.pump(&mut raw)?;
-                for payload in &raw {
-                    push_ring(&mut rings, FanoutRecord::decode(payload)?, cfg.ring);
-                }
-                if f.parent_eof() && !fan_closed {
-                    f.close()?;
-                    fan_closed = true;
-                    progressed = true;
-                }
-            }
-        }
-
-        // 3. Serve plane: requests in, responses + subscription pumps out.
-        let tree_mode = fan.is_some();
+        // 2. Serve plane: requests in, responses + subscription pumps out.
         for client in clients.iter_mut().filter(|c| !c.done) {
-            let view = tree_mode.then_some(TreeView {
-                rings: &rings,
-                drained: fan_closed,
-            });
-            match pump_client(client, store, view, &mut book, cfg, &mut stats) {
+            match pump_client(client, store, &mut book, cfg, &mut stats) {
                 Ok(p) => progressed |= p,
                 Err(ServeError::Vmpi(VmpiError::PeerLost { .. })) => {
                     client.finish(&mut book, &mut stats, true);
@@ -302,8 +240,7 @@ pub fn run_server(
             }
         }
 
-        let fan_done = fan.is_none() || fan_closed;
-        if app_rx.is_none() && writer_done_reported && fan_done && clients.iter().all(|c| c.done) {
+        if app_rx.is_none() && writer_done_reported && clients.iter().all(|c| c.done) {
             break;
         }
         if !progressed {
@@ -313,110 +250,20 @@ pub fn run_server(
     Ok(stats)
 }
 
-/// Root role of the fan-out tree: walks each shard's ring from the last
-/// version fanned to the shard's current one, frames each retained delta
-/// **once** and replicates the record down the tree. Versions without a
-/// delta (the first, or an encode-overflow degrade) publish no record —
-/// frontier subscribers cross them via a store resync. In a single-rank
-/// tree the root is also the frontier and feeds its own rings directly.
-fn pump_fanout_root(
-    fan: &mut FanoutNode,
-    store: &ShardedStore,
-    fanned: &mut [u64],
-    rings: &mut [VecDeque<FanoutRecord>],
-    ring_cap: usize,
-    stats: &mut ServeStats,
-) -> Result<bool, ServeError> {
-    let n_shards = store.shards();
-    let mut progressed = false;
-    for (s, fanned_to) in fanned.iter_mut().enumerate() {
-        let shard = store.shard(s);
-        let current = shard.current().map_or(0, |e| e.version);
-        while *fanned_to < current {
-            let next = *fanned_to + 1;
-            let Some(entry) = shard.get(next) else {
-                // The version aged out of the shard ring before this loop
-                // got to it; skip to the ring front — subscribers that
-                // needed it resync from the shared store.
-                let (front, _) = shard.version_span();
-                if front == 0 {
-                    break;
-                }
-                *fanned_to = front - 1;
-                continue;
-            };
-            if let Some(payload) = entry.delta.clone() {
-                let rsp = Response::Delta {
-                    shard: s as u16,
-                    shards: n_shards as u16,
-                    version: entry.version,
-                    publish_ns: entry.publish_ns,
-                    finished: entry.is_final,
-                    payload,
-                };
-                let record = FanoutRecord {
-                    shard: s as u16,
-                    version: entry.version,
-                    publish_ns: entry.publish_ns,
-                    is_final: entry.is_final,
-                    framed_rsp: try_frame(&rsp.encode())?,
-                };
-                fan.publish(&try_frame(&record.encode())?)?;
-                stats.fanout_records += 1;
-                if fan.is_frontier() {
-                    push_ring(rings, record, ring_cap);
-                }
-            }
-            *fanned_to = entry.version;
-            progressed = true;
-        }
-    }
-    Ok(progressed)
-}
-
-/// True once the root has fanned every shard up to its current version.
-fn root_caught_up(store: &ShardedStore, fanned: &[u64]) -> bool {
-    fanned
-        .iter()
-        .enumerate()
-        .all(|(s, &v)| v >= store.shard(s).current().map_or(0, |e| e.version))
-}
-
-/// Appends a record to its shard's bounded frontier ring. A subscriber
-/// slower than the ring is resynced from the store, exactly like one that
-/// fell off the store's own delta ring.
-fn push_ring(rings: &mut [VecDeque<FanoutRecord>], record: FanoutRecord, cap: usize) {
-    let Some(ring) = rings.get_mut(record.shard as usize) else {
-        return; // Wire data: an out-of-range shard id is dropped, not indexed.
-    };
-    ring.push_back(record);
-    while ring.len() > cap.max(1) {
-        ring.pop_front();
-    }
-}
-
 /// What the subscription pump decided to send for one shard step.
 enum ShardUpdate {
-    /// A pre-framed fan-out record: written to the subscriber verbatim.
-    TreeDelta(FanoutRecord),
-    /// A store-retained delta (unicast mode).
-    StoreDelta(std::sync::Arc<crate::store::SnapshotEntry>),
+    /// A store-retained delta and its frame, built once per version.
+    Delta(Arc<SnapshotEntry>, Bytes),
     /// A full per-shard snapshot: the opener, or a resync when `bool`.
-    Snapshot(std::sync::Arc<crate::store::SnapshotEntry>, bool),
-    /// Nothing deliverable yet (record still in flight down the tree).
+    Snapshot(Arc<SnapshotEntry>, bool),
+    /// The subscriber already holds the shard's current version.
     Wait,
 }
 
-/// Picks the next update for shard `s` of one subscriber, preferring the
-/// frontier ring's pre-framed record in tree mode and the store's delta
-/// chain in unicast mode, degrading to a snapshot resync when the needed
-/// version is out of reach either way.
-fn next_shard_update(
-    store: &ShardedStore,
-    tree: Option<&TreeView<'_>>,
-    s: usize,
-    synced_to: u64,
-) -> ShardUpdate {
+/// Picks the next update for shard `s` of one subscriber: the next
+/// version's pre-framed delta from the store's chain, degrading to a
+/// snapshot resync when that version left the ring or carries no delta.
+fn next_shard_update(store: &ShardedStore, s: usize, synced_to: u64) -> ShardUpdate {
     let shard = store.shard(s);
     let Some(cur) = shard.current() else {
         return ShardUpdate::Wait;
@@ -427,31 +274,12 @@ fn next_shard_update(
     if synced_to == 0 {
         return ShardUpdate::Snapshot(cur, false);
     }
-    let next = synced_to + 1;
-    match tree {
-        Some(view) => {
-            let ring = &view.rings[s];
-            if let Some(record) = ring.iter().find(|r| r.version == next) {
-                return ShardUpdate::TreeDelta(record.clone());
-            }
-            // Not in the ring. If the store still holds the version *with*
-            // a delta, the record exists and is in flight down the tree —
-            // unless the ring already moved past it (bounded eviction) or
-            // the tree drained; then it is never coming and we resync.
-            let evicted_from_ring = ring.front().is_some_and(|r| r.version > next);
-            match shard.get(next) {
-                Some(e) if e.delta.is_some() && !evicted_from_ring && !view.drained => {
-                    ShardUpdate::Wait
-                }
-                _ => ShardUpdate::Snapshot(cur, true),
-            }
-        }
-        None => match shard.get(next).filter(|e| e.delta.is_some()) {
-            Some(e) => ShardUpdate::StoreDelta(e),
-            // First update, or the chain left the ring: full snapshot (a
-            // *resync* because the subscriber had state).
-            None => ShardUpdate::Snapshot(cur, true),
-        },
+    let next = shard.get(synced_to + 1);
+    match next.and_then(|e| e.framed_delta().map(|framed| (e, framed))) {
+        Some((e, framed)) => ShardUpdate::Delta(e, framed),
+        // The chain left the ring, or no delta expresses the step: full
+        // snapshot (a *resync* because the subscriber had state).
+        None => ShardUpdate::Snapshot(cur, true),
     }
 }
 
@@ -461,7 +289,6 @@ fn next_shard_update(
 fn pump_client(
     client: &mut ClientConn,
     store: &ShardedStore,
-    tree: Option<TreeView<'_>>,
     book: &mut TenantBook,
     cfg: &ServeConfig,
     stats: &mut ServeStats,
@@ -613,10 +440,9 @@ fn pump_client(
             obs::m().credits.record(sub.credits as u64);
             'shards: for s in 0..n_shards {
                 while sub.credits > 0 && !bye {
-                    let update = next_shard_update(store, tree.as_ref(), s, sub.synced_to[s]);
+                    let update = next_shard_update(store, s, sub.synced_to[s]);
                     let cost = match &update {
-                        ShardUpdate::TreeDelta(r) => r.framed_rsp.len(),
-                        ShardUpdate::StoreDelta(e) => e.delta.as_ref().map_or(0, |d| d.len()),
+                        ShardUpdate::Delta(e, _) => e.delta.as_ref().map_or(0, Bytes::len),
                         ShardUpdate::Snapshot(e, _) => e.encoded.len(),
                         ShardUpdate::Wait => break,
                     };
@@ -631,36 +457,15 @@ fn pump_client(
                     }
                     let now = crate::mono_ns();
                     match update {
-                        ShardUpdate::TreeDelta(record) => {
-                            stats.deltas_sent += 1;
-                            obs::m().deltas_sent.inc();
-                            obs::m().fanout_deliveries.inc();
-                            obs::m()
-                                .deliver_lag
-                                .record(now.saturating_sub(record.publish_ns));
-                            sub.synced_to[s] = record.version;
-                            // Framed once at the tree root: write verbatim.
-                            stream.write(&record.framed_rsp)?;
-                        }
-                        ShardUpdate::StoreDelta(entry) => {
+                        ShardUpdate::Delta(entry, framed) => {
                             stats.deltas_sent += 1;
                             obs::m().deltas_sent.inc();
                             obs::m()
                                 .deliver_lag
                                 .record(now.saturating_sub(entry.publish_ns));
                             sub.synced_to[s] = entry.version;
-                            let payload = entry.delta.clone().unwrap_or_default();
-                            send(
-                                stream,
-                                &Response::Delta {
-                                    shard: s as u16,
-                                    shards: n_shards as u16,
-                                    version: entry.version,
-                                    publish_ns: entry.publish_ns,
-                                    finished: entry.is_final,
-                                    payload,
-                                },
-                            )?;
+                            // Framed once by the store: write verbatim.
+                            stream.write(&framed)?;
                         }
                         ShardUpdate::Snapshot(entry, resync) => {
                             stats.snapshots_sent += 1;
@@ -880,7 +685,6 @@ fn filter_waitstats(w: &WaitStats, in_range: impl Fn(u32) -> bool) -> WaitStats 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use opmr_analysis::wire::AppPartial;
     use opmr_events::wire::Reader;
     use opmr_events::EventKind;
@@ -1072,64 +876,57 @@ mod tests {
     }
 
     #[test]
-    fn frontier_ring_is_bounded_and_gaps_resync() {
-        let store = ShardedStore::new(1, 8, 1);
+    fn a_versions_delta_is_framed_once_for_every_subscriber() {
+        let store = ShardedStore::new(2, 8, 1);
+        store
+            .publish(vec![partials_with(0, &[1]), partials_with(1, &[1])])
+            .unwrap();
+        store
+            .publish(vec![partials_with(0, &[1]), partials_with(1, &[2])])
+            .unwrap();
+        // Two subscribers holding shard 1 at version 1 are both handed
+        // version 2's delta: the same allocation, not two encodes.
+        let (ShardUpdate::Delta(entry, a), ShardUpdate::Delta(_, b)) = (
+            next_shard_update(&store, 1, 1),
+            next_shard_update(&store, 1, 1),
+        ) else {
+            panic!("expected two deltas");
+        };
+        assert_eq!(a.as_ptr(), b.as_ptr(), "framed bytes are shared");
+        // They are exactly what a per-subscriber encode would have written.
+        let want = Response::Delta {
+            shard: 1,
+            shards: 2,
+            version: 2,
+            publish_ns: entry.publish_ns,
+            finished: false,
+            payload: entry.delta.clone().unwrap(),
+        };
+        assert_eq!(a, try_frame(&want.encode()).unwrap());
+    }
+
+    #[test]
+    fn store_chain_gaps_resync() {
+        let store = ShardedStore::new(1, 2, 1);
         for i in 1..=6u64 {
             store.publish(vec![partials_with(0, &[i])]).unwrap();
         }
-        let mut rings: Vec<VecDeque<FanoutRecord>> = vec![VecDeque::new()];
-        for v in 2..=6u64 {
-            let e = store.get(v).unwrap();
-            push_ring(
-                &mut rings,
-                FanoutRecord {
-                    shard: 0,
-                    version: v,
-                    publish_ns: e.publish_ns,
-                    is_final: false,
-                    framed_rsp: Bytes::from_static(b"framed"),
-                },
-                2,
-            );
-        }
-        assert_eq!(rings[0].len(), 2, "ring bounded to cap");
-        let view = TreeView {
-            rings: &rings,
-            drained: false,
-        };
-        // Synced to 4: version 5 is still in the ring → tree delta.
+        // Synced to 4: version 5 is still in the ring -> its delta.
         assert!(matches!(
-            next_shard_update(&store, Some(&view), 0, 4),
-            ShardUpdate::TreeDelta(r) if r.version == 5
+            next_shard_update(&store, 0, 4),
+            ShardUpdate::Delta(e, _) if e.version == 5
         ));
-        // Synced to 1: version 2 fell off the frontier ring → resync.
+        // Synced to 1: version 2 left the two-deep ring -> resync.
         assert!(matches!(
-            next_shard_update(&store, Some(&view), 0, 1),
+            next_shard_update(&store, 0, 1),
             ShardUpdate::Snapshot(e, true) if e.version == 6
         ));
+        // A fresh subscriber opens with the current snapshot.
+        assert!(matches!(
+            next_shard_update(&store, 0, 0),
+            ShardUpdate::Snapshot(e, false) if e.version == 6
+        ));
         // Synced to current: nothing to send.
-        assert!(matches!(
-            next_shard_update(&store, Some(&view), 0, 6),
-            ShardUpdate::Wait
-        ));
-        // A record the root has not delivered yet (store has the delta,
-        // ring does not) waits — unless the tree already drained.
-        let empty_rings: Vec<VecDeque<FanoutRecord>> = vec![VecDeque::new()];
-        let waiting = TreeView {
-            rings: &empty_rings,
-            drained: false,
-        };
-        assert!(matches!(
-            next_shard_update(&store, Some(&waiting), 0, 4),
-            ShardUpdate::Wait
-        ));
-        let drained = TreeView {
-            rings: &empty_rings,
-            drained: true,
-        };
-        assert!(matches!(
-            next_shard_update(&store, Some(&drained), 0, 4),
-            ShardUpdate::Snapshot(_, true)
-        ));
+        assert!(matches!(next_shard_update(&store, 0, 6), ShardUpdate::Wait));
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Writers (engine workers hitting a publication boundary) serialize on
 //! an internal mutex; readers (serving loops answering queries and
-//! pumping subscriptions) take a short read lock to clone the current
-//! `Arc` — the swap-on-publish "current pointer plus bounded history"
-//! shape of an arc-swap, built from the vendored `parking_lot`
-//! primitives.
+//! pumping subscriptions) take only a read lock on the ring of retained
+//! versions to clone an `Arc` out of it. A publish does its diff, patch
+//! and copy under the writer mutex alone and write-locks the ring just to
+//! push the new version and evict the oldest, so a reader never waits
+//! behind O(snapshot) work. The newest ring entry is `current`.
 //!
 //! Publishing costs what changed, not what is held. The store diffs the
 //! new partials against the previous version's (metrics chunks the two
@@ -23,14 +24,25 @@
 //! versions share every metrics chunk that did not change. A subscriber
 //! inside the ring advances by deltas; one outside it resyncs from
 //! `current`.
+//!
+//! Each entry also holds the delta the way subscribers receive it: a
+//! framed [`Response::Delta`], built once per `(shard, version)` by the
+//! first delivery ([`SnapshotEntry::framed_delta`]). Every serving rank
+//! shares this store, so each writes those same bytes to each of its
+//! subscribers; nothing is encoded or checksummed per subscriber. Framing
+//! on first delivery rather than at publish keeps it off the publisher
+//! and out of versions nobody reads; framing at publish measured a few
+//! µs more `lag_p50_us` on `serve_paced` (EXPERIMENTS.md "Live serving").
 
 use crate::delta::{checked_u16, encode_delta_changes, patch_image, EncodeError};
 use crate::mono_ns;
+use crate::proto::Response;
 use bytes::Bytes;
 use opmr_analysis::wire::{AppChange, AppPartial, SnapshotImage, WireError};
+use opmr_events::frame::try_frame;
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // Store publication metrics for the self-monitoring snapshot.
 mod obs {
@@ -70,11 +82,39 @@ pub struct SnapshotEntry {
     pub apps: u16,
     /// The full snapshot: `analysis::wire::encode_partials` bytes.
     pub encoded: Bytes,
-    /// Delta from `version - 1` (absent on the first version).
+    /// Delta from `version - 1` (absent on the first version, and where no
+    /// delta can express the step).
     pub delta: Option<Bytes>,
+    /// `(shard, shards)` of the store that published this version.
+    slot: (u16, u16),
+    /// [`SnapshotEntry::framed_delta`], filled by the first delivery.
+    framed: OnceLock<Option<Bytes>>,
     /// The snapshot `encoded` encodes, sorted by `app_id`: what point
     /// queries read and the next version is diffed against.
     pub parts: Arc<Vec<AppPartial>>,
+}
+
+impl SnapshotEntry {
+    /// The subscriber-ready [`Response::Delta`] carrying `delta`, framed
+    /// once — by whichever serving rank delivers this version first — and
+    /// shared by every later delivery. `None` without a delta, or when it
+    /// is too large to frame; the subscriber then resyncs.
+    pub fn framed_delta(&self) -> Option<Bytes> {
+        self.framed
+            .get_or_init(|| {
+                let (shard, shards) = self.slot;
+                let rsp = Response::Delta {
+                    shard,
+                    shards,
+                    version: self.version,
+                    publish_ns: self.publish_ns,
+                    finished: self.is_final,
+                    payload: self.delta.clone()?,
+                };
+                try_frame(&rsp.encode()).ok()
+            })
+            .clone()
+    }
 }
 
 /// Store counters.
@@ -86,13 +126,12 @@ pub struct StoreStats {
     pub evicted: u64,
 }
 
+/// Writer-side state, serialized by the publish mutex.
 struct Inner {
     /// The newest version's bytes, patched from version to version.
     image: SnapshotImage,
-    ring: VecDeque<Arc<SnapshotEntry>>,
     next_version: u64,
     writers_done: usize,
-    finished: bool,
     evicted: u64,
 }
 
@@ -101,26 +140,34 @@ struct Inner {
 pub struct SnapshotStore {
     ring_cap: usize,
     writers: usize,
+    /// `(shard, shards)` as framed into every [`Response::Delta`].
+    slot: (u16, u16),
     inner: Mutex<Inner>,
-    current: RwLock<Option<Arc<SnapshotEntry>>>,
+    /// The retained versions, newest (`current`) at the back. Readers take
+    /// only this lock, which a publish holds just to push and evict —
+    /// never across its diff, patch and copy.
+    ring: RwLock<VecDeque<Arc<SnapshotEntry>>>,
 }
 
 impl SnapshotStore {
     /// A store retaining `ring` recent versions, fed by `writers` serving
     /// ranks (each must call [`SnapshotStore::mark_writer_done`] once).
     pub fn new(ring: usize, writers: usize) -> SnapshotStore {
+        SnapshotStore::for_shard(ring, writers, 0, 1)
+    }
+
+    fn for_shard(ring: usize, writers: usize, shard: u16, shards: u16) -> SnapshotStore {
         SnapshotStore {
             ring_cap: ring.max(1),
             writers: writers.max(1),
+            slot: (shard, shards),
             inner: Mutex::new(Inner {
                 image: SnapshotImage::default(),
-                ring: VecDeque::new(),
                 next_version: 1,
                 writers_done: 0,
-                finished: false,
                 evicted: 0,
             }),
-            current: RwLock::new(None),
+            ring: RwLock::new(VecDeque::new()),
         }
     }
 
@@ -131,7 +178,10 @@ impl SnapshotStore {
         skip_unchanged: bool,
     ) -> Result<Option<u64>, EncodeError> {
         let mut inner = self.inner.lock();
-        if inner.finished {
+        // Writers are serialized by `inner`, so the newest version cannot
+        // change under us.
+        let prev = self.current();
+        if prev.as_ref().is_some_and(|e| e.is_final) {
             // The final version is by definition the last one.
             return Ok(Some(inner.next_version - 1));
         }
@@ -140,9 +190,7 @@ impl SnapshotStore {
         // A delta that cannot be encoded (count overflow or a vanished
         // app, already counted at the failure site) degrades to a counted
         // resync for subscribers instead of poisoning the whole version.
-        let (delta, changes) = match inner
-            .ring
-            .back()
+        let (delta, changes) = match prev
             .map(|prev| encode_delta_changes(version - 1, &prev.parts, version, &parts))
         {
             Some(Ok((delta, changes))) => (Some(delta), changes),
@@ -170,19 +218,22 @@ impl SnapshotStore {
             apps,
             encoded,
             delta,
+            slot: self.slot,
+            framed: OnceLock::new(),
             parts: Arc::new(parts),
         });
-        inner.ring.push_back(Arc::clone(&entry));
+        let evicted = {
+            let mut ring = self.ring.write();
+            ring.push_back(entry);
+            (ring.len() > self.ring_cap).then(|| ring.pop_front())
+        };
         obs::m().publishes.inc();
-        while inner.ring.len() > self.ring_cap {
-            inner.ring.pop_front();
+        // Freed outside the reader lock: the last reference to an evicted
+        // version owns its whole snapshot.
+        if evicted.flatten().is_some() {
             inner.evicted += 1;
             obs::m().evictions.inc();
         }
-        inner.finished = is_final;
-        // Swap `current` before releasing the writer lock so a reader can
-        // never observe a ring newer than the current pointer.
-        *self.current.write() = Some(entry);
         Ok(Some(version))
     }
 
@@ -223,23 +274,23 @@ impl SnapshotStore {
 
     /// The latest published version, if any.
     pub fn current(&self) -> Option<Arc<SnapshotEntry>> {
-        self.current.read().clone()
+        self.ring.read().back().cloned()
     }
 
     /// A specific version, while it is still in the ring.
     pub fn get(&self, version: u64) -> Option<Arc<SnapshotEntry>> {
-        let inner = self.inner.lock();
-        let front = inner.ring.front()?.version;
+        let ring = self.ring.read();
+        let front = ring.front()?.version;
         if version < front {
             return None;
         }
-        inner.ring.get((version - front) as usize).cloned()
+        ring.get((version - front) as usize).cloned()
     }
 
     /// `(oldest retained, newest)` versions; `(0, 0)` before any publish.
     pub fn version_span(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        match (inner.ring.front(), inner.ring.back()) {
+        let ring = self.ring.read();
+        match (ring.front(), ring.back()) {
             (Some(f), Some(b)) => (f.version, b.version),
             _ => (0, 0),
         }
@@ -247,7 +298,7 @@ impl SnapshotStore {
 
     /// True once the final version is published.
     pub fn finished(&self) -> bool {
-        self.inner.lock().finished
+        self.ring.read().back().is_some_and(|e| e.is_final)
     }
 
     /// Publication counters.
@@ -286,7 +337,9 @@ impl ShardedStore {
         let n = shards.max(1);
         let r = opmr_obs::registry();
         ShardedStore {
-            shards: (0..n).map(|_| SnapshotStore::new(ring, 1)).collect(),
+            shards: (0..n)
+                .map(|s| SnapshotStore::for_shard(ring, 1, s as u16, n as u16))
+                .collect(),
             writers: writers.max(1),
             writers_done: Mutex::new(0),
             shard_publishes: (0..n)

@@ -475,16 +475,12 @@ fn sharded_session_serves_per_shard_chains() {
 }
 
 #[test]
-fn tree_fanout_replicates_identical_bytes_to_every_subscriber() {
+fn every_serving_rank_delivers_the_stores_bytes_to_its_subscribers() {
     let serve = ServeConfig {
         publish_every_packs: 2,
         ring: 4096,
-        fan_out: Some(2), // 3 serving ranks: root 0 feeds frontier {1, 2}
         ..ServeConfig::default()
     };
-    let fanout_before = opmr::obs::registry()
-        .snapshot()
-        .counter_family("reduce_fanout_records_total");
     // Every subscriber's full (version -> bytes) log, one slot per rank.
     type VersionLog = Vec<(u64, Vec<u8>)>;
     let logs: Arc<Mutex<Vec<VersionLog>>> = Arc::new(Mutex::new(vec![Vec::new(); 4]));
@@ -522,8 +518,7 @@ fn tree_fanout_replicates_identical_bytes_to_every_subscriber() {
     let logs = logs.lock();
 
     // Every subscriber converged on the exact stored bytes at every
-    // version it observed — the tree forwarded root-framed deltas
-    // verbatim, so there is nothing rank-dependent to diverge on.
+    // version it observed, whichever serving rank it was mapped onto.
     for (slot, log) in logs.iter().enumerate() {
         assert!(
             log.len() >= 2,
@@ -542,23 +537,17 @@ fn tree_fanout_replicates_identical_bytes_to_every_subscriber() {
         assert_eq!(*last_v, store.current().unwrap().version);
     }
 
-    // The replication provably rode the overlay: the root framed each
-    // update once and the per-level fan-out counters moved.
-    let fanout_after = opmr::obs::registry()
-        .snapshot()
-        .counter_family("reduce_fanout_records_total");
-    assert!(
-        fanout_after > fanout_before,
-        "tree fan-out counters never moved"
-    );
-    let fanned: u64 = outcome
+    // Delivery was spread: the subscribers sit on several serving ranks,
+    // each writing deltas from the shared store to its own clients.
+    let delivering = outcome
         .serve_stats
         .iter()
-        .map(|(_, s)| s.fanout_records)
-        .sum();
-    assert!(fanned > 0, "the root never published onto the tree");
-    let delivered: u64 = outcome.serve_stats.iter().map(|(_, s)| s.deltas_sent).sum();
-    assert!(delivered > 0, "frontier delivered no tree deltas");
+        .filter(|(_, s)| s.deltas_sent > 0)
+        .count();
+    assert!(
+        delivering >= 2,
+        "only {delivering} of 3 serving ranks delivered deltas"
+    );
 }
 
 #[test]

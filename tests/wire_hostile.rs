@@ -22,8 +22,7 @@ use opmr::metrics::MetricsSeries;
 use opmr::reduce::{decode_partial_set, encode_partial_set, ReducePartial};
 use opmr::serve::proto::{NotFoundReason, ALL_RANKS};
 use opmr::serve::{
-    apply_delta, delta_versions, encode_delta, FanoutRecord, QueryKind, QuotaKind, Request,
-    Response,
+    apply_delta, delta_versions, encode_delta, QueryKind, QuotaKind, Request, Response,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -300,16 +299,6 @@ fn every_public_decoder_survives_hostile_bytes() {
             |b| Response::decode(&Bytes::copy_from_slice(b)).is_ok(),
         );
     }
-    let record = FanoutRecord {
-        shard: 2,
-        version: 9,
-        publish_ns: 777,
-        is_final: false,
-        framed_rsp: frame(&body),
-    };
-    check_decoder("FanoutRecord::decode", &record.encode(), 19, |b| {
-        FanoutRecord::decode(&Bytes::copy_from_slice(b)).is_ok()
-    });
 
     let from = vec![app(1, 40)];
     let to = vec![app(1, 55), app(4, 10)];
