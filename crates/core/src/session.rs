@@ -275,10 +275,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Injects seeded transport faults into the stream message path —
-    /// chaos testing for the whole coupling (see `opmr_runtime::FaultPlan`).
-    /// Restrict the plan with `with_only_tags(opmr_vmpi::stream::data_tag_range())`
-    /// so handshake protocols (partition registry, map pivot) stay reliable.
+    /// Injects seeded delays, slow ranks or a writer crash into every
+    /// stream-plane send — chaos testing for the whole coupling (see
+    /// `opmr_runtime::FaultPlan`). Link loss is the socket backend's
+    /// `LinkFault`, under the transport that recovers it.
     pub fn fault_plan(mut self, plan: opmr_runtime::FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self

@@ -63,8 +63,6 @@ pub struct SimStats {
     pub stall_ns: f64,
     /// Total file-system time across ranks, ns.
     pub fs_ns: f64,
-    /// Point-to-point retransmissions forced by injected drops.
-    pub retransmits: u64,
 }
 
 /// Deterministic transport-fault model for simulations — the analytic twin
@@ -75,8 +73,6 @@ pub struct SimStats {
 pub struct SimFaults {
     /// Seed for the per-message fault rolls.
     pub seed: u64,
-    /// Probability a point-to-point message is dropped and must be resent.
-    pub drop_p: f64,
     /// Probability a message is delayed by `delay_ns`.
     pub delay_p: f64,
     /// Extra in-flight time for delayed messages, ns.
@@ -92,7 +88,6 @@ impl SimFaults {
     pub fn seeded(seed: u64) -> Self {
         SimFaults {
             seed,
-            drop_p: 0.0,
             delay_p: 0.0,
             delay_ns: 0.0,
             slow_ranks: Vec::new(),
@@ -101,9 +96,8 @@ impl SimFaults {
     }
 }
 
-/// Retransmissions are bounded like the runtime's retry budget, so a
-/// `drop_p` close to 1.0 degrades throughput instead of hanging the model.
-const MAX_REROLLS: u32 = 16;
+/// Salt of the delay decision stream.
+const SALT_DELAY: u64 = 1;
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -127,53 +121,35 @@ impl<'a> FaultRoller<'a> {
         }
     }
 
-    fn roll(&self, salt: u64, src: u32, dst: u32, seq: u64) -> bool {
-        let p = match salt {
-            0 => self.f.drop_p,
-            _ => self.f.delay_p,
-        };
+    /// Whether message `seq` on channel `(src, dst)` is delayed.
+    fn delayed(&self, src: u32, dst: u32, seq: u64) -> bool {
+        let p = self.f.delay_p;
         if p <= 0.0 {
             return false;
         }
         let h = splitmix64(
-            splitmix64(self.f.seed ^ salt)
+            splitmix64(self.f.seed ^ SALT_DELAY)
                 ^ splitmix64(((src as u64) << 32) | dst as u64)
                 ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
         h < (p * u64::MAX as f64) as u64
     }
 
-    /// Extra sender-side nanoseconds and retransmission count for one
-    /// point-to-point message on channel `(src, dst)`.
-    fn send_penalty(&mut self, m: &Machine, src: u32, dst: u32, bytes: u64) -> (f64, u64) {
+    /// Extra sender-side nanoseconds for one point-to-point message on
+    /// channel `(src, dst)`.
+    fn send_penalty(&mut self, m: &Machine, src: u32, dst: u32, bytes: u64) -> f64 {
         let seq = self.seqs.entry((src, dst)).or_insert(0);
-        let base_seq = *seq;
+        let this = *seq;
         *seq += 1;
-        let transfer = m.latency_ns + bytes as f64 / m.rank_bw * 1e9;
         let mut extra = 0.0;
-        let mut rexmit = 0u64;
-        // Each dropped attempt costs a full wire round before the resend
-        // (sub-sequence the rolls so retries land on fresh hash inputs).
-        let mut attempt = 0u32;
-        while attempt < MAX_REROLLS
-            && self.roll(
-                0,
-                src,
-                dst,
-                base_seq.wrapping_mul(MAX_REROLLS as u64 + 1) + attempt as u64,
-            )
-        {
-            extra += transfer;
-            rexmit += 1;
-            attempt += 1;
-        }
-        if self.roll(1, src, dst, base_seq) {
+        if self.delayed(src, dst, this) {
             extra += self.f.delay_ns;
         }
         if self.f.slow_ranks.contains(&src) && self.f.slow_factor > 1.0 {
+            let transfer = m.latency_ns + bytes as f64 / m.rank_bw * 1e9;
             extra += (self.f.slow_factor - 1.0) * transfer;
         }
-        (extra, rexmit)
+        extra
     }
 }
 
@@ -286,9 +262,8 @@ pub fn simulate(w: &Workload, m: &Machine, tool: &ToolModel) -> Result<SimResult
 }
 
 /// [`simulate`] with an optional transport-fault model: point-to-point
-/// sends pay deterministic seeded penalties for drops (bounded
-/// retransmission rounds), delays and slow source ranks. `None` is exactly
-/// the fault-free simulation.
+/// sends pay deterministic seeded penalties for delays and slow source
+/// ranks. `None` is exactly the fault-free simulation.
 pub fn simulate_with_faults(
     w: &Workload,
     m: &Machine,
@@ -408,9 +383,7 @@ pub fn simulate_with_faults(
                     let eager = bytes <= m.eager_limit;
                     let mut t_send = ranks[r as usize].t;
                     if let Some(roller) = roller.as_mut() {
-                        let (extra_ns, rexmit) = roller.send_penalty(m, r, to, bytes);
-                        t_send += extra_ns;
-                        stats.retransmits += rexmit;
+                        t_send += roller.send_penalty(m, r, to, bytes);
                     }
                     let ch = channels.entry((r, to)).or_default();
                     if let Some(recv) = ch.recvs.pop_front() {
@@ -893,7 +866,6 @@ mod tests {
         let c =
             simulate_with_faults(&w, &m, &ToolModel::online_coupling(1.0), Some(&zero)).unwrap();
         assert_eq!(a.per_rank_s, c.per_rank_s, "all-zero plan is a no-op");
-        assert_eq!(c.stats.retransmits, 0);
     }
 
     #[test]
@@ -901,7 +873,6 @@ mod tests {
         let w = two_rank_pingpong(100, 1 << 14);
         let m = tera100();
         let f = SimFaults {
-            drop_p: 0.2,
             delay_p: 0.1,
             delay_ns: 5_000.0,
             ..SimFaults::seeded(7)
@@ -910,7 +881,11 @@ mod tests {
         let b = simulate_with_faults(&w, &m, &ToolModel::None, Some(&f)).unwrap();
         assert_eq!(a.per_rank_s, b.per_rank_s);
         assert_eq!(a.stats, b.stats);
-        assert!(a.stats.retransmits > 0, "20% drop over 200 sends must hit");
+        let clean = simulate(&w, &m, &ToolModel::None).unwrap();
+        assert_ne!(
+            a.per_rank_s, clean.per_rank_s,
+            "10% delay over 200 sends must hit"
+        );
         let g = SimFaults { seed: 8, ..f };
         let c = simulate_with_faults(&w, &m, &ToolModel::None, Some(&g)).unwrap();
         assert_ne!(
@@ -920,35 +895,34 @@ mod tests {
     }
 
     #[test]
-    fn drops_and_slow_ranks_cost_time_monotonically() {
+    fn delays_and_slow_ranks_cost_time_monotonically() {
         let w = two_rank_pingpong(100, 1 << 16);
         let m = tera100();
+        let t = |f: SimFaults| {
+            simulate_with_faults(&w, &m, &ToolModel::None, Some(&f))
+                .unwrap()
+                .elapsed_s
+        };
         let base = simulate(&w, &m, &ToolModel::None).unwrap().elapsed_s;
-        let dropped = SimFaults {
-            drop_p: 0.3,
+        let delayed = |p| SimFaults {
+            delay_p: p,
+            delay_ns: 20_000.0,
             ..SimFaults::seeded(3)
         };
-        let t_drop = simulate_with_faults(&w, &m, &ToolModel::None, Some(&dropped))
-            .unwrap()
-            .elapsed_s;
-        assert!(t_drop > base, "drops must slow the job down");
-        let slowed = SimFaults {
+        let t_delay = t(delayed(0.3));
+        assert!(t_delay > base, "delays must slow the job down");
+        assert!(
+            t(delayed(0.6)) > t_delay,
+            "higher delay probability costs more"
+        );
+        let slowed = |factor| SimFaults {
             slow_ranks: vec![0],
-            slow_factor: 4.0,
+            slow_factor: factor,
             ..SimFaults::seeded(3)
         };
-        let t_slow = simulate_with_faults(&w, &m, &ToolModel::None, Some(&slowed))
-            .unwrap()
-            .elapsed_s;
+        let t_slow = t(slowed(2.0));
         assert!(t_slow > base, "a slow rank must slow the job down");
-        let worse = SimFaults {
-            drop_p: 0.6,
-            ..SimFaults::seeded(3)
-        };
-        let t_worse = simulate_with_faults(&w, &m, &ToolModel::None, Some(&worse))
-            .unwrap()
-            .elapsed_s;
-        assert!(t_worse > t_drop, "higher drop probability costs more");
+        assert!(t(slowed(4.0)) > t_slow, "a slower rank costs more");
     }
 
     #[test]

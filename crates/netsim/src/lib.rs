@@ -36,6 +36,5 @@ pub mod tools;
 pub use engine::{simulate, simulate_with_faults, SimError, SimFaults, SimResult, SimStats};
 pub use machine::{curie, tera100, FsModel, Machine};
 pub use op::{CollKind, Op, Phase, Program, Workload};
-pub use stream_model::{evaluate_faulty, FaultModel};
 pub use tbon::TbonConfig;
 pub use tools::ToolModel;

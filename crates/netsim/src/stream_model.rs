@@ -56,49 +56,6 @@ pub fn evaluate(m: &Machine, writers: usize, ratio: f64, bytes_per_writer: u64) 
     }
 }
 
-/// Transport-fault load on the stream fabric: the flow-model counterpart
-/// of the runtime's fault injection. Dropped blocks are resent and
-/// duplicated blocks cross the wire twice, so both inflate the bytes the
-/// fabric must carry per byte of useful payload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultModel {
-    /// Per-block drop probability (each drop forces one resend).
-    pub drop_p: f64,
-    /// Per-block duplication probability.
-    pub dup_p: f64,
-}
-
-impl FaultModel {
-    /// Wire bytes carried per useful payload byte:
-    /// `(1 + dup_p) / (1 - drop_p)` — the geometric resend series times
-    /// the duplication overhead. 1.0 when fault-free.
-    pub fn wire_amplification(&self) -> f64 {
-        assert!(
-            (0.0..1.0).contains(&self.drop_p),
-            "drop probability must be in [0, 1)"
-        );
-        assert!(self.dup_p >= 0.0, "duplication probability must be >= 0");
-        (1.0 + self.dup_p) / (1.0 - self.drop_p)
-    }
-}
-
-/// [`evaluate`] under transport faults: goodput is the fault-free
-/// throughput divided by the wire amplification, and draining takes
-/// proportionally longer.
-pub fn evaluate_faulty(
-    m: &Machine,
-    writers: usize,
-    ratio: f64,
-    bytes_per_writer: u64,
-    faults: FaultModel,
-) -> StreamPoint {
-    let mut p = evaluate(m, writers, ratio, bytes_per_writer);
-    let amp = faults.wire_amplification();
-    p.throughput_bps /= amp;
-    p.elapsed_s *= amp;
-    p
-}
-
 /// Largest ratio at which streams still beat the allocation's file-system
 /// share (the paper's "competitive until ≈1:25" claim).
 pub fn crossover_ratio(m: &Machine, writers: usize) -> f64 {
@@ -182,46 +139,6 @@ mod tests {
         let a = stream_throughput_bps(&m, 2560, 10);
         let b = stream_throughput_bps(&m, 2560, 20);
         assert!((b / a - 2.0).abs() < 0.01, "drain-limited regime is linear");
-    }
-
-    #[test]
-    fn fault_free_model_changes_nothing() {
-        let m = tera100();
-        let clean = evaluate(&m, 256, 4.0, 1 << 30);
-        let faulty = evaluate_faulty(
-            &m,
-            256,
-            4.0,
-            1 << 30,
-            FaultModel {
-                drop_p: 0.0,
-                dup_p: 0.0,
-            },
-        );
-        assert_eq!(clean, faulty);
-    }
-
-    #[test]
-    fn amplification_monotone_in_both_probabilities() {
-        let base = FaultModel {
-            drop_p: 0.1,
-            dup_p: 0.1,
-        };
-        assert!(base.wire_amplification() > 1.0);
-        let more_drop = FaultModel {
-            drop_p: 0.3,
-            ..base
-        };
-        let more_dup = FaultModel { dup_p: 0.4, ..base };
-        assert!(more_drop.wire_amplification() > base.wire_amplification());
-        assert!(more_dup.wire_amplification() > base.wire_amplification());
-        // Goodput shrinks and drain time grows by exactly that factor.
-        let m = tera100();
-        let clean = evaluate(&m, 512, 8.0, 1 << 30);
-        let p = evaluate_faulty(&m, 512, 8.0, 1 << 30, base);
-        let amp = base.wire_amplification();
-        assert!((p.throughput_bps * amp - clean.throughput_bps).abs() < 1.0);
-        assert!((p.elapsed_s / amp - clean.elapsed_s).abs() < 1e-9);
     }
 
     #[test]

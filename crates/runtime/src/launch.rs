@@ -99,7 +99,7 @@ impl Universe {
             partitions: Arc::new(partitions),
             eager_limit,
             epoch: Instant::now(),
-            fault: fault_plan.map(|p| Arc::new(FaultLayer::new(p, total))),
+            fault: fault_plan.map(|p| Arc::new(FaultLayer::new(p))),
         })
     }
 

@@ -78,9 +78,10 @@ pub enum RtError {
     TypeSize { got: usize, elem: usize },
     /// Non-blocking operation would block (used by stream layers).
     WouldBlock,
-    /// An injected fault dropped the message before delivery; the sender
-    /// may resend (see [`fault::FaultPlan`]).
-    Dropped { dst: usize },
+    /// The message cannot reach `dst`, and nothing retries it: the mesh
+    /// handshake failed, the link to `dst`'s process stayed down past its
+    /// redial budget, or a [`fault::FaultPlan`] crashed the sending rank.
+    Unreachable { dst: usize },
     /// A peer or the transport violated an internal protocol invariant
     /// (e.g. a completed receive carrying no payload).
     Protocol(&'static str),
@@ -101,9 +102,7 @@ impl std::fmt::Display for RtError {
                 )
             }
             RtError::WouldBlock => write!(f, "operation would block"),
-            RtError::Dropped { dst } => {
-                write!(f, "message to rank {dst} dropped by fault injection")
-            }
+            RtError::Unreachable { dst } => write!(f, "rank {dst} is unreachable"),
             RtError::Protocol(what) => write!(f, "runtime protocol violation: {what}"),
         }
     }

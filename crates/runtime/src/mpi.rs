@@ -94,31 +94,21 @@ impl Mpi {
         })
     }
 
-    /// Hands an envelope to the transport, routing stream-plane traffic
-    /// through the fault layer when one is installed. Fault evaluation
-    /// happens *above* the transport so every backend shares the same
-    /// injection semantics unchanged. Returns the delivery state of the
-    /// last envelope actually delivered (injected duplicates and reorder
-    /// flushes ride along fire-and-forget).
+    /// Hands exactly one envelope to the transport, or fails. Stream-plane
+    /// traffic passes the fault layer first when one is installed; fault
+    /// evaluation happens *above* the transport so every backend shares
+    /// the same injection semantics unchanged.
     fn deliver_env(&self, dst_world: usize, env: crate::envelope::Envelope) -> Result<Delivery> {
-        let transport = self.uni.transport();
         if env.header.ctx == Context::Stream {
             if let Some(layer) = self.uni.fault_layer() {
-                let inj = layer.on_send(self.world_rank, dst_world, env);
-                if let Some(d) = inj.sleep {
+                if let Some(d) = layer.on_send(self.world_rank, dst_world)? {
                     std::thread::sleep(d);
                 }
-                let mut last = Delivery::Complete;
-                for e in inj.deliver {
-                    last = transport.deliver(dst_world, e, self.uni.eager_limit())?;
-                }
-                if inj.dropped {
-                    return Err(RtError::Dropped { dst: dst_world });
-                }
-                return Ok(last);
             }
         }
-        transport.deliver(dst_world, env, self.uni.eager_limit())
+        self.uni
+            .transport()
+            .deliver(dst_world, env, self.uni.eager_limit())
     }
 
     // ------------------------------------------------------------------

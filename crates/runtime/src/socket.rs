@@ -41,7 +41,10 @@
 //! (dialer) or the reconnect grace window (acceptor) is exhausted does
 //! the link degrade to the same typed `PeerLost` a crashed in-process
 //! writer produces. Attempts, successes, exhaustions and stale-epoch
-//! rejections are all counted in `obs`.
+//! rejections are all counted in `obs`. This is the job's one reliability
+//! layer: nothing above the [`crate::Transport`] trait numbers, resends or
+//! deduplicates, and a send over a link lost for good fails with
+//! [`RtError::Unreachable`].
 //!
 //! # Liveness and teardown
 //!
@@ -2139,8 +2142,9 @@ impl Transport for SocketTransport {
         }
         // First remote operation blocks here until the overlapped mesh
         // handshake resolves.
+        let unreachable = RtError::Unreachable { dst: dst_world };
         if !self.gate.wait_ready() {
-            return Err(RtError::Dropped { dst: dst_world });
+            return Err(unreachable);
         }
         let proc = *self
             .rank_owner
@@ -2150,9 +2154,8 @@ impl Transport for SocketTransport {
             .link(proc)
             .ok_or(RtError::Protocol("no connection to destination process"))?;
         let payload = self.maybe_compress_envelope(encode_envelope(dst_world, &env));
-        if self.send_data(link, &payload).is_err() {
-            return Err(RtError::Dropped { dst: dst_world });
-        }
+        // A link lost past its redial budget.
+        self.send_data(link, &payload).map_err(|()| unreachable)?;
         Ok(Delivery::Complete)
     }
 

@@ -23,6 +23,10 @@
 //!
 //! # Delivery contract
 //!
+//! * Reliable: `deliver` hands over exactly one envelope, or fails with
+//!   [`crate::RtError::Unreachable`]. Nothing above the trait retries,
+//!   deduplicates or reorders; a backend that can lose bytes (the socket
+//!   link) recovers them itself.
 //! * FIFO per (source, destination): two envelopes sent by the same rank
 //!   to the same destination arrive in send order (MPI non-overtaking).
 //! * `deliver` to a rank whose mailbox is local applies the

@@ -34,10 +34,6 @@ use opmr_events::wire::{Reader, Width};
 use opmr_vmpi::{DuplexStream, ReadMode, Vmpi, VmpiError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Empty `EAGAIN` polls between client keepalives (see
-/// [`ServeClient::fill`]).
-const KEEPALIVE_SPINS: u32 = 8192;
-
 /// The report a subscribed client currently holds for one store shard.
 pub struct ClientReport {
     /// Shard version this report corresponds to.
@@ -169,15 +165,8 @@ impl ServeClient {
     }
 
     /// Reads one block into the frame buffer, spinning past `EAGAIN`.
-    /// Returns false at end of stream. Every `KEEPALIVE_SPINS` empty polls
-    /// a [`Request::Ping`] goes out: the protocol is ping-pong, so while
-    /// we wait the server has no reason to send on either edge, and a
-    /// transport-fault reorder hold (flushed only by the *next* message
-    /// on its edge) would otherwise wedge the session. The ping is small
-    /// enough to pass the fault layer unfaulted and flushes both
-    /// directions — ours directly, the server's via its answer path.
+    /// Returns false at end of stream.
     fn fill(&mut self) -> crate::Result<bool> {
-        let mut spins: u32 = 0;
         loop {
             match self.stream.read(ReadMode::NonBlocking) {
                 Ok(Some(block)) => {
@@ -188,14 +177,7 @@ impl ServeClient {
                     self.eof = true;
                     return Ok(false);
                 }
-                Err(VmpiError::Again) => {
-                    spins += 1;
-                    if spins.is_multiple_of(KEEPALIVE_SPINS) {
-                        self.stream.write(&try_frame(&Request::Ping.encode())?)?;
-                        self.stream.flush()?;
-                    }
-                    std::thread::yield_now();
-                }
+                Err(VmpiError::Again) => std::thread::yield_now(),
                 Err(e) => return Err(e.into()),
             }
         }
@@ -226,7 +208,6 @@ impl ServeClient {
             };
             match rsp {
                 Response::Snapshot { .. } | Response::Delta { .. } => self.pending.push_back(rsp),
-                Response::Ping => {}
                 Response::QuotaExceeded { req_id: id, kind } => {
                     if id == req_id {
                         return Err(ServeError::QuotaExceeded(kind));

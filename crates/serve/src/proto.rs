@@ -23,7 +23,6 @@ const REQ_VERSION: u8 = 0x02;
 const REQ_SUBSCRIBE: u8 = 0x03;
 const REQ_ACK: u8 = 0x04;
 const REQ_BYE: u8 = 0x05;
-const REQ_PING: u8 = 0x06;
 const REQ_HELLO: u8 = 0x07;
 
 const RSP_QUERY_RESULT: u8 = 0x81;
@@ -31,7 +30,6 @@ const RSP_NOT_FOUND: u8 = 0x82;
 const RSP_VERSION_INFO: u8 = 0x83;
 const RSP_SNAPSHOT: u8 = 0x84;
 const RSP_DELTA: u8 = 0x85;
-const RSP_PING: u8 = 0x86;
 const RSP_QUOTA_EXCEEDED: u8 = 0x87;
 
 /// What a point query asks for.
@@ -137,13 +135,6 @@ pub enum Request {
     Ack { shard: u16, version: u64 },
     /// Orderly goodbye; the server closes its direction in response.
     Bye,
-    /// Liveness keepalive: no semantic effect, but the frame is small
-    /// enough to pass the transport fault layer unfaulted, so it flushes
-    /// any reorder-held envelope on the client→server edge. Sent while
-    /// the client spins waiting for a response (the serve protocol is
-    /// ping-pong under one credit, so without keepalives a single held
-    /// message would wedge both sides forever).
-    Ping,
 }
 
 /// Server → client messages.
@@ -202,10 +193,6 @@ pub enum Response {
         req_id: u32,
         kind: QuotaKind,
     },
-    /// Server-side keepalive, mirror of [`Request::Ping`]: flushes a
-    /// reorder-held envelope on the server→client edge while the server
-    /// waits for an Ack or has nothing to pump.
-    Ping,
 }
 
 impl Response {
@@ -219,7 +206,6 @@ impl Response {
             Response::Snapshot { .. } => "snapshot update",
             Response::Delta { .. } => "delta update",
             Response::QuotaExceeded { .. } => "quota rejection",
-            Response::Ping => "ping",
         }
     }
 }
@@ -264,7 +250,6 @@ impl Request {
                 out.put_u64_le(*version);
             }
             Request::Bye => out.put_u8(REQ_BYE),
-            Request::Ping => out.put_u8(REQ_PING),
         }
         out.freeze()
     }
@@ -297,7 +282,6 @@ impl Request {
                 version: r.u64()?,
             }),
             REQ_BYE => Ok(Request::Bye),
-            REQ_PING => Ok(Request::Ping),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -377,7 +361,6 @@ impl Response {
                 out.put_u32_le(*req_id);
                 out.put_u8(*kind as u8);
             }
-            Response::Ping => out.put_u8(RSP_PING),
         }
         out.freeze()
     }
@@ -439,7 +422,6 @@ impl Response {
                     kind: QuotaKind::from_u8(kind_raw).ok_or(WireError::BadTag(kind_raw))?,
                 })
             }
-            RSP_PING => Ok(Response::Ping),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -500,7 +482,6 @@ mod tests {
                 version: 17,
             },
             Request::Bye,
-            Request::Ping,
         ] {
             assert_eq!(Request::decode(&req.encode()).unwrap(), req);
         }
@@ -551,7 +532,6 @@ mod tests {
                 req_id: 0,
                 kind: QuotaKind::Subscriptions,
             },
-            Response::Ping,
         ] {
             assert_eq!(Response::decode(&rsp.encode()).unwrap(), rsp);
         }
@@ -565,6 +545,12 @@ mod tests {
         assert_eq!(
             Response::decode(&Bytes::from_static(b"\x7f")),
             Err(WireError::BadTag(0x7f))
+        );
+        // The retired ping / pong keepalive tags.
+        assert_eq!(Request::decode(&[0x06]), Err(WireError::BadTag(0x06)));
+        assert_eq!(
+            Response::decode(&Bytes::from_static(b"\x86")),
+            Err(WireError::BadTag(0x86))
         );
         assert_eq!(
             Response::decode(&Bytes::from_static(b"\x87\x01\x02\x03\x04\x09")),

@@ -116,9 +116,6 @@ struct ClientConn {
     /// Tenant name from the client's `Hello` ("" until/unless one arrives).
     tenant: String,
     sub: Option<Subscription>,
-    /// Consecutive scheduling slices with no traffic either way; drives
-    /// the server-side keepalive (see [`pump_client`]).
-    idle: u32,
     done: bool,
 }
 
@@ -142,15 +139,6 @@ impl ClientConn {
 /// Bounds how many blocks each source is drained per loop iteration, so
 /// one chatty stream cannot starve the others.
 const DRAIN_BURST: usize = 64;
-
-/// Consecutive idle scheduling slices before the server sends a
-/// [`Response::Ping`] keepalive to a connected client. The serve protocol
-/// is ping-pong under credit flow control, so when the one outstanding
-/// message on an edge is held back by a transport-fault reorder (flushed
-/// only by the *next* message on that edge), neither side would ever send
-/// again; the keepalive is small enough to pass the fault layer unfaulted
-/// and flushes the hold.
-const KEEPALIVE_IDLE: u32 = 8192;
 
 /// Runs one analyzer rank's serving loop until every instrumentation
 /// stream closed, the final snapshot is published and every client said
@@ -187,7 +175,6 @@ pub fn run_server(
                 fb: FrameBuf::new(),
                 tenant: String::new(),
                 sub: None,
-                idle: 0,
                 done: false,
             })
         })
@@ -368,16 +355,6 @@ fn pump_client(
                         sub.credits = (sub.credits + 1).min(cfg.subscriber_credits.max(1));
                     }
                 }
-                Ok(Request::Ping) => {
-                    // Client keepalive: its delivery already flushed any
-                    // reorder-held envelope on the client→server edge.
-                    // Answer with a pong so the server→client edge gets
-                    // flushed too — that is where a held subscription
-                    // update sits when the client starves under one
-                    // credit.
-                    send(stream, &Response::Ping)?;
-                    wrote = true;
-                }
                 Ok(Request::VersionInfo { req_id }) => {
                     if let Err(kind) = book.state(&client.tenant).try_query(crate::mono_ns()) {
                         stats.quota_rejections += 1;
@@ -500,16 +477,6 @@ fn pump_client(
             }
         }
 
-        if progressed || wrote {
-            client.idle = 0;
-        } else {
-            client.idle += 1;
-            if client.idle >= KEEPALIVE_IDLE && !bye {
-                client.idle = 0;
-                send(stream, &Response::Ping)?;
-                wrote = true;
-            }
-        }
         if wrote {
             stream.flush()?;
         }

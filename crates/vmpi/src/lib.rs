@@ -44,8 +44,8 @@ pub enum VmpiError {
     StreamClosed,
     /// Non-blocking read found no data (the paper's `EAGAIN`).
     Again,
-    /// A blocking stream operation exceeded its deadline or retry budget
-    /// (see `StreamConfig::read_timeout` / `StreamConfig::max_retries`).
+    /// A blocking read exceeded its deadline (see
+    /// `StreamConfig::read_timeout`).
     Timeout,
     /// A writer exited mid-stream without closing; its remaining data is
     /// unrecoverable but the stream stays readable for surviving writers.

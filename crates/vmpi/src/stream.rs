@@ -18,18 +18,19 @@
 //! * writers close with a FIN frame; a read returns `None` (EOF) only
 //!   after **all** remote writers have closed.
 //!
-//! # Transport-fault recovery
+//! # Reliability
 //!
-//! Every message carries a small frame header `[seq: u64][flags: u8]` with
-//! a per-(writer, endpoint) sequence number. The reader reassembles frames
-//! in sequence order: duplicates (replays) are discarded, out-of-order
-//! frames are stashed until the gap fills, and the FIN frame takes the
-//! sequence slot after the last data frame so EOF can never overtake data.
-//! Writers resend blocks the transport reports dropped
-//! ([`opmr_runtime::RtError::Dropped`], injected by a
-//! [`opmr_runtime::FaultPlan`]) with bounded linear backoff, failing with
-//! [`VmpiError::Timeout`] when the retry budget is exhausted. A reader
-//! whose writer exits without closing observes the rank-liveness flag and
+//! Streams trust the transport the way the paper's streams trust MPI: it
+//! is reliable and non-overtaking, so every frame a writer sends reaches
+//! the reader exactly once and in send order per (writer, endpoint) —
+//! `tests/transport_conformance.rs` pins that on both backends, and the
+//! socket link recovers a severed connection underneath. A frame is
+//! therefore one flags byte and the block: no sequence number, no reorder
+//! stash, no duplicate discard, no resend. The FIN frame rides the same
+//! `(source, tag)` lane behind the last data frame, and the mailbox's FIFO
+//! matching keeps it there. A send the transport cannot make fails the
+//! writer with [`opmr_runtime::RtError::Unreachable`]. A reader whose
+//! writer exits without closing observes the rank-liveness flag and
 //! surfaces [`VmpiError::PeerLost`] instead of hanging; the remaining
 //! writers stay readable.
 
@@ -38,10 +39,10 @@ use crate::virt::Vmpi;
 use crate::{Result, VmpiError};
 use bytes::{Bytes, BytesMut};
 use opmr_events::{compress, Compression, Lz4Encoder, PackEncoding};
-use opmr_runtime::{Comm, Context, Mpi, Request, RtError, Src, TagSel};
+use opmr_runtime::{Comm, Context, Mpi, Request, Src, TagSel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Load-balancing policy across a stream's endpoints.
@@ -67,17 +68,10 @@ pub struct StreamConfig {
     /// Blocking reads fail with [`VmpiError::Timeout`] after this long
     /// without producing a block (`None` = wait forever).
     pub read_timeout: Option<Duration>,
-    /// Resend attempts when the transport drops a block before giving up
-    /// with [`VmpiError::Timeout`].
-    pub max_retries: u32,
-    /// Base of the linear backoff between resend attempts (attempt `k`
-    /// sleeps `k * retry_backoff`).
-    pub retry_backoff: Duration,
     /// Per-block compression applied before framing. Each data frame
     /// carries its own compression flag, so readers decode compressed and
     /// plain blocks alike regardless of their local setting — the config
-    /// only decides what this end *sends* (legacy peers therefore keep
-    /// working: `None` emits bitwise-identical frames to before).
+    /// only decides what this end *sends*.
     pub compression: Compression,
     /// Event-pack layout recorders feeding this stream use. Carried here —
     /// not a stream concern per se — so every layer that opens a stream
@@ -95,8 +89,6 @@ impl Default for StreamConfig {
             n_async: 3,
             balance: Balance::RoundRobin,
             read_timeout: None,
-            max_retries: 8,
-            retry_backoff: Duration::from_micros(200),
             compression: Compression::None,
             pack_encoding: PackEncoding::Fixed,
         }
@@ -119,13 +111,6 @@ impl StreamConfig {
     /// Sets a deadline for blocking reads.
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = Some(timeout);
-        self
-    }
-
-    /// Overrides the resend budget and backoff base.
-    pub fn with_retries(mut self, max_retries: u32, backoff: Duration) -> Self {
-        self.max_retries = max_retries;
-        self.retry_backoff = backoff;
         self
     }
 
@@ -167,13 +152,6 @@ fn stream_tag(stream_id: u16) -> i32 {
     0x0500_0000 | stream_id as i32
 }
 
-/// The tag range carrying stream frames — hand this to
-/// [`opmr_runtime::FaultPlan::with_only_tags`] to aim fault injection at
-/// stream traffic while leaving handshake protocols alone.
-pub fn data_tag_range() -> std::ops::RangeInclusive<i32> {
-    stream_tag(0)..=stream_tag(u16::MAX)
-}
-
 // ---------------------------------------------------------------------
 // Self-monitoring: process-wide stream metrics. Handles are resolved once
 // through the registry mutex and cached here, so steady-state accounting
@@ -187,7 +165,6 @@ mod obs {
     pub(super) struct StreamMetrics {
         pub write_bytes: Arc<Counter>,
         pub blocks_sent: Arc<Counter>,
-        pub retransmits: Arc<Counter>,
         pub backpressure_waits: Arc<Counter>,
         pub closes: Arc<Counter>,
         pub fins_sent: Arc<Counter>,
@@ -197,7 +174,6 @@ mod obs {
         pub read_parks: Arc<Counter>,
         pub read_bytes: Arc<Counter>,
         pub blocks_read: Arc<Counter>,
-        pub dups_dropped: Arc<Counter>,
         pub sources_eof: Arc<Counter>,
         pub peers_lost: Arc<Counter>,
         pub rng_fallbacks: Arc<Counter>,
@@ -221,7 +197,6 @@ mod obs {
             StreamMetrics {
                 write_bytes: r.counter("vmpi_stream_write_bytes_total"),
                 blocks_sent: r.counter("vmpi_stream_blocks_sent_total"),
-                retransmits: r.counter("vmpi_stream_retransmits_total"),
                 backpressure_waits: r.counter("vmpi_stream_backpressure_waits_total"),
                 closes: r.counter("vmpi_stream_closes_total"),
                 fins_sent: r.counter("vmpi_stream_fins_sent_total"),
@@ -231,7 +206,6 @@ mod obs {
                 read_parks: r.counter("vmpi_stream_read_parks_total"),
                 read_bytes: r.counter("vmpi_stream_read_bytes_total"),
                 blocks_read: r.counter("vmpi_stream_blocks_read_total"),
-                dups_dropped: r.counter("vmpi_stream_dups_dropped_total"),
                 sources_eof: r.counter("vmpi_stream_sources_eof_total"),
                 peers_lost: r.counter("vmpi_stream_peers_lost_total"),
                 rng_fallbacks: r.counter("vmpi_stream_rng_fallbacks_total"),
@@ -252,10 +226,9 @@ mod obs {
 }
 
 // ---------------------------------------------------------------------
-// Frame header: [seq: u64 LE][flags: u8], then the block payload.
+// Frame header: [flags: u8], then the block payload.
 // ---------------------------------------------------------------------
 
-const FRAME_HDR: usize = 9;
 const FLAG_DATA: u8 = 0;
 const FLAG_FIN: u8 = 1;
 /// Flag bit: the frame body is an LZ4-class compressed block. Carried
@@ -266,42 +239,21 @@ const FLAG_LZ4: u8 = 2;
 const MIN_COMPRESS_LEN: usize = 64;
 
 /// Bytes a block buffer keeps free in front of its payload, where
-/// [`WriteStream::send_block`] stamps the frame header in place.
-pub const BLOCK_HEADROOM: usize = FRAME_HDR;
+/// [`WriteStream::send_block`] stamps the frame header (the flags byte)
+/// in place.
+pub const BLOCK_HEADROOM: usize = 1;
 
-fn stamp(framed: &mut [u8], seq: u64, flags: u8) {
-    framed[..8].copy_from_slice(&seq.to_le_bytes());
-    framed[8] = flags;
-}
-
-/// A standalone frame: the FIN marker, and the tests' reference.
-fn frame(seq: u64, flags: u8, body: &[u8]) -> Bytes {
-    let mut b = BytesMut::with_capacity(FRAME_HDR + body.len());
-    b.resize(FRAME_HDR, 0);
-    stamp(&mut b, seq, flags);
-    b.extend_from_slice(body);
-    b.freeze()
-}
-
-/// Decodes a stream frame. `Ok(None)` is the legacy zero-length EOF
-/// marker; a non-empty payload shorter than the header is a hostile or
-/// corrupt block and surfaces as a typed protocol violation rather than
-/// being silently mistaken for EOF.
-fn unframe(data: &Bytes) -> Result<Option<(u64, u8, Bytes)>> {
-    if data.is_empty() {
-        return Ok(None);
+/// Splits a stream frame into its flags and body. An empty payload has no
+/// header at all: a hostile or corrupt block, surfaced as a typed protocol
+/// violation.
+fn unframe(data: &Bytes) -> Result<(u8, Bytes)> {
+    match data.first() {
+        Some(&flags) => Ok((flags, data.slice(BLOCK_HEADROOM..))),
+        None => Err(VmpiError::ProtocolViolation {
+            expected: "stream frame header of 1 byte",
+            got: "0 bytes".to_string(),
+        }),
     }
-    let truncated = || VmpiError::ProtocolViolation {
-        expected: "stream frame header of 9 bytes",
-        got: format!("{} bytes", data.len()),
-    };
-    let (seq_bytes, rest) = data.split_first_chunk::<8>().ok_or_else(truncated)?;
-    let (&flags, _) = rest.split_first().ok_or_else(truncated)?;
-    Ok(Some((
-        u64::from_le_bytes(*seq_bytes),
-        flags,
-        data.slice(FRAME_HDR..),
-    )))
 }
 
 struct EndpointChooser {
@@ -366,8 +318,6 @@ pub struct WriteStream {
     current: BytesMut,
     /// Reusable compressor state and its headroom-prefixed output buffer.
     enc: Option<(Lz4Encoder, BytesMut)>,
-    /// Next frame sequence number, per endpoint index.
-    next_seq: Vec<u64>,
     /// Blocks in flight; bounded by `cfg.n_async` (the shared output
     /// buffers of Figure 9).
     in_flight: VecDeque<Request>,
@@ -375,7 +325,6 @@ pub struct WriteStream {
     bytes_written: u64,
     bytes_on_wire: u64,
     blocks_sent: u64,
-    retransmits: u64,
 }
 
 impl WriteStream {
@@ -400,7 +349,6 @@ impl WriteStream {
             mpi: vmpi.mpi().clone(),
             universe: vmpi.comm_universe(),
             chooser: EndpointChooser::new(endpoints.len(), cfg.balance),
-            next_seq: vec![0; endpoints.len()],
             endpoints,
             tag: stream_tag(stream_id),
             current: BytesMut::new(),
@@ -414,7 +362,6 @@ impl WriteStream {
             bytes_written: 0,
             bytes_on_wire: 0,
             blocks_sent: 0,
-            retransmits: 0,
         })
     }
 
@@ -521,35 +468,10 @@ impl WriteStream {
         res
     }
 
-    /// Resends on injected drops with linear backoff, up to the configured
-    /// retry budget.
-    fn isend_retrying(&mut self, ep: usize, payload: Bytes) -> Result<Request> {
-        let mut attempt = 0u32;
-        loop {
-            match self.mpi.isend_ctx(
-                Context::Stream,
-                &self.universe,
-                ep,
-                self.tag,
-                payload.clone(),
-            ) {
-                Ok(req) => return Ok(req),
-                Err(RtError::Dropped { .. }) if attempt < self.cfg.max_retries => {
-                    attempt += 1;
-                    self.retransmits += 1;
-                    obs::m().retransmits.inc();
-                    std::thread::sleep(self.cfg.retry_backoff.saturating_mul(attempt));
-                }
-                Err(RtError::Dropped { .. }) => return Err(VmpiError::Timeout),
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
     /// Waits for a free async buffer, stamps the header into the frame's
     /// headroom and hands the mailbox its one copy.
     fn push_block(&mut self, framed: &mut [u8], flags: u8) -> Result<()> {
-        let body = (framed.len() - FRAME_HDR) as u64;
+        let body = (framed.len() - BLOCK_HEADROOM) as u64;
         self.bytes_on_wire += body;
         obs::m().bytes_on_wire.add(body);
         // Occupancy of the async buffer window as the producer sees it at
@@ -578,11 +500,14 @@ impl WriteStream {
             req.wait()?;
             obs::m().blocks_in_flight.dec();
         }
-        let epi = self.chooser.pick();
-        let seq = self.next_seq[epi];
-        stamp(framed, seq, flags);
-        let req = self.isend_retrying(self.endpoints[epi], Bytes::copy_from_slice(framed))?;
-        self.next_seq[epi] = seq + 1;
+        framed[0] = flags;
+        let req = self.mpi.isend_ctx(
+            Context::Stream,
+            &self.universe,
+            self.endpoints[self.chooser.pick()],
+            self.tag,
+            Bytes::copy_from_slice(framed),
+        )?;
         self.in_flight.push_back(req);
         self.blocks_sent += 1;
         let m = obs::m();
@@ -607,33 +532,13 @@ impl WriteStream {
         self.closed = true;
         obs::m().closes.inc();
         obs::m().open_writers.dec();
-        for epi in 0..self.endpoints.len() {
-            // The FIN frame takes the sequence slot after the last data
-            // frame, so a reassembling reader can never see EOF overtake
-            // data, no matter how the transport reorders frames.
-            let fin = frame(self.next_seq[epi], FLAG_FIN, &[]);
-            self.next_seq[epi] += 1;
-            let ep = self.endpoints[epi];
-            let mut attempt = 0u32;
-            loop {
-                match self
-                    .mpi
-                    .send_ctx(Context::Stream, &self.universe, ep, self.tag, fin.clone())
-                {
-                    Ok(()) => {
-                        obs::m().fins_sent.inc();
-                        break;
-                    }
-                    Err(RtError::Dropped { .. }) if attempt < self.cfg.max_retries => {
-                        attempt += 1;
-                        self.retransmits += 1;
-                        obs::m().retransmits.inc();
-                        std::thread::sleep(self.cfg.retry_backoff.saturating_mul(attempt));
-                    }
-                    Err(RtError::Dropped { .. }) => return Err(VmpiError::Timeout),
-                    Err(e) => return Err(e.into()),
-                }
-            }
+        for &ep in &self.endpoints {
+            // Same (source, tag) lane as the data frames, sent after the
+            // last of them: FIFO matching delivers it last.
+            let fin = Bytes::from_static(&[FLAG_FIN]);
+            self.mpi
+                .send_ctx(Context::Stream, &self.universe, ep, self.tag, fin)?;
+            obs::m().fins_sent.inc();
         }
         for req in self.in_flight.drain(..) {
             obs::m().blocks_in_flight.dec();
@@ -655,8 +560,8 @@ impl WriteStream {
         m.open_writers.dec();
         m.blocks_in_flight.add(-(self.in_flight.len() as i64));
         // Dropping the requests abandons their completion handles; any
-        // rendezvous blocks still parked are consumed (and de-duplicated)
-        // by the reader or reclaimed at job teardown.
+        // rendezvous blocks still parked are consumed by the reader or
+        // reclaimed at job teardown.
         self.in_flight.clear();
     }
 
@@ -674,11 +579,6 @@ impl WriteStream {
     /// with [`WriteStream::bytes_written`] for the on-wire ratio.
     pub fn bytes_on_wire(&self) -> u64 {
         self.bytes_on_wire
-    }
-
-    /// Resend attempts caused by injected transport drops.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits
     }
 
     /// Number of remote endpoints.
@@ -777,10 +677,6 @@ struct SourceState {
     /// Pre-posted receives, completed in FIFO order (NA per source).
     reqs: VecDeque<Request>,
     eof: bool,
-    /// Next frame sequence expected from this writer.
-    next_seq: u64,
-    /// Frames that arrived ahead of a gap, keyed by sequence number.
-    stash: BTreeMap<u64, (u8, Bytes)>,
 }
 
 /// The reading end of a VMPI stream.
@@ -793,7 +689,6 @@ pub struct ReadStream {
     chooser: EndpointChooser,
     bytes_read: u64,
     blocks_read: u64,
-    dups_dropped: u64,
 }
 
 impl ReadStream {
@@ -831,8 +726,6 @@ impl ReadStream {
                 world,
                 reqs,
                 eof: false,
-                next_seq: 0,
-                stash: BTreeMap::new(),
             });
         }
         Ok(ReadStream {
@@ -844,7 +737,6 @@ impl ReadStream {
             chooser: EndpointChooser::new(0, cfg.balance), // n set per sweep
             bytes_read: 0,
             blocks_read: 0,
-            dups_dropped: 0,
         })
     }
 
@@ -909,31 +801,9 @@ impl ReadStream {
         }
     }
 
-    /// Pops the next in-sequence frame from a source's reorder stash.
-    /// Returns a block for data frames; FIN frames flip the source to EOF.
-    fn take_stashed(&mut self, idx: usize) -> Result<Option<Block>> {
-        let src = &mut self.sources[idx];
-        let Some((flags, body)) = src.stash.remove(&src.next_seq) else {
-            return Ok(None);
-        };
-        src.next_seq += 1;
-        let world = src.world;
-        let Some(data) = self.decode_body(idx, flags, body)? else {
-            return Ok(None);
-        };
-        self.bytes_read += data.len() as u64;
-        self.blocks_read += 1;
-        let m = obs::m();
-        m.read_bytes.add(data.len() as u64);
-        m.blocks_read.inc();
-        Ok(Some(Block {
-            source: world,
-            data,
-        }))
-    }
-
-    /// One sweep over the sources from a policy-chosen start.
-    /// Returns a reassembled in-order block if one is deliverable.
+    /// One sweep over the sources from a policy-chosen start: returns the
+    /// first completed data frame found, flipping sources whose FIN
+    /// arrived to EOF on the way.
     fn sweep(&mut self) -> Result<Option<Block>> {
         let n = self.sources.len();
         self.chooser.n = n;
@@ -943,90 +813,47 @@ impl ReadStream {
         };
         for off in 0..n {
             let idx = (start + off) % n;
-            if self.sources[idx].eof {
+            let src = &mut self.sources[idx];
+            let ready = !src.eof && src.reqs.front_mut().is_some_and(|r| r.is_complete());
+            let Some(req) = ready.then(|| src.reqs.pop_front()).flatten() else {
                 continue;
-            }
-            // Frames already received whose turn has come.
-            if let Some(block) = self.take_stashed(idx)? {
-                return Ok(Some(block));
-            }
-            if self.sources[idx].eof {
-                continue; // stashed FIN just landed
-            }
-            // Drain every completed pre-posted receive for this source.
-            loop {
-                let ready = match self.sources[idx].reqs.front_mut() {
-                    Some(front) => front.is_complete(),
-                    None => false,
-                };
-                if !ready {
-                    break;
-                }
-                let Some(req) = self.sources[idx].reqs.pop_front() else {
-                    break;
-                };
-                let Some((_st, data)) = req.wait()? else {
+            };
+            let world = src.world;
+            let frame = req
+                .wait()?
+                .ok_or_else(|| VmpiError::ProtocolViolation {
+                    expected: "payload on completed stream receive",
+                    got: "empty completion".to_string(),
+                })
+                .and_then(|(_st, data)| unframe(&data));
+            let (flags, body) = match frame {
+                Ok(frame) => frame,
+                Err(e) => {
+                    // A hostile or corrupt block: this source is dead (its
+                    // byte offsets can no longer be trusted), but surviving
+                    // writers stay readable on later calls.
                     obs::m().protocol_violations.inc();
                     self.sources[idx].eof = true;
-                    return Err(VmpiError::ProtocolViolation {
-                        expected: "payload on completed stream receive",
-                        got: "empty completion".to_string(),
-                    });
-                };
-                let (seq, flags, body) = match unframe(&data) {
-                    Ok(Some(frame)) => frame,
-                    Ok(None) => {
-                        // Unframed empty payload: legacy EOF marker; stop
-                        // reposting, leftover receives are reclaimed at
-                        // job end.
-                        self.sources[idx].eof = true;
-                        obs::m().sources_eof.inc();
-                        break;
-                    }
-                    Err(e) => {
-                        // A hostile or corrupt block: this source is dead
-                        // (its byte offsets can no longer be trusted), but
-                        // surviving writers stay readable on later calls.
-                        obs::m().protocol_violations.inc();
-                        self.sources[idx].eof = true;
-                        return Err(e);
-                    }
-                };
-                let src = &mut self.sources[idx];
-                if seq < src.next_seq {
-                    // Replay of a frame already delivered (duplicate fault
-                    // or a resend racing its original): discard.
-                    self.dups_dropped += 1;
-                    obs::m().dups_dropped.inc();
-                    self.repost(idx)?;
-                    continue;
+                    return Err(e);
                 }
-                if seq > src.next_seq {
-                    // A gap: park until the missing frames arrive.
-                    src.stash.insert(seq, (flags, body));
-                    self.repost(idx)?;
-                    continue;
-                }
-                src.next_seq += 1;
-                let world = src.world;
-                if flags != FLAG_FIN {
-                    self.repost(idx)?;
-                }
-                let Some(data) = self.decode_body(idx, flags, body)? else {
-                    // EOF marker in sequence: every data frame before it
-                    // has been delivered. Stop reposting for this source.
-                    break;
-                };
-                self.bytes_read += data.len() as u64;
-                self.blocks_read += 1;
-                let m = obs::m();
-                m.read_bytes.add(data.len() as u64);
-                m.blocks_read.inc();
-                return Ok(Some(Block {
-                    source: world,
-                    data,
-                }));
+            };
+            if flags != FLAG_FIN {
+                self.repost(idx)?;
             }
+            let Some(data) = self.decode_body(idx, flags, body)? else {
+                // FIN: every data frame before it has been delivered. Stop
+                // reposting; leftover receives are reclaimed at job end.
+                continue;
+            };
+            self.bytes_read += data.len() as u64;
+            self.blocks_read += 1;
+            let m = obs::m();
+            m.read_bytes.add(data.len() as u64);
+            m.blocks_read.inc();
+            return Ok(Some(Block {
+                source: world,
+                data,
+            }));
         }
         Ok(None)
     }
@@ -1037,16 +864,13 @@ impl ReadStream {
     /// liveness flag drops — so this is loss, not latency.
     fn lost_peer(&mut self) -> Option<usize> {
         let uni = self.mpi.universe().clone();
-        for s in self.sources.iter_mut() {
-            if s.eof || uni.rank_alive(s.world) {
-                continue;
-            }
-            let front_ready = s.reqs.front_mut().map(|r| r.is_complete()).unwrap_or(false);
-            if !front_ready && !s.stash.contains_key(&s.next_seq) {
-                return Some(s.world);
-            }
-        }
-        None
+        self.sources
+            .iter_mut()
+            .filter(|s| !s.eof && !uni.rank_alive(s.world))
+            .find_map(|s| {
+                let front_ready = s.reqs.front_mut().is_some_and(|r| r.is_complete());
+                (!front_ready).then_some(s.world)
+            })
     }
 
     /// Reads the next block (`VMPI_Stream_read`).
@@ -1117,11 +941,6 @@ impl ReadStream {
         self.blocks_read
     }
 
-    /// Duplicate frames discarded by sequence reassembly.
-    pub fn dups_dropped(&self) -> u64 {
-        self.dups_dropped
-    }
-
     /// Number of writers feeding this endpoint.
     pub fn source_count(&self) -> usize {
         self.sources.len()
@@ -1134,6 +953,11 @@ mod tests {
     use opmr_runtime::Launcher;
     use proptest::prelude::*;
     use std::sync::{Arc, Mutex};
+
+    /// The reference frame: the flags byte, then the body.
+    fn frame(flags: u8, body: &[u8]) -> Bytes {
+        [&[flags][..], body].concat().into()
+    }
 
     /// Sends `bodies` as one block each — alternately through
     /// [`WriteStream::send_block`] and through `write` + `flush` — and
@@ -1171,7 +995,7 @@ mod tests {
                             TagSel::Tag(stream_tag(5)),
                         )
                         .unwrap();
-                    let fin = raw[8] == FLAG_FIN;
+                    let fin = raw[0] == FLAG_FIN;
                     out.lock().unwrap().push(raw);
                     if fin {
                         break;
@@ -1205,8 +1029,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Stamping the header into the block's headroom yields exactly
-        /// the frame the standalone `frame()` builds: plain blocks, LZ4
-        /// blocks and the incompressible fallback alike.
+        /// the reference `frame()`: plain blocks, LZ4 blocks and the
+        /// incompressible fallback alike.
         #[test]
         fn in_place_frames_equal_the_reference_frame(
             lz4 in any::<bool>(),
@@ -1222,22 +1046,22 @@ mod tests {
                 .with_compression(if lz4 { Compression::Lz4 } else { Compression::None });
             let got = raw_frames(cfg, bodies.clone());
             prop_assert_eq!(got.len(), bodies.len() + 1);
-            for (seq, (raw, body)) in got.iter().zip(&bodies).enumerate() {
+            for (i, (raw, body)) in got.iter().zip(&bodies).enumerate() {
                 let mut packed = Vec::new();
                 Lz4Encoder::new().compress(body, &mut packed);
                 let want = if !lz4 || body.len() < MIN_COMPRESS_LEN {
-                    frame(seq as u64, FLAG_DATA, body)
+                    frame(FLAG_DATA, body)
                 } else if packed.len() < body.len() {
-                    frame(seq as u64, FLAG_DATA | FLAG_LZ4, &packed)
+                    frame(FLAG_DATA | FLAG_LZ4, &packed)
                 } else {
-                    frame(seq as u64, FLAG_DATA, body)
+                    frame(FLAG_DATA, body)
                 };
-                prop_assert_eq!(raw, &want, "frame {} differs", seq);
+                prop_assert_eq!(raw, &want, "frame {} differs", i);
             }
-            prop_assert_eq!(&got[bodies.len()], &frame(bodies.len() as u64, FLAG_FIN, &[]));
+            prop_assert_eq!(&got[bodies.len()], &frame(FLAG_FIN, &[]));
             if lz4 {
-                prop_assert_eq!(got[0][8], FLAG_DATA | FLAG_LZ4);
-                prop_assert_eq!(got[1][8], FLAG_DATA, "noise falls back to plain");
+                prop_assert_eq!(got[0][0], FLAG_DATA | FLAG_LZ4);
+                prop_assert_eq!(got[1][0], FLAG_DATA, "noise falls back to plain");
             }
         }
     }

@@ -36,13 +36,12 @@ const WIRE_ALLOWED: &[(&str, usize)] = &[
     ("crates/events/src/codec.rs", 8),
     ("crates/events/src/compress.rs", 2),
     // Not ported in ISSUE 23, which fenced off the crates on the socket
-    // ring's hot path: trace-file readers, the gather payload, the stream
-    // block's sequence number, two control-frame reads in the socket link.
+    // ring's hot path: trace-file readers, the gather payload, two
+    // control-frame reads in the socket link.
     ("crates/instrument/src/sink.rs", 1),
     ("crates/instrument/src/sion.rs", 4),
     ("crates/runtime/src/collectives.rs", 2),
     ("crates/runtime/src/socket.rs", 2),
-    ("crates/vmpi/src/stream.rs", 1),
 ];
 
 struct Site {

@@ -7,9 +7,10 @@
 //!    incrementally (no trace retention) equals the whole-trace
 //!    computation exactly.
 //! 2. **Chaos byte-stability** — streaming the same deterministic event
-//!    packs through a fault-injected transport (seeded drop / dup /
-//!    reorder / delay / slow-rank / storm) leaves the encoded series
-//!    byte-identical to the fault-free run.
+//!    packs through a fault-injected transport (seeded delay / slow-rank
+//!    plans in process, every socket link severed once at each point of
+//!    the sever sweep) leaves the encoded series byte-identical to the
+//!    fault-free run.
 //! 3. **TBON accuracy** — the series reduced through a fanout-2 tree
 //!    (commutative window merges at the frontier) equals the flat fold of
 //!    every event.
@@ -20,6 +21,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
+mod common;
+
+use common::{run_socket_threads_severed, LinkMoves, SEVER_SWEEP};
 use opmr::analysis::engine::{AnalysisEngine, EngineConfig};
 use opmr::events::{Event, EventKind, EventPack};
 use opmr::metrics::{MetricsConfig, MetricsSeries};
@@ -27,7 +31,6 @@ use opmr::netsim::{tera100, CollKind, Op, Workload};
 use opmr::reduce::{run_node, NodeConfig, ReduceOp, Tree};
 use opmr::runtime::{FaultPlan, Launcher};
 use opmr::vmpi::map::map_partitions_directed;
-use opmr::vmpi::stream::data_tag_range;
 use opmr::vmpi::{Balance, Map, ReadMode, ReadStream, StreamConfig, Vmpi, WriteStream};
 use opmr::workloads::{bursty, irregular, straggler};
 use std::sync::{Arc, Mutex};
@@ -36,6 +39,9 @@ use std::time::Duration;
 const RANKS: usize = 4;
 const WINDOW_NS: u64 = 4096;
 const EVENTS_PER_PACK: usize = 24;
+/// Pack size of the socket sever sweep: one frame per event, so even the
+/// smallest generator (88 events) crosses every sever point mid-stream.
+const SEVERED_EVENTS_PER_PACK: usize = 1;
 
 /// The three generators under test, as prebuilt small workloads.
 fn generators() -> Vec<(&'static str, Workload)> {
@@ -131,11 +137,11 @@ fn synth_rank_events(w: &Workload, rank: u32) -> Vec<Event> {
 }
 
 /// The per-rank pack sequences of a workload (app 0, fixed chunking).
-fn synth_packs(w: &Workload) -> Vec<Vec<EventPack>> {
+fn synth_packs(w: &Workload, events_per_pack: usize) -> Vec<Vec<EventPack>> {
     (0..w.ranks() as u32)
         .map(|rank| {
             synth_rank_events(w, rank)
-                .chunks(EVENTS_PER_PACK)
+                .chunks(events_per_pack)
                 .enumerate()
                 .map(|(seq, ev)| EventPack::new(0, rank, seq as u32, ev.to_vec()))
                 .collect()
@@ -157,7 +163,7 @@ fn offline_series(packs: &[Vec<EventPack>]) -> MetricsSeries {
 #[test]
 fn online_fold_equals_offline_whole_trace_computation() {
     for (name, w) in generators() {
-        let packs = synth_packs(&w);
+        let packs = synth_packs(&w, EVENTS_PER_PACK);
         let offline = offline_series(&packs);
         assert!(!offline.is_empty(), "{name}: synthesis produced no windows");
 
@@ -192,67 +198,50 @@ fn online_fold_equals_offline_whole_trace_computation() {
     }
 }
 
-/// The seeded fault plans of the chaos checklist (tags restricted to the
-/// stream data range, like `tests/chaos.rs`).
+/// The seeded fault plans of the in-process chaos sweep (as in
+/// `tests/chaos.rs`).
 fn chaos_plans() -> Vec<(&'static str, FaultPlan)> {
     vec![
         (
-            "drop",
-            FaultPlan::seeded(101)
-                .with_drop(0.15)
-                .with_only_tags(data_tag_range()),
-        ),
-        (
-            "duplicate",
-            FaultPlan::seeded(202)
-                .with_dup(0.25)
-                .with_only_tags(data_tag_range()),
-        ),
-        (
             "delay",
-            FaultPlan::seeded(303)
-                .with_delay(0.20, Duration::from_micros(200))
-                .with_only_tags(data_tag_range()),
-        ),
-        (
-            "reorder",
-            FaultPlan::seeded(404)
-                .with_reorder(0.25)
-                .with_only_tags(data_tag_range()),
+            FaultPlan::seeded(303).with_delay(0.20, Duration::from_micros(200)),
         ),
         (
             "slow-rank",
-            FaultPlan::seeded(505)
-                .with_slow_rank(0, Duration::from_micros(300))
-                .with_only_tags(data_tag_range()),
+            FaultPlan::seeded(505).with_slow_rank(0, Duration::from_micros(300)),
         ),
         (
-            "mixed-storm",
+            "delay+slow-rank",
             FaultPlan::seeded(606)
-                .with_drop(0.10)
-                .with_dup(0.10)
-                .with_reorder(0.10)
                 .with_delay(0.10, Duration::from_micros(50))
-                .with_only_tags(data_tag_range()),
+                .with_slow_rank(1, Duration::from_micros(100)),
         ),
     ]
 }
 
+/// How a [`stream_and_fold`] run is hosted and faulted.
+enum Chaos {
+    /// In process, under an optional seeded plan.
+    InProc(Option<FaultPlan>),
+    /// Writers and analyzer in two thread-hosted socket "processes", their
+    /// link severed once after this many frames.
+    SocketSevered(u64),
+}
+
 /// Streams the packs through writer ranks into a one-rank analyzer that
 /// folds the metrics series online; returns the series' canonical bytes.
-fn stream_and_fold(packs: Arc<Vec<Vec<EventPack>>>, plan: Option<FaultPlan>) -> Vec<u8> {
+fn stream_and_fold(packs: Arc<Vec<Vec<EventPack>>>, chaos: Chaos) -> Vec<u8> {
     let writers = packs.len();
     let encoded = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&encoded);
     let mut launcher = Launcher::new();
-    if let Some(p) = plan {
-        launcher = launcher.fault_plan(p);
+    if let Chaos::InProc(Some(p)) = &chaos {
+        launcher = launcher.fault_plan(p.clone());
     }
-    launcher
+    let launcher = launcher
         .partition("w", writers, move |mpi| {
             let v = Vmpi::new(mpi).unwrap();
-            let cfg = StreamConfig::new(4096, 3, Balance::None)
-                .with_retries(16, Duration::from_micros(100));
+            let cfg = StreamConfig::new(4096, 3, Balance::None);
             let mut st = WriteStream::open_to(&v, vec![writers], cfg, 1).unwrap();
             for p in &packs[v.rank()] {
                 st.write(&p.encode()).unwrap();
@@ -280,32 +269,59 @@ fn stream_and_fold(packs: Arc<Vec<Vec<EventPack>>>, plan: Option<FaultPlan>) -> 
             let report = engine.finish();
             let m = report.apps[0].metrics.as_ref().expect("metrics enabled");
             *sink.lock().unwrap() = m.encode().to_vec();
-        })
-        .run()
-        .unwrap();
+        });
+    match chaos {
+        Chaos::InProc(_) => launcher.run().unwrap(),
+        Chaos::SocketSevered(k) => {
+            let failures = run_socket_threads_severed(launcher, 2, k);
+            assert!(failures.is_empty(), "socket ranks failed: {failures:?}");
+        }
+    }
     Arc::try_unwrap(encoded).unwrap().into_inner().unwrap()
 }
 
 #[test]
 fn metric_series_is_byte_stable_under_seeded_chaos_replay() {
     for (name, w) in generators() {
-        let packs = Arc::new(synth_packs(&w));
+        let packs = Arc::new(synth_packs(&w, EVENTS_PER_PACK));
         let offline = offline_series(&packs).encode().to_vec();
-        let clean = stream_and_fold(Arc::clone(&packs), None);
+        let clean = stream_and_fold(Arc::clone(&packs), Chaos::InProc(None));
         assert_eq!(
             clean, offline,
             "{name}: fault-free streaming must equal the offline fold"
         );
         for (plan_name, plan) in chaos_plans() {
-            let faulted = stream_and_fold(Arc::clone(&packs), Some(plan.clone()));
+            let faulted = stream_and_fold(Arc::clone(&packs), Chaos::InProc(Some(plan.clone())));
             assert_eq!(
                 faulted, clean,
                 "{name}/{plan_name}: chaos replay must be byte-identical"
             );
-            let again = stream_and_fold(Arc::clone(&packs), Some(plan));
+            let again = stream_and_fold(Arc::clone(&packs), Chaos::InProc(Some(plan)));
             assert_eq!(
                 again, faulted,
                 "{name}/{plan_name}: same seed must replay identically"
+            );
+        }
+    }
+}
+
+#[test]
+fn socket_metric_series_is_byte_stable_under_link_severs() {
+    for (name, w) in generators() {
+        let packs = Arc::new(synth_packs(&w, SEVERED_EVENTS_PER_PACK));
+        let clean = stream_and_fold(Arc::clone(&packs), Chaos::InProc(None));
+        for k in SEVER_SWEEP {
+            let (severed, moved) =
+                LinkMoves::during(|| stream_and_fold(Arc::clone(&packs), Chaos::SocketSevered(k)));
+            moved.assert_severed_and_reconnected(&format!("{name}/sever after {k}"));
+            assert_eq!(
+                severed, clean,
+                "{name}/sever after {k}: the series must equal the clean in-process run"
+            );
+            let again = stream_and_fold(Arc::clone(&packs), Chaos::SocketSevered(k));
+            assert_eq!(
+                again, severed,
+                "{name}/sever after {k}: the same sever point must replay identically"
             );
         }
     }
@@ -378,7 +394,7 @@ fn tbon_series(packs: Arc<Vec<Vec<EventPack>>>) -> MetricsSeries {
 #[test]
 fn tbon_reduced_series_matches_flat_computation() {
     for (name, w) in generators() {
-        let packs = Arc::new(synth_packs(&w));
+        let packs = Arc::new(synth_packs(&w, EVENTS_PER_PACK));
         let flat = offline_series(&packs);
         let reduced = tbon_series(Arc::clone(&packs));
         assert_eq!(

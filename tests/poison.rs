@@ -224,15 +224,27 @@ fn hostile_pivot_truncated_peer_list_is_typed_and_slave_progresses() {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 4: a hostile writer injects a garbage block (non-empty, too
-// short to hold a frame header) on the stream tag. The reader reports
-// one ProtocolViolation, isolates that source, drains the honest writer
-// in full and terminates with Ok(None). Runs on both backends: over the
-// socket mesh the reader decodes the hostile bytes after a wire hop.
+// Scenario 4: a hostile writer injects a garbage block on the stream tag:
+// a frame whose flags byte sets reserved bits, or an empty payload with
+// no header at all. The reader reports one ProtocolViolation, isolates
+// that source, drains the honest writer in full and terminates with
+// Ok(None). Runs on both backends: over the socket mesh the reader
+// decodes the hostile bytes after a wire hop.
 // ---------------------------------------------------------------------
 type GarbageOutcome = Arc<Mutex<(usize, Vec<VmpiError>)>>;
 
-fn garbage_stream_block_job() -> (Launcher, GarbageOutcome) {
+/// The hostile payloads, each with the violation it must produce:
+/// `(bytes, expected, rendering of what the reader got)`.
+const GARBAGE: [(&[u8], &str, &str); 2] = [
+    (
+        &[0x80, 0, 0, 0],
+        "stream frame flags data, data|lz4 or fin",
+        "0x80",
+    ),
+    (&[], "stream frame header of 1 byte", "0 bytes"),
+];
+
+fn garbage_stream_block_job(garbage: &'static [u8]) -> (Launcher, GarbageOutcome) {
     const STREAM_ID: u16 = 7;
     const HONEST_BYTES: usize = 768;
 
@@ -250,15 +262,14 @@ fn garbage_stream_block_job() -> (Launcher, GarbageOutcome) {
                 st.write(&vec![0xAB; HONEST_BYTES]).unwrap();
                 st.close().unwrap();
             } else {
-                // Raw bytes on the stream tag: 4 bytes can hold neither
-                // the 9-byte frame header nor the legacy empty EOF.
+                // Raw bytes on the stream tag, no well-formed frame.
                 v.mpi()
                     .send_ctx(
                         Context::Stream,
                         &v.comm_universe(),
                         map.peers()[0],
                         stream_tag(STREAM_ID),
-                        vec![0u8; 4],
+                        garbage,
                     )
                     .unwrap();
             }
@@ -284,7 +295,7 @@ fn garbage_stream_block_job() -> (Launcher, GarbageOutcome) {
     (launcher, outcome)
 }
 
-fn assert_garbage_stream_outcome(outcome: &GarbageOutcome) {
+fn assert_garbage_stream_outcome(outcome: &GarbageOutcome, want: (&str, &str)) {
     let (bytes, violations) = std::mem::take(&mut *outcome.lock().unwrap());
     assert_eq!(
         bytes, 768,
@@ -293,8 +304,11 @@ fn assert_garbage_stream_outcome(outcome: &GarbageOutcome) {
     assert_eq!(violations.len(), 1, "exactly one source is poisoned");
     match &violations[0] {
         VmpiError::ProtocolViolation { expected, got } => {
-            assert_eq!(*expected, "stream frame header of 9 bytes");
-            assert!(got.contains('4'), "the observed size is reported: {got}");
+            assert_eq!(
+                (*expected, got.as_str()),
+                want,
+                "what was wrong is reported"
+            );
         }
         other => panic!("expected ProtocolViolation, got {other:?}"),
     }
@@ -302,17 +316,21 @@ fn assert_garbage_stream_outcome(outcome: &GarbageOutcome) {
 
 #[test]
 fn garbage_stream_block_isolates_the_source_and_honest_data_survives() {
-    let (launcher, outcome) = garbage_stream_block_job();
-    launcher.run().unwrap();
-    assert_garbage_stream_outcome(&outcome);
+    for (garbage, expected, got) in GARBAGE {
+        let (launcher, outcome) = garbage_stream_block_job(garbage);
+        launcher.run().unwrap();
+        assert_garbage_stream_outcome(&outcome, (expected, got));
+    }
 }
 
 #[test]
 fn socket_garbage_stream_block_is_typed_across_the_wire() {
-    let (launcher, outcome) = garbage_stream_block_job();
-    let failures = common::run_socket_threads(launcher, 2);
-    assert!(failures.is_empty(), "no rank may fail: {failures:?}");
-    assert_garbage_stream_outcome(&outcome);
+    for (garbage, expected, got) in GARBAGE {
+        let (launcher, outcome) = garbage_stream_block_job(garbage);
+        let failures = common::run_socket_threads(launcher, 2);
+        assert!(failures.is_empty(), "no rank may fail: {failures:?}");
+        assert_garbage_stream_outcome(&outcome, (expected, got));
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,7 +14,9 @@
 //! * the stream open/close/EOF protocol end to end;
 //! * a crashed writer surfaces as **exactly one** typed `PeerLost`;
 //! * a seeded `FaultPlan` replays identically (and identically across
-//!   backends — injection sits above the transport).
+//!   backends — injection sits above the transport), and on the socket
+//!   backend so does every point of the link-sever sweep: the link, the
+//!   one reliability layer, hides the loss.
 //!
 //! One scenario runs the socket backend across two genuine OS processes
 //! (the test binary re-executes itself) to prove the wire protocol does
@@ -23,14 +25,16 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 mod common;
-use common::{fresh_unix_endpoint, run_socket_threads, run_socket_threads_with};
+use common::{
+    fresh_unix_endpoint, run_socket_threads, run_socket_threads_severed, run_socket_threads_with,
+    LinkMoves, SEVER_SWEEP,
+};
 
 use opmr::events::Compression;
 use opmr::runtime::{
-    Endpoint, FaultPlan, Launcher, MultiprocTopology, PartitionAssign, RankFailure, SocketConfig,
-    Src, TagSel,
+    Endpoint, FaultPlan, Launcher, MultiprocTopology, PartitionAssign, RankFailure, RtError,
+    SocketConfig, Src, TagSel,
 };
-use opmr::vmpi::stream::data_tag_range;
 use opmr::vmpi::{Balance, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError, WriteStream};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -309,20 +313,15 @@ fn writer_crash_is_exactly_one_typed_peer_lost(backend: Backend) {
     let survivor2 = Arc::clone(&survivor);
 
     let launcher = Launcher::new()
-        .fault_plan(
-            FaultPlan::seeded(707)
-                .with_crash(CRASH_RANK, AFTER_SENDS)
-                .with_only_tags(data_tag_range()),
-        )
+        .fault_plan(FaultPlan::seeded(707).with_crash(CRASH_RANK, AFTER_SENDS))
         .partition("w", 2, move |mpi| {
             let v = Vmpi::new(mpi).unwrap();
-            let cfg = StreamConfig::new(BLOCK, 3, Balance::None)
-                .with_retries(2, Duration::from_micros(50));
+            let cfg = StreamConfig::new(BLOCK, 3, Balance::None);
             let mut st = WriteStream::open_to(&v, vec![2], cfg, 1).unwrap();
             for i in 0..BLOCKS {
                 match st.write(&[v.rank() as u8; BLOCK]) {
                     Ok(()) => {}
-                    Err(VmpiError::Timeout) => {
+                    Err(VmpiError::Runtime(RtError::Unreachable { .. })) => {
                         assert_eq!(v.rank(), CRASH_RANK);
                         assert!(i as u64 >= AFTER_SENDS);
                         st.abort(); // die without the close protocol
@@ -373,27 +372,35 @@ fn writer_crash_is_exactly_one_typed_peer_lost(backend: Backend) {
 // Scenario 7: seeded fault determinism.
 // ---------------------------------------------------------------------
 
-/// One seeded drop+dup+reorder pipeline run: returns the reader's
-/// order-sensitive digest per writer.
-fn faulted_pipeline_digest(backend: Backend, seed: u64) -> HashMap<usize, u64> {
+/// The seeded plan of scenario 7: delays and a slow writer.
+fn scenario_plan(seed: u64) -> FaultPlan {
+    FaultPlan::seeded(seed)
+        .with_delay(0.12, Duration::from_micros(100))
+        .with_slow_rank(1, Duration::from_micros(50))
+}
+
+/// One seeded pipeline run: returns the reader's order-sensitive digest
+/// per writer. On the socket backend `sever` cuts the writers' link once
+/// after that many frames.
+fn pipeline_digest(
+    backend: Backend,
+    plan: Option<FaultPlan>,
+    sever: Option<u64>,
+) -> HashMap<usize, u64> {
     const BLOCK: usize = 64;
     const BLOCKS: usize = 150;
     const WRITERS: usize = 2;
     let seen = Arc::new(Mutex::new(HashMap::new()));
     let seen2 = Arc::clone(&seen);
 
-    let launcher = Launcher::new()
-        .fault_plan(
-            FaultPlan::seeded(seed)
-                .with_drop(0.12)
-                .with_dup(0.12)
-                .with_reorder(0.12)
-                .with_only_tags(data_tag_range()),
-        )
+    let mut launcher = Launcher::new();
+    if let Some(p) = plan {
+        launcher = launcher.fault_plan(p);
+    }
+    let launcher = launcher
         .partition("w", WRITERS, move |mpi| {
             let v = Vmpi::new(mpi).unwrap();
-            let cfg = StreamConfig::new(BLOCK, 3, Balance::None)
-                .with_retries(16, Duration::from_micros(100));
+            let cfg = StreamConfig::new(BLOCK, 3, Balance::None);
             let mut st = WriteStream::open_to(&v, vec![WRITERS], cfg, 1).unwrap();
             let me = v.rank() as u8;
             for i in 0..BLOCKS {
@@ -417,33 +424,49 @@ fn faulted_pipeline_digest(backend: Backend, seed: u64) -> HashMap<usize, u64> {
                         *d = fnv1a(*d, &b.data);
                     }
                     Ok(None) => break,
-                    Err(e) => panic!("recovered pipeline must not fail: {e}"),
+                    Err(e) => panic!("faulted pipeline must not fail: {e}"),
                 }
             }
             *seen2.lock().unwrap() = digests;
         });
-    assert!(run_job(backend, launcher).is_empty());
+    let failures = match (backend, sever) {
+        (Backend::Socket, Some(k)) => run_socket_threads_severed(launcher, 2, k),
+        _ => run_job(backend, launcher),
+    };
+    assert!(failures.is_empty(), "{failures:?}");
     Arc::try_unwrap(seen).unwrap().into_inner().unwrap()
 }
 
 /// The same seed must replay the exact same delivery — the fault schedule
-/// lives above the transport and draws from per-edge sequence counters.
+/// lives above the transport and draws from per-edge sequence counters —
+/// and, the transport being reliable, equal the clean in-process run. On
+/// the socket backend every sever point of the sweep must do the same.
 fn seeded_fault_plan_replays_identically(backend: Backend) {
-    let a = faulted_pipeline_digest(backend, 4242);
-    let b = faulted_pipeline_digest(backend, 4242);
+    let clean = pipeline_digest(Backend::InProc, None, None);
+    assert_eq!(clean.len(), 2);
+    assert!(clean.values().all(|&d| d != 0));
+    let a = pipeline_digest(backend, Some(scenario_plan(4242)), None);
+    let b = pipeline_digest(backend, Some(scenario_plan(4242)), None);
     assert_eq!(a, b, "same seed, same backend: delivery must be identical");
-    assert_eq!(a.len(), 2);
-    assert!(a.values().all(|&d| d != 0));
+    assert_eq!(a, clean, "seeded faults must be invisible in the bytes");
+    if backend == Backend::Socket {
+        for k in SEVER_SWEEP {
+            let (a, moved) = LinkMoves::during(|| pipeline_digest(backend, None, Some(k)));
+            moved.assert_severed_and_reconnected(&format!("sever after {k}"));
+            let b = pipeline_digest(backend, None, Some(k));
+            assert_eq!(a, b, "sever after {k}: delivery must replay identically");
+            assert_eq!(a, clean, "sever after {k}: link loss must be invisible");
+        }
+    }
 }
 
 /// Stronger than per-backend determinism: the *transports themselves*
 /// must not perturb the fault schedule, so the digest matches across
-/// backends too (and equals the fault-free content by recovery
-/// transparency — already pinned per backend above).
+/// backends too.
 #[test]
 fn seeded_fault_schedule_matches_across_backends() {
-    let inproc = faulted_pipeline_digest(Backend::InProc, 9001);
-    let socket = faulted_pipeline_digest(Backend::Socket, 9001);
+    let inproc = pipeline_digest(Backend::InProc, Some(scenario_plan(9001)), None);
+    let socket = pipeline_digest(Backend::Socket, Some(scenario_plan(9001)), None);
     assert_eq!(
         inproc, socket,
         "fault injection must sit above the transport: same seed, same bytes"
