@@ -32,12 +32,12 @@ pub const MAX_OFFSET: usize = u16::MAX as usize;
 const HASH_BITS: u32 = 13;
 const NIL: u32 = u32::MAX;
 
-/// Per-block compression codec, negotiated at stream/session open.
+/// Whether a stream writer compresses its blocks.
 ///
-/// Identifiers are wire-stable: `0` = none (the legacy uncompressed
-/// layout), `1` = the LZ4-class codec in this module. Negotiation takes
-/// the [`Compression::weakest`] of the two peers' advertised codecs, so a
-/// compressed endpoint talking to a legacy peer degrades to `None`.
+/// A writing stream's choice, not a negotiated one: each block it sends
+/// carries its own LZ4 flag, so a reader decodes any mix of plain and
+/// compressed frames without knowing the writer's setting. Nothing below
+/// the stream compresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Compression {
     /// No compression: blocks travel verbatim.
@@ -45,36 +45,6 @@ pub enum Compression {
     None,
     /// LZ4-class per-block compression.
     Lz4,
-}
-
-impl Compression {
-    /// Wire identifier advertised during stream/session negotiation.
-    pub const fn id(self) -> u8 {
-        match self {
-            Compression::None => 0,
-            Compression::Lz4 => 1,
-        }
-    }
-
-    /// Parses a wire identifier; unknown ids are a typed rejection at the
-    /// negotiation layer, never a fallback.
-    pub const fn from_id(id: u8) -> Option<Compression> {
-        match id {
-            0 => Some(Compression::None),
-            1 => Some(Compression::Lz4),
-            _ => None,
-        }
-    }
-
-    /// The codec a pair of peers settles on: the weaker of the two, so a
-    /// legacy (`None`) peer always negotiates the session down.
-    pub const fn weakest(self, other: Compression) -> Compression {
-        if self.id() <= other.id() {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl std::fmt::Display for Compression {
@@ -462,16 +432,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn negotiation_is_weakest_codec() {
-        use Compression::*;
-        assert_eq!(Lz4.weakest(Lz4), Lz4);
-        assert_eq!(Lz4.weakest(None), None);
-        assert_eq!(None.weakest(Lz4), None);
-        assert_eq!(Compression::from_id(0), Some(None));
-        assert_eq!(Compression::from_id(1), Some(Lz4));
-        assert_eq!(Compression::from_id(9), Option::None);
     }
 }

@@ -4,7 +4,10 @@
 //! in the in-process backend) and reaches the others over Unix-domain or
 //! TCP sockets. Envelopes travel as length-prefixed, checksummed frames
 //! (reusing the codec in `opmr-events`), multiplexed over one full-duplex
-//! connection per process pair. The mailbox matching engine, the fault
+//! connection per process pair. The link moves bytes and nothing else:
+//! compression belongs to the stream block (`StreamConfig::compression`
+//! flags each frame), so an envelope crosses the wire exactly as it was
+//! encoded. The mailbox matching engine, the fault
 //! layer and the stream protocols all sit *above* the
 //! [`crate::Transport`] trait and are byte-for-byte the same code as in
 //! the `InProc` backend — `tests/transport_conformance.rs` runs the same
@@ -69,14 +72,12 @@ use crate::transport::Transport;
 use crate::{CommId, Result, RtError};
 use bytes::Bytes;
 use opmr_events::wire::{Reader, Truncated, Width};
-use opmr_events::{
-    decompress_into, max_compressed_len, try_frame, Compression, FrameBuf, Lz4Encoder,
-    MAX_FRAME_LEN,
-};
+use opmr_events::{try_frame, FrameBuf};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,8 +104,6 @@ mod obs {
         pub reconnect_stale_epoch: Arc<Counter>,
         pub frames_retransmitted: Arc<Counter>,
         pub chaos_severs: Arc<Counter>,
-        pub codec_rejected: Arc<Counter>,
-        pub envelopes_compressed: Arc<Counter>,
     }
 
     pub(super) fn m() -> &'static SocketMetrics {
@@ -125,8 +124,6 @@ mod obs {
                 reconnect_stale_epoch: r.counter("transport_socket_reconnect_stale_epoch_total"),
                 frames_retransmitted: r.counter("transport_socket_frames_retransmitted_total"),
                 chaos_severs: r.counter("transport_socket_chaos_severs_total"),
-                codec_rejected: r.counter("transport_socket_codec_rejected_total"),
-                envelopes_compressed: r.counter("transport_socket_envelopes_compressed_total"),
             }
         })
     }
@@ -162,37 +159,31 @@ pub struct LinkFault {
     pub sever_after_frames: u64,
 }
 
+/// Per-connection budget for reading a single handshake frame (`Hello`
+/// or a reconnect presentation), so a stalled rogue connection cannot eat
+/// the whole handshake budget.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long the lower-indexed (accepting) side of a dropped link waits
+/// for the peer to redial before degrading to `PeerLost`.
+const RECONNECT_GRACE: Duration = Duration::from_secs(3);
+
 /// Socket-level configuration shared by every process of the job.
 #[derive(Debug, Clone)]
 pub struct SocketConfig {
     /// Coordinator endpoint.
     pub endpoint: Endpoint,
-    /// Budget for dialing a peer during the handshake. Also bounds the
-    /// post-join teardown drain.
+    /// Budget for the whole handshake, dialing and accepting peers alike.
+    /// Also bounds the post-join teardown drain.
     pub connect_timeout: Duration,
-    /// Budget for the handshake's accept phase. `None` (the default)
-    /// reuses `connect_timeout`.
-    pub accept_timeout: Option<Duration>,
-    /// Per-connection budget for reading a single handshake frame
-    /// (`Hello` or a reconnect presentation), bounded separately so a
-    /// stalled rogue connection cannot eat the whole handshake budget.
-    pub hello_timeout: Duration,
     /// How many redial attempts the higher-indexed side of a dropped
     /// link makes before degrading to a typed `PeerLost`.
     pub retry_budget: u32,
     /// Backoff before redial attempt `k` is `backoff_base * 2^(k-1)`
     /// (the first attempt is immediate).
     pub backoff_base: Duration,
-    /// How long the lower-indexed (accepting) side of a dropped link
-    /// waits for the peer to redial before degrading to `PeerLost`.
-    pub reconnect_grace: Duration,
     /// Optional deterministic link-chaos injection.
     pub link_fault: Option<LinkFault>,
-    /// Envelope codec this process is willing to speak. The coordinator
-    /// negotiates the *session* codec down to the weakest codec any peer
-    /// advertised, so processes may legitimately differ here (one peer
-    /// advertising `None` pins the whole session to plain frames).
-    pub compression: Compression,
 }
 
 impl SocketConfig {
@@ -201,32 +192,15 @@ impl SocketConfig {
         SocketConfig {
             endpoint,
             connect_timeout: Duration::from_secs(10),
-            accept_timeout: None,
-            hello_timeout: Duration::from_secs(2),
             retry_budget: 5,
             backoff_base: Duration::from_millis(100),
-            reconnect_grace: Duration::from_secs(3),
             link_fault: None,
-            compression: Compression::None,
         }
     }
 
-    /// Overrides the connect/drain budget.
+    /// Overrides the handshake/drain budget.
     pub fn connect_timeout(mut self, d: Duration) -> Self {
         self.connect_timeout = d;
-        self
-    }
-
-    /// Overrides the handshake accept budget (defaults to the connect
-    /// budget).
-    pub fn accept_timeout(mut self, d: Duration) -> Self {
-        self.accept_timeout = Some(d);
-        self
-    }
-
-    /// Overrides the per-connection handshake-frame read budget.
-    pub fn hello_timeout(mut self, d: Duration) -> Self {
-        self.hello_timeout = d;
         self
     }
 
@@ -242,27 +216,10 @@ impl SocketConfig {
         self
     }
 
-    /// Overrides the acceptor-side reconnect grace window.
-    pub fn reconnect_grace(mut self, d: Duration) -> Self {
-        self.reconnect_grace = d;
-        self
-    }
-
     /// Enables deterministic link-chaos injection.
     pub fn link_fault(mut self, f: LinkFault) -> Self {
         self.link_fault = Some(f);
         self
-    }
-
-    /// Advertises an envelope codec for this process (see
-    /// [`SocketConfig::compression`]).
-    pub fn compression(mut self, c: Compression) -> Self {
-        self.compression = c;
-        self
-    }
-
-    fn effective_accept_timeout(&self) -> Duration {
-        self.accept_timeout.unwrap_or(self.connect_timeout)
     }
 
     /// Rejects zero or absurd values with a typed error before any
@@ -274,22 +231,11 @@ impl SocketConfig {
         if self.connect_timeout.is_zero() || self.connect_timeout > HOUR {
             return bad(format!("connect_timeout {:?}", self.connect_timeout));
         }
-        if let Some(a) = self.accept_timeout {
-            if a.is_zero() || a > HOUR {
-                return bad(format!("accept_timeout {a:?}"));
-            }
-        }
-        if self.hello_timeout.is_zero() || self.hello_timeout > HOUR {
-            return bad(format!("hello_timeout {:?}", self.hello_timeout));
-        }
         if self.retry_budget == 0 || self.retry_budget > 64 {
             return bad(format!("retry_budget {}", self.retry_budget));
         }
         if self.backoff_base.is_zero() || self.backoff_base > Duration::from_secs(60) {
             return bad(format!("backoff_base {:?}", self.backoff_base));
-        }
-        if self.reconnect_grace.is_zero() || self.reconnect_grace > HOUR {
-            return bad(format!("reconnect_grace {:?}", self.reconnect_grace));
         }
         if let Some(f) = self.link_fault {
             if f.sever_after_frames == 0 {
@@ -472,9 +418,9 @@ impl From<LaunchError> for MultiprocError {
 // ---------------------------------------------------------------------
 
 const MAGIC: u32 = 0x4F50_4D52; // "OPMR"
-/// The one protocol version spoken: `Hello` and `Roster` carry the codec
-/// byte. Any other version in a hello or reconnect is a typed rejection.
-const VERSION: u16 = 3;
+/// The one protocol version spoken. Any other version in a hello or
+/// reconnect is a typed rejection.
+const VERSION: u16 = 4;
 
 const K_HELLO: u8 = 1;
 const K_ENVELOPE: u8 = 2;
@@ -486,14 +432,6 @@ const K_ACK: u8 = 7;
 const K_RECONN: u8 = 8;
 const K_RECONN_OK: u8 = 9;
 const K_RECONN_NAK: u8 = 10;
-/// A compressed envelope: `[kind][lz4 block]` where the block inflates
-/// to a complete `K_ENVELOPE` payload. Only sent on sessions that
-/// negotiated [`Compression::Lz4`].
-const K_ENVELOPE_Z: u8 = 11;
-
-/// Envelopes below this size are sent plain even on a compressed
-/// session: the token overhead would beat any win.
-const MIN_ENVELOPE_COMPRESS: usize = 128;
 
 /// `K_RECONN_NAK` reason codes.
 const NAK_STALE_EPOCH: u8 = 1;
@@ -558,86 +496,62 @@ fn decode_envelope(p: &Bytes) -> Option<(usize, Envelope)> {
     ))
 }
 
-/// Why a `Hello` (or a reconnect frame) was turned away. `UnknownCodec` is split out so the
-/// mesh can count hostile/garbled codec advertisements separately from
-/// generic handshake noise.
+/// Why a `Hello` (or a reconnect frame) was turned away.
 #[derive(Debug)]
-enum HelloReject {
-    /// The peer advertised a codec id this build does not know.
-    UnknownCodec(u8),
-    /// Anything else: bad magic, wrong topology, truncation, ...
-    Other(String),
-}
+struct HelloReject(String);
 
 impl From<Truncated> for HelloReject {
     fn from(_: Truncated) -> HelloReject {
-        HelloReject::Other("truncated handshake frame".to_string())
+        HelloReject("truncated handshake frame".to_string())
     }
 }
 
 impl std::fmt::Display for HelloReject {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HelloReject::UnknownCodec(id) => write!(f, "peer advertised unknown codec id {id}"),
-            HelloReject::Other(what) => write!(f, "{what}"),
-        }
+        f.write_str(&self.0)
     }
 }
 
-/// `[kind][magic u32][version u16][proc u16][topo_hash u64][codec u8][addr]`
-fn encode_hello(
-    proc_index: usize,
-    topo_hash: u64,
-    codec: Compression,
-    listen_addr: &str,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(18 + listen_addr.len());
+/// `[kind][magic u32][version u16][proc u16][topo_hash u64][addr]`
+fn encode_hello(proc_index: usize, topo_hash: u64, listen_addr: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(17 + listen_addr.len());
     out.push(K_HELLO);
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(proc_index as u16).to_le_bytes());
     out.extend_from_slice(&topo_hash.to_le_bytes());
-    out.push(codec.id());
     out.extend_from_slice(listen_addr.as_bytes());
     out
 }
 
-/// Returns `(proc_index, advertised_codec, listen_addr)` or why not.
-fn decode_hello(
-    p: &Bytes,
-    expect_hash: u64,
-) -> std::result::Result<(usize, Compression, String), HelloReject> {
-    let other = |what: String| Err(HelloReject::Other(what));
+/// Returns `(proc_index, listen_addr)` or why not.
+fn decode_hello(p: &Bytes, expect_hash: u64) -> std::result::Result<(usize, String), HelloReject> {
+    let reject = |what: String| Err(HelloReject(what));
     let mut r = Reader::new(p);
     let kind = r.u8()?;
     if kind != K_HELLO {
-        return other(format!("first frame is not a hello (kind {kind})"));
+        return reject(format!("first frame is not a hello (kind {kind})"));
     }
     if r.u32()? != MAGIC {
-        return other("bad protocol magic".to_string());
+        return reject("bad protocol magic".to_string());
     }
     let version = r.u16()?;
     if version != VERSION {
-        return other(format!("unsupported protocol version {version}"));
+        return reject(format!("unsupported protocol version {version}"));
     }
     let proc = r.u16()? as usize;
     let hash = r.u64()?;
-    let codec_id = r.u8()?;
-    let codec = Compression::from_id(codec_id).ok_or(HelloReject::UnknownCodec(codec_id))?;
-    // Codec skew is diagnosed before the topology check: a peer that
-    // speaks an unknown codec is off-protocol no matter what job it
-    // thinks it joined.
     if hash != expect_hash {
-        return other(format!(
+        return reject(format!(
             "topology mismatch (peer {hash:#018x}, local {expect_hash:#018x})"
         ));
     }
     let addr = String::from_utf8_lossy(r.rest()).into_owned();
-    Ok((proc, codec, addr))
+    Ok((proc, addr))
 }
 
-/// `[kind][epoch u64][n u16]([len u16][addr bytes])*[codec u8]`
-fn encode_roster(epoch: u64, codec: Compression, addrs: &[String]) -> Vec<u8> {
+/// `[kind][epoch u64][n u16]([len u16][addr bytes])*`
+fn encode_roster(epoch: u64, addrs: &[String]) -> Vec<u8> {
     let mut out = vec![K_ROSTER];
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&(addrs.len() as u16).to_le_bytes());
@@ -645,11 +559,10 @@ fn encode_roster(epoch: u64, codec: Compression, addrs: &[String]) -> Vec<u8> {
         out.extend_from_slice(&(a.len() as u16).to_le_bytes());
         out.extend_from_slice(a.as_bytes());
     }
-    out.push(codec.id());
     out
 }
 
-fn decode_roster(p: &Bytes) -> Option<(u64, Compression, Vec<String>)> {
+fn decode_roster(p: &Bytes) -> Option<(u64, Vec<String>)> {
     let mut r = Reader::new(p);
     if r.u8().ok()? != K_ROSTER {
         return None;
@@ -662,8 +575,7 @@ fn decode_roster(p: &Bytes) -> Option<(u64, Compression, Vec<String>)> {
         let len = r.u16().ok()? as usize;
         addrs.push(String::from_utf8_lossy(r.bytes(len).ok()?).into_owned());
     }
-    let codec = Compression::from_id(r.u8().ok()?)?;
-    Some((epoch, codec, addrs))
+    Some((epoch, addrs))
 }
 
 /// `[kind][magic u32][version u16][proc u16][epoch u64][rx_seq u64]`:
@@ -682,18 +594,18 @@ fn encode_reconn(proc_index: usize, epoch: u64, rx_seq: u64) -> Vec<u8> {
 
 /// Returns `(proc_index, epoch, rx_seq)` or why not.
 fn decode_reconn(p: &Bytes) -> std::result::Result<(usize, u64, u64), HelloReject> {
-    let other = |what: String| Err(HelloReject::Other(what));
+    let reject = |what: String| Err(HelloReject(what));
     let mut r = Reader::new(p);
     let kind = r.u8()?;
     if kind != K_RECONN {
-        return other(format!("not a reconnect frame (kind {kind})"));
+        return reject(format!("not a reconnect frame (kind {kind})"));
     }
     if r.u32()? != MAGIC {
-        return other("bad protocol magic".to_string());
+        return reject("bad protocol magic".to_string());
     }
     let version = r.u16()?;
     if version != VERSION {
-        return other(format!("unsupported protocol version {version}"));
+        return reject(format!("unsupported protocol version {version}"));
     }
     Ok((r.u16()? as usize, r.u64()?, r.u64()?))
 }
@@ -720,6 +632,30 @@ fn encode_ack(rx_seq: u64) -> Vec<u8> {
     out.push(K_ACK);
     out.extend_from_slice(&rx_seq.to_le_bytes());
     out
+}
+
+fn decode_ack(p: &[u8]) -> Option<u64> {
+    let mut r = Reader::new(p);
+    if r.u8().ok()? != K_ACK {
+        return None;
+    }
+    r.u64().ok()
+}
+
+/// `[kind][world_rank u32]`: the rank finished; ordered after its envelopes.
+fn encode_rank_done(world_rank: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(5);
+    out.push(K_RANK_DONE);
+    out.extend_from_slice(&(world_rank as u32).to_le_bytes());
+    out
+}
+
+fn decode_rank_done(p: &[u8]) -> Option<usize> {
+    let mut r = Reader::new(p);
+    if r.u8().ok()? != K_RANK_DONE {
+        return None;
+    }
+    Some(r.u32().ok()? as usize)
 }
 
 /// Deterministic hash of the topology every process must agree on.
@@ -1007,8 +943,73 @@ struct Mesh {
     listener: SockListener,
     roster: Vec<String>,
     epoch: u64,
-    /// Session envelope codec: the weakest codec any process advertised.
-    codec: Compression,
+}
+
+/// Accepts one handshaken connection from each process index in `admit`,
+/// each with the listen address its hello advertised. Any other hello —
+/// garbled, for another topology, outside `admit` or for an index already
+/// admitted — is rejected, counted and closed, and the wait goes on until
+/// `deadline`.
+fn accept_hellos(
+    listener: &SockListener,
+    admit: Range<usize>,
+    deadline: Instant,
+    topo_hash: u64,
+) -> std::result::Result<Vec<(PeerConn, String)>, SocketError> {
+    let started = Instant::now();
+    let mut admitted: Vec<(PeerConn, String)> = Vec::with_capacity(admit.len());
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| SocketError::Io {
+            during: "listener setup",
+            detail: e.to_string(),
+        })?;
+    while admitted.len() < admit.len() {
+        match listener.accept() {
+            Ok(mut s) => {
+                let mut fb = FrameBuf::new();
+                let hello_deadline = deadline.min(Instant::now() + HELLO_TIMEOUT);
+                let hello = read_one_frame(&mut s, &mut fb, hello_deadline, "incoming")
+                    .map_err(|e| HelloReject(e.to_string()))
+                    .and_then(|p| decode_hello(&p, topo_hash));
+                match hello {
+                    Ok((proc, addr))
+                        if admit.contains(&proc)
+                            && !admitted.iter().any(|(c, _)| c.proc == proc) =>
+                    {
+                        let conn = PeerConn {
+                            proc,
+                            stream: s,
+                            residual: fb,
+                        };
+                        admitted.push((conn, addr));
+                    }
+                    _ => {
+                        obs::m().handshake_rejected.inc();
+                        s.shutdown_both();
+                    }
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if Instant::now() >= deadline {
+                    obs::m().connect_timeouts.inc();
+                    return Err(SocketError::AcceptTimeout {
+                        waited_ms: started.elapsed().as_millis() as u64,
+                        missing: admit.len() - admitted.len(),
+                    });
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                return Err(SocketError::Io {
+                    during: "accept",
+                    detail: e.to_string(),
+                })
+            }
+        }
+    }
+    Ok(admitted)
 }
 
 /// Establishes the full mesh for this process.
@@ -1018,93 +1019,22 @@ fn connect_mesh(
 ) -> std::result::Result<Mesh, SocketError> {
     let n = topo.num_procs;
     let me = topo.proc_index;
-    let hello_budget = topo.socket.hello_timeout;
-    let accept_deadline = Instant::now() + topo.socket.effective_accept_timeout();
-    let dial_deadline = Instant::now() + topo.socket.connect_timeout;
-    let mut conns: Vec<PeerConn> = Vec::with_capacity(n.saturating_sub(1));
+    let deadline = Instant::now() + topo.socket.connect_timeout;
 
     let (listener, my_addr) = bind(&listen_endpoint(&topo.socket.endpoint, me))?;
 
     if me == 0 {
-        // Coordinator: collect n-1 Hellos, negotiate the session codec
-        // down to the weakest any peer advertised, then broadcast the
-        // roster carrying it.
+        // Coordinator: collect a hello from every other process, then
+        // broadcast the roster of listen addresses.
         let epoch = session_epoch();
-        let mut codec = topo.socket.compression;
-        let mut addrs: Vec<Option<String>> = vec![None; n];
-        addrs[0] = Some(my_addr);
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| SocketError::Io {
-                during: "listener setup",
-                detail: e.to_string(),
-            })?;
-        while conns.len() < n - 1 {
-            match listener.accept() {
-                Ok(mut s) => {
-                    let _ = s.set_read_timeout(Some(hello_budget));
-                    let mut fb = FrameBuf::new();
-                    let hello_deadline = accept_deadline.min(Instant::now() + hello_budget);
-                    let hello = read_one_frame(&mut s, &mut fb, hello_deadline, "incoming")
-                        .map_err(|e| HelloReject::Other(e.to_string()))
-                        .and_then(|p| decode_hello(&p, topo_hash));
-                    match hello {
-                        Ok((proc, peer_codec, addr))
-                            if proc > 0 && proc < n && addrs[proc].is_none() =>
-                        {
-                            codec = codec.weakest(peer_codec);
-                            addrs[proc] = Some(addr);
-                            conns.push(PeerConn {
-                                proc,
-                                stream: s,
-                                residual: fb,
-                            });
-                        }
-                        Ok((proc, _, _)) => {
-                            obs::m().handshake_rejected.inc();
-                            s.shutdown_both();
-                            return Err(SocketError::Handshake {
-                                addr: "incoming".to_string(),
-                                what: format!("duplicate or out-of-range process index {proc}"),
-                            });
-                        }
-                        Err(what) => {
-                            // A rogue or garbled connection: reject it,
-                            // count it, keep waiting for the real peers.
-                            // An unknown codec id gets its own counter —
-                            // a legitimate peer never trips this (it
-                            // advertises a known id), so it is either
-                            // hostile or a skew bug worth alerting on.
-                            if let HelloReject::UnknownCodec(_) = what {
-                                obs::m().codec_rejected.inc();
-                            }
-                            obs::m().handshake_rejected.inc();
-                            s.shutdown_both();
-                            let _ = what;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= accept_deadline {
-                        obs::m().connect_timeouts.inc();
-                        return Err(SocketError::AcceptTimeout {
-                            waited_ms: topo.socket.effective_accept_timeout().as_millis() as u64,
-                            missing: (n - 1) - conns.len(),
-                        });
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    return Err(SocketError::Io {
-                        during: "accept",
-                        detail: e.to_string(),
-                    })
-                }
-            }
+        let mut roster = vec![String::new(); n];
+        roster[0] = my_addr;
+        let mut conns = Vec::with_capacity(n - 1);
+        for (conn, addr) in accept_hellos(&listener, 1..n, deadline, topo_hash)? {
+            roster[conn.proc] = addr;
+            conns.push(conn);
         }
-        let roster: Vec<String> = addrs.into_iter().map(Option::unwrap_or_default).collect();
-        let payload = encode_roster(epoch, codec, &roster);
+        let payload = encode_roster(epoch, &roster);
         for c in &mut conns {
             write_frame(&mut c.stream, &payload).map_err(|e| SocketError::Io {
                 during: "roster broadcast",
@@ -1116,7 +1046,6 @@ fn connect_mesh(
             listener,
             roster,
             epoch,
-            codec,
         });
     }
 
@@ -1126,47 +1055,39 @@ fn connect_mesh(
         Endpoint::Tcp(a) => format!("tcp:{a}"),
         Endpoint::Unix(p) => format!("unix:{}", p.display()),
     };
-    let mut coord = dial(&coord_addr, dial_deadline, topo.socket.connect_timeout)?;
-    write_frame(
-        &mut coord,
-        &encode_hello(me, topo_hash, topo.socket.compression, &my_addr),
-    )
-    .map_err(|e| SocketError::Io {
-        during: "hello send",
-        detail: e.to_string(),
+    let mut coord = dial(&coord_addr, deadline, topo.socket.connect_timeout)?;
+    write_frame(&mut coord, &encode_hello(me, topo_hash, &my_addr)).map_err(|e| {
+        SocketError::Io {
+            during: "hello send",
+            detail: e.to_string(),
+        }
     })?;
     let mut coord_fb = FrameBuf::new();
-    let roster_frame = read_one_frame(&mut coord, &mut coord_fb, dial_deadline, &coord_addr)?;
-    let (epoch, roster_codec, roster) = decode_roster(&roster_frame).ok_or_else(|| {
+    let roster_frame = read_one_frame(&mut coord, &mut coord_fb, deadline, &coord_addr)?;
+    let (epoch, roster) = decode_roster(&roster_frame).ok_or_else(|| {
         obs::m().handshake_rejected.inc();
         SocketError::Handshake {
             addr: coord_addr.clone(),
             what: "coordinator sent an invalid roster".to_string(),
         }
     })?;
-    // The coordinator already folded our advertisement into the session
-    // codec; clamping again costs nothing and protects against a rogue
-    // coordinator upgrading us past what we can speak.
-    let codec = topo.socket.compression.weakest(roster_codec);
     if roster.len() != n {
         return Err(SocketError::Handshake {
             addr: coord_addr.clone(),
             what: format!("roster lists {} processes, expected {n}", roster.len()),
         });
     }
-    conns.push(PeerConn {
+    let mut conns = vec![PeerConn {
         proc: 0,
         stream: coord,
         residual: coord_fb,
-    });
+    }];
 
     for (j, addr) in roster.iter().enumerate().take(me).skip(1) {
-        let mut s = dial(addr, dial_deadline, topo.socket.connect_timeout)?;
-        write_frame(&mut s, &encode_hello(me, topo_hash, codec, "")).map_err(|e| {
-            SocketError::Io {
-                during: "hello send",
-                detail: e.to_string(),
-            }
+        let mut s = dial(addr, deadline, topo.socket.connect_timeout)?;
+        write_frame(&mut s, &encode_hello(me, topo_hash, "")).map_err(|e| SocketError::Io {
+            during: "hello send",
+            detail: e.to_string(),
         })?;
         conns.push(PeerConn {
             proc: j,
@@ -1174,73 +1095,14 @@ fn connect_mesh(
             residual: FrameBuf::new(),
         });
     }
-
-    let expected_accepts = n - 1 - me;
-    if expected_accepts > 0 {
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| SocketError::Io {
-                during: "listener setup",
-                detail: e.to_string(),
-            })?;
-        let mut accepted = 0usize;
-        while accepted < expected_accepts {
-            match listener.accept() {
-                Ok(mut s) => {
-                    let _ = s.set_read_timeout(Some(hello_budget));
-                    let mut fb = FrameBuf::new();
-                    let hello_deadline = accept_deadline.min(Instant::now() + hello_budget);
-                    let hello = read_one_frame(&mut s, &mut fb, hello_deadline, "incoming")
-                        .map_err(|e| HelloReject::Other(e.to_string()))
-                        .and_then(|p| decode_hello(&p, topo_hash));
-                    match hello {
-                        // Peer-to-peer hellos still carry a codec byte,
-                        // but the roster's session codec is authoritative
-                        // for every link — the advertisement is ignored.
-                        Ok((proc, _, _)) if proc > me && proc < n => {
-                            conns.push(PeerConn {
-                                proc,
-                                stream: s,
-                                residual: fb,
-                            });
-                            accepted += 1;
-                        }
-                        hello => {
-                            if let Err(HelloReject::UnknownCodec(_)) = hello {
-                                obs::m().codec_rejected.inc();
-                            }
-                            obs::m().handshake_rejected.inc();
-                            s.shutdown_both();
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= accept_deadline {
-                        obs::m().connect_timeouts.inc();
-                        return Err(SocketError::AcceptTimeout {
-                            waited_ms: topo.socket.effective_accept_timeout().as_millis() as u64,
-                            missing: expected_accepts - accepted,
-                        });
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    return Err(SocketError::Io {
-                        during: "accept",
-                        detail: e.to_string(),
-                    })
-                }
-            }
-        }
-    }
+    let accepted = accept_hellos(&listener, me + 1..n, deadline, topo_hash)?;
+    conns.extend(accepted.into_iter().map(|(conn, _)| conn));
 
     Ok(Mesh {
         conns,
         listener,
         roster,
         epoch,
-        codec,
     })
 }
 
@@ -1366,16 +1228,6 @@ impl MeshGate {
     }
 }
 
-/// Reconnect policy snapshot taken from [`SocketConfig`] at launch.
-#[derive(Clone)]
-struct LinkPolicy {
-    retry_budget: u32,
-    backoff_base: Duration,
-    reconnect_grace: Duration,
-    hello_timeout: Duration,
-    link_fault: Option<LinkFault>,
-}
-
 struct Teardown {
     state: Mutex<()>,
     cv: Condvar,
@@ -1400,16 +1252,13 @@ pub struct SocketTransport {
     thread_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     shutdown_sent: AtomicBool,
     teardown: Teardown,
-    drain_budget: Duration,
-    policy: LinkPolicy,
+    /// Redial policy and chaos injection; `connect_timeout` also bounds
+    /// the teardown drain.
+    config: SocketConfig,
     gate: MeshGate,
     /// Session epoch + advertised address of every process; set by
     /// `start` together with the links.
     session: OnceLock<(u64, Vec<String>)>,
-    /// Negotiated session envelope codec (weakest across all peers);
-    /// `None` until the mesh is up, which is fine — `deliver` cannot
-    /// run before the gate opens.
-    codec: OnceLock<Compression>,
     /// Finalize has begun: recovery threads stand down, the acceptor
     /// loop exits.
     closing: AtomicBool,
@@ -1420,8 +1269,7 @@ impl SocketTransport {
         proc_index: usize,
         rank_owner: Vec<usize>,
         num_procs: usize,
-        drain_budget: Duration,
-        policy: LinkPolicy,
+        config: SocketConfig,
     ) -> Arc<Self> {
         let mailboxes = rank_owner
             .iter()
@@ -1440,11 +1288,9 @@ impl SocketTransport {
                 state: Mutex::new(()),
                 cv: Condvar::new(),
             },
-            drain_budget,
-            policy,
+            config,
             gate: MeshGate::new(),
             session: OnceLock::new(),
-            codec: OnceLock::new(),
             closing: AtomicBool::new(false),
         })
     }
@@ -1454,7 +1300,6 @@ impl SocketTransport {
     /// exactly once, from the mesh thread.
     fn start(self: &Arc<Self>, mesh: Mesh) {
         let _ = self.session.set((mesh.epoch, mesh.roster));
-        let _ = self.codec.set(mesh.codec);
         for conn in mesh.conns {
             let link = Arc::new(Link::new(conn.proc));
             if let Some(slot) = self.links.get(conn.proc) {
@@ -1554,7 +1399,7 @@ impl SocketTransport {
     /// Chaos hook, send side: the lower-indexed side of each link severs
     /// it once after the configured number of sent data frames.
     fn chaos_should_sever(&self, peer_proc: usize, st: &mut LinkState) -> bool {
-        let Some(fault) = self.policy.link_fault else {
+        let Some(fault) = self.config.link_fault else {
             return false;
         };
         if self.proc_index > peer_proc || st.severed || st.tx_seq < fault.sever_after_frames {
@@ -1571,7 +1416,7 @@ impl SocketTransport {
     /// frames. Shares the once-per-link `severed` flag with the send
     /// hook.
     fn chaos_maybe_sever_rx(&self, link: &Arc<Link>) {
-        let Some(fault) = self.policy.link_fault else {
+        let Some(fault) = self.config.link_fault else {
             return;
         };
         if self.proc_index > link.proc
@@ -1590,29 +1435,6 @@ impl SocketTransport {
         // peer) takes it from there.
         if let Some(w) = st.writer.take() {
             w.shutdown_both();
-        }
-    }
-
-    /// Wraps an encoded envelope in a `K_ENVELOPE_Z` frame when the
-    /// session codec is LZ4 and compression actually wins. Runs *before*
-    /// `send_data` so the retransmit buffer holds the exact wire bytes —
-    /// a retransmitted frame is bit-identical to the original send.
-    fn maybe_compress_envelope(&self, payload: Vec<u8>) -> Vec<u8> {
-        if self.codec.get() != Some(&Compression::Lz4) || payload.len() < MIN_ENVELOPE_COMPRESS {
-            return payload;
-        }
-        thread_local! {
-            static ENC: std::cell::RefCell<Lz4Encoder> =
-                std::cell::RefCell::new(Lz4Encoder::new());
-        }
-        let mut out = Vec::with_capacity(1 + max_compressed_len(payload.len()));
-        out.push(K_ENVELOPE_Z);
-        ENC.with(|enc| enc.borrow_mut().compress(&payload, &mut out));
-        if out.len() < payload.len() {
-            obs::m().envelopes_compressed.inc();
-            out
-        } else {
-            payload
         }
     }
 
@@ -1698,37 +1520,9 @@ impl SocketTransport {
                 }
                 true
             }
-            Some(K_ENVELOPE_Z) => {
-                // Inflate, then reuse the plain envelope path. Any
-                // defect — truncated block, bad offset, declared-size
-                // mismatch, wrong inner kind — makes the connection
-                // off-protocol (`false` → link loss), exactly like an
-                // unknown frame kind.
-                let Some(z) = payload.get(1..) else {
-                    return false;
-                };
-                let mut raw = bytes::BytesMut::new();
-                if decompress_into(z, MAX_FRAME_LEN, &mut raw).is_err() {
-                    return false;
-                }
-                let raw = raw.freeze();
-                if raw.first() != Some(&K_ENVELOPE) {
-                    return false;
-                }
-                if let Some((dst, env)) = decode_envelope(&raw) {
-                    if let Some(Some(mb)) = self.mailboxes.get(dst) {
-                        let _ = mb.deliver(env, usize::MAX);
-                    }
-                }
-                true
-            }
             Some(K_RANK_DONE) => {
-                if let Some(r) = payload
-                    .get(1..5)
-                    .and_then(|b| b.try_into().ok())
-                    .map(u32::from_le_bytes)
-                {
-                    if let Some(flag) = self.alive.get(r as usize) {
+                if let Some(r) = decode_rank_done(payload) {
+                    if let Some(flag) = self.alive.get(r) {
                         flag.store(false, Ordering::Release);
                         self.bump_local();
                     }
@@ -1773,17 +1567,12 @@ impl SocketTransport {
                         obs::m().frames_received.inc();
                         match p.first().copied() {
                             Some(K_ACK) => {
-                                if let (Some(link), Some(acked)) = (
-                                    link.as_ref(),
-                                    p.get(1..9)
-                                        .and_then(|b| b.try_into().ok())
-                                        .map(u64::from_le_bytes),
-                                ) {
+                                if let (Some(link), Some(acked)) = (link.as_ref(), decode_ack(&p)) {
                                     self.prune_acked(link, acked);
                                 }
                             }
-                            Some(K_ENVELOPE) | Some(K_ENVELOPE_Z) | Some(K_RANK_DONE)
-                            | Some(K_SHUTDOWN) | Some(K_PROC_DONE) => {
+                            Some(K_ENVELOPE) | Some(K_RANK_DONE) | Some(K_SHUTDOWN)
+                            | Some(K_PROC_DONE) => {
                                 if let Some(link) = link.as_ref() {
                                     link.rx_seq.fetch_add(1, Ordering::AcqRel);
                                     unacked += 1;
@@ -1880,8 +1669,8 @@ impl SocketTransport {
     /// Dialer-side recovery: bounded exponential-backoff redials of the
     /// peer's retained listener.
     fn redial_loop(self: &Arc<Self>, link: &Arc<Link>) {
-        let mut backoff = self.policy.backoff_base;
-        for attempt in 0..self.policy.retry_budget {
+        let mut backoff = self.config.backoff_base;
+        for attempt in 0..self.config.retry_budget {
             if self.closing.load(Ordering::Acquire) || link.lost.load(Ordering::Acquire) {
                 return;
             }
@@ -1917,7 +1706,7 @@ impl SocketTransport {
         write_frame(&mut s, &encode_reconn(self.proc_index, *epoch, rx)).map_err(|_| false)?;
         // The acceptor may hold the reply until its own reader drained,
         // bounded by its grace window.
-        let deadline = Instant::now() + self.policy.reconnect_grace + self.policy.hello_timeout;
+        let deadline = Instant::now() + RECONNECT_GRACE + HELLO_TIMEOUT;
         let mut fb = FrameBuf::new();
         let reply = read_one_frame(&mut s, &mut fb, deadline, addr).map_err(|_| false)?;
         match reply.first().copied() {
@@ -1986,7 +1775,7 @@ impl SocketTransport {
     /// peer's redials fail instantly, so the dialer's budget is usually
     /// exhausted well inside this window.
     fn grace_watchdog(self: &Arc<Self>, link: &Arc<Link>) {
-        let deadline = Instant::now() + self.policy.reconnect_grace;
+        let deadline = Instant::now() + RECONNECT_GRACE;
         let mut st = link.state.lock();
         loop {
             if !st.recovering || link.lost.load(Ordering::Acquire) {
@@ -2037,9 +1826,8 @@ impl SocketTransport {
     /// link identity, then answers with our received count and resumes
     /// the stream.
     fn handle_redial(self: &Arc<Self>, mut s: SockStream) {
-        let _ = s.set_read_timeout(Some(self.policy.hello_timeout));
         let mut fb = FrameBuf::new();
-        let deadline = Instant::now() + self.policy.hello_timeout;
+        let deadline = Instant::now() + HELLO_TIMEOUT;
         let frame = match read_one_frame(&mut s, &mut fb, deadline, "redial") {
             Ok(f) => f,
             Err(_) => {
@@ -2088,7 +1876,7 @@ impl SocketTransport {
         // redial itself proves the old stream is gone, so force it shut
         // to unblock that reader.
         {
-            let grace_deadline = Instant::now() + self.policy.reconnect_grace;
+            let grace_deadline = Instant::now() + RECONNECT_GRACE;
             let mut st = link.state.lock();
             if let Some(w) = st.writer.take() {
                 w.shutdown_both();
@@ -2153,7 +1941,7 @@ impl Transport for SocketTransport {
         let link = self
             .link(proc)
             .ok_or(RtError::Protocol("no connection to destination process"))?;
-        let payload = self.maybe_compress_envelope(encode_envelope(dst_world, &env));
+        let payload = encode_envelope(dst_world, &env);
         // A link lost past its redial budget.
         self.send_data(link, &payload).map_err(|()| unreachable)?;
         Ok(Delivery::Complete)
@@ -2176,9 +1964,7 @@ impl Transport for SocketTransport {
         // sequence, same connection): peers observing the flag flip
         // already have all of the rank's data in their mailboxes.
         if self.gate.wait_ready() {
-            let mut payload = vec![K_RANK_DONE];
-            payload.extend_from_slice(&(world_rank as u32).to_le_bytes());
-            self.broadcast(&payload);
+            self.broadcast(&encode_rank_done(world_rank));
         }
     }
 
@@ -2198,7 +1984,7 @@ impl Transport for SocketTransport {
         // 1. Announce clean completion of this process…
         self.broadcast(&[K_PROC_DONE]);
         // 2. …wait until every peer has done the same (or vanished)…
-        let deadline = Instant::now() + self.drain_budget;
+        let deadline = Instant::now() + self.config.connect_timeout;
         {
             let mut g = self.teardown.state.lock();
             while !self.peers_settled() {
@@ -2277,19 +2063,11 @@ impl Launcher {
         }
         let topo_hash = topology_hash(topo.num_procs, &rank_owner);
 
-        let policy = LinkPolicy {
-            retry_budget: topo.socket.retry_budget,
-            backoff_base: topo.socket.backoff_base,
-            reconnect_grace: topo.socket.reconnect_grace,
-            hello_timeout: topo.socket.hello_timeout,
-            link_fault: topo.socket.link_fault,
-        };
         let transport = SocketTransport::new(
             topo.proc_index,
             rank_owner.clone(),
             topo.num_procs,
-            topo.socket.connect_timeout,
-            policy,
+            topo.socket.clone(),
         );
 
         // Overlap the coordinator handshake with partition startup: the
@@ -2382,12 +2160,12 @@ mod tests {
         check_decoder("decode_envelope", &encode_envelope(11, &env), 26, |b| {
             decode_envelope(&Bytes::copy_from_slice(b)).is_some()
         });
-        let hello = encode_hello(3, 0xABCD, Compression::Lz4, "unix:/tmp/x");
-        check_decoder("decode_hello", &hello, 18, |b| {
+        let hello = encode_hello(3, 0xABCD, "unix:/tmp/x");
+        check_decoder("decode_hello", &hello, 17, |b| {
             decode_hello(&Bytes::copy_from_slice(b), 0xABCD).is_ok()
         });
         let addrs = ["tcp:127.0.0.1:9000".to_string(), String::new()];
-        let roster = encode_roster(0xFEED, Compression::Lz4, &addrs);
+        let roster = encode_roster(0xFEED, &addrs);
         check_decoder("decode_roster", &roster, roster.len(), |b| {
             decode_roster(&Bytes::copy_from_slice(b)).is_some()
         });
@@ -2396,6 +2174,12 @@ mod tests {
         });
         check_decoder("decode_reconn_ok", &encode_reconn_ok(987), 9, |b| {
             decode_reconn_ok(&Bytes::copy_from_slice(b)).is_some()
+        });
+        check_decoder("decode_ack", &encode_ack(42), 9, |b| {
+            decode_ack(b).is_some()
+        });
+        check_decoder("decode_rank_done", &encode_rank_done(6), 5, |b| {
+            decode_rank_done(b).is_some()
         });
     }
 
@@ -2409,12 +2193,9 @@ mod tests {
 
     #[test]
     fn hello_roundtrip_and_validation() {
-        let wire = Bytes::from(encode_hello(3, 0xABCD, Compression::Lz4, "unix:/tmp/x"));
-        let (proc, codec, addr) = decode_hello(&wire, 0xABCD).unwrap();
-        assert_eq!(
-            (proc, codec, addr.as_str()),
-            (3, Compression::Lz4, "unix:/tmp/x")
-        );
+        let wire = Bytes::from(encode_hello(3, 0xABCD, "unix:/tmp/x"));
+        let (proc, addr) = decode_hello(&wire, 0xABCD).unwrap();
+        assert_eq!((proc, addr.as_str()), (3, "unix:/tmp/x"));
         // Wrong topology hash is rejected with a description.
         let err = decode_hello(&wire, 0x1234).unwrap_err().to_string();
         assert!(err.contains("topology mismatch"), "{err}");
@@ -2423,63 +2204,72 @@ mod tests {
         assert!(decode_hello(&garbage, 0xABCD).is_err());
     }
 
-    /// Handshake frames of the retired version 2 — a hello without the
-    /// codec byte, a reconnect — are typed rejections, not plain peers.
+    /// Handshake frames of the retired versions 2 and 3 are typed
+    /// rejections, not peers on a compatibility path.
     #[test]
-    fn v2_hello_and_reconnect_are_typed_rejections() {
-        let mut hello = vec![K_HELLO];
-        hello.extend_from_slice(&MAGIC.to_le_bytes());
-        hello.extend_from_slice(&2u16.to_le_bytes());
-        hello.extend_from_slice(&2u16.to_le_bytes());
-        hello.extend_from_slice(&0xABCDu64.to_le_bytes());
-        hello.extend_from_slice(b"unix:/tmp/legacy");
-        let err = decode_hello(&Bytes::from(hello), 0xABCD).unwrap_err();
-        assert!(err.to_string().contains("version 2"), "{err}");
+    fn retired_hello_and_reconnect_versions_are_typed_rejections() {
+        for version in [2u16, 3] {
+            let mut hello = encode_hello(2, 0xABCD, "unix:/tmp/legacy");
+            hello[5..7].copy_from_slice(&version.to_le_bytes());
+            let err = decode_hello(&Bytes::from(hello), 0xABCD).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("version {version}")),
+                "{err}"
+            );
 
-        let mut reconn = encode_reconn(5, 0xE90C4, 1234);
-        reconn[5..7].copy_from_slice(&2u16.to_le_bytes());
-        let err = decode_reconn(&Bytes::from(reconn)).unwrap_err();
-        assert!(err.to_string().contains("version 2"), "{err}");
-    }
-
-    /// An unknown codec id is a *typed* rejection, distinguishable from
-    /// generic handshake garbage.
-    #[test]
-    fn unknown_codec_id_is_a_typed_rejection() {
-        let mut wire = encode_hello(1, 0xABCD, Compression::None, "unix:/tmp/x");
-        wire[17] = 0x7F; // codec byte: no such codec
-        let err = decode_hello(&Bytes::from(wire), 0xABCD).unwrap_err();
-        assert!(
-            matches!(err, HelloReject::UnknownCodec(0x7F)),
-            "want UnknownCodec(0x7F), got {err}"
-        );
+            let mut reconn = encode_reconn(5, 0xE90C4, 1234);
+            reconn[5..7].copy_from_slice(&version.to_le_bytes());
+            let err = decode_reconn(&Bytes::from(reconn)).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("version {version}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
-    fn roster_roundtrips_with_epoch_and_codec() {
+    fn roster_roundtrips_with_epoch() {
         let addrs = vec![
             "tcp:127.0.0.1:9000".to_string(),
             String::new(),
             "unix:/tmp/a.sock".to_string(),
         ];
-        for codec in [Compression::None, Compression::Lz4] {
-            let wire = Bytes::from(encode_roster(0xFEED_F00D, codec, &addrs));
-            assert_eq!(
-                decode_roster(&wire).unwrap(),
-                (0xFEED_F00D, codec, addrs.clone())
-            );
-        }
+        let wire = Bytes::from(encode_roster(0xFEED_F00D, &addrs));
+        assert_eq!(decode_roster(&wire).unwrap(), (0xFEED_F00D, addrs.clone()));
         assert_eq!(decode_roster(&Bytes::from_static(b"\x07junk")), None);
-        // A roster without the codec tail is not a plain session: rejected.
-        let mut tailless = encode_roster(7, Compression::Lz4, &addrs);
-        tailless.pop();
-        assert_eq!(decode_roster(&Bytes::from(tailless)), None);
-        // An unknown codec tail fails the parse instead of guessing.
-        let mut bad = encode_roster(7, Compression::Lz4, &addrs);
-        if let Some(last) = bad.last_mut() {
-            *last = 0x7F;
-        }
-        assert_eq!(decode_roster(&Bytes::from(bad)), None);
+        let mut cut = encode_roster(7, &addrs);
+        cut.pop();
+        assert_eq!(decode_roster(&Bytes::from(cut)), None);
+    }
+
+    /// One accept loop for the coordinator and the peers: each index in
+    /// `admit` is admitted once; a duplicate or out-of-range hello is
+    /// rejected, counted and closed while the loop keeps waiting.
+    #[test]
+    fn accept_loop_admits_each_index_once_and_rejects_the_rest() {
+        let path = std::env::temp_dir().join(format!("opmr-accept-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = SockListener::Unix(UnixListener::bind(&path).unwrap());
+        let dial_path = path.clone();
+        let peers = std::thread::spawn(move || {
+            [2usize, 2, 9, 1].map(|proc| {
+                let mut s = UnixStream::connect(&dial_path).unwrap();
+                let hello = encode_hello(proc, 0xABCD, &format!("unix:/p{proc}"));
+                s.write_all(&try_frame(&hello).unwrap()).unwrap();
+                s
+            })
+        });
+        let rejected0 = obs::m().handshake_rejected.get();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let admitted = accept_hellos(&listener, 1..3, deadline, 0xABCD).unwrap();
+        let _conns = peers.join().unwrap();
+        let _ = std::fs::remove_file(&path);
+        let got: Vec<(usize, &str)> = admitted
+            .iter()
+            .map(|(c, addr)| (c.proc, addr.as_str()))
+            .collect();
+        assert_eq!(got, vec![(2, "unix:/p2"), (1, "unix:/p1")]);
+        assert_eq!(obs::m().handshake_rejected.get() - rejected0, 2);
     }
 
     #[test]
@@ -2495,9 +2285,10 @@ mod tests {
         assert_eq!(decode_reconn_ok(&ok), Some(987));
         assert_eq!(decode_reconn_ok(&Bytes::from_static(b"\x09abc")), None);
 
-        let ack = encode_ack(42);
-        assert_eq!(ack[0], K_ACK);
-        assert_eq!(u64::from_le_bytes(ack[1..9].try_into().unwrap()), 42);
+        assert_eq!(decode_ack(&encode_ack(42)), Some(42));
+        assert_eq!(decode_ack(b"\x07abc"), None);
+        assert_eq!(decode_rank_done(&encode_rank_done(6)), Some(6));
+        assert_eq!(decode_rank_done(b"\x03ab"), None);
     }
 
     #[test]
@@ -2559,13 +2350,10 @@ mod tests {
         let cases: Vec<SocketConfig> = vec![
             SocketConfig::new(ep()).connect_timeout(Duration::ZERO),
             SocketConfig::new(ep()).connect_timeout(Duration::from_secs(7200)),
-            SocketConfig::new(ep()).accept_timeout(Duration::ZERO),
-            SocketConfig::new(ep()).hello_timeout(Duration::ZERO),
             SocketConfig::new(ep()).retry_budget(0),
             SocketConfig::new(ep()).retry_budget(65),
             SocketConfig::new(ep()).backoff_base(Duration::ZERO),
             SocketConfig::new(ep()).backoff_base(Duration::from_secs(90)),
-            SocketConfig::new(ep()).reconnect_grace(Duration::ZERO),
             SocketConfig::new(ep()).link_fault(LinkFault {
                 sever_after_frames: 0,
             }),
@@ -2576,14 +2364,5 @@ mod tests {
                 "accepted invalid config: {cfg:?}"
             );
         }
-        // Defaults fall back: accept budget inherits connect budget.
-        let cfg = SocketConfig::new(ep()).connect_timeout(Duration::from_millis(250));
-        assert_eq!(cfg.effective_accept_timeout(), Duration::from_millis(250));
-        assert_eq!(
-            SocketConfig::new(ep())
-                .accept_timeout(Duration::from_secs(1))
-                .effective_accept_timeout(),
-            Duration::from_secs(1)
-        );
     }
 }

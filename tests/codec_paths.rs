@@ -3,8 +3,8 @@
 //! LZ4-class), over every transport shape, must produce a **byte
 //! identical** analysis report — pinned by the timing-scrubbed
 //! [`stable_digest`]. The chaos flavor additionally severs every busy
-//! socket link mid-stream while envelopes travel compressed, proving
-//! the retransmit path resends bit-identical compressed frames.
+//! socket link mid-stream while the stream's blocks travel compressed,
+//! proving the retransmit path resends bit-identical compressed frames.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
@@ -119,10 +119,10 @@ fn compressed_stream_path_saves_wire_bytes() {
 }
 
 /// Chaos replay over the *compressed* socket path: every busy link is
-/// severed once mid-stream while envelopes travel LZ4-compressed and
-/// packs are delta-encoded. The reconnect layer retransmits the exact
-/// compressed bytes, so the report digest cannot move a bit from the
-/// plain in-process run.
+/// severed once mid-stream while the stream's blocks travel
+/// LZ4-compressed and packs are delta-encoded. The link retransmits the
+/// exact compressed bytes, so the report digest cannot move a bit from
+/// the plain in-process run.
 #[test]
 fn chaos_replay_over_compressed_socket_path_is_byte_identical() {
     let direct = ring_session().run().expect("in-process session");
@@ -133,7 +133,6 @@ fn chaos_replay_over_compressed_socket_path_is_byte_identical() {
     let cfg = |ep| {
         SocketConfig::new(ep)
             .connect_timeout(Duration::from_secs(20))
-            .compression(Compression::Lz4)
             .link_fault(LinkFault {
                 sever_after_frames: 5,
             })

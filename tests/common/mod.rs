@@ -44,9 +44,7 @@ pub fn run_socket_threads(launcher: Launcher, procs: usize) -> Vec<RankFailure> 
 }
 
 /// [`run_socket_threads`] with a per-process [`SocketConfig`] customizer
-/// (`(proc_index, base_config) -> config`) — the hook the codec
-/// negotiation scenarios use to give different processes different
-/// compression advertisements.
+/// (`(proc_index, base_config) -> config`), e.g. to inject link faults.
 pub fn run_socket_threads_with(
     launcher: Launcher,
     procs: usize,

@@ -460,7 +460,7 @@ fn stale_epoch_redial_is_nakked_typed_and_counted() {
     let mut reconn = Vec::with_capacity(23);
     reconn.push(8u8); // K_RECONN
     reconn.extend_from_slice(&0x4F50_4D52u32.to_le_bytes()); // MAGIC "OPMR"
-    reconn.extend_from_slice(&3u16.to_le_bytes()); // VERSION
+    reconn.extend_from_slice(&4u16.to_le_bytes()); // VERSION
     reconn.extend_from_slice(&1u16.to_le_bytes()); // claims to be process 1
     reconn.extend_from_slice(&0xDEAD_BEEF_DEAD_BEEFu64.to_le_bytes()); // stale epoch
     reconn.extend_from_slice(&0u64.to_le_bytes()); // rx_seq
@@ -501,9 +501,8 @@ fn stale_epoch_redial_is_nakked_typed_and_counted() {
 }
 
 // ---------------------------------------------------------------------
-// The retired protocol version 2 — a hello without the codec byte, a
-// reconnect frame, a roster without the codec tail — is a typed, counted
-// rejection at each of the three places it used to be accepted.
+// A hello or reconnect frame of a retired protocol version (2, or 3 with
+// its codec byte), and a truncated roster, are typed, counted rejections.
 // ---------------------------------------------------------------------
 
 /// `[kind][magic "OPMR"][version u16][proc u16]` — the shared head of a
@@ -540,8 +539,8 @@ fn read_to_close(s: &mut UnixStream) -> Vec<u8> {
 }
 
 #[test]
-fn v2_hello_and_v2_reconnect_are_rejected_and_counted() {
-    let endpoint = fresh_unix_endpoint("v2");
+fn v2_and_v3_hellos_and_reconnects_are_rejected_and_counted() {
+    let endpoint = fresh_unix_endpoint("retired");
     let Endpoint::Unix(path) = endpoint.clone() else {
         unreachable!()
     };
@@ -563,63 +562,71 @@ fn v2_hello_and_v2_reconnect_are_rejected_and_counted() {
         std::thread::spawn(move || l.run_multiproc(topo))
     };
 
-    // A version-2 hello (no codec byte; the address follows the hash) is
-    // the first connection the coordinator accepts.
-    let before = counter("transport_socket_handshake_rejected_total");
+    // A version-2 hello (the address follows the hash) and a version-3
+    // hello (a codec byte before the address) are the first connections
+    // the coordinator accepts.
     let coord = spawn_proc(0);
-    let mut rogue = connect_retrying(&path);
-    let mut hello = handshake_head(1, 2, 1); // K_HELLO
-    hello.extend_from_slice(&0u64.to_le_bytes()); // topology hash
-    hello.extend_from_slice(b"unix:/tmp/legacy");
-    rogue.write_all(&opmr::events::frame(&hello)).unwrap();
-    assert!(
-        read_to_close(&mut rogue).is_empty(),
-        "a rejected hello is answered by closing the connection"
-    );
-    assert!(
-        counter("transport_socket_handshake_rejected_total") > before,
-        "the version-2 hello must be counted as rejected"
-    );
+    for version in [2, 3] {
+        let before = counter("transport_socket_handshake_rejected_total");
+        let mut rogue = connect_retrying(&path);
+        let mut hello = handshake_head(1, version, 1); // K_HELLO
+        hello.extend_from_slice(&0u64.to_le_bytes()); // topology hash
+        if version == 3 {
+            hello.push(0); // codec byte
+        }
+        hello.extend_from_slice(b"unix:/tmp/legacy");
+        rogue.write_all(&opmr::events::frame(&hello)).unwrap();
+        assert!(
+            read_to_close(&mut rogue).is_empty(),
+            "a rejected hello is answered by closing the connection"
+        );
+        assert!(
+            counter("transport_socket_handshake_rejected_total") > before,
+            "the version-{version} hello must be counted as rejected"
+        );
+    }
 
-    // The honest peer joins; mid-job, a version-2 reconnect frame reaches
-    // the retained listener. It is dropped before the epoch is even
-    // looked at: no NAK, one more rejection.
+    // The honest peer joins; mid-job, reconnect frames of both retired
+    // versions reach the retained listener. Each is dropped before the
+    // epoch is even looked at: no NAK, one more rejection.
     let peer = spawn_proc(1);
     std::thread::sleep(Duration::from_millis(300));
-    let before = counter("transport_socket_handshake_rejected_total");
-    let mut rogue = connect_retrying(&path);
-    let mut reconn = handshake_head(8, 2, 1); // K_RECONN
-    reconn.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes()); // epoch
-    reconn.extend_from_slice(&0u64.to_le_bytes()); // rx_seq
-    rogue.write_all(&opmr::events::frame(&reconn)).unwrap();
-    assert!(
-        read_to_close(&mut rogue).is_empty(),
-        "a version-2 reconnect gets no NAK, only a closed connection"
-    );
-    assert!(
-        counter("transport_socket_handshake_rejected_total") > before,
-        "the version-2 reconnect must be counted as rejected"
-    );
+    for version in [2, 3] {
+        let before = counter("transport_socket_handshake_rejected_total");
+        let mut rogue = connect_retrying(&path);
+        let mut reconn = handshake_head(8, version, 1); // K_RECONN
+        reconn.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes()); // epoch
+        reconn.extend_from_slice(&0u64.to_le_bytes()); // rx_seq
+        rogue.write_all(&opmr::events::frame(&reconn)).unwrap();
+        assert!(
+            read_to_close(&mut rogue).is_empty(),
+            "a version-{version} reconnect gets no NAK, only a closed connection"
+        );
+        assert!(
+            counter("transport_socket_handshake_rejected_total") > before,
+            "the version-{version} reconnect must be counted as rejected"
+        );
+    }
 
     coord.join().unwrap().expect("coordinator finishes its job");
     peer.join().unwrap().expect("peer finishes its job");
 }
 
 #[test]
-fn roster_without_the_codec_byte_is_a_typed_handshake_failure() {
+fn truncated_roster_is_a_typed_handshake_failure() {
     use std::os::unix::net::UnixListener;
     let before = counter("transport_socket_handshake_rejected_total");
-    let endpoint = fresh_unix_endpoint("tailless");
+    let endpoint = fresh_unix_endpoint("cut-roster");
     let Endpoint::Unix(path) = endpoint.clone() else {
         unreachable!()
     };
     // A stand-in coordinator: accept the dialer, swallow its hello, answer
-    // with a roster that ends after its two entries.
+    // with a roster cut inside its second entry.
     let listener = UnixListener::bind(&path).unwrap();
     let coordinator = std::thread::spawn(move || {
         use std::io::Read as _;
         let (mut s, _) = listener.accept().unwrap();
-        let mut hello = [0u8; 26]; // frame header + the fixed part of a hello
+        let mut hello = [0u8; 25]; // frame header + the fixed part of a hello
         s.read_exact(&mut hello).unwrap();
         let mut roster = vec![6u8]; // K_ROSTER
         roster.extend_from_slice(&77u64.to_le_bytes()); // epoch
@@ -628,6 +635,7 @@ fn roster_without_the_codec_byte_is_a_typed_handshake_failure() {
             roster.extend_from_slice(&(addr.len() as u16).to_le_bytes());
             roster.extend_from_slice(addr.as_bytes());
         }
+        roster.truncate(roster.len() - 4);
         s.write_all(&opmr::events::frame(&roster)).unwrap();
         read_to_close(&mut s);
     });
@@ -642,6 +650,6 @@ fn roster_without_the_codec_byte_is_a_typed_handshake_failure() {
     coordinator.join().unwrap();
     assert!(
         counter("transport_socket_handshake_rejected_total") > before,
-        "the roster without a codec byte must be counted as rejected"
+        "the truncated roster must be counted as rejected"
     );
 }

@@ -26,11 +26,9 @@
 
 mod common;
 use common::{
-    fresh_unix_endpoint, run_socket_threads, run_socket_threads_severed, run_socket_threads_with,
-    LinkMoves, SEVER_SWEEP,
+    fresh_unix_endpoint, run_socket_threads, run_socket_threads_severed, LinkMoves, SEVER_SWEEP,
 };
 
-use opmr::events::Compression;
 use opmr::runtime::{
     Endpoint, FaultPlan, Launcher, MultiprocTopology, PartitionAssign, RankFailure, RtError,
     SocketConfig, Src, TagSel,
@@ -89,9 +87,7 @@ conformance!(
     stream_open_close_eof_protocol,
     writer_crash_is_exactly_one_typed_peer_lost,
     seeded_fault_plan_replays_identically,
-    compressed_session_delivers_identically,
-    legacy_peer_negotiates_session_down,
-    hostile_codec_advertisement_is_rejected_and_counted,
+    large_payloads_cross_the_link_byte_for_byte,
 );
 
 /// FNV-1a over a byte stream: cheap, order-sensitive digest.
@@ -474,30 +470,17 @@ fn seeded_fault_schedule_matches_across_backends() {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 8-10: envelope codec negotiation.
+// Scenario 8: large payloads.
 // ---------------------------------------------------------------------
 
-/// Serializes the codec scenarios: their socket-side assertions read
-/// process-global transport counters, so two compressed sessions in
-/// flight at once would observe each other's increments.
-fn codec_scenario_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn codec_counter(name: &str) -> u64 {
-    opmr::obs::registry().counter(name).get()
-}
-
-/// Byte `j` of message `i`: runs of 96 equal bytes, so envelopes are
-/// compressible but not degenerate, and every message differs.
+/// Byte `j` of message `i`: runs of 96 equal bytes, so every message
+/// differs.
 fn codec_payload(i: usize, len: usize) -> Vec<u8> {
     (0..len).map(|j| ((i * 7 + j / 96) & 0xFF) as u8).collect()
 }
 
-/// Cross-partition exchange of large compressible payloads; the receiver
-/// verifies every byte, so a codec that corrupts data fails loudly on
-/// any backend.
+/// Cross-partition exchange of large payloads; the receiver verifies
+/// every byte, so a link that corrupts data fails loudly on any backend.
 fn codec_exchange_job(msgs: usize, len: usize) -> Launcher {
     Launcher::new()
         .partition("tx", 1, move |mpi| {
@@ -515,131 +498,11 @@ fn codec_exchange_job(msgs: usize, len: usize) -> Launcher {
         })
 }
 
-/// Both peers advertise LZ4: the session negotiates compressed, large
-/// envelopes actually shrink on the wire, and every payload byte
-/// survives the inflate on the far side.
-fn compressed_session_delivers_identically(backend: Backend) {
-    let _g = codec_scenario_lock();
-    let before = codec_counter("transport_socket_envelopes_compressed_total");
-    let launcher = codec_exchange_job(24, 16 * 1024);
-    let failures = match backend {
-        Backend::InProc => run_job(backend, launcher),
-        Backend::Socket => {
-            run_socket_threads_with(launcher, 2, |_, cfg| cfg.compression(Compression::Lz4))
-        }
-    };
-    assert!(failures.is_empty());
-    if backend == Backend::Socket {
-        let after = codec_counter("transport_socket_envelopes_compressed_total");
-        assert!(
-            after > before,
-            "an lz4<->lz4 session must compress its large envelopes"
-        );
-    }
-}
-
-/// One peer advertises LZ4, the other nothing: the coordinator settles
-/// the *session* on the weakest codec, so not a single compressed frame
-/// is emitted — exactly what a genuine legacy peer requires.
-fn legacy_peer_negotiates_session_down(backend: Backend) {
-    let _g = codec_scenario_lock();
-    let before = codec_counter("transport_socket_envelopes_compressed_total");
-    let launcher = codec_exchange_job(24, 16 * 1024);
-    let failures = match backend {
-        Backend::InProc => run_job(backend, launcher),
-        Backend::Socket => run_socket_threads_with(launcher, 2, |p, cfg| {
-            if p == 0 {
-                cfg.compression(Compression::Lz4)
-            } else {
-                cfg // legacy peer: advertises Compression::None
-            }
-        }),
-    };
-    assert!(failures.is_empty());
-    if backend == Backend::Socket {
-        let after = codec_counter("transport_socket_envelopes_compressed_total");
-        assert_eq!(
-            after, before,
-            "a session with a legacy peer must never compress"
-        );
-    }
-}
-
-/// A hostile connection advertising an unknown codec id is rejected
-/// with the dedicated counter ticked, and the real mesh assembles and
-/// runs to completion around it. On the in-process backend there is no
-/// handshake to attack; the scenario degenerates to the clean run.
-fn hostile_codec_advertisement_is_rejected_and_counted(backend: Backend) {
-    let _g = codec_scenario_lock();
-    let launcher = codec_exchange_job(8, 16 * 1024);
-    if backend == Backend::InProc {
-        assert!(run_job(backend, launcher).is_empty());
-        return;
-    }
-
-    let before = codec_counter("transport_socket_codec_rejected_total");
-    let endpoint = fresh_unix_endpoint("hostile-codec");
-    let Endpoint::Unix(path) = endpoint.clone() else {
-        unreachable!()
-    };
-
-    // Proc 0 (the coordinator) starts first and waits for hellos.
-    let l0 = launcher.clone();
-    let ep0 = endpoint.clone();
-    let coord = std::thread::spawn(move || {
-        let cfg = SocketConfig::new(ep0)
-            .connect_timeout(Duration::from_secs(20))
-            .compression(Compression::Lz4);
-        let topo = MultiprocTopology::new(cfg, 0, 2).assign(PartitionAssign::RoundRobin);
-        l0.run_multiproc(topo)
-    });
-
-    // The hostile peer dials the coordinator and advertises codec 0x7F
-    // in an otherwise well-formed v3 hello.
-    let mut hello = vec![1u8]; // K_HELLO
-    hello.extend_from_slice(&0x4F50_4D52u32.to_le_bytes()); // MAGIC
-    hello.extend_from_slice(&3u16.to_le_bytes()); // VERSION 3
-    hello.extend_from_slice(&1u16.to_le_bytes()); // proc index
-    hello.extend_from_slice(&0u64.to_le_bytes()); // topo hash (ignored: codec checked first)
-    hello.push(0x7F); // no such codec
-    hello.extend_from_slice(b"unix:/tmp/hostile");
-    let framed = opmr::events::try_frame(&hello).unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut sock = loop {
-        match std::os::unix::net::UnixStream::connect(&path) {
-            Ok(s) => break s,
-            Err(_) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(2))
-            }
-            Err(e) => panic!("hostile peer never reached the coordinator: {e}"),
-        }
-    };
-    use std::io::{Read, Write};
-    sock.write_all(&framed).unwrap();
-    // The coordinator answers a bad hello by closing the connection:
-    // EOF here proves the rejection landed before we let the real peer
-    // join.
-    let mut sink = [0u8; 64];
-    loop {
-        match sock.read(&mut sink) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => panic!("expected EOF from the coordinator, got {e}"),
-        }
-    }
-    assert_eq!(
-        codec_counter("transport_socket_codec_rejected_total"),
-        before + 1,
-        "unknown codec id must tick the dedicated rejection counter"
-    );
-
-    // The real peer now joins; the job must complete untouched.
-    let cfg = SocketConfig::new(endpoint)
-        .connect_timeout(Duration::from_secs(20))
-        .compression(Compression::Lz4);
-    let topo = MultiprocTopology::new(cfg, 1, 2).assign(PartitionAssign::RoundRobin);
-    launcher.run_multiproc(topo).unwrap();
-    coord.join().unwrap().unwrap();
+/// 16 KiB envelopes cross the link exactly as they were encoded: the
+/// link moves bytes, and every payload byte arrives intact.
+fn large_payloads_cross_the_link_byte_for_byte(backend: Backend) {
+    let failures = run_job(backend, codec_exchange_job(24, 16 * 1024));
+    assert!(failures.is_empty(), "{failures:?}");
 }
 
 // ---------------------------------------------------------------------
