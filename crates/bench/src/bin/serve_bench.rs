@@ -1,20 +1,21 @@
 //! Live-serving benchmark: query throughput and subscription lag of the
 //! serve plane (`Coupling::Serving`) under concurrent clients.
 //!
-//! Instrumented applications stream into a serving analyzer while client
-//! partitions hammer it simultaneously: *queriers* issue point queries
-//! (profile + per-rank density) in a closed loop and *subscribers*
+//! Instrumented applications stream into the analyzer ranks, which
+//! publish into the snapshot store, while client partitions read it
+//! simultaneously on their own ranks: *queriers* issue point queries
+//! (profile + per-rank density) in a closed loop with `QUERIER_THINK`
+//! between rounds and *subscribers*
 //! consume the per-shard snapshot-then-deltas stream, measuring the
 //! publication-to-consumption lag of every update on the shared
 //! in-process clock. Scenarios cover the slow-consumer resync path
-//! (`laggy`), wide delivery at ≥256 subscribers spread over five serving
-//! ranks that each write the store's once-framed deltas (`wide256`), and
-//! a greedy tenant pinned by a subscription quota while compliant tenants
-//! ride along undisturbed.
+//! (`laggy`), wide delivery at ≥256 subscribers beside five analyzer
+//! ranks (`wide256`), and a greedy tenant pinned by a subscription quota
+//! while compliant tenants ride along undisturbed.
 //!
 //! Every subscriber folds its update stream and digests the resulting
 //! bytes per `(shard, version)`; the run asserts zero divergences across
-//! subscribers *and* against the server's stored snapshots — the delta
+//! subscribers *and* against the store's snapshots — the delta
 //! chains must be byte-identical everywhere.
 //!
 //! Reports queries/sec plus p50/p99 subscription lag per scenario; CSV
@@ -33,13 +34,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Pause between a querier's rounds. Queries are answered on the
+/// querier's own rank, so a loop without one is a busy loop that takes
+/// the cores the application and the engine need.
+const QUERIER_THINK: Duration = Duration::from_micros(100);
+
 struct Scenario {
     name: &'static str,
     rounds: i32,
     /// Instrumented ring applications (2 ranks each); >1 populates
     /// multiple store shards.
     apps: usize,
-    serving: usize,
+    analyzers: usize,
     subscribers: usize,
     queriers: usize,
     /// Subscriber ranks under the quota-pinned "greedy" tenant.
@@ -59,7 +65,7 @@ struct Run {
     stats: ServeStats,
     versions: u64,
     /// `(shard, version)` digest mismatches across subscribers or against
-    /// the server's stored snapshots. The acceptance bar is zero.
+    /// the store's snapshots. The acceptance bar is zero.
     divergences: u64,
     /// Greedy-tenant subscriptions refused with the typed quota signal.
     rejected: u64,
@@ -150,7 +156,7 @@ fn run_scenario(sc: &Scenario) -> Result<Run, Box<dyn std::error::Error>> {
 
     let q_sink = Arc::clone(&queries);
     let mut builder = Session::builder()
-        .analyzer_ranks(sc.serving)
+        .analyzer_ranks(sc.analyzers)
         .coupling(Coupling::Serving)
         .serve_config(sc.serve.clone())
         .stream_config(StreamConfig::new(2048, 4, Balance::None));
@@ -185,6 +191,7 @@ fn run_scenario(sc: &Scenario) -> Result<Run, Box<dyn std::error::Error>> {
             if info.finished {
                 break;
             }
+            std::thread::sleep(QUERIER_THINK);
         }
         *q_sink.lock() += n;
         Ok(())
@@ -200,7 +207,7 @@ fn run_scenario(sc: &Scenario) -> Result<Run, Box<dyn std::error::Error>> {
         .snapshot_store
         .ok_or("serving session lost its snapshot store")?;
     // Second half of the audit: the digests the subscribers agreed on
-    // must match the server's stored bytes wherever the ring kept them.
+    // must match the store's bytes wherever the ring kept them.
     let mut divergences = divergences.load(Ordering::Relaxed);
     for (&(shard, version), &digest) in digests.lock().iter() {
         if let Some(entry) = store.shard(shard as usize).get(version) {
@@ -238,9 +245,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let rounds = if quick { 60 } else { 300 };
     let wide = if quick { 2 } else { 4 };
-    // A tenant allowed one subscription per serving rank: with more
-    // greedy ranks than serving ranks, the surplus must be refused with
-    // the typed signal while everyone else rides along.
+    // A tenant allowed one subscription per session: the surplus greedy
+    // ranks must be refused with the typed signal while everyone else
+    // rides along.
     let pinned = |sub_limit: u32| TenantQuota {
         max_subscriptions: sub_limit,
         max_queries_per_sec: 0,
@@ -253,7 +260,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             name: "smooth",
             rounds,
             apps: 1,
-            serving: 2,
+            analyzers: 2,
             subscribers: wide,
             queriers: wide,
             greedy: 0,
@@ -264,13 +271,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
             subscriber_delay: Duration::ZERO,
         },
-        // Same load, but slow consumers against a two-deep ring: the
-        // server degrades them to snapshot resyncs instead of buffering.
+        // Same load, but slow consumers against a two-deep ring: they
+        // degrade to snapshot resyncs instead of buffering.
         Scenario {
             name: "laggy",
             rounds,
             apps: 1,
-            serving: 2,
+            analyzers: 2,
             subscribers: wide,
             queriers: wide,
             greedy: 0,
@@ -283,10 +290,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             subscriber_delay: Duration::from_millis(3),
         },
     ];
-    // Wide delivery: many subscribers spread round-robin over the serving
-    // ranks, two store shards, plus a quota-pinned greedy tenant. CI runs
-    // 64 subscribers on 3 serving ranks; the full profile 256 on 5.
-    let (name, serving, subscribers, queriers) = if quick {
+    // Wide delivery: many subscribers, two store shards, plus a
+    // quota-pinned greedy tenant. CI runs 64 subscribers beside 3
+    // analyzer ranks; the full profile 256 beside 5.
+    let (name, analyzers, subscribers, queriers) = if quick {
         ("wide64", 3, 64, 4)
     } else {
         ("wide256", 5, 256, 8)
@@ -295,7 +302,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         name,
         rounds,
         apps: 2,
-        serving,
+        analyzers,
         subscribers,
         queriers,
         greedy: 8,
@@ -377,7 +384,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             assert!(
                 run.stats.quota_rejections >= run.rejected,
-                "{}: wire rejections outnumber the counted ones",
+                "{}: refusals seen outnumber the counted ones",
                 sc.name
             );
         }

@@ -14,7 +14,7 @@ use opmr_instrument::{InstrumentedMpi, RecorderStats};
 use opmr_netsim::Workload;
 use opmr_reduce::{run_node, NodeConfig, ReduceOp, ReduceStats, Tree};
 use opmr_runtime::{Launcher, Mpi, RankError};
-use opmr_serve::{run_server, ServeClient, ServeConfig, ServeStats, ShardedStore};
+use opmr_serve::{ServeClient, ServeConfig, ServeStats, ShardedStore, TenantBook};
 use opmr_vmpi::map::{map_partitions, map_partitions_directed};
 use opmr_vmpi::{Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError};
 use parking_lot::Mutex;
@@ -37,10 +37,10 @@ pub enum Coupling {
     /// and data is folded per the configured [`ReduceOp`] on its way to
     /// the tree root.
     Tbon { fanout: usize },
-    /// Direct mapping plus live report serving: analyzer ranks publish
-    /// versioned snapshots into a [`SnapshotStore`] and answer queries and
-    /// subscriptions from client partitions (`SessionBuilder::client`)
-    /// over duplex VMPI streams while the run is still in flight.
+    /// [`Coupling::Direct`] plus a sink: the engine publishes versioned
+    /// snapshots into a [`ShardedStore`], and client partitions
+    /// (`SessionBuilder::client`) query and subscribe to it on their own
+    /// ranks while the run is still in flight.
     Serving,
 }
 
@@ -114,8 +114,8 @@ pub struct SessionOutcome {
     /// Per-tree-node reduction counters `(node index, stats)`, ascending;
     /// empty under [`Coupling::Direct`].
     pub reduce_stats: Vec<(usize, ReduceStats)>,
-    /// Per-serving-rank counters `(analyzer rank, stats)`, ascending; empty
-    /// unless the session ran under [`Coupling::Serving`].
+    /// Per-client counters `(client world rank, stats)`, ascending; empty
+    /// unless the session ran client partitions under [`Coupling::Serving`].
     pub serve_stats: Vec<(usize, ServeStats)>,
     /// The sharded snapshot store of a [`Coupling::Serving`] session,
     /// retained so callers can audit the published per-shard version
@@ -219,9 +219,10 @@ impl SessionBuilder {
     }
 
     /// Enables per-block stream compression for every writer in the
-    /// session (instrumented apps, TBON partial forwarding, serve deltas —
-    /// they all ride the same stream layer). Each frame carries its own
-    /// compression flag, so readers need no out-of-band agreement.
+    /// session (instrumented apps and TBON partial forwarding ride the same
+    /// stream layer; serve clients read the store in process and stream
+    /// nothing). Each frame carries its own compression flag, so readers
+    /// need no out-of-band agreement.
     pub fn compression(mut self, compression: opmr_vmpi::Compression) -> Self {
         self.stream.compression = compression;
         self
@@ -332,8 +333,8 @@ impl SessionBuilder {
     }
 
     /// Adds a client partition (requires [`Coupling::Serving`]): each rank
-    /// is mapped onto a serving analyzer rank, connected, handed to `body`
-    /// and disconnected afterwards.
+    /// gets a [`ServeClient`] on the session's store, named after the
+    /// partition as its quota tenant, and hands it to `body`.
     pub fn client<F>(self, name: &str, ranks: usize, body: F) -> Self
     where
         F: Fn(&mut ServeClient) + Send + Sync + 'static,
@@ -360,7 +361,7 @@ impl SessionBuilder {
     }
 
     /// Serve-plane configuration (publication cadence, snapshot ring size,
-    /// subscriber flow-control credits, serve-stream shape).
+    /// subscriber flow-control credits, shards, tenant quotas).
     pub fn serve_config(mut self, cfg: ServeConfig) -> Self {
         self.serve = cfg;
         self
@@ -566,16 +567,10 @@ impl SessionBuilder {
         let stream_cfg = self.stream;
         let analyzer_ranks = self.analyzer_ranks;
         let n_apps = self.apps.len();
-        let mut serve_cfg = self.serve;
-        // Serve deltas ride the same compressed hot path as event packs:
-        // unless the serve plane was given its own codec, it inherits the
-        // session's. Frames self-describe, so clients need no agreement.
-        if serve_cfg.stream.compression == opmr_vmpi::Compression::None {
-            serve_cfg.stream.compression = stream_cfg.compression;
-        }
+        let serve_cfg = self.serve;
 
         // Serving: the engine publishes a versioned snapshot into the store
-        // at every window boundary; the serving loops read it from there.
+        // at every window boundary; clients read it from there.
         let store = if matches!(coupling, Coupling::Serving) {
             let store = Arc::new(ShardedStore::new(
                 serve_cfg.shards,
@@ -602,6 +597,10 @@ impl SessionBuilder {
             None
         };
         let serve_stats: Arc<Mutex<Vec<(usize, ServeStats)>>> = Arc::new(Mutex::new(Vec::new()));
+        let book = Arc::new(Mutex::new(TenantBook::new(
+            serve_cfg.quota,
+            serve_cfg.tenant_quotas.clone(),
+        )));
 
         let mut launcher = Launcher::new();
         if let Some(fp) = self.fault_plan.take() {
@@ -630,8 +629,8 @@ impl SessionBuilder {
             let recs = Arc::clone(&recorders);
             launcher = launcher.partition_try(&spec.name, spec.ranks, move |mpi: Mpi| {
                 let imp = match coupling {
-                    // Serving keeps the paper's direct writer mapping; only
-                    // the analyzer side grows the serve plane.
+                    // Serving is the paper's direct mapping plus a store
+                    // sink on the analyzer side.
                     Coupling::Direct | Coupling::Serving => {
                         InstrumentedMpi::init(mpi, "Analyzer", stream_cfg, 0, app_id as u16)
                     }
@@ -660,16 +659,16 @@ impl SessionBuilder {
         let slot_for_analyzer = Arc::clone(&merged_slot);
         let stats_for_analyzer = Arc::clone(&reduce_stats);
         let store_for_analyzer = store.clone();
-        let serve_stats_sink = Arc::clone(&serve_stats);
-        let serve_for_analyzer = serve_cfg.clone();
         launcher =
             launcher.partition_try("Analyzer", analyzer_ranks, move |mpi: Mpi| match coupling {
-                Coupling::Direct => analyzer_rank(
+                Coupling::Direct | Coupling::Serving => analyzer_rank(
                     mpi,
                     engine_for_analyzer
                         .as_ref()
-                        .ok_or("direct coupling runs the shared engine")?,
+                        .ok_or("direct and serving couplings run the shared engine")?,
                     stream_cfg,
+                    n_apps,
+                    store_for_analyzer.as_deref(),
                 ),
                 Coupling::Tbon { fanout } => tbon_analyzer_rank(
                     mpi,
@@ -681,49 +680,27 @@ impl SessionBuilder {
                     &slot_for_analyzer,
                     &stats_for_analyzer,
                 ),
-                Coupling::Serving => serving_analyzer_rank(
-                    mpi,
-                    engine_for_analyzer
-                        .as_ref()
-                        .ok_or("serving requires the shared engine")?,
-                    store_for_analyzer
-                        .as_ref()
-                        .ok_or("serving builds the store before launch")?,
-                    stream_cfg,
-                    &serve_for_analyzer,
-                    n_apps,
-                    &serve_stats_sink,
-                ),
             });
-        // Client partitions launch after the analyzer so their world ranks
-        // sit above every serving rank (the duplex-stream parity the serve
-        // protocol relies on).
-        let analyzer_pid = n_apps;
+        // Each client reads the shared store on its own rank; the session's
+        // one quota book admits every tenant's requests.
         for spec in std::mem::take(&mut self.clients) {
             let body = spec.body;
             let tenant = spec.name.clone();
             let serve_for_client = serve_cfg.clone();
+            let store_for_client = store.clone();
+            let book = Arc::clone(&book);
+            let stats_sink = Arc::clone(&serve_stats);
             launcher = launcher.partition_try(&spec.name, spec.ranks, move |mpi: Mpi| {
-                let v = Vmpi::new(mpi)?;
-                let mut map = Map::new();
-                // Clients spread round-robin over the serving ranks; both
-                // sides of the pivot evaluate the same policy.
-                map_partitions_directed(
-                    &v,
-                    analyzer_pid,
-                    analyzer_pid,
-                    MapPolicy::RoundRobin,
-                    &mut map,
-                )?;
-                let server = map
-                    .peers()
-                    .first()
-                    .copied()
-                    .ok_or("client mapping produced no serving peer")?;
-                let mut client = ServeClient::connect_as(&v, server, &tenant, &serve_for_client)?;
-                body(&mut client)?;
-                client.close()?;
-                Ok(())
+                let store = store_for_client
+                    .clone()
+                    .ok_or("client partitions run on a serving session's store")?;
+                let mut client =
+                    ServeClient::new(&mpi, store, Arc::clone(&book), &tenant, &serve_for_client)?;
+                let result = body(&mut client);
+                let mut stats = client.close();
+                stats.clients_lost = u64::from(result.is_err());
+                stats_sink.lock().push((mpi.world_rank(), stats));
+                result
             });
         }
 
@@ -859,71 +836,34 @@ fn tbon_analyzer_rank(
     Ok(())
 }
 
-/// Serving analyzer rank: the paper's direct mapping for the application
-/// partitions (pids `0..n_apps`) plus an analyzer-mastered mapping of
-/// every client partition (pids `n_apps+1..`), then one serving loop that
-/// drains instrumentation into the shared engine while answering client
-/// queries and pumping subscriptions.
-fn serving_analyzer_rank(
-    mpi: Mpi,
-    engine: &AnalysisEngine,
-    store: &Arc<ShardedStore>,
-    stream_cfg: StreamConfig,
-    serve_cfg: &ServeConfig,
-    n_apps: usize,
-    stats_sink: &Mutex<Vec<(usize, ServeStats)>>,
-) -> Result<(), RankError> {
-    let v = Vmpi::new(mpi)?;
-    let mut app_map = Map::new();
-    for pid in 0..n_apps {
-        map_partitions(&v, pid, MapPolicy::RoundRobin, &mut app_map)?;
-    }
-    // The analyzer masters the client mappings so every client rank gets
-    // assigned exactly one serving rank, spread round-robin (must mirror
-    // the client side of the pivot).
-    let mut client_map = Map::new();
-    for pid in (n_apps + 1)..v.partition_count() {
-        map_partitions_directed(
-            &v,
-            pid,
-            v.partition_id(),
-            MapPolicy::RoundRobin,
-            &mut client_map,
-        )?;
-    }
-    let stats = run_server(
-        &v,
-        engine,
-        store,
-        app_map.peers(),
-        client_map.peers(),
-        stream_cfg,
-        serve_cfg,
-    )?;
-    stats_sink.lock().push((v.rank(), stats));
-    Ok(())
-}
-
-/// Analyzer-rank body: additively map every application partition
-/// (Figure 10), then drain blocks into the engine until all writers close.
+/// Analyzer-rank body: additively map every application partition (pids
+/// `0..n_apps`, Figure 10), then drain blocks into the engine until all
+/// writers close. Under [`Coupling::Serving`] the last rank to finish
+/// drains the engine and publishes the store's final version.
 fn analyzer_rank(
     mpi: Mpi,
     engine: &AnalysisEngine,
     stream_cfg: StreamConfig,
+    n_apps: usize,
+    store: Option<&ShardedStore>,
 ) -> Result<(), RankError> {
     let v = Vmpi::new(mpi)?;
     let mut map = Map::new();
-    for pid in 0..v.partition_count() {
-        if pid != v.partition_id() {
-            map_partitions(&v, pid, MapPolicy::RoundRobin, &mut map)?;
+    for pid in 0..n_apps {
+        map_partitions(&v, pid, MapPolicy::RoundRobin, &mut map)?;
+    }
+    if !map.is_empty() {
+        let mut stream = ReadStream::open_map(&v, &map, stream_cfg, 0)?;
+        while let Some(block) = stream.read(ReadMode::Blocking)? {
+            engine.post_block(block.data);
         }
     }
-    if map.is_empty() {
-        return Ok(());
-    }
-    let mut stream = ReadStream::open_map(&v, &map, stream_cfg, 0)?;
-    while let Some(block) = stream.read(ReadMode::Blocking)? {
-        engine.post_block(block.data);
+    if let Some(store) = store.filter(|s| s.mark_writer_done()) {
+        // Every stream everywhere is closed, so no more posts are coming:
+        // drain to quiescence and publish the final version (always a
+        // fresh one, so caught-up subscribers learn the run is over).
+        engine.blackboard().drain();
+        store.publish_final(engine.snapshot_partials())?;
     }
     Ok(())
 }

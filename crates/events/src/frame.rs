@@ -1,12 +1,13 @@
 //! Length-prefixed, checksummed framing for records travelling over
 //! block streams.
 //!
-//! VMPI streams deliver *blocks* whose boundaries depend on the writer's
-//! flush pattern, not on record boundaries. Any record-oriented protocol
-//! layered on top (reduction partial sets going up the TBON, serve-plane
-//! requests and responses) therefore length-prefixes each record with
-//! [`frame`] and reassembles per source with [`FrameBuf`]. One framing
-//! implementation, shared by every stream protocol in the workspace.
+//! Byte streams deliver chunks whose boundaries do not follow record
+//! boundaries: VMPI stream blocks depend on the writer's flush pattern,
+//! socket reads on the kernel. The two record protocols on them — the
+//! socket link's frames and the reduction overlay's partial sets going up
+//! the TBON — therefore length-prefix each record with [`frame`] and
+//! reassemble per source with [`FrameBuf`]. One framing implementation,
+//! shared by both.
 //!
 //! # Wire format
 //!
@@ -20,17 +21,17 @@
 //! cannot make the reader buffer gigabytes waiting for a frame that will
 //! never complete. Both errors poison the [`FrameBuf`]: framing has no
 //! resynchronization marker, so after a corrupt header every later byte
-//! offset is suspect and the stream must be torn down (the transport
-//! layer underneath already retries/reorders, so a poisoned buffer means
-//! real corruption, not loss).
+//! offset is suspect and the stream must be torn down. The transport
+//! underneath is reliable and non-overtaking (the socket link recovers a
+//! severed connection itself), so a poisoned buffer means real
+//! corruption, not loss.
 
 use crate::wire::Reader;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Hard upper bound on a single frame payload. Big enough for any merged
-/// partial set or snapshot response this workspace produces (full blocks
-/// are ~1 MiB; snapshots of paper-scale runs are far smaller), small
-/// enough to reject corrupt lengths immediately.
+/// partial set or socket envelope this workspace produces (full blocks
+/// are ~1 MiB), small enough to reject corrupt lengths immediately.
 pub const MAX_FRAME_LEN: usize = 1 << 28;
 
 const HDR: usize = 8;

@@ -19,9 +19,8 @@
 //!
 //! `opmr-core` wires this into sessions as `Coupling::Tbon { fanout }`;
 //! `tbon_compare` benchmarks the measured overlay against the analytic
-//! model on the same topologies. The serve plane has no tree: its serving
-//! ranks share one process and one snapshot store, so each writes the
-//! store's pre-framed deltas to its own subscribers.
+//! model on the same topologies. The serve plane has no tree: its clients
+//! share one process and read one snapshot store on their own ranks.
 
 pub mod node;
 pub mod partial;

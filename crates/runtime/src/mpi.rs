@@ -206,6 +206,16 @@ impl Mpi {
             .wait_delivery(seen, deadline)
     }
 
+    /// This rank's own mailbox, for a waiter that is woken by something
+    /// other than a delivery: whoever holds it calls [`Mailbox::bump`],
+    /// and the rank parks in [`Mailbox::wait_delivery`].
+    ///
+    /// [`Mailbox::bump`]: crate::mailbox::Mailbox::bump
+    /// [`Mailbox::wait_delivery`]: crate::mailbox::Mailbox::wait_delivery
+    pub fn mailbox(&self) -> Result<Arc<crate::mailbox::Mailbox>> {
+        self.uni.local_mailbox(self.world_rank).map(Arc::clone)
+    }
+
     /// Non-destructive check for a matching unexpected message.
     pub fn iprobe_ctx(&self, ctx: Context, comm: &Comm, src: Src, tag: TagSel) -> Option<Status> {
         self.uni

@@ -1,4 +1,4 @@
-//! # opmr-serve — live report serving over VMPI streams
+//! # opmr-serve — live report serving from a shared snapshot store
 //!
 //! The paper's whole premise is that analysis results exist *while the
 //! application runs* (online coupling, Sections II-A/III-B); this crate
@@ -17,28 +17,22 @@
 //!   changed topology edges and changed wait-state blocks travel as full
 //!   replacement values, so applying the delta chain to a base snapshot
 //!   reconstructs every later snapshot *byte-identically*;
-//! * [`proto`] — the length-prefixed request/response + subscription
-//!   protocol (framing shared with the reduction overlay via
-//!   `opmr_events::frame`): point queries for profile / topology /
-//!   wait-state / density by rank range and version, and subscriptions
-//!   that deliver one full snapshot followed by incremental deltas;
-//! * [`server`] — the `EAGAIN`-aware serving loop run by analyzer ranks:
-//!   drains instrumentation streams into the engine while answering
-//!   client traffic. Every serving rank delivers to its own subscribers
-//!   straight from the shared store, writing each version's delta as the
-//!   store framed it — once per `(shard, version)`, however many
-//!   subscribers read it. Slow consumers are handled with
-//!   **credit-based flow control**: a subscriber with no credits left is
-//!   simply tracked, not buffered for; when it acks again and has fallen
-//!   off the delta ring it receives a typed snapshot **resync** (counted
-//!   in [`server::ServeStats::resyncs`]) instead of an unbounded backlog;
-//! * [`client`] — the client-partition side: maps round-robin onto the
-//!   serving ranks via the VMPI Map pivot protocol, opens a duplex stream
-//!   and exposes queries plus a subscription iterator (folding one delta
-//!   chain per shard);
+//! * [`client`] — the client-partition side, run on the client's own
+//!   rank against the shared store: point queries for profile / topology
+//!   / wait-state / metrics / density by rank range and version, and a
+//!   subscription that folds one full snapshot followed by incremental
+//!   deltas, one chain per shard. Slow consumers are handled with
+//!   **credit-based flow control**: a subscriber selects at most its
+//!   credits' worth of updates ahead of consumption, so nothing is
+//!   buffered for it; when it has fallen off the delta ring it selects a
+//!   typed snapshot **resync** (counted in [`ServeStats::resyncs`])
+//!   instead of an unbounded backlog. A client with nothing to consume
+//!   parks on its rank's mailbox until a publish lands;
+//! * [`proto`] — the query vocabulary: typed not-found reasons, quota
+//!   kinds and the aggregated version info;
 //! * [`quota`] — **per-tenant admission control** on client partitions:
 //!   subscription caps, query-rate and delta-byte token buckets with
-//!   typed, counted rejections.
+//!   typed, counted rejections, one book per session.
 //!
 //! `opmr-core` wires this into sessions as `Coupling::Serving` with
 //! `SessionBuilder::client(...)` partitions; `serve_bench` measures query
@@ -47,45 +41,41 @@
 pub mod client;
 pub mod delta;
 pub mod proto;
+mod query;
 pub mod quota;
-pub mod server;
 pub mod store;
 
-use opmr_vmpi::{StreamConfig, VmpiError};
+use opmr_runtime::RtError;
 use std::time::Instant;
 
-pub use client::{ClientReport, ServeClient, Update};
+pub use client::{ClientReport, ServeClient, ServeStats, Update};
 pub use delta::{apply_delta, delta_versions, encode_delta, EncodeError};
-pub use proto::{QueryKind, QuotaKind, Request, Response, VersionInfo, SERVE_STREAM_ID};
+pub use proto::{QuotaKind, VersionInfo};
 pub use quota::{TenantBook, TenantQuota, TenantState};
-pub use server::{run_server, ServeStats};
 pub use store::{ShardedStore, SnapshotEntry, SnapshotStore, StoreStats};
 
 /// Serve-plane failures.
 #[derive(Debug)]
 pub enum ServeError {
-    /// Transport failure in the coupling layer.
-    Vmpi(VmpiError),
+    /// Runtime failure: the client's rank was torn down while it waited.
+    Runtime(RtError),
     /// Malformed payload (shares the analysis wire error type).
     Wire(opmr_analysis::wire::WireError),
-    /// Corrupt framing on the serve stream (checksum or length failure).
-    Frame(opmr_events::frame::FrameError),
-    /// Peer violated the serve protocol.
+    /// A delta or update did not extend the held report.
     ProtocolViolation { expected: &'static str, got: String },
     /// A query could not be answered; see [`proto::NotFoundReason`].
     NotFound(proto::NotFoundReason),
     /// A snapshot exceeded the wire format's entry-count caps.
     Encode(EncodeError),
-    /// The server refused the request under a tenant quota.
+    /// The request was refused under a tenant quota.
     QuotaExceeded(QuotaKind),
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Vmpi(e) => write!(f, "serve transport failed: {e}"),
+            ServeError::Runtime(e) => write!(f, "serve runtime failed: {e}"),
             ServeError::Wire(e) => write!(f, "serve payload malformed: {e}"),
-            ServeError::Frame(e) => write!(f, "serve framing corrupt: {e}"),
             ServeError::ProtocolViolation { expected, got } => {
                 write!(
                     f,
@@ -107,12 +97,6 @@ impl From<EncodeError> for ServeError {
     }
 }
 
-impl From<VmpiError> for ServeError {
-    fn from(e: VmpiError) -> Self {
-        ServeError::Vmpi(e)
-    }
-}
-
 impl From<opmr_analysis::wire::WireError> for ServeError {
     fn from(e: opmr_analysis::wire::WireError) -> Self {
         ServeError::Wire(e)
@@ -125,9 +109,9 @@ impl From<opmr_events::wire::Truncated> for ServeError {
     }
 }
 
-impl From<opmr_events::frame::FrameError> for ServeError {
-    fn from(e: opmr_events::frame::FrameError) -> Self {
-        ServeError::Frame(e)
+impl From<RtError> for ServeError {
+    fn from(e: RtError) -> Self {
+        ServeError::Runtime(e)
     }
 }
 
@@ -144,8 +128,8 @@ pub struct ServeConfig {
     /// ring; a subscriber lagging further than this is resynced with a
     /// full snapshot.
     pub ring: usize,
-    /// Flow-control credits per subscriber: the server sends at most this
-    /// many unacknowledged updates before going quiet on that client.
+    /// Flow-control credits per subscriber: a client holds at most this
+    /// many selected updates it has not consumed yet.
     pub subscriber_credits: u32,
     /// Snapshot store shards; apps are routed `app_id % shards`. 1 (the
     /// default) reproduces the single-store serve plane exactly.
@@ -154,9 +138,6 @@ pub struct ServeConfig {
     pub quota: TenantQuota,
     /// Per-tenant quota overrides by client partition name.
     pub tenant_quotas: Vec<(String, TenantQuota)>,
-    /// Stream configuration of the serve plane (small blocks: the traffic
-    /// is request/response, not bulk instrumentation).
-    pub stream: StreamConfig,
 }
 
 impl Default for ServeConfig {
@@ -168,7 +149,6 @@ impl Default for ServeConfig {
             shards: 1,
             quota: TenantQuota::default(),
             tenant_quotas: Vec::new(),
-            stream: StreamConfig::new(16 * 1024, 4, opmr_vmpi::Balance::None),
         }
     }
 }

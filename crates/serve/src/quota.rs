@@ -1,19 +1,17 @@
 //! Per-tenant quotas on the serve plane.
 //!
-//! Each client partition is a *tenant* (it announces its partition name in
-//! a `Hello` on connect; an empty name is the anonymous tenant). A serving
-//! rank tracks, per tenant: active subscriptions against a cap, a query
-//! token bucket, and a delta-byte token bucket. Rejections are typed
-//! ([`crate::proto::QuotaKind`] on the wire) and counted, never silent —
-//! the dashboard-streaming pattern of admission control at the serving
-//! edge: a greedy tenant is told *why* it was clipped, and compliant
-//! tenants on the same rank keep their full rate.
+//! Each client partition is a *tenant*, named after the partition. A
+//! session keeps one [`TenantBook`] that every client consults, tracking
+//! per tenant: active subscriptions against a cap, a query token bucket,
+//! and a delta-byte token bucket. Rejections are typed
+//! ([`crate::proto::QuotaKind`]) and counted, never silent — the
+//! dashboard-streaming pattern of admission control at the serving edge:
+//! a greedy tenant is told *why* it was clipped, and compliant tenants
+//! keep their full rate.
 //!
 //! The token buckets are integer-only: an allowance in nanoseconds capped
 //! at one second of burst, where sending `n` units costs `n / rate`
-//! seconds. Enforcement is per serving rank — a tenant's clients spread
-//! round-robin over the serving ranks, so a tenant with clients on several
-//! ranks gets a full quota from each (documented, not hidden).
+//! seconds. A tenant's quota holds across all of its client ranks.
 
 use crate::proto::QuotaKind;
 use std::collections::HashMap;
@@ -71,7 +69,7 @@ impl RateLimiter {
     }
 }
 
-/// One tenant's admission state on one serving rank.
+/// One tenant's admission state in a session.
 #[derive(Debug)]
 pub struct TenantState {
     quota: TenantQuota,
@@ -130,7 +128,7 @@ impl TenantState {
     }
 }
 
-/// The per-rank tenant table: default quota plus per-tenant overrides,
+/// The session's tenant table: default quota plus per-tenant overrides,
 /// lazily instantiating a [`TenantState`] per tenant name.
 #[derive(Debug, Default)]
 pub struct TenantBook {

@@ -1,12 +1,12 @@
 //! The versioned report snapshot store.
 //!
 //! Writers (engine workers hitting a publication boundary) serialize on
-//! an internal mutex; readers (serving loops answering queries and
-//! pumping subscriptions) take only a read lock on the ring of retained
-//! versions to clone an `Arc` out of it. A publish does its diff, patch
-//! and copy under the writer mutex alone and write-locks the ring just to
-//! push the new version and evict the oldest, so a reader never waits
-//! behind O(snapshot) work. The newest ring entry is `current`.
+//! an internal mutex; readers (clients answering their own queries and
+//! selecting subscription updates) take only a read lock on the ring of
+//! retained versions to clone an `Arc` out of it. A publish does its diff,
+//! patch and copy under the writer mutex alone and write-locks the ring
+//! just to push the new version and evict the oldest, so a reader never
+//! waits behind O(snapshot) work. The newest ring entry is `current`.
 //!
 //! Publishing costs what changed, not what is held. The store diffs the
 //! new partials against the previous version's (metrics chunks the two
@@ -25,24 +25,19 @@
 //! inside the ring advances by deltas; one outside it resyncs from
 //! `current`.
 //!
-//! Each entry also holds the delta the way subscribers receive it: a
-//! framed [`Response::Delta`], built once per `(shard, version)` by the
-//! first delivery ([`SnapshotEntry::framed_delta`]). Every serving rank
-//! shares this store, so each writes those same bytes to each of its
-//! subscribers; nothing is encoded or checksummed per subscriber. Framing
-//! on first delivery rather than at publish keeps it off the publisher
-//! and out of versions nobody reads; framing at publish measured a few
-//! µs more `lag_p50_us` on `serve_paced` (EXPERIMENTS.md "Live serving").
+//! Clients read this store on their own ranks. Each attaches its inbox,
+//! and every publish that lands a version hands each attached subscription
+//! what its credits allow and then bumps the client's mailbox, so a
+//! client with nothing to consume parks instead of polling.
 
+use crate::client::Inbox;
 use crate::delta::{checked_u16, encode_delta_changes, patch_image, EncodeError};
 use crate::mono_ns;
-use crate::proto::Response;
 use bytes::Bytes;
-use opmr_analysis::wire::{AppChange, AppPartial, SnapshotImage, WireError};
-use opmr_events::frame::try_frame;
+use opmr_analysis::wire::{AppChange, AppPartial, SnapshotImage};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 // Store publication metrics for the self-monitoring snapshot.
 mod obs {
@@ -85,36 +80,9 @@ pub struct SnapshotEntry {
     /// Delta from `version - 1` (absent on the first version, and where no
     /// delta can express the step).
     pub delta: Option<Bytes>,
-    /// `(shard, shards)` of the store that published this version.
-    slot: (u16, u16),
-    /// [`SnapshotEntry::framed_delta`], filled by the first delivery.
-    framed: OnceLock<Option<Bytes>>,
     /// The snapshot `encoded` encodes, sorted by `app_id`: what point
     /// queries read and the next version is diffed against.
     pub parts: Arc<Vec<AppPartial>>,
-}
-
-impl SnapshotEntry {
-    /// The subscriber-ready [`Response::Delta`] carrying `delta`, framed
-    /// once — by whichever serving rank delivers this version first — and
-    /// shared by every later delivery. `None` without a delta, or when it
-    /// is too large to frame; the subscriber then resyncs.
-    pub fn framed_delta(&self) -> Option<Bytes> {
-        self.framed
-            .get_or_init(|| {
-                let (shard, shards) = self.slot;
-                let rsp = Response::Delta {
-                    shard,
-                    shards,
-                    version: self.version,
-                    publish_ns: self.publish_ns,
-                    finished: self.is_final,
-                    payload: self.delta.clone()?,
-                };
-                try_frame(&rsp.encode()).ok()
-            })
-            .clone()
-    }
 }
 
 /// Store counters.
@@ -131,17 +99,13 @@ struct Inner {
     /// The newest version's bytes, patched from version to version.
     image: SnapshotImage,
     next_version: u64,
-    writers_done: usize,
     evicted: u64,
 }
 
 /// Versioned snapshot store shared by the engine's publication hook and
-/// the serving loops.
+/// the clients reading it.
 pub struct SnapshotStore {
     ring_cap: usize,
-    writers: usize,
-    /// `(shard, shards)` as framed into every [`Response::Delta`].
-    slot: (u16, u16),
     inner: Mutex<Inner>,
     /// The retained versions, newest (`current`) at the back. Readers take
     /// only this lock, which a publish holds just to push and evict —
@@ -150,21 +114,13 @@ pub struct SnapshotStore {
 }
 
 impl SnapshotStore {
-    /// A store retaining `ring` recent versions, fed by `writers` serving
-    /// ranks (each must call [`SnapshotStore::mark_writer_done`] once).
-    pub fn new(ring: usize, writers: usize) -> SnapshotStore {
-        SnapshotStore::for_shard(ring, writers, 0, 1)
-    }
-
-    fn for_shard(ring: usize, writers: usize, shard: u16, shards: u16) -> SnapshotStore {
+    /// A store retaining `ring` recent versions.
+    pub fn new(ring: usize) -> SnapshotStore {
         SnapshotStore {
             ring_cap: ring.max(1),
-            writers: writers.max(1),
-            slot: (shard, shards),
             inner: Mutex::new(Inner {
                 image: SnapshotImage::default(),
                 next_version: 1,
-                writers_done: 0,
                 evicted: 0,
             }),
             ring: RwLock::new(VecDeque::new()),
@@ -218,8 +174,6 @@ impl SnapshotStore {
             apps,
             encoded,
             delta,
-            slot: self.slot,
-            framed: OnceLock::new(),
             parts: Arc::new(parts),
         });
         let evicted = {
@@ -261,15 +215,6 @@ impl SnapshotStore {
     /// publish calls become no-ops.
     pub fn publish_final(&self, parts: Vec<AppPartial>) -> Result<u64, EncodeError> {
         self.force_publish(parts, true)
-    }
-
-    /// Records that one serving rank's instrumentation streams all closed;
-    /// returns true for the last rank (which then drains the engine and
-    /// calls [`SnapshotStore::publish_final`]).
-    pub fn mark_writer_done(&self) -> bool {
-        let mut inner = self.inner.lock();
-        inner.writers_done += 1;
-        inner.writers_done == self.writers
     }
 
     /// The latest published version, if any.
@@ -327,24 +272,37 @@ pub struct ShardedStore {
     writers: usize,
     writers_done: Mutex<usize>,
     shard_publishes: Vec<Arc<opmr_obs::Counter>>,
+    /// The attached clients, told of every publish that lands a version.
+    inboxes: RwLock<Vec<Arc<Inbox>>>,
 }
 
 impl ShardedStore {
     /// A store of `shards` shards, each retaining `ring` recent versions,
-    /// fed by `writers` serving ranks (each must call
+    /// fed by `writers` analyzer ranks (each must call
     /// [`ShardedStore::mark_writer_done`] once).
     pub fn new(shards: usize, ring: usize, writers: usize) -> ShardedStore {
         let n = shards.max(1);
         let r = opmr_obs::registry();
         ShardedStore {
-            shards: (0..n)
-                .map(|s| SnapshotStore::for_shard(ring, 1, s as u16, n as u16))
-                .collect(),
+            shards: (0..n).map(|_| SnapshotStore::new(ring)).collect(),
             writers: writers.max(1),
             writers_done: Mutex::new(0),
             shard_publishes: (0..n)
                 .map(|s| r.counter(&format!("serve_shard_publishes_total{{shard=\"{s}\"}}")))
                 .collect(),
+            inboxes: RwLock::new(Vec::new()),
+        }
+    }
+
+    /// Attaches a client's inbox for every later publish that lands a
+    /// version.
+    pub(crate) fn attach(&self, inbox: Arc<Inbox>) {
+        self.inboxes.write().push(inbox);
+    }
+
+    fn tell_inboxes(&self) {
+        for inbox in self.inboxes.read().iter() {
+            inbox.on_publish(self);
         }
     }
 
@@ -378,13 +336,18 @@ impl ShardedStore {
     /// rather than version-bumped; a shard with no apps at all is left
     /// untouched until [`ShardedStore::publish_final`].
     pub fn publish(&self, parts: Vec<AppPartial>) -> Result<(), EncodeError> {
+        let mut landed = false;
         for (s, shard_parts) in self.split(parts).into_iter().enumerate() {
             if shard_parts.is_empty() {
                 continue;
             }
             if self.shards[s].publish_if_changed(shard_parts)?.is_some() {
                 self.shard_publishes[s].inc();
+                landed = true;
             }
+        }
+        if landed {
+            self.tell_inboxes();
         }
         Ok(())
     }
@@ -397,10 +360,11 @@ impl ShardedStore {
             self.shards[s].publish_final(shard_parts)?;
             self.shard_publishes[s].inc();
         }
+        self.tell_inboxes();
         Ok(())
     }
 
-    /// Records that one serving rank's instrumentation streams all closed;
+    /// Records that one analyzer rank's instrumentation streams all closed;
     /// returns true for the last rank (which then drains the engine and
     /// calls [`ShardedStore::publish_final`]).
     pub fn mark_writer_done(&self) -> bool {
@@ -426,9 +390,8 @@ impl ShardedStore {
     /// Assembles the cross-shard current snapshot on read: merges the app
     /// partials of each shard's current version back into one
     /// `app_id`-sorted report. Returns the partials plus the per-shard
-    /// version vector they were assembled from. (Nothing is decoded any
-    /// more, so this cannot fail; the signature is its callers'.)
-    pub fn assemble_current(&self) -> Result<(Vec<AppPartial>, Vec<u64>), WireError> {
+    /// version vector they were assembled from.
+    pub fn assemble_current(&self) -> (Vec<AppPartial>, Vec<u64>) {
         let mut parts = Vec::new();
         let mut versions = Vec::with_capacity(self.shards.len());
         for s in &self.shards {
@@ -441,7 +404,7 @@ impl ShardedStore {
             }
         }
         parts.sort_by_key(|p| p.app_id);
-        Ok((parts, versions))
+        (parts, versions)
     }
 
     /// Aggregated publication counters across shards.
@@ -501,7 +464,7 @@ mod tests {
         // A publish that drops an app cannot ride the delta chain (no
         // tombstones on the wire); the version still lands, but carries
         // no delta so subscribers resync from the full snapshot.
-        let store = SnapshotStore::new(4, 1);
+        let store = SnapshotStore::new(4);
         let mut two = parts(3);
         let mut extra = parts(5);
         extra[0].app_id = 7;
@@ -519,7 +482,7 @@ mod tests {
 
     #[test]
     fn versions_are_monotone_and_ring_bounded() {
-        let store = SnapshotStore::new(3, 1);
+        let store = SnapshotStore::new(3);
         assert!(store.current().is_none());
         assert_eq!(store.version_span(), (0, 0));
         for i in 1..=10u64 {
@@ -536,7 +499,7 @@ mod tests {
 
     #[test]
     fn ring_deltas_chain_to_every_retained_version() {
-        let store = SnapshotStore::new(8, 1);
+        let store = SnapshotStore::new(8);
         for i in 1..=6u64 {
             store.publish(parts(i * 3)).unwrap();
         }
@@ -552,10 +515,8 @@ mod tests {
 
     #[test]
     fn final_publish_wins_and_sticks() {
-        let store = SnapshotStore::new(4, 2);
+        let store = SnapshotStore::new(4);
         store.publish(parts(1)).unwrap();
-        assert!(!store.mark_writer_done());
-        assert!(store.mark_writer_done());
         let v = store.publish_final(parts(2)).unwrap();
         assert!(store.finished());
         assert!(store.current().unwrap().is_final);
@@ -566,7 +527,7 @@ mod tests {
 
     #[test]
     fn unchanged_publish_is_skipped_only_on_the_if_changed_path() {
-        let store = SnapshotStore::new(4, 1);
+        let store = SnapshotStore::new(4);
         assert_eq!(store.publish_if_changed(parts(1)).unwrap(), Some(1));
         assert_eq!(store.publish_if_changed(parts(1)).unwrap(), None);
         assert_eq!(store.publish_if_changed(parts(2)).unwrap(), Some(2));
@@ -629,7 +590,7 @@ mod tests {
     fn cross_shard_snapshot_assembles_sorted_on_read() {
         let store = ShardedStore::new(2, 4, 1);
         store.publish(multi_parts(3, &[2, 0, 1, 3])).unwrap();
-        let (parts, versions) = store.assemble_current().unwrap();
+        let (parts, versions) = store.assemble_current();
         assert_eq!(versions, vec![1, 1]);
         assert_eq!(
             parts.iter().map(|p| p.app_id).collect::<Vec<_>>(),

@@ -156,7 +156,7 @@ proptest! {
         cut in any::<proptest::sample::Index>(),
     ) {
         let mut live = Live { apps: vec![new_app(3, true)], now: 0 };
-        let store = SnapshotStore::new(steps.len() + 1, 1);
+        let store = SnapshotStore::new(steps.len() + 1);
         let mut held: Option<ClientReport> = None;
         for ops in steps {
             for op in ops {

@@ -41,7 +41,7 @@ fn session(history: u64) -> (u64, u64, u64) {
         waitstate: None,
         metrics: Some(MetricsSeries::new(WINDOW_NS)),
     };
-    let store = SnapshotStore::new(4, 1);
+    let store = SnapshotStore::new(4);
     let mut held: Option<ClientReport> = None;
     let mut measured_from = None;
     // Every update folds two packs' worth of a four-rank ring into two new

@@ -5,8 +5,9 @@
 //! cargo run --example live_report
 //! ```
 //!
-//! Launches a 6-rank ring application, a 2-rank serving analyzer
-//! (`Coupling::Serving`) and two client partitions: a *subscriber* that
+//! Launches a 6-rank ring application, a 2-rank analyzer publishing into
+//! a snapshot store (`Coupling::Serving`) and two client partitions, each
+//! reading the store on its own rank: a *subscriber* that
 //! folds the snapshot-then-deltas stream into a local report and prints
 //! each version as it lands, and a *prober* that issues point queries
 //! (version info, rank-filtered profile, per-rank event density) against
@@ -98,9 +99,8 @@ fn main() {
     );
     for (rank, st) in &outcome.serve_stats {
         println!(
-            "serving rank {rank}: {} clients, {} queries, {} snapshots / {} deltas sent, \
-             {} resyncs",
-            st.clients, st.queries, st.snapshots_sent, st.deltas_sent, st.resyncs
+            "client rank {rank}: {} queries, {} snapshots / {} deltas folded, {} resyncs",
+            st.queries, st.snapshots_sent, st.deltas_sent, st.resyncs
         );
     }
     println!("---");

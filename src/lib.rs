@@ -18,7 +18,7 @@
 //! * [`reduce`] — TBON reduction overlay (tree topology, windowed
 //!   in-network aggregation between instrumented partitions and analyzer).
 //! * [`serve`] — live report serving: versioned snapshot store, delta
-//!   encoding and the query/subscription protocol over VMPI streams.
+//!   encoding, and clients that query and subscribe on their own ranks.
 //! * [`core`] — the `Session` façade tying everything together.
 
 pub use opmr_analysis as analysis;

@@ -681,14 +681,13 @@ struct ServingRun {
     client_resyncs: u64,
 }
 
-/// Serving topology under chaos: the ring app streams into two serving
-/// analyzer ranks while a deliberately lagging subscriber (tiny snapshot
-/// ring, one flow-control credit, slower than the publication cadence)
-/// rides the same fault-injected transport — the plan delays the
-/// serve-plane duplex streams exactly like the instrumentation streams.
-/// Convergence is asserted inline: whatever mix of deltas and counted
-/// resyncs the subscriber experienced, its folded report must end
-/// byte-identical to the server's final stored snapshot.
+/// Serving topology under chaos: the ring app streams into two analyzer
+/// ranks over the fault-injected transport while a deliberately lagging
+/// subscriber (tiny snapshot ring, one flow-control credit, slower than
+/// the publication cadence) reads the store on its own rank. Convergence
+/// is asserted inline: whatever mix of deltas and counted resyncs the
+/// subscriber experienced, its folded report must end byte-identical to
+/// the store's final snapshot.
 fn run_serving(plan: Option<FaultPlan>) -> ServingRun {
     use opmr::serve::ServeConfig;
     const ROUNDS: i32 = 120;

@@ -2,10 +2,10 @@
 //!
 //! The contract under test: a client attached to a running session
 //! observes a monotonically versioned stream where applying the delta
-//! chain to its first full snapshot reproduces the server's stored
-//! snapshot *byte-identically* at every version, and a deliberately slow
+//! chain to its first full snapshot reproduces the store's snapshot
+//! *byte-identically* at every version, and a deliberately slow
 //! subscriber degrades to a typed, stats-counted snapshot resync instead
-//! of unbounded server-side buffering.
+//! of unbounded buffering.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
@@ -19,10 +19,9 @@ use std::sync::Arc;
 
 /// Ring workload chatty enough to cross many pack boundaries (and thus
 /// many publication windows) with a small stream block size. An optional
-/// start gate lets subscriber tests hold the workload back until their
-/// subscription is provably registered at the server — without it the
-/// whole run can finish before the subscribe request is processed,
-/// leaving the subscriber a single final snapshot.
+/// start gate lets subscriber tests hold the workload back until they
+/// have subscribed — without it the whole run can finish first, leaving
+/// the subscriber a single final snapshot.
 fn ring_app(
     rounds: i32,
     gate: Option<Arc<std::sync::Barrier>>,
@@ -80,11 +79,8 @@ fn subscriber_delta_chain_is_byte_identical_to_server() {
     let seen: Arc<Mutex<SeenLog>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
     // 4 ring ranks + the observer: the workload starts only once the
-    // subscription is registered server-side (proven by the version_info
-    // round-trip — the server answers requests from one client in order).
-    // The workload must outlast a single serve-loop drain burst, or every
-    // version (including the final one) can be published inside one loop
-    // iteration and the first pumped update is already the final snapshot.
+    // observer has subscribed, and runs long enough to publish many
+    // versions.
     let gate = Arc::new(std::sync::Barrier::new(5));
     let observer_gate = Arc::clone(&gate);
     let outcome = serving_session(600, serve, Some(gate))
@@ -134,7 +130,7 @@ fn subscriber_delta_chain_is_byte_identical_to_server() {
     assert!(seen.iter().any(|(s, _)| s.delta), "no delta was applied");
 
     // The acceptance bar: the client's folded report is byte-identical to
-    // the server's stored snapshot at every observed version.
+    // the store's snapshot at every observed version.
     for (s, bytes) in seen.iter() {
         let entry = store.get(s.version).expect("ring retained everything");
         assert_eq!(
@@ -200,7 +196,7 @@ fn slow_subscriber_degrades_to_counted_resync() {
     let seen = seen.lock();
 
     // The slow consumer fell off the two-deep ring and was resynced — the
-    // typed signal on the wire...
+    // typed flag on the update...
     assert!(
         seen.iter().any(|s| s.resync),
         "laggard never saw a resync over {} updates",
@@ -208,10 +204,10 @@ fn slow_subscriber_degrades_to_counted_resync() {
     );
     // ...and the counted signal in the serving stats.
     let resyncs: u64 = outcome.serve_stats.iter().map(|(_, s)| s.resyncs).sum();
-    assert!(resyncs > 0, "server counted no resyncs");
+    assert!(resyncs > 0, "no resync was counted");
 
     // Versions stay strictly monotone even across resync jumps, and the
-    // client still converges on the server's final bytes.
+    // client still converges on the store's final bytes.
     for w in seen.windows(2) {
         assert!(w[1].version > w[0].version, "version went backwards");
     }
@@ -233,12 +229,20 @@ fn point_queries_answer_mid_run() {
     let sink = Arc::clone(&probed);
     let outcome = serving_session(60, serve, None)
         .client("prober", 2, move |c| {
-            // Mid-run: wait for the first publication, then interrogate it
-            // while the application is still streaming.
-            let info = c.wait_version(1).unwrap();
+            // Mid-run: wait for the first publication that holds folded
+            // events, then interrogate it while the application is still
+            // streaming. (The engine publishes when it unpacks a pack, so
+            // the first versions may predate every fold.)
+            let mut info = c.wait_version(1).unwrap();
             assert!(info.current >= 1);
             assert_eq!(info.apps, 1);
-            let (v_mid, profile_mid) = c.query_profile(0, 0, 0, ALL_RANKS).unwrap();
+            let (v_mid, profile_mid) = loop {
+                let (v, p) = c.query_profile(0, 0, 0, ALL_RANKS).unwrap();
+                if p.events() > 0 || info.finished {
+                    break (v, p);
+                }
+                info = c.wait_version(info.current + 1).unwrap();
+            };
             assert!(v_mid >= 1);
             assert!(profile_mid.events() > 0);
 
@@ -276,7 +280,7 @@ fn point_queries_answer_mid_run() {
         .unwrap();
 
     assert!(probed.lock().is_some(), "prober never ran its checks");
-    // Two prober ranks spread round-robin over two serving ranks.
+    // One stats row per prober rank.
     let clients: u64 = outcome.serve_stats.iter().map(|(_, s)| s.clients).sum();
     assert_eq!(clients, 2);
     let queries: u64 = outcome.serve_stats.iter().map(|(_, s)| s.queries).sum();
@@ -332,7 +336,7 @@ fn metric_time_series_ride_the_delta_chain_byte_identically() {
     assert!(seen.len() >= 3, "expected several versions");
 
     // The client reconstructs the full window history from the delta
-    // chain: at every version its folded bytes equal the server snapshot
+    // chain: at every version its folded bytes equal the store's snapshot
     // and carry the metric series. The engine serializes snapshot capture
     // against its metrics fold (the publish gate), so the window count is
     // monotone non-decreasing along the version chain — an older fold can
@@ -344,7 +348,7 @@ fn metric_time_series_ride_the_delta_chain_byte_identically() {
         assert_eq!(
             bytes.as_slice(),
             entry.encoded.as_ref(),
-            "version {version} diverged from the server snapshot"
+            "version {version} diverged from the store"
         );
         let parts = decode_partials(bytes).unwrap();
         let m = parts[0]
@@ -462,10 +466,10 @@ fn sharded_session_serves_per_shard_chains() {
         assert_eq!(
             finals.get(&shard).map(Vec::as_slice),
             Some(entry.encoded.as_ref()),
-            "shard {shard} diverged from the server"
+            "shard {shard} diverged from the store"
         );
     }
-    let (parts, versions) = store.assemble_current().unwrap();
+    let (parts, versions) = store.assemble_current();
     assert_eq!(versions.len(), 2);
     assert_eq!(parts.len(), 3, "cross-shard assembly covers every app");
     for app in &parts {
@@ -475,7 +479,7 @@ fn sharded_session_serves_per_shard_chains() {
 }
 
 #[test]
-fn every_serving_rank_delivers_the_stores_bytes_to_its_subscribers() {
+fn every_subscriber_folds_the_stores_bytes() {
     let serve = ServeConfig {
         publish_every_packs: 2,
         ring: 4096,
@@ -518,7 +522,7 @@ fn every_serving_rank_delivers_the_stores_bytes_to_its_subscribers() {
     let logs = logs.lock();
 
     // Every subscriber converged on the exact stored bytes at every
-    // version it observed, whichever serving rank it was mapped onto.
+    // version it observed.
     for (slot, log) in logs.iter().enumerate() {
         assert!(
             log.len() >= 2,
@@ -537,17 +541,16 @@ fn every_serving_rank_delivers_the_stores_bytes_to_its_subscribers() {
         assert_eq!(*last_v, store.current().unwrap().version);
     }
 
-    // Delivery was spread: the subscribers sit on several serving ranks,
-    // each writing deltas from the shared store to its own clients.
-    let delivering = outcome
+    // One stats row per subscriber, each counting the deltas it selected
+    // and every update it consumed.
+    assert_eq!(outcome.serve_stats.len(), 4);
+    assert!(outcome
         .serve_stats
         .iter()
-        .filter(|(_, s)| s.deltas_sent > 0)
-        .count();
-    assert!(
-        delivering >= 2,
-        "only {delivering} of 3 serving ranks delivered deltas"
-    );
+        .all(|(_, s)| s.clients == 1 && s.deltas_sent > 0));
+    let acks: u64 = outcome.serve_stats.iter().map(|(_, s)| s.acks).sum();
+    let updates: usize = logs.iter().map(Vec::len).sum();
+    assert_eq!(acks as usize, updates);
 }
 
 #[test]
@@ -573,8 +576,8 @@ fn tenant_quotas_reject_typed_and_counted_without_collateral() {
     let rej = Arc::clone(&rejected);
     let adm = Arc::clone(&admitted);
     let pol = Arc::clone(&polite_done);
-    // A single serving rank so the subscription cap is a global fact,
-    // not a per-serving-rank one.
+    // The session keeps one quota book, so the subscription cap is a
+    // global fact.
     let outcome = Session::builder()
         .analyzer_ranks(1)
         .coupling(Coupling::Serving)
@@ -625,8 +628,8 @@ fn tenant_quotas_reject_typed_and_counted_without_collateral() {
     // folded to the final version and kept querying.
     assert_eq!(polite_done.load(std::sync::atomic::Ordering::Relaxed), 2);
 
-    // The refusals are visible in the serving stats — typed on the wire
-    // AND counted server-side.
+    // The refusals are visible in the serving stats — typed to the caller
+    // AND counted.
     let stats_rejections: u64 = outcome
         .serve_stats
         .iter()
@@ -642,4 +645,36 @@ fn clients_require_serving_coupling() {
         .client("observer", 1, |_c| {})
         .run();
     assert!(matches!(res, Err(opmr::core::SessionError::Config(_))));
+}
+
+#[test]
+fn throttled_subscriber_still_reaches_the_final_version() {
+    use opmr::serve::TenantQuota;
+
+    // A delta-byte budget far below what the run publishes: updates are
+    // held back (counted), and the subscriber sleeps in short deadlines
+    // rather than waiting for a publish that may never come.
+    let serve = ServeConfig {
+        publish_every_packs: 2,
+        ring: 4096,
+        quota: TenantQuota {
+            max_delta_bytes_per_sec: 8_000,
+            ..TenantQuota::default()
+        },
+        ..ServeConfig::default()
+    };
+    let outcome = serving_session(120, serve, None)
+        .client("throttled", 1, |c| {
+            c.subscribe().unwrap();
+            while !c.next_update().unwrap().expect("final version").finished {}
+            assert!(c.next_update().unwrap().is_none(), "nothing after final");
+        })
+        .run()
+        .unwrap();
+    let (_, s) = outcome.serve_stats[0];
+    assert!(
+        s.quota_throttles > 0,
+        "the budget never held an update back"
+    );
+    assert_eq!(s.acks, s.snapshots_sent + s.deltas_sent);
 }

@@ -12,7 +12,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
-use bytes::Bytes;
 use opmr::analysis::waitstate::{RecvSide, SendSide, WaitStats};
 use opmr::analysis::wire::{self, AppPartial};
 use opmr::analysis::{MpiProfile, Topology};
@@ -20,10 +19,7 @@ use opmr::events::wire::{check_decoder, note_alloc, Reader};
 use opmr::events::{frame, Event, EventKind, EventPack, FrameBuf, PackEncoding};
 use opmr::metrics::MetricsSeries;
 use opmr::reduce::{decode_partial_set, encode_partial_set, ReducePartial};
-use opmr::serve::proto::{NotFoundReason, ALL_RANKS};
-use opmr::serve::{
-    apply_delta, delta_versions, encode_delta, QueryKind, QuotaKind, Request, Response,
-};
+use opmr::serve::{apply_delta, delta_versions, encode_delta};
 use std::alloc::{GlobalAlloc, Layout, System};
 
 struct Counting;
@@ -199,105 +195,8 @@ fn every_public_decoder_survives_hostile_bytes() {
         decode_partial_set(b).is_ok()
     });
 
-    // ---- serve: every request and response kind,
-    // and a delta carrying a sparse block and a full (new) application.
-    for req in [
-        Request::Query {
-            req_id: 7,
-            kind: QueryKind::Metrics,
-            app_id: 3,
-            version: 42,
-            rank_lo: 1,
-            rank_hi: ALL_RANKS,
-        },
-        Request::VersionInfo { req_id: 9 },
-        Request::Hello {
-            tenant: "dash-a".to_string(),
-        },
-        Request::Subscribe,
-        Request::Ack {
-            shard: 3,
-            version: 17,
-        },
-        Request::Bye,
-    ] {
-        let wire = req.encode();
-        check_decoder(
-            &format!("Request::decode {req:?}"),
-            &wire,
-            wire.len(),
-            |b| Request::decode(b).is_ok(),
-        );
-    }
-    let body = Bytes::from_static(b"opaque payload");
-    // (message, bytes in front of its trailing payload)
-    for (rsp, fixed) in [
-        (
-            Response::QueryResult {
-                req_id: 7,
-                kind: QueryKind::Topology,
-                version: 5,
-                payload: body.clone(),
-            },
-            14,
-        ),
-        (
-            Response::NotFound {
-                req_id: 8,
-                reason: NotFoundReason::VersionGone,
-            },
-            6,
-        ),
-        (
-            Response::VersionInfo {
-                req_id: 9,
-                current: 12,
-                oldest: 5,
-                apps: 2,
-                finished: true,
-            },
-            24,
-        ),
-        (
-            Response::Snapshot {
-                shard: 1,
-                shards: 4,
-                version: 3,
-                publish_ns: 999,
-                resync: true,
-                finished: false,
-                payload: body.clone(),
-            },
-            23,
-        ),
-        (
-            Response::Delta {
-                shard: 0,
-                shards: 1,
-                version: 4,
-                publish_ns: 1000,
-                finished: true,
-                payload: body.clone(),
-            },
-            22,
-        ),
-        (
-            Response::QuotaExceeded {
-                req_id: 11,
-                kind: QuotaKind::QueryRate,
-            },
-            6,
-        ),
-    ] {
-        let wire = rsp.encode();
-        check_decoder(
-            &format!("Response::decode {}", rsp.kind_name()),
-            &wire,
-            fixed,
-            |b| Response::decode(&Bytes::copy_from_slice(b)).is_ok(),
-        );
-    }
-
+    // ---- serve: a delta carrying a sparse block and a full (new)
+    // application.
     let from = vec![app(1, 40)];
     let to = vec![app(1, 55), app(4, 10)];
     let delta = encode_delta(6, &from, 7, &to).unwrap();
