@@ -3,9 +3,12 @@
 //! Data flow (Figures 4 and 5):
 //!
 //! ```text
-//! raw block ──▶ KS dispatcher ──▶ <level>/pack ──▶ KS unpacker ──▶ <level>/events
-//!                (creates the level's KSs                      ├──▶ KS fold
-//!                 on first sight of an app)                    └──▶ plug-in KSs
+//! raw block ──▶ KS dispatcher ──▶ fold_pack ──▶ the level's aggregates
+//!                (routes by header,   │           (then ticks the publisher)
+//!                 decodes into the    │
+//!                 worker's buffer;    └──▶ <level>/events ──▶ plug-in KSs
+//!                 wires the level on       (only while one is registered)
+//!                 first sight of an app)
 //! ```
 //!
 //! Each instrumented application gets its own blackboard *level* (type ids
@@ -13,13 +16,14 @@
 //! per application and one engine concurrently profiles any number of
 //! programs into a single multi-chapter report.
 //!
-//! A pack is three jobs: route, decode, fold. The fold KS hands the decoded
-//! pack to [`fold_pack`], which takes the application's lock once and
-//! updates every aggregate and the pack accounting under it, so whatever
-//! [`AnalysisEngine::snapshot_partials`] sees is a whole number of packs,
-//! the same ones in every aggregate. `<level>/events` is also the plug-in
-//! point: a KS registered on it (the trace proxy, `examples/custom_ks.rs`)
-//! sees every decoded pack beside the fold.
+//! A pack is one job. The dispatcher decodes the block into a buffer its
+//! worker thread reuses and hands the events to [`fold_pack`], which takes
+//! the application's lock once and updates every aggregate and the pack
+//! accounting under it, so whatever [`AnalysisEngine::snapshot_partials`]
+//! sees is a whole number of packs, the same ones in every aggregate.
+//! `<level>/events` (an owned [`EventPack`]) is the plug-in point: while a
+//! KS is registered on it (the trace proxy, `examples/custom_ks.rs`) the
+//! dispatcher posts every decoded pack there after the fold.
 
 use crate::density::DensityMap;
 use crate::fold::{fold_pack, Aggregates, FoldTarget};
@@ -30,11 +34,12 @@ use crate::trace_proxy::{Selection, TraceProxy};
 use crate::waitstate::{WaitStateAnalysis, WaitStats};
 use bytes::Bytes;
 use opmr_blackboard::{type_id, Blackboard, BlackboardConfig, DataEntry, KnowledgeSource, TypeId};
-use opmr_events::{codec, EventKind, EventPack};
+use opmr_events::{codec, Event, EventKind, EventPack};
 use opmr_metrics::{MetricsConfig, MetricsSeries};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Engine sizing.
 #[derive(Debug, Clone, Copy)]
@@ -86,15 +91,16 @@ impl FoldTarget for AppData {
 
 struct AppSlot {
     app_id: u16,
-    /// Type ids of the level's `pack` and `events` entries.
-    ty_pack: TypeId,
+    /// Type id of the level's `events` entries.
     ty_events: TypeId,
     name: Mutex<String>,
     data: Mutex<AppData>,
-    /// Completes once the level's stock KSs have been registered. `Once`
-    /// (rather than a flag) so racing dispatchers *block* until the wiring
-    /// is done instead of posting packs into a not-yet-sensitive level.
-    wired: std::sync::Once,
+    /// Set once the level's aggregates and plug-in KSs are set up, to the
+    /// publisher its packs tick. `OnceLock` (rather than a flag) so racing
+    /// dispatchers *block* until the wiring is done instead of folding
+    /// into aggregates not yet enabled, or posting events no KS is
+    /// sensitive to yet.
+    wired: OnceLock<Option<Publisher>>,
 }
 
 /// The per-application chapter of a finished report.
@@ -215,6 +221,9 @@ impl MultiReport {
 /// publication boundary (see [`AnalysisEngine::attach_snapshot_publisher`]).
 pub type SnapshotHook = Arc<dyn Fn(Vec<crate::wire::AppPartial>) + Send + Sync>;
 
+/// A snapshot hook and its cadence: every N folded packs.
+type Publisher = (u64, SnapshotHook);
+
 #[derive(Default)]
 struct EngineExtras {
     /// Fold wait states on every level.
@@ -223,8 +232,8 @@ struct EngineExtras {
     metrics: Option<MetricsConfig>,
     /// Attach a selective-trace proxy per level, writing under this dir.
     proxy: Option<(std::path::PathBuf, Selection)>,
-    /// Publish a report snapshot every N unpacked packs.
-    publisher: Option<(u64, SnapshotHook)>,
+    /// Publish a report snapshot every N folded packs.
+    publisher: Option<Publisher>,
 }
 
 /// The distributed analysis engine of one analyzer rank.
@@ -234,7 +243,7 @@ pub struct AnalysisEngine {
     apps: Arc<Mutex<HashMap<u16, Arc<AppSlot>>>>,
     cfg: EngineConfig,
     extras: Arc<Mutex<EngineExtras>>,
-    /// Packs unpacked across every level; drives the publication cadence.
+    /// Packs folded across every level; drives the publication cadence.
     pack_ticker: Arc<std::sync::atomic::AtomicU64>,
     /// Serializes snapshot-taking with hook delivery. Two dispatcher
     /// workers can hit a publication boundary concurrently; without the
@@ -293,10 +302,11 @@ impl AnalysisEngine {
         self.extras.lock().proxy = Some((dir.into(), selection));
     }
 
-    /// Publishes a report snapshot every `every_packs` unpacked packs: the
-    /// hook runs on the unpacking worker with the engine's current partial
-    /// aggregates (the serve-plane window boundary). Call before any packs
-    /// arrive.
+    /// Publishes a report snapshot every `every_packs` folded packs: the
+    /// hook runs on the folding worker, after the fold, with the engine's
+    /// current partial aggregates (the serve-plane window boundary), so the
+    /// snapshot of the `t`-th publication holds at least `t · every_packs`
+    /// packs. Call before any packs arrive.
     pub fn attach_snapshot_publisher(&self, every_packs: u64, hook: SnapshotHook) {
         self.extras.lock().publisher = Some((every_packs.max(1), hook));
     }
@@ -357,7 +367,6 @@ impl AnalysisEngine {
         let level = level_name(app_id);
         let slot = Arc::new(AppSlot {
             app_id,
-            ty_pack: type_id(&level, "pack"),
             ty_events: type_id(&level, "events"),
             name: Mutex::new(level),
             data: Mutex::new(AppData {
@@ -367,7 +376,7 @@ impl AnalysisEngine {
                 )),
                 ..AppData::default()
             }),
-            wired: std::sync::Once::new(),
+            wired: OnceLock::new(),
         });
         apps.insert(app_id, Arc::clone(&slot));
         slot
@@ -378,107 +387,96 @@ impl AnalysisEngine {
         self.bb.register(KnowledgeSource::new(
             "dispatcher",
             vec![raw_ty()],
-            move |bb, entries| {
-                let Some(bytes) = entries[0].payload().as_bytes() else {
-                    return;
-                };
-                let mut view: &[u8] = bytes;
-                // Any known wire version routes — the dispatcher only
-                // needs the app id; the unpacker picks the event codec.
-                let Ok((header, _version)) = codec::decode_header_any(&mut view) else {
-                    // Unparseable block: account it to app 0's error count.
-                    engine.slot(0).data.lock().decode_errors += 1;
-                    return;
-                };
-                let slot = engine.ensure_level(header.app_id);
-                bb.post(DataEntry::bytes(slot.ty_pack, bytes.clone()));
+            move |_bb, entries| {
+                if let Some(block) = entries[0].payload().as_bytes() {
+                    engine.ingest(block);
+                }
             },
         ));
     }
 
-    /// Registers the per-level stock KSs once per application
+    /// A pack's whole job: decode the block into this worker's buffer,
+    /// fold it into its application's aggregates, offer it to the level's
+    /// plug-in KSs, then tick the publisher.
+    fn ingest(&self, block: &[u8]) {
+        thread_local! {
+            /// The worker's decode buffer, reused pack after pack.
+            static EVENTS: RefCell<Vec<Event>> = const { RefCell::new(Vec::new()) };
+        }
+        let Some(slot) = EVENTS.with_borrow_mut(|events| self.fold_block(block, events)) else {
+            return;
+        };
+        if let Some(Some((every, hook))) = slot.wired.get() {
+            let t = self
+                .pack_ticker
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                + 1;
+            if t.is_multiple_of(*every) {
+                // Snapshot and publish under the gate: aggregates only
+                // grow, so serializing take-then-deliver makes successive
+                // store versions monotone (in particular the metrics
+                // window counts) even when two workers hit the boundary at
+                // once. The hook runs with no slot lock held
+                // (snapshot_partials re-locks each slot).
+                let _publish = self.publish_gate.lock();
+                hook(self.snapshot_partials());
+            }
+        }
+    }
+
+    /// Decodes and folds one block; returns the slot it was folded into,
+    /// or `None` for an undecodable block (counted).
+    fn fold_block(&self, block: &[u8], events: &mut Vec<Event>) -> Option<Arc<AppSlot>> {
+        let Ok(header) = EventPack::decode_into(block, events) else {
+            // A block whose header parses is its level's error; any other
+            // is app 0's.
+            let slot = match codec::decode_header_any(&mut &block[..]) {
+                Ok((header, _version)) => self.ensure_level(header.app_id),
+                Err(_) => self.slot(0),
+            };
+            slot.data.lock().decode_errors += 1;
+            return None;
+        };
+        let slot = self.ensure_level(header.app_id);
+        fold_pack(&events[..], block.len(), || slot.data.lock());
+        if self.bb.is_sensitive_to(slot.ty_events) {
+            let pack = EventPack {
+                header,
+                events: events.clone(),
+            };
+            self.bb
+                .post(DataEntry::value_sized(slot.ty_events, pack, block.len()));
+        }
+        Some(slot)
+    }
+
+    /// Sets up the level's aggregates and plug-in KSs once per application
     /// (the multi-level blackboard of Figure 5).
     fn ensure_level(&self, app_id: u16) -> Arc<AppSlot> {
         let slot = self.slot(app_id);
         // Exactly-once wiring, even when two dispatcher jobs race on the
-        // first packs of a new application. `call_once` blocks the losers
-        // until the winner has registered every KS: with a plain flag a
-        // losing dispatcher could post its pack before the level was
-        // sensitive to it, and the blackboard silently dropped the entry.
-        slot.wired.call_once(|| self.wire_level(&slot));
+        // first packs of a new application: `get_or_init` blocks the
+        // losers until the winner is done, so no pack is folded before the
+        // level's series exist or posted before the trace proxy listens.
+        slot.wired.get_or_init(|| self.wire_level(&slot));
         slot
     }
 
-    fn wire_level(&self, slot: &Arc<AppSlot>) {
-        let level = level_name(slot.app_id);
-        let (ty_pack, ty_events) = (slot.ty_pack, slot.ty_events);
-        // Unpacker: pack bytes → decoded EventPack entry. Also the
-        // publication clock: every N packs (across all levels) the snapshot
-        // hook fires with the engine's current aggregates. The hook runs
-        // with no slot lock held (snapshot_partials re-locks each slot).
-        let uslot = Arc::clone(slot);
-        let uengine = self.clone();
-        let publisher = self.extras.lock().publisher.clone();
-        let ticker = Arc::clone(&self.pack_ticker);
-        let unpacker = KnowledgeSource::new(
-            &format!("unpacker/{level}"),
-            vec![ty_pack],
-            move |bb, entries| {
-                let Some(bytes) = entries[0].payload().as_bytes() else {
-                    return;
-                };
-                match EventPack::decode(bytes) {
-                    Ok(pack) => {
-                        bb.post(DataEntry::value_sized(ty_events, pack, bytes.len()));
-                        if let Some((every, hook)) = &publisher {
-                            let t = ticker.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                            if t.is_multiple_of(*every) {
-                                // Snapshot and publish under the gate:
-                                // aggregates only grow, so serializing
-                                // take-then-deliver makes successive store
-                                // versions monotone (in particular the
-                                // metrics window counts) even when two
-                                // workers hit the boundary at once.
-                                let _publish = uengine.publish_gate.lock();
-                                hook(uengine.snapshot_partials());
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        uslot.data.lock().decode_errors += 1;
-                    }
-                }
-            },
-        );
-        // Fold: decoded events → every aggregate of the application, and
-        // the pack accounting, under one acquisition of the slot's lock.
-        let fslot = Arc::clone(slot);
-        let fold = KnowledgeSource::new(
-            &format!("fold/{level}"),
-            vec![ty_events],
-            move |_bb, entries| {
-                if let Some(pack) = entries[0].downcast_ref::<EventPack>() {
-                    fold_pack(pack, entries[0].size(), || fslot.data.lock());
-                }
-            },
-        );
-
+    fn wire_level(&self, slot: &AppSlot) -> Option<Publisher> {
         let extras = self.extras.lock();
         {
             let mut data = slot.data.lock();
             data.waitstate = extras.waitstate.then(WaitStateAnalysis::new);
             data.metrics = extras.metrics.map(|c| MetricsSeries::new(c.window_ns));
         }
-        self.bb.register(unpacker);
-        self.bb.register(fold);
         if let Some((dir, selection)) = extras.proxy.clone() {
             let path = dir.join(format!("app{}_selected.opmr", slot.app_id));
             if let Ok(proxy) = TraceProxy::create(&path, selection) {
                 let handle = proxy.handle();
                 slot.data.lock().proxy = Some(proxy);
                 self.bb.register(KnowledgeSource::new(
-                    &format!("trace-proxy/{level}"),
-                    vec![ty_events],
+                    &format!("trace-proxy/{}", level_name(slot.app_id)),
+                    vec![slot.ty_events],
                     move |_bb, entries| {
                         if let Some(pack) = entries[0].downcast_ref::<EventPack>() {
                             handle.offer(pack.header.app_id, &pack.events);
@@ -487,6 +485,7 @@ impl AnalysisEngine {
                 ));
             }
         }
+        extras.publisher.clone()
     }
 
     /// Waits for quiescence, stops the workers and assembles the report.
@@ -786,6 +785,31 @@ mod tests {
         let report = engine.finish();
         assert_eq!(report.apps[0].packs, posted);
         assert_eq!(report.apps[0].events, posted * PER_PACK);
+    }
+
+    #[test]
+    fn the_snapshot_published_at_tick_t_holds_at_least_t_packs() {
+        let engine = AnalysisEngine::new(EngineConfig {
+            workers: 0,
+            ..Default::default()
+        });
+        let published: Arc<Mutex<Vec<u64>>> = Arc::default();
+        let sink = Arc::clone(&published);
+        engine.attach_snapshot_publisher(
+            1,
+            Arc::new(move |partials| {
+                sink.lock().push(partials.iter().map(|a| a.packs).sum());
+            }),
+        );
+        for seq in 0..20u32 {
+            engine.post_block(pack(0, 0, seq, vec![send(0, 1, 8)]));
+            engine.blackboard().run_inline();
+        }
+        let published = published.lock().clone();
+        assert_eq!(published.len(), 20);
+        for (tick, packs) in (1..).zip(published) {
+            assert!(packs >= tick, "tick {tick} published {packs} packs");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The pack fold: one decoded [`EventPack`] into one application's
+//! The pack fold: one decoded pack's events into one application's
 //! aggregates — the only place in the tree where events meet the profile,
-//! the topology and the order-dependent series. The engine's `fold/<level>`
+//! the topology and the order-dependent series. The engine's dispatcher
 //! knowledge source and the reduce tree's frontier nodes both call
 //! [`fold_pack`].
 //!
@@ -13,7 +13,7 @@ use crate::profiler::{CallStats, MpiProfile};
 use crate::timeline::AdaptiveTimeline;
 use crate::topology::{EdgeWeight, Topology};
 use crate::waitstate::WaitStateAnalysis;
-use opmr_events::{Event, EventKind, EventPack};
+use opmr_events::{Event, EventKind};
 use opmr_metrics::MetricsSeries;
 use std::ops::DerefMut;
 
@@ -95,17 +95,23 @@ pub trait FoldTarget {
     fn aggregates(&mut self) -> Aggregates<'_>;
 }
 
-/// Folds `pack`, which arrived as `wire_len` encoded bytes, into the
-/// target `lock` yields. `lock` is called once, after the pack has been
-/// summed, and its guard is held until every aggregate has the pack: a
-/// reader taking the same lock sees whole packs only, the same ones in
-/// every aggregate.
-pub fn fold_pack<G>(pack: &EventPack, wire_len: usize, lock: impl FnOnce() -> G) -> PackSums
+/// Folds one pack's events (an [`opmr_events::EventPack`] or a decode buffer's
+/// `&[Event]`), which arrived as `wire_len` encoded bytes, into the target
+/// `lock` yields. `lock` is called once, after the pack has been summed,
+/// and its guard is held until every aggregate has the pack: a reader
+/// taking the same lock sees whole packs only, the same ones in every
+/// aggregate.
+pub fn fold_pack<G>(
+    pack: &(impl AsRef<[Event]> + ?Sized),
+    wire_len: usize,
+    lock: impl FnOnce() -> G,
+) -> PackSums
 where
     G: DerefMut,
     G::Target: FoldTarget,
 {
-    let sums = PackSums::of(&pack.events);
+    let events = pack.as_ref();
+    let sums = PackSums::of(events);
     let mut target = lock();
     let agg = target.aggregates();
     *agg.packs += 1;
@@ -120,17 +126,17 @@ where
     }
     // The order-dependent folds see the events themselves.
     if let Some(timeline) = agg.timeline {
-        for e in &pack.events {
+        for e in events {
             timeline.add(e);
         }
     }
     if let Some(waitstate) = agg.waitstate {
-        for e in &pack.events {
+        for e in events {
             waitstate.add(e);
         }
     }
     if let Some(metrics) = agg.metrics {
-        metrics.fold_pack(&pack.events);
+        metrics.fold_pack(events);
     }
     sums
 }

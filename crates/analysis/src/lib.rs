@@ -13,10 +13,10 @@
 //!   time / size for MPI and POSIX calls (Figure 18), rendered as PGM
 //!   images and ASCII heat maps;
 //! * [`timeline`] — temporal maps: time-binned MPI activity per rank;
-//! * [`engine`] — the wiring: a dispatcher KS routes event packs to their
-//!   application's blackboard level (Figure 5), a per-level unpacker KS
-//!   decodes them (Figure 4), and a per-level fold KS updates the shared
-//!   aggregates;
+//! * [`engine`] — the wiring: a dispatcher KS routes each event pack to
+//!   its application's blackboard level (Figure 5), decodes it (Figure 4)
+//!   and folds it into the level's shared aggregates, one job per pack;
+//!   plug-in KSs on the level's `events` entry see every decoded pack;
 //! * [`fold`] — the pack fold itself: one decoded pack into every
 //!   aggregate of its application, shared with the reduce tree's frontier;
 //! * [`report`] — the profiling report: one chapter per instrumented

@@ -1,9 +1,11 @@
 //! The parallel blackboard engine (Figure 13).
 //!
 //! Entry flow: `post` looks the entry's type up in the sensitivity hash
-//! table; the entry is appended to the pending slots of every sensitive KS;
-//! a KS whose last unsatisfied sensitivity just filled produces a job
-//! `{entries, operation}` pushed onto a randomly chosen lock-striped FIFO.
+//! table and walks the sensitive KSs under the table's read lock. A KS with
+//! one sensitivity gets its job `{entry, operation}` at once; a join KS
+//! files the entry in its pending slots, and produces a job `{entries,
+//! operation}` when its last unsatisfied sensitivity just filled. Jobs are
+//! pushed onto a randomly chosen lock-striped FIFO.
 //! Workers sweep the FIFO array from random starting points with
 //! progressive back-off.
 
@@ -78,14 +80,52 @@ pub struct BlackboardStats {
 }
 
 struct Job {
-    entries: Vec<DataEntry>,
+    entries: JobEntries,
     op: Operation,
+}
+
+/// A job's entries, one per declared sensitivity.
+enum JobEntries {
+    /// A single-sensitivity KS's entry, straight from `post`.
+    One(DataEntry),
+    /// A join's entries, popped from its pending slots.
+    Joined(Vec<DataEntry>),
+}
+
+impl JobEntries {
+    fn as_slice(&self) -> &[DataEntry] {
+        match self {
+            JobEntries::One(entry) => std::slice::from_ref(entry),
+            JobEntries::Joined(entries) => entries,
+        }
+    }
 }
 
 struct KsState {
     ks: KnowledgeSource,
-    /// One FIFO per declared sensitivity position.
+    /// One FIFO per declared sensitivity position (used by joins only).
     slots: Mutex<Vec<VecDeque<DataEntry>>>,
+}
+
+impl KsState {
+    /// Files `entry` in the emptiest pending slot matching its type
+    /// (relevant when a KS repeats a type in its sensitivities). `Ok(Some)`
+    /// is the job whose last unsatisfied sensitivity this entry filled;
+    /// `Err` means no slot takes the type.
+    fn join(&self, entry: &DataEntry) -> Result<Option<JobEntries>, ()> {
+        let mut slots = self.slots.lock();
+        let sens = self.ks.sensitivities();
+        let slot_idx = (0..sens.len())
+            .filter(|&i| sens[i] == entry.ty())
+            .min_by_key(|&i| slots[i].len())
+            .ok_or(())?;
+        slots[slot_idx].push_back(entry.clone());
+        if slots.iter().any(VecDeque::is_empty) {
+            return Ok(None);
+        }
+        let entries = slots.iter_mut().filter_map(VecDeque::pop_front).collect();
+        Ok(Some(JobEntries::Joined(entries)))
+    }
 }
 
 #[derive(Default)]
@@ -196,59 +236,50 @@ impl Blackboard {
         self.inner.registry.read().ks.len()
     }
 
+    /// Whether some registered KS is sensitive to `ty`: a producer whose
+    /// entry would only be dropped can skip building it.
+    pub fn is_sensitive_to(&self, ty: TypeId) -> bool {
+        self.inner.registry.read().index.contains_key(&ty)
+    }
+
     /// Posts a data entry onto the board.
     pub fn post(&self, entry: DataEntry) {
         self.inner.stat_posted.fetch_add(1, Ordering::Relaxed);
         obs::m().posted.inc();
-        // Snapshot the sensitive KSs under the read lock, fill slots after.
-        let targets: Vec<Arc<KsState>> = {
-            let reg = self.inner.registry.read();
-            match reg.index.get(&entry.ty()) {
-                None => Vec::new(),
-                Some(ids) => ids
-                    .iter()
-                    .filter_map(|id| reg.ks.get(id).map(Arc::clone))
-                    .collect(),
-            }
-        };
-        if targets.is_empty() {
-            self.inner.stat_dropped.fetch_add(1, Ordering::Relaxed);
-            obs::m().dropped.inc();
+        // Walk the sensitive KSs under the read lock: enqueueing never
+        // touches the registry, so nothing has to be collected first.
+        let reg = self.inner.registry.read();
+        let Some(ids) = reg.index.get(&entry.ty()) else {
+            drop(reg);
+            self.count_dropped();
             return;
-        }
-        for state in targets {
-            let job = {
-                let mut slots = state.slots.lock();
-                // Append to the emptiest slot matching this type (relevant
-                // when a KS repeats a type in its sensitivities).
-                let sens = state.ks.sensitivities();
-                let slot_idx = (0..sens.len())
-                    .filter(|&i| sens[i] == entry.ty())
-                    .min_by_key(|&i| slots[i].len());
-                let Some(slot_idx) = slot_idx else {
-                    // Index and sensitivity list disagree — a registry
-                    // inconsistency. Drop the entry for this KS (counted)
-                    // rather than aborting the engine.
-                    self.inner.stat_dropped.fetch_add(1, Ordering::Relaxed);
-                    obs::m().dropped.inc();
-                    continue;
-                };
-                slots[slot_idx].push_back(entry.clone());
-                if slots.iter().all(|s| !s.is_empty()) {
-                    // Last unsatisfied sensitivity filled: build a job.
-                    let entries = slots.iter_mut().filter_map(|s| s.pop_front()).collect();
-                    Some(Job {
-                        entries,
-                        op: state.ks.operation(),
-                    })
-                } else {
-                    None
+        };
+        for state in ids.iter().filter_map(|id| reg.ks.get(id)) {
+            let entries = if state.ks.sensitivities().len() == 1 {
+                JobEntries::One(entry.clone())
+            } else {
+                match state.join(&entry) {
+                    Ok(Some(entries)) => entries,
+                    Ok(None) => continue,
+                    Err(()) => {
+                        // Index and sensitivity list disagree — a registry
+                        // inconsistency. Drop the entry for this KS
+                        // (counted) rather than aborting the engine.
+                        self.count_dropped();
+                        continue;
+                    }
                 }
             };
-            if let Some(job) = job {
-                self.enqueue(job);
-            }
+            self.enqueue(Job {
+                entries,
+                op: state.ks.operation(),
+            });
         }
+    }
+
+    fn count_dropped(&self) {
+        self.inner.stat_dropped.fetch_add(1, Ordering::Relaxed);
+        obs::m().dropped.inc();
     }
 
     fn enqueue(&self, job: Job) {
@@ -308,7 +339,7 @@ impl Blackboard {
         // board's own state is lock-per-operation, so a KS that unwound
         // mid-operation cannot leave engine structures inconsistent.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (job.op)(self, &job.entries)
+            (job.op)(self, job.entries.as_slice())
         }));
         if outcome.is_err() {
             obs::m().ks_panics.inc();
@@ -701,6 +732,17 @@ mod tests {
         board.run_inline();
         assert_eq!(a.load(Ordering::SeqCst), 1);
         assert_eq!(b.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn is_sensitive_to_follows_register_and_remove() {
+        let board = bb();
+        let (ty, other) = (type_id("L", "watched"), type_id("L", "other"));
+        assert!(!board.is_sensitive_to(ty));
+        let id = board.register(KnowledgeSource::new("w", vec![other, ty], |_bb, _es| {}));
+        assert!(board.is_sensitive_to(ty) && board.is_sensitive_to(other));
+        board.remove(id);
+        assert!(!board.is_sensitive_to(ty));
     }
 
     #[test]

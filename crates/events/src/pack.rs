@@ -166,6 +166,17 @@ impl EventPack {
     /// Parses a pack from a buffer produced by any [`EventPack::encode_with`]
     /// encoding — the header's version selects the event codec.
     pub fn decode(data: &[u8]) -> Result<EventPack, CodecError> {
+        let mut events = Vec::new();
+        let header = EventPack::decode_into(data, &mut events)?;
+        Ok(EventPack { header, events })
+    }
+
+    /// Parses a pack's events into `events` (cleared first) and returns its
+    /// header: a caller that keeps one buffer across packs allocates
+    /// nothing in steady state. On error `events` holds an unspecified
+    /// prefix of the rows.
+    pub fn decode_into(data: &[u8], events: &mut Vec<Event>) -> Result<PackHeader, CodecError> {
+        events.clear();
         let mut buf = data;
         let (header, version) = codec::decode_header_any(&mut buf)?;
         // `decode_header_any` only admits known versions, so the fallback
@@ -178,18 +189,17 @@ impl EventPack {
         // A 24-byte block must not allocate for the 2²⁰ events its header
         // lies about.
         let count = Reader::new(buf).check_count(header.count as usize, smallest_event)?;
-        let events = match encoding {
-            PackEncoding::Fixed => decode_fixed_rows(buf, count)?,
+        events.reserve(count);
+        match encoding {
+            PackEncoding::Fixed => decode_fixed_rows(buf, count, events)?,
             PackEncoding::Delta => {
-                let mut events = Vec::with_capacity(count);
                 let mut st = codec::DeltaState::new(header.rank);
                 for _ in 0..count {
                     events.push(codec::decode_event_delta(&mut buf, &mut st)?);
                 }
-                events
             }
-        };
-        Ok(EventPack { header, events })
+        }
+        Ok(header)
     }
 
     /// Total payload bytes carried by the pack's events.
@@ -198,11 +208,21 @@ impl EventPack {
     }
 }
 
-/// The rows of a fixed-layout pack. Out of line: sharing a function (and
-/// its registers) with the delta loop costs this one a tenth of its speed.
+impl AsRef<[Event]> for EventPack {
+    fn as_ref(&self) -> &[Event] {
+        &self.events
+    }
+}
+
+/// Appends the rows of a fixed-layout pack to `events`. Out of line:
+/// sharing a function (and its registers) with the delta loop costs this
+/// one a tenth of its speed.
 #[inline(never)]
-fn decode_fixed_rows(mut buf: &[u8], count: usize) -> Result<Vec<Event>, CodecError> {
-    let mut events = Vec::with_capacity(count);
+fn decode_fixed_rows(
+    mut buf: &[u8],
+    count: usize,
+    events: &mut Vec<Event>,
+) -> Result<(), CodecError> {
     for _ in 0..count {
         let (raw, rest) =
             buf.split_first_chunk::<EVENT_WIRE_SIZE>()
@@ -213,7 +233,7 @@ fn decode_fixed_rows(mut buf: &[u8], count: usize) -> Result<Vec<Event>, CodecEr
         events.push(codec::decode_event(raw)?);
         buf = rest;
     }
-    Ok(events)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -399,6 +419,24 @@ mod tests {
         let n = p.encode_into(PackEncoding::Delta, &mut buf);
         assert_eq!(buf.len(), 6 + n);
         assert_eq!(EventPack::decode(&buf[6..]).unwrap(), p);
+    }
+
+    #[test]
+    fn decode_into_replaces_the_buffer_contents_and_keeps_its_capacity() {
+        let mut events = Vec::new();
+        for (n, encoding) in [(40, PackEncoding::Fixed), (7, PackEncoding::Delta)] {
+            let p = sample(n);
+            let header = EventPack::decode_into(&p.encode_with(encoding), &mut events).unwrap();
+            assert_eq!(
+                EventPack {
+                    header,
+                    events: events.clone()
+                },
+                p,
+                "{encoding}"
+            );
+        }
+        assert!(events.capacity() >= 40, "a smaller pack kept the buffer");
     }
 
     #[test]

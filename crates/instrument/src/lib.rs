@@ -11,7 +11,8 @@
 //! [`InstrumentedMpi::add_hook`] (the PNMPI-module analogue).
 //!
 //! One event pack is always flushed as exactly one stream block, so the
-//! analyzer-side unpacker can decode each received block independently.
+//! analyzer's dispatcher can decode and fold each received block
+//! independently.
 
 pub mod recorder;
 pub mod sink;

@@ -26,7 +26,7 @@ use crate::tree::Tree;
 use bytes::Bytes;
 use opmr_analysis::fold::{fold_pack, Aggregates, FoldTarget};
 use opmr_analysis::waitstate::WaitStateAnalysis;
-use opmr_events::EventPack;
+use opmr_events::{Event, EventPack};
 use opmr_vmpi::{ReadMode, ReadStream, Result, StreamConfig, Vmpi, VmpiError, WriteStream};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -188,8 +188,8 @@ impl Accum {
         }
     }
 
-    fn absorb_pack(&mut self, pack: &EventPack, block_len: usize) {
-        let sums = fold_pack(pack, block_len, || &mut *self);
+    fn absorb_pack(&mut self, events: &[Event], block_len: usize) {
+        let sums = fold_pack(events, block_len, || &mut *self);
         for (rank, events) in sums.rank_events() {
             self.partial.density.add_events(rank, events);
         }
@@ -283,6 +283,8 @@ pub fn run_node(
     let mut frames: BTreeMap<usize, FrameBuf> = BTreeMap::new();
     let mut final_accum: BTreeMap<u16, Accum> = BTreeMap::new();
     let mut window_fill = 0usize;
+    // Leaf packs decode into one buffer, reused block after block.
+    let mut events: Vec<Event> = Vec::new();
 
     loop {
         let block = match rx.read(ReadMode::Blocking) {
@@ -323,18 +325,14 @@ pub fn run_node(
             ReduceOp::Aggregate => {
                 if leaves.contains(&block.source) {
                     // Leaf traffic: one raw event pack per block.
-                    match EventPack::decode(&block.data) {
-                        Ok(pack) => {
+                    match EventPack::decode_into(&block.data, &mut events) {
+                        Ok(header) => {
                             window
-                                .entry(pack.header.app_id)
+                                .entry(header.app_id)
                                 .or_insert_with(|| {
-                                    Accum::new(
-                                        pack.header.app_id,
-                                        node_cfg.waitstate,
-                                        node_cfg.metrics,
-                                    )
+                                    Accum::new(header.app_id, node_cfg.waitstate, node_cfg.metrics)
                                 })
-                                .absorb_pack(&pack, block.data.len());
+                                .absorb_pack(&events, block.data.len());
                             out.stats.merges += 1;
                             node_metrics().merges.inc();
                             window_fill += 1;
@@ -503,7 +501,7 @@ mod tests {
     use super::*;
     use opmr_analysis::wire::encode_partials;
     use opmr_analysis::{AnalysisEngine, EngineConfig};
-    use opmr_events::{Event, EventKind, PackEncoding};
+    use opmr_events::{EventKind, PackEncoding};
     use opmr_metrics::MetricsConfig;
 
     /// A frontier window and an engine are the same fold: fed the same
@@ -549,7 +547,7 @@ mod tests {
             }
             let encoding = [PackEncoding::Fixed, PackEncoding::Delta][seq as usize % 2];
             let block = EventPack::new(4, rank, seq, events).encode_with(encoding);
-            accum.absorb_pack(&EventPack::decode(&block).unwrap(), block.len());
+            accum.absorb_pack(&EventPack::decode(&block).unwrap().events, block.len());
             engine.post_block(block);
             engine.blackboard().run_inline();
         }

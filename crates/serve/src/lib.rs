@@ -7,7 +7,7 @@
 //!
 //! * [`store::SnapshotStore`] / [`store::ShardedStore`] — the engine
 //!   publishes **versioned report snapshots** at window boundaries (every
-//!   N unpacked packs) into a lock-light store: a swap-on-publish current
+//!   N folded packs) into a lock-light store: a swap-on-publish current
 //!   pointer plus a bounded ring of recent versions, sharded by
 //!   `app_id % shards` so publishes and point queries scale across
 //!   threads (per-shard version vectors, cross-shard snapshot assembled
@@ -121,7 +121,7 @@ pub type Result<T> = std::result::Result<T, ServeError>;
 /// Serve-plane configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Publish a snapshot version every N unpacked event packs (the
+    /// Publish a snapshot version every N folded event packs (the
     /// serve-plane window boundary).
     pub publish_every_packs: u64,
     /// Recent versions (and their deltas) kept in each shard's snapshot

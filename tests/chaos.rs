@@ -591,12 +591,16 @@ fn read_timeout_is_typed_not_a_hang() {
 /// A session with two ring apps so that, under the derived 3-process
 /// placement (analyzer on p0, apps round-robin on p1/p2), both
 /// coordinator links carry enough event traffic — small blocks, many
-/// frames — to cross every threshold of the sever sweep mid-stream.
+/// frames — to cross every threshold of the sever sweep mid-stream. At 40
+/// rounds the whole mesh carried 163 frames, so the last threshold (50)
+/// fell near the end of a link's traffic, where the redial could race the
+/// mesh's teardown and the sever read as a lost peer; 120 rounds (361
+/// frames) put it mid-stream.
 fn link_chaos_session() -> opmr::core::SessionBuilder {
     let ring = |imp: &opmr::instrument::InstrumentedMpi| {
         let world = imp.comm_world();
         let (r, n) = (imp.rank(), imp.size());
-        for round in 0..40 {
+        for round in 0..120 {
             let req = imp
                 .isend(&world, (r + 1) % n, round, vec![r as u8; 512])
                 .expect("isend");
@@ -614,7 +618,8 @@ fn link_chaos_session() -> opmr::core::SessionBuilder {
 }
 
 /// One 3-process run of [`link_chaos_session`] with every link severed
-/// once after `k` data frames.
+/// once after `k` data frames. Its one caller runs it inside
+/// `LinkMoves::during`, which holds the process-wide sever lock.
 fn link_chaos_run(k: u64) -> opmr::core::SessionOutcome {
     use opmr::runtime::{LinkFault, SocketConfig};
     const PROCS: usize = 3;

@@ -16,7 +16,9 @@ use opmr::runtime::{
     Endpoint, Launcher, LinkFault, MultiprocError, MultiprocTopology, PartitionAssign, RankFailure,
     SocketConfig,
 };
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -87,11 +89,46 @@ pub const SEVER_SWEEP: [u64; 3] = [1, 7, 50];
 /// frames ([`LinkFault`]): the loss the socket link recovers underneath
 /// the transport.
 pub fn run_socket_threads_severed(launcher: Launcher, procs: usize, k: u64) -> Vec<RankFailure> {
-    run_socket_threads_with(launcher, procs, |_, c| {
-        c.link_fault(LinkFault {
-            sever_after_frames: k,
+    severing(|| {
+        run_socket_threads_with(launcher, procs, |_, c| {
+            c.link_fault(LinkFault {
+                sever_after_frames: k,
+            })
         })
     })
+}
+
+/// Held by every severed run in this process, so that only one severs at
+/// a time. The link counters [`LinkMoves`] reads are process-wide and the
+/// test harness runs tests on parallel threads: without the lock, a sever
+/// from one test could land inside another test's window while its
+/// reconnect landed after that window closed.
+static SEVERING: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Whether this thread holds [`SEVERING`] (a measured window holds it
+    /// around the severed run inside it).
+    static HOLDS_SEVERING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `run`, which severs links, under the process-wide sever lock.
+/// Re-entrant on the calling thread.
+fn severing<T>(run: impl FnOnce() -> T) -> T {
+    if HOLDS_SEVERING.get() {
+        return run();
+    }
+    struct Release;
+    impl Drop for Release {
+        fn drop(&mut self) {
+            HOLDS_SEVERING.set(false);
+        }
+    }
+    // A test that failed while holding the lock poisons it; the next one
+    // may still sever.
+    let _lock = SEVERING.lock().unwrap_or_else(PoisonError::into_inner);
+    HOLDS_SEVERING.set(true);
+    let _release = Release;
+    run()
 }
 
 /// Current value of a process-wide obs counter.
@@ -101,8 +138,8 @@ pub fn obs_counter(name: &str) -> u64 {
 
 /// How far the link-chaos counters moved over one socket run. The
 /// thread-hosted "processes" share this process's registry, so the deltas
-/// cover the whole mesh (plus whatever a socket test running beside it
-/// adds).
+/// cover the whole mesh; the window holds the sever lock, so no other
+/// test's sever or reconnect lands in it.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkMoves {
     pub severs: u64,
@@ -122,18 +159,21 @@ impl LinkMoves {
         .map(obs_counter)
     }
 
-    /// Runs `run` and returns its result with the counters' movement.
+    /// Runs `run` under the sever lock and returns its result with the
+    /// counters' movement.
     pub fn during<T>(run: impl FnOnce() -> T) -> (T, LinkMoves) {
-        let before = Self::read();
-        let out = run();
-        let [severs, reconnects, retransmits, lost] = Self::read();
-        let moves = LinkMoves {
-            severs: severs - before[0],
-            reconnects: reconnects - before[1],
-            retransmits: retransmits - before[2],
-            lost: lost - before[3],
-        };
-        (out, moves)
+        severing(|| {
+            let before = Self::read();
+            let out = run();
+            let [severs, reconnects, retransmits, lost] = Self::read();
+            let moves = LinkMoves {
+                severs: severs - before[0],
+                reconnects: reconnects - before[1],
+                retransmits: retransmits - before[2],
+                lost: lost - before[3],
+            };
+            (out, moves)
+        })
     }
 
     /// A link was severed and every severed link reconnected. A recovered
