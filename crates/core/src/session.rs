@@ -3,20 +3,25 @@
 //! A session assembles one MPMD job (Figure 10): N instrumented
 //! application partitions and one "Analyzer" partition. Application ranks
 //! initialize the instrumented MPI façade, run their body, finalize;
-//! analyzer ranks additively map every application partition, open a read
-//! stream across all of them and feed each received block to the shared
+//! analyzer ranks additively map every application partition, read their
+//! share of the writers and feed each received block to the shared
 //! parallel blackboard engine. When the job ends, the engine is drained
 //! and the multi-application report returned — no trace file ever exists.
+//!
+//! There is one pipeline: the [`Coupling`] is lowered once to a reduction
+//! tree and an operator, and every analyzer rank runs that tree's node
+//! (`opmr_reduce::run_node`). Direct mapping is the depth-0 tree.
 
 use crate::driver::{run_program, LiveOptions};
+use opmr_analysis::wire::AppPartial;
 use opmr_analysis::{AnalysisEngine, EngineConfig, MultiReport};
 use opmr_instrument::{InstrumentedMpi, RecorderStats};
 use opmr_netsim::Workload;
 use opmr_reduce::{run_node, NodeConfig, ReduceOp, ReduceStats, Tree};
 use opmr_runtime::{Launcher, Mpi, RankError};
 use opmr_serve::{ServeClient, ServeConfig, ServeStats, ShardedStore, TenantBook};
-use opmr_vmpi::map::{map_partitions, map_partitions_directed};
-use opmr_vmpi::{Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError};
+use opmr_vmpi::map::map_partitions_directed;
+use opmr_vmpi::{Map, StreamConfig, Vmpi, VmpiError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -27,15 +32,21 @@ use std::time::Duration;
 pub const SELF_MONITOR_APP: &str = "__obs";
 
 /// How instrumented partitions couple to the analyzer partition.
+///
+/// A session lowers its coupling once to a reduction [`Tree`] over the
+/// analyzer ranks and a [`ReduceOp`]; every analyzer rank then runs its
+/// node of that tree, whatever the coupling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Coupling {
     /// The paper's direct partition mapping: every analyzer rank reads its
-    /// round-robin share of the writers (Figure 10).
+    /// round-robin share of the writers (Figure 10). This is the depth-0
+    /// tree with pass-through, `Tbon { fanout: 0 }`.
     Direct,
     /// An executable TBON overlay (`opmr-reduce`): analyzer ranks form a
     /// reduction tree of the given fanout; writers attach to the frontier
     /// and data is folded per the configured [`ReduceOp`] on its way to
-    /// the tree root.
+    /// the tree root. Fanout 0 is a flat forest: every analyzer rank is a
+    /// root, and under `Aggregate` the roots' partials are merged.
     Tbon { fanout: usize },
     /// [`Coupling::Direct`] plus a sink: the engine publishes versioned
     /// snapshots into a [`ShardedStore`], and client partitions
@@ -78,10 +89,9 @@ enum LaunchPlan {
         socket: opmr_runtime::SocketConfig,
         proc_index: usize,
         num_procs: usize,
-        /// Launcher-driven partition placement: `placement[i]` is the
-        /// process hosting application partition `i` (add order).
-        /// `None` derives the default round-robin spread.
-        placement: Option<Vec<usize>>,
+        /// `placement[i]` is the process hosting application partition `i`
+        /// (add order).
+        placement: Vec<usize>,
     },
 }
 
@@ -111,8 +121,10 @@ pub struct SessionOutcome {
     pub recorders: Vec<(String, RecorderStats)>,
     /// Wall time of the whole MPMD job, seconds.
     pub wall_s: f64,
-    /// Per-tree-node reduction counters `(node index, stats)`, ascending;
-    /// empty under [`Coupling::Direct`].
+    /// Per-tree-node reduction counters `(node index, stats)`, ascending:
+    /// one row per analyzer rank under every coupling. Under
+    /// [`Coupling::Direct`] and [`Coupling::Serving`] each rank is a
+    /// depth-0 root, so `blocks_forwarded == blocks_in`.
     pub reduce_stats: Vec<(usize, ReduceStats)>,
     /// Per-client counters `(client world rank, stats)`, ascending; empty
     /// unless the session ran client partitions under [`Coupling::Serving`].
@@ -254,15 +266,17 @@ impl SessionBuilder {
     }
 
     /// Selects how writers couple to the analyzer partition: the paper's
-    /// direct mapping (default) or the executable TBON reduction overlay.
+    /// direct mapping (default; the depth-0 reduction tree), the executable
+    /// TBON reduction overlay, or direct mapping plus a serve sink.
     pub fn coupling(mut self, c: Coupling) -> Self {
         self.coupling = c;
         self
     }
 
     /// Reduction operator applied by TBON nodes (ignored under
-    /// [`Coupling::Direct`]). Pass-through keeps the report byte-identical
-    /// to direct mapping; `Aggregate` merges windows in-network and the
+    /// [`Coupling::Direct`] and [`Coupling::Serving`], which lower to
+    /// pass-through). Pass-through keeps the report byte-identical to
+    /// direct mapping; `Aggregate` merges windows in-network and the
     /// engine is bypassed entirely.
     pub fn reduce_op(mut self, op: ReduceOp) -> Self {
         self.reduce_op = op;
@@ -404,23 +418,24 @@ impl SessionBuilder {
     /// Placement is derived, not configurable: the analyzer partition,
     /// client partitions and the hidden self-monitor stay on process 0 —
     /// the shared analysis engine and snapshot store live in that
-    /// address space — while application partitions spread round-robin
-    /// over processes `1..num_procs`. Only process 0's outcome carries
-    /// the report; worker processes get an empty one (their engine
-    /// ingests nothing), and `recorders` always covers just the ranks
-    /// hosted by the calling process.
+    /// address space — while application partition `i` runs on process
+    /// `1 + i % (num_procs − 1)` (process 0 when it is the only one). This
+    /// is [`run_multiproc_placed`](Self::run_multiproc_placed) with that
+    /// placement. Only process 0's outcome carries the report; worker
+    /// processes get an empty one (their engine ingests nothing), and
+    /// `recorders` always covers just the ranks hosted by the calling
+    /// process.
     pub fn run_multiproc(
         self,
         socket: opmr_runtime::SocketConfig,
         proc_index: usize,
         num_procs: usize,
     ) -> Result<SessionOutcome, SessionError> {
-        self.run_inner(LaunchPlan::Socket {
-            socket,
-            proc_index,
-            num_procs,
-            placement: None,
-        })
+        let workers = num_procs.saturating_sub(1);
+        let placement = (0..self.apps.len())
+            .map(|i| i.checked_rem(workers).map_or(0, |w| 1 + w))
+            .collect();
+        self.run_multiproc_placed(socket, proc_index, num_procs, placement)
     }
 
     /// Like [`run_multiproc`](Self::run_multiproc), but with the
@@ -453,7 +468,7 @@ impl SessionBuilder {
             socket,
             proc_index,
             num_procs,
-            placement: Some(placement),
+            placement,
         })
     }
 
@@ -461,28 +476,30 @@ impl SessionBuilder {
         if self.apps.is_empty() {
             return Err(SessionError::Config("no applications added".into()));
         }
-        // Process placement (socket plan only): application partition `i`
-        // lands on worker process `1 + (i % workers)`; everything stateful
-        // (analyzer, clients, self-monitor) stays on process 0.
-        let (workers, placement) = match &plan {
-            LaunchPlan::InProc => (0, None),
-            LaunchPlan::Socket {
-                num_procs,
-                placement,
-                ..
-            } => (num_procs.saturating_sub(1), placement.clone()),
+        // Process placement: application partition `i` lands on process
+        // `placement[i]`; everything stateful (analyzer, clients, and the
+        // self-monitor, added below past the placement's end) stays on
+        // process 0.
+        let placement = match &plan {
+            LaunchPlan::InProc => Vec::new(),
+            LaunchPlan::Socket { placement, .. } => placement.clone(),
         };
-        let app_proc = move |i: usize| match &placement {
-            Some(p) => p.get(i).copied().unwrap_or(0),
-            None if workers == 0 => 0,
-            None => 1 + (i % workers),
-        };
-        let coupling = self.coupling;
-        if !self.clients.is_empty() && !matches!(coupling, Coupling::Serving) {
+        let app_proc = |i: usize| placement.get(i).copied().unwrap_or(0);
+        let serving = matches!(self.coupling, Coupling::Serving);
+        if !self.clients.is_empty() && !serving {
             return Err(SessionError::Config(
                 "client partitions require Coupling::Serving".into(),
             ));
         }
+        // The coupling is lowered once; every later step reads only the
+        // tree and the operator. Direct is the depth-0 tree, and Serving is
+        // Direct plus a store sink.
+        let (tree, op) = match self.coupling {
+            Coupling::Direct | Coupling::Serving => {
+                (Tree::new(0, self.analyzer_ranks), ReduceOp::PassThrough)
+            }
+            Coupling::Tbon { fanout } => (Tree::new(fanout, self.analyzer_ranks), self.reduce_op),
+        };
         // The self-monitor rides along as one more instrumented app, added
         // before ids/names/partition counts are derived so every layer
         // treats it uniformly. It samples until the *user* application
@@ -527,18 +544,15 @@ impl SessionBuilder {
         let metrics = self.metrics;
         let engine_cfg = self.engine;
         let node_cfg = NodeConfig {
-            op: self.reduce_op,
+            op,
             window_blocks: self.reduce_window,
             waitstate,
             metrics,
         };
         // In-network aggregation produces merged partials, never raw event
-        // packs — the blackboard engine is bypassed.
-        let tbon_aggregate = matches!(coupling, Coupling::Tbon { .. })
-            && matches!(self.reduce_op, ReduceOp::Aggregate);
-
-        // Every other mode keeps one engine for all analyzer ranks.
-        let engine = if tbon_aggregate {
+        // packs — the blackboard engine is bypassed. Every other operator
+        // keeps one engine for all analyzer ranks.
+        let engine = if matches!(op, ReduceOp::Aggregate) {
             None
         } else {
             let engine = AnalysisEngine::new(engine_cfg);
@@ -560,8 +574,7 @@ impl SessionBuilder {
             engine.start();
             Some(engine)
         };
-        let merged_slot: Arc<Mutex<Option<MultiReport>>> = Arc::new(Mutex::new(None));
-        let reduce_stats: Arc<Mutex<Vec<(usize, ReduceStats)>>> = Arc::new(Mutex::new(Vec::new()));
+        let nodes: Arc<Mutex<Vec<NodeRow>>> = Arc::new(Mutex::new(Vec::new()));
 
         let recorders: Arc<Mutex<Vec<(String, RecorderStats)>>> = Arc::new(Mutex::new(Vec::new()));
         let stream_cfg = self.stream;
@@ -571,18 +584,15 @@ impl SessionBuilder {
 
         // Serving: the engine publishes a versioned snapshot into the store
         // at every window boundary; clients read it from there.
-        let store = if matches!(coupling, Coupling::Serving) {
-            let store = Arc::new(ShardedStore::new(
+        let store = serving.then(|| {
+            Arc::new(ShardedStore::new(
                 serve_cfg.shards,
                 serve_cfg.ring,
                 analyzer_ranks,
-            ));
-            let Some(engine) = engine.as_ref() else {
-                return Err(SessionError::Config(
-                    "serving requires the shared engine".into(),
-                ));
-            };
-            let publish_to = Arc::clone(&store);
+            ))
+        });
+        if let (Some(store), Some(engine)) = (&store, &engine) {
+            let publish_to = Arc::clone(store);
             engine.attach_snapshot_publisher(
                 serve_cfg.publish_every_packs,
                 Arc::new(move |parts| {
@@ -592,10 +602,7 @@ impl SessionBuilder {
                     let _ = publish_to.publish(parts);
                 }),
             );
-            Some(store)
-        } else {
-            None
-        };
+        }
         let serve_stats: Arc<Mutex<Vec<(usize, ServeStats)>>> = Arc::new(Mutex::new(Vec::new()));
         let book = Arc::new(Mutex::new(TenantBook::new(
             serve_cfg.quota,
@@ -607,47 +614,27 @@ impl SessionBuilder {
             launcher = launcher.fault_plan(fp);
         }
         // Partition order is apps (incl. the self-monitor), Analyzer,
-        // clients; the explicit process assignment mirrors it. The
-        // self-monitor samples process 0's registry, so it lives there.
-        let mut assign: Vec<usize> = self
-            .apps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                if s.name == SELF_MONITOR_APP {
-                    0
-                } else {
-                    app_proc(i)
-                }
-            })
-            .collect();
+        // clients; the explicit process assignment mirrors it.
+        let mut assign: Vec<usize> = (0..n_apps).map(app_proc).collect();
         assign.push(0); // Analyzer
         assign.extend(std::iter::repeat_n(0, self.clients.len()));
+        // Both sides derive the same tree; only the pivot evaluates the
+        // policy.
+        let policy = tree.leaf_policy();
         for (app_id, spec) in self.apps.into_iter().enumerate() {
             let body = spec.body;
             let name = spec.name.clone();
             let recs = Arc::clone(&recorders);
+            let policy = policy.clone();
             launcher = launcher.partition_try(&spec.name, spec.ranks, move |mpi: Mpi| {
-                let imp = match coupling {
-                    // Serving is the paper's direct mapping plus a store
-                    // sink on the analyzer side.
-                    Coupling::Direct | Coupling::Serving => {
-                        InstrumentedMpi::init(mpi, "Analyzer", stream_cfg, 0, app_id as u16)
-                    }
-                    Coupling::Tbon { fanout } => {
-                        // Both sides derive the same tree from (fanout,
-                        // analyzer size); only the pivot evaluates the policy.
-                        let policy = Tree::new(fanout, analyzer_ranks).leaf_policy();
-                        InstrumentedMpi::init_directed(
-                            mpi,
-                            "Analyzer",
-                            policy,
-                            stream_cfg,
-                            0,
-                            app_id as u16,
-                        )
-                    }
-                }?;
+                let imp = InstrumentedMpi::init_directed(
+                    mpi,
+                    "Analyzer",
+                    policy.clone(),
+                    stream_cfg,
+                    0,
+                    app_id as u16,
+                )?;
                 body(&imp)?;
                 let stats = imp.finalize()?;
                 recs.lock().push((name.clone(), stats));
@@ -655,32 +642,20 @@ impl SessionBuilder {
             });
         }
         let engine_for_analyzer = engine.clone();
-        let names_for_analyzer = names.clone();
-        let slot_for_analyzer = Arc::clone(&merged_slot);
-        let stats_for_analyzer = Arc::clone(&reduce_stats);
+        let nodes_for_analyzer = Arc::clone(&nodes);
         let store_for_analyzer = store.clone();
-        launcher =
-            launcher.partition_try("Analyzer", analyzer_ranks, move |mpi: Mpi| match coupling {
-                Coupling::Direct | Coupling::Serving => analyzer_rank(
-                    mpi,
-                    engine_for_analyzer
-                        .as_ref()
-                        .ok_or("direct and serving couplings run the shared engine")?,
-                    stream_cfg,
-                    n_apps,
-                    store_for_analyzer.as_deref(),
-                ),
-                Coupling::Tbon { fanout } => tbon_analyzer_rank(
-                    mpi,
-                    fanout,
-                    &node_cfg,
-                    engine_for_analyzer.as_ref(),
-                    stream_cfg,
-                    &names_for_analyzer,
-                    &slot_for_analyzer,
-                    &stats_for_analyzer,
-                ),
-            });
+        launcher = launcher.partition_try("Analyzer", analyzer_ranks, move |mpi: Mpi| {
+            analyzer_rank(
+                mpi,
+                &tree,
+                &node_cfg,
+                n_apps,
+                stream_cfg,
+                engine_for_analyzer.as_ref(),
+                store_for_analyzer.as_deref(),
+                &nodes_for_analyzer,
+            )
+        });
         // Each client reads the shared store on its own rank; the session's
         // one quota book admits every tenant's requests.
         for spec in std::mem::take(&mut self.clients) {
@@ -711,7 +686,7 @@ impl SessionBuilder {
                 socket,
                 proc_index,
                 num_procs,
-                placement: _,
+                ..
             } => {
                 let topo = opmr_runtime::MultiprocTopology::new(socket, proc_index, num_procs)
                     .assign(opmr_runtime::PartitionAssign::Explicit(assign));
@@ -723,21 +698,22 @@ impl SessionBuilder {
         }
         let wall_s = t0.elapsed().as_secs_f64();
 
+        let mut nodes = Arc::try_unwrap(nodes)
+            .map(|m| m.into_inner())
+            .unwrap_or_default();
+        nodes.sort_by_key(|e| e.0);
+        let (reduce_stats, partial_sets): (Vec<_>, Vec<_>) = nodes
+            .into_iter()
+            .map(|(node, stats, partials)| ((node, stats), partials))
+            .unzip();
         let report = match engine {
             Some(engine) => engine.finish(),
-            None => merged_slot
-                .lock()
-                .take()
-                .ok_or_else(|| SessionError::Config("aggregate merge produced no report".into()))?,
+            None => MultiReport::from_partials(partial_sets, &names),
         };
         let mut recorders = Arc::try_unwrap(recorders)
             .map(|m| m.into_inner())
             .unwrap_or_default();
         recorders.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut reduce_stats = Arc::try_unwrap(reduce_stats)
-            .map(|m| m.into_inner())
-            .unwrap_or_default();
-        reduce_stats.sort_by_key(|e| e.0);
         let mut serve_stats = Arc::try_unwrap(serve_stats)
             .map(|m| m.into_inner())
             .unwrap_or_default();
@@ -793,72 +769,48 @@ fn emit_metrics_sample(imp: &InstrumentedMpi, seq: u64) -> Result<(), RankError>
     Ok(())
 }
 
-/// TBON analyzer rank: run one reduction-tree node over this rank's share
-/// of the overlay. The root feeds surviving raw blocks into the shared
-/// engine (pass-through / filter) or merges in-network partials into the
-/// final report (aggregate).
+/// What an analyzer rank hands back: its node index, the node's counters
+/// and, for a root under `Aggregate`, its merged per-application partials.
+type NodeRow = (usize, ReduceStats, Vec<AppPartial>);
+
+/// Analyzer-rank body, the same under every coupling: additively map every
+/// application partition (pids `0..n_apps`, Figure 10) onto this rank's
+/// node of `tree`, then run the node until all its writers close. A root
+/// feeds surviving raw blocks into the shared engine (pass-through /
+/// filter) or returns its merged partials (aggregate). Under
+/// [`Coupling::Serving`] the last rank to finish drains the engine and
+/// publishes the store's final version.
 #[allow(clippy::too_many_arguments)]
-fn tbon_analyzer_rank(
+fn analyzer_rank(
     mpi: Mpi,
-    fanout: usize,
+    tree: &Tree,
     node_cfg: &NodeConfig,
-    engine: Option<&AnalysisEngine>,
+    n_apps: usize,
     stream_cfg: StreamConfig,
-    names: &std::collections::HashMap<u16, String>,
-    slot: &Mutex<Option<MultiReport>>,
-    stats_sink: &Mutex<Vec<(usize, ReduceStats)>>,
+    engine: Option<&AnalysisEngine>,
+    store: Option<&ShardedStore>,
+    nodes: &Mutex<Vec<NodeRow>>,
 ) -> Result<(), RankError> {
     let v = Vmpi::new(mpi)?;
-    let tree = Tree::new(fanout, v.size());
-    // Additively adopt every application's leaves (Figure 10), with the
-    // tree partition mastering each mapping so frontier nodes get their
-    // children regardless of relative partition sizes.
+    // The analyzer partition masters each mapping, so every node gets the
+    // leaves the tree's policy assigns it whatever the partition sizes.
+    let policy = tree.leaf_policy();
     let mut map = Map::new();
-    for pid in 0..v.partition_count() {
-        if pid != v.partition_id() {
-            map_partitions_directed(&v, pid, v.partition_id(), tree.leaf_policy(), &mut map)?;
-        }
+    for pid in 0..n_apps {
+        map_partitions_directed(&v, pid, v.partition_id(), policy.clone(), &mut map)?;
     }
-    let outcome = run_node(&v, &tree, map.peers(), stream_cfg, 0, node_cfg, |block| {
+    let outcome = run_node(&v, tree, map.peers(), stream_cfg, 0, node_cfg, |block| {
         if let Some(engine) = engine {
             engine.post_block(block);
         }
     })?;
-    if v.rank() == 0 && matches!(node_cfg.op, ReduceOp::Aggregate) {
-        let sets = vec![outcome
-            .partials
-            .iter()
-            .map(|p| p.to_app_partial())
-            .collect::<Vec<_>>()];
-        *slot.lock() = Some(MultiReport::from_partials(sets, names));
-    }
-    stats_sink.lock().push((v.rank(), outcome.stats));
-    Ok(())
-}
-
-/// Analyzer-rank body: additively map every application partition (pids
-/// `0..n_apps`, Figure 10), then drain blocks into the engine until all
-/// writers close. Under [`Coupling::Serving`] the last rank to finish
-/// drains the engine and publishes the store's final version.
-fn analyzer_rank(
-    mpi: Mpi,
-    engine: &AnalysisEngine,
-    stream_cfg: StreamConfig,
-    n_apps: usize,
-    store: Option<&ShardedStore>,
-) -> Result<(), RankError> {
-    let v = Vmpi::new(mpi)?;
-    let mut map = Map::new();
-    for pid in 0..n_apps {
-        map_partitions(&v, pid, MapPolicy::RoundRobin, &mut map)?;
-    }
-    if !map.is_empty() {
-        let mut stream = ReadStream::open_map(&v, &map, stream_cfg, 0)?;
-        while let Some(block) = stream.read(ReadMode::Blocking)? {
-            engine.post_block(block.data);
-        }
-    }
-    if let Some(store) = store.filter(|s| s.mark_writer_done()) {
+    let partials = outcome
+        .partials
+        .iter()
+        .map(|p| p.to_app_partial())
+        .collect();
+    nodes.lock().push((v.rank(), outcome.stats, partials));
+    if let (Some(store), Some(engine)) = (store.filter(|s| s.mark_writer_done()), engine) {
         // Every stream everywhere is closed, so no more posts are coming:
         // drain to quiescence and publish the final version (always a
         // fresh one, so caught-up subscribers learn the run is over).
@@ -1017,28 +969,75 @@ mod tests {
             .coupling(Coupling::Tbon { fanout: 2 })
             .run()
             .unwrap();
+        // Direct is the depth-0 tree: fanout 0 is the same session.
+        let flat = quickstart_session()
+            .coupling(Coupling::Tbon { fanout: 0 })
+            .run()
+            .unwrap();
+
+        for (what, outcome) in [("fanout 2", &tbon), ("fanout 0", &flat)] {
+            assert_eq!(
+                scrubbed_partials(&direct.report),
+                scrubbed_partials(&outcome.report),
+                "ρ=1 overlay at {what} changed the report"
+            );
+        }
+
+        // Every coupling reports one stat row per analyzer rank, and at
+        // ρ=1 every node forwards all it ingests. A TBON root ingests every
+        // pack; the depth-0 roots of Direct share them.
+        let total_packs: u64 = tbon.recorders.iter().map(|(_, s)| s.packs).sum();
+        assert_eq!(tbon.reduce_stats[0].1.blocks_in, total_packs);
+        for outcome in [&direct, &tbon, &flat] {
+            assert_eq!(outcome.reduce_stats.len(), 3);
+            for (node, s) in &outcome.reduce_stats {
+                assert_eq!(
+                    s.blocks_forwarded, s.blocks_in,
+                    "node {node} dropped traffic at ρ=1"
+                );
+                assert_eq!(s.peers_lost, 0);
+                assert_eq!(s.decode_errors, 0);
+            }
+        }
+        for outcome in [&direct, &flat] {
+            let ingested: u64 = outcome.reduce_stats.iter().map(|(_, s)| s.blocks_in).sum();
+            let packs: u64 = outcome.recorders.iter().map(|(_, s)| s.packs).sum();
+            assert_eq!(ingested, packs, "the roots ingest every pack once");
+        }
+    }
+
+    #[test]
+    fn direct_with_more_analyzers_than_writers_matches_one_analyzer() {
+        // Three ring ranks and the self-monitor's one rank over five
+        // analyzer ranks: each writer gets one analyzer, two analyzers
+        // read nothing, and the report is the one-analyzer report.
+        use opmr_analysis::report::{stable_digest, stable_digest_filtered};
+        let ring = |analyzers| {
+            Session::builder()
+                .analyzer_ranks(analyzers)
+                .app("ring", 3, |imp| ring_rounds(imp, 30))
+        };
+        let one = ring(1).run().unwrap();
+        let wide = ring(5)
+            .self_monitor(Duration::from_millis(1))
+            .run()
+            .unwrap();
 
         assert_eq!(
-            scrubbed_partials(&direct.report),
-            scrubbed_partials(&tbon.report),
-            "ρ=1 overlay changed the report"
+            stable_digest_filtered(&wide.report, |a| a.name != SELF_MONITOR_APP),
+            stable_digest(&one.report)
         );
-
-        // Direct coupling runs no overlay; TBON reports one stat row per
-        // analyzer rank, and at ρ=1 every node forwards all it ingests.
-        assert!(direct.reduce_stats.is_empty());
-        assert_eq!(tbon.reduce_stats.len(), 3);
-        let total_packs: u64 = tbon.recorders.iter().map(|(_, s)| s.packs).sum();
-        let root = tbon.reduce_stats[0].1;
-        assert_eq!(root.blocks_in, total_packs, "root ingests every pack");
-        for (node, s) in &tbon.reduce_stats {
-            assert_eq!(
-                s.blocks_forwarded, s.blocks_in,
-                "node {node} dropped traffic at ρ=1"
-            );
-            assert_eq!(s.peers_lost, 0);
-            assert_eq!(s.decode_errors, 0);
-        }
+        let obs = wide.report.apps.iter().find(|a| a.name == SELF_MONITOR_APP);
+        let recorded = wide.recorders.iter().find(|(n, _)| n == SELF_MONITOR_APP);
+        assert_eq!(obs.map(|a| a.events), recorded.map(|(_, s)| s.events));
+        // Round-robin in world-rank order: ring ranks 0..3 on analyzers
+        // 0..3, the monitor's rank on analyzer 0.
+        let busy: Vec<bool> = wide
+            .reduce_stats
+            .iter()
+            .map(|(_, s)| s.blocks_in > 0)
+            .collect();
+        assert_eq!(busy, [true, true, true, false, false]);
     }
 
     #[test]
@@ -1051,12 +1050,27 @@ mod tests {
             .reduce_op(ReduceOp::Aggregate)
             .run()
             .unwrap();
+        // At fanout 0 every analyzer rank is a root holding partials; the
+        // session merges all their sets.
+        let flat = quickstart_session()
+            .coupling(Coupling::Tbon { fanout: 0 })
+            .reduce_op(ReduceOp::Aggregate)
+            .run()
+            .unwrap();
 
-        assert_eq!(
-            scrubbed_partials(&direct.report),
-            scrubbed_partials(&tbon.report),
-            "in-network aggregation changed the report"
-        );
+        for (what, outcome) in [("fanout 2", &tbon), ("fanout 0", &flat)] {
+            assert_eq!(
+                scrubbed_partials(&direct.report),
+                scrubbed_partials(&outcome.report),
+                "in-network aggregation at {what} changed the report"
+            );
+        }
+        let roots_with_data = flat
+            .reduce_stats
+            .iter()
+            .filter(|(_, s)| s.windows_closed > 0)
+            .count();
+        assert!(roots_with_data > 1, "the flat roots split the writers");
 
         // Aggregation actually merged windows, and the upward traffic is
         // partial sets rather than the full event stream.

@@ -45,7 +45,7 @@ pub fn analyze_sion_dir(dir: &Path, cfg: EngineConfig) -> std::io::Result<MultiR
         .collect();
     entries.sort();
     for path in entries {
-        for rank_chunks in read_sion(&path)? {
+        for (_, rank_chunks) in read_sion(&path)? {
             for pack in rank_chunks {
                 engine.post_block(pack);
             }

@@ -8,6 +8,7 @@
 //! the paper criticizes).
 
 use bytes::{Bytes, BytesMut};
+use opmr_events::wire::{Reader, Truncated};
 use opmr_vmpi::{Result, VmpiError, WriteStream};
 use std::io::Write;
 
@@ -82,21 +83,22 @@ impl PackSink {
 
 /// Reads every length-prefixed pack back from a trace file.
 pub fn read_trace_file(path: &std::path::Path) -> std::io::Result<Vec<Bytes>> {
-    let data = std::fs::read(path)?;
+    parse_trace(&std::fs::read(path)?).map_err(|t| {
+        std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("truncated trace {path:?}: {t}"),
+        )
+    })
+}
+
+/// Splits trace-file bytes into their packs. A pack or a length prefix cut
+/// at the tail is [`Truncated`].
+pub fn parse_trace(data: &[u8]) -> std::result::Result<Vec<Bytes>, Truncated> {
+    let mut r = Reader::new(data);
     let mut out = Vec::new();
-    let mut off = 0usize;
-    while off + 4 <= data.len() {
-        let len =
-            u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]]) as usize;
-        off += 4;
-        if off + len > data.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                format!("truncated trace {path:?}"),
-            ));
-        }
-        out.push(Bytes::copy_from_slice(&data[off..off + len]));
-        off += len;
+    while r.remaining() > 0 {
+        let len = r.u32()? as usize;
+        out.push(Bytes::copy_from_slice(r.bytes(len)?));
     }
     Ok(out)
 }
@@ -139,5 +141,8 @@ mod tests {
         std::fs::write(&path, [10, 0, 0, 0, 1, 2]).unwrap();
         assert!(read_trace_file(&path).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+        // A length prefix cut at the tail is an error too, not a silent
+        // end of the trace.
+        assert!(parse_trace(&[1, 0, 0, 0, 7, 2, 0]).is_err());
     }
 }

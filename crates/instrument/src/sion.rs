@@ -17,12 +17,14 @@
 //! rank's write order.
 
 use bytes::Bytes;
+use opmr_events::wire::{Reader, Truncated};
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const MAGIC: u32 = u32::from_le_bytes(*b"OPSN");
+const MAGIC: &[u8; 4] = b"OPSN";
 
 /// Shared writer for one multiplexed container file.
 #[derive(Clone)]
@@ -50,7 +52,7 @@ impl SionFile {
             std::fs::create_dir_all(parent)?;
         }
         let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
-        file.write_all(&MAGIC.to_le_bytes())?;
+        file.write_all(MAGIC)?;
         file.write_all(&ranks.to_le_bytes())?;
         Ok(SionFile {
             inner: Arc::new(SionInner {
@@ -104,48 +106,39 @@ impl SionFile {
     }
 }
 
-/// Demultiplexes a container: per-rank chunk lists in write order.
-pub fn read_sion(path: &Path) -> std::io::Result<Vec<Vec<Bytes>>> {
-    let mut data = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut data)?;
-    if data.len() < 8 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "sion container too short",
-        ));
+/// Demultiplexes a container file (see [`parse_sion`]).
+pub fn read_sion(path: &Path) -> std::io::Result<Vec<(u32, Vec<Bytes>)>> {
+    parse_sion(&std::fs::read(path)?)
+}
+
+/// Demultiplexes container bytes: `(rank, chunks)` for every rank that
+/// wrote, ascending, each rank's chunks in write order. A rank that wrote
+/// nothing has no entry, so what is allocated is bounded by the bytes
+/// present, whatever rank count the header claims.
+pub fn parse_sion(data: &[u8]) -> std::io::Result<Vec<(u32, Vec<Bytes>)>> {
+    use std::io::{Error, ErrorKind};
+    let truncated = |t: Truncated| Error::new(ErrorKind::UnexpectedEof, t);
+    let mut r = Reader::new(data);
+    if r.bytes(4).map_err(truncated)? != MAGIC.as_slice() {
+        return Err(Error::new(ErrorKind::InvalidData, "bad sion magic"));
     }
-    let magic = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
-    if magic != MAGIC {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "bad sion magic",
-        ));
-    }
-    let ranks = u32::from_le_bytes([data[4], data[5], data[6], data[7]]) as usize;
-    let mut out = vec![Vec::new(); ranks];
-    let mut off = 8usize;
-    while off + 8 <= data.len() {
-        let rank =
-            u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]]) as usize;
-        let len = u32::from_le_bytes([data[off + 4], data[off + 5], data[off + 6], data[off + 7]])
-            as usize;
-        off += 8;
-        if off + len > data.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "truncated sion chunk",
-            ));
-        }
+    let ranks = r.u32().map_err(truncated)?;
+    let mut out: BTreeMap<u32, Vec<Bytes>> = BTreeMap::new();
+    while r.remaining() > 0 {
+        let rank = r.u32().map_err(truncated)?;
+        let len = r.u32().map_err(truncated)? as usize;
+        let chunk = r.bytes(len).map_err(truncated)?;
         if rank >= ranks {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
+            return Err(Error::new(
+                ErrorKind::InvalidData,
                 format!("chunk for rank {rank} of {ranks}"),
             ));
         }
-        out[rank].push(Bytes::copy_from_slice(&data[off..off + len]));
-        off += len;
+        out.entry(rank)
+            .or_default()
+            .push(Bytes::copy_from_slice(chunk));
     }
-    Ok(out)
+    Ok(out.into_iter().collect())
 }
 
 #[cfg(test)]
@@ -171,10 +164,10 @@ mod tests {
         }
         let per_rank = read_sion(&path).unwrap();
         assert_eq!(per_rank.len(), 3);
-        for (rank, chunks) in per_rank.iter().enumerate() {
+        for (rank, chunks) in &per_rank {
             assert_eq!(chunks.len(), 10);
             for (i, c) in chunks.iter().enumerate() {
-                assert_eq!(&c[..], &[rank as u8, i as u8]);
+                assert_eq!(&c[..], &[*rank as u8, i as u8]);
             }
         }
         std::fs::remove_file(&path).unwrap();
@@ -200,7 +193,7 @@ mod tests {
         let (chunks, _bytes) = sion.stats();
         assert_eq!(chunks, 400);
         let per_rank = read_sion(&path).unwrap();
-        for chunks in &per_rank {
+        for (_, chunks) in &per_rank {
             assert_eq!(chunks.len(), 50);
             // Per-rank order preserved even under interleaving.
             for (i, c) in chunks.iter().enumerate() {
@@ -228,6 +221,18 @@ mod tests {
         std::fs::write(&path, []).unwrap();
         assert!(read_sion(&path).is_err());
         std::fs::remove_file(&path).unwrap();
+
+        let header = |ranks: u32| [&MAGIC[..], &ranks.to_le_bytes()].concat();
+        // A chunk for a rank past the header's count, and a chunk header
+        // cut at the tail, are errors.
+        let mut bad_rank = header(2);
+        bad_rank.extend([2, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(parse_sion(&bad_rank).is_err());
+        let mut cut = header(2);
+        cut.extend([1, 0, 0]);
+        assert!(parse_sion(&cut).is_err());
+        // Ranks that wrote nothing cost nothing, however many are claimed.
+        assert_eq!(parse_sion(&header(u32::MAX)).unwrap(), vec![]);
     }
 
     #[test]

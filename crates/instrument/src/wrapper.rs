@@ -45,8 +45,9 @@ pub struct InstrumentedMpi {
 
 impl InstrumentedMpi {
     /// Instruments a rank: virtualizes it, maps its partition onto the
-    /// analyzer partition (round-robin, as in Figure 10) and opens the
-    /// event stream. Records the `MPI_Init` event.
+    /// analyzer partition (round-robin, the smaller partition mastering, as
+    /// in Figures 7 and 10) and opens the event stream. Records the
+    /// `MPI_Init` event.
     pub fn init(
         mpi: Mpi,
         analyzer_partition: &str,
@@ -54,30 +55,22 @@ impl InstrumentedMpi {
         stream_id: u16,
         app_id: u16,
     ) -> Result<Self> {
-        let t_start = mpi.wtime_ns();
-        let vmpi = Vmpi::new(mpi)?;
-        let analyzer = vmpi
-            .partition_by_name(analyzer_partition)
-            .ok_or_else(|| VmpiError::UnknownPartition(analyzer_partition.to_string()))?
-            .clone();
-        let mut map = Map::new();
-        map_partitions(&vmpi, analyzer.id, MapPolicy::RoundRobin, &mut map)?;
-        let stream = WriteStream::open_map(&vmpi, &map, stream_cfg, stream_id)?;
-        Self::build(
-            vmpi,
-            PackSink::Stream(stream),
+        Self::init_mapped(
+            mpi,
+            analyzer_partition,
+            stream_cfg,
+            stream_id,
             app_id,
-            stream_cfg.block_size,
-            stream_cfg.pack_encoding,
-            t_start,
+            |vmpi, analyzer, map| map_partitions(vmpi, analyzer, MapPolicy::RoundRobin, map),
         )
     }
 
     /// Instruments a rank like [`InstrumentedMpi::init`], but maps onto the
     /// analyzer partition with an explicit policy and with the *analyzer*
-    /// side mastering the mapping regardless of partition sizes. Reduction
-    /// overlays use this to attach leaves to specific tree nodes (the
-    /// policy picks the frontier node for each arriving leaf).
+    /// side mastering the mapping regardless of partition sizes. Sessions
+    /// use this to attach leaves to reduction-tree nodes (the policy picks
+    /// the frontier node for each arriving leaf; round-robin over every
+    /// analyzer rank for direct mapping).
     pub fn init_directed(
         mpi: Mpi,
         analyzer_partition: &str,
@@ -86,14 +79,35 @@ impl InstrumentedMpi {
         stream_id: u16,
         app_id: u16,
     ) -> Result<Self> {
+        Self::init_mapped(
+            mpi,
+            analyzer_partition,
+            stream_cfg,
+            stream_id,
+            app_id,
+            |vmpi, analyzer, map| map_partitions_directed(vmpi, analyzer, analyzer, policy, map),
+        )
+    }
+
+    /// The body of both streaming `init`s: `map_onto` maps the caller's
+    /// partition onto the analyzer partition (by id) into the map the
+    /// event stream opens on.
+    fn init_mapped(
+        mpi: Mpi,
+        analyzer_partition: &str,
+        stream_cfg: StreamConfig,
+        stream_id: u16,
+        app_id: u16,
+        map_onto: impl FnOnce(&Vmpi, usize, &mut Map) -> Result<()>,
+    ) -> Result<Self> {
         let t_start = mpi.wtime_ns();
         let vmpi = Vmpi::new(mpi)?;
         let analyzer = vmpi
             .partition_by_name(analyzer_partition)
             .ok_or_else(|| VmpiError::UnknownPartition(analyzer_partition.to_string()))?
-            .clone();
+            .id;
         let mut map = Map::new();
-        map_partitions_directed(&vmpi, analyzer.id, analyzer.id, policy, &mut map)?;
+        map_onto(&vmpi, analyzer, &mut map)?;
         let stream = WriteStream::open_map(&vmpi, &map, stream_cfg, stream_id)?;
         Self::build(
             vmpi,

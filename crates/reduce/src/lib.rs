@@ -17,10 +17,12 @@
 //!   streams, fold per the configured operator (pass-through ρ=1, 1-in-k
 //!   filter, full aggregation), forward upward with back-pressure.
 //!
-//! `opmr-core` wires this into sessions as `Coupling::Tbon { fanout }`;
-//! `tbon_compare` benchmarks the measured overlay against the analytic
-//! model on the same topologies. The serve plane has no tree: its clients
-//! share one process and read one snapshot store on their own ranks.
+//! `opmr-core` runs every session's analyzer ranks as nodes of a tree:
+//! `Coupling::Tbon { fanout }` as given, direct mapping as the depth-0
+//! tree (fanout 0, every rank a root). `tbon_compare` benchmarks the
+//! measured overlay against the analytic model on the same topologies.
+//! The serve plane has no tree: its clients share one process and read
+//! one snapshot store on their own ranks.
 
 pub mod node;
 pub mod partial;

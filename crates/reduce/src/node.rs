@@ -20,6 +20,12 @@
 //! Upward writes go through the stream layer's bounded async window, so
 //! back-pressure propagates down the tree exactly as it does for direct
 //! partition mapping. All per-node activity is counted in [`ReduceStats`].
+//!
+//! Direct partition mapping is the depth-0 tree (`Tree::new(0, n)`): every
+//! node is a root with only leaf children, so `run_node` is the one read
+//! loop of every analyzer rank — it drains its share of the writers into
+//! `on_root_block` (the shared engine under pass-through) or, under
+//! Aggregate, into the partials it returns for the session to merge.
 
 use crate::partial::{decode_partial_set, encode_partial_set, try_frame, FrameBuf, ReducePartial};
 use crate::tree::Tree;
@@ -232,9 +238,11 @@ impl FoldTarget for Accum {
 ///
 /// `leaf_children` are the world ranks of instrumented leaves the map
 /// pivot assigned to this node (empty for inner nodes); internal children
-/// are derived from `tree` and the caller's partition-local rank. The
-/// root (node 0) delivers surviving raw blocks to `on_root_block`
-/// (PassThrough / Filter) or returns merged partials (Aggregate).
+/// are derived from `tree` and the caller's partition-local rank. A root
+/// (node 0, or every node of a fanout-0 tree) delivers surviving raw
+/// blocks to `on_root_block` (PassThrough / Filter) or returns merged
+/// partials (Aggregate). A child lost mid-stream is counted in
+/// `peers_lost` and the survivors drain on.
 pub fn run_node(
     v: &Vmpi,
     tree: &Tree,

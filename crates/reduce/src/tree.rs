@@ -7,6 +7,10 @@
 //! to frontier nodes round-robin via the VMPI map pivot protocol. Both
 //! sides of the mapping derive the same shape from `(fanout, nodes)`
 //! alone, so no topology exchange is ever needed.
+//!
+//! Fanout 0 is the paper's direct partition mapping: a flat forest in
+//! which every node is its own root and its own frontier, so leaves
+//! spread round-robin over all nodes and no node forwards anything.
 
 use opmr_vmpi::MapPolicy;
 use std::sync::Arc;
@@ -19,15 +23,17 @@ pub struct Tree {
 }
 
 impl Tree {
-    /// Builds the tree shape; `fanout` and `nodes` are clamped to ≥ 1.
+    /// Builds the tree shape; `nodes` is clamped to ≥ 1. Fanout 0 is the
+    /// depth-0 tree of direct mapping: every node a root at level 0, with
+    /// no parent and no internal children.
     pub fn new(fanout: usize, nodes: usize) -> Tree {
         Tree {
-            fanout: fanout.max(1),
+            fanout,
             nodes: nodes.max(1),
         }
     }
 
-    /// Children per internal node.
+    /// Children per internal node (0: a flat forest).
     pub fn fanout(&self) -> usize {
         self.fanout
     }
@@ -37,13 +43,10 @@ impl Tree {
         self.nodes
     }
 
-    /// Parent of node `k`; `None` for the root.
+    /// Parent of node `k`; `None` for a root (node 0, or every node at
+    /// fanout 0).
     pub fn parent(&self, k: usize) -> Option<usize> {
-        if k == 0 {
-            None
-        } else {
-            Some((k - 1) / self.fanout)
-        }
+        k.checked_sub(1)?.checked_div(self.fanout)
     }
 
     /// Internal (in-partition) children of node `k`.
@@ -135,8 +138,27 @@ mod tests {
     }
 
     #[test]
+    fn fanout_zero_is_a_flat_forest_with_round_robin_leaves() {
+        let t = Tree::new(0, 3);
+        assert_eq!(t.frontier(), vec![0, 1, 2]);
+        assert_eq!(t.depth(), 1);
+        for k in 0..3 {
+            assert_eq!(t.parent(k), None);
+            assert!(t.internal_children(k).is_empty());
+            assert_eq!(t.level_of(k), 0);
+        }
+        let MapPolicy::Custom(f) = t.leaf_policy() else {
+            panic!("leaf policy is custom")
+        };
+        assert_eq!(
+            (0..7).map(|i| f(i)).collect::<Vec<_>>(),
+            [0, 1, 2, 0, 1, 2, 0]
+        );
+    }
+
+    #[test]
     fn every_node_reaches_the_root() {
-        for fanout in 1..5 {
+        for fanout in 0..5 {
             for nodes in 1..40 {
                 let t = Tree::new(fanout, nodes);
                 for k in 0..nodes {

@@ -14,6 +14,7 @@ use crate::pod::{self, Pod};
 use crate::request::wait_all;
 use crate::{Result, RtError};
 use bytes::{BufMut, Bytes, BytesMut};
+use opmr_events::wire::Reader;
 
 /// Reduction helpers for the typed collectives.
 pub mod ops {
@@ -200,7 +201,8 @@ pub fn gather(mpi: &Mpi, comm: &Comm, root: usize, local: Bytes) -> Result<Optio
     }
 }
 
-fn pack_parts(parts: &[Bytes]) -> Bytes {
+/// The allgather payload: `[n u64]` then `n × ([len u64][bytes])`.
+pub fn pack_parts(parts: &[Bytes]) -> Bytes {
     let total: usize = parts.iter().map(|p| p.len() + 8).sum();
     let mut buf = BytesMut::with_capacity(total + 8);
     buf.put_u64_le(parts.len() as u64);
@@ -211,22 +213,18 @@ fn pack_parts(parts: &[Bytes]) -> Bytes {
     buf.freeze()
 }
 
-fn unpack_parts(mut data: Bytes) -> Result<Vec<Bytes>> {
-    use bytes::Buf;
-    if data.len() < 8 {
-        return Err(RtError::CollectiveMismatch("packed parts truncated"));
-    }
-    let n = data.get_u64_le() as usize;
-    let mut out = Vec::with_capacity(n);
+/// Splits a [`pack_parts`] payload back into its parts, zero-copy. A count
+/// or length the bytes cannot hold is a typed error, never an allocation.
+pub fn unpack_parts(data: &Bytes) -> Result<Vec<Bytes>> {
+    let truncated = |_| RtError::CollectiveMismatch("packed parts truncated");
+    let mut r = Reader::new(data);
+    let n = usize::try_from(r.u64().map_err(truncated)?).unwrap_or(usize::MAX);
+    let mut out = Vec::with_capacity(r.check_count(n, 8).map_err(truncated)?);
     for _ in 0..n {
-        if data.len() < 8 {
-            return Err(RtError::CollectiveMismatch("packed parts truncated"));
-        }
-        let len = data.get_u64_le() as usize;
-        if data.len() < len {
-            return Err(RtError::CollectiveMismatch("packed parts truncated"));
-        }
-        out.push(data.split_to(len));
+        let len = usize::try_from(r.u64().map_err(truncated)?).unwrap_or(usize::MAX);
+        let start = data.len() - r.remaining();
+        r.bytes(len).map_err(truncated)?;
+        out.push(data.slice(start..start + len));
     }
     Ok(out)
 }
@@ -235,7 +233,7 @@ fn unpack_parts(mut data: Bytes) -> Result<Vec<Bytes>> {
 pub fn allgather(mpi: &Mpi, comm: &Comm, local: Bytes) -> Result<Vec<Bytes>> {
     let gathered = gather(mpi, comm, 0, local)?;
     let packed = bcast(mpi, comm, 0, gathered.map(|p| pack_parts(&p)))?;
-    unpack_parts(packed)
+    unpack_parts(&packed)
 }
 
 /// Typed allgather of POD slices.

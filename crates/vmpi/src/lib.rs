@@ -28,7 +28,7 @@ pub mod virt;
 
 pub use map::{Map, MapPolicy};
 pub use opmr_events::{Compression, PackEncoding};
-pub use stream::{Balance, Block, DuplexStream, ReadMode, ReadStream, StreamConfig, WriteStream};
+pub use stream::{Balance, Block, ReadMode, ReadStream, StreamConfig, WriteStream};
 pub use virt::Vmpi;
 
 /// Errors produced by the coupling layer.

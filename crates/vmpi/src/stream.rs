@@ -596,79 +596,6 @@ impl Drop for WriteStream {
 }
 
 // ---------------------------------------------------------------------
-// Bidirectional streams.
-// ---------------------------------------------------------------------
-
-/// A bidirectional stream: the paper notes VMPI streams "can be either
-/// multi- or uni-directional". A duplex endpoint pairs a write stream and
-/// a read stream over two distinct stream ids derived from `stream_id`,
-/// so both directions coexist without tag collisions.
-pub struct DuplexStream {
-    tx: WriteStream,
-    rx: ReadStream,
-}
-
-impl DuplexStream {
-    /// Opens both directions against the same peer set.
-    pub fn open(
-        vmpi: &Vmpi,
-        peers: Vec<usize>,
-        cfg: StreamConfig,
-        stream_id: u16,
-    ) -> crate::Result<DuplexStream> {
-        // Directions are disambiguated by parity: lower world rank writes
-        // on 2k / reads on 2k+1; its peers do the opposite. The peer set
-        // must lie entirely on one side (true for partition-to-partition
-        // couplings, where rank ranges are contiguous).
-        let me = vmpi.mpi().world_rank();
-        if !(peers.iter().all(|&p| p > me) || peers.iter().all(|&p| p < me)) {
-            return Err(VmpiError::InvalidConfig(
-                "duplex peers must all be in a remote partition",
-            ));
-        }
-        let (tx_id, rx_id) = if peers.iter().all(|&p| p > me) {
-            (2 * stream_id, 2 * stream_id + 1)
-        } else {
-            (2 * stream_id + 1, 2 * stream_id)
-        };
-        Ok(DuplexStream {
-            tx: WriteStream::open_to(vmpi, peers.clone(), cfg, tx_id)?,
-            rx: ReadStream::open_from(vmpi, peers, cfg, rx_id)?,
-        })
-    }
-
-    /// Writes on the outbound direction.
-    pub fn write(&mut self, data: &[u8]) -> crate::Result<()> {
-        self.tx.write(data)
-    }
-
-    /// Flushes the outbound partial block.
-    pub fn flush(&mut self) -> crate::Result<()> {
-        self.tx.flush()
-    }
-
-    /// Reads from the inbound direction.
-    pub fn read(&mut self, mode: ReadMode) -> crate::Result<Option<Block>> {
-        self.rx.read(mode)
-    }
-
-    /// Closes the outbound direction and drains the inbound one.
-    pub fn close(mut self) -> crate::Result<Vec<Block>> {
-        self.tx.close()?;
-        let mut rest = Vec::new();
-        while let Some(b) = self.rx.read(ReadMode::Blocking)? {
-            rest.push(b);
-        }
-        Ok(rest)
-    }
-
-    /// Accessors for the two halves.
-    pub fn halves(&mut self) -> (&mut WriteStream, &mut ReadStream) {
-        (&mut self.tx, &mut self.rx)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Read endpoint.
 // ---------------------------------------------------------------------
 

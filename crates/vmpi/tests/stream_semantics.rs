@@ -463,43 +463,42 @@ fn backpressure_bounds_inflight_blocks() {
         .unwrap();
 }
 
+/// One write and one read stream to `peer`, for two-way traffic: the lower
+/// world rank writes on stream id `2k` and reads on `2k + 1`, its peer the
+/// other way round.
+fn stream_pair(v: &Vmpi, peer: usize, cfg: StreamConfig, k: u16) -> (WriteStream, ReadStream) {
+    let (tx, rx) = if v.mpi().world_rank() < peer {
+        (2 * k, 2 * k + 1)
+    } else {
+        (2 * k + 1, 2 * k)
+    };
+    (
+        WriteStream::open_to(v, vec![peer], cfg, tx).unwrap(),
+        ReadStream::open_from(v, vec![peer], cfg, rx).unwrap(),
+    )
+}
+
 #[test]
 fn duplex_stream_both_directions() {
-    // Two partitions exchange data in both directions over one duplex
-    // stream (the paper's "multi- or uni-directional" streams).
+    // Two partitions exchange data in both directions over a pair of
+    // streams (the paper's "multi- or uni-directional" streams).
+    let exchange = |peer: usize, send: u8, n_send: usize, recv: u8, n_recv: usize| {
+        move |mpi| {
+            let v = Vmpi::new(mpi).unwrap();
+            let (mut tx, mut rx) = stream_pair(&v, peer, small_cfg(256), 10);
+            tx.write(&vec![send; n_send]).unwrap();
+            tx.close().unwrap();
+            let mut got = 0;
+            while let Some(b) = rx.read(ReadMode::Blocking).unwrap() {
+                assert!(b.data.iter().all(|&x| x == recv));
+                got += b.data.len();
+            }
+            assert_eq!(got, n_recv);
+        }
+    };
     Launcher::new()
-        .partition("left", 1, |mpi| {
-            let v = Vmpi::new(mpi).unwrap();
-            let mut dx = opmr_vmpi::DuplexStream::open(&v, vec![1], small_cfg(256), 10).unwrap();
-            dx.write(&[1u8; 500]).unwrap();
-            dx.flush().unwrap();
-            // Read everything the peer sends, then close.
-            let mut got = 0;
-            while got < 300 {
-                if let Some(b) = dx.read(ReadMode::Blocking).unwrap() {
-                    assert!(b.data.iter().all(|&x| x == 2));
-                    got += b.data.len();
-                }
-            }
-            let rest = dx.close().unwrap();
-            assert!(rest.iter().all(|b| b.data.iter().all(|&x| x == 2)));
-            assert_eq!(got + rest.iter().map(|b| b.data.len()).sum::<usize>(), 300);
-        })
-        .partition("right", 1, |mpi| {
-            let v = Vmpi::new(mpi).unwrap();
-            let mut dx = opmr_vmpi::DuplexStream::open(&v, vec![0], small_cfg(256), 10).unwrap();
-            dx.write(&[2u8; 300]).unwrap();
-            dx.flush().unwrap();
-            let mut got = 0;
-            while got < 500 {
-                if let Some(b) = dx.read(ReadMode::Blocking).unwrap() {
-                    assert!(b.data.iter().all(|&x| x == 1));
-                    got += b.data.len();
-                }
-            }
-            let rest = dx.close().unwrap();
-            assert_eq!(got + rest.iter().map(|b| b.data.len()).sum::<usize>(), 500);
-        })
+        .partition("left", 1, exchange(1, 1, 500, 2, 300))
+        .partition("right", 1, exchange(0, 2, 300, 1, 500))
         .run()
         .unwrap();
 }
@@ -682,29 +681,31 @@ fn blocking_reads_with_no_timeout_never_sleep_through_a_block() {
     Launcher::new()
         .partition("ping", 1, |mpi| {
             let v = Vmpi::new(mpi).unwrap();
-            let mut dx = opmr_vmpi::DuplexStream::open(&v, vec![1], small_cfg(64), 11).unwrap();
+            let (mut tx, mut rx) = stream_pair(&v, 1, small_cfg(64), 11);
             for round in 0..ROUNDS {
-                dx.write(&round.to_le_bytes()).unwrap();
-                dx.flush().unwrap();
-                let b = dx.read(ReadMode::Blocking).unwrap().expect("echo");
+                tx.write(&round.to_le_bytes()).unwrap();
+                tx.flush().unwrap();
+                let b = rx.read(ReadMode::Blocking).unwrap().expect("echo");
                 assert_eq!(b.data[..], round.to_le_bytes());
             }
-            dx.close().unwrap();
+            tx.close().unwrap();
+            assert!(rx.read(ReadMode::Blocking).unwrap().is_none());
         })
         .partition("pong", 1, |mpi| {
             let v = Vmpi::new(mpi).unwrap();
-            let mut dx = opmr_vmpi::DuplexStream::open(&v, vec![0], small_cfg(64), 11).unwrap();
+            let (mut tx, mut rx) = stream_pair(&v, 0, small_cfg(64), 11);
             for round in 0..ROUNDS {
-                let b = dx.read(ReadMode::Blocking).unwrap().expect("ping");
+                let b = rx.read(ReadMode::Blocking).unwrap().expect("ping");
                 let pause = std::time::Duration::from_micros(u64::from(round % 256));
                 let t0 = std::time::Instant::now();
                 while t0.elapsed() < pause {
                     std::hint::spin_loop();
                 }
-                dx.write(&b.data).unwrap();
-                dx.flush().unwrap();
+                tx.write(&b.data).unwrap();
+                tx.flush().unwrap();
             }
-            dx.close().unwrap();
+            tx.close().unwrap();
+            assert!(rx.read(ReadMode::Blocking).unwrap().is_none());
         })
         .run()
         .unwrap();

@@ -35,10 +35,6 @@ const WIRE_ALLOWED: &[(&str, usize)] = &[
     ("crates/events/src/wire.rs", 1),
     ("crates/events/src/codec.rs", 8),
     ("crates/events/src/compress.rs", 2),
-    // Not yet ported: the trace-file readers and the gather payload.
-    ("crates/instrument/src/sink.rs", 1),
-    ("crates/instrument/src/sion.rs", 4),
-    ("crates/runtime/src/collectives.rs", 2),
 ];
 
 struct Site {

@@ -167,7 +167,7 @@ fn sion_container_equals_per_rank_traces() {
     // The multiplexed container demultiplexes cleanly.
     let chunks = read_sion(&dir_sion.join("app0.sion")).unwrap();
     assert_eq!(chunks.len(), 6);
-    assert!(chunks.iter().all(|c| !c.is_empty()));
+    assert!(chunks.iter().all(|(_, c)| !c.is_empty()));
 
     std::fs::remove_dir_all(&dir_files).unwrap();
     std::fs::remove_dir_all(&dir_sion).unwrap();

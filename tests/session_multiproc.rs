@@ -97,6 +97,25 @@ fn socket_session_report_is_byte_identical_to_inproc() {
 // i → process placement[i]) must not change a byte of the analysis, and
 // invalid placements are typed configuration errors, not hangs.
 // ---------------------------------------------------------------------
+/// Runs a three-process job as threads; returns process 0's report digest.
+fn three_procs(
+    tag: &str,
+    run: impl Fn(Endpoint, usize) -> Result<SessionOutcome, SessionError> + Clone + Send + 'static,
+) -> u64 {
+    let endpoint = fresh_unix_endpoint(tag);
+    let workers: Vec<_> = (1..3)
+        .map(|p| {
+            let (endpoint, run) = (endpoint.clone(), run.clone());
+            std::thread::spawn(move || run(endpoint, p))
+        })
+        .collect();
+    let sock = run(endpoint, 0).expect("process 0");
+    for w in workers {
+        w.join().unwrap().expect("worker process");
+    }
+    stable_digest(&sock.report)
+}
+
 #[test]
 fn explicit_placement_keeps_the_report_byte_identical() {
     let direct = demo_session().run().expect("in-process session");
@@ -105,22 +124,24 @@ fn explicit_placement_keeps_the_report_byte_identical() {
     // Three processes, but the single app partition is pinned to p2 —
     // the derived policy would have used p1, so this exercises a
     // genuinely different mesh shape.
-    let endpoint = fresh_unix_endpoint("placed");
-    let run_placed = |proc_index: usize| {
-        let endpoint = endpoint.clone();
-        move || demo_session().run_multiproc_placed(socket_cfg(endpoint), proc_index, 3, vec![2])
-    };
-    let w1 = std::thread::spawn(run_placed(1));
-    let w2 = std::thread::spawn(run_placed(2));
-    let sock = run_placed(0)().expect("placed session, process 0");
-    w1.join().unwrap().expect("placed session, process 1");
-    w2.join().unwrap().expect("placed session, process 2");
-
+    let pinned = three_procs("placed", |ep, p| {
+        demo_session().run_multiproc_placed(socket_cfg(ep), p, 3, vec![2])
+    });
     assert_eq!(
-        stable_digest(&sock.report),
-        want,
+        pinned, want,
         "explicit placement must not change the analysis output"
     );
+
+    // `run_multiproc` is `run_multiproc_placed` with the derived
+    // placement: app partition i on process 1 + i % (procs - 1).
+    let derived = three_procs("derived", |ep, p| {
+        demo_session().run_multiproc(socket_cfg(ep), p, 3)
+    });
+    let placed = three_procs("derived-placed", |ep, p| {
+        demo_session().run_multiproc_placed(socket_cfg(ep), p, 3, vec![1])
+    });
+    assert_eq!(derived, want);
+    assert_eq!(placed, derived);
 }
 
 #[test]

@@ -12,13 +12,16 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
+use bytes::Bytes;
 use opmr::analysis::waitstate::{RecvSide, SendSide, WaitStats};
 use opmr::analysis::wire::{self, AppPartial};
 use opmr::analysis::{MpiProfile, Topology};
 use opmr::events::wire::{check_decoder, note_alloc, Reader};
 use opmr::events::{frame, Event, EventKind, EventPack, FrameBuf, PackEncoding};
+use opmr::instrument::{parse_sion, parse_trace};
 use opmr::metrics::MetricsSeries;
 use opmr::reduce::{decode_partial_set, encode_partial_set, ReducePartial};
+use opmr::runtime::collectives::{pack_parts, unpack_parts};
 use opmr::serve::{apply_delta, delta_versions, encode_delta};
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -206,4 +209,38 @@ fn every_public_decoder_survives_hostile_bytes() {
     // The header alone answers `delta_versions`: magic, version, the two
     // snapshot versions and the app count.
     check_decoder("delta_versions", &delta, 24, |b| delta_versions(b).is_ok());
+
+    // ---- runtime: the allgather payload. Every part is declared up
+    // front, so no strict prefix decodes.
+    let parts = [
+        Bytes::from_static(b"alpha"),
+        Bytes::new(),
+        Bytes::from(vec![7u8; 100]),
+    ];
+    let packed = pack_parts(&parts);
+    check_decoder("unpack_parts", &packed, packed.len(), |b| {
+        unpack_parts(&Bytes::copy_from_slice(b)).is_ok()
+    });
+
+    // ---- instrument: the trace baselines read back from disk. A file cut
+    // at a pack boundary is a shorter trace; the SION header is fixed.
+    let packs = [
+        pack.encode(),
+        Bytes::new(),
+        pack.encode_with(PackEncoding::Delta),
+    ];
+    let mut trace = Vec::new();
+    for p in &packs {
+        trace.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        trace.extend_from_slice(p);
+    }
+    check_decoder("parse_trace", &trace, 0, |b| parse_trace(b).is_ok());
+    let mut sion = b"OPSN".to_vec();
+    sion.extend_from_slice(&3u32.to_le_bytes());
+    for (rank, p) in [2u32, 0, 2].iter().zip(&packs) {
+        sion.extend_from_slice(&rank.to_le_bytes());
+        sion.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        sion.extend_from_slice(p);
+    }
+    check_decoder("parse_sion", &sion, 8, |b| parse_sion(b).is_ok());
 }
