@@ -476,6 +476,12 @@ impl SessionBuilder {
         if self.apps.is_empty() {
             return Err(SessionError::Config("no applications added".into()));
         }
+        let (block, encoding) = (self.stream.block_size, self.stream.pack_encoding);
+        if opmr_events::EventPack::capacity_for_block_with(block, encoding) == 0 {
+            return Err(SessionError::Config(format!(
+                "{block} B stream blocks cannot hold a header and one {encoding} row"
+            )));
+        }
         // Process placement: application partition `i` lands on process
         // `placement[i]`; everything stateful (analyzer, clients, and the
         // self-monitor, added below past the placement's end) stays on
@@ -823,8 +829,9 @@ fn analyzer_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opmr_events::EventKind;
+    use opmr_events::{EventKind, PackEncoding};
     use opmr_runtime::{Src, TagSel};
+    use opmr_vmpi::Balance;
 
     #[test]
     fn single_app_report() {
@@ -893,6 +900,35 @@ mod tests {
             Session::builder().run(),
             Err(SessionError::Config(_))
         ));
+    }
+
+    #[test]
+    fn blocks_too_small_for_one_row_are_rejected_before_any_rank_starts() {
+        for encoding in [PackEncoding::Fixed, PackEncoding::Delta] {
+            let one_row = opmr_events::PACK_HEADER_SIZE + encoding.max_event_wire_size();
+            let session = |block| {
+                Session::builder()
+                    .stream_config(
+                        StreamConfig::new(block, 4, Balance::RoundRobin)
+                            .with_pack_encoding(encoding),
+                    )
+                    .app("tiny", 2, |imp| {
+                        imp.marker(1).unwrap();
+                    })
+            };
+            for block in [64, one_row - 1] {
+                let err = session(block).run().err();
+                assert!(
+                    matches!(err, Some(SessionError::Config(_))),
+                    "{encoding} {block} B: {err:?}"
+                );
+            }
+            // One row per pack at the boundary: Init, the marker, Finalize.
+            let outcome = session(one_row).run().unwrap();
+            for (_, stats) in &outcome.recorders {
+                assert_eq!((stats.events, stats.packs), (3, 3), "{encoding}");
+            }
+        }
     }
 
     /// Quickstart-shaped ring workload: isend/recv/wait rounds with

@@ -9,12 +9,12 @@ use bytes::{Bytes, BytesMut};
 pub const EVENT_WIRE_SIZE: usize = 48;
 /// Wire size of an encoded [`PackHeader`].
 pub const PACK_HEADER_SIZE: usize = 24;
-/// Per-event byte budget of the delta layout. The layout's worst case is
-/// 52 (`codec.rs` computes it and asserts it fits); the budget stays at
-/// the 53 that has sized every block so far, so events per pack — and
-/// with them pack fill time and blocks per event — are what they were.
-/// Real workloads sit near 8 bytes; packing budgets must assume the bound
-/// so a full pack can never overflow its stream block.
+/// Per-event byte budget of the delta layout: the room for one more row
+/// the recorder keeps before it closes a pack. The layout's worst case is
+/// 52 (`codec.rs` computes it and asserts it fits), one under the budget,
+/// so a Delta pack closed by its bytes is at most `block − 1` and its
+/// stream frame (a flag byte plus the pack) still fits the block. Real
+/// rows sit near 8 bytes; only the margin assumes the bound.
 pub const DELTA_EVENT_MAX_WIRE_SIZE: usize = 53;
 
 /// How a pack's event section is laid out on the wire.
@@ -120,9 +120,11 @@ impl EventPack {
         Self::capacity_for_block_with(block_size, PackEncoding::Fixed)
     }
 
-    /// How many events are guaranteed to fit a block of `block_size`
-    /// bytes under `encoding`, using the encoding's worst-case per-event
-    /// size — a full pack can never overflow the block/frame budget.
+    /// The guaranteed lower bound on the events one pack of a block of
+    /// `block_size` bytes holds under `encoding`: worst-case rows only. The
+    /// recorder packs by bytes, so a Fixed pack holds exactly this many and
+    /// a Delta pack of real rows ≈ 7 × more (0 = the block cannot hold
+    /// one row, which sessions and `InstrumentedMpi` reject).
     pub fn capacity_for_block_with(block_size: usize, encoding: PackEncoding) -> usize {
         block_size.saturating_sub(PACK_HEADER_SIZE) / encoding.max_event_wire_size()
     }
@@ -395,8 +397,8 @@ mod tests {
 
     #[test]
     fn delta_capacity_per_block_is_what_it_has_always_been() {
-        // Events per pack decide pack fill time and blocks per event; the
-        // compact row must not move them.
+        // The worst-case lower bound, which the perf harness chunks its
+        // timing by; the recorder packs real rows by bytes.
         for (block, events) in [
             (2 << 10, 38),
             (4 << 10, 76),

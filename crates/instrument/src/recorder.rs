@@ -5,12 +5,16 @@
 //! events are appended behind it, and a flush only patches the header's
 //! `count` and hands the block over. There is no staged `Event` batch and
 //! no encode pass; the one block buffer is reused for every pack.
+//! A pack closes once less than one worst-case row
+//! ([`PackEncoding::max_event_wire_size`]) of its block is left, so a
+//! Delta pack fills the block with real rows (≈ 530 in 4 KiB).
 
 use crate::sink::PackSink;
 use bytes::BytesMut;
 use opmr_events::codec::{self, DeltaState};
-use opmr_events::{Event, EventPack, PackEncoding, PackHeader, PACK_HEADER_SIZE};
+use opmr_events::{Event, PackEncoding, PackHeader};
 use opmr_vmpi::Result;
+use std::time::Instant;
 
 mod obs {
     use opmr_obs::{registry, Counter, Histogram};
@@ -18,6 +22,7 @@ mod obs {
 
     pub(super) struct RecorderMetrics {
         pub flush_ns: Arc<Histogram>,
+        pub fill_ns: Arc<Histogram>,
         pub packs: Arc<Counter>,
     }
 
@@ -27,6 +32,7 @@ mod obs {
             let r = registry();
             RecorderMetrics {
                 flush_ns: r.histogram("instrument_flush_ns"),
+                fill_ns: r.histogram("instrument_pack_fill_ns"),
                 packs: r.counter("instrument_packs_encoded_total"),
             }
         })
@@ -40,33 +46,20 @@ pub struct RecorderConfig {
     pub app_id: u16,
     /// Partition-local rank of the producer.
     pub rank: u32,
-    /// Maximum events per pack. Must keep the encoded pack within the
-    /// stream's block size so one pack maps to one block — computed from
-    /// the encoding's *worst-case* per-event size, so a full pack can
-    /// never overflow the block.
-    pub events_per_pack: usize,
+    /// Byte budget of one pack: the stream's block size, so one pack maps
+    /// to one block. Packs close by bytes, not by an event count.
+    pub block_size: usize,
     /// Wire layout for encoded packs.
     pub encoding: PackEncoding,
 }
 
 impl RecorderConfig {
-    /// Largest fixed-layout pack that fits one stream block.
-    pub fn for_block_size(app_id: u16, rank: u32, block_size: usize) -> RecorderConfig {
-        Self::for_block(app_id, rank, block_size, PackEncoding::Fixed)
-    }
-
-    /// Largest pack under `encoding` guaranteed to fit one stream block.
-    pub fn for_block(
-        app_id: u16,
-        rank: u32,
-        block_size: usize,
-        encoding: PackEncoding,
-    ) -> RecorderConfig {
-        let cap = EventPack::capacity_for_block_with(block_size, encoding).max(1);
+    /// A recorder filling blocks of `block_size` bytes under `encoding`.
+    pub fn for_block(app_id: u16, rank: u32, block_size: usize, encoding: PackEncoding) -> Self {
         RecorderConfig {
             app_id,
             rank,
-            events_per_pack: cap,
+            block_size,
             encoding,
         }
     }
@@ -91,6 +84,10 @@ pub struct Recorder {
     block: BytesMut,
     /// Length of the sink's headroom at the front of `block`.
     head: usize,
+    /// `block` length past which one more worst-case row might not fit.
+    limit: usize,
+    /// End of the previous flush: the pack's age bounds its oldest row's.
+    opened: Instant,
     /// Events encoded into the open pack so far.
     count: u32,
     delta: DeltaState,
@@ -102,11 +99,12 @@ impl Recorder {
     /// Wraps an open pack sink (stream for online coupling, file for the
     /// classical trace baseline).
     pub fn new(cfg: RecorderConfig, sink: PackSink) -> Recorder {
-        assert!(cfg.events_per_pack > 0);
-        let block = sink
-            .new_block(PACK_HEADER_SIZE + cfg.events_per_pack * cfg.encoding.max_event_wire_size());
+        let block = sink.new_block(cfg.block_size);
         let mut rec = Recorder {
             head: block.len(),
+            limit: (block.len() + cfg.block_size)
+                .saturating_sub(cfg.encoding.max_event_wire_size()),
+            opened: Instant::now(),
             block,
             delta: DeltaState::new(cfg.rank),
             cfg,
@@ -133,7 +131,7 @@ impl Recorder {
         self.count = 0;
     }
 
-    /// Records one event, flushing a pack when it is full.
+    /// Records one event, flushing the pack once its block is full.
     pub fn record(&mut self, event: Event) -> Result<()> {
         match self.cfg.encoding {
             PackEncoding::Fixed => codec::encode_event(&event, &mut self.block),
@@ -143,7 +141,7 @@ impl Recorder {
         }
         self.count += 1;
         self.stats.events += 1;
-        if self.count as usize >= self.cfg.events_per_pack {
+        if self.block.len() > self.limit {
             self.flush_pack()?;
         }
         Ok(())
@@ -156,7 +154,7 @@ impl Recorder {
         if self.count == 0 {
             return Ok(());
         }
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         codec::patch_header_count(&mut self.block[self.head..], self.count);
         self.stats.packs += 1;
         self.stats.wire_bytes += (self.block.len() - self.head) as u64;
@@ -164,7 +162,9 @@ impl Recorder {
         self.seq += 1;
         self.open_pack();
         let m = obs::m();
-        m.flush_ns.record(t0.elapsed().as_nanos() as u64);
+        m.fill_ns.record((t0 - self.opened).as_nanos() as u64);
+        self.opened = Instant::now();
+        m.flush_ns.record((self.opened - t0).as_nanos() as u64);
         m.packs.inc();
         res
     }
@@ -176,11 +176,6 @@ impl Recorder {
         opmr_events::global_pool().put(std::mem::take(&mut self.block));
         self.sink.close()?;
         Ok(stats)
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> RecorderStats {
-        self.stats
     }
 
     /// Events waiting in the current partial pack.

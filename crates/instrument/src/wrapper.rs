@@ -9,7 +9,7 @@
 use crate::recorder::{Recorder, RecorderConfig, RecorderStats};
 use crate::sink::PackSink;
 use bytes::Bytes;
-use opmr_events::{Event, EventKind, PackEncoding};
+use opmr_events::{Event, EventKind, EventPack, PackEncoding};
 use opmr_runtime::collectives::ops as reduce_ops;
 use opmr_runtime::{Comm, CommId, Mpi, Pod, Src, Status, TagSel};
 use opmr_vmpi::map::{map_partitions, map_partitions_directed};
@@ -164,6 +164,9 @@ impl InstrumentedMpi {
         encoding: PackEncoding,
         t_start: u64,
     ) -> Result<Self> {
+        if EventPack::capacity_for_block_with(block_size, encoding) == 0 {
+            return Err(VmpiError::InvalidConfig("block below a header and one row"));
+        }
         let rank = vmpi.rank() as u32;
         let rec = Recorder::new(
             RecorderConfig::for_block(app_id, rank, block_size, encoding),

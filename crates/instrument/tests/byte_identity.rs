@@ -1,7 +1,9 @@
 //! Byte identity of the in-place recorder: whatever the sink, encoding and
 //! block size, the packs it emits are exactly what encoding the same
 //! events as standalone [`EventPack`]s produces — sequence numbers, counts,
-//! the partial final pack and the silence of an empty flush included.
+//! the partial final pack and the silence of an empty flush included. The
+//! reference cuts packs by bytes, on its own: a pack closes once its
+//! standalone encoding leaves less than one worst-case row of its block.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
@@ -45,6 +47,38 @@ fn arb_event() -> impl Strategy<Value = Event> {
         )
 }
 
+/// Events like a real rank's: close in time, one rank, small fields, so
+/// Delta rows take a few bytes and a pack holds hundreds of them.
+fn near_event() -> impl Strategy<Value = Event> {
+    (
+        0u64..1 << 20,
+        prop_oneof![Just(0u64), 0u64..100_000],
+        0..EventKind::ALL.len(),
+        -1i32..4,
+        -1i32..64,
+        0u32..2,
+        prop_oneof![Just(0u64), 0u64..1 << 20],
+    )
+        .prop_map(
+            |(time_ns, duration_ns, kind, peer, tag, comm, bytes)| Event {
+                time_ns,
+                duration_ns,
+                kind: EventKind::ALL[kind],
+                rank: RANK,
+                peer,
+                tag,
+                comm,
+                bytes,
+            },
+        )
+}
+
+/// Up to 3 000 events, all arbitrary or all near one another.
+fn arb_events() -> impl Strategy<Value = Vec<Event>> {
+    use proptest::collection::vec;
+    prop_oneof![vec(arb_event(), 0..3000), vec(near_event(), 0..3000)]
+}
+
 /// The encodings crossed with the block sizes the recorder is sized for:
 /// exactly one worst-case event, 2 KiB, 4 KiB, 64 KiB.
 fn arb_shape() -> impl Strategy<Value = (PackEncoding, usize)> {
@@ -60,19 +94,60 @@ fn arb_shape() -> impl Strategy<Value = (PackEncoding, usize)> {
     })
 }
 
-/// What the packs must be: `events` cut at the explicit flush and at every
-/// full pack, each piece encoded on its own with the next sequence number.
+/// How many events from the front of `events` the next pack takes: the
+/// chunk grows while its standalone encoding leaves room for one more
+/// worst-case row, so it closes at the first event that leaves less.
+/// The standalone length grows with the chunk, so the first chunk length
+/// that leaves no room is found by bisection.
+fn byte_cut(encoding: PackEncoding, block: usize, events: &[Event]) -> usize {
+    let room = |n: usize| {
+        let pack = EventPack::new(APP, RANK, 0, events[..n].to_vec());
+        pack.encode_with(encoding).len() + encoding.max_event_wire_size() <= block
+    };
+    let (mut lo, mut hi) = (1, events.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if room(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// `events` cut into packs: at the explicit flush and wherever the byte
+/// rule closes a pack.
+fn cut(encoding: PackEncoding, block: usize, events: &[Event], flush_at: usize) -> Vec<&[Event]> {
+    let mut chunks = Vec::new();
+    for mut rest in [&events[..flush_at], &events[flush_at..]] {
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(byte_cut(encoding, block, rest));
+            chunks.push(chunk);
+            rest = tail;
+        }
+    }
+    if encoding == PackEncoding::Fixed {
+        // Fixed rows are all worst-case rows: the byte rule cuts where the
+        // block's event capacity always did.
+        let cap = EventPack::capacity_for_block_with(block, encoding).max(1);
+        let (before, after) = events.split_at(flush_at);
+        let by_count: Vec<&[Event]> = before.chunks(cap).chain(after.chunks(cap)).collect();
+        assert_eq!(chunks, by_count, "{block} B");
+    }
+    chunks
+}
+
+/// What the packs must be: each chunk of [`cut`] encoded on its own with
+/// the next sequence number.
 fn reference(
     encoding: PackEncoding,
     block: usize,
     events: &[Event],
     flush_at: usize,
 ) -> Vec<Bytes> {
-    let cap = EventPack::capacity_for_block_with(block, encoding).max(1);
-    let (before, after) = events.split_at(flush_at);
-    before
-        .chunks(cap)
-        .chain(after.chunks(cap))
+    cut(encoding, block, events, flush_at)
+        .into_iter()
         .enumerate()
         .map(|(seq, chunk)| {
             EventPack::new(APP, RANK, seq as u32, chunk.to_vec()).encode_with(encoding)
@@ -152,7 +227,7 @@ proptest! {
     #[test]
     fn file_sink_packs_equal_standalone_encoding(
         (encoding, block) in arb_shape(),
-        events in proptest::collection::vec(arb_event(), 0..3000),
+        events in arb_events(),
         flush_at in any::<proptest::sample::Index>(),
     ) {
         let flush_at = flush_at.index(events.len() + 1);
@@ -166,6 +241,34 @@ proptest! {
             prop_assert_eq!(g, w, "pack {} differs", seq);
         }
     }
+
+    #[test]
+    fn packs_fill_their_block_and_decode_to_the_input(
+        (encoding, block) in arb_shape(),
+        events in arb_events(),
+        flush_at in any::<proptest::sample::Index>(),
+    ) {
+        let flush_at = flush_at.index(events.len() + 1);
+        let path = tmp_path();
+        record_all(PackSink::file(&path).unwrap(), encoding, block, &events, flush_at);
+        let got = read_trace_file(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let max_row = encoding.max_event_wire_size();
+        let mut decoded = Vec::new();
+        for (seq, pack) in got.iter().enumerate() {
+            // A Delta row takes at most 52 of its 53-byte margin, so a
+            // Delta pack plus its stream frame's flag byte fits the block.
+            let cap = if encoding == PackEncoding::Delta { block - 1 } else { block };
+            prop_assert!(pack.len() <= cap, "pack {} is {} B in {} B", seq, pack.len(), block);
+            decoded.extend(EventPack::decode(pack).unwrap().events);
+            // Only the explicit flush and `finish` may close a pack that
+            // still has room for a worst-case row.
+            if decoded.len() != flush_at && decoded.len() != events.len() {
+                prop_assert!(block - pack.len() < max_row, "pack {} closed early", seq);
+            }
+        }
+        prop_assert_eq!(decoded, events);
+    }
 }
 
 proptest! {
@@ -175,7 +278,7 @@ proptest! {
     fn stream_sink_blocks_equal_standalone_encoding(
         (encoding, block) in arb_shape(),
         lz4 in any::<bool>(),
-        events in proptest::collection::vec(arb_event(), 0..3000),
+        events in arb_events(),
         flush_at in any::<proptest::sample::Index>(),
     ) {
         let flush_at = flush_at.index(events.len() + 1);

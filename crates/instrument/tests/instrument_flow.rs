@@ -3,11 +3,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
-use opmr_events::{EventKind, EventPack};
+use opmr_events::{EventKind, EventPack, PackEncoding, EVENT_WIRE_SIZE, PACK_HEADER_SIZE};
 use opmr_instrument::InstrumentedMpi;
 use opmr_runtime::{Launcher, Src, TagSel};
 use opmr_vmpi::map::map_partitions;
-use opmr_vmpi::{Balance, Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi};
+use opmr_vmpi::{Balance, Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -296,6 +296,68 @@ fn packs_split_exactly_at_capacity() {
         4,
         "block capacity drives the split"
     );
+}
+
+#[test]
+fn blocks_too_small_for_one_row_are_rejected_at_init() {
+    // A block must hold a header and one worst-case row; one byte less is
+    // a typed error at init, not a failed flush mid-run. At the boundary
+    // every pack holds exactly one event.
+    for encoding in [PackEncoding::Fixed, PackEncoding::Delta] {
+        let one_row = PACK_HEADER_SIZE + encoding.max_event_wire_size();
+        for (block, ok) in [(one_row - 1, false), (one_row, true)] {
+            let cfg = StreamConfig::new(block, 3, Balance::RoundRobin).with_pack_encoding(encoding);
+            let packs = Arc::new(Mutex::new(Vec::new()));
+            let p2 = Arc::clone(&packs);
+            Launcher::new()
+                .partition("app", 1, move |mpi| {
+                    match InstrumentedMpi::init(mpi, "Analyzer", cfg, 0, 0) {
+                        Ok(imp) => {
+                            assert!(ok, "{encoding} {block} B accepted");
+                            imp.marker(1).unwrap();
+                            imp.finalize().unwrap();
+                        }
+                        Err(e) => {
+                            assert!(!ok, "{encoding} {block} B rejected: {e}");
+                            assert!(matches!(e, VmpiError::InvalidConfig(_)), "{e}");
+                        }
+                    }
+                })
+                .partition("Analyzer", 1, move |mpi| {
+                    let v = Vmpi::new(mpi).unwrap();
+                    let mut map = Map::new();
+                    map_partitions(&v, 0, MapPolicy::RoundRobin, &mut map).unwrap();
+                    let mut st = ReadStream::open_map(&v, &map, cfg, 0).unwrap();
+                    while let Some(block) = st.read(ReadMode::Blocking).unwrap() {
+                        p2.lock()
+                            .unwrap()
+                            .push(EventPack::decode(&block.data).unwrap());
+                    }
+                })
+                .run()
+                .unwrap();
+            let counts: Vec<usize> = packs
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|p| p.events.len())
+                .collect();
+            let want = if ok { vec![1; 3] } else { Vec::new() };
+            assert_eq!(counts, want, "{encoding} {block} B");
+        }
+    }
+    // The trace baselines check the same bound (they record Fixed packs).
+    let dir = std::env::temp_dir().join(format!("opmr_tiny_{}", std::process::id()));
+    let tiny = PACK_HEADER_SIZE + EVENT_WIRE_SIZE - 1;
+    let d2 = dir.clone();
+    Launcher::new()
+        .partition("app", 1, move |mpi| {
+            let err = InstrumentedMpi::init_trace(mpi, &d2, 0, tiny).err();
+            assert!(matches!(err, Some(VmpiError::InvalidConfig(_))));
+        })
+        .run()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

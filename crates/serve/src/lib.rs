@@ -122,7 +122,9 @@ pub type Result<T> = std::result::Result<T, ServeError>;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Publish a snapshot version every N folded event packs (the
-    /// serve-plane window boundary).
+    /// serve-plane window boundary). Recorders close a pack when its bytes
+    /// fill the stream block, so N counts full blocks (under Delta, ≈ 530
+    /// events each at 4 KiB).
     pub publish_every_packs: u64,
     /// Recent versions (and their deltas) kept in each shard's snapshot
     /// ring; a subscriber lagging further than this is resynced with a
