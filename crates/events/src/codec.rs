@@ -83,19 +83,27 @@ impl From<Truncated> for CodecError {
     }
 }
 
-/// Appends one event to `out`: its 48 bytes are built on the stack and
-/// appended once.
+/// Writes one event's 48 bytes, padding included, into `raw`: the
+/// producer hands in its window of the block the pack is built in.
 #[inline]
-pub fn encode_event(e: &Event, out: &mut impl BufMut) {
-    let mut raw = [0u8; EVENT_WIRE_SIZE];
+pub fn encode_event_at(e: &Event, raw: &mut [u8; EVENT_WIRE_SIZE]) {
     raw[0..8].copy_from_slice(&e.time_ns.to_le_bytes());
     raw[8..16].copy_from_slice(&e.duration_ns.to_le_bytes());
     raw[16..24].copy_from_slice(&e.bytes.to_le_bytes());
     raw[24..26].copy_from_slice(&(e.kind as u16).to_le_bytes());
+    raw[26..28].fill(0);
     raw[28..32].copy_from_slice(&e.rank.to_le_bytes());
     raw[32..36].copy_from_slice(&e.peer.to_le_bytes());
     raw[36..40].copy_from_slice(&e.tag.to_le_bytes());
     raw[40..44].copy_from_slice(&e.comm.to_le_bytes());
+    raw[44..48].fill(0);
+}
+
+/// Appends one event to `out` through [`encode_event_at`].
+#[inline]
+pub fn encode_event(e: &Event, out: &mut impl BufMut) {
+    let mut raw = [0u8; EVENT_WIRE_SIZE];
+    encode_event_at(e, &mut raw);
     out.put_slice(&raw);
 }
 
@@ -190,11 +198,15 @@ const fn bit(cond: bool, flag: u8) -> u8 {
     cond as u8 * flag
 }
 
-/// Appends one delta-coded event to `out`: its at most
-/// [`DELTA_EVENT_MAX_WIRE_SIZE`] bytes are built on the stack and
-/// appended once.
+/// Writes one delta-coded event at the front of `raw` and returns its
+/// length: the producer hands in its window of the block the pack is
+/// built in, sized for the worst case, and moves past the row.
 #[inline]
-pub fn encode_event_delta(e: &Event, st: &mut DeltaState, out: &mut impl BufMut) {
+pub fn encode_event_delta_at(
+    e: &Event,
+    st: &mut DeltaState,
+    raw: &mut [u8; DELTA_EVENT_MAX_WIRE_SIZE],
+) -> usize {
     let dt = e.time_ns.wrapping_sub(st.prev_time_ns) as i64;
     st.prev_time_ns = e.time_ns;
     // Compares OR-ed into a byte: what a row carries is data, not control
@@ -205,101 +217,117 @@ pub fn encode_event_delta(e: &Event, st: &mut DeltaState, out: &mut impl BufMut)
         | bit(e.comm != st.prev_comm, FLAG_COMM);
     let flags =
         changed | bit(e.duration_ns == 0, FLAG_NO_DURATION) | bit(e.bytes == 0, FLAG_NO_BYTES);
-    let mut raw = [0u8; DELTA_EVENT_MAX_WIRE_SIZE];
     raw[0] = e.kind as u8 | bit(flags != 0, HEAD_HAS_FLAGS);
     raw[1] = flags;
     let mut at = 1 + (flags != 0) as usize;
-    at = vint::write_uvarint(&mut raw, at, vint::zigzag(dt));
+    at = vint::write_uvarint(raw, at, vint::zigzag(dt));
     if e.duration_ns != 0 {
-        at = vint::write_uvarint(&mut raw, at, e.duration_ns);
+        at = vint::write_uvarint(raw, at, e.duration_ns);
     }
     if e.bytes != 0 {
-        at = vint::write_uvarint(&mut raw, at, e.bytes);
+        at = vint::write_uvarint(raw, at, e.bytes);
     }
     if changed != 0 {
         if changed & FLAG_RANK != 0 {
             let delta = e.rank as i64 - st.prev_rank as i64;
-            at = vint::write_uvarint(&mut raw, at, vint::zigzag(delta));
+            at = vint::write_uvarint(raw, at, vint::zigzag(delta));
             st.prev_rank = e.rank;
         }
         if changed & FLAG_PEER != 0 {
             let delta = e.peer as i64 - st.prev_peer as i64;
-            at = vint::write_uvarint(&mut raw, at, vint::zigzag(delta));
+            at = vint::write_uvarint(raw, at, vint::zigzag(delta));
             st.prev_peer = e.peer;
         }
         if changed & FLAG_TAG != 0 {
             let delta = e.tag as i64 - st.prev_tag as i64;
-            at = vint::write_uvarint(&mut raw, at, vint::zigzag(delta));
+            at = vint::write_uvarint(raw, at, vint::zigzag(delta));
             st.prev_tag = e.tag;
         }
         if changed & FLAG_COMM != 0 {
-            at = vint::write_uvarint(&mut raw, at, e.comm as u64);
+            at = vint::write_uvarint(raw, at, e.comm as u64);
             st.prev_comm = e.comm;
         }
     }
-    out.put_slice(&raw[..at]);
+    at
 }
 
-/// Takes one byte off the front of `*buf`.
+/// Appends one delta-coded event to `out` through
+/// [`encode_event_delta_at`].
 #[inline]
-fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
-    let (&byte, rest) = buf
-        .split_first()
+pub fn encode_event_delta(e: &Event, st: &mut DeltaState, out: &mut impl BufMut) {
+    let mut raw = [0u8; DELTA_EVENT_MAX_WIRE_SIZE];
+    let len = encode_event_delta_at(e, st, &mut raw);
+    out.put_slice(&raw[..len]);
+}
+
+/// The byte at `buf[*at]`, moving `*at` past it.
+#[inline(always)]
+fn read_u8(buf: &[u8], at: &mut usize) -> Result<u8, CodecError> {
+    let byte = *buf
+        .get(*at)
         .ok_or(CodecError::Truncated { need: 1, have: 0 })?;
-    *buf = rest;
+    *at += 1;
     Ok(byte)
 }
 
-/// Reads a zigzag delta and applies it to `prev`; a sum outside `T` is a
-/// typed overflow of `field`, never a wrap.
-#[inline]
-fn get_delta<T: TryFrom<i64>>(
-    buf: &mut &[u8],
+/// Reads a zigzag delta at `buf[*at..]` and applies it to `prev`; a sum
+/// outside `T` is a typed overflow of `field`, never a wrap.
+#[inline(always)]
+fn read_delta<T: TryFrom<i64>>(
+    buf: &[u8],
+    at: &mut usize,
     prev: i64,
     field: &'static str,
 ) -> Result<T, CodecError> {
-    let delta = vint::unzigzag(vint::get_uvarint(buf)?);
+    let delta = vint::unzigzag(vint::read_uvarint(buf, at)?);
     prev.checked_add(delta)
         .and_then(|v| T::try_from(v).ok())
         .ok_or(CodecError::FieldOverflow(field))
 }
 
-/// Decodes one delta-coded event from the front of `*buf`.
-pub fn decode_event_delta(buf: &mut &[u8], st: &mut DeltaState) -> Result<Event, CodecError> {
-    let head = get_u8(buf)?;
+/// Decodes the delta-coded event at `buf[*at..]` and moves `*at` past it.
+/// A pack's rows are read from one slice by offset: one bounds check per
+/// byte, no re-slicing per field.
+#[inline]
+pub fn decode_event_delta(
+    buf: &[u8],
+    at: &mut usize,
+    st: &mut DeltaState,
+) -> Result<Event, CodecError> {
+    let head = read_u8(buf, at)?;
     let kind_raw = (head & !HEAD_HAS_FLAGS) as u16;
     let kind = EventKind::from_u16(kind_raw).ok_or(CodecError::BadKind(kind_raw))?;
     let flags = if head & HEAD_HAS_FLAGS != 0 {
-        get_u8(buf)?
+        read_u8(buf, at)?
     } else {
         0
     };
     if flags & FLAGS_RESERVED != 0 {
         return Err(CodecError::BadFlags(flags));
     }
-    let dt = vint::unzigzag(vint::get_uvarint(buf)?);
+    let dt = vint::unzigzag(vint::read_uvarint(buf, at)?);
     st.prev_time_ns = st.prev_time_ns.wrapping_add(dt as u64);
     let duration_ns = if flags & FLAG_NO_DURATION == 0 {
-        vint::get_uvarint(buf)?
+        vint::read_uvarint(buf, at)?
     } else {
         0
     };
     let bytes = if flags & FLAG_NO_BYTES == 0 {
-        vint::get_uvarint(buf)?
+        vint::read_uvarint(buf, at)?
     } else {
         0
     };
     if flags & FLAG_RANK != 0 {
-        st.prev_rank = get_delta(buf, st.prev_rank as i64, "rank")?;
+        st.prev_rank = read_delta(buf, at, st.prev_rank as i64, "rank")?;
     }
     if flags & FLAG_PEER != 0 {
-        st.prev_peer = get_delta(buf, st.prev_peer as i64, "peer")?;
+        st.prev_peer = read_delta(buf, at, st.prev_peer as i64, "peer")?;
     }
     if flags & FLAG_TAG != 0 {
-        st.prev_tag = get_delta(buf, st.prev_tag as i64, "tag")?;
+        st.prev_tag = read_delta(buf, at, st.prev_tag as i64, "tag")?;
     }
     if flags & FLAG_COMM != 0 {
-        st.prev_comm = u32::try_from(vint::get_uvarint(buf)?)
+        st.prev_comm = u32::try_from(vint::read_uvarint(buf, at)?)
             .map_err(|_| CodecError::FieldOverflow("comm"))?;
     }
     Ok(Event {
@@ -319,15 +347,23 @@ pub fn encode_header(h: &PackHeader, out: &mut impl BufMut) {
     encode_header_versioned(h, VERSION, out);
 }
 
-/// Appends a pack header carrying an explicit wire version.
+/// Appends a pack header carrying an explicit wire version through
+/// [`encode_header_at`].
 pub fn encode_header_versioned(h: &PackHeader, version: u16, out: &mut impl BufMut) {
-    out.put_u32_le(MAGIC);
-    out.put_u16_le(version);
-    out.put_u16_le(h.app_id);
-    out.put_u32_le(h.rank);
-    out.put_u32_le(h.seq);
-    out.put_u32_le(h.count);
-    out.put_u32_le(0);
+    let mut raw = [0u8; PACK_HEADER_SIZE];
+    encode_header_at(h, version, &mut raw);
+    out.put_slice(&raw);
+}
+
+/// Writes a pack header carrying an explicit wire version into `raw`.
+pub fn encode_header_at(h: &PackHeader, version: u16, raw: &mut [u8; PACK_HEADER_SIZE]) {
+    raw[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    raw[4..6].copy_from_slice(&version.to_le_bytes());
+    raw[6..8].copy_from_slice(&h.app_id.to_le_bytes());
+    raw[8..12].copy_from_slice(&h.rank.to_le_bytes());
+    raw[12..16].copy_from_slice(&h.seq.to_le_bytes());
+    raw[16..20].copy_from_slice(&h.count.to_le_bytes());
+    raw[20..24].fill(0);
 }
 
 /// Overwrites the `count` field of the encoded pack header at the front
@@ -463,11 +499,11 @@ mod tests {
             assert!(buf.len() - before <= crate::pack::DELTA_EVENT_MAX_WIRE_SIZE);
         }
         let mut dec = DeltaState::new(42);
-        let mut s: &[u8] = &buf;
+        let mut at = 0;
         for e in &events {
-            assert_eq!(decode_event_delta(&mut s, &mut dec).unwrap(), *e);
+            assert_eq!(decode_event_delta(&buf, &mut at, &mut dec).unwrap(), *e);
         }
-        assert!(s.is_empty());
+        assert_eq!(at, buf.len());
     }
 
     #[test]
@@ -513,7 +549,7 @@ mod tests {
     }
 
     fn decode_row(header_rank: u32, row: &[u8]) -> Result<Event, CodecError> {
-        decode_event_delta(&mut &row[..], &mut DeltaState::new(header_rank))
+        decode_event_delta(row, &mut 0, &mut DeltaState::new(header_rank))
     }
 
     const SEND: u8 = EventKind::Send as u8;
@@ -632,6 +668,34 @@ mod tests {
                 buf.len()
             );
         }
+    }
+
+    #[test]
+    fn delta_rows_accept_exactly_the_64_bit_varints() {
+        // Head (no flags), then dt, duration and bytes as raw varint bytes.
+        let send = |dt: &[u8], duration: &[u8]| {
+            let mut buf = vec![SEND];
+            buf.extend_from_slice(dt);
+            buf.extend_from_slice(duration);
+            buf.push(7);
+            decode_row(0, &buf)
+        };
+        // Non-canonical: a continuation byte carrying nothing is still 0.
+        let zero = send(&[0x80, 0x00], &[6]).unwrap();
+        assert_eq!((zero.time_ns, zero.duration_ns, zero.bytes), (0, 6, 7));
+        // Ten bytes hold a u64: nine full bytes and bit 63 in the tenth.
+        let mut max = [0xFFu8; 10];
+        max[9] = 0x01;
+        assert_eq!(send(&[0], &max).unwrap().duration_ns, u64::MAX);
+        // An eleventh byte cannot belong to a u64, even a zero one.
+        let mut eleven = [0x80u8; 11];
+        eleven[10] = 0x00;
+        assert_eq!(send(&[0], &eleven), Err(CodecError::VarintOverflow));
+        // Nor can a tenth byte carrying more than bit 63.
+        let mut wide = max;
+        wide[9] = 0x02;
+        assert_eq!(send(&[0], &wide), Err(CodecError::VarintOverflow));
+        assert_eq!(send(&wide, &[6]), Err(CodecError::VarintOverflow));
     }
 
     #[test]

@@ -195,9 +195,9 @@ impl EventPack {
         match encoding {
             PackEncoding::Fixed => decode_fixed_rows(buf, count, events)?,
             PackEncoding::Delta => {
-                let mut st = codec::DeltaState::new(header.rank);
+                let (mut st, mut at) = (codec::DeltaState::new(header.rank), 0);
                 for _ in 0..count {
-                    events.push(codec::decode_event_delta(&mut buf, &mut st)?);
+                    events.push(codec::decode_event_delta(buf, &mut at, &mut st)?);
                 }
             }
         }

@@ -36,17 +36,38 @@ pub fn put_uvarint(out: &mut impl BufMut, v: u64) {
     out.put_slice(&raw[..len]);
 }
 
-/// Reads a LEB128 varint from the front of `*buf`, advancing it.
+/// Reads a LEB128 varint from the front of `*buf`, advancing it: a
+/// wrapper over [`read_uvarint`].
+#[inline]
+pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64, CodecError> {
+    let mut at = 0;
+    let v = read_uvarint(buf, &mut at)?;
+    *buf = buf.get(at..).unwrap_or_default();
+    Ok(v)
+}
+
+/// Reads the LEB128 varint at `buf[*at..]` and moves `*at` just past it:
+/// one `get` per byte, no re-slicing.
 ///
 /// Fails with [`CodecError::Truncated`] when the slice ends inside a
 /// varint and [`CodecError::VarintOverflow`] when the encoding spills past
-/// 64 bits (more than 10 bytes, or set bits beyond bit 63).
-#[inline]
-pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64, CodecError> {
+/// 64 bits (an 11th byte, or a 10th byte carrying more than bit 63).
+/// Non-canonical encodings up to 10 bytes (`0x80 0x00` for 0) decode.
+#[inline(always)]
+pub fn read_uvarint(buf: &[u8], at: &mut usize) -> Result<u64, CodecError> {
+    let start = *at;
+    let mut i = start;
     let mut v: u64 = 0;
     let mut shift: u32 = 0;
-    for (i, &byte) in buf.iter().enumerate() {
-        if i >= MAX_UVARINT_LEN {
+    loop {
+        let Some(&byte) = buf.get(i) else {
+            let have = buf.len().saturating_sub(start);
+            return Err(CodecError::Truncated {
+                need: have + 1,
+                have,
+            });
+        };
+        if i - start >= MAX_UVARINT_LEN {
             return Err(CodecError::VarintOverflow);
         }
         let payload = (byte & 0x7F) as u64;
@@ -55,16 +76,13 @@ pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64, CodecError> {
             return Err(CodecError::VarintOverflow);
         }
         v |= payload << shift;
+        i += 1;
         if byte & 0x80 == 0 {
-            *buf = &buf[i + 1..];
+            *at = i;
             return Ok(v);
         }
         shift += 7;
     }
-    Err(CodecError::Truncated {
-        need: buf.len() + 1,
-        have: buf.len(),
-    })
 }
 
 /// Maps a signed value to an unsigned one with small absolute values

@@ -9,7 +9,7 @@
 //! bytes cannot hold, so a decoder may size an allocation by it: memory
 //! reserved while decoding is bounded by the bytes actually present.
 //!
-//! The per-event kernels (`codec::decode_event*`, `vint::get_uvarint`, the
+//! The per-event kernels (`codec::decode_event*`, `vint::read_uvarint`, the
 //! LZ4 block codec) keep their own hand-tuned reads; encoders write
 //! through plain [`bytes::BufMut`]. [`check_decoder`] is the one
 //! hostile-input check every decoder's tests run.

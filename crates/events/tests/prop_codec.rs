@@ -4,9 +4,165 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
+use opmr_events::codec::CodecError;
 use opmr_events::vint::put_uvarint;
-use opmr_events::{decompress, Event, EventKind, EventPack, Lz4Encoder, PackEncoding};
+use opmr_events::{decompress, Event, EventKind, EventPack, Lz4Encoder, PackEncoding, PackHeader};
 use proptest::prelude::*;
+
+/// The slice-based Delta row decoder that `codec::decode_event_delta`'s
+/// by-index reader replaced, kept only as the oracle the property below
+/// holds the library decoder to: same events, or the same typed error.
+mod reference {
+    use opmr_events::codec::{self, CodecError};
+    use opmr_events::vint::{unzigzag, MAX_UVARINT_LEN};
+    use opmr_events::wire::Reader;
+    use opmr_events::{Event, EventKind, PackHeader};
+
+    const FLAG_RANK: u8 = 0x01;
+    const FLAG_PEER: u8 = 0x02;
+    const FLAG_TAG: u8 = 0x04;
+    const FLAG_COMM: u8 = 0x08;
+    const FLAG_NO_DURATION: u8 = 0x10;
+    const FLAG_NO_BYTES: u8 = 0x20;
+    const FLAGS_RESERVED: u8 = 0xC0;
+    const HEAD_HAS_FLAGS: u8 = 0x80;
+    /// The smallest Delta row: head, flags, a one-byte time delta.
+    const MIN_ROW: usize = 3;
+
+    struct State {
+        time_ns: u64,
+        rank: u32,
+        peer: i32,
+        tag: i32,
+        comm: u32,
+    }
+
+    fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
+        let (&byte, rest) = buf
+            .split_first()
+            .ok_or(CodecError::Truncated { need: 1, have: 0 })?;
+        *buf = rest;
+        Ok(byte)
+    }
+
+    fn get_uvarint(buf: &mut &[u8]) -> Result<u64, CodecError> {
+        let mut v: u64 = 0;
+        let mut shift: u32 = 0;
+        for (i, &byte) in buf.iter().enumerate() {
+            if i >= MAX_UVARINT_LEN {
+                return Err(CodecError::VarintOverflow);
+            }
+            let payload = (byte & 0x7F) as u64;
+            if shift == 63 && payload > 1 {
+                return Err(CodecError::VarintOverflow);
+            }
+            v |= payload << shift;
+            if byte & 0x80 == 0 {
+                *buf = &buf[i + 1..];
+                return Ok(v);
+            }
+            shift += 7;
+        }
+        Err(CodecError::Truncated {
+            need: buf.len() + 1,
+            have: buf.len(),
+        })
+    }
+
+    fn get_delta<T: TryFrom<i64>>(
+        buf: &mut &[u8],
+        prev: i64,
+        field: &'static str,
+    ) -> Result<T, CodecError> {
+        let delta = unzigzag(get_uvarint(buf)?);
+        prev.checked_add(delta)
+            .and_then(|v| T::try_from(v).ok())
+            .ok_or(CodecError::FieldOverflow(field))
+    }
+
+    fn decode_row(buf: &mut &[u8], st: &mut State) -> Result<Event, CodecError> {
+        let head = get_u8(buf)?;
+        let kind_raw = (head & !HEAD_HAS_FLAGS) as u16;
+        let kind = EventKind::from_u16(kind_raw).ok_or(CodecError::BadKind(kind_raw))?;
+        let flags = if head & HEAD_HAS_FLAGS != 0 {
+            get_u8(buf)?
+        } else {
+            0
+        };
+        if flags & FLAGS_RESERVED != 0 {
+            return Err(CodecError::BadFlags(flags));
+        }
+        let dt = unzigzag(get_uvarint(buf)?);
+        st.time_ns = st.time_ns.wrapping_add(dt as u64);
+        let duration_ns = if flags & FLAG_NO_DURATION == 0 {
+            get_uvarint(buf)?
+        } else {
+            0
+        };
+        let bytes = if flags & FLAG_NO_BYTES == 0 {
+            get_uvarint(buf)?
+        } else {
+            0
+        };
+        if flags & FLAG_RANK != 0 {
+            st.rank = get_delta(buf, st.rank as i64, "rank")?;
+        }
+        if flags & FLAG_PEER != 0 {
+            st.peer = get_delta(buf, st.peer as i64, "peer")?;
+        }
+        if flags & FLAG_TAG != 0 {
+            st.tag = get_delta(buf, st.tag as i64, "tag")?;
+        }
+        if flags & FLAG_COMM != 0 {
+            st.comm =
+                u32::try_from(get_uvarint(buf)?).map_err(|_| CodecError::FieldOverflow("comm"))?;
+        }
+        Ok(Event {
+            time_ns: st.time_ns,
+            duration_ns,
+            kind,
+            rank: st.rank,
+            peer: st.peer,
+            tag: st.tag,
+            comm: st.comm,
+            bytes,
+        })
+    }
+
+    /// Decodes a whole pack the way `EventPack::decode_into` does, rows
+    /// through the reference decoder; `None` when the header is not a
+    /// Delta one (a mutation may turn it into a Fixed pack).
+    pub fn decode_pack(data: &[u8]) -> Option<Result<(PackHeader, Vec<Event>), CodecError>> {
+        let mut buf = data;
+        let (header, version) = match codec::decode_header_any(&mut buf) {
+            Ok(h) => h,
+            Err(e) => return Some(Err(e)),
+        };
+        if version != codec::VERSION_DELTA {
+            return None;
+        }
+        Some((|| {
+            let count = Reader::new(buf).check_count(header.count as usize, MIN_ROW)?;
+            let mut st = State {
+                time_ns: 0,
+                rank: header.rank,
+                peer: -1,
+                tag: -1,
+                comm: 0,
+            };
+            let events = (0..count)
+                .map(|_| decode_row(&mut buf, &mut st))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((header, events))
+        })())
+    }
+}
+
+/// The library decoder on `data`, in the reference's shape.
+fn library_decode(data: &[u8]) -> Result<(PackHeader, Vec<Event>), CodecError> {
+    let mut events = Vec::new();
+    EventPack::decode_into(data, &mut events).map(|h| (h, events))
+}
 
 fn arb_kind() -> impl Strategy<Value = EventKind> {
     (0..EventKind::ALL.len()).prop_map(|i| EventKind::ALL[i])
@@ -35,6 +191,29 @@ fn arb_event() -> impl Strategy<Value = Event> {
                 bytes,
             },
         )
+}
+
+/// A firehose-shaped event: small time steps, rank and comm fixed, so
+/// most of its Delta row is one-byte varints.
+fn arb_steady_event() -> impl Strategy<Value = Event> {
+    (
+        0u64..300,
+        0u64..2000,
+        arb_kind(),
+        0u32..2,
+        -1i32..2,
+        0u64..5000,
+    )
+        .prop_map(|(time_ns, duration_ns, kind, rank, peer, bytes)| Event {
+            time_ns,
+            duration_ns,
+            kind,
+            rank,
+            peer,
+            tag: -1,
+            comm: 0,
+            bytes,
+        })
 }
 
 proptest! {
@@ -220,6 +399,41 @@ proptest! {
         let plain = EventPack::new(7, 1, 0, events).encode_with(encoding);
         if let Ok(out) = decompress(&plain, 1 << 20) {
             prop_assert!(out.len() <= 1 << 20);
+        }
+    }
+}
+
+proptest! {
+    // Each case decodes every truncation and 256 mutations per byte.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The by-index Delta decoder against the slice-based one it
+    /// replaced: on a valid pack, on every truncation of it and on every
+    /// value of every single byte, both return the same events or the
+    /// same typed error.
+    #[test]
+    fn delta_decoder_matches_the_reference(
+        events in proptest::collection::vec(
+            prop_oneof![arb_event(), arb_steady_event()], 1..8),
+        rank in any::<u32>(),
+    ) {
+        let enc = EventPack::new(1, rank, 3, events).encode_with(PackEncoding::Delta).to_vec();
+        let agree = |data: &[u8]| {
+            if let Some(expected) = reference::decode_pack(data) {
+                prop_assert_eq!(library_decode(data), expected, "on {:?}", data);
+            }
+        };
+        prop_assert!(reference::decode_pack(&enc).is_some_and(|r| r.is_ok()));
+        for cut in 0..=enc.len() {
+            agree(&enc[..cut]);
+        }
+        let mut mutated = enc.clone();
+        for at in 0..enc.len() {
+            for value in 0..=u8::MAX {
+                mutated[at] = value;
+                agree(&mutated);
+            }
+            mutated[at] = enc[at];
         }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Each event is encoded once, at record time, straight into the block
 //! the sink will ship: the pack header is stamped when the pack opens,
-//! events are appended behind it, and a flush only patches the header's
-//! `count` and hands the block over. There is no staged `Event` batch and
-//! no encode pass; the one block buffer is reused for every pack.
+//! each row is written in place into its window of the block, and a flush
+//! only patches the header's `count` and hands the block over. There is
+//! no staged `Event` batch, no encode pass and no append: the one block
+//! buffer is held at its full length and reused for every pack.
 //! A pack closes once less than one worst-case row
 //! ([`PackEncoding::max_event_wire_size`]) of its block is left, so a
 //! Delta pack fills the block with real rows (≈ 530 in 4 KiB).
@@ -12,8 +13,8 @@
 use crate::sink::PackSink;
 use bytes::BytesMut;
 use opmr_events::codec::{self, DeltaState};
-use opmr_events::{Event, PackEncoding, PackHeader};
-use opmr_vmpi::Result;
+use opmr_events::{Event, PackEncoding, PackHeader, EVENT_WIRE_SIZE, PACK_HEADER_SIZE};
+use opmr_vmpi::{Result, VmpiError};
 use std::time::Instant;
 
 mod obs {
@@ -80,11 +81,18 @@ pub struct RecorderStats {
 pub struct Recorder {
     cfg: RecorderConfig,
     sink: PackSink,
-    /// The open pack as it will leave: `[sink headroom][header][events]`.
+    /// The open pack as it will leave, `[sink headroom][header][events]`,
+    /// held at its full length `full`: rows are written into it, not
+    /// appended.
     block: BytesMut,
     /// Length of the sink's headroom at the front of `block`.
     head: usize,
-    /// `block` length past which one more worst-case row might not fit.
+    /// Bytes of `block` in use: the end of the open pack.
+    pos: usize,
+    /// `block`'s full length: the headroom and one block (at least one
+    /// header and one worst-case row, so every window fits).
+    full: usize,
+    /// `pos` past which one more worst-case row might not fit.
     limit: usize,
     /// End of the previous flush: the pack's age bounds its oldest row's.
     opened: Instant,
@@ -95,15 +103,34 @@ pub struct Recorder {
     stats: RecorderStats,
 }
 
+/// The `N`-byte window of `block` at `at`. Every window the recorder asks
+/// for lies inside its full-length block; a miss is a typed error.
+#[inline(always)]
+fn window<const N: usize>(block: &mut [u8], at: usize) -> Result<&mut [u8; N]> {
+    block
+        .get_mut(at..)
+        .and_then(<[u8]>::first_chunk_mut)
+        .ok_or(VmpiError::InvalidConfig(
+            "recorder block shorter than a row",
+        ))
+}
+
 impl Recorder {
     /// Wraps an open pack sink (stream for online coupling, file for the
     /// classical trace baseline).
     pub fn new(cfg: RecorderConfig, sink: PackSink) -> Recorder {
-        let block = sink.new_block(cfg.block_size);
+        let mut block = sink.new_block(cfg.block_size);
+        let head = block.len();
+        let max_row = cfg.encoding.max_event_wire_size();
+        // A block below a header and one row (refused by sessions and
+        // `InstrumentedMpi`) still holds one: its packs carry one row each.
+        let full = head + cfg.block_size.max(PACK_HEADER_SIZE + max_row);
+        block.resize(full, 0);
         let mut rec = Recorder {
-            head: block.len(),
-            limit: (block.len() + cfg.block_size)
-                .saturating_sub(cfg.encoding.max_event_wire_size()),
+            head,
+            pos: head,
+            full,
+            limit: full - max_row,
             opened: Instant::now(),
             block,
             delta: DeltaState::new(cfg.rank),
@@ -126,22 +153,32 @@ impl Recorder {
             seq: self.seq,
             count: 0,
         };
-        codec::encode_header_versioned(&header, self.cfg.encoding.version(), &mut self.block);
+        // Cannot miss: `full` leaves room for a header and a row.
+        if let Ok(raw) = window(&mut self.block, self.head) {
+            codec::encode_header_at(&header, self.cfg.encoding.version(), raw);
+        }
+        self.pos = self.head + PACK_HEADER_SIZE;
         self.delta = DeltaState::new(self.cfg.rank);
         self.count = 0;
     }
 
     /// Records one event, flushing the pack once its block is full.
+    #[inline]
     pub fn record(&mut self, event: Event) -> Result<()> {
-        match self.cfg.encoding {
-            PackEncoding::Fixed => codec::encode_event(&event, &mut self.block),
-            PackEncoding::Delta => {
-                codec::encode_event_delta(&event, &mut self.delta, &mut self.block)
+        self.pos += match self.cfg.encoding {
+            PackEncoding::Fixed => {
+                codec::encode_event_at(&event, window(&mut self.block, self.pos)?);
+                EVENT_WIRE_SIZE
             }
-        }
+            PackEncoding::Delta => codec::encode_event_delta_at(
+                &event,
+                &mut self.delta,
+                window(&mut self.block, self.pos)?,
+            ),
+        };
         self.count += 1;
         self.stats.events += 1;
-        if self.block.len() > self.limit {
+        if self.pos > self.limit {
             self.flush_pack()?;
         }
         Ok(())
@@ -157,8 +194,11 @@ impl Recorder {
         let t0 = Instant::now();
         codec::patch_header_count(&mut self.block[self.head..], self.count);
         self.stats.packs += 1;
-        self.stats.wire_bytes += (self.block.len() - self.head) as u64;
+        self.stats.wire_bytes += (self.pos - self.head) as u64;
+        self.block.truncate(self.pos);
         let res = self.sink.put(&mut self.block);
+        // Back to full length inside the capacity the block already has.
+        self.block.resize(self.full, 0);
         self.seq += 1;
         self.open_pack();
         let m = obs::m();

@@ -2,9 +2,12 @@
 //!
 //! Every call: timestamp → delegate to the virtualized runtime → build an
 //! [`Event`] → run interceptor hooks → push into the [`Recorder`], which
-//! streams full packs to the analyzer. Instrumentation overhead is real
-//! here: when the analyzer cannot drain fast enough, the stream's bounded
-//! async window back-pressures the application exactly as in the paper.
+//! encodes the row in place and streams full packs to the analyzer.
+//! Instrumentation overhead is real here, but back-pressure is not yet the
+//! paper's: a stream block of at most 64 KiB goes out eagerly, so a slow
+//! analyzer queues blocks in its mailbox instead of stalling the
+//! application (`vmpi.backpressure_waits_per_block` reads 0). Bounding
+//! that queue — pipe semantics under back-pressure — is ROADMAP item 2.
 
 use crate::recorder::{Recorder, RecorderConfig, RecorderStats};
 use crate::sink::PackSink;
@@ -14,9 +17,8 @@ use opmr_runtime::collectives::ops as reduce_ops;
 use opmr_runtime::{Comm, CommId, Mpi, Pod, Src, Status, TagSel};
 use opmr_vmpi::map::{map_partitions, map_partitions_directed};
 use opmr_vmpi::{Map, MapPolicy, Result, StreamConfig, Vmpi, VmpiError, WriteStream};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Interceptor hook: observes every recorded event (PNMPI-module analogue).
@@ -32,14 +34,29 @@ pub struct InstrRequest {
 }
 
 /// The instrumented, virtualized MPI handle handed to application code.
+///
+/// **One rank, one thread.** A handle belongs to the rank that opened it
+/// and is driven from that rank's thread, as an MPI process drives its
+/// own PMPI layer: its recorder, hooks and communicator table sit in
+/// `RefCell`s, so an instrumented call takes no lock. The handle is
+/// `Send` (a rank may be started on a thread other than the one that
+/// builds it) but not `Sync`, so sharing one between threads does not
+/// compile:
+///
+/// ```compile_fail,E0277
+/// fn shared(imp: &opmr_instrument::InstrumentedMpi) {
+///     std::thread::scope(|s| {
+///         s.spawn(|| imp.marker(1));
+///         s.spawn(|| imp.marker(2));
+///     });
+/// }
+/// ```
 pub struct InstrumentedMpi {
     vmpi: Vmpi,
     world: Comm,
-    rec: Mutex<Option<Recorder>>,
-    hooks: Mutex<Vec<Hook>>,
-    /// Set once a hook is registered: a hook-less `record` skips the lock.
-    hooked: AtomicBool,
-    comms: Mutex<HashMap<CommId, u32>>,
+    rec: RefCell<Option<Recorder>>,
+    hooks: RefCell<Vec<Hook>>,
+    comms: RefCell<HashMap<CommId, u32>>,
     t0: u64,
 }
 
@@ -176,10 +193,9 @@ impl InstrumentedMpi {
         let imp = InstrumentedMpi {
             vmpi,
             world,
-            rec: Mutex::new(Some(rec)),
-            hooks: Mutex::new(Vec::new()),
-            hooked: AtomicBool::new(false),
-            comms: Mutex::new(HashMap::new()),
+            rec: RefCell::new(Some(rec)),
+            hooks: RefCell::new(Vec::new()),
+            comms: RefCell::new(HashMap::new()),
             t0: t_start,
         };
         let dur = imp.now_ns();
@@ -187,11 +203,19 @@ impl InstrumentedMpi {
         Ok(imp)
     }
 
-    /// Adds an interceptor layer observing every event.
-    pub fn add_hook(&self, hook: impl Fn(&Event) + Send + 'static) {
-        self.hooks.lock().push(Box::new(hook));
-        // Release: pairs with the Acquire load in `record`.
-        self.hooked.store(true, Ordering::Release);
+    /// Adds an interceptor layer observing every event from now on.
+    ///
+    /// One rank, one thread: hooks run on the rank's thread, inside the
+    /// instrumented call that records the event. A hook cannot hold the
+    /// handle it observes (it is `Send + 'static` and the handle is not
+    /// `Sync`); one that reaches it anyway and registers a hook from
+    /// inside a hook gets [`VmpiError::Reentered`].
+    pub fn add_hook(&self, hook: impl Fn(&Event) + Send + 'static) -> Result<()> {
+        self.hooks
+            .try_borrow_mut()
+            .map_err(|_| VmpiError::Reentered("running hooks"))?
+            .push(Box::new(hook));
+        Ok(())
     }
 
     /// Nanoseconds since this rank's `init`.
@@ -219,20 +243,33 @@ impl InstrumentedMpi {
         self.vmpi.size()
     }
 
-    fn comm_index(&self, comm: &Comm) -> u32 {
-        let mut g = self.comms.lock();
+    fn comm_index(&self, comm: &Comm) -> Result<u32> {
+        let mut g = self
+            .comms
+            .try_borrow_mut()
+            .map_err(|_| VmpiError::Reentered("indexing a communicator"))?;
         let next = g.len() as u32;
-        *g.entry(comm.id()).or_insert(next)
+        Ok(*g.entry(comm.id()).or_insert(next))
     }
 
+    /// Runs the hooks, then encodes the event. No borrow is held while a
+    /// hook runs except the hook list's own shared one, so the recorder's
+    /// borrow cannot collide with a hook.
     fn record(&self, event: Event) -> Result<()> {
-        if self.hooked.load(Ordering::Acquire) {
-            for hook in self.hooks.lock().iter() {
-                hook(&event);
-            }
+        for hook in self
+            .hooks
+            .try_borrow()
+            .map_err(|_| VmpiError::Reentered("adding a hook"))?
+            .iter()
+        {
+            hook(&event);
         }
-        let mut g = self.rec.lock();
-        match g.as_mut() {
+        match self
+            .rec
+            .try_borrow_mut()
+            .map_err(|_| VmpiError::Reentered("recording"))?
+            .as_mut()
+        {
             Some(rec) => rec.record(event),
             None => Err(VmpiError::StreamClosed),
         }
@@ -266,7 +303,7 @@ impl InstrumentedMpi {
     /// Instrumented `MPI_Send`.
     pub fn send(&self, comm: &Comm, dst: usize, tag: i32, data: impl Into<Bytes>) -> Result<()> {
         let data = data.into();
-        let (ci, len) = (self.comm_index(comm), data.len() as u64);
+        let (ci, len) = (self.comm_index(comm)?, data.len() as u64);
         let start = self.now_ns();
         self.vmpi.mpi().send(comm, dst, tag, data)?;
         self.record(self.event(EventKind::Send, start, dst as i32, tag, ci, len))
@@ -274,7 +311,7 @@ impl InstrumentedMpi {
 
     /// Instrumented `MPI_Recv`.
     pub fn recv(&self, comm: &Comm, src: Src, tag: TagSel) -> Result<(Status, Bytes)> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let start = self.now_ns();
         let (st, data) = self.vmpi.mpi().recv(comm, src, tag)?;
         self.record(self.event(
@@ -297,7 +334,7 @@ impl InstrumentedMpi {
         data: impl Into<Bytes>,
     ) -> Result<InstrRequest> {
         let data = data.into();
-        let (ci, len) = (self.comm_index(comm), data.len() as u64);
+        let (ci, len) = (self.comm_index(comm)?, data.len() as u64);
         let start = self.now_ns();
         let inner = self.vmpi.mpi().isend(comm, dst, tag, data)?;
         self.record(self.event(EventKind::Isend, start, dst as i32, tag, ci, len))?;
@@ -312,7 +349,7 @@ impl InstrumentedMpi {
 
     /// Instrumented `MPI_Irecv`.
     pub fn irecv(&self, comm: &Comm, src: Src, tag: TagSel) -> Result<InstrRequest> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let start = self.now_ns();
         let inner = self.vmpi.mpi().irecv(comm, src, tag)?;
         let peer = match src {
@@ -375,7 +412,7 @@ impl InstrumentedMpi {
         recv_tag: TagSel,
     ) -> Result<(Status, Bytes)> {
         let data = data.into();
-        let (ci, len) = (self.comm_index(comm), data.len() as u64);
+        let (ci, len) = (self.comm_index(comm)?, data.len() as u64);
         let start = self.now_ns();
         let (st, got) = self
             .vmpi
@@ -415,7 +452,7 @@ impl InstrumentedMpi {
 
     /// Instrumented `MPI_Barrier`.
     pub fn barrier(&self, comm: &Comm) -> Result<()> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let start = self.now_ns();
         self.vmpi.mpi().barrier(comm)?;
         self.record(self.event(EventKind::Barrier, start, -1, -1, ci, 0))
@@ -423,7 +460,7 @@ impl InstrumentedMpi {
 
     /// Instrumented `MPI_Bcast`.
     pub fn bcast(&self, comm: &Comm, root: usize, data: Option<Bytes>) -> Result<Bytes> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let start = self.now_ns();
         let out = self.vmpi.mpi().bcast(comm, root, data)?;
         self.record(self.event(
@@ -444,7 +481,7 @@ impl InstrumentedMpi {
         root: usize,
         local: &[T],
     ) -> Result<Option<Vec<T>>> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let bytes = std::mem::size_of_val(local) as u64;
         let start = self.now_ns();
         let out = self
@@ -461,7 +498,7 @@ impl InstrumentedMpi {
         comm: &Comm,
         local: &[T],
     ) -> Result<Vec<T>> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let bytes = std::mem::size_of_val(local) as u64;
         let start = self.now_ns();
         let out = self.vmpi.mpi().allreduce_t(comm, local, reduce_ops::sum)?;
@@ -471,7 +508,7 @@ impl InstrumentedMpi {
 
     /// Instrumented typed `MPI_Allreduce` (max).
     pub fn allreduce_max<T: Pod + PartialOrd>(&self, comm: &Comm, local: &[T]) -> Result<Vec<T>> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let bytes = std::mem::size_of_val(local) as u64;
         let start = self.now_ns();
         let out = self.vmpi.mpi().allreduce_t(comm, local, reduce_ops::max)?;
@@ -481,7 +518,7 @@ impl InstrumentedMpi {
 
     /// Instrumented `MPI_Gather`.
     pub fn gather(&self, comm: &Comm, root: usize, local: Bytes) -> Result<Option<Vec<Bytes>>> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let bytes = local.len() as u64;
         let start = self.now_ns();
         let out = self.vmpi.mpi().gather(comm, root, local)?;
@@ -491,7 +528,7 @@ impl InstrumentedMpi {
 
     /// Instrumented `MPI_Allgather`.
     pub fn allgather(&self, comm: &Comm, local: Bytes) -> Result<Vec<Bytes>> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let bytes = local.len() as u64;
         let start = self.now_ns();
         let out = self.vmpi.mpi().allgather(comm, local)?;
@@ -501,7 +538,7 @@ impl InstrumentedMpi {
 
     /// Instrumented `MPI_Scatter`.
     pub fn scatter(&self, comm: &Comm, root: usize, parts: Option<Vec<Bytes>>) -> Result<Bytes> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let start = self.now_ns();
         let out = self.vmpi.mpi().scatter(comm, root, parts)?;
         self.record(self.event(
@@ -517,7 +554,7 @@ impl InstrumentedMpi {
 
     /// Instrumented `MPI_Alltoall`.
     pub fn alltoall(&self, comm: &Comm, parts: Vec<Bytes>) -> Result<Vec<Bytes>> {
-        let ci = self.comm_index(comm);
+        let ci = self.comm_index(comm)?;
         let bytes: u64 = parts.iter().map(|p| p.len() as u64).sum();
         let start = self.now_ns();
         let out = self.vmpi.mpi().alltoall(comm, parts)?;
@@ -610,7 +647,12 @@ impl InstrumentedMpi {
             now,
             0,
         ))?;
-        let rec = self.rec.lock().take().ok_or(VmpiError::StreamClosed)?;
+        let rec = self
+            .rec
+            .try_borrow_mut()
+            .map_err(|_| VmpiError::Reentered("recording"))?
+            .take()
+            .ok_or(VmpiError::StreamClosed)?;
         rec.finish()
     }
 }

@@ -8,6 +8,7 @@ use opmr_instrument::InstrumentedMpi;
 use opmr_runtime::{Launcher, Src, TagSel};
 use opmr_vmpi::map::map_partitions;
 use opmr_vmpi::{Balance, Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -170,7 +171,8 @@ fn hooks_observe_every_event() {
             let s = Arc::clone(&seen2);
             imp.add_hook(move |_e| {
                 s.fetch_add(1, Ordering::SeqCst);
-            });
+            })
+            .unwrap();
             let w = imp.comm_world();
             imp.barrier(&w).unwrap();
             imp.marker(7).unwrap();
@@ -184,6 +186,73 @@ fn hooks_observe_every_event() {
         .unwrap();
     // Hook added after Init: sees Barrier, Marker, Compute, Finalize.
     assert_eq!(seen.load(Ordering::SeqCst), 4);
+}
+
+#[test]
+fn a_handle_is_send() {
+    // One rank, one thread: the handle may move to its rank's thread (it is
+    // `Send`); that it is not `Sync` is the `compile_fail` doctest on the type.
+    fn assert_send<T: Send>() {}
+    assert_send::<InstrumentedMpi>();
+}
+
+thread_local! {
+    /// The rank's handle, where a hook can reach it: the only way a
+    /// `Send + 'static` hook gets at the handle that runs it.
+    static HANDLE: RefCell<Option<InstrumentedMpi>> = const { RefCell::new(None) };
+}
+
+#[test]
+fn a_hook_reentering_its_handle_gets_typed_results_not_a_panic() {
+    static SEEN: Mutex<Vec<Result<(), VmpiError>>> = Mutex::new(Vec::new());
+    let packs = Arc::new(Mutex::new(Vec::new()));
+    let p2 = Arc::clone(&packs);
+    Launcher::new()
+        .partition("app", 1, |mpi| {
+            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            imp.add_hook(|e| {
+                if e.kind == EventKind::Marker && e.tag == 1 {
+                    HANDLE.with(|h| {
+                        let h = h.borrow();
+                        let imp = h.as_ref().unwrap();
+                        let mut seen = SEEN.lock().unwrap();
+                        // Registering a hook while hooks run is refused...
+                        seen.push(imp.add_hook(|_| {}));
+                        // ...recording is not: no borrow of the recorder is
+                        // held while a hook runs.
+                        seen.push(imp.marker(2));
+                    });
+                }
+            })
+            .unwrap();
+            HANDLE.with(|h| *h.borrow_mut() = Some(imp));
+            HANDLE.with(|h| {
+                let h = h.borrow();
+                let imp = h.as_ref().unwrap();
+                imp.marker(1).unwrap();
+                imp.finalize().unwrap();
+            });
+            HANDLE.with(|h| h.borrow_mut().take());
+        })
+        .partition("Analyzer", 1, move |mpi| {
+            analyzer_collect(mpi, Arc::clone(&p2))
+        })
+        .run()
+        .unwrap();
+    assert_eq!(
+        *SEEN.lock().unwrap(),
+        [Err(VmpiError::Reentered("running hooks")), Ok(())]
+    );
+    let markers: Vec<i32> = packs
+        .lock()
+        .unwrap()
+        .iter()
+        .flat_map(|p| &p.events)
+        .filter(|e| e.kind == EventKind::Marker)
+        .map(|e| e.tag)
+        .collect();
+    // The hook's marker is recorded inside the call that ran the hook.
+    assert_eq!(markers, [2, 1]);
 }
 
 #[test]

@@ -65,6 +65,9 @@ pub enum VmpiError {
     /// A peer violated the stream protocol (bad framing, unexpected
     /// payload shape, ...).
     ProtocolViolation { expected: &'static str, got: String },
+    /// A one-thread handle was re-entered while it was in use: what it
+    /// was doing (an interceptor hook registering another hook).
+    Reentered(&'static str),
 }
 
 impl From<opmr_runtime::RtError> for VmpiError {
@@ -115,6 +118,7 @@ impl std::fmt::Display for VmpiError {
                     "stream protocol violation: expected {expected}, got {got}"
                 )
             }
+            VmpiError::Reentered(what) => write!(f, "handle re-entered while {what}"),
         }
     }
 }
