@@ -9,6 +9,7 @@
 //! application (`vmpi.backpressure_waits_per_block` reads 0). Bounding
 //! that queue — pipe semantics under back-pressure — is ROADMAP item 2.
 
+use crate::clock::RankClock;
 use crate::recorder::{Recorder, RecorderConfig, RecorderStats};
 use crate::sink::PackSink;
 use bytes::Bytes;
@@ -37,8 +38,8 @@ pub struct InstrRequest {
 ///
 /// **One rank, one thread.** A handle belongs to the rank that opened it
 /// and is driven from that rank's thread, as an MPI process drives its
-/// own PMPI layer: its recorder, hooks and communicator table sit in
-/// `RefCell`s, so an instrumented call takes no lock. The handle is
+/// own PMPI layer: its recorder, hooks, communicator table and clock sit
+/// in `RefCell`s, so an instrumented call takes no lock. The handle is
 /// `Send` (a rank may be started on a thread other than the one that
 /// builds it) but not `Sync`, so sharing one between threads does not
 /// compile:
@@ -57,6 +58,7 @@ pub struct InstrumentedMpi {
     rec: RefCell<Option<Recorder>>,
     hooks: RefCell<Vec<Hook>>,
     comms: RefCell<HashMap<CommId, u32>>,
+    clock: RefCell<RankClock>,
     t0: u64,
 }
 
@@ -196,6 +198,7 @@ impl InstrumentedMpi {
             rec: RefCell::new(Some(rec)),
             hooks: RefCell::new(Vec::new()),
             comms: RefCell::new(HashMap::new()),
+            clock: RefCell::new(RankClock::new()),
             t0: t_start,
         };
         let dur = imp.now_ns();
@@ -218,9 +221,20 @@ impl InstrumentedMpi {
         Ok(())
     }
 
-    /// Nanoseconds since this rank's `init`.
+    /// Nanoseconds since this rank's `init`, read from the rank's clock:
+    /// the CPU's cycle counter, interpolated between anchors on
+    /// `Mpi::wtime_ns` and re-anchored every
+    /// [`ANCHOR_EVERY`](crate::clock::ANCHOR_EVERY) (256) reads. It agrees
+    /// with `wtime_ns` to well under a microsecond and never decreases on
+    /// one rank. Every timestamp the handle records comes from here.
     pub fn now_ns(&self) -> u64 {
-        self.vmpi.mpi().wtime_ns().saturating_sub(self.t0)
+        let wall = || self.vmpi.mpi().wtime_ns();
+        // The borrow cannot fail: nothing the clock calls reaches the handle.
+        let now = match self.clock.try_borrow_mut() {
+            Ok(mut clock) => clock.now(wall),
+            Err(_) => wall(),
+        };
+        now.saturating_sub(self.t0)
     }
 
     /// The virtual world communicator of this application.
@@ -582,9 +596,13 @@ impl InstrumentedMpi {
         self.record(self.event(EventKind::Compute, start, -1, -1, 0, 0))
     }
 
-    /// Records a simulated POSIX I/O call (density-map fodder).
+    /// Records a simulated POSIX I/O call (density-map fodder). A kind
+    /// that is not a POSIX one is refused with
+    /// [`VmpiError::InvalidConfig`] and records nothing.
     pub fn posix(&self, kind: EventKind, bytes: u64, d: Duration) -> Result<()> {
-        assert!(kind.is_posix(), "posix() takes a POSIX event kind");
+        if !kind.is_posix() {
+            return Err(VmpiError::InvalidConfig("posix() takes a POSIX event kind"));
+        }
         let start = self.now_ns();
         let e = Event {
             time_ns: start,

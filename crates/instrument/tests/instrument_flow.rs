@@ -308,6 +308,80 @@ fn collectives_and_posix_recorded() {
 }
 
 #[test]
+fn posix_with_a_non_posix_kind_is_a_typed_error_and_records_nothing() {
+    let packs = Arc::new(Mutex::new(Vec::new()));
+    let p2 = Arc::clone(&packs);
+    Launcher::new()
+        .partition("app", 1, |mpi| {
+            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let d = std::time::Duration::from_micros(1);
+            assert_eq!(
+                imp.posix(EventKind::Send, 8, d),
+                Err(VmpiError::InvalidConfig("posix() takes a POSIX event kind"))
+            );
+            // The rank carries on.
+            imp.posix(EventKind::PosixRead, 8, d).unwrap();
+            imp.finalize().unwrap();
+        })
+        .partition("Analyzer", 1, move |mpi| {
+            analyzer_collect(mpi, Arc::clone(&p2))
+        })
+        .run()
+        .unwrap();
+    let kinds: Vec<EventKind> = packs
+        .lock()
+        .unwrap()
+        .iter()
+        .flat_map(|p| p.events.iter().map(|e| e.kind))
+        .collect();
+    assert_eq!(
+        kinds,
+        [EventKind::Init, EventKind::PosixRead, EventKind::Finalize]
+    );
+}
+
+#[test]
+fn a_ranks_event_timestamps_never_decrease() {
+    let packs = Arc::new(Mutex::new(Vec::new()));
+    let p2 = Arc::clone(&packs);
+    Launcher::new()
+        .partition("app", 2, |mpi| {
+            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            for i in 0..20_000 {
+                match i % 3 {
+                    0 => imp.marker(i).unwrap(),
+                    1 => imp.compute(std::time::Duration::ZERO).unwrap(),
+                    _ => imp
+                        .posix(EventKind::PosixWrite, 64, std::time::Duration::ZERO)
+                        .unwrap(),
+                }
+            }
+            imp.finalize().unwrap();
+        })
+        .partition("Analyzer", 1, move |mpi| {
+            analyzer_collect(mpi, Arc::clone(&p2))
+        })
+        .run()
+        .unwrap();
+    let mut packs = packs.lock().unwrap();
+    packs.sort_by_key(|p| (p.header.rank, p.header.seq));
+    let mut last = [0u64; 2];
+    let mut seen = [0usize; 2];
+    for e in packs.iter().flat_map(|p| &p.events) {
+        let r = e.rank as usize;
+        assert!(
+            e.time_ns >= last[r],
+            "rank {r}: {} after {}",
+            e.time_ns,
+            last[r]
+        );
+        last[r] = e.time_ns;
+        seen[r] += 1;
+    }
+    assert_eq!(seen, [20_002; 2]);
+}
+
+#[test]
 fn finalize_twice_errors() {
     Launcher::new()
         .partition("app", 1, |mpi| {
