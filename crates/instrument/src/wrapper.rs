@@ -59,7 +59,6 @@ pub struct InstrumentedMpi {
     hooks: RefCell<Vec<Hook>>,
     comms: RefCell<HashMap<CommId, u32>>,
     clock: RefCell<RankClock>,
-    t0: u64,
 }
 
 impl InstrumentedMpi {
@@ -119,22 +118,21 @@ impl InstrumentedMpi {
         app_id: u16,
         map_onto: impl FnOnce(&Vmpi, usize, &mut Map) -> Result<()>,
     ) -> Result<Self> {
-        let t_start = mpi.wtime_ns();
-        let vmpi = Vmpi::new(mpi)?;
-        let analyzer = vmpi
-            .partition_by_name(analyzer_partition)
-            .ok_or_else(|| VmpiError::UnknownPartition(analyzer_partition.to_string()))?
-            .id;
-        let mut map = Map::new();
-        map_onto(&vmpi, analyzer, &mut map)?;
-        let stream = WriteStream::open_map(&vmpi, &map, stream_cfg, stream_id)?;
         Self::build(
-            vmpi,
-            PackSink::Stream(stream),
+            mpi,
             app_id,
             stream_cfg.block_size,
             stream_cfg.pack_encoding,
-            t_start,
+            |vmpi| {
+                let analyzer = vmpi
+                    .partition_by_name(analyzer_partition)
+                    .ok_or_else(|| VmpiError::UnknownPartition(analyzer_partition.to_string()))?
+                    .id;
+                let mut map = Map::new();
+                map_onto(vmpi, analyzer, &mut map)?;
+                let stream = WriteStream::open_map(vmpi, &map, stream_cfg, stream_id)?;
+                Ok(PackSink::Stream(stream))
+            },
         )
     }
 
@@ -147,13 +145,12 @@ impl InstrumentedMpi {
         app_id: u16,
         block_size: usize,
     ) -> Result<Self> {
-        let t_start = mpi.wtime_ns();
-        let vmpi = Vmpi::new(mpi)?;
-        let path = dir.join(format!("app{app_id}_rank{}.opmr", vmpi.rank()));
-        let sink = PackSink::file(path).map_err(|_| VmpiError::StreamClosed)?;
         // Trace baselines keep the fixed layout: they model the classical
         // workflow the paper compares against.
-        Self::build(vmpi, sink, app_id, block_size, PackEncoding::Fixed, t_start)
+        Self::build(mpi, app_id, block_size, PackEncoding::Fixed, |vmpi| {
+            let path = dir.join(format!("app{app_id}_rank{}.opmr", vmpi.rank()));
+            PackSink::file(path).map_err(|_| VmpiError::StreamClosed)
+        })
     }
 
     /// Instruments a rank writing into a shared SIONlib-style container
@@ -165,24 +162,26 @@ impl InstrumentedMpi {
         app_id: u16,
         block_size: usize,
     ) -> Result<Self> {
-        let t_start = mpi.wtime_ns();
-        let vmpi = Vmpi::new(mpi)?;
-        let rank = vmpi.rank() as u32;
-        let sink = PackSink::Sion {
-            file: container,
-            rank,
-        };
-        Self::build(vmpi, sink, app_id, block_size, PackEncoding::Fixed, t_start)
+        Self::build(mpi, app_id, block_size, PackEncoding::Fixed, |vmpi| {
+            Ok(PackSink::Sion {
+                file: container,
+                rank: vmpi.rank() as u32,
+            })
+        })
     }
 
+    /// The body of every `init`: virtualizes the rank, opens its pack
+    /// sink and records `MPI_Init`, timed from the rank's entry here.
     fn build(
-        vmpi: Vmpi,
-        sink: PackSink,
+        mpi: Mpi,
         app_id: u16,
         block_size: usize,
         encoding: PackEncoding,
-        t_start: u64,
+        open_sink: impl FnOnce(&Vmpi) -> Result<PackSink>,
     ) -> Result<Self> {
+        let entered = mpi.wtime_ns();
+        let vmpi = Vmpi::new(mpi)?;
+        let sink = open_sink(&vmpi)?;
         if EventPack::capacity_for_block_with(block_size, encoding) == 0 {
             return Err(VmpiError::InvalidConfig("block below a header and one row"));
         }
@@ -199,10 +198,9 @@ impl InstrumentedMpi {
             hooks: RefCell::new(Vec::new()),
             comms: RefCell::new(HashMap::new()),
             clock: RefCell::new(RankClock::new()),
-            t0: t_start,
         };
-        let dur = imp.now_ns();
-        imp.record(Event::basic(EventKind::Init, rank, 0, dur))?;
+        let dur = imp.now_ns().saturating_sub(entered);
+        imp.record(Event::basic(EventKind::Init, rank, entered, dur))?;
         Ok(imp)
     }
 
@@ -221,7 +219,8 @@ impl InstrumentedMpi {
         Ok(())
     }
 
-    /// Nanoseconds since this rank's `init`, read from the rank's clock:
+    /// Nanoseconds since the job's start (the `Universe` epoch, one origin
+    /// for every rank of the process), read from the rank's clock:
     /// the CPU's cycle counter, interpolated between anchors on
     /// `Mpi::wtime_ns` and re-anchored every
     /// [`ANCHOR_EVERY`](crate::clock::ANCHOR_EVERY) (256) reads. It agrees
@@ -230,11 +229,10 @@ impl InstrumentedMpi {
     pub fn now_ns(&self) -> u64 {
         let wall = || self.vmpi.mpi().wtime_ns();
         // The borrow cannot fail: nothing the clock calls reaches the handle.
-        let now = match self.clock.try_borrow_mut() {
+        match self.clock.try_borrow_mut() {
             Ok(mut clock) => clock.now(wall),
             Err(_) => wall(),
-        };
-        now.saturating_sub(self.t0)
+        }
     }
 
     /// The virtual world communicator of this application.

@@ -40,7 +40,7 @@ pub mod supervise;
 pub use env::{parse_endpoint, WorkerEnv};
 pub use hostfile::{parse_hostfile, Host};
 pub use spawner::{ssh_argv, LocalSpawner, Spawner, SshSpawner, WorkerCommand};
-pub use supervise::{classify_exit, place_procs, run_job, ChildOutcome, JobReport, JobSpec};
+pub use supervise::{place_procs, run_job, ChildOutcome, JobReport, JobSpec};
 
 // Launch-plane metrics (the obs "launch" family).
 pub(crate) mod obs {

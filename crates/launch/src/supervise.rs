@@ -1,7 +1,8 @@
 //! The supervisor: spawn, watch, classify, tear down.
 //!
 //! [`run_job`] spawns one worker per process index (slot-aware
-//! round-robin over the hosts), reads every child's stdout for
+//! round-robin over the hosts) — except an index the caller hosts in its
+//! own process — reads every child's stdout for
 //! heartbeat/stat control lines, and polls child exits. The first
 //! failure — a non-zero exit, a signal death, or a heartbeat that goes
 //! stale — kills the remaining children (counted, classified with the
@@ -45,9 +46,6 @@ pub struct JobSpec {
     /// Kill a worker whose heartbeat goes stale for this long. The
     /// window also covers startup (spawn → first beat).
     pub heartbeat_timeout: Duration,
-    /// Expect `@opmr-hb` lines at all (workers not speaking the
-    /// protocol would otherwise be killed as stale).
-    pub heartbeats_expected: bool,
     /// Relaunch the whole job once if the first attempt fails.
     pub restart_once: bool,
 }
@@ -58,7 +56,6 @@ impl JobSpec {
             procs,
             hosts: vec![Host::new("localhost")],
             heartbeat_timeout: Duration::from_secs(10),
-            heartbeats_expected: true,
             restart_once: false,
         }
     }
@@ -74,7 +71,7 @@ impl JobSpec {
                 what: "no hosts to place workers on".to_string(),
             });
         }
-        if self.heartbeats_expected && self.heartbeat_timeout.is_zero() {
+        if self.heartbeat_timeout.is_zero() {
             return Err(LaunchPlaneError::Config {
                 what: "heartbeat_timeout must be non-zero".to_string(),
             });
@@ -101,7 +98,8 @@ pub struct ChildOutcome {
 /// The supervised job's result.
 #[derive(Debug, Clone)]
 pub struct JobReport {
-    /// Outcomes of the final attempt, ordered by process index.
+    /// Outcomes of the final attempt's spawned workers, ordered by
+    /// process index (a caller-hosted index has none).
     pub outcomes: Vec<ChildOutcome>,
     /// Spawn rounds used (2 means the restart-once policy fired).
     pub attempts: u32,
@@ -160,7 +158,7 @@ struct Worker {
 /// Maps a worker's exit status to the runtime's failure taxonomy:
 /// `None` for success, [`FailureKind::Errored`] for a non-zero exit
 /// code, [`FailureKind::Panicked`] for a signal death.
-pub fn classify_exit(status: std::process::ExitStatus) -> Option<(FailureKind, String)> {
+fn classify_exit(status: std::process::ExitStatus) -> Option<(FailureKind, String)> {
     if status.success() {
         return None;
     }
@@ -178,7 +176,7 @@ pub fn classify_exit(status: std::process::ExitStatus) -> Option<(FailureKind, S
 fn spawn_round(
     spec: &JobSpec,
     spawner: &dyn Spawner,
-    make_cmd: &dyn Fn(usize, &Host) -> WorkerCommand,
+    make_cmd: &dyn Fn(usize, &Host) -> Option<WorkerCommand>,
 ) -> Result<Vec<Worker>, LaunchPlaneError> {
     let placement = place_procs(&spec.hosts, spec.procs);
     let mut workers = Vec::with_capacity(spec.procs);
@@ -188,7 +186,9 @@ fn spawn_round(
     };
     for (proc, host_idx) in placement.iter().enumerate() {
         let host = &spec.hosts[*host_idx];
-        let cmd = make_cmd(proc, host);
+        let Some(cmd) = make_cmd(proc, host) else {
+            continue; // the caller hosts this index itself
+        };
         let mut child = spawner.spawn(host, &cmd)?;
         obs::m().spawned.inc();
         let shared = Arc::new(Shared {
@@ -282,9 +282,7 @@ fn supervise_round(spec: &JobSpec, workers: &mut Vec<Worker>) -> Result<(), Laun
                 Ok(None) => {
                     all_done = false;
                     // Heartbeat staleness: kill and classify as a crash.
-                    if spec.heartbeats_expected
-                        && w.shared.last_beat.lock().elapsed() > spec.heartbeat_timeout
-                    {
+                    if w.shared.last_beat.lock().elapsed() > spec.heartbeat_timeout {
                         obs::m().heartbeat_timeouts.inc();
                         obs::m().child_failures.inc();
                         let _ = w.child.kill();
@@ -345,12 +343,15 @@ fn supervise_round(spec: &JobSpec, workers: &mut Vec<Worker>) -> Result<(), Laun
 }
 
 /// Launches and supervises the job. `make_cmd` builds the per-worker
-/// command (typically: this binary in worker mode, the process index
-/// and socket endpoint in the environment).
+/// command (typically: this binary in worker mode, the
+/// [`WorkerEnv`](crate::WorkerEnv) contract in the environment). `None`
+/// means the caller hosts that index in its own process, on a thread
+/// running beside this call: nothing is spawned for it and the report
+/// has no outcome for it. A restart relaunches only the spawned workers.
 pub fn run_job(
     spec: &JobSpec,
     spawner: &dyn Spawner,
-    make_cmd: &dyn Fn(usize, &Host) -> WorkerCommand,
+    make_cmd: &dyn Fn(usize, &Host) -> Option<WorkerCommand>,
 ) -> Result<JobReport, LaunchPlaneError> {
     spec.validate()?;
     let mut attempts = 0u32;
@@ -415,9 +416,10 @@ mod tests {
         ));
         let mut spec = JobSpec::new(2);
         spec.heartbeat_timeout = Duration::ZERO;
-        assert!(spec.validate().is_err());
-        spec.heartbeats_expected = false;
-        assert!(spec.validate().is_ok());
+        assert!(matches!(
+            spec.validate(),
+            Err(LaunchPlaneError::Config { .. })
+        ));
     }
 
     #[test]

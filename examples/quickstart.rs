@@ -15,19 +15,21 @@
 //! overlay counters.
 //!
 //! By default everything runs in one process (threads as ranks). With
-//! `--transport socket` the example re-executes itself `--procs - 1`
-//! times and splits the job across genuine OS processes over a
-//! Unix-domain socket mesh: the analyzer stays in process 0, the
-//! application ranks run in the workers, and every event pack crosses a
-//! real wire. The reported `stable_digest` — an order-sensitive digest of
-//! the timing-independent report content — is identical between the two
-//! transports.
+//! `--transport socket` the example splits the job across genuine OS
+//! processes over a Unix-domain socket mesh: it hosts process 0 (the
+//! analyzer) itself and starts `--procs - 1` copies of itself through the
+//! launch plane (`opmr::launch::run_job`), which hands each its index and
+//! endpoint in the `OPMR_LAUNCH_*` environment. The application ranks run
+//! in the workers, and every event pack crosses a real wire. The reported
+//! `stable_digest` — an order-sensitive digest of the timing-independent
+//! report content — is identical between the two transports.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // examples favour brevity
 
 use opmr::analysis::report::{stable_digest, stable_digest_filtered};
 use opmr::core::{Coupling, LiveOptions, Session, SessionOutcome};
-use opmr::runtime::{Endpoint, SocketConfig, Src, TagSel};
+use opmr::launch::{run_job, HeartbeatEmitter, JobSpec, LocalSpawner, WorkerCommand, WorkerEnv};
+use opmr::runtime::{Src, TagSel};
 use std::time::Duration;
 
 fn ring_session() -> opmr::core::SessionBuilder {
@@ -156,38 +158,37 @@ fn socket_json(outcome: &SessionOutcome, procs: usize) -> String {
     out
 }
 
-/// Parent half of `--transport socket`: bind a fresh Unix-domain
-/// endpoint, re-execute this binary once per worker process, and host
-/// process 0 (analyzer + blackboard) ourselves. Only process 0's outcome
-/// carries the report.
+/// Parent half of `--transport socket`: host process 0 (analyzer +
+/// blackboard) on a thread and let the launch plane start this binary
+/// once per worker process. Only process 0's outcome carries the report.
 fn run_socket(json: bool, procs: usize) {
     assert!(procs >= 2, "--transport socket needs at least 2 processes");
     let dir = std::env::temp_dir().join(format!("opmr-quickstart-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("socket dir");
-    let path = dir.join("mesh.sock");
+    let endpoint = format!("unix:{}", dir.join("mesh.sock").display());
+    let mut job = WorkerEnv::new(0, procs, endpoint);
+    job.connect_timeout = Some(Duration::from_secs(30));
 
+    let cfg = job.socket_config().expect("socket config");
+    let coordinator = std::thread::spawn(move || ring_session().run_multiproc(cfg, 0, procs));
     let exe = std::env::current_exe().expect("current exe");
-    let children: Vec<_> = (1..procs)
-        .map(|p| {
-            std::process::Command::new(&exe)
-                .env("OPMR_QS_SOCK", &path)
-                .env("OPMR_QS_PROC", p.to_string())
-                .env("OPMR_QS_PROCS", procs.to_string())
-                .spawn()
-                .expect("spawn worker process")
-        })
-        .collect();
-
-    let cfg =
-        SocketConfig::new(Endpoint::Unix(path.clone())).connect_timeout(Duration::from_secs(30));
-    let outcome = ring_session()
-        .run_multiproc(cfg, 0, procs)
-        .expect("socket session");
-    for mut c in children {
-        let status = c.wait().expect("wait for worker");
-        assert!(status.success(), "worker exited with {status}");
-    }
+    let report = run_job(&JobSpec::new(procs), &LocalSpawner, &|proc, _host| {
+        let env = WorkerEnv {
+            proc_index: proc,
+            ..job.clone()
+        };
+        let cmd = WorkerCommand::new(&exe);
+        (proc != 0).then(|| env.vars().into_iter().fold(cmd, |c, (k, v)| c.env(k, v)))
+    });
     let _ = std::fs::remove_dir_all(&dir);
+    let report = report.expect("launch workers");
+    if let Some(f) = report.failures().next() {
+        panic!("worker p{} {} ({:?})", f.proc, f.message, f.kind.unwrap());
+    }
+    let outcome = coordinator
+        .join()
+        .expect("coordinator thread")
+        .expect("socket session");
 
     if json {
         println!("{}", socket_json(&outcome, procs));
@@ -216,23 +217,15 @@ fn run_socket(json: bool, procs: usize) {
 }
 
 fn main() {
-    // Worker half of a `--transport socket` run: the parent re-executes
-    // this binary with the mesh endpoint in the environment. Workers run
-    // the *identical* session; the analyzer partition and engine live in
-    // process 0, so a worker's outcome carries no report.
-    if let Ok(path) = std::env::var("OPMR_QS_SOCK") {
-        let proc_index: usize = std::env::var("OPMR_QS_PROC")
-            .expect("OPMR_QS_PROC")
-            .parse()
-            .expect("proc index");
-        let num_procs: usize = std::env::var("OPMR_QS_PROCS")
-            .expect("OPMR_QS_PROCS")
-            .parse()
-            .expect("proc count");
-        let cfg =
-            SocketConfig::new(Endpoint::Unix(path.into())).connect_timeout(Duration::from_secs(30));
+    // Worker half of a `--transport socket` run: the launch plane started
+    // this binary with the `OPMR_LAUNCH_*` contract in the environment.
+    // Workers run the *identical* session; the analyzer partition and
+    // engine live in process 0, so a worker's outcome carries no report.
+    if let Some(env) = WorkerEnv::from_env().expect("launch contract") {
+        let _hb = HeartbeatEmitter::start(env.proc_index, Duration::from_millis(250));
+        let cfg = env.socket_config().expect("socket config");
         ring_session()
-            .run_multiproc(cfg, proc_index, num_procs)
+            .run_multiproc(cfg, env.proc_index, env.num_procs)
             .expect("worker session");
         return;
     }

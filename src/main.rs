@@ -11,12 +11,14 @@
 use opmr::analysis::report;
 use opmr::core::{analyze_sion_dir, analyze_trace_dir, LiveOptions, Session};
 use opmr::launch::{
-    classify_exit, emit_stats, parse_hostfile, run_job, HeartbeatEmitter, Host, JobSpec,
-    LocalSpawner, Spawner, SshSpawner, WorkerCommand, WorkerEnv,
+    emit_stats, parse_hostfile, run_job, HeartbeatEmitter, Host, JobReport, JobSpec, LocalSpawner,
+    Spawner, SshSpawner, WorkerCommand, WorkerEnv,
 };
 use opmr::netsim::{curie, simulate, stream_model, tera100, Machine, ToolModel};
 use opmr::workloads::{by_name, Class};
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn usage() -> ExitCode {
@@ -26,9 +28,10 @@ fn usage() -> ExitCode {
 USAGE:
     opmr demo [--transport socket] [--procs N]
         Profile CG + EulerMHD concurrently and print the multi-application
-        report. With `--transport socket` the demo re-executes itself and
-        splits the job across N OS processes (default 2) over a
-        Unix-domain socket mesh; the report is identical either way.
+        report. With `--transport socket` the demo hosts process 0 (the
+        analyzer) itself and launches N - 1 workers (default N = 2) the
+        way `opmr launch` does, over a Unix-domain socket mesh; the
+        report is identical either way.
 
     opmr simulate [--bench BT|CG|FT|LU|SP|EulerMHD|Irregular|Straggler|Bursty]
                   [--class S..D]
@@ -62,8 +65,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("demo") => demo(&args[1..]),
-        Some("launch") => launch_cmd(&args[1..]),
-        Some("__launch-worker") => launch_worker(&args[1..]),
+        Some("launch") => exit_code(try_launch(&args[1..])),
+        Some("__launch-worker") => exit_code(try_launch_worker(&args[1..])),
         Some("simulate") => simulate_cmd(&args[1..]),
         Some("report") => report_cmd(&args[1..]),
         Some("stream-table") => stream_table(),
@@ -72,15 +75,24 @@ fn main() -> ExitCode {
 }
 
 fn demo(args: &[String]) -> ExitCode {
-    let socket = flag(args, "--transport") == Some("socket");
-    let procs: usize = flag(args, "--procs")
-        .and_then(|p| p.parse().ok())
-        .unwrap_or(2);
-    let result = if socket {
+    let socket = match flag(args, "--transport") {
+        None => false,
+        Some("socket") => true,
+        Some(other) => return bad_input(&format!("bad --transport {other:?} (use socket)")),
+    };
+    let procs = match parsed_flag(args, "--procs", 2usize) {
+        Ok(p) => p,
+        Err(e) => return bad_input(&e),
+    };
+    exit_code(if socket {
         try_demo_socket(procs)
     } else {
         try_demo()
-    };
+    })
+}
+
+/// A subcommand's exit status: success, or its error on stderr and 1.
+fn exit_code(result: Result<(), Box<dyn std::error::Error>>) -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -91,7 +103,7 @@ fn demo(args: &[String]) -> ExitCode {
 }
 
 /// Every process of a socket-transport demo must build the identical
-/// session; both the parent and the re-executed workers call this.
+/// session; both the parent and the launched workers call this.
 fn demo_session() -> Result<opmr::core::SessionBuilder, Box<dyn std::error::Error>> {
     let m = tera100();
     let cg = opmr::workloads::Benchmark::Cg.build(Class::S, 8, &m, Some(3))?;
@@ -138,17 +150,7 @@ fn has_flag(args: &[String], name: &str) -> bool {
 
 /// `opmr launch`: run the demo session as a supervised multi-process
 /// job through the `crates/launch` control plane.
-fn launch_cmd(args: &[String]) -> ExitCode {
-    match try_launch(args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn try_launch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
+fn try_launch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // Trailing `-- <session>` selects what the workers run (only the
     // demo session exists today).
     if let Some(sep) = args.iter().position(|a| a == "--") {
@@ -179,17 +181,13 @@ fn try_launch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let sever_after: Option<u64> = flag(args, "--sever-after").map(str::parse).transpose()?;
 
     // Default endpoint: a per-job Unix socket under the temp dir.
-    let scratch;
+    let mut scratch = None;
     let endpoint = match flag(args, "--endpoint") {
         Some(e) => {
             opmr::launch::parse_endpoint(e)?; // validate notation up front
             e.to_string()
         }
-        None => {
-            scratch = std::env::temp_dir().join(format!("opmr-launch-{}", std::process::id()));
-            std::fs::create_dir_all(&scratch)?;
-            format!("unix:{}", scratch.join("mesh.sock").display())
-        }
+        None => scratch.insert(ScratchDir::new("launch")?).endpoint(),
     };
 
     let mut spec = JobSpec::new(procs);
@@ -200,106 +198,65 @@ fn try_launch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let ssh = SshSpawner::default();
     let spawner: &dyn Spawner = if all_local { &local } else { &ssh };
 
-    let exe = std::env::current_exe()?;
-    let make_cmd = {
-        let endpoint = endpoint.clone();
-        let placement = placement.clone();
-        move |proc: usize, _host: &Host| {
-            let mut env = WorkerEnv::new(proc, procs, endpoint.clone());
-            env.placement = placement.clone();
-            env.sever_after = sever_after;
-            env.connect_timeout = Some(Duration::from_secs(30));
-            let mut cmd = WorkerCommand::new(&exe).arg("__launch-worker").arg("demo");
-            for (k, v) in env.vars() {
-                cmd = cmd.env(k, v);
-            }
-            cmd
-        }
-    };
-
-    let report = run_job(&spec, spawner, &make_cmd)?;
+    let mut job = demo_job(procs, endpoint);
+    job.placement = placement;
+    job.sever_after = sever_after;
+    let report = run_job(&spec, spawner, &demo_workers(job, None)?)?;
     let snap = opmr::obs::registry().snapshot();
     println!("{}", launch_summary_json(&report, procs, &snap));
-    if report.success() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        for f in report.failures() {
-            eprintln!("worker p{} on {} failed: {}", f.proc, f.host, f.message);
-        }
-        Ok(ExitCode::FAILURE)
-    }
+    job_failed(&report)
 }
 
 /// Hand-rolled JSON (the workspace carries no serde): job outcome plus
 /// the launcher-side `launch_*` counters and the workers' summed
 /// `transport_*`/`launch_*` counters.
 fn launch_summary_json(
-    report: &opmr::launch::JobReport,
+    report: &JobReport,
     procs: usize,
     snap: &opmr::obs::MetricsSnapshot,
 ) -> String {
-    use std::fmt::Write as _;
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"procs\":{procs},\"attempts\":{},\"success\":{}",
+    let fields = |pairs: Vec<(&str, u64)>| {
+        let fields: Vec<_> = pairs
+            .iter()
+            .map(|(name, value)| format!("\"{}\":{value}", esc(name)))
+            .collect();
+        fields.join(",")
+    };
+    let outcomes: Vec<_> = report
+        .outcomes
+        .iter()
+        .map(|o| {
+            format!(
+                "{{\"proc\":{},\"host\":\"{}\",\"clean\":{},\"torn_down\":{},\"message\":\"{}\"}}",
+                o.proc,
+                esc(&o.host),
+                o.kind.is_none(),
+                o.torn_down,
+                esc(&o.message)
+            )
+        })
+        .collect();
+    let launch = snap
+        .counters
+        .iter()
+        .filter(|c| c.name.starts_with("launch_"));
+    let workers = report
+        .stats
+        .iter()
+        .filter(|(name, _)| name.starts_with("transport_") || name.starts_with("launch_"));
+    format!(
+        "{{\"procs\":{procs},\"attempts\":{},\"success\":{},\"outcomes\":[{}],\"launch\":{{{}}},\"workers\":{{{}}}}}",
         report.attempts,
-        report.success()
-    );
-    out.push_str(",\"outcomes\":[");
-    for (i, o) in report.outcomes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"proc\":{},\"host\":\"{}\",\"clean\":{},\"torn_down\":{},\"message\":\"{}\"}}",
-            o.proc,
-            esc(&o.host),
-            o.kind.is_none(),
-            o.torn_down,
-            esc(&o.message)
-        );
-    }
-    out.push_str("],\"launch\":{");
-    let mut first = true;
-    for c in &snap.counters {
-        if c.name.starts_with("launch_") {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{}", esc(&c.name), c.value);
-        }
-    }
-    out.push_str("},\"workers\":{");
-    let mut first = true;
-    for (name, value) in &report.stats {
-        if name.starts_with("transport_") || name.starts_with("launch_") {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{}", esc(name), value);
-        }
-    }
-    out.push_str("}}");
-    out
+        report.success(),
+        outcomes.join(","),
+        fields(launch.map(|c| (c.name.as_str(), c.value)).collect()),
+        fields(workers.map(|(name, v)| (name.as_str(), *v)).collect()),
+    )
 }
 
 /// Hidden worker half of `opmr launch`: runs one process of the demo
 /// session, heartbeating on stdout and dumping obs counters at the end.
-fn launch_worker(args: &[String]) -> ExitCode {
-    match try_launch_worker(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("worker error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn try_launch_worker(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(session) = args.first() {
         if session != "demo" {
@@ -328,85 +285,129 @@ fn try_launch_worker(args: &[String]) -> Result<(), Box<dyn std::error::Error>> 
     Ok(())
 }
 
-/// Split the demo across OS processes: the analyzer (and the report)
-/// stay in process 0; application ranks run in re-executed workers and
-/// every event pack crosses the Unix-domain socket mesh.
-fn try_demo_socket(procs: usize) -> Result<(), Box<dyn std::error::Error>> {
-    use opmr::runtime::{Endpoint, SocketConfig};
-    let cfg = |path: std::path::PathBuf| {
-        SocketConfig::new(Endpoint::Unix(path)).connect_timeout(std::time::Duration::from_secs(30))
-    };
+/// The `OPMR_LAUNCH_*` contract every process of a demo job shares; each
+/// worker's copy gets its own index.
+fn demo_job(procs: usize, endpoint: String) -> WorkerEnv {
+    let mut env = WorkerEnv::new(0, procs, endpoint);
+    env.connect_timeout = Some(Duration::from_secs(30));
+    env
+}
 
-    // Worker half: re-executed by the parent with the endpoint in the
-    // environment.
-    if let Ok(path) = std::env::var("OPMR_DEMO_SOCK") {
-        let proc_index: usize = std::env::var("OPMR_DEMO_PROC")?.parse()?;
-        let num_procs: usize = std::env::var("OPMR_DEMO_PROCS")?.parse()?;
-        demo_session()?.run_multiproc(cfg(path.into()), proc_index, num_procs)?;
-        return Ok(());
+/// `run_job`'s `make_cmd` for the demo session, shared by `opmr launch`
+/// and `opmr demo --transport socket`: this binary as `__launch-worker
+/// demo`, carrying `job` with the worker's index filled in. The index
+/// `hosted` runs in the calling process instead.
+fn demo_workers(
+    job: WorkerEnv,
+    hosted: Option<usize>,
+) -> std::io::Result<impl Fn(usize, &Host) -> Option<WorkerCommand>> {
+    let exe = std::env::current_exe()?;
+    Ok(move |proc, _host: &Host| {
+        if Some(proc) == hosted {
+            return None;
+        }
+        let env = WorkerEnv {
+            proc_index: proc,
+            ..job.clone()
+        };
+        let cmd = WorkerCommand::new(&exe).arg("__launch-worker").arg("demo");
+        Some(env.vars().into_iter().fold(cmd, |c, (k, v)| c.env(k, v)))
+    })
+}
+
+/// A job's private directory under the temp dir (it holds the mesh
+/// socket), removed on every way out.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// `$TMP/opmr-<tag>-<pid>`.
+    fn new(tag: &str) -> std::io::Result<ScratchDir> {
+        let dir = std::env::temp_dir().join(format!("opmr-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir)?;
+        Ok(ScratchDir(dir))
     }
 
+    /// A Unix-domain mesh endpoint inside the directory.
+    fn endpoint(&self) -> String {
+        format!("unix:{}", self.0.join("mesh.sock").display())
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Split the demo across OS processes: this process hosts process 0 (the
+/// analyzer and the report) on a thread, and `run_job` supervises the
+/// application workers, so every event pack crosses the Unix-domain
+/// socket mesh. A worker that dies surfaces as its typed outcome at
+/// once, instead of leaving process 0 blocked until the mesh gives up.
+fn try_demo_socket(procs: usize) -> Result<(), Box<dyn std::error::Error>> {
     if procs < 2 {
         return Err("--transport socket needs at least 2 processes (--procs)".into());
     }
-    let dir = std::env::temp_dir().join(format!("opmr-demo-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("mesh.sock");
-    let exe = std::env::current_exe()?;
-    let mut children: Vec<(usize, std::process::Child)> = (1..procs)
-        .map(|p| {
-            std::process::Command::new(&exe)
-                .args(["demo", "--transport", "socket"])
-                .env("OPMR_DEMO_SOCK", &path)
-                .env("OPMR_DEMO_PROC", p.to_string())
-                .env("OPMR_DEMO_PROCS", procs.to_string())
-                .spawn()
-                .map(|c| (p, c))
-        })
-        .collect::<Result<_, _>>()?;
-
-    // Run the coordinator's half on a thread so a worker that dies
-    // during startup surfaces as a typed failure immediately, instead of
-    // leaving the parent blocked until the mesh accept budget expires.
+    let scratch = ScratchDir::new("demo")?;
+    let job = demo_job(procs, scratch.endpoint());
+    let cfg = job.socket_config()?;
     let builder = demo_session()?;
-    let coordinator = std::thread::spawn(move || builder.run_multiproc(cfg(path), 0, procs));
-    while !coordinator.is_finished() {
-        let mut first_failure = None;
-        for (p, c) in children.iter_mut() {
-            let Some(status) = c.try_wait()? else {
-                continue;
-            };
-            if let Some((kind, what)) = classify_exit(status) {
-                first_failure = Some((*p, kind, what));
-                break;
-            }
-        }
-        if let Some((p, kind, what)) = first_failure {
-            for (_, other) in children.iter_mut() {
-                let _ = other.kill();
-                let _ = other.wait();
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-            return Err(format!("demo worker p{p} {what} ({kind:?})").into());
-        }
-        std::thread::sleep(Duration::from_millis(30));
+    let coordinator = std::thread::spawn(move || builder.run_multiproc(cfg, 0, procs));
+    let report = run_job(
+        &JobSpec::new(procs),
+        &LocalSpawner,
+        &demo_workers(job, Some(0))?,
+    )?;
+    if !report.success() && !coordinator.is_finished() {
+        return job_failed(&report);
     }
     let outcome = coordinator
         .join()
         .map_err(|_| "demo coordinator thread panicked")??;
-    for (p, mut c) in children {
-        let status = c.wait()?;
-        if let Some((kind, what)) = classify_exit(status) {
-            return Err(format!("demo worker p{p} {what} ({kind:?})").into());
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    job_failed(&report)?;
     println!("{}", outcome.markdown());
     eprintln!(
         "(socket transport, {procs} OS processes; stable digest {:016x})",
         report::stable_digest(&outcome.report)
     );
     Ok(())
+}
+
+/// `Err` naming the job's root-cause failures with their typed kinds,
+/// `Ok` if every worker exited cleanly.
+fn job_failed(report: &JobReport) -> Result<(), Box<dyn std::error::Error>> {
+    let roots: Vec<_> = report
+        .failures()
+        .filter_map(|f| {
+            let kind = f.kind?;
+            Some(format!(
+                "worker p{} on {} {} ({kind:?})",
+                f.proc, f.host, f.message
+            ))
+        })
+        .collect();
+    if roots.is_empty() {
+        Ok(())
+    } else {
+        Err(roots.join("; ").into())
+    }
+}
+
+/// Prints `message` as a usage error and exits 2.
+fn bad_input(message: &str) -> ExitCode {
+    eprintln!("error: {message}");
+    ExitCode::from(2)
+}
+
+/// `--name`'s value parsed as `T`, or `default` when the flag is absent.
+/// A value that does not parse is an error naming the flag.
+fn parsed_flag<T: FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    match flag(args, name) {
+        None => Ok(default),
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("bad {name} {raw:?} (expected a number)")),
+    }
 }
 
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -419,47 +420,45 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 fn simulate_cmd(args: &[String]) -> ExitCode {
     let bench = match by_name(flag(args, "--bench").unwrap_or("SP")) {
         Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return bad_input(&e.to_string()),
     };
     let Some(class) = Class::parse(flag(args, "--class").unwrap_or("C")) else {
-        eprintln!("error: bad --class (use S, W, A, B, C or D)");
-        return ExitCode::from(2);
+        return bad_input("bad --class (use S, W, A, B, C or D)");
     };
-    let ranks: usize = flag(args, "--ranks")
-        .unwrap_or("256")
-        .parse()
-        .unwrap_or(256);
-    let iters: u32 = flag(args, "--iters").unwrap_or("10").parse().unwrap_or(10);
+    let (ranks, iters): (usize, u32) = match (
+        parsed_flag(args, "--ranks", 256),
+        parsed_flag(args, "--iters", 10),
+    ) {
+        (Ok(r), Ok(i)) => (r, i),
+        (Err(e), _) | (_, Err(e)) => return bad_input(&e),
+    };
     let machine: Machine = match flag(args, "--machine").unwrap_or("tera100") {
+        "tera100" => tera100(),
         "curie" => curie(),
-        _ => tera100(),
+        other => return bad_input(&format!("bad --machine {other:?} (use tera100 or curie)")),
     };
     let tool = match flag(args, "--tool").unwrap_or("online") {
         "none" => ToolModel::None,
+        "online" => ToolModel::online_coupling(1.0),
         "profile" => ToolModel::scorep_profile(),
         "trace" => ToolModel::scorep_trace(),
         "scalasca" => ToolModel::scalasca(),
-        _ => ToolModel::online_coupling(1.0),
+        other => {
+            return bad_input(&format!(
+                "bad --tool {other:?} (use none, online, profile, trace or scalasca)"
+            ))
+        }
     };
 
     let w = match bench.build(class, ranks, &machine, Some(iters)) {
         Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return bad_input(&e.to_string()),
     };
     let (reference, run) = match simulate(&w, &machine, &ToolModel::None)
         .and_then(|r| simulate(&w, &machine, &tool).map(|t| (r, t)))
     {
         Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return bad_input(&e.to_string()),
     };
     println!(
         "{}.{class} on {ranks} ranks ({}), {iters} simulated iterations",
@@ -491,8 +490,7 @@ fn simulate_cmd(args: &[String]) -> ExitCode {
 
 fn report_cmd(args: &[String]) -> ExitCode {
     let Some(dir) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("error: report needs a trace directory");
-        return ExitCode::from(2);
+        return bad_input("report needs a trace directory");
     };
     let dir = std::path::PathBuf::from(dir);
     let cfg = opmr::analysis::EngineConfig::default();

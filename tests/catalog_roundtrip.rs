@@ -61,3 +61,76 @@ fn demo_listing_advertises_every_catalog_entry() {
         );
     }
 }
+
+/// Runs the `opmr` binary with `args`; returns its pid and output.
+fn opmr(args: &[&str]) -> (u32, std::process::Output) {
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_opmr"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("opmr starts");
+    let pid = child.id();
+    (pid, child.wait_with_output().expect("opmr runs"))
+}
+
+/// The `stable digest <hex>` an `opmr demo` run prints on stderr.
+fn demo_digest(out: &std::process::Output) -> String {
+    assert!(
+        out.status.success(),
+        "demo exited with {}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (_, tail) = stderr
+        .split_once("stable digest ")
+        .unwrap_or_else(|| panic!("no stable digest on stderr: {stderr}"));
+    tail.chars().take_while(char::is_ascii_hexdigit).collect()
+}
+
+/// `opmr demo --transport socket` hosts process 0 and launches the
+/// application worker through the launch plane: its report digest is the
+/// in-process demo's, and its scratch directory is gone afterwards.
+#[test]
+fn demo_over_sockets_prints_the_in_process_digest() {
+    let (_, inproc) = opmr(&["demo"]);
+    let (pid, socket) = opmr(&["demo", "--transport", "socket", "--procs", "2"]);
+    assert_eq!(demo_digest(&socket), demo_digest(&inproc));
+    let scratch = std::env::temp_dir().join(format!("opmr-demo-{pid}"));
+    assert!(!scratch.exists(), "{} left behind", scratch.display());
+}
+
+/// `opmr launch` removes the directory that holds its default mesh socket.
+#[test]
+fn launch_removes_its_scratch_directory() {
+    let (pid, out) = opmr(&["launch", "--procs", "2", "--", "demo"]);
+    assert!(
+        out.status.success(),
+        "launch exited with {}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let scratch = std::env::temp_dir().join(format!("opmr-launch-{pid}"));
+    assert!(!scratch.exists(), "{} left behind", scratch.display());
+}
+
+/// A malformed value is a usage error (exit 2) naming the flag, not a
+/// silent fallback to the default.
+#[test]
+fn bad_cli_values_exit_2_naming_the_flag() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["demo", "--procs", "x"], "--procs"),
+        (&["demo", "--transport", "x"], "--transport"),
+        (&["simulate", "--ranks", "x"], "--ranks"),
+        (&["simulate", "--iters", "x"], "--iters"),
+        (&["simulate", "--machine", "x"], "--machine"),
+        (&["simulate", "--tool", "x"], "--tool"),
+    ];
+    for (args, flag) in cases {
+        let (_, out) = opmr(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    }
+}

@@ -1,6 +1,7 @@
 //! Helpers shared by the backend-parameterized integration suites
 //! (`transport_conformance`, `chaos`, `metrics_plane`, `poison`,
-//! `socket_negative`).
+//! `socket_negative`) and the suites that start real OS processes
+//! (`launch_plane`, `session_multiproc`).
 //!
 //! The central piece is [`run_socket_threads`]: it runs one job
 //! description on the socket backend with every "process" hosted as a
@@ -12,6 +13,10 @@
 
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
+use opmr::launch::{
+    run_job, HeartbeatEmitter, Host, JobReport, JobSpec, LaunchPlaneError, LocalSpawner,
+    WorkerCommand, WorkerEnv,
+};
 use opmr::runtime::{
     Endpoint, Launcher, LinkFault, MultiprocError, MultiprocTopology, PartitionAssign, RankFailure,
     SocketConfig,
@@ -33,6 +38,51 @@ pub fn fresh_unix_endpoint(tag: &str) -> Endpoint {
     ));
     std::fs::create_dir_all(&dir).expect("create test socket dir");
     Endpoint::Unix(dir.join("mesh.sock"))
+}
+
+/// Runs one job across OS processes through the launch plane, on a fresh
+/// Unix-domain endpoint. Every index `worker` names is a copy of this
+/// test binary running that test (`--exact <worker test>`) with its
+/// `OPMR_LAUNCH_*` contract. The index for which `worker` returns `None`
+/// runs here: `hosted` gets its socket configuration and runs on the
+/// calling thread while `run_job` supervises the others. Returns the
+/// hosted half's result and the job's report.
+pub fn run_os_peers<T>(
+    spec: &JobSpec,
+    worker: impl Fn(usize) -> Option<&'static str> + Sync,
+    hosted: impl FnOnce(SocketConfig) -> T,
+) -> (T, Result<JobReport, LaunchPlaneError>) {
+    let exe = std::env::current_exe().expect("test binary path");
+    let Endpoint::Unix(mesh) = fresh_unix_endpoint("os") else {
+        unreachable!()
+    };
+    let mut job = WorkerEnv::new(0, spec.procs, format!("unix:{}", mesh.display()));
+    job.connect_timeout = Some(Duration::from_secs(20));
+    let make_cmd = |proc: usize, _host: &Host| {
+        let env = WorkerEnv {
+            proc_index: proc,
+            ..job.clone()
+        };
+        let cmd = ["--exact", worker(proc)?, "--test-threads=1", "--nocapture"]
+            .into_iter()
+            .fold(WorkerCommand::new(&exe), WorkerCommand::arg);
+        Some(env.vars().into_iter().fold(cmd, |c, (k, v)| c.env(k, v)))
+    };
+    let cfg = job.socket_config().expect("socket config");
+    std::thread::scope(|s| {
+        let supervisor = s.spawn(|| run_job(spec, &LocalSpawner, &make_cmd));
+        let out = hosted(cfg);
+        (out, supervisor.join().expect("supervisor thread"))
+    })
+}
+
+/// The worker half of [`run_os_peers`]: this process's launch contract,
+/// with heartbeats flowing until the emitter drops. `None` in a plain
+/// test run, where a worker test does nothing.
+pub fn launched_worker() -> Option<(WorkerEnv, HeartbeatEmitter)> {
+    let env = WorkerEnv::from_env().expect("well-formed launch contract")?;
+    let hb = HeartbeatEmitter::start(env.proc_index, Duration::from_millis(20));
+    Some((env, hb))
 }
 
 /// Runs one job on the socket backend with `procs` thread-hosted

@@ -44,8 +44,11 @@ fn waitstate_detects_engineered_late_sender() {
         .expect("waitstate enabled");
     assert_eq!(ws.matched, 1);
     assert_eq!(ws.unmatched, 0);
+    // Every rank counts from the job's origin, so the wait is the
+    // engineered 5 ms, not 5 ms ± the ranks' start skew (≥ 4.99 ms in
+    // 220 runs, three at a time on two cores).
     assert!(
-        ws.total_late_sender_ns > 3_000_000,
+        ws.total_late_sender_ns > 4_000_000,
         "engineered 5 ms late sender, saw {} ns",
         ws.total_late_sender_ns
     );
@@ -74,13 +77,11 @@ fn waitstate_balanced_ring_has_little_wait() {
         .unwrap();
     let ws = outcome.report.apps[0].waitstate.as_ref().unwrap();
     assert_eq!(ws.matched, 80);
-    // Balanced ring: residual wait is scheduling noise. Assert per-transfer
-    // mean well under the 5 ms engineered in the late-sender test.
+    // Balanced ring: with one time origin for every rank, the residual
+    // wait is scheduling noise (≤ 0.2 ms per transfer in 220 runs, three
+    // at a time on two cores).
     let mean = ws.total_late_sender_ns as f64 / ws.matched as f64;
-    assert!(
-        mean < 2_000_000.0,
-        "mean late-sender {mean} ns per transfer"
-    );
+    assert!(mean < 500_000.0, "mean late-sender {mean} ns per transfer");
 }
 
 #[test]

@@ -10,74 +10,80 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
-use opmr::launch::{run_job, stat_line, HeartbeatEmitter, JobSpec, LocalSpawner, WorkerCommand};
-use opmr::runtime::FailureKind;
+mod common;
+use common::{launched_worker, run_os_peers};
+
+use opmr::launch::{
+    parse_endpoint, run_job, stat_line, JobReport, JobSpec, LocalSpawner, WorkerCommand, WorkerEnv,
+};
+use opmr::runtime::{Endpoint, FailureKind};
 use std::time::Duration;
 
 fn counter(name: &str) -> u64 {
     opmr::obs::registry().snapshot().counter(name).unwrap_or(0)
 }
 
-/// Builds the worker command: this test binary, re-executed into the
-/// env-gated `launch_plane_worker` test below with a behavior mode.
-fn worker_cmd(mode: &str, proc: usize, extra: &[(&str, String)]) -> WorkerCommand {
-    let exe = std::env::current_exe().unwrap();
-    let mut cmd = WorkerCommand::new(exe)
-        .arg("--exact")
-        .arg("launch_plane_worker")
-        .arg("--test-threads=1")
-        .arg("--nocapture")
-        .env("OPMR_LP_MODE", mode)
-        .env("OPMR_LP_PROC", proc.to_string());
-    for (k, v) in extra {
-        cmd = cmd.env(*k, v.clone());
-    }
-    cmd
+/// Runs `spec` with every process a copy of this binary running the
+/// worker test `worker(proc)` (the worker tests below, inert outside a
+/// launched job).
+fn launch(spec: &JobSpec, worker: impl Fn(usize) -> &'static str + Sync) -> JobReport {
+    let ((), report) = run_os_peers(spec, |p| Some(worker(p)), |_| ());
+    report.expect("job launches")
 }
 
-/// The worker half. Inert unless `OPMR_LP_MODE` is set.
+/// Heartbeats, a little work, one stat line, clean exit.
 #[test]
 fn launch_plane_worker() {
-    let Ok(mode) = std::env::var("OPMR_LP_MODE") else {
-        return; // not a worker invocation
+    let Some((_env, _hb)) = launched_worker() else {
+        return;
     };
-    let proc: usize = std::env::var("OPMR_LP_PROC").unwrap().parse().unwrap();
-    match mode.as_str() {
-        // Heartbeats, a little work, one stat line, clean exit.
-        "ok" => {
-            let hb = HeartbeatEmitter::start(proc, Duration::from_millis(20));
-            println!("ordinary worker chatter");
-            std::thread::sleep(Duration::from_millis(150));
-            println!("{}", stat_line("lp_test_work_done_total", 7));
-            drop(hb);
-        }
-        // Still heartbeating when a sibling fails: teardown casualty.
-        "ok-slow" => {
-            let hb = HeartbeatEmitter::start(proc, Duration::from_millis(20));
-            std::thread::sleep(Duration::from_secs(30));
-            drop(hb);
-        }
-        // Typed failure: non-zero exit code.
-        "fail" => {
-            eprintln!("worker {proc} failing on purpose");
-            std::process::exit(3);
-        }
-        // Alive but mute: must be killed by the liveness watchdog.
-        "silent" => std::thread::sleep(Duration::from_secs(30)),
-        // Fails on the first job attempt, succeeds on the restart.
-        "fail-first" => {
-            let marker = std::path::PathBuf::from(std::env::var("OPMR_LP_MARKER").unwrap());
-            let hb = HeartbeatEmitter::start(proc, Duration::from_millis(20));
-            if !marker.exists() {
-                std::fs::write(&marker, b"attempt 1").unwrap();
-                drop(hb);
-                std::process::exit(3);
-            }
-            std::thread::sleep(Duration::from_millis(50));
-            drop(hb);
-        }
-        other => panic!("unknown worker mode {other:?}"),
+    println!("ordinary worker chatter");
+    std::thread::sleep(Duration::from_millis(150));
+    println!("{}", stat_line("lp_test_work_done_total", 7));
+}
+
+/// Still heartbeating when a sibling fails: teardown casualty.
+#[test]
+fn launch_plane_worker_ok_slow() {
+    if let Some(_worker) = launched_worker() {
+        std::thread::sleep(Duration::from_secs(30));
     }
+}
+
+/// Typed failure: non-zero exit code.
+#[test]
+fn launch_plane_worker_fail() {
+    if let Some((env, _hb)) = launched_worker() {
+        eprintln!("worker {} failing on purpose", env.proc_index);
+        std::process::exit(3);
+    }
+}
+
+/// Alive but mute: must be killed by the liveness watchdog.
+#[test]
+fn launch_plane_worker_silent() {
+    if WorkerEnv::from_env().unwrap().is_some() {
+        std::thread::sleep(Duration::from_secs(30));
+    }
+}
+
+/// Fails on the first job attempt, succeeds on the restart: the first
+/// attempt leaves a marker in the job's endpoint directory.
+#[test]
+fn launch_plane_worker_fail_first() {
+    let Some((env, hb)) = launched_worker() else {
+        return;
+    };
+    let Endpoint::Unix(mesh) = parse_endpoint(&env.endpoint).unwrap() else {
+        unreachable!("the suite launches on Unix endpoints")
+    };
+    let marker = mesh.with_file_name("fail-first.marker");
+    if !marker.exists() {
+        std::fs::write(&marker, b"attempt 1").unwrap();
+        drop(hb);
+        std::process::exit(3);
+    }
+    std::thread::sleep(Duration::from_millis(50));
 }
 
 #[test]
@@ -88,10 +94,7 @@ fn three_local_workers_run_to_clean_exit_with_aggregated_stats() {
 
     let mut spec = JobSpec::new(3);
     spec.heartbeat_timeout = Duration::from_secs(5);
-    let report = run_job(&spec, &LocalSpawner, &|proc, _host| {
-        worker_cmd("ok", proc, &[])
-    })
-    .expect("job launches");
+    let report = launch(&spec, |_| "launch_plane_worker");
 
     assert!(report.success(), "all workers clean: {:?}", report.outcomes);
     assert_eq!(report.attempts, 1);
@@ -116,12 +119,12 @@ fn child_failure_is_classified_and_tears_down_the_survivors() {
     let failures0 = counter("launch_child_failures_total");
     let mut spec = JobSpec::new(3);
     spec.heartbeat_timeout = Duration::from_secs(5);
-    let report = run_job(&spec, &LocalSpawner, &|proc, _host| {
-        // Process 1 exits 3 immediately; its siblings would happily run
-        // for 30 s — the supervisor must not wait for them.
-        worker_cmd(if proc == 1 { "fail" } else { "ok-slow" }, proc, &[])
-    })
-    .expect("job launches");
+    // Process 1 exits 3 immediately; its siblings would happily run for
+    // 30 s — the supervisor must not wait for them.
+    let report = launch(&spec, |proc| match proc {
+        1 => "launch_plane_worker_fail",
+        _ => "launch_plane_worker_ok_slow",
+    });
 
     assert!(!report.success());
     assert_eq!(report.attempts, 1, "no restart without the policy");
@@ -146,10 +149,10 @@ fn stale_heartbeat_is_a_liveness_kill_classified_as_a_crash() {
     let timeouts0 = counter("launch_heartbeat_timeouts_total");
     let mut spec = JobSpec::new(2);
     spec.heartbeat_timeout = Duration::from_millis(400);
-    let report = run_job(&spec, &LocalSpawner, &|proc, _host| {
-        worker_cmd(if proc == 1 { "silent" } else { "ok-slow" }, proc, &[])
-    })
-    .expect("job launches");
+    let report = launch(&spec, |proc| match proc {
+        1 => "launch_plane_worker_silent",
+        _ => "launch_plane_worker_ok_slow",
+    });
 
     assert!(!report.success());
     let roots: Vec<_> = report.failures().collect();
@@ -167,19 +170,10 @@ fn stale_heartbeat_is_a_liveness_kill_classified_as_a_crash() {
 #[test]
 fn restart_once_relaunches_the_whole_job_exactly_once() {
     let restarts0 = counter("launch_restarts_total");
-    let marker =
-        std::env::temp_dir().join(format!("opmr-lp-marker-{}-{}", std::process::id(), line!()));
-    let _ = std::fs::remove_file(&marker);
-
     let mut spec = JobSpec::new(2);
     spec.heartbeat_timeout = Duration::from_secs(5);
     spec.restart_once = true;
-    let extra = [("OPMR_LP_MARKER", marker.display().to_string())];
-    let report = run_job(&spec, &LocalSpawner, &|proc, _host| {
-        worker_cmd("fail-first", proc, &extra)
-    })
-    .expect("job launches");
-    let _ = std::fs::remove_file(&marker);
+    let report = launch(&spec, |_| "launch_plane_worker_fail_first");
 
     assert_eq!(report.attempts, 2, "first attempt fails, restart succeeds");
     assert!(
@@ -194,7 +188,9 @@ fn restart_once_relaunches_the_whole_job_exactly_once() {
 fn spawn_failure_is_a_typed_error_not_a_leaked_job() {
     let spec = JobSpec::new(2);
     let err = run_job(&spec, &LocalSpawner, &|_proc, _host| {
-        WorkerCommand::new("/nonexistent/opmr-launch-no-such-binary")
+        Some(WorkerCommand::new(
+            "/nonexistent/opmr-launch-no-such-binary",
+        ))
     })
     .expect_err("spawning a missing binary cannot succeed");
     assert!(

@@ -5,7 +5,8 @@
 //!
 //! 1. plain in-process `run()`;
 //! 2. two thread-hosted processes over a Unix-domain socket mesh;
-//! 3. two genuine OS processes (the worker re-executes this binary).
+//! 3. two genuine OS processes (the launch plane starts this binary as the
+//!    worker).
 //!
 //! The placement policy is derived, not configured: the analyzer
 //! partition, clients, and the `__obs` self-monitor stay in process 0
@@ -15,10 +16,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 mod common;
-use common::fresh_unix_endpoint;
+use common::{fresh_unix_endpoint, launched_worker, run_os_peers};
 
 use opmr::analysis::report::stable_digest;
 use opmr::core::{Session, SessionBuilder, SessionError, SessionOutcome};
+use opmr::launch::JobSpec;
 use opmr::runtime::{Endpoint, SocketConfig, Src, TagSel};
 use std::time::Duration;
 
@@ -171,16 +173,19 @@ fn invalid_placements_are_typed_config_errors() {
 }
 
 // ---------------------------------------------------------------------
-// Shape 3: two genuine OS processes. The worker half below re-executes
-// this binary (inert unless the env var is set), exactly like a real
-// multi-process deployment would launch one session per host.
+// Shape 3: two genuine OS processes. The launch plane starts this
+// binary as the worker half below (inert outside a launched job),
+// exactly like a real multi-process deployment launches one session per
+// host.
 // ---------------------------------------------------------------------
 #[test]
 fn session_worker() {
-    let Ok(path) = std::env::var("OPMR_SMP_WORKER_SOCK") else {
-        return; // not a worker invocation
+    let Some((env, _hb)) = launched_worker() else {
+        return;
     };
-    run_proc(Endpoint::Unix(path.into()), 1).expect("worker session");
+    demo_session()
+        .run_multiproc(env.socket_config().unwrap(), env.proc_index, env.num_procs)
+        .expect("worker session");
 }
 
 #[test]
@@ -188,22 +193,14 @@ fn session_spans_two_os_processes_with_identical_output() {
     let direct = demo_session().run().expect("in-process session");
     let want = stable_digest(&direct.report);
 
-    let endpoint = fresh_unix_endpoint("osproc");
-    let Endpoint::Unix(path) = &endpoint else {
-        unreachable!()
-    };
-    let exe = std::env::current_exe().unwrap();
-    let mut child = std::process::Command::new(exe)
-        .args(["--exact", "session_worker", "--test-threads=1"])
-        .env("OPMR_SMP_WORKER_SOCK", path)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-
-    let sock = run_proc(endpoint.clone(), 0).expect("socket session, process 0");
-    let status = child.wait().unwrap();
-    assert!(status.success(), "worker process failed: {status}");
+    let (sock, job) = run_os_peers(
+        &JobSpec::new(2),
+        |p| (p != 0).then_some("session_worker"),
+        |cfg| demo_session().run_multiproc(cfg, 0, 2),
+    );
+    let job = job.expect("worker launches");
+    assert!(job.success(), "worker process failed: {:?}", job.outcomes);
+    let sock = sock.expect("socket session, process 0");
 
     assert_eq!(
         stable_digest(&sock.report),

@@ -10,11 +10,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 mod common;
-use common::fresh_unix_endpoint;
+use common::{fresh_unix_endpoint, launched_worker, run_os_peers};
 
+use opmr::launch::JobSpec;
 use opmr::runtime::{
-    Endpoint, Launcher, MultiprocError, MultiprocTopology, PartitionAssign, SocketConfig,
-    SocketError, Src, TagSel,
+    Endpoint, FailureKind, Launcher, MultiprocError, MultiprocTopology, PartitionAssign,
+    SocketConfig, SocketError, Src, TagSel,
 };
 use opmr::vmpi::{Balance, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError, WriteStream};
 use std::io::Write as _;
@@ -231,16 +232,15 @@ fn disconnect_job(observed: Arc<Mutex<(usize, Vec<usize>)>>) -> Launcher {
         })
 }
 
-/// Spawned copy of this test binary: hosts the writer process and aborts
-/// mid-stream. Guarded by an env var so it is inert in a normal run.
+/// The writer process, started as a copy of this test binary by the
+/// launch plane; it aborts mid-stream. Inert in a normal test run.
 #[test]
 fn midstream_disconnect_worker() {
-    let Ok(path) = std::env::var("OPMR_NEG_WORKER_SOCK") else {
-        return; // not a worker invocation
+    let Some((env, _hb)) = launched_worker() else {
+        return;
     };
-    let cfg =
-        SocketConfig::new(Endpoint::Unix(path.into())).connect_timeout(Duration::from_secs(20));
-    let topo = MultiprocTopology::new(cfg, 1, 2).assign(PartitionAssign::RoundRobin);
+    let topo = MultiprocTopology::new(env.socket_config().unwrap(), env.proc_index, env.num_procs)
+        .assign(PartitionAssign::RoundRobin);
     let sink = Arc::new(Mutex::new((0, Vec::new())));
     // The writer aborts the whole process, so this never returns.
     let _ = disconnect_job(sink).run_multiproc(topo);
@@ -250,26 +250,23 @@ fn midstream_disconnect_worker() {
 #[test]
 fn midstream_peer_death_is_one_typed_peer_lost_and_counted() {
     let before = counter("transport_socket_peer_disconnects_total");
-    let endpoint = fresh_unix_endpoint("abort");
-    let Endpoint::Unix(path) = &endpoint else {
-        unreachable!()
-    };
-    let exe = std::env::current_exe().unwrap();
-    let mut child = std::process::Command::new(exe)
-        .args(["--exact", "midstream_disconnect_worker", "--test-threads=1"])
-        .env("OPMR_NEG_WORKER_SOCK", path)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-
     let observed = Arc::new(Mutex::new((0usize, Vec::new())));
-    let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
-    let topo = MultiprocTopology::new(cfg, 0, 2).assign(PartitionAssign::RoundRobin);
-    let local = disconnect_job(Arc::clone(&observed)).run_multiproc(topo);
-    let status = child.wait().unwrap();
+    let (local, job) = run_os_peers(
+        &JobSpec::new(2),
+        |p| (p == 1).then_some("midstream_disconnect_worker"),
+        |cfg| {
+            let topo = MultiprocTopology::new(cfg, 0, 2).assign(PartitionAssign::RoundRobin);
+            disconnect_job(Arc::clone(&observed)).run_multiproc(topo)
+        },
+    );
 
-    assert!(!status.success(), "the worker must have died by abort");
+    let job = job.expect("worker launches");
+    assert_eq!(
+        job.outcomes[0].kind,
+        Some(FailureKind::Panicked),
+        "the worker must have died by abort: {:?}",
+        job.outcomes
+    );
     local.expect("the surviving process finishes its job cleanly");
     let (blocks, lost) = std::mem::take(&mut *observed.lock().unwrap());
     assert_eq!(
@@ -353,21 +350,21 @@ fn coordinator_death_job(observed: Arc<Mutex<(usize, Vec<usize>)>>) -> Launcher 
         })
 }
 
-fn exhaustion_cfg(endpoint: Endpoint) -> SocketConfig {
-    SocketConfig::new(endpoint)
-        .connect_timeout(Duration::from_secs(20))
-        .retry_budget(3)
-        .backoff_base(Duration::from_millis(10))
+/// A tight reconnect budget: three redials, 10 ms apart.
+fn exhaustion_cfg(cfg: SocketConfig) -> SocketConfig {
+    cfg.retry_budget(3).backoff_base(Duration::from_millis(10))
 }
 
-/// Spawned copy of this binary: hosts the aborting coordinator.
+/// The aborting coordinator, started as a copy of this binary by the
+/// launch plane. Inert in a normal test run.
 #[test]
 fn budget_exhaustion_worker() {
-    let Ok(path) = std::env::var("OPMR_NEG_COORD_SOCK") else {
-        return; // not a worker invocation
+    let Some((env, _hb)) = launched_worker() else {
+        return;
     };
-    let cfg = exhaustion_cfg(Endpoint::Unix(path.into()));
-    let topo = MultiprocTopology::new(cfg, 0, 2).assign(PartitionAssign::RoundRobin);
+    let cfg = exhaustion_cfg(env.socket_config().unwrap());
+    let topo = MultiprocTopology::new(cfg, env.proc_index, env.num_procs)
+        .assign(PartitionAssign::RoundRobin);
     let sink = Arc::new(Mutex::new((0, Vec::new())));
     // The writer aborts the whole process, so this never returns.
     let _ = coordinator_death_job(sink).run_multiproc(topo);
@@ -378,26 +375,25 @@ fn budget_exhaustion_worker() {
 fn retry_budget_exhaustion_is_one_typed_peer_lost_and_counted() {
     let attempts0 = counter("transport_socket_reconnect_attempts_total");
     let exhausted0 = counter("transport_socket_reconnect_exhausted_total");
-    let endpoint = fresh_unix_endpoint("exhaust");
-    let Endpoint::Unix(path) = &endpoint else {
-        unreachable!()
-    };
-    let exe = std::env::current_exe().unwrap();
-    let mut child = std::process::Command::new(exe)
-        .args(["--exact", "budget_exhaustion_worker", "--test-threads=1"])
-        .env("OPMR_NEG_COORD_SOCK", path)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-
     let observed = Arc::new(Mutex::new((0usize, Vec::new())));
-    let topo = MultiprocTopology::new(exhaustion_cfg(endpoint.clone()), 1, 2)
-        .assign(PartitionAssign::RoundRobin);
-    let local = coordinator_death_job(Arc::clone(&observed)).run_multiproc(topo);
-    let status = child.wait().unwrap();
+    // This process hosts p1, the survivor; the launched p0 dies.
+    let (local, job) = run_os_peers(
+        &JobSpec::new(2),
+        |p| (p == 0).then_some("budget_exhaustion_worker"),
+        |cfg| {
+            let topo = MultiprocTopology::new(exhaustion_cfg(cfg), 1, 2)
+                .assign(PartitionAssign::RoundRobin);
+            coordinator_death_job(Arc::clone(&observed)).run_multiproc(topo)
+        },
+    );
 
-    assert!(!status.success(), "the coordinator must have died by abort");
+    let job = job.expect("worker launches");
+    assert_eq!(
+        job.outcomes[0].kind,
+        Some(FailureKind::Panicked),
+        "the coordinator must have died by abort: {:?}",
+        job.outcomes
+    );
     local.expect("the surviving process finishes its job cleanly");
     let (blocks, lost) = std::mem::take(&mut *observed.lock().unwrap());
     assert_eq!(

@@ -26,8 +26,11 @@
 
 mod common;
 use common::{
-    fresh_unix_endpoint, run_socket_threads, run_socket_threads_severed, LinkMoves, SEVER_SWEEP,
+    launched_worker, run_os_peers, run_socket_threads, run_socket_threads_severed, LinkMoves,
+    SEVER_SWEEP,
 };
+
+use opmr::launch::JobSpec;
 
 use opmr::runtime::{
     Endpoint, FaultPlan, Launcher, MultiprocTopology, PartitionAssign, RankFailure, RtError,
@@ -558,16 +561,15 @@ fn two_proc_job() -> Launcher {
         })
 }
 
-/// Spawned copy of this test binary: runs process 1 of the job above.
-/// Guarded by an env var so it is inert in a normal test run.
+/// Process 1 of the job above, started as a copy of this test binary by
+/// the launch plane. Inert in a normal test run.
 #[test]
 fn socket_two_os_process_worker() {
-    let Ok(path) = std::env::var("OPMR_CONF_WORKER_SOCK") else {
-        return; // not a worker invocation
+    let Some((env, _hb)) = launched_worker() else {
+        return;
     };
-    let cfg =
-        SocketConfig::new(Endpoint::Unix(path.into())).connect_timeout(Duration::from_secs(20));
-    let topo = MultiprocTopology::new(cfg, 1, 2).assign(PartitionAssign::RoundRobin);
+    let topo = MultiprocTopology::new(env.socket_config().unwrap(), env.proc_index, env.num_procs)
+        .assign(PartitionAssign::RoundRobin);
     two_proc_job().run_multiproc(topo).unwrap();
 }
 
@@ -576,28 +578,17 @@ fn socket_two_os_process_worker() {
 /// digest; the parent additionally requires a clean child exit.
 #[test]
 fn socket_spans_two_os_processes() {
-    let endpoint = fresh_unix_endpoint("osproc");
-    let Endpoint::Unix(path) = &endpoint else {
-        unreachable!()
-    };
-    let exe = std::env::current_exe().unwrap();
-    let mut child = std::process::Command::new(exe)
-        .args([
-            "--exact",
-            "socket_two_os_process_worker",
-            "--test-threads=1",
-        ])
-        .env("OPMR_CONF_WORKER_SOCK", path)
-        .stdout(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-
-    let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
-    let topo = MultiprocTopology::new(cfg, 0, 2).assign(PartitionAssign::RoundRobin);
-    let local = two_proc_job().run_multiproc(topo);
-    let status = child.wait().unwrap();
+    let (local, job) = run_os_peers(
+        &JobSpec::new(2),
+        |p| (p != 0).then_some("socket_two_os_process_worker"),
+        |cfg| {
+            let topo = MultiprocTopology::new(cfg, 0, 2).assign(PartitionAssign::RoundRobin);
+            two_proc_job().run_multiproc(topo)
+        },
+    );
     local.unwrap();
-    assert!(status.success(), "worker process failed: {status:?}");
+    let job = job.unwrap();
+    assert!(job.success(), "worker process failed: {:?}", job.outcomes);
 }
 
 /// The TCP flavor of the endpoint, over loopback, with the same job the
