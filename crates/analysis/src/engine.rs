@@ -438,7 +438,7 @@ impl AnalysisEngine {
             return None;
         };
         let slot = self.ensure_level(header.app_id);
-        fold_pack(&events[..], block.len(), || slot.data.lock());
+        fold_pack(&header, &events[..], block.len(), || slot.data.lock());
         if self.bb.is_sensitive_to(slot.ty_events) {
             let pack = EventPack {
                 header,

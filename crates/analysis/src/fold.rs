@@ -13,7 +13,7 @@ use crate::profiler::{CallStats, MpiProfile};
 use crate::timeline::AdaptiveTimeline;
 use crate::topology::{EdgeWeight, Topology};
 use crate::waitstate::WaitStateAnalysis;
-use opmr_events::{Event, EventKind};
+use opmr_events::{Event, EventKind, PackHeader};
 use opmr_metrics::MetricsSeries;
 use std::ops::DerefMut;
 
@@ -95,14 +95,15 @@ pub trait FoldTarget {
     fn aggregates(&mut self) -> Aggregates<'_>;
 }
 
-/// Folds one pack's events (an [`opmr_events::EventPack`] or a decode buffer's
-/// `&[Event]`), which arrived as `wire_len` encoded bytes, into the target
-/// `lock` yields. `lock` is called once, after the pack has been summed,
-/// and its guard is held until every aggregate has the pack: a reader
-/// taking the same lock sees whole packs only, the same ones in every
-/// aggregate.
+/// Folds one pack's events (an [`opmr_events::EventPack`]'s or a decode
+/// buffer's), which arrived under `header` as `wire_len` encoded bytes,
+/// into the target `lock` yields. `lock` is called once, after the pack
+/// has been summed, and its guard is held until every aggregate has the
+/// pack: a reader taking the same lock sees whole packs only, the same
+/// ones in every aggregate.
 pub fn fold_pack<G>(
-    pack: &(impl AsRef<[Event]> + ?Sized),
+    header: &PackHeader,
+    events: &[Event],
     wire_len: usize,
     lock: impl FnOnce() -> G,
 ) -> PackSums
@@ -110,7 +111,6 @@ where
     G: DerefMut,
     G::Target: FoldTarget,
 {
-    let events = pack.as_ref();
     let sums = PackSums::of(events);
     let mut target = lock();
     let agg = target.aggregates();
@@ -131,9 +131,7 @@ where
         }
     }
     if let Some(waitstate) = agg.waitstate {
-        for e in events {
-            waitstate.add(e);
-        }
+        waitstate.add_pack(header.rank, header.seq, events);
     }
     if let Some(metrics) = agg.metrics {
         metrics.fold_pack(events);

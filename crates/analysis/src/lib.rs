@@ -41,5 +41,5 @@ pub use patterns::{classify, Pattern, PatternMatch};
 pub use profiler::{CallStats, MpiProfile};
 pub use timeline::Timeline;
 pub use topology::{EdgeWeight, Topology, WeightKind};
-pub use trace_proxy::{read_proxy_trace, Selection, TraceProxy};
+pub use trace_proxy::{Selection, TraceProxy};
 pub use waitstate::{WaitStateAnalysis, WaitStats};

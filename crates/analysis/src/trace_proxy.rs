@@ -9,7 +9,6 @@
 //! user can keep the zero-trace online workflow and still extract a small
 //! replayable trace of just the interesting region.
 
-use opmr_events::wire::Reader;
 use opmr_events::{Event, EventKind, EventPack};
 use parking_lot::Mutex;
 use std::io::Write;
@@ -151,26 +150,10 @@ impl TraceProxy {
     }
 }
 
-/// Reads a proxy trace back (for replay or hand-off to other tools).
-pub fn read_proxy_trace(path: &Path) -> std::io::Result<Vec<EventPack>> {
-    let data = std::fs::read(path)?;
-    let truncated =
-        |_| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "truncated proxy trace");
-    let mut out = Vec::new();
-    let mut r = Reader::new(&data);
-    while r.remaining() >= 4 {
-        let len = r.u32().map_err(truncated)? as usize;
-        let pack = EventPack::decode(r.bytes(len).map_err(truncated)?).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad pack: {e}"))
-        })?;
-        out.push(pack);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opmr_events::wire::Reader;
 
     fn ev(kind: EventKind, rank: u32, t: u64, bytes: u64) -> Event {
         Event {
@@ -183,6 +166,23 @@ mod tests {
             comm: 0,
             bytes,
         }
+    }
+
+    /// Reads a proxy trace back.
+    fn read_proxy_trace(path: &Path) -> std::io::Result<Vec<EventPack>> {
+        let data = std::fs::read(path)?;
+        let truncated =
+            |_| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "truncated proxy trace");
+        let mut out = Vec::new();
+        let mut r = Reader::new(&data);
+        while r.remaining() >= 4 {
+            let len = r.u32().map_err(truncated)? as usize;
+            let pack = EventPack::decode(r.bytes(len).map_err(truncated)?).map_err(|e| {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad pack: {e}"))
+            })?;
+            out.push(pack);
+        }
+        Ok(out)
     }
 
     fn tmp(name: &str) -> PathBuf {

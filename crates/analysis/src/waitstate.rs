@@ -16,10 +16,16 @@
 //! Matching follows MPI ordering: per `(sender, receiver)` pair, the k-th
 //! send matches the k-th receive (the generators use one tag per channel,
 //! so tag-aware refinement is unnecessary; ANY_SOURCE receives carry their
-//! matched source in the event record already).
+//! matched source in the event record already), so
+//! [`WaitStateAnalysis::add_pack`] feeds each rank's packs in its order.
 
 use opmr_events::{Event, EventKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+
+/// Packs a rank may hold while one before them is missing. Past this the
+/// missing pack is taken as lost (dropped upstream, or undecodable) and
+/// the held ones are fed in order.
+const MAX_HELD: usize = 256;
 
 /// One matched transfer with its wait attribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,6 +106,15 @@ pub struct RecvSide {
     pub start_ns: u64,
 }
 
+/// One rank's place in its pack sequence.
+#[derive(Debug, Clone, Default)]
+struct RankOrder {
+    /// The sequence number of the next pack to feed.
+    next: u32,
+    /// Packs that arrived ahead of `next`, by sequence number.
+    held: BTreeMap<u32, Vec<Event>>,
+}
+
 /// Online send/receive matcher.
 #[derive(Debug, Clone, Default)]
 pub struct WaitStateAnalysis {
@@ -107,6 +122,8 @@ pub struct WaitStateAnalysis {
     sends: HashMap<(u32, u32), VecDeque<SendSide>>,
     /// Pending receives per (src, dst) channel.
     recvs: HashMap<(u32, u32), VecDeque<RecvSide>>,
+    /// Per-rank pack order for [`WaitStateAnalysis::add_pack`].
+    order: BTreeMap<u32, RankOrder>,
     pub stats: WaitStats,
 }
 
@@ -162,6 +179,48 @@ impl WaitStateAnalysis {
                 send_half.or(recv_half)
             }
             _ => None,
+        }
+    }
+
+    /// Feeds the `seq`-th pack (counting from 0) `rank` recorded. A pack
+    /// that overtook an earlier one of its rank (the engine folds on
+    /// several workers) is held until the earlier ones are fed; `finish`
+    /// feeds what a missing pack left held. The result is the same for
+    /// every arrival order that overtakes no pack by more than `MAX_HELD`
+    /// (256) of its rank's.
+    pub fn add_pack(&mut self, rank: u32, seq: u32, events: &[Event]) {
+        let mut order = self.order.remove(&rank).unwrap_or_default();
+        if seq > order.next {
+            order.held.insert(seq, events.to_vec());
+            if order.held.len() > MAX_HELD {
+                self.feed_held(&mut order);
+            }
+        } else {
+            // A pack behind `next` (its gap was given up on) goes in as is.
+            if seq == order.next {
+                order.next += 1;
+            }
+            self.add_all(events);
+            while let Some(events) = order.held.remove(&order.next) {
+                order.next += 1;
+                self.add_all(&events);
+            }
+        }
+        self.order.insert(rank, order);
+    }
+
+    fn add_all(&mut self, events: &[Event]) {
+        for e in events {
+            self.add(e);
+        }
+    }
+
+    /// Feeds every held pack of one rank in sequence order and moves the
+    /// rank past the last of them.
+    fn feed_held(&mut self, order: &mut RankOrder) {
+        for (seq, events) in std::mem::take(&mut order.held) {
+            order.next = seq + 1;
+            self.add_all(&events);
         }
     }
 
@@ -253,9 +312,15 @@ impl WaitStateAnalysis {
         }
     }
 
-    /// Closes the analysis: drains the dangling halves into the stats
-    /// (channel-sorted, so the encoding is deterministic) and counts them.
+    /// Closes the analysis: feeds the packs still held behind a missing
+    /// one (rank by rank, in sequence order), then drains the dangling
+    /// halves into the stats (channel-sorted, so the encoding is
+    /// deterministic) and counts them.
     pub fn finish(&mut self) -> &WaitStats {
+        for (rank, mut order) in std::mem::take(&mut self.order) {
+            self.feed_held(&mut order);
+            self.order.insert(rank, order);
+        }
         let mut pending_sends: Vec<(u32, u32, SendSide)> = Vec::new();
         let mut send_keys: Vec<(u32, u32)> = self.sends.keys().copied().collect();
         send_keys.sort_unstable();
@@ -354,6 +419,69 @@ mod tests {
         // First recv matches first send: late receiver 300-110.
         assert_eq!(m1.late_receiver_ns, 190);
         assert_eq!(m2.late_receiver_ns, 190);
+    }
+
+    /// Rank 0 sends to rank 1 in four one-event packs, rank 1 receives in
+    /// four; every send is late by a different amount, so a receive paired
+    /// with the wrong send changes the totals.
+    fn two_ranks_in_packs() -> Vec<(u32, u32, Vec<Event>)> {
+        let mut packs = Vec::new();
+        for k in 0..4u32 {
+            let t = u64::from(k) * 1000;
+            packs.push((0, k, vec![send(0, 1, t + 100 * u64::from(k + 1), 10)]));
+            packs.push((1, k, vec![recv(1, 0, t, 5)]));
+        }
+        packs
+    }
+
+    fn fold(packs: &[(u32, u32, Vec<Event>)]) -> (u64, u64, u64) {
+        let mut ws = WaitStateAnalysis::new();
+        for (rank, seq, events) in packs {
+            ws.add_pack(*rank, *seq, events);
+        }
+        let s = ws.finish();
+        (s.matched, s.total_late_sender_ns, s.total_late_receiver_ns)
+    }
+
+    #[test]
+    fn packs_fold_in_rank_order_whatever_order_they_arrive_in() {
+        let packs = two_ranks_in_packs();
+        let want = fold(&packs);
+        assert_eq!(want, (4, 1000, 0));
+        let mut reversed = packs.clone();
+        reversed.reverse();
+        assert_eq!(fold(&reversed), want);
+        // Rank 0's sends overtake each other; rank 1's arrive in order.
+        let mut shuffled = packs.clone();
+        shuffled.swap(0, 6);
+        shuffled.swap(2, 4);
+        assert_eq!(fold(&shuffled), want);
+        // Fed event by event in that order, the matcher pairs wrongly.
+        let mut raw = WaitStateAnalysis::new();
+        for (_, _, events) in &shuffled {
+            raw.add_all(events);
+        }
+        assert_ne!(raw.finish().total_late_sender_ns, want.1);
+    }
+
+    #[test]
+    fn a_missing_pack_holds_its_successors_until_finish_or_the_bound() {
+        let mut ws = WaitStateAnalysis::new();
+        // Pack 0 of rank 0 never arrives.
+        ws.add_pack(0, 1, &[send(0, 1, 100, 10)]);
+        assert_eq!(ws.order[&0].held.len(), 1);
+        ws.add_pack(1, 0, &[recv(1, 0, 0, 5)]);
+        assert_eq!(ws.stats.matched, 0, "held, not matched");
+        assert_eq!(ws.snapshot_stats().matched, 1, "a snapshot feeds it");
+        assert_eq!(ws.finish().matched, 1);
+        // Past the bound the gap is given up on and the held packs go in.
+        let mut ws = WaitStateAnalysis::new();
+        for seq in 1..=MAX_HELD as u32 + 1 {
+            ws.add_pack(0, seq, &[send(0, 1, u64::from(seq), 1)]);
+        }
+        assert!(ws.order[&0].held.is_empty());
+        assert_eq!(ws.order[&0].next, MAX_HELD as u32 + 2);
+        assert_eq!(ws.sends[&(0, 1)].len(), MAX_HELD + 1);
     }
 
     #[test]

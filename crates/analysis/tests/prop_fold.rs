@@ -52,17 +52,21 @@ fn arb_events(single_rank: bool) -> impl Strategy<Value = Vec<Event>> {
 }
 
 /// Cuts `events` into packs at `cuts` (any order, repeats allowed, so
-/// empty packs occur), each encoded and decoded as a stream block is.
+/// empty packs occur), each encoded and decoded as a stream block is. A
+/// pack is its first event's rank's, and numbered per rank from 0, as a
+/// recorder numbers its packs.
 fn cut_into_packs(events: &[Event], cuts: &[proptest::sample::Index]) -> Vec<EventPack> {
     let mut at: Vec<usize> = cuts.iter().map(|c| c.index(events.len() + 1)).collect();
     at.extend([0, events.len()]);
     at.sort_unstable();
+    let mut seqs = std::collections::HashMap::new();
     at.windows(2)
-        .enumerate()
-        .map(|(seq, w)| {
+        .map(|w| {
             let run = &events[w[0]..w[1]];
             let rank = run.first().map_or(0, |e| e.rank);
-            EventPack::new(0, rank, seq as u32, run.to_vec())
+            let seq = seqs.entry(rank).or_insert(0u32);
+            *seq += 1;
+            EventPack::new(0, rank, *seq - 1, run.to_vec())
         })
         .collect()
 }
@@ -116,7 +120,7 @@ fn check_plain_fold(events: &[Event], cuts: &[proptest::sample::Index]) {
     let packs = cut_into_packs(events, cuts);
     let mut folded = Plain::default();
     for pack in &packs {
-        fold_pack(pack, 7, || &mut folded);
+        fold_pack(&pack.header, &pack.events, 7, || &mut folded);
     }
     let mut profile = MpiProfile::new();
     let mut topology = Topology::new();
@@ -202,5 +206,45 @@ proptest! {
         opmr_analysis::wire::encode_waitstats(waitstate.finish(), &mut want);
         prop_assert_eq!(got.to_vec(), want.to_vec());
         prop_assert_eq!(app.metrics.as_ref().unwrap(), &metrics);
+    }
+
+    /// Recorder-shaped packs (one rank each, numbered per rank) posted in
+    /// any interleaving to an engine folding on several workers: the wait
+    /// states are still the per-event reference's, which only the order of
+    /// each rank's own events decides.
+    #[test]
+    fn wait_states_do_not_depend_on_the_order_packs_arrive_in(
+        events in arb_events(false),
+        cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..8),
+        picks in proptest::collection::vec(any::<proptest::sample::Index>(), 0..64),
+    ) {
+        let mut packs = Vec::new();
+        for rank in 0..6u32 {
+            let own: Vec<Event> = events.iter().filter(|e| e.rank == rank).copied().collect();
+            let mut at: Vec<usize> = cuts.iter().map(|c| c.index(own.len() + 1)).collect();
+            at.extend([0, own.len()]);
+            at.sort_unstable();
+            for (seq, w) in at.windows(2).enumerate() {
+                packs.push(EventPack::new(0, rank, seq as u32, own[w[0]..w[1]].to_vec()));
+            }
+        }
+        let engine = AnalysisEngine::new(EngineConfig::default());
+        engine.enable_waitstate();
+        engine.start();
+        for i in 0..packs.len() {
+            let k = picks.get(i).map_or(0, |p| p.index(packs.len()));
+            engine.post_block(packs.swap_remove(k).encode());
+        }
+        let report = engine.finish();
+
+        let mut waitstate = WaitStateAnalysis::new();
+        for e in &events {
+            waitstate.add(e);
+        }
+        let mut got = bytes::BytesMut::new();
+        let mut want = bytes::BytesMut::new();
+        opmr_analysis::wire::encode_waitstats(report.apps[0].waitstate.as_ref().unwrap(), &mut got);
+        opmr_analysis::wire::encode_waitstats(waitstate.finish(), &mut want);
+        prop_assert_eq!(got.to_vec(), want.to_vec());
     }
 }

@@ -13,11 +13,13 @@
 //! * [`driver`] — executes an `opmr_netsim` rank program (the same NAS /
 //!   EulerMHD generators the simulator consumes) live on the instrumented
 //!   runtime, scaling compute intervals to keep in-process runs short.
-//! * [`trace`] — the classical baseline: identical instrumentation, but
-//!   packs land in per-rank trace files which a post-mortem pass feeds to
-//!   the same analysis engine. Used by the equivalence tests ("streamed
-//!   analysis is very close to post-mortem analysis") and the live
-//!   overhead comparisons.
+//! * [`trace`] — the classical baseline as a session choice: a file
+//!   [`Sink`] writes per-rank trace files or SION containers instead of
+//!   streaming, and [`Session::replay`] analyzes such a directory as an
+//!   ordinary session (any coupling, tree or serving). Used by the
+//!   equivalence tests ("streamed analysis is very close to post-mortem
+//!   analysis") and the live overhead comparisons; [`TraceSession`] is the
+//!   record-then-replay preset.
 
 pub mod driver;
 pub mod session;
@@ -27,4 +29,4 @@ pub use driver::{run_program, LiveOptions};
 pub use session::{
     Coupling, Session, SessionBuilder, SessionError, SessionOutcome, SELF_MONITOR_APP,
 };
-pub use trace::{analyze_sion_dir, analyze_trace_dir, TraceSession};
+pub use trace::{Sink, TraceSession};

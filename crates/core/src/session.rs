@@ -11,10 +11,15 @@
 //! There is one pipeline: the [`Coupling`] is lowered once to a reduction
 //! tree and an operator, and every analyzer rank runs that tree's node
 //! (`opmr_reduce::run_node`). Direct mapping is the depth-0 tree.
+//! The trace workflow is the same session with a file [`Sink`], and its
+//! post-mortem analysis is [`Session::replay`].
 
 use crate::driver::{run_program, LiveOptions};
+use crate::trace::{self, Sink};
+use bytes::Bytes;
 use opmr_analysis::wire::AppPartial;
 use opmr_analysis::{AnalysisEngine, EngineConfig, MultiReport};
+use opmr_events::PACK_HEADER_SIZE;
 use opmr_instrument::{InstrumentedMpi, RecorderStats};
 use opmr_netsim::Workload;
 use opmr_reduce::{run_node, NodeConfig, ReduceOp, ReduceStats, Tree};
@@ -66,6 +71,12 @@ pub enum SessionError {
     Socket(opmr_runtime::SocketError),
     /// Builder misuse.
     Config(String),
+    /// A replayed directory holds no (or a misnamed, truncated or
+    /// incomplete) recording.
+    Recording {
+        path: std::path::PathBuf,
+        what: String,
+    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -75,6 +86,9 @@ impl std::fmt::Display for SessionError {
             SessionError::Vmpi(e) => write!(f, "coupling failed: {e}"),
             SessionError::Socket(e) => write!(f, "socket transport failed: {e}"),
             SessionError::Config(what) => write!(f, "bad session config: {what}"),
+            SessionError::Recording { path, what } => {
+                write!(f, "bad recording {}: {what}", path.display())
+            }
         }
     }
 }
@@ -101,10 +115,20 @@ type AppBody = Arc<dyn Fn(&InstrumentedMpi) -> Result<(), RankError> + Send + Sy
 type ClientBody = Arc<dyn Fn(&mut ServeClient) -> Result<(), RankError> + Send + Sync + 'static>;
 type EngineSetup = Box<dyn FnOnce(&AnalysisEngine) + Send>;
 
+/// What an application partition's ranks run.
+enum AppSource {
+    /// An instrumented body, recording through the session's sink.
+    Live(AppBody),
+    /// Rank `r` writes the recorded packs `[r]` into its stream verbatim.
+    Replay(Arc<Vec<Vec<Bytes>>>),
+}
+
 struct AppSpec {
+    /// The app id its packs carry: its add order, or its recorded id.
+    id: u16,
     name: String,
     ranks: usize,
-    body: AppBody,
+    source: AppSource,
 }
 
 struct ClientSpec {
@@ -178,9 +202,11 @@ pub struct SessionBuilder {
     reduce_window: usize,
     serve: ServeConfig,
     self_monitor: Option<Duration>,
+    sink: Sink,
+    replay: Option<std::path::PathBuf>,
 }
 
-/// Entry point: `Session::builder()`.
+/// Entry point: `Session::builder()` or `Session::replay(dir)`.
 pub struct Session;
 
 impl Session {
@@ -204,6 +230,20 @@ impl Session {
             reduce_window: 8,
             serve: ServeConfig::default(),
             self_monitor: None,
+            sink: Sink::Stream,
+            replay: None,
+        }
+    }
+
+    /// Post-mortem analysis of the recording a file [`Sink`] left in `dir`,
+    /// as an ordinary session: each `app<a>_rank<r>.opmr` file, and each
+    /// rank of an `app<a>.sion` container, is one rank of partition
+    /// `app<a>`, which writes the recorded packs into its stream verbatim.
+    /// `dir` is read at `run`; a bad one is a [`SessionError::Recording`].
+    pub fn replay(dir: impl Into<std::path::PathBuf>) -> SessionBuilder {
+        SessionBuilder {
+            replay: Some(dir.into()),
+            ..Session::builder()
         }
     }
 }
@@ -318,6 +358,14 @@ impl SessionBuilder {
         self
     }
 
+    /// Where instrumented applications write their packs (default: the
+    /// analyzer's stream). A file sink launches no analyzer, so the report
+    /// is empty; analyze the directory with [`Session::replay`].
+    pub fn sink(mut self, sink: Sink) -> Self {
+        self.sink = sink;
+        self
+    }
+
     /// Adds an instrumented application with a custom body.
     pub fn app<F>(self, name: &str, ranks: usize, body: F) -> Self
     where
@@ -339,9 +387,10 @@ impl SessionBuilder {
     {
         assert!(ranks > 0, "application needs at least one rank");
         self.apps.push(AppSpec {
+            id: self.apps.len() as u16,
             name: name.to_string(),
             ranks,
-            body: Arc::new(body),
+            source: AppSource::Live(Arc::new(body)),
         });
         self
     }
@@ -473,8 +522,38 @@ impl SessionBuilder {
     }
 
     fn run_inner(mut self, plan: LaunchPlan) -> Result<SessionOutcome, SessionError> {
+        let file_sink = !matches!(self.sink, Sink::Stream);
+        if let Some(dir) = self.replay.take() {
+            let recorded = trace::read_recording(&dir)?;
+            // A block per recorded pack (and at least one row for a live app).
+            self.stream.block_size = recorded
+                .iter()
+                .flat_map(|(_, ranks)| ranks.iter().flatten())
+                .map(Bytes::len)
+                .fold(
+                    PACK_HEADER_SIZE + self.stream.pack_encoding.max_event_wire_size(),
+                    usize::max,
+                );
+            // Recorded applications keep their ids; live ones follow.
+            let next = recorded.last().map_or(0, |(id, _)| id + 1);
+            for (spec, id) in self.apps.iter_mut().zip(next..) {
+                spec.id = id;
+            }
+            let sources = recorded.into_iter().map(|(id, ranks)| AppSpec {
+                id,
+                name: format!("app{id}"),
+                ranks: ranks.len(),
+                source: AppSource::Replay(Arc::new(ranks)),
+            });
+            self.apps.splice(0..0, sources);
+        }
         if self.apps.is_empty() {
             return Err(SessionError::Config("no applications added".into()));
+        }
+        if file_sink && !self.clients.is_empty() {
+            return Err(SessionError::Config(
+                "client partitions need the stream sink".into(),
+            ));
         }
         let (block, encoding) = (self.stream.block_size, self.stream.pack_encoding);
         if opmr_events::EventPack::capacity_for_block_with(block, encoding) == 0 {
@@ -519,14 +598,17 @@ impl SessionBuilder {
                 .apps
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| app_proc(*i) == 0)
+                .filter(|(i, s)| app_proc(*i) == 0 && matches!(s.source, AppSource::Live(_)))
                 .map(|(_, s)| s.ranks)
                 .sum();
             let live = Arc::new(AtomicUsize::new(colocated));
             for spec in &mut self.apps {
-                let inner = Arc::clone(&spec.body);
+                let AppSource::Live(body) = &mut spec.source else {
+                    continue;
+                };
+                let inner = Arc::clone(body);
                 let live = Arc::clone(&live);
-                spec.body = Arc::new(move |imp| {
+                *body = Arc::new(move |imp| {
                     let result = inner(imp);
                     // Decrement even on error so the monitor never waits on
                     // a rank that will not finish.
@@ -535,17 +617,16 @@ impl SessionBuilder {
                 });
             }
             self.apps.push(AppSpec {
+                id: self.apps.iter().map(|s| s.id + 1).max().unwrap_or(0),
                 name: SELF_MONITOR_APP.to_string(),
                 ranks: 1,
-                body: Arc::new(move |imp| self_monitor_body(imp, interval, &live)),
+                source: AppSource::Live(Arc::new(move |imp| {
+                    self_monitor_body(imp, interval, &live)
+                })),
             });
         }
-        let names: std::collections::HashMap<u16, String> = self
-            .apps
-            .iter()
-            .enumerate()
-            .map(|(id, s)| (id as u16, s.name.clone()))
-            .collect();
+        let names: std::collections::HashMap<u16, String> =
+            self.apps.iter().map(|s| (s.id, s.name.clone())).collect();
         let waitstate = self.waitstate;
         let metrics = self.metrics;
         let engine_cfg = self.engine;
@@ -557,8 +638,8 @@ impl SessionBuilder {
         };
         // In-network aggregation produces merged partials, never raw event
         // packs — the blackboard engine is bypassed. Every other operator
-        // keeps one engine for all analyzer ranks.
-        let engine = if matches!(op, ReduceOp::Aggregate) {
+        // keeps one engine for all analyzer ranks (none with a file sink).
+        let engine = if file_sink || matches!(op, ReduceOp::Aggregate) {
             None
         } else {
             let engine = AnalysisEngine::new(engine_cfg);
@@ -622,46 +703,51 @@ impl SessionBuilder {
         // Partition order is apps (incl. the self-monitor), Analyzer,
         // clients; the explicit process assignment mirrors it.
         let mut assign: Vec<usize> = (0..n_apps).map(app_proc).collect();
-        assign.push(0); // Analyzer
+        if !file_sink {
+            assign.push(0); // Analyzer
+        }
         assign.extend(std::iter::repeat_n(0, self.clients.len()));
         // Both sides derive the same tree; only the pivot evaluates the
         // policy.
         let policy = tree.leaf_policy();
-        for (app_id, spec) in self.apps.into_iter().enumerate() {
-            let body = spec.body;
-            let name = spec.name.clone();
-            let recs = Arc::clone(&recorders);
-            let policy = policy.clone();
-            launcher = launcher.partition_try(&spec.name, spec.ranks, move |mpi: Mpi| {
-                let imp = InstrumentedMpi::init_directed(
+        for spec in self.apps {
+            let (app_id, policy) = (spec.id, policy.clone());
+            launcher = match spec.source {
+                AppSource::Replay(ranks) => {
+                    launcher.partition_try(&spec.name, spec.ranks, move |mpi: Mpi| {
+                        trace::replay_rank(mpi, &ranks, policy.clone(), stream_cfg)
+                    })
+                }
+                AppSource::Live(body) => {
+                    let open = trace::opener(&self.sink, app_id, spec.ranks, policy, stream_cfg)?;
+                    let (name, recs) = (spec.name.clone(), Arc::clone(&recorders));
+                    launcher.partition_try(&spec.name, spec.ranks, move |mpi: Mpi| {
+                        let imp = open(mpi)?;
+                        body(&imp)?;
+                        let stats = imp.finalize()?;
+                        recs.lock().push((name.clone(), stats));
+                        Ok(())
+                    })
+                }
+            };
+        }
+        if !file_sink {
+            let engine_for_analyzer = engine.clone();
+            let nodes_for_analyzer = Arc::clone(&nodes);
+            let store_for_analyzer = store.clone();
+            launcher = launcher.partition_try("Analyzer", analyzer_ranks, move |mpi: Mpi| {
+                analyzer_rank(
                     mpi,
-                    "Analyzer",
-                    policy.clone(),
+                    &tree,
+                    &node_cfg,
+                    n_apps,
                     stream_cfg,
-                    0,
-                    app_id as u16,
-                )?;
-                body(&imp)?;
-                let stats = imp.finalize()?;
-                recs.lock().push((name.clone(), stats));
-                Ok(())
+                    engine_for_analyzer.as_ref(),
+                    store_for_analyzer.as_deref(),
+                    &nodes_for_analyzer,
+                )
             });
         }
-        let engine_for_analyzer = engine.clone();
-        let nodes_for_analyzer = Arc::clone(&nodes);
-        let store_for_analyzer = store.clone();
-        launcher = launcher.partition_try("Analyzer", analyzer_ranks, move |mpi: Mpi| {
-            analyzer_rank(
-                mpi,
-                &tree,
-                &node_cfg,
-                n_apps,
-                stream_cfg,
-                engine_for_analyzer.as_ref(),
-                store_for_analyzer.as_deref(),
-                &nodes_for_analyzer,
-            )
-        });
         // Each client reads the shared store on its own rank; the session's
         // one quota book admits every tenant's requests.
         for spec in std::mem::take(&mut self.clients) {

@@ -1,113 +1,183 @@
-//! The classical trace-based baseline (Figure 1).
-//!
-//! Identical instrumentation, but event packs are written to per-rank
-//! trace files; analysis happens post-mortem by replaying every file into
-//! the same engine. This is the workflow the paper replaces — kept both as
-//! the comparison baseline and as the equivalence oracle: the profile
-//! computed post-mortem from traces must equal the one computed online
-//! from streams.
+//! The classical trace baseline (Figure 1) as a session sink. A file
+//! [`Sink`] writes each rank's packs to a per-rank trace file or to one
+//! SIONlib-style container per application, with no analyzer launched;
+//! [`Session::replay`] streams such a directory back, one source rank per
+//! recorded rank, so post-mortem analysis is an ordinary session (any
+//! coupling, tree, wait-state or metrics plane, or serving) and the paper's
+//! oracle compares two runs of one pipeline.
 
-use crate::driver::{run_program, LiveOptions};
-use crate::session::SessionError;
-use opmr_analysis::{AnalysisEngine, EngineConfig, MultiReport};
-use opmr_instrument::{read_sion, read_trace_file, InstrumentedMpi, RecorderStats, SionFile};
-use opmr_netsim::Workload;
-use opmr_runtime::{Launcher, Mpi, RankError};
-use parking_lot::Mutex;
+use crate::session::{Session, SessionBuilder, SessionError, SessionOutcome};
+use bytes::Bytes;
+use opmr_instrument::{read_sion, read_trace_file, InstrumentedMpi, SionFile};
+use opmr_runtime::{Mpi, RankError};
+use opmr_vmpi::{MapPolicy, StreamConfig, Vmpi};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-/// Replays every `*.opmr` trace file in `dir` through a fresh analysis
-/// engine (the post-mortem pass).
-pub fn analyze_trace_dir(dir: &Path, cfg: EngineConfig) -> std::io::Result<MultiReport> {
-    let engine = AnalysisEngine::new(cfg);
-    engine.start();
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "opmr"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        for pack in read_trace_file(&path)? {
-            engine.post_block(pack);
-        }
-    }
-    Ok(engine.finish())
+/// Where a session's instrumented applications write their packs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Sink {
+    /// Online coupling: one pack per block of the analyzer's stream.
+    Stream,
+    /// One trace file per rank, `dir/app<a>_rank<r>.opmr`.
+    TraceDir(PathBuf),
+    /// One SIONlib-style container per application, `dir/app<a>.sion`.
+    Sion(PathBuf),
 }
 
-/// Replays every `*.sion` container in `dir` through a fresh engine.
-pub fn analyze_sion_dir(dir: &Path, cfg: EngineConfig) -> std::io::Result<MultiReport> {
-    let engine = AnalysisEngine::new(cfg);
-    engine.start();
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
+/// How one rank of an application opens its instrumented handle.
+pub(crate) type Opener =
+    Box<dyn Fn(Mpi) -> opmr_vmpi::Result<InstrumentedMpi> + Send + Sync + 'static>;
+
+/// The opener of application `app_id`'s `ranks` ranks on `sink`, in `cfg`'s
+/// block size and encoding: mapped onto the analyzer with `policy`, or
+/// writing under the sink's directory (creating the app's SION container).
+pub(crate) fn opener(
+    sink: &Sink,
+    app_id: u16,
+    ranks: usize,
+    policy: MapPolicy,
+    cfg: StreamConfig,
+) -> Result<Opener, SessionError> {
+    Ok(match sink {
+        Sink::Stream => Box::new(move |mpi| {
+            InstrumentedMpi::init_directed(mpi, "Analyzer", policy.clone(), cfg, 0, app_id)
+        }),
+        Sink::TraceDir(dir) => {
+            let dir = dir.clone();
+            Box::new(move |mpi| InstrumentedMpi::init_trace(mpi, &dir, app_id, cfg))
+        }
+        Sink::Sion(dir) => {
+            let path = dir.join(format!("app{app_id}.sion"));
+            let sion = SionFile::create(&path, ranks as u32).map_err(|e| {
+                SessionError::Config(format!("sion container {}: {e}", path.display()))
+            })?;
+            Box::new(move |mpi| InstrumentedMpi::init_sion(mpi, sion.clone(), app_id, cfg))
+        }
+    })
+}
+
+/// A replay source rank: maps onto the analyzer exactly as an instrumented
+/// rank does, then writes its recorded packs (`recorded` holds every
+/// rank's), one per block, verbatim.
+pub(crate) fn replay_rank(
+    mpi: Mpi,
+    recorded: &[Vec<Bytes>],
+    policy: MapPolicy,
+    cfg: StreamConfig,
+) -> Result<(), RankError> {
+    let vmpi = Vmpi::new(mpi)?;
+    let packs = recorded
+        .get(vmpi.rank())
+        .ok_or("replay rank outside the recording")?;
+    let mut stream = InstrumentedMpi::open_directed(&vmpi, "Analyzer", policy, cfg, 0)?;
+    let mut block = stream.new_block();
+    for pack in packs {
+        block.extend_from_slice(pack);
+        stream.send_block(&mut block)?;
+    }
+    stream.close()?;
+    Ok(())
+}
+
+/// One recorded application's packs, rank by rank.
+pub(crate) type RankPacks = Vec<Vec<Bytes>>;
+
+/// Reads the recording in `dir`: every `app<a>_rank<r>.opmr` trace file
+/// and every `app<a>.sion` container, as `(app id, packs of each rank in
+/// rank order)`, ascending by app id. Files with other extensions are
+/// ignored; a misnamed or truncated recording file, a rank recorded twice,
+/// a rank missing below an app's highest, or no recording at all is a
+/// [`SessionError::Recording`] naming the file.
+pub(crate) fn read_recording(dir: &Path) -> Result<Vec<(u16, RankPacks)>, SessionError> {
+    let bad = |path: &Path, what: String| SessionError::Recording {
+        path: path.to_path_buf(),
+        what,
+    };
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| bad(dir, e.to_string()))?
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "sion"))
         .collect();
-    entries.sort();
-    for path in entries {
-        for (_, rank_chunks) in read_sion(&path)? {
-            for pack in rank_chunks {
-                engine.post_block(pack);
+    paths.sort();
+    let mut apps: BTreeMap<u16, BTreeMap<u32, Vec<Bytes>>> = BTreeMap::new();
+    let mut containers: BTreeMap<u16, &Path> = BTreeMap::new();
+    for path in &paths {
+        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+        let ext = path.extension().and_then(|s| s.to_str()).unwrap_or("");
+        let name_err = |want: &str| bad(path, format!("not named {want}"));
+        let (app, ranks) = match ext {
+            "opmr" => {
+                let (app, rank) = stem
+                    .strip_prefix("app")
+                    .and_then(|s| s.split_once("_rank"))
+                    .and_then(|(a, r)| Some((a.parse().ok()?, r.parse().ok()?)))
+                    .ok_or_else(|| name_err("app<a>_rank<r>.opmr"))?;
+                let packs = read_trace_file(path).map_err(|e| bad(path, e.to_string()))?;
+                (app, vec![(rank, packs)])
+            }
+            "sion" => {
+                let app = stem
+                    .strip_prefix("app")
+                    .and_then(|a| a.parse().ok())
+                    .ok_or_else(|| name_err("app<a>.sion"))?;
+                containers.insert(app, path);
+                (app, read_sion(path).map_err(|e| bad(path, e.to_string()))?)
+            }
+            _ => continue,
+        };
+        let recorded = apps.entry(app).or_default();
+        for (rank, packs) in ranks {
+            if recorded.insert(rank, packs).is_some() {
+                return Err(bad(path, format!("app {app} rank {rank} recorded twice")));
             }
         }
     }
-    Ok(engine.finish())
+    if apps.is_empty() {
+        return Err(bad(dir, "no app<a>_rank<r>.opmr or app<a>.sion".into()));
+    }
+    apps.into_iter()
+        .map(|(app, ranks)| {
+            // Ranks come out ascending, so the first gap is the first rank
+            // that differs from its index.
+            if let Some(missing) = (0u32..).zip(ranks.keys()).find(|(i, r)| i != *r) {
+                let path = containers.get(&app).map_or_else(
+                    || dir.join(format!("app{app}_rank{}.opmr", missing.0)),
+                    |p| p.to_path_buf(),
+                );
+                return Err(bad(&path, format!("app {app} has no rank {}", missing.0)));
+            }
+            Ok((app, ranks.into_values().collect()))
+        })
+        .collect()
 }
 
-type AppBody = Arc<dyn Fn(&InstrumentedMpi) -> Result<(), RankError> + Send + Sync + 'static>;
-
-struct AppSpec {
-    name: String,
-    ranks: usize,
-    body: AppBody,
-}
-
-/// A trace-mode session: same applications, file sink instead of streams.
+/// The trace-file baseline as a preset: record the applications with a
+/// [`Sink::TraceDir`] session, analyze the directory with
+/// [`Session::replay`], and name the report's chapters after the
+/// applications.
 pub struct TraceSession {
-    apps: Vec<AppSpec>,
     dir: PathBuf,
-    block_size: usize,
-    engine: EngineConfig,
-    /// Use one SIONlib-style container per application instead of one file
-    /// per rank (the reduced-metadata variant the paper's Score-P runs
-    /// use).
-    sion: bool,
-}
-
-/// Outcome of a trace session.
-pub struct TraceOutcome {
-    pub report: MultiReport,
-    pub recorders: Vec<(String, RecorderStats)>,
-    /// Wall time of the instrumented job (excluding post-mortem analysis).
-    pub wall_s: f64,
-    /// Wall time of the post-mortem analysis pass.
-    pub analysis_s: f64,
-    /// Total trace bytes on disk.
-    pub trace_bytes: u64,
+    record: SessionBuilder,
+    names: Vec<String>,
 }
 
 impl TraceSession {
-    /// Builds a trace session writing under `dir`.
+    /// A trace session writing under `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> TraceSession {
+        let dir = dir.into();
         TraceSession {
-            apps: Vec::new(),
-            dir: dir.into(),
-            block_size: 64 * 1024,
-            engine: EngineConfig::default(),
-            sion: false,
+            record: Session::builder().sink(Sink::TraceDir(dir.clone())),
+            dir,
+            names: Vec::new(),
         }
-    }
-
-    /// Switches to the SIONlib-style shared container (one file per
-    /// application, multiplexed per-rank chunks).
-    pub fn sion(mut self) -> Self {
-        self.sion = true;
-        self
     }
 
     /// Pack/block size (bytes).
     pub fn block_size(mut self, bytes: usize) -> Self {
-        self.block_size = bytes;
+        self.record = self.record.stream_config(StreamConfig {
+            block_size: bytes,
+            ..StreamConfig::default()
+        });
         self
     }
 
@@ -116,118 +186,23 @@ impl TraceSession {
     where
         F: Fn(&InstrumentedMpi) + Send + Sync + 'static,
     {
-        self.apps.push(AppSpec {
-            name: name.to_string(),
-            ranks,
-            body: Arc::new(move |imp| {
-                body(imp);
-                Ok(())
-            }),
-        });
+        self.names.push(name.to_string());
+        self.record = self.record.app(name, ranks, body);
         self
     }
 
-    /// Adds an application running a generated workload.
-    pub fn app_workload(mut self, name: &str, workload: Workload, opts: LiveOptions) -> Self {
-        let ranks = workload.ranks();
-        let workload = Arc::new(workload);
-        self.apps.push(AppSpec {
-            name: name.to_string(),
-            ranks,
-            body: Arc::new(move |imp| {
-                run_program(imp, &workload, imp.rank(), &opts)?;
-                Ok(())
-            }),
-        });
-        self
-    }
-
-    /// Runs instrumentation to trace files, then the post-mortem analysis.
-    pub fn run(self) -> Result<TraceOutcome, SessionError> {
-        if self.apps.is_empty() {
-            return Err(SessionError::Config("no applications added".into()));
-        }
-        std::fs::create_dir_all(&self.dir)
-            .map_err(|e| SessionError::Config(format!("trace dir: {e}")))?;
-
-        let recorders: Arc<Mutex<Vec<(String, RecorderStats)>>> = Arc::new(Mutex::new(Vec::new()));
-        let block_size = self.block_size;
-        let dir = self.dir.clone();
-
-        let use_sion = self.sion;
-        let mut launcher = Launcher::new();
-        let mut names = Vec::new();
-        for (app_id, spec) in self.apps.into_iter().enumerate() {
-            names.push(spec.name.clone());
-            let body = spec.body;
-            let name = spec.name.clone();
-            let recs = Arc::clone(&recorders);
-            let dir = dir.clone();
-            let container = if use_sion {
-                Some(
-                    SionFile::create(dir.join(format!("app{app_id}.sion")), spec.ranks as u32)
-                        .map_err(|e| SessionError::Config(format!("sion container: {e}")))?,
-                )
-            } else {
-                None
-            };
-            launcher = launcher.partition_try(&spec.name, spec.ranks, move |mpi: Mpi| {
-                let imp = match &container {
-                    Some(c) => {
-                        InstrumentedMpi::init_sion(mpi, c.clone(), app_id as u16, block_size)?
-                    }
-                    None => InstrumentedMpi::init_trace(mpi, &dir, app_id as u16, block_size)?,
-                };
-                body(&imp)?;
-                let stats = imp.finalize()?;
-                recs.lock().push((name.clone(), stats));
-                Ok(())
-            });
-        }
-        let t0 = std::time::Instant::now();
-        launcher.run().map_err(SessionError::Launch)?;
-        let wall_s = t0.elapsed().as_secs_f64();
-
-        let trace_bytes = std::fs::read_dir(&self.dir)
-            .map(|rd| {
-                rd.filter_map(|e| e.ok())
-                    .filter(|e| {
-                        e.path()
-                            .extension()
-                            .is_some_and(|x| x == "opmr" || x == "sion")
-                    })
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|m| m.len())
-                    .sum()
-            })
-            .unwrap_or(0);
-
-        let t1 = std::time::Instant::now();
-        let mut report = if use_sion {
-            analyze_sion_dir(&self.dir, self.engine)
-                .map_err(|e| SessionError::Config(format!("post-mortem pass: {e}")))?
-        } else {
-            analyze_trace_dir(&self.dir, self.engine)
-                .map_err(|e| SessionError::Config(format!("post-mortem pass: {e}")))?
-        };
-        let analysis_s = t1.elapsed().as_secs_f64();
-        for (app_id, name) in names.iter().enumerate() {
-            if let Some(app) = report.apps.iter_mut().find(|a| a.app_id == app_id as u16) {
-                app.name = name.clone();
+    /// Records to trace files, then replays them. The outcome is the
+    /// replay's, with the recording's recorder totals.
+    pub fn run(self) -> Result<SessionOutcome, SessionError> {
+        let recorded = self.record.run()?;
+        let mut outcome = Session::replay(&self.dir).run()?;
+        for app in &mut outcome.report.apps {
+            if let Some(name) = self.names.get(usize::from(app.app_id)) {
+                app.name.clone_from(name);
             }
         }
-
-        let mut recorders = Arc::try_unwrap(recorders)
-            .map(|m| m.into_inner())
-            .unwrap_or_default();
-        recorders.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(TraceOutcome {
-            report,
-            recorders,
-            wall_s,
-            analysis_s,
-            trace_bytes,
-        })
+        outcome.recorders = recorded.recorders;
+        Ok(outcome)
     }
 }
 
@@ -261,14 +236,21 @@ mod tests {
         let app = &outcome.report.apps[0];
         assert_eq!(app.name, "pingpong");
         assert_eq!(app.profile.kind(EventKind::Send).unwrap().hits, 1);
-        assert!(outcome.trace_bytes > 0);
-        // Two per-rank trace files exist on disk (the classical workflow).
+        // Two per-rank trace files exist on disk (the classical workflow),
+        // holding every byte the recorders wrote plus a length per pack.
         let files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .filter(|e| e.path().extension().is_some_and(|x| x == "opmr"))
             .collect();
         assert_eq!(files.len(), 2);
+        let on_disk: u64 = files.iter().map(|e| e.metadata().unwrap().len()).sum();
+        let (packs, wire): (u64, u64) = outcome
+            .recorders
+            .iter()
+            .fold((0, 0), |(p, w), (_, s)| (p + s.packs, w + s.wire_bytes));
+        assert!(wire > 0);
+        assert_eq!(on_disk, wire + 4 * packs);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

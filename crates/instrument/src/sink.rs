@@ -18,10 +18,7 @@ pub enum PackSink {
     /// Online coupling: one pack per stream block.
     Stream(WriteStream),
     /// Classical trace file: `[u32 little-endian length][pack bytes]*`.
-    File {
-        writer: std::io::BufWriter<std::fs::File>,
-        path: std::path::PathBuf,
-    },
+    File(std::io::BufWriter<std::fs::File>),
     /// SIONlib-style shared container: all ranks multiplex into one file.
     Sion {
         file: crate::sion::SionFile,
@@ -37,10 +34,7 @@ impl PackSink {
             std::fs::create_dir_all(parent)?;
         }
         let file = std::fs::File::create(&path)?;
-        Ok(PackSink::File {
-            writer: std::io::BufWriter::new(file),
-            path,
-        })
+        Ok(PackSink::File(std::io::BufWriter::new(file)))
     }
 
     /// An empty buffer for [`PackSink::put`] to be filled with one pack of
@@ -59,7 +53,7 @@ impl PackSink {
         let written = match self {
             // One pack == one block, sent from where it was encoded.
             PackSink::Stream(stream) => return stream.send_block(block),
-            PackSink::File { writer, .. } => {
+            PackSink::File(writer) => {
                 let len = (block.len() as u32).to_le_bytes();
                 writer.write_all(&len).and_then(|_| writer.write_all(block))
             }
@@ -73,9 +67,7 @@ impl PackSink {
     pub fn close(self) -> Result<()> {
         match self {
             PackSink::Stream(stream) => stream.close(),
-            PackSink::File { mut writer, .. } => {
-                writer.flush().map_err(|_| VmpiError::StreamClosed)
-            }
+            PackSink::File(mut writer) => writer.flush().map_err(|_| VmpiError::StreamClosed),
             PackSink::Sion { file, .. } => file.close_rank().map_err(|_| VmpiError::StreamClosed),
         }
     }

@@ -29,18 +29,11 @@ const MAGIC: &[u8; 4] = b"OPSN";
 /// Shared writer for one multiplexed container file.
 #[derive(Clone)]
 pub struct SionFile {
-    inner: Arc<SionInner>,
-}
-
-struct SionInner {
-    path: PathBuf,
-    state: Mutex<SionState>,
+    state: Arc<Mutex<SionState>>,
 }
 
 struct SionState {
     file: Option<std::io::BufWriter<std::fs::File>>,
-    chunks: u64,
-    bytes: u64,
     open_ranks: u32,
 }
 
@@ -55,36 +48,29 @@ impl SionFile {
         file.write_all(MAGIC)?;
         file.write_all(&ranks.to_le_bytes())?;
         Ok(SionFile {
-            inner: Arc::new(SionInner {
-                path,
-                state: Mutex::new(SionState {
-                    file: Some(file),
-                    chunks: 0,
-                    bytes: 0,
-                    open_ranks: ranks,
-                }),
-            }),
+            state: Arc::new(Mutex::new(SionState {
+                file: Some(file),
+                open_ranks: ranks,
+            })),
         })
     }
 
     /// Appends one chunk for `rank`.
     pub fn write(&self, rank: u32, payload: &[u8]) -> std::io::Result<()> {
-        let mut st = self.inner.state.lock();
+        let mut st = self.state.lock();
         let file = st.file.as_mut().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::BrokenPipe, "sion container closed")
         })?;
         file.write_all(&rank.to_le_bytes())?;
         file.write_all(&(payload.len() as u32).to_le_bytes())?;
         file.write_all(payload)?;
-        st.chunks += 1;
-        st.bytes += payload.len() as u64 + 8;
         Ok(())
     }
 
     /// One writer detaches; the container flushes and closes when the last
     /// writer leaves.
     pub fn close_rank(&self) -> std::io::Result<()> {
-        let mut st = self.inner.state.lock();
+        let mut st = self.state.lock();
         st.open_ranks = st.open_ranks.saturating_sub(1);
         if st.open_ranks == 0 {
             if let Some(mut f) = st.file.take() {
@@ -92,17 +78,6 @@ impl SionFile {
             }
         }
         Ok(())
-    }
-
-    /// Container path.
-    pub fn path(&self) -> &Path {
-        &self.inner.path
-    }
-
-    /// `(chunks, payload+framing bytes)` written so far.
-    pub fn stats(&self) -> (u64, u64) {
-        let st = self.inner.state.lock();
-        (st.chunks, st.bytes)
     }
 }
 
@@ -190,9 +165,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let (chunks, _bytes) = sion.stats();
-        assert_eq!(chunks, 400);
         let per_rank = read_sion(&path).unwrap();
+        assert_eq!(per_rank.iter().map(|(_, c)| c.len()).sum::<usize>(), 400);
         for (_, chunks) in &per_rank {
             assert_eq!(chunks.len(), 50);
             // Per-rank order preserved even under interleaving.

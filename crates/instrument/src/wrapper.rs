@@ -13,7 +13,7 @@ use crate::clock::RankClock;
 use crate::recorder::{Recorder, RecorderConfig, RecorderStats};
 use crate::sink::PackSink;
 use bytes::Bytes;
-use opmr_events::{Event, EventKind, EventPack, PackEncoding};
+use opmr_events::{Event, EventKind, EventPack};
 use opmr_runtime::collectives::ops as reduce_ops;
 use opmr_runtime::{Comm, CommId, Mpi, Pod, Src, Status, TagSel};
 use opmr_vmpi::map::{map_partitions, map_partitions_directed};
@@ -32,6 +32,24 @@ pub struct InstrRequest {
     tag: i32,
     comm: u32,
     bytes: u64,
+}
+
+/// Maps the caller's partition onto the analyzer partition (by name)
+/// with `map_onto` and opens a write stream on that map.
+fn open_mapped(
+    vmpi: &Vmpi,
+    analyzer_partition: &str,
+    stream_cfg: StreamConfig,
+    stream_id: u16,
+    map_onto: impl FnOnce(&Vmpi, usize, &mut Map) -> Result<()>,
+) -> Result<WriteStream> {
+    let analyzer = vmpi
+        .partition_by_name(analyzer_partition)
+        .ok_or_else(|| VmpiError::UnknownPartition(analyzer_partition.to_string()))?
+        .id;
+    let mut map = Map::new();
+    map_onto(vmpi, analyzer, &mut map)?;
+    WriteStream::open_map(vmpi, &map, stream_cfg, stream_id)
 }
 
 /// The instrumented, virtualized MPI handle handed to application code.
@@ -73,14 +91,16 @@ impl InstrumentedMpi {
         stream_id: u16,
         app_id: u16,
     ) -> Result<Self> {
-        Self::init_mapped(
-            mpi,
-            analyzer_partition,
-            stream_cfg,
-            stream_id,
-            app_id,
-            |vmpi, analyzer, map| map_partitions(vmpi, analyzer, MapPolicy::RoundRobin, map),
-        )
+        Self::build(mpi, app_id, stream_cfg, |vmpi| {
+            open_mapped(
+                vmpi,
+                analyzer_partition,
+                stream_cfg,
+                stream_id,
+                |v, a, map| map_partitions(v, a, MapPolicy::RoundRobin, map),
+            )
+            .map(PackSink::Stream)
+        })
     }
 
     /// Instruments a rank like [`InstrumentedMpi::init`], but maps onto the
@@ -97,57 +117,41 @@ impl InstrumentedMpi {
         stream_id: u16,
         app_id: u16,
     ) -> Result<Self> {
-        Self::init_mapped(
-            mpi,
+        Self::build(mpi, app_id, stream_cfg, |vmpi| {
+            Self::open_directed(vmpi, analyzer_partition, policy, stream_cfg, stream_id)
+                .map(PackSink::Stream)
+        })
+    }
+
+    /// The map-and-open of [`InstrumentedMpi::init_directed`] on its own,
+    /// for a source that already holds encoded packs (a replayed trace).
+    pub fn open_directed(
+        vmpi: &Vmpi,
+        analyzer_partition: &str,
+        policy: MapPolicy,
+        stream_cfg: StreamConfig,
+        stream_id: u16,
+    ) -> Result<WriteStream> {
+        open_mapped(
+            vmpi,
             analyzer_partition,
             stream_cfg,
             stream_id,
-            app_id,
-            |vmpi, analyzer, map| map_partitions_directed(vmpi, analyzer, analyzer, policy, map),
-        )
-    }
-
-    /// The body of both streaming `init`s: `map_onto` maps the caller's
-    /// partition onto the analyzer partition (by id) into the map the
-    /// event stream opens on.
-    fn init_mapped(
-        mpi: Mpi,
-        analyzer_partition: &str,
-        stream_cfg: StreamConfig,
-        stream_id: u16,
-        app_id: u16,
-        map_onto: impl FnOnce(&Vmpi, usize, &mut Map) -> Result<()>,
-    ) -> Result<Self> {
-        Self::build(
-            mpi,
-            app_id,
-            stream_cfg.block_size,
-            stream_cfg.pack_encoding,
-            |vmpi| {
-                let analyzer = vmpi
-                    .partition_by_name(analyzer_partition)
-                    .ok_or_else(|| VmpiError::UnknownPartition(analyzer_partition.to_string()))?
-                    .id;
-                let mut map = Map::new();
-                map_onto(vmpi, analyzer, &mut map)?;
-                let stream = WriteStream::open_map(vmpi, &map, stream_cfg, stream_id)?;
-                Ok(PackSink::Stream(stream))
-            },
+            |v, a, map| map_partitions_directed(v, a, a, policy, map),
         )
     }
 
     /// Instruments a rank writing the classical per-rank trace file instead
     /// of streaming (the baseline workflow of Figure 1). The trace lands in
-    /// `dir/app<id>_rank<r>.opmr`.
+    /// `dir/app<id>_rank<r>.opmr`, in `stream_cfg`'s block size and pack
+    /// encoding.
     pub fn init_trace(
         mpi: Mpi,
         dir: &std::path::Path,
         app_id: u16,
-        block_size: usize,
+        stream_cfg: StreamConfig,
     ) -> Result<Self> {
-        // Trace baselines keep the fixed layout: they model the classical
-        // workflow the paper compares against.
-        Self::build(mpi, app_id, block_size, PackEncoding::Fixed, |vmpi| {
+        Self::build(mpi, app_id, stream_cfg, |vmpi| {
             let path = dir.join(format!("app{app_id}_rank{}.opmr", vmpi.rank()));
             PackSink::file(path).map_err(|_| VmpiError::StreamClosed)
         })
@@ -155,14 +159,15 @@ impl InstrumentedMpi {
 
     /// Instruments a rank writing into a shared SIONlib-style container
     /// (one file for the whole application — the reduced-metadata trace
-    /// baseline the paper's comparisons use via Score-P + SIONlib).
+    /// baseline the paper's comparisons use via Score-P + SIONlib), in
+    /// `stream_cfg`'s block size and pack encoding.
     pub fn init_sion(
         mpi: Mpi,
         container: crate::sion::SionFile,
         app_id: u16,
-        block_size: usize,
+        stream_cfg: StreamConfig,
     ) -> Result<Self> {
-        Self::build(mpi, app_id, block_size, PackEncoding::Fixed, |vmpi| {
+        Self::build(mpi, app_id, stream_cfg, |vmpi| {
             Ok(PackSink::Sion {
                 file: container,
                 rank: vmpi.rank() as u32,
@@ -175,10 +180,10 @@ impl InstrumentedMpi {
     fn build(
         mpi: Mpi,
         app_id: u16,
-        block_size: usize,
-        encoding: PackEncoding,
+        stream_cfg: StreamConfig,
         open_sink: impl FnOnce(&Vmpi) -> Result<PackSink>,
     ) -> Result<Self> {
+        let (block_size, encoding) = (stream_cfg.block_size, stream_cfg.pack_encoding);
         let entered = mpi.wtime_ns();
         let vmpi = Vmpi::new(mpi)?;
         let sink = open_sink(&vmpi)?;

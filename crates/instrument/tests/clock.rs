@@ -10,6 +10,7 @@
 
 use opmr_instrument::{InstrumentedMpi, RankClock};
 use opmr_runtime::Launcher;
+use opmr_vmpi::StreamConfig;
 use std::sync::{Arc, Mutex};
 
 const READS: u32 = 1_000_000;
@@ -65,9 +66,13 @@ fn every_rank_counts_from_the_job_origin() {
     std::fs::create_dir_all(&dir).unwrap();
     let failures = Arc::new(Mutex::new(Vec::new()));
     let (f2, d2) = (Arc::clone(&failures), dir.clone());
+    let cfg = StreamConfig {
+        block_size: 64 * 1024,
+        ..StreamConfig::default()
+    };
     Launcher::new()
         .partition("app", RANKS, move |mpi| {
-            let imp = InstrumentedMpi::init_trace(mpi, &d2, 0, 64 * 1024).unwrap();
+            let imp = InstrumentedMpi::init_trace(mpi, &d2, 0, cfg).unwrap();
             imp.barrier(&imp.comm_world()).unwrap();
             let wall = imp.vmpi().mpi();
             let before = wall.wtime_ns();

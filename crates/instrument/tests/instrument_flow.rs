@@ -489,9 +489,13 @@ fn blocks_too_small_for_one_row_are_rejected_at_init() {
             assert_eq!(counts, want, "{encoding} {block} B");
         }
     }
-    // The trace baselines check the same bound (they record Fixed packs).
+    // The trace baselines check the same bound (in the stream config's
+    // encoding, here the default Fixed).
     let dir = std::env::temp_dir().join(format!("opmr_tiny_{}", std::process::id()));
-    let tiny = PACK_HEADER_SIZE + EVENT_WIRE_SIZE - 1;
+    let tiny = StreamConfig {
+        block_size: PACK_HEADER_SIZE + EVENT_WIRE_SIZE - 1,
+        ..StreamConfig::default()
+    };
     let d2 = dir.clone();
     Launcher::new()
         .partition("app", 1, move |mpi| {

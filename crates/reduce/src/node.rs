@@ -28,11 +28,12 @@
 //! Aggregate, into the partials it returns for the session to merge.
 
 use crate::partial::{decode_partial_set, encode_partial_set, try_frame, FrameBuf, ReducePartial};
+use crate::reducible::Reducible;
 use crate::tree::Tree;
 use bytes::Bytes;
 use opmr_analysis::fold::{fold_pack, Aggregates, FoldTarget};
 use opmr_analysis::waitstate::WaitStateAnalysis;
-use opmr_events::{Event, EventPack};
+use opmr_events::{Event, EventPack, PackHeader};
 use opmr_vmpi::{ReadMode, ReadStream, Result, StreamConfig, Vmpi, VmpiError, WriteStream};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -177,59 +178,34 @@ pub struct NodeOutcome {
     pub partials: Vec<ReducePartial>,
 }
 
-/// One application's open aggregation window.
-#[derive(Default)]
-struct Accum {
-    partial: ReducePartial,
-    ws: Option<WaitStateAnalysis>,
+/// An empty window partial for `app_id`, with a series when the node
+/// folds metrics.
+fn window_partial(app_id: u16, metrics: Option<opmr_metrics::MetricsConfig>) -> ReducePartial {
+    let mut partial = ReducePartial::new(app_id);
+    partial.metrics = metrics.map(|c| opmr_metrics::MetricsSeries::new(c.window_ns));
+    partial
 }
 
-impl Accum {
-    fn new(app_id: u16, waitstate: bool, metrics: Option<opmr_metrics::MetricsConfig>) -> Accum {
-        let mut partial = ReducePartial::new(app_id);
-        partial.metrics = metrics.map(|c| opmr_metrics::MetricsSeries::new(c.window_ns));
-        Accum {
-            partial,
-            ws: waitstate.then(WaitStateAnalysis::new),
-        }
-    }
-
-    fn absorb_pack(&mut self, events: &[Event], block_len: usize) {
-        let sums = fold_pack(events, block_len, || &mut *self);
-        for (rank, events) in sums.rank_events() {
-            self.partial.density.add_events(rank, events);
-        }
-    }
-
-    fn absorb_partial(&mut self, other: &ReducePartial) {
-        use crate::reducible::Reducible;
-        let other_ws = other.waitstate.clone();
-        let mut flat = other.clone();
-        flat.waitstate = None;
-        self.partial.merge_from(&flat);
-        if let Some(w) = &other_ws {
-            self.ws.get_or_insert_with(WaitStateAnalysis::new).absorb(w);
-        }
-    }
-
-    fn into_partial(mut self) -> ReducePartial {
-        if let Some(ws) = &mut self.ws {
-            self.partial.waitstate = Some(ws.finish().clone());
-        }
-        self.partial
+/// Folds one leaf pack into a window partial.
+fn absorb_pack(partial: &mut ReducePartial, header: &PackHeader, events: &[Event], len: usize) {
+    let sums = fold_pack(header, events, len, || &mut *partial);
+    for (rank, events) in sums.rank_events() {
+        partial.density.add_events(rank, events);
     }
 }
 
-impl FoldTarget for Accum {
+/// A window folds everything but wait states: those are matched over the
+/// node's whole run and ship once, at EOF (see [`run_node`]).
+impl FoldTarget for ReducePartial {
     fn aggregates(&mut self) -> Aggregates<'_> {
         Aggregates {
-            packs: &mut self.partial.packs,
-            wire_bytes: &mut self.partial.wire_bytes,
-            profile: &mut self.partial.profile,
-            topology: &mut self.partial.topology,
+            packs: &mut self.packs,
+            wire_bytes: &mut self.wire_bytes,
+            profile: &mut self.profile,
+            topology: &mut self.topology,
             timeline: None,
-            waitstate: self.ws.as_mut(),
-            metrics: self.partial.metrics.as_mut(),
+            waitstate: None,
+            metrics: self.metrics.as_mut(),
         }
     }
 }
@@ -287,9 +263,13 @@ pub fn run_node(
     let mut rx = ReadStream::open_from(v, sources, cfg, stream_id)?;
     let aggregate = matches!(node_cfg.op, ReduceOp::Aggregate);
     // Aggregate state: open windows per app, frame reassembly per child.
-    let mut window: BTreeMap<u16, Accum> = BTreeMap::new();
+    let mut window: BTreeMap<u16, ReducePartial> = BTreeMap::new();
     let mut frames: BTreeMap<usize, FrameBuf> = BTreeMap::new();
-    let mut final_accum: BTreeMap<u16, Accum> = BTreeMap::new();
+    let mut final_accum: BTreeMap<u16, ReducePartial> = BTreeMap::new();
+    // Wait states, per app, for the whole run: a matcher restarted per
+    // window would pair a receive with the wrong send once the earlier
+    // send had gone upward as a dangling half.
+    let mut matchers: BTreeMap<u16, WaitStateAnalysis> = BTreeMap::new();
     let mut window_fill = 0usize;
     // Leaf packs decode into one buffer, reused block after block.
     let mut events: Vec<Event> = Vec::new();
@@ -335,12 +315,15 @@ pub fn run_node(
                     // Leaf traffic: one raw event pack per block.
                     match EventPack::decode_into(&block.data, &mut events) {
                         Ok(header) => {
-                            window
-                                .entry(header.app_id)
-                                .or_insert_with(|| {
-                                    Accum::new(header.app_id, node_cfg.waitstate, node_cfg.metrics)
-                                })
-                                .absorb_pack(&events, block.data.len());
+                            let app = header.app_id;
+                            let partial = window
+                                .entry(app)
+                                .or_insert_with(|| window_partial(app, node_cfg.metrics));
+                            absorb_pack(partial, &header, &events, block.data.len());
+                            if node_cfg.waitstate {
+                                let ws = matchers.entry(app).or_default();
+                                ws.add_pack(header.rank, header.seq, &events);
+                            }
                             out.stats.merges += 1;
                             node_metrics().merges.inc();
                             window_fill += 1;
@@ -373,17 +356,16 @@ pub fn run_node(
                         };
                         match decode_partial_set(&payload) {
                             Ok(parts) => {
-                                for p in &parts {
+                                for mut p in parts {
+                                    if let Some(w) = p.waitstate.take() {
+                                        matchers.entry(p.app_id).or_default().absorb(&w);
+                                    }
                                     window
                                         .entry(p.app_id)
                                         .or_insert_with(|| {
-                                            Accum::new(
-                                                p.app_id,
-                                                node_cfg.waitstate,
-                                                node_cfg.metrics,
-                                            )
+                                            window_partial(p.app_id, node_cfg.metrics)
                                         })
-                                        .absorb_partial(p);
+                                        .merge_from(&p);
                                     out.stats.merges += 1;
                                     node_metrics().merges.inc();
                                 }
@@ -412,7 +394,14 @@ pub fn run_node(
     }
 
     if aggregate {
-        // EOF: flush whatever the last window holds.
+        // EOF: flush whatever the last window holds, and the finished
+        // wait states with it.
+        for (app, mut ws) in matchers {
+            window
+                .entry(app)
+                .or_insert_with(|| window_partial(app, node_cfg.metrics))
+                .waitstate = Some(ws.finish().clone());
+        }
         if !window.is_empty() {
             close_window(
                 &mut out.stats,
@@ -424,7 +413,7 @@ pub fn run_node(
             )?;
         }
         if is_root {
-            out.partials = final_accum.into_values().map(Accum::into_partial).collect();
+            out.partials = final_accum.into_values().collect();
         }
     }
     if let Some(tx) = tx {
@@ -461,8 +450,8 @@ fn forward(
 fn close_window(
     stats: &mut ReduceStats,
     agg_bytes: &opmr_obs::Counter,
-    window: &mut BTreeMap<u16, Accum>,
-    final_accum: &mut BTreeMap<u16, Accum>,
+    window: &mut BTreeMap<u16, ReducePartial>,
+    final_accum: &mut BTreeMap<u16, ReducePartial>,
     tx: &mut Option<WriteStream>,
     is_root: bool,
 ) -> Result<()> {
@@ -471,16 +460,13 @@ fn close_window(
     }
     let t0 = Instant::now();
     stats.windows_closed += 1;
-    let closed: Vec<ReducePartial> = std::mem::take(window)
-        .into_values()
-        .map(Accum::into_partial)
-        .collect();
+    let closed: Vec<ReducePartial> = std::mem::take(window).into_values().collect();
     if is_root {
         for p in &closed {
             final_accum
                 .entry(p.app_id)
-                .or_insert_with(|| Accum::new(p.app_id, false, None))
-                .absorb_partial(p);
+                .or_insert_with(|| ReducePartial::new(p.app_id))
+                .merge_from(p);
             stats.merges += 1;
             node_metrics().merges.inc();
         }
@@ -524,7 +510,8 @@ mod tests {
         });
         engine.enable_waitstate();
         engine.enable_metrics(metrics);
-        let mut accum = Accum::new(4, true, Some(metrics));
+        let mut reduced = window_partial(4, Some(metrics));
+        let mut ws = WaitStateAnalysis::new();
 
         let kinds = [
             EventKind::Isend,
@@ -555,12 +542,14 @@ mod tests {
             }
             let encoding = [PackEncoding::Fixed, PackEncoding::Delta][seq as usize % 2];
             let block = EventPack::new(4, rank, seq, events).encode_with(encoding);
-            accum.absorb_pack(&EventPack::decode(&block).unwrap().events, block.len());
+            let pack = EventPack::decode(&block).unwrap();
+            absorb_pack(&mut reduced, &pack.header, &pack.events, block.len());
+            ws.add_pack(rank, seq, &pack.events);
             engine.post_block(block);
             engine.blackboard().run_inline();
         }
 
-        let reduced = accum.into_partial();
+        reduced.waitstate = Some(ws.finish().clone());
         assert_eq!(reduced.density.counts(), &per_rank[..]);
         let served = engine.finish().to_partials();
         assert_eq!(

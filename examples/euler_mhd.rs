@@ -10,7 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // examples favour brevity
 
 use opmr::analysis::WeightKind;
-use opmr::core::{LiveOptions, Session, TraceSession};
+use opmr::core::{LiveOptions, Session, Sink};
 use opmr::events::EventKind;
 use opmr::netsim::tera100;
 use opmr::workloads::euler::{self, EulerParams};
@@ -69,20 +69,23 @@ fn main() {
     println!("wrote {}", dir.join("topology_size.dot").display());
 
     // --- Trace-based baseline on the identical workload ------------------
+    // Record to per-rank trace files, then replay them: the post-mortem pass.
     let trace_dir = dir.join("traces");
-    let trace = TraceSession::new(&trace_dir)
+    let _ = std::fs::remove_dir_all(&trace_dir);
+    Session::builder()
+        .sink(Sink::TraceDir(trace_dir.clone()))
         .app_workload("euler_mhd", w, LiveOptions::default())
         .run()
-        .expect("trace session");
+        .expect("trace recording");
+    let sizes: Vec<u64> = std::fs::read_dir(&trace_dir)
+        .expect("trace dir")
+        .map(|e| e.and_then(|e| e.metadata()).map_or(0, |m| m.len()))
+        .collect();
+    let trace = Session::replay(&trace_dir).run().expect("replay");
     let tapp = &trace.report.apps[0];
     println!("\nClassical trace workflow on the same run:");
-    println!(
-        "  trace bytes on disk : {} ({} files)",
-        trace.trace_bytes,
-        std::fs::read_dir(&trace_dir)
-            .map(|d| d.count())
-            .unwrap_or(0)
-    );
+    let (bytes, files) = (sizes.iter().sum::<u64>(), sizes.len());
+    println!("  trace bytes on disk : {bytes} ({files} files)");
     println!(
         "  post-mortem events  : {} (online saw {})",
         tapp.events, app.events

@@ -3,13 +3,13 @@
 //! ```text
 //! opmr demo                          run the multi-app online demo
 //! opmr simulate [options]            run one workload on the DES
-//! opmr report <trace-dir> [out]      post-mortem analysis of .opmr/.sion traces
+//! opmr report <trace-dir> [--out DIR] replay a recorded .opmr/.sion directory
 //! opmr stream-table                  print the Figure-14 throughput table
 //! opmr help
 //! ```
 
 use opmr::analysis::report;
-use opmr::core::{analyze_sion_dir, analyze_trace_dir, LiveOptions, Session};
+use opmr::core::{LiveOptions, Session};
 use opmr::launch::{
     emit_stats, parse_hostfile, run_job, HeartbeatEmitter, Host, JobReport, JobSpec, LocalSpawner,
     Spawner, SshSpawner, WorkerCommand, WorkerEnv,
@@ -41,8 +41,11 @@ USAGE:
         overhead-relevant stats and Bi.
 
     opmr report <trace-dir> [--out DIR]
-        Post-mortem analysis of a directory of .opmr / .sion traces
-        (the classical workflow, same engine as the online path).
+        Post-mortem analysis of a recorded directory: every
+        app<a>_rank<r>.opmr trace file and app<a>.sion container is
+        replayed through an ordinary analysis session (the classical
+        workflow, same pipeline as the online path). A misnamed,
+        truncated or incomplete recording is an error naming the file.
 
     opmr launch [--hostfile FILE] [--procs N] [--endpoint unix:PATH|tcp:ADDR]
                 [--placement i,j,...] [--sever-after N] [--restart-once]
@@ -492,38 +495,24 @@ fn report_cmd(args: &[String]) -> ExitCode {
     let Some(dir) = args.first().filter(|a| !a.starts_with("--")) else {
         return bad_input("report needs a trace directory");
     };
-    let dir = std::path::PathBuf::from(dir);
-    let cfg = opmr::analysis::EngineConfig::default();
-    let has_sion = std::fs::read_dir(&dir)
-        .map(|rd| {
-            rd.filter_map(|e| e.ok())
-                .any(|e| e.path().extension().is_some_and(|x| x == "sion"))
-        })
-        .unwrap_or(false);
-    let result = if has_sion {
-        analyze_sion_dir(&dir, cfg)
-    } else {
-        analyze_trace_dir(&dir, cfg)
-    };
-    match result {
-        Ok(multi) => {
-            println!("{}", report::to_markdown(&multi));
-            if let Some(out) = flag(args, "--out") {
-                match report::write_artifacts(&multi, std::path::Path::new(out)) {
-                    Ok(paths) => eprintln!("wrote {} artifacts under {out}", paths.len()),
-                    Err(e) => {
-                        eprintln!("error writing artifacts: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
+    let multi = match Session::replay(dir).run() {
+        Ok(outcome) => outcome.report,
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("{}", report::to_markdown(&multi));
+    if let Some(out) = flag(args, "--out") {
+        match report::write_artifacts(&multi, std::path::Path::new(out)) {
+            Ok(paths) => eprintln!("wrote {} artifacts under {out}", paths.len()),
+            Err(e) => {
+                eprintln!("error writing artifacts: {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
+    ExitCode::SUCCESS
 }
 
 fn stream_table() -> ExitCode {

@@ -134,3 +134,46 @@ fn bad_cli_values_exit_2_naming_the_flag() {
         assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
     }
 }
+
+/// `opmr report <dir>` replays a recorded directory and prints the report;
+/// a directory with no recording, or a truncated trace file, is an error
+/// (exit 1, not a panic) naming the path.
+#[test]
+fn report_replays_a_recording_and_names_a_bad_one() {
+    use opmr::core::{Session, Sink};
+    let root = std::env::temp_dir().join(format!("opmr-report-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (recorded, empty, truncated) = (root.join("ok"), root.join("empty"), root.join("cut"));
+    Session::builder()
+        .sink(Sink::TraceDir(recorded.clone()))
+        .app("ring", 3, |imp| {
+            let w = imp.comm_world();
+            imp.allreduce_sum(&w, &[imp.rank() as u64]).unwrap();
+        })
+        .run()
+        .unwrap();
+    let (_, out) = opmr(&["report", recorded.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("## Application `app0`"), "{stdout}");
+    assert!(stdout.contains("| ranks | 3 |"), "{stdout}");
+
+    std::fs::create_dir_all(&empty).unwrap();
+    std::fs::create_dir_all(&truncated).unwrap();
+    let rank0 = std::fs::read(recorded.join("app0_rank0.opmr")).unwrap();
+    let cut = truncated.join("app0_rank0.opmr");
+    std::fs::write(&cut, &rank0[..rank0.len() - 3]).unwrap();
+    // (directory replayed, path the error names)
+    for (dir, named) in [(&empty, &empty), (&truncated, &cut)] {
+        let (_, out) = opmr(&["report", dir.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{}: {stderr}", dir.display());
+        assert!(stderr.contains(&named.display().to_string()), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}

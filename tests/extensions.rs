@@ -5,8 +5,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 use opmr::analysis::Selection;
-use opmr::core::{Coupling, LiveOptions, Session, TraceSession};
-use opmr::events::EventKind;
+use opmr::core::{Coupling, LiveOptions, Session, Sink};
+use opmr::events::{EventKind, EventPack};
 use opmr::instrument::read_sion;
 use opmr::netsim::tera100;
 use opmr::reduce::ReduceOp;
@@ -112,7 +112,12 @@ fn trace_proxy_writes_selected_events_alongside_online_analysis() {
     let (path, seen, written) = outcome.report.apps[0].proxy.as_ref().expect("proxy on");
     assert_eq!(*written, 2, "exactly the two sends survive");
     assert!(*seen > *written, "selection actually filtered");
-    let packs = opmr::analysis::read_proxy_trace(path).unwrap();
+    // The proxy writes the trace-file format: length-prefixed packs.
+    let packs = opmr::instrument::read_trace_file(path).unwrap();
+    let packs: Vec<_> = packs
+        .iter()
+        .map(|b| EventPack::decode(b).unwrap())
+        .collect();
     let events: Vec<_> = packs.iter().flat_map(|p| p.events.iter()).collect();
     assert_eq!(events.len(), 2);
     assert!(events.iter().all(|e| e.kind == EventKind::Send));
@@ -124,18 +129,18 @@ fn sion_container_equals_per_rank_traces() {
     let m = tera100();
     let make = || Benchmark::EulerMhd.build(Class::S, 6, &m, Some(2)).unwrap();
 
+    let record_and_replay = |sink: Sink, dir: &PathBuf| {
+        Session::builder()
+            .sink(sink)
+            .app_workload("euler", make(), LiveOptions::default())
+            .run()
+            .unwrap();
+        Session::replay(dir).run().unwrap()
+    };
     let dir_files = tmpdir("files");
-    let per_rank = TraceSession::new(&dir_files)
-        .app_workload("euler", make(), LiveOptions::default())
-        .run()
-        .unwrap();
-
+    let per_rank = record_and_replay(Sink::TraceDir(dir_files.clone()), &dir_files);
     let dir_sion = tmpdir("sion");
-    let sion = TraceSession::new(&dir_sion)
-        .sion()
-        .app_workload("euler", make(), LiveOptions::default())
-        .run()
-        .unwrap();
+    let sion = record_and_replay(Sink::Sion(dir_sion.clone()), &dir_sion);
 
     // One container instead of six files.
     let count_files = |d: &PathBuf, ext: &str| {
@@ -177,7 +182,6 @@ fn sion_container_equals_per_rank_traces() {
 #[test]
 fn custom_ks_via_engine_setup() {
     use opmr::blackboard::{type_id, KnowledgeSource};
-    use opmr::events::EventPack;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 

@@ -485,3 +485,71 @@ fn corrupt_frame_is_a_sticky_typed_error() {
         "a hostile length field is rejected before any allocation"
     );
 }
+
+/// A replayed directory is checked before any rank starts: a misnamed
+/// trace file (such as a trace proxy's `app<N>_selected.opmr`), a rank
+/// left out, a truncated file, a rank recorded twice or no recording at
+/// all is a typed `SessionError::Recording` naming the file. A well-framed
+/// pack of garbage travels like any other and is counted by the analyzer.
+#[test]
+fn a_bad_recording_is_a_typed_error_naming_the_file() {
+    use opmr::core::{Session, SessionError};
+    use opmr::instrument::SionFile;
+    use std::path::{Path, PathBuf};
+
+    let root = std::env::temp_dir().join(format!("opmr_poison_replay_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    // A directory holding `files` (name, bytes); an empty trace file is a
+    // rank that recorded no pack.
+    let dir = |tag: &str, files: &[(&str, &[u8])]| -> PathBuf {
+        let d = root.join(tag);
+        std::fs::create_dir_all(&d).unwrap();
+        for (name, bytes) in files {
+            std::fs::write(d.join(name), bytes).unwrap();
+        }
+        d
+    };
+    let named = |d: &Path, what: &str, want: &Path| match Session::replay(d).run() {
+        Err(SessionError::Recording { path, what: got }) => {
+            assert_eq!(path, want, "{what}: {got}");
+            assert!(format!("{}", SessionError::Recording { path, what: got })
+                .contains(&want.display().to_string()));
+        }
+        other => panic!("{what}: expected a recording error, got {:?}", other.err()),
+    };
+
+    let d = dir(
+        "misnamed",
+        &[("app0_rank0.opmr", b""), ("app0_selected.opmr", b"")],
+    );
+    named(&d, "misnamed", &d.join("app0_selected.opmr"));
+    let d = dir("gap", &[("app0_rank0.opmr", b""), ("app0_rank2.opmr", b"")]);
+    named(&d, "rank gap", &d.join("app0_rank1.opmr"));
+    let d = dir("cut", &[("app0_rank0.opmr", &[9, 0, 0, 0, 1, 2])]);
+    named(&d, "truncated", &d.join("app0_rank0.opmr"));
+    let d = dir("empty", &[("notes.txt", b"not a recording")]);
+    named(&d, "empty", &d);
+    named(&root.join("absent"), "absent", &root.join("absent"));
+
+    // A container leaving a rank out, and a rank in both a container and
+    // a trace file.
+    let d = dir("sion", &[]);
+    let sion = SionFile::create(d.join("app0.sion"), 3).unwrap();
+    for rank in [0, 2] {
+        sion.write(rank, b"pack").unwrap();
+        sion.close_rank().unwrap();
+    }
+    sion.close_rank().unwrap();
+    named(&d, "sion gap", &d.join("app0.sion"));
+    std::fs::write(d.join("app0_rank0.opmr"), b"").unwrap();
+    named(&d, "twice", &d.join("app0_rank0.opmr"));
+
+    // Garbage inside a well-framed pack replays and is counted.
+    let d = dir(
+        "garbage",
+        &[("app0_rank0.opmr", &[5, 0, 0, 0, 1, 2, 3, 4, 5])],
+    );
+    let outcome = Session::replay(&d).run().unwrap();
+    assert_eq!(outcome.report.apps[0].decode_errors, 1);
+    std::fs::remove_dir_all(&root).unwrap();
+}
