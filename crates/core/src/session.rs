@@ -261,7 +261,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the compact delta/varint event-pack layout (wire version 3)
+    /// Selects the compact Delta event-pack layout (wire version 4)
     /// for every recorder in the session. Decoders dispatch on the pack
     /// header, so mixed sessions and replayed legacy traces keep working;
     /// the default stays the fixed layout for bitwise compatibility.

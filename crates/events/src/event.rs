@@ -2,9 +2,10 @@
 
 /// Kind of intercepted call (or synthetic marker) an [`Event`] describes.
 ///
-/// The numeric discriminants are part of the wire format — append only,
-/// and below 128: the delta row's head byte keeps seven bits for the kind
-/// (`codec.rs` asserts it at compile time).
+/// The numeric discriminants are part of the Fixed wire format, and the
+/// order of [`EventKind::ALL`] is part of the Delta one (a row's head
+/// carries the kind's position there in five bits, which `codec.rs`
+/// asserts at compile time): both are append only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u16)]
 pub enum EventKind {
@@ -45,7 +46,8 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// All kinds, for iteration in tests and reports.
+    /// All kinds, for iteration in tests and reports. The order is wire:
+    /// a Delta row names its kind by [`EventKind::index`].
     pub const ALL: [EventKind; 26] = [
         EventKind::Init,
         EventKind::Finalize,
@@ -88,6 +90,24 @@ impl EventKind {
         }
         table
     };
+
+    /// Discriminant → position in [`EventKind::ALL`].
+    const INDEX_BY_DISCRIMINANT: [u8; EventKind::Marker as usize + 1] = {
+        let mut table = [0; EventKind::Marker as usize + 1];
+        let mut i = 0;
+        while i < EventKind::ALL.len() {
+            table[EventKind::ALL[i] as usize] = i as u8;
+            i += 1;
+        }
+        table
+    };
+
+    /// The kind's position in [`EventKind::ALL`]: the dense index a Delta
+    /// row's head byte carries.
+    #[inline]
+    pub const fn index(self) -> u8 {
+        EventKind::INDEX_BY_DISCRIMINANT[self as usize]
+    }
 
     /// Decodes a wire discriminant.
     #[inline]
@@ -254,6 +274,23 @@ mod tests {
         for v in 0..=u16::MAX {
             let listed = EventKind::ALL.iter().copied().find(|k| *k as u16 == v);
             assert_eq!(EventKind::from_u16(v), listed, "discriminant {v}");
+        }
+    }
+
+    #[test]
+    fn the_order_of_all_is_pinned_because_it_is_wire() {
+        // A Delta row names its kind by position in `ALL`: reordering the
+        // list, or inserting anywhere but the end, re-labels recorded rows.
+        let discriminants: Vec<u16> = EventKind::ALL.iter().map(|&k| k as u16).collect();
+        assert_eq!(
+            discriminants,
+            [
+                0, 1, 10, 11, 12, 13, 14, 15, 16, 17, 30, 31, 32, 33, 34, 35, 36, 37, 50, 51, 70,
+                71, 72, 73, 90, 91
+            ]
+        );
+        for (i, k) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index() as usize, i, "{}", k.name());
         }
     }
 

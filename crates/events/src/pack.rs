@@ -10,25 +10,32 @@ pub const EVENT_WIRE_SIZE: usize = 48;
 /// Wire size of an encoded [`PackHeader`].
 pub const PACK_HEADER_SIZE: usize = 24;
 /// Per-event byte budget of the delta layout: the room for one more row
-/// the recorder keeps before it closes a pack. The layout's worst case is
-/// 52 (`codec.rs` computes it and asserts it fits), one under the budget,
-/// so a Delta pack closed by its bytes is at most `block − 1` and its
-/// stream frame (a flag byte plus the pack) still fits the block. Real
-/// rows sit near 8 bytes; only the margin assumes the bound.
+/// the recorder keeps before it closes a pack, and the window an encoder
+/// writes a row into. The length-coded row (wire version 4) takes at
+/// most 47 bytes (`codec.rs` computes it and asserts it fits) and its
+/// word stores reach 26 bytes into the window, so a Delta pack closed by
+/// its bytes is at most `block − 1` and its stream frame (a flag byte
+/// plus the pack) still fits the block. The budget stays at the 53 the
+/// varint row needed: it sets [`EventPack::capacity_for_block_with`],
+/// and through that the chunking of existing drivers. Real rows sit near
+/// 6.5–7.5 bytes; only the margin assumes the bound.
 pub const DELTA_EVENT_MAX_WIRE_SIZE: usize = 53;
 
 /// How a pack's event section is laid out on the wire.
 ///
 /// `Fixed` is the legacy 48-byte-per-event layout (wire version 1) that
-/// old peers decode; `Delta` is the compact changed-fields-only layout
-/// (wire version 3). Decoding always dispatches on the header's version,
-/// so any reader understands both.
+/// old peers decode; `Delta` is the compact length-coded layout (wire
+/// version 4: a head byte, a byte of field lengths, the hot fields at
+/// those lengths, varints of the rare fields that changed). Decoding
+/// always dispatches on the header's version, so any reader understands
+/// both; the varint rows of versions 2 and 3 are refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PackEncoding {
     /// Fixed 48-byte events — bitwise-identical to the pre-delta format.
     #[default]
     Fixed,
-    /// A head byte, the time delta and the fields that changed, per event.
+    /// A head byte, a lens byte, the time delta, duration and bytes at
+    /// their lengths, and the rare fields that changed, per event.
     Delta,
 }
 
@@ -156,10 +163,20 @@ impl EventPack {
                 }
             }
             PackEncoding::Delta => {
+                // Rows are written in place, each into its worst-case
+                // window of a buffer grown to the pack's bound, which is
+                // then cut back to the rows' length.
                 let mut st = codec::DeltaState::new(self.header.rank);
+                let mut at = out.len();
+                out.resize(before + self.max_wire_size_for(encoding), 0);
                 for e in &self.events {
-                    codec::encode_event_delta(e, &mut st, out);
+                    // Cannot miss: every row is shorter than its window.
+                    let Some(raw) = out.get_mut(at..).and_then(<[u8]>::first_chunk_mut) else {
+                        break;
+                    };
+                    at += codec::encode_event_delta_at(e, &mut st, raw);
                 }
+                out.truncate(at);
             }
         }
         out.len() - before
@@ -385,14 +402,26 @@ mod tests {
     #[test]
     fn worst_case_event_bound_is_tight() {
         // Worst-case events take exactly the layout's computed worst case,
-        // 52 bytes each, one under the budget blocks are sized with.
+        // 47 bytes each (head, lens, three 8-byte hot fields, 5-byte peer
+        // and tag deltas, the ext byte, 5-byte rank delta and comm), which
+        // the 53-byte budget blocks are sized with still covers.
         let p = worst_case(3);
         let enc = p.encode_with(PackEncoding::Delta);
         let body = enc.len() - PACK_HEADER_SIZE;
-        assert_eq!(body, 3 * 52);
-        assert_eq!(codec::DELTA_EVENT_WORST_WIRE_SIZE, 52);
+        assert_eq!(body, 3 * 47);
+        assert_eq!(codec::DELTA_EVENT_WORST_WIRE_SIZE, 47);
         assert_eq!(DELTA_EVENT_MAX_WIRE_SIZE, 53);
         assert_eq!(EventPack::decode(&enc).unwrap(), p);
+    }
+
+    #[test]
+    fn a_version_3_pack_is_refused() {
+        // The varint row's packs are not read as length-coded rows.
+        let mut old = sample(5).encode_with(PackEncoding::Delta).to_vec();
+        old[4..6].copy_from_slice(&3u16.to_le_bytes());
+        assert_eq!(EventPack::decode(&old), Err(CodecError::BadVersion(3)));
+        assert_eq!(PackEncoding::from_version(3), None);
+        assert_eq!(PackEncoding::Delta.version(), 4);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! LEB128 variable-length integers and zigzag signed mapping.
 //!
-//! The delta event codec (pack wire version 3) stores what changes from
-//! one event to the next — timestamps, and now and then a rank, peer or
-//! tag — as varints of the difference.
+//! The delta event codec (pack wire version 4) stores its hot fields —
+//! time delta, duration, bytes — at lengths named in the row's lens byte;
+//! only the rare fields, the peer, tag and rank deltas and the
+//! communicator, stay varints here. (The LZ4 block header uses them too.)
 //! Encoding is the usual base-128 little-endian scheme: seven payload bits
 //! per byte, high bit set on every byte but the last; a `u64` therefore
 //! takes at most [`MAX_UVARINT_LEN`] bytes. Signed values go through

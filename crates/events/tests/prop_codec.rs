@@ -9,24 +9,27 @@ use opmr_events::vint::put_uvarint;
 use opmr_events::{decompress, Event, EventKind, EventPack, Lz4Encoder, PackEncoding, PackHeader};
 use proptest::prelude::*;
 
-/// The slice-based Delta row decoder that `codec::decode_event_delta`'s
-/// by-index reader replaced, kept only as the oracle the property below
-/// holds the library decoder to: same events, or the same typed error.
+/// An independent Delta row decoder, kept only as the oracle the
+/// property below holds the library decoder to: same events, or the same
+/// typed error. It reads every field a byte at a time, where the library
+/// loads words and masks them.
 mod reference {
     use opmr_events::codec::{self, CodecError};
     use opmr_events::vint::{unzigzag, MAX_UVARINT_LEN};
     use opmr_events::wire::Reader;
     use opmr_events::{Event, EventKind, PackHeader};
 
-    const FLAG_RANK: u8 = 0x01;
-    const FLAG_PEER: u8 = 0x02;
-    const FLAG_TAG: u8 = 0x04;
-    const FLAG_COMM: u8 = 0x08;
-    const FLAG_NO_DURATION: u8 = 0x10;
-    const FLAG_NO_BYTES: u8 = 0x20;
-    const FLAGS_RESERVED: u8 = 0xC0;
-    const HEAD_HAS_FLAGS: u8 = 0x80;
-    /// The smallest Delta row: head, flags, a one-byte time delta.
+    const HEAD_KIND: u8 = 0x1F;
+    const HEAD_PEER: u8 = 0x20;
+    const HEAD_TAG: u8 = 0x40;
+    const HEAD_EXT: u8 = 0x80;
+    const EXT_RANK: u8 = 0x01;
+    const EXT_COMM: u8 = 0x02;
+    /// Byte lengths of `dt` by its 2-bit code.
+    const DT_LEN: [usize; 4] = [1, 2, 4, 8];
+    /// Byte lengths of duration and bytes by their 3-bit codes.
+    const WIDE_LEN: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 8];
+    /// The smallest Delta row: head, lens, a one-byte time delta.
     const MIN_ROW: usize = 3;
 
     struct State {
@@ -43,6 +46,16 @@ mod reference {
             .ok_or(CodecError::Truncated { need: 1, have: 0 })?;
         *buf = rest;
         Ok(byte)
+    }
+
+    /// `len` little-endian bytes, a byte at a time.
+    fn get_le(buf: &mut &[u8], len: usize) -> u64 {
+        let mut v = 0u64;
+        for i in 0..len {
+            v |= (buf[i] as u64) << (8 * i);
+        }
+        *buf = &buf[len..];
+        v
     }
 
     fn get_uvarint(buf: &mut &[u8]) -> Result<u64, CodecError> {
@@ -81,41 +94,51 @@ mod reference {
     }
 
     fn decode_row(buf: &mut &[u8], st: &mut State) -> Result<Event, CodecError> {
-        let head = get_u8(buf)?;
-        let kind_raw = (head & !HEAD_HAS_FLAGS) as u16;
-        let kind = EventKind::from_u16(kind_raw).ok_or(CodecError::BadKind(kind_raw))?;
-        let flags = if head & HEAD_HAS_FLAGS != 0 {
-            get_u8(buf)?
-        } else {
-            0
-        };
-        if flags & FLAGS_RESERVED != 0 {
-            return Err(CodecError::BadFlags(flags));
+        // Head and lens, then the hot part's length, then the kind.
+        if buf.len() < 2 {
+            return Err(CodecError::Truncated {
+                need: 2,
+                have: buf.len(),
+            });
         }
-        let dt = unzigzag(get_uvarint(buf)?);
+        let (head, lens) = (buf[0], buf[1]);
+        let dt_len = DT_LEN[(lens & 0x03) as usize];
+        let duration_len = WIDE_LEN[(lens >> 2 & 0x07) as usize];
+        let bytes_len = WIDE_LEN[(lens >> 5) as usize];
+        let hot = 2 + dt_len + duration_len + bytes_len;
+        if buf.len() < hot {
+            return Err(CodecError::Truncated {
+                need: hot,
+                have: buf.len(),
+            });
+        }
+        let index = head & HEAD_KIND;
+        let kind = *EventKind::ALL
+            .get(index as usize)
+            .ok_or(CodecError::BadKind(index as u16))?;
+        *buf = &buf[2..];
+        let dt = unzigzag(get_le(buf, dt_len));
         st.time_ns = st.time_ns.wrapping_add(dt as u64);
-        let duration_ns = if flags & FLAG_NO_DURATION == 0 {
-            get_uvarint(buf)?
-        } else {
-            0
-        };
-        let bytes = if flags & FLAG_NO_BYTES == 0 {
-            get_uvarint(buf)?
-        } else {
-            0
-        };
-        if flags & FLAG_RANK != 0 {
-            st.rank = get_delta(buf, st.rank as i64, "rank")?;
-        }
-        if flags & FLAG_PEER != 0 {
+        let duration_ns = get_le(buf, duration_len);
+        let bytes = get_le(buf, bytes_len);
+        if head & HEAD_PEER != 0 {
             st.peer = get_delta(buf, st.peer as i64, "peer")?;
         }
-        if flags & FLAG_TAG != 0 {
+        if head & HEAD_TAG != 0 {
             st.tag = get_delta(buf, st.tag as i64, "tag")?;
         }
-        if flags & FLAG_COMM != 0 {
-            st.comm =
-                u32::try_from(get_uvarint(buf)?).map_err(|_| CodecError::FieldOverflow("comm"))?;
+        if head & HEAD_EXT != 0 {
+            let ext = get_u8(buf)?;
+            if ext & !(EXT_RANK | EXT_COMM) != 0 {
+                return Err(CodecError::BadFlags(ext));
+            }
+            if ext & EXT_RANK != 0 {
+                st.rank = get_delta(buf, st.rank as i64, "rank")?;
+            }
+            if ext & EXT_COMM != 0 {
+                st.comm = u32::try_from(get_uvarint(buf)?)
+                    .map_err(|_| CodecError::FieldOverflow("comm"))?;
+            }
         }
         Ok(Event {
             time_ns: st.time_ns,
@@ -178,6 +201,42 @@ fn arb_event() -> impl Strategy<Value = Event> {
         any::<i32>(),
         any::<u32>(),
         any::<u64>(),
+    )
+        .prop_map(
+            |(time_ns, duration_ns, kind, rank, peer, tag, comm, bytes)| Event {
+                time_ns,
+                duration_ns,
+                kind,
+                rank,
+                peer,
+                tag,
+                comm,
+                bytes,
+            },
+        )
+}
+
+/// One of `values`, uniformly.
+fn one_of<T: Copy + 'static>(values: &'static [T]) -> impl Strategy<Value = T> {
+    (0..values.len()).prop_map(move |i| values[i])
+}
+
+/// An event built from the ends of every field's range: next to each
+/// other, two such events wrap `dt`, fill every hot field's eight bytes
+/// and take peer and tag deltas out to ±(2³² − 1).
+fn arb_extreme_event() -> impl Strategy<Value = Event> {
+    const U64S: &[u64] = &[0, 1, 0xFF, 1 << 56, u64::MAX >> 8, 1 << 63, u64::MAX];
+    const I32S: &[i32] = &[i32::MIN, i32::MIN + 1, -1, 0, i32::MAX];
+    const U32S: &[u32] = &[0, 1, u32::MAX];
+    (
+        one_of(U64S),
+        one_of(U64S),
+        arb_kind(),
+        one_of(U32S),
+        one_of(I32S),
+        one_of(I32S),
+        one_of(U32S),
+        one_of(U64S),
     )
         .prop_map(
             |(time_ns, duration_ns, kind, rank, peer, tag, comm, bytes)| Event {
@@ -257,7 +316,8 @@ proptest! {
         app_id in any::<u16>(),
         rank in any::<u32>(),
         seq in any::<u32>(),
-        events in proptest::collection::vec(arb_event(), 0..200),
+        events in proptest::collection::vec(
+            prop_oneof![arb_event(), arb_steady_event(), arb_extreme_event()], 0..200),
     ) {
         let pack = EventPack::new(app_id, rank, seq, events);
         let decoded = EventPack::decode(&pack.encode_with(PackEncoding::Delta)).unwrap();
@@ -407,14 +467,14 @@ proptest! {
     // Each case decodes every truncation and 256 mutations per byte.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The by-index Delta decoder against the slice-based one it
-    /// replaced: on a valid pack, on every truncation of it and on every
-    /// value of every single byte, both return the same events or the
-    /// same typed error.
+    /// The word-loading Delta decoder against the bytewise reference: on
+    /// a valid pack, on every truncation of it and on every value of
+    /// every single byte, both return the same events or the same typed
+    /// error.
     #[test]
     fn delta_decoder_matches_the_reference(
         events in proptest::collection::vec(
-            prop_oneof![arb_event(), arb_steady_event()], 1..8),
+            prop_oneof![arb_event(), arb_steady_event(), arb_extreme_event()], 1..8),
         rank in any::<u32>(),
     ) {
         let enc = EventPack::new(1, rank, 3, events).encode_with(PackEncoding::Delta).to_vec();

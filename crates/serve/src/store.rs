@@ -94,6 +94,10 @@ pub struct StoreStats {
     pub evicted: u64,
 }
 
+/// What a publish landed (`None`: skipped as unchanged) and the version
+/// it aged out of the ring.
+type Published = (Option<u64>, Option<Arc<SnapshotEntry>>);
+
 /// Writer-side state, serialized by the publish mutex.
 struct Inner {
     /// The newest version's bytes, patched from version to version.
@@ -127,19 +131,23 @@ impl SnapshotStore {
         }
     }
 
+    /// Publishes a version and returns its number (`None` when skipped
+    /// as unchanged) with the version it aged out of the ring, if any. The
+    /// last reference to an evicted version owns its whole snapshot, so a
+    /// caller with subscribers to tell drops it after telling them.
     fn publish_inner(
         &self,
         parts: Vec<AppPartial>,
         is_final: bool,
         skip_unchanged: bool,
-    ) -> Result<Option<u64>, EncodeError> {
+    ) -> Result<Published, EncodeError> {
         let mut inner = self.inner.lock();
         // Writers are serialized by `inner`, so the newest version cannot
         // change under us.
         let prev = self.current();
         if prev.as_ref().is_some_and(|e| e.is_final) {
             // The final version is by definition the last one.
-            return Ok(Some(inner.next_version - 1));
+            return Ok((Some(inner.next_version - 1), None));
         }
         let apps = checked_u16(parts.len(), EncodeError::TooManyApps(parts.len()))?;
         let version = inner.next_version;
@@ -158,7 +166,7 @@ impl SnapshotStore {
             && changes.iter().all(|(_, c)| *c == AppChange::Unchanged)
         {
             obs::m().shard_skips.inc();
-            return Ok(None);
+            return Ok((None, None));
         }
         // With no delta there is no change set to line up with `parts`,
         // and the patch is a full encode.
@@ -179,21 +187,24 @@ impl SnapshotStore {
         let evicted = {
             let mut ring = self.ring.write();
             ring.push_back(entry);
-            (ring.len() > self.ring_cap).then(|| ring.pop_front())
+            if ring.len() > self.ring_cap {
+                ring.pop_front()
+            } else {
+                None
+            }
         };
         obs::m().publishes.inc();
-        // Freed outside the reader lock: the last reference to an evicted
-        // version owns its whole snapshot.
-        if evicted.flatten().is_some() {
+        if evicted.is_some() {
             inner.evicted += 1;
             obs::m().evictions.inc();
         }
-        Ok(Some(version))
+        Ok((Some(version), evicted))
     }
 
     fn force_publish(&self, parts: Vec<AppPartial>, is_final: bool) -> Result<u64, EncodeError> {
-        // `skip_unchanged: false` always yields a version number.
-        Ok(self.publish_inner(parts, is_final, false)?.unwrap_or(0))
+        // `skip_unchanged: false` always yields a version number; the
+        // evicted version is freed here, outside both locks.
+        Ok(self.publish_inner(parts, is_final, false)?.0.unwrap_or(0))
     }
 
     /// Publishes a new version; returns its number. Fails (typed, counted)
@@ -208,7 +219,7 @@ impl SnapshotStore {
     /// shard; a shard whose apps saw no new packs would otherwise spam
     /// each subscriber with an empty delta per engine publication.
     pub fn publish_if_changed(&self, parts: Vec<AppPartial>) -> Result<Option<u64>, EncodeError> {
-        self.publish_inner(parts, false, true)
+        Ok(self.publish_inner(parts, false, true)?.0)
     }
 
     /// Publishes the final version (after the engine drained). Later
@@ -337,11 +348,16 @@ impl ShardedStore {
     /// untouched until [`ShardedStore::publish_final`].
     pub fn publish(&self, parts: Vec<AppPartial>) -> Result<(), EncodeError> {
         let mut landed = false;
+        // Evicted versions are freed once the subscribers have been told:
+        // the first frees of a process can take a `munmap` each.
+        let mut evicted = Vec::new();
         for (s, shard_parts) in self.split(parts).into_iter().enumerate() {
             if shard_parts.is_empty() {
                 continue;
             }
-            if self.shards[s].publish_if_changed(shard_parts)?.is_some() {
+            let (version, old) = self.shards[s].publish_inner(shard_parts, false, true)?;
+            evicted.extend(old);
+            if version.is_some() {
                 self.shard_publishes[s].inc();
                 landed = true;
             }
@@ -349,6 +365,7 @@ impl ShardedStore {
         if landed {
             self.tell_inboxes();
         }
+        drop(evicted);
         Ok(())
     }
 
@@ -356,11 +373,13 @@ impl ShardedStore {
     /// ones, so [`ShardedStore::finished`] means all shards finished and a
     /// subscriber's per-shard chains all terminate.
     pub fn publish_final(&self, parts: Vec<AppPartial>) -> Result<(), EncodeError> {
+        let mut evicted = Vec::new();
         for (s, shard_parts) in self.split(parts).into_iter().enumerate() {
-            self.shards[s].publish_final(shard_parts)?;
+            evicted.extend(self.shards[s].publish_inner(shard_parts, true, false)?.1);
             self.shard_publishes[s].inc();
         }
         self.tell_inboxes();
+        drop(evicted);
         Ok(())
     }
 
@@ -495,6 +514,31 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.published, 10);
         assert_eq!(s.evicted, 7);
+    }
+
+    #[test]
+    fn a_publish_hands_back_the_version_it_evicts() {
+        // The caller frees it, after telling the subscribers: until then
+        // the store holds no reference to it.
+        let store = SnapshotStore::new(2);
+        for i in 1..=2u64 {
+            assert_eq!(
+                store.publish_inner(parts(i), false, false).unwrap().0,
+                Some(i)
+            );
+        }
+        let (version, evicted) = store.publish_inner(parts(3), false, false).unwrap();
+        assert_eq!(version, Some(3));
+        let evicted = evicted.expect("version 1 aged out");
+        assert_eq!(evicted.version, 1);
+        assert_eq!(Arc::strong_count(&evicted), 1);
+        assert!(store.get(1).is_none());
+        assert_eq!(store.stats().evicted, 1);
+        // A skipped publish evicts nothing.
+        assert!(matches!(
+            store.publish_inner(parts(3), false, true),
+            Ok((None, None))
+        ));
     }
 
     #[test]

@@ -33,7 +33,7 @@ const ALLOWED_BASELINE: usize = 1;
 const WIRE_ALLOWED: &[(&str, usize)] = &[
     // The reader itself and the measured per-event kernels.
     ("crates/events/src/wire.rs", 1),
-    ("crates/events/src/codec.rs", 8),
+    ("crates/events/src/codec.rs", 6),
     ("crates/events/src/compress.rs", 2),
 ];
 
