@@ -781,7 +781,7 @@ impl SessionBuilder {
                 ..
             } => {
                 let topo = opmr_runtime::MultiprocTopology::new(socket, proc_index, num_procs)
-                    .assign(opmr_runtime::PartitionAssign::Explicit(assign));
+                    .placement(assign);
                 launcher.run_multiproc(topo).map_err(|e| match e {
                     opmr_runtime::MultiprocError::Launch(l) => SessionError::Launch(l),
                     opmr_runtime::MultiprocError::Socket(s) => SessionError::Socket(s),

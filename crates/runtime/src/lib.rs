@@ -82,6 +82,9 @@ pub enum RtError {
     /// handshake failed, the link to `dst`'s process stayed down past its
     /// redial budget, or a [`fault::FaultPlan`] crashed the sending rank.
     Unreachable { dst: usize },
+    /// The message is larger than the transport can carry (a socket link
+    /// frame holds at most `max` payload bytes); nothing was sent.
+    TooLarge { len: usize, max: usize },
     /// A peer or the transport violated an internal protocol invariant
     /// (e.g. a completed receive carrying no payload).
     Protocol(&'static str),
@@ -103,6 +106,12 @@ impl std::fmt::Display for RtError {
             }
             RtError::WouldBlock => write!(f, "operation would block"),
             RtError::Unreachable { dst } => write!(f, "rank {dst} is unreachable"),
+            RtError::TooLarge { len, max } => {
+                write!(
+                    f,
+                    "message of {len} bytes exceeds the transport's {max}-byte limit"
+                )
+            }
             RtError::Protocol(what) => write!(f, "runtime protocol violation: {what}"),
         }
     }

@@ -18,8 +18,7 @@ use opmr::launch::{
     WorkerCommand, WorkerEnv,
 };
 use opmr::runtime::{
-    Endpoint, Launcher, LinkFault, MultiprocError, MultiprocTopology, PartitionAssign, RankFailure,
-    SocketConfig,
+    Endpoint, Launcher, LinkFault, MultiprocError, MultiprocTopology, RankFailure, SocketConfig,
 };
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,6 +102,8 @@ pub fn run_socket_threads_with(
     customize: impl Fn(usize, SocketConfig) -> SocketConfig,
 ) -> Vec<RankFailure> {
     let endpoint = fresh_unix_endpoint("job");
+    // Round-robin placement: partition `i` on process `i % procs`.
+    let placement: Vec<usize> = (0..launcher.partition_count()).map(|i| i % procs).collect();
     let mut handles = Vec::new();
     for p in 0..procs {
         let l = launcher.clone();
@@ -110,7 +111,7 @@ pub fn run_socket_threads_with(
             p,
             SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20)),
         );
-        let topo = MultiprocTopology::new(cfg, p, procs).assign(PartitionAssign::RoundRobin);
+        let topo = MultiprocTopology::new(cfg, p, procs).placement(placement.clone());
         handles.push(
             std::thread::Builder::new()
                 .name(format!("sock-proc{p}"))

@@ -10,12 +10,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 mod common;
-use common::{fresh_unix_endpoint, launched_worker, run_os_peers};
+use common::{fresh_unix_endpoint, launched_worker, run_os_peers, run_socket_threads};
 
 use opmr::launch::JobSpec;
 use opmr::runtime::{
-    Endpoint, FailureKind, Launcher, MultiprocError, MultiprocTopology, PartitionAssign,
-    SocketConfig, SocketError, Src, TagSel,
+    Endpoint, FailureKind, Launcher, MultiprocError, MultiprocTopology, RtError, SocketConfig,
+    SocketError, Src, TagSel,
 };
 use opmr::vmpi::{Balance, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError, WriteStream};
 use std::io::Write as _;
@@ -50,7 +50,7 @@ fn dialing_an_unbound_endpoint_is_a_typed_connect_timeout() {
     let before = counter("transport_socket_connect_timeouts_total");
     let cfg = SocketConfig::new(fresh_unix_endpoint("unbound"))
         .connect_timeout(Duration::from_millis(200));
-    let topo = MultiprocTopology::new(cfg, 1, 2).assign(PartitionAssign::RoundRobin);
+    let topo = MultiprocTopology::new(cfg, 1, 2).placement(vec![0, 1]);
     let err = tiny_job()
         .run_multiproc(topo)
         .expect_err("no coordinator exists");
@@ -78,7 +78,7 @@ fn missing_peer_is_a_typed_accept_timeout() {
     let before = counter("transport_socket_connect_timeouts_total");
     let cfg = SocketConfig::new(fresh_unix_endpoint("lonely"))
         .connect_timeout(Duration::from_millis(200));
-    let topo = MultiprocTopology::new(cfg, 0, 2).assign(PartitionAssign::RoundRobin);
+    let topo = MultiprocTopology::new(cfg, 0, 2).placement(vec![0, 1]);
     let err = tiny_job()
         .run_multiproc(topo)
         .expect_err("process 1 never dials in");
@@ -110,7 +110,7 @@ fn garbage_before_handshake_is_rejected_and_the_job_completes() {
     let spawn_proc = |p: usize| {
         let l = launcher.clone();
         let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
-        let topo = MultiprocTopology::new(cfg, p, 2).assign(PartitionAssign::RoundRobin);
+        let topo = MultiprocTopology::new(cfg, p, 2).placement(vec![0, 1]);
         std::thread::spawn(move || l.run_multiproc(topo))
     };
 
@@ -140,6 +140,151 @@ fn garbage_before_handshake_is_rejected_and_the_job_completes() {
 }
 
 // ---------------------------------------------------------------------
+// The same at a non-coordinator's listener, while the pairwise links are
+// still coming up: its acceptor rejects and counts the rogue, then admits
+// the real peer's first connection.
+// ---------------------------------------------------------------------
+#[test]
+fn garbage_at_a_peer_listener_during_setup_is_rejected_and_the_job_completes() {
+    let before = counter("transport_socket_handshake_rejected_total");
+    let endpoint = fresh_unix_endpoint("rogue-peer");
+    let Endpoint::Unix(path) = endpoint.clone() else {
+        unreachable!()
+    };
+    // p2 sends to p1 over the one pairwise link of a three-process job.
+    let launcher = Launcher::new()
+        .partition("idle", 1, |_| {})
+        .partition("b", 1, |mpi| {
+            let w = mpi.world();
+            let (_, d) = mpi.recv(&w, Src::Rank(2), TagSel::Tag(7)).unwrap();
+            assert_eq!(d, vec![4, 5, 6]);
+        })
+        .partition("c", 1, |mpi| {
+            let w = mpi.world();
+            mpi.send(&w, 1, 7, vec![4, 5, 6]).unwrap();
+        });
+    let spawn_proc = |p: usize| {
+        let l = launcher.clone();
+        let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
+        let topo = MultiprocTopology::new(cfg, p, 3).placement(vec![0, 1, 2]);
+        std::thread::spawn(move || l.run_multiproc(topo))
+    };
+    let coord = spawn_proc(0);
+    let peer = spawn_proc(1);
+    // p1's listener is bound before its hello; the rogue queues there
+    // ahead of p2, which has not even started.
+    let mut rogue = connect_retrying(&path.with_extension("sock.p1"));
+    rogue
+        .write_all(&[0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0])
+        .unwrap();
+    rogue.flush().unwrap();
+    let late = spawn_proc(2);
+    assert!(
+        read_to_close(&mut rogue).is_empty(),
+        "a rejected presentation is answered by closing the connection"
+    );
+    for h in [coord, peer, late] {
+        h.join().unwrap().expect("every process survives the rogue");
+    }
+    assert!(
+        counter("transport_socket_handshake_rejected_total") > before,
+        "the rejected rogue must be counted"
+    );
+}
+
+// ---------------------------------------------------------------------
+// A pairwise link that never comes up fails set-up on both of its sides
+// with the same typed errors as before: the dialer's `ConnectTimeout`,
+// the acceptor's `AcceptTimeout`, reported ahead of the rank failures
+// they cause (the sender blocked on the link is released, not hung).
+// ---------------------------------------------------------------------
+#[test]
+fn pairwise_link_not_up_in_time_is_a_typed_failure_on_both_sides() {
+    let endpoint = fresh_unix_endpoint("no-pairwise");
+    let Endpoint::Unix(path) = endpoint.clone() else {
+        unreachable!()
+    };
+    let launcher = Launcher::new()
+        .partition("idle", 1, |_| {})
+        .partition("b", 1, |mpi| {
+            let w = mpi.world();
+            let _ = mpi.recv(&w, Src::Rank(2), TagSel::Tag(7));
+        })
+        .partition("c", 1, |mpi| {
+            let w = mpi.world();
+            mpi.send(&w, 1, 7, vec![1]).unwrap();
+        });
+    let spawn_proc = |p: usize| {
+        let l = launcher.clone();
+        let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_millis(1500));
+        let topo = MultiprocTopology::new(cfg, p, 3).placement(vec![0, 1, 2]);
+        std::thread::spawn(move || l.run_multiproc(topo))
+    };
+    let coord = spawn_proc(0);
+    let acceptor = spawn_proc(1);
+    // Unlink p1's bound listener before p2 learns its address: p2's
+    // presentations find nothing to dial.
+    let p1_listener = path.with_extension("sock.p1");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !p1_listener.exists() {
+        assert!(Instant::now() < deadline, "p1 never bound its listener");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    std::fs::remove_file(&p1_listener).unwrap();
+    let dialer = spawn_proc(2);
+    match dialer.join().unwrap() {
+        Err(MultiprocError::Socket(SocketError::ConnectTimeout { addr, .. })) => {
+            assert!(addr.ends_with(".p1"), "names the peer it dialed: {addr}")
+        }
+        other => panic!("expected the dialer's ConnectTimeout, got: {other:?}"),
+    }
+    match acceptor.join().unwrap() {
+        Err(MultiprocError::Socket(SocketError::AcceptTimeout { missing, .. })) => {
+            assert_eq!(missing, 1, "exactly the one pairwise link is missing")
+        }
+        other => panic!("expected the acceptor's AcceptTimeout, got: {other:?}"),
+    }
+    // The coordinator's own links did come up; its peers then vanished.
+    let _ = coord.join().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// An envelope too large for one link frame is a typed error at the
+// sender, before anything is buffered: the link stays up and the next
+// message arrives.
+// ---------------------------------------------------------------------
+#[test]
+fn oversize_send_is_a_typed_error_and_the_link_stays_up() {
+    let launcher = Launcher::new()
+        .partition("a", 1, |mpi| {
+            let w = mpi.world();
+            // Zeroed and never written: the pages are not resident.
+            let huge = vec![0u8; opmr::events::MAX_FRAME_LEN];
+            match mpi.send(&w, 1, 6, huge) {
+                Err(RtError::TooLarge { len, max }) => {
+                    assert_eq!(len, opmr::events::MAX_FRAME_LEN);
+                    assert!(max < len, "the limit leaves room for the header: {max}");
+                }
+                other => panic!("expected a typed TooLarge, got {other:?}"),
+            }
+            mpi.send(&w, 1, 7, vec![1, 2, 3]).unwrap();
+        })
+        .partition("b", 1, |mpi| {
+            let w = mpi.world();
+            let (_, d) = mpi.recv(&w, Src::Rank(0), TagSel::Any).unwrap();
+            assert_eq!(d, vec![1, 2, 3], "the small message is the first to arrive");
+        });
+    let lost = counter("transport_socket_peer_disconnects_total");
+    let failures = run_socket_threads(launcher, 2);
+    assert!(failures.is_empty(), "{failures:?}");
+    assert_eq!(
+        counter("transport_socket_peer_disconnects_total"),
+        lost,
+        "no link was lost"
+    );
+}
+
+// ---------------------------------------------------------------------
 // The processes disagree about the topology: a typed handshake failure
 // on both sides, no partial mesh.
 // ---------------------------------------------------------------------
@@ -147,21 +292,18 @@ fn garbage_before_handshake_is_rejected_and_the_job_completes() {
 fn topology_mismatch_is_a_typed_handshake_failure_on_both_sides() {
     let before = counter("transport_socket_handshake_rejected_total");
     let endpoint = fresh_unix_endpoint("mismatch");
-    // Three partitions so Block ([0,0,1]) and RoundRobin ([0,1,0]) derive
-    // different rank→process maps, and therefore different topology
-    // hashes in the Hello exchange.
+    // Three partitions placed [0,0,1] by one process and [0,1,0] by the
+    // other: different rank→process maps, and therefore different
+    // topology hashes in the Hello exchange.
     let launcher = Launcher::new()
         .partition("p0", 1, |_| {})
         .partition("p1", 1, |_| {})
         .partition("p2", 1, |_| {});
     let mut handles = Vec::new();
-    for (p, assign) in [
-        (0, PartitionAssign::Block),
-        (1, PartitionAssign::RoundRobin),
-    ] {
+    for (p, placement) in [(0, vec![0, 0, 1]), (1, vec![0, 1, 0])] {
         let l = launcher.clone();
         let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_millis(1500));
-        let topo = MultiprocTopology::new(cfg, p, 2).assign(assign);
+        let topo = MultiprocTopology::new(cfg, p, 2).placement(placement);
         handles.push(std::thread::spawn(move || l.run_multiproc(topo)));
     }
     for h in handles {
@@ -240,7 +382,7 @@ fn midstream_disconnect_worker() {
         return;
     };
     let topo = MultiprocTopology::new(env.socket_config().unwrap(), env.proc_index, env.num_procs)
-        .assign(PartitionAssign::RoundRobin);
+        .placement(vec![0, 1]);
     let sink = Arc::new(Mutex::new((0, Vec::new())));
     // The writer aborts the whole process, so this never returns.
     let _ = disconnect_job(sink).run_multiproc(topo);
@@ -255,7 +397,7 @@ fn midstream_peer_death_is_one_typed_peer_lost_and_counted() {
         &JobSpec::new(2),
         |p| (p == 1).then_some("midstream_disconnect_worker"),
         |cfg| {
-            let topo = MultiprocTopology::new(cfg, 0, 2).assign(PartitionAssign::RoundRobin);
+            let topo = MultiprocTopology::new(cfg, 0, 2).placement(vec![0, 1]);
             disconnect_job(Arc::clone(&observed)).run_multiproc(topo)
         },
     );
@@ -287,12 +429,11 @@ fn midstream_peer_death_is_one_typed_peer_lost_and_counted() {
 #[test]
 fn invalid_socket_config_is_a_typed_error_before_any_io() {
     let bad_cases = vec![
-        SocketConfig::new(fresh_unix_endpoint("badcfg")).retry_budget(0),
         SocketConfig::new(fresh_unix_endpoint("badcfg")).connect_timeout(Duration::ZERO),
-        SocketConfig::new(fresh_unix_endpoint("badcfg")).backoff_base(Duration::from_secs(600)),
+        SocketConfig::new(fresh_unix_endpoint("badcfg")).connect_timeout(Duration::from_secs(7200)),
     ];
     for cfg in bad_cases {
-        let topo = MultiprocTopology::new(cfg, 0, 2).assign(PartitionAssign::RoundRobin);
+        let topo = MultiprocTopology::new(cfg, 0, 2).placement(vec![0, 1]);
         match tiny_job().run_multiproc(topo) {
             Err(MultiprocError::Socket(SocketError::InvalidConfig { what })) => {
                 assert!(!what.is_empty(), "the defect is named");
@@ -350,11 +491,6 @@ fn coordinator_death_job(observed: Arc<Mutex<(usize, Vec<usize>)>>) -> Launcher 
         })
 }
 
-/// A tight reconnect budget: three redials, 10 ms apart.
-fn exhaustion_cfg(cfg: SocketConfig) -> SocketConfig {
-    cfg.retry_budget(3).backoff_base(Duration::from_millis(10))
-}
-
 /// The aborting coordinator, started as a copy of this binary by the
 /// launch plane. Inert in a normal test run.
 #[test]
@@ -362,9 +498,8 @@ fn budget_exhaustion_worker() {
     let Some((env, _hb)) = launched_worker() else {
         return;
     };
-    let cfg = exhaustion_cfg(env.socket_config().unwrap());
-    let topo = MultiprocTopology::new(cfg, env.proc_index, env.num_procs)
-        .assign(PartitionAssign::RoundRobin);
+    let topo = MultiprocTopology::new(env.socket_config().unwrap(), env.proc_index, env.num_procs)
+        .placement(vec![0, 1]);
     let sink = Arc::new(Mutex::new((0, Vec::new())));
     // The writer aborts the whole process, so this never returns.
     let _ = coordinator_death_job(sink).run_multiproc(topo);
@@ -381,8 +516,7 @@ fn retry_budget_exhaustion_is_one_typed_peer_lost_and_counted() {
         &JobSpec::new(2),
         |p| (p == 0).then_some("budget_exhaustion_worker"),
         |cfg| {
-            let topo = MultiprocTopology::new(exhaustion_cfg(cfg), 1, 2)
-                .assign(PartitionAssign::RoundRobin);
+            let topo = MultiprocTopology::new(cfg, 1, 2).placement(vec![0, 1]);
             coordinator_death_job(Arc::clone(&observed)).run_multiproc(topo)
         },
     );
@@ -441,7 +575,7 @@ fn stale_epoch_redial_is_nakked_typed_and_counted() {
     let spawn_proc = |p: usize| {
         let l = launcher.clone();
         let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
-        let topo = MultiprocTopology::new(cfg, p, 2).assign(PartitionAssign::RoundRobin);
+        let topo = MultiprocTopology::new(cfg, p, 2).placement(vec![0, 1]);
         std::thread::spawn(move || l.run_multiproc(topo))
     };
     let coord = spawn_proc(0);
@@ -456,7 +590,7 @@ fn stale_epoch_redial_is_nakked_typed_and_counted() {
     let mut reconn = Vec::with_capacity(23);
     reconn.push(8u8); // K_RECONN
     reconn.extend_from_slice(&0x4F50_4D52u32.to_le_bytes()); // MAGIC "OPMR"
-    reconn.extend_from_slice(&4u16.to_le_bytes()); // VERSION
+    reconn.extend_from_slice(&5u16.to_le_bytes()); // VERSION
     reconn.extend_from_slice(&1u16.to_le_bytes()); // claims to be process 1
     reconn.extend_from_slice(&0xDEAD_BEEF_DEAD_BEEFu64.to_le_bytes()); // stale epoch
     reconn.extend_from_slice(&0u64.to_le_bytes()); // rx_seq
@@ -497,8 +631,9 @@ fn stale_epoch_redial_is_nakked_typed_and_counted() {
 }
 
 // ---------------------------------------------------------------------
-// A hello or reconnect frame of a retired protocol version (2, or 3 with
-// its codec byte), and a truncated roster, are typed, counted rejections.
+// A hello or reconnect frame of a retired protocol version (2, 3 with its
+// codec byte, or 4, whose pairwise links said hello), and a truncated
+// roster, are typed, counted rejections.
 // ---------------------------------------------------------------------
 
 /// `[kind][magic "OPMR"][version u16][proc u16]` — the shared head of a
@@ -554,15 +689,15 @@ fn v2_and_v3_hellos_and_reconnects_are_rejected_and_counted() {
     let spawn_proc = |p: usize| {
         let l = launcher.clone();
         let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
-        let topo = MultiprocTopology::new(cfg, p, 2).assign(PartitionAssign::RoundRobin);
+        let topo = MultiprocTopology::new(cfg, p, 2).placement(vec![0, 1]);
         std::thread::spawn(move || l.run_multiproc(topo))
     };
 
-    // A version-2 hello (the address follows the hash) and a version-3
-    // hello (a codec byte before the address) are the first connections
-    // the coordinator accepts.
+    // A version-2 hello (the address follows the hash), a version-3 hello
+    // (a codec byte before the address) and a version-4 hello (today's
+    // layout) are the first connections the coordinator accepts.
     let coord = spawn_proc(0);
-    for version in [2, 3] {
+    for version in [2, 3, 4] {
         let before = counter("transport_socket_handshake_rejected_total");
         let mut rogue = connect_retrying(&path);
         let mut hello = handshake_head(1, version, 1); // K_HELLO
@@ -582,12 +717,12 @@ fn v2_and_v3_hellos_and_reconnects_are_rejected_and_counted() {
         );
     }
 
-    // The honest peer joins; mid-job, reconnect frames of both retired
-    // versions reach the retained listener. Each is dropped before the
+    // The honest peer joins; mid-job, reconnect frames of every retired
+    // version reach the retained listener. Each is dropped before the
     // epoch is even looked at: no NAK, one more rejection.
     let peer = spawn_proc(1);
     std::thread::sleep(Duration::from_millis(300));
-    for version in [2, 3] {
+    for version in [2, 3, 4] {
         let before = counter("transport_socket_handshake_rejected_total");
         let mut rogue = connect_retrying(&path);
         let mut reconn = handshake_head(8, version, 1); // K_RECONN
@@ -636,7 +771,7 @@ fn truncated_roster_is_a_typed_handshake_failure() {
         read_to_close(&mut s);
     });
     let cfg = SocketConfig::new(endpoint).connect_timeout(Duration::from_secs(5));
-    let topo = MultiprocTopology::new(cfg, 1, 2).assign(PartitionAssign::RoundRobin);
+    let topo = MultiprocTopology::new(cfg, 1, 2).placement(vec![0, 1]);
     match tiny_job().run_multiproc(topo) {
         Err(MultiprocError::Socket(SocketError::Handshake { what, .. })) => {
             assert!(what.contains("invalid roster"), "{what}")

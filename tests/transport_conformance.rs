@@ -33,13 +33,13 @@ use common::{
 use opmr::launch::JobSpec;
 
 use opmr::runtime::{
-    Endpoint, FaultPlan, Launcher, MultiprocTopology, PartitionAssign, RankFailure, RtError,
-    SocketConfig, Src, TagSel,
+    Endpoint, FaultPlan, Launcher, MultiprocTopology, RankFailure, RtError, SocketConfig, Src,
+    TagSel,
 };
 use opmr::vmpi::{Balance, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError, WriteStream};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which transport hosts the job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -569,7 +569,7 @@ fn socket_two_os_process_worker() {
         return;
     };
     let topo = MultiprocTopology::new(env.socket_config().unwrap(), env.proc_index, env.num_procs)
-        .assign(PartitionAssign::RoundRobin);
+        .placement(vec![0, 1]);
     two_proc_job().run_multiproc(topo).unwrap();
 }
 
@@ -582,13 +582,60 @@ fn socket_spans_two_os_processes() {
         &JobSpec::new(2),
         |p| (p != 0).then_some("socket_two_os_process_worker"),
         |cfg| {
-            let topo = MultiprocTopology::new(cfg, 0, 2).assign(PartitionAssign::RoundRobin);
+            let topo = MultiprocTopology::new(cfg, 0, 2).placement(vec![0, 1]);
             two_proc_job().run_multiproc(topo)
         },
     );
     local.unwrap();
     let job = job.unwrap();
     assert!(job.success(), "worker process failed: {:?}", job.outcomes);
+}
+
+/// Every link is `Connecting` until its own stream is up. A rank whose
+/// first remote send targets a non-coordinator peer that has not even
+/// started blocks on that link, then delivers everything in order.
+#[test]
+fn socket_first_send_on_a_pairwise_link_waits_for_it_then_delivers_in_order() {
+    const MSGS: u8 = 50;
+    let first_sent = Arc::new(Mutex::new(None::<Instant>));
+    let sent = Arc::clone(&first_sent);
+    let launcher = Launcher::new()
+        .partition("idle", 1, |_| {})
+        .partition("recv", 1, |mpi| {
+            let w = mpi.world();
+            for i in 0..MSGS {
+                let (_, d) = mpi.recv(&w, Src::Rank(2), TagSel::Tag(5)).unwrap();
+                assert_eq!(d, vec![i], "in order");
+            }
+        })
+        .partition("send", 1, move |mpi| {
+            let w = mpi.world();
+            for i in 0..MSGS {
+                mpi.send(&w, 1, 5, vec![i]).unwrap();
+                if i == 0 {
+                    *sent.lock().unwrap() = Some(Instant::now());
+                }
+            }
+        });
+    let endpoint = common::fresh_unix_endpoint("late-peer");
+    let spawn_proc = |p: usize| {
+        let l = launcher.clone();
+        let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
+        let topo = MultiprocTopology::new(cfg, p, 3).placement(vec![0, 1, 2]);
+        std::thread::spawn(move || l.run_multiproc(topo))
+    };
+    let (coord, sender) = (spawn_proc(0), spawn_proc(2));
+    std::thread::sleep(Duration::from_millis(300));
+    let receiver_started = Instant::now();
+    let receiver = spawn_proc(1);
+    for h in [coord, sender, receiver] {
+        h.join().unwrap().expect("process finishes its job");
+    }
+    let first = first_sent.lock().unwrap().expect("the sender ran");
+    assert!(
+        first >= receiver_started,
+        "the first send completed before its peer process existed"
+    );
 }
 
 /// The TCP flavor of the endpoint, over loopback, with the same job the
@@ -606,7 +653,7 @@ fn socket_tcp_endpoint_smoke() {
     for p in 0..2 {
         let l = launcher.clone();
         let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
-        let topo = MultiprocTopology::new(cfg, p, 2).assign(PartitionAssign::RoundRobin);
+        let topo = MultiprocTopology::new(cfg, p, 2).placement(vec![0, 1]);
         handles.push(std::thread::spawn(move || l.run_multiproc(topo)));
     }
     for h in handles {
