@@ -34,6 +34,7 @@ use crate::trace_proxy::{Selection, TraceProxy};
 use crate::waitstate::{WaitStateAnalysis, WaitStats};
 use bytes::Bytes;
 use opmr_blackboard::{type_id, Blackboard, BlackboardConfig, DataEntry, KnowledgeSource, TypeId};
+use opmr_events::recording::RecordingFile;
 use opmr_events::{codec, Event, EventKind, EventPack};
 use opmr_metrics::{MetricsConfig, MetricsSeries};
 use parking_lot::Mutex;
@@ -470,7 +471,9 @@ impl AnalysisEngine {
             data.metrics = extras.metrics.map(|c| MetricsSeries::new(c.window_ns));
         }
         if let Some((dir, selection)) = extras.proxy.clone() {
-            let path = dir.join(format!("app{}_selected.opmr", slot.app_id));
+            let path = RecordingFile::Selected { app: slot.app_id }.path(&dir);
+            // A proxy that cannot be created is counted, and the level
+            // goes on without one.
             if let Ok(proxy) = TraceProxy::create(&path, selection) {
                 let handle = proxy.handle();
                 slot.data.lock().proxy = Some(proxy);
@@ -502,9 +505,8 @@ impl AnalysisEngine {
                 let waitstate = data.waitstate.as_mut().map(|ws| ws.finish().clone());
                 let metrics = data.metrics.clone();
                 let proxy = data.proxy.take().map(|p| {
-                    let path = p.path().to_path_buf();
-                    let (seen, written) = p.finish(slot.app_id).unwrap_or((0, 0));
-                    (path, seen, written)
+                    let (seen, written) = p.finish(slot.app_id);
+                    (p.path().to_path_buf(), seen, written)
                 });
                 AppReport {
                     app_id: slot.app_id,

@@ -9,9 +9,9 @@
 //! user can keep the zero-trace online workflow and still extract a small
 //! replayable trace of just the interesting region.
 
+use opmr_events::recording;
 use opmr_events::{Event, EventKind, EventPack};
 use parking_lot::Mutex;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -66,21 +66,27 @@ struct ProxyState {
     seq: u32,
     written_events: u64,
     seen_events: u64,
-    file: Option<std::io::BufWriter<std::fs::File>>,
+    /// Unbuffered: a pack the write accepted is in the file.
+    file: Option<std::fs::File>,
 }
 
 /// Events per emitted pack.
 const PACK_EVENTS: usize = 512;
 
+/// Counts one proxy file that could not be created, or one pack it could
+/// not write (its events are seen but not written).
+fn failed() {
+    opmr_obs::registry()
+        .counter("analysis_trace_proxy_failures_total")
+        .inc();
+}
+
 impl TraceProxy {
-    /// Creates a proxy writing selected events (length-prefixed packs, the
-    /// same `.opmr` format the trace baseline uses) to `path`.
+    /// Creates a proxy writing selected events (the trace-file format of
+    /// [`recording`]) to `path`. A failure is counted.
     pub fn create(path: impl AsRef<Path>, selection: Selection) -> std::io::Result<TraceProxy> {
         let path = path.as_ref().to_path_buf();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = std::io::BufWriter::new(std::fs::File::create(&path)?);
+        let file = recording::create(&path).inspect_err(|_| failed())?;
         Ok(TraceProxy {
             inner: Arc::new(ProxyInner {
                 selection,
@@ -111,30 +117,26 @@ impl TraceProxy {
     }
 
     fn flush_locked(st: &mut ProxyState, app_id: u16) {
-        if st.buf.is_empty() {
+        let Some(rank) = st.buf.first().map(|e| e.rank) else {
             return;
-        }
-        let events = std::mem::take(&mut st.buf);
-        st.written_events += events.len() as u64;
-        let rank = events.first().map(|e| e.rank).unwrap_or(0);
-        let pack = EventPack::new(app_id, rank, st.seq, events);
+        };
+        let events = std::mem::replace(&mut st.buf, Vec::with_capacity(PACK_EVENTS));
+        let n = events.len() as u64;
+        let pack = EventPack::new(app_id, rank, st.seq, events).encode();
         st.seq += 1;
-        let encoded = pack.encode();
-        if let Some(f) = st.file.as_mut() {
-            let _ = f.write_all(&(encoded.len() as u32).to_le_bytes());
-            let _ = f.write_all(&encoded);
+        match st.file.as_mut().map(|f| recording::write_pack(f, &pack)) {
+            Some(Ok(())) => st.written_events += n,
+            _ => failed(),
         }
-        st.buf = Vec::with_capacity(PACK_EVENTS);
     }
 
-    /// Flushes and closes the file; returns `(seen, written)` counts.
-    pub fn finish(&self, app_id: u16) -> std::io::Result<(u64, u64)> {
+    /// Writes the last pack and closes the file; returns `(seen,
+    /// written)`, an event being written once the file accepted its pack.
+    pub fn finish(&self, app_id: u16) -> (u64, u64) {
         let mut st = self.inner.state.lock();
         Self::flush_locked(&mut st, app_id);
-        if let Some(mut f) = st.file.take() {
-            f.flush()?;
-        }
-        Ok((st.seen_events, st.written_events))
+        st.file = None;
+        (st.seen_events, st.written_events)
     }
 
     /// Destination path.
@@ -153,7 +155,6 @@ impl TraceProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opmr_events::wire::Reader;
 
     fn ev(kind: EventKind, rank: u32, t: u64, bytes: u64) -> Event {
         Event {
@@ -169,20 +170,12 @@ mod tests {
     }
 
     /// Reads a proxy trace back.
-    fn read_proxy_trace(path: &Path) -> std::io::Result<Vec<EventPack>> {
-        let data = std::fs::read(path)?;
-        let truncated =
-            |_| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "truncated proxy trace");
-        let mut out = Vec::new();
-        let mut r = Reader::new(&data);
-        while r.remaining() >= 4 {
-            let len = r.u32().map_err(truncated)? as usize;
-            let pack = EventPack::decode(r.bytes(len).map_err(truncated)?).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad pack: {e}"))
-            })?;
-            out.push(pack);
-        }
-        Ok(out)
+    fn read_proxy_trace(path: &Path) -> Vec<EventPack> {
+        let packs = recording::read_trace_file(path).unwrap();
+        packs
+            .iter()
+            .map(|p| EventPack::decode(p).unwrap())
+            .collect()
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -230,11 +223,11 @@ mod tests {
             })
             .collect();
         proxy.offer(3, &events);
-        let (seen, written) = proxy.finish(3).unwrap();
+        let (seen, written) = proxy.finish(3);
         assert_eq!(seen, 1000);
         assert_eq!(written, 500);
 
-        let packs = read_proxy_trace(&path).unwrap();
+        let packs = read_proxy_trace(&path);
         let back: Vec<Event> = packs
             .iter()
             .flat_map(|p| p.events.iter().copied())
@@ -257,9 +250,9 @@ mod tests {
         )
         .unwrap();
         proxy.offer(0, &[ev(EventKind::Send, 0, 0, 64)]);
-        let (seen, written) = proxy.finish(0).unwrap();
+        let (seen, written) = proxy.finish(0);
         assert_eq!((seen, written), (1, 0));
-        assert!(read_proxy_trace(&path).unwrap().is_empty());
+        assert!(read_proxy_trace(&path).is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -270,8 +263,25 @@ mod tests {
         let h = proxy.handle();
         h.offer(0, &[ev(EventKind::Send, 0, 0, 64)]);
         proxy.offer(0, &[ev(EventKind::Recv, 1, 1, 64)]);
-        let (seen, written) = proxy.finish(0).unwrap();
+        let (seen, written) = proxy.finish(0);
         assert_eq!((seen, written), (2, 2));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A pack the file refuses is counted, and its events are seen but not
+    /// written.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_disk_is_counted_not_written() {
+        let failures = opmr_obs::registry().counter("analysis_trace_proxy_failures_total");
+        let before = failures.get();
+        let proxy = TraceProxy::create("/dev/full", Selection::default()).unwrap();
+        let events: Vec<Event> = (0..1000).map(|i| ev(EventKind::Send, 0, i, 64)).collect();
+        proxy.offer(0, &events);
+        assert_eq!(proxy.finish(0), (1000, 0));
+        assert!(failures.get() - before >= 2, "both packs counted");
+        // A proxy that cannot be created is counted too.
+        assert!(TraceProxy::create("/dev/null/x", Selection::default()).is_err());
+        assert!(failures.get() - before >= 3);
     }
 }

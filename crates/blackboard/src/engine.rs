@@ -152,6 +152,9 @@ struct Inner {
     /// Workers parked on `sleep_cv` or about to be. Changed only under
     /// `sleep_lock`; `enqueue` reads it without the lock.
     sleepers: AtomicUsize,
+    /// Drainers waiting on `idle_cv` or about to. Changed only under
+    /// `sleep_lock`; the last job's `execute` reads it without the lock.
+    drainers: AtomicUsize,
     next_ks: AtomicU64,
     queue_pick: AtomicUsize,
     stat_posted: AtomicU64,
@@ -187,6 +190,7 @@ impl Blackboard {
                 sleep_cv: Condvar::new(),
                 idle_cv: Condvar::new(),
                 sleepers: AtomicUsize::new(0),
+                drainers: AtomicUsize::new(0),
                 next_ks: AtomicU64::new(1),
                 queue_pick: AtomicUsize::new(0),
                 stat_posted: AtomicU64::new(0),
@@ -346,10 +350,21 @@ impl Blackboard {
         }
         self.inner.stat_jobs.fetch_add(1, Ordering::Relaxed);
         obs::m().ks_invocations.inc();
-        if self.inner.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Possibly quiescent: wake drainers.
-            self.inner.idle_cv.notify_all();
+        // Quiescent: wake the drainers, if any (a signal is a system call
+        // whether or not anyone waits). No wake-up is lost, as in
+        // `enqueue`: a drainer raises `drainers` under `sleep_lock` before
+        // its last look at `outstanding`, and this load comes after the
+        // decrement; the lock orders the signal after its wait began.
+        if self.inner.outstanding.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.inner.drainers.load(Ordering::SeqCst) > 0
+        {
+            self.wake_drainers();
         }
+    }
+
+    fn wake_drainers(&self) {
+        let _parked = self.inner.sleep_lock.lock();
+        self.inner.idle_cv.notify_all();
     }
 
     /// Spawns the worker pool (idempotent-ish: call once). A worker the OS
@@ -378,14 +393,17 @@ impl Blackboard {
 
     fn worker_loop(&self, seed: usize) {
         // Keep the live count honest even if the loop unwinds, so drain's
-        // inline fallback engages once no worker survives.
-        struct LiveGuard<'a>(&'a AtomicUsize);
+        // inline fallback engages once no worker survives: the last one
+        // out wakes the drainers to take over.
+        struct LiveGuard<'a>(&'a Blackboard);
         impl Drop for LiveGuard<'_> {
             fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::SeqCst);
+                if self.0.inner.live_workers.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    self.0.wake_drainers();
+                }
             }
         }
-        let _guard = LiveGuard(&self.inner.live_workers);
+        let _guard = LiveGuard(self);
         self.worker_loop_inner(seed)
     }
 
@@ -418,8 +436,10 @@ impl Blackboard {
                 self.inner.sleepers.fetch_add(1, Ordering::SeqCst);
                 // Re-check after announcing: a job pushed before the
                 // announcement was visible gets no signal. The timed wait
-                // stays as the backstop (and lets shutdown be noticed).
-                if !self.any_job_queued() {
+                // stays as the backstop; it also keeps an idle pool's
+                // cores warm, which the throughput of a bursty board
+                // depends on.
+                if !self.any_job_queued() && !self.inner.shutdown.load(Ordering::SeqCst) {
                     self.inner
                         .sleep_cv
                         .wait_for(&mut g, Duration::from_micros(500));
@@ -442,13 +462,17 @@ impl Blackboard {
                 self.run_inline();
                 continue;
             }
+            // Announce, then look: the last job's `execute` (or the last
+            // worker's exit) either sees the announcement and signals
+            // after this wait began, or came first and is seen here.
             let mut g = self.inner.sleep_lock.lock();
-            if self.inner.outstanding.load(Ordering::SeqCst) == 0 {
-                return;
+            self.inner.drainers.fetch_add(1, Ordering::SeqCst);
+            if self.inner.outstanding.load(Ordering::SeqCst) != 0
+                && self.inner.live_workers.load(Ordering::SeqCst) != 0
+            {
+                self.inner.idle_cv.wait(&mut g);
             }
-            self.inner
-                .idle_cv
-                .wait_for(&mut g, Duration::from_micros(500));
+            self.inner.drainers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -456,8 +480,13 @@ impl Blackboard {
     /// inside an operation.
     pub fn stop(&self) {
         self.drain();
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.sleep_cv.notify_all();
+        {
+            // Under the lock, so no worker between its last look and its
+            // wait misses the signal.
+            let _parked = self.inner.sleep_lock.lock();
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+            self.inner.sleep_cv.notify_all();
+        }
         let workers = {
             let mut g = self.inner.workers.lock();
             std::mem::take(&mut *g)

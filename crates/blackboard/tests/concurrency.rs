@@ -184,3 +184,33 @@ fn ks_chain_registration_from_inside_operations() {
     assert_eq!(stats.entries_posted, 1 + WORK);
     assert!(stats.jobs_executed > WORK, "trigger + work jobs all ran");
 }
+
+/// `drain` has no timed wait: it sleeps until the last job wakes it. A
+/// post→drain loop that lost one wake-up would hang here, so a watchdog
+/// turns a lost wake-up into a failure.
+#[test]
+fn drain_is_woken_by_the_last_job_every_time() {
+    const ROUNDS: u64 = 5_000;
+    let ty = type_id("drain", "job");
+    let bb = board(2);
+    let fired = Arc::new(AtomicU64::new(0));
+    bb.register(counter_ks("count", ty, &fired));
+    bb.start();
+    let (done, watchdog) = std::sync::mpsc::channel();
+    let driver = {
+        let (bb, fired) = (bb.clone(), Arc::clone(&fired));
+        std::thread::spawn(move || {
+            for i in 0..ROUNDS {
+                bb.post(DataEntry::value(ty, i));
+                bb.drain();
+                assert_eq!(fired.load(Ordering::Relaxed), i + 1, "drained early");
+            }
+            done.send(()).unwrap();
+        })
+    };
+    watchdog
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("drain hung: a wake-up was lost");
+    driver.join().unwrap();
+    bb.stop();
+}

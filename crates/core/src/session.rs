@@ -20,7 +20,7 @@ use bytes::Bytes;
 use opmr_analysis::wire::AppPartial;
 use opmr_analysis::{AnalysisEngine, EngineConfig, MultiReport};
 use opmr_events::PACK_HEADER_SIZE;
-use opmr_instrument::{InstrumentedMpi, RecorderStats};
+use opmr_instrument::{InstrumentedMpi, RecorderStats, EVENT_STREAM};
 use opmr_netsim::Workload;
 use opmr_reduce::{run_node, NodeConfig, ReduceOp, ReduceStats, Tree};
 use opmr_runtime::{Launcher, Mpi, RankError};
@@ -104,8 +104,9 @@ enum LaunchPlan {
         proc_index: usize,
         num_procs: usize,
         /// `placement[i]` is the process hosting application partition `i`
-        /// (add order).
-        placement: Vec<usize>,
+        /// (add order); `None` derives it round-robin once a replay's
+        /// recorded applications are known.
+        placement: Option<Vec<usize>>,
     },
 }
 
@@ -468,8 +469,9 @@ impl SessionBuilder {
     /// client partitions and the hidden self-monitor stay on process 0 —
     /// the shared analysis engine and snapshot store live in that
     /// address space — while application partition `i` runs on process
-    /// `1 + i % (num_procs − 1)` (process 0 when it is the only one). This
-    /// is [`run_multiproc_placed`](Self::run_multiproc_placed) with that
+    /// `1 + i % (num_procs − 1)` (process 0 when it is the only one), a
+    /// replay's recorded applications counted first. This is
+    /// [`run_multiproc_placed`](Self::run_multiproc_placed) with that
     /// placement. Only process 0's outcome carries the report; worker
     /// processes get an empty one (their engine ingests nothing), and
     /// `recorders` always covers just the ranks hosted by the calling
@@ -480,11 +482,12 @@ impl SessionBuilder {
         proc_index: usize,
         num_procs: usize,
     ) -> Result<SessionOutcome, SessionError> {
-        let workers = num_procs.saturating_sub(1);
-        let placement = (0..self.apps.len())
-            .map(|i| i.checked_rem(workers).map_or(0, |w| 1 + w))
-            .collect();
-        self.run_multiproc_placed(socket, proc_index, num_procs, placement)
+        self.run_inner(LaunchPlan::Socket {
+            socket,
+            proc_index,
+            num_procs,
+            placement: None,
+        })
     }
 
     /// Like [`run_multiproc`](Self::run_multiproc), but with the
@@ -517,7 +520,7 @@ impl SessionBuilder {
             socket,
             proc_index,
             num_procs,
-            placement,
+            placement: Some(placement),
         })
     }
 
@@ -567,7 +570,16 @@ impl SessionBuilder {
         // process 0.
         let placement = match &plan {
             LaunchPlan::InProc => Vec::new(),
-            LaunchPlan::Socket { placement, .. } => placement.clone(),
+            LaunchPlan::Socket {
+                placement: Some(placement),
+                ..
+            } => placement.clone(),
+            LaunchPlan::Socket { num_procs, .. } => {
+                let workers = num_procs.saturating_sub(1);
+                (0..self.apps.len())
+                    .map(|i| i.checked_rem(workers).map_or(0, |w| 1 + w))
+                    .collect()
+            }
         };
         let app_proc = |i: usize| placement.get(i).copied().unwrap_or(0);
         let serving = matches!(self.coupling, Coupling::Serving);
@@ -722,7 +734,7 @@ impl SessionBuilder {
                     let open = trace::opener(&self.sink, app_id, spec.ranks, policy, stream_cfg)?;
                     let (name, recs) = (spec.name.clone(), Arc::clone(&recorders));
                     launcher.partition_try(&spec.name, spec.ranks, move |mpi: Mpi| {
-                        let imp = open(mpi)?;
+                        let imp = InstrumentedMpi::init(mpi, app_id, stream_cfg, &open)?;
                         body(&imp)?;
                         let stats = imp.finalize()?;
                         recs.lock().push((name.clone(), stats));
@@ -891,11 +903,19 @@ fn analyzer_rank(
     for pid in 0..n_apps {
         map_partitions_directed(&v, pid, v.partition_id(), policy.clone(), &mut map)?;
     }
-    let outcome = run_node(&v, tree, map.peers(), stream_cfg, 0, node_cfg, |block| {
-        if let Some(engine) = engine {
-            engine.post_block(block);
-        }
-    })?;
+    let outcome = run_node(
+        &v,
+        tree,
+        map.peers(),
+        stream_cfg,
+        EVENT_STREAM,
+        node_cfg,
+        |block| {
+            if let Some(engine) = engine {
+                engine.post_block(block);
+            }
+        },
+    )?;
     let partials = outcome
         .partials
         .iter()

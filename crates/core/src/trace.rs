@@ -8,10 +8,10 @@
 
 use crate::session::{Session, SessionBuilder, SessionError, SessionOutcome};
 use bytes::Bytes;
-use opmr_instrument::{read_sion, read_trace_file, InstrumentedMpi, SionFile};
+use opmr_events::recording::{self, RankPacks, RecordingError, RecordingFile, SionFile};
+use opmr_instrument::{InstrumentedMpi, PackSink};
 use opmr_runtime::{Mpi, RankError};
-use opmr_vmpi::{MapPolicy, StreamConfig, Vmpi};
-use std::collections::BTreeMap;
+use opmr_vmpi::{MapPolicy, StreamConfig, Vmpi, VmpiError};
 use std::path::{Path, PathBuf};
 
 /// Where a session's instrumented applications write their packs.
@@ -25,13 +25,12 @@ pub enum Sink {
     Sion(PathBuf),
 }
 
-/// How one rank of an application opens its instrumented handle.
-pub(crate) type Opener =
-    Box<dyn Fn(Mpi) -> opmr_vmpi::Result<InstrumentedMpi> + Send + Sync + 'static>;
+/// How one rank of an application opens its pack sink.
+pub(crate) type Opener = Box<dyn Fn(&Vmpi) -> opmr_vmpi::Result<PackSink> + Send + Sync>;
 
-/// The opener of application `app_id`'s `ranks` ranks on `sink`, in `cfg`'s
-/// block size and encoding: mapped onto the analyzer with `policy`, or
-/// writing under the sink's directory (creating the app's SION container).
+/// The pack sink of application `app_id`'s `ranks` ranks on `sink`: the
+/// analyzer's stream mapped with `policy` in `cfg`, or a file under the
+/// sink's directory (creating the app's SION container).
 pub(crate) fn opener(
     sink: &Sink,
     app_id: u16,
@@ -40,26 +39,30 @@ pub(crate) fn opener(
     cfg: StreamConfig,
 ) -> Result<Opener, SessionError> {
     Ok(match sink {
-        Sink::Stream => Box::new(move |mpi| {
-            InstrumentedMpi::init_directed(mpi, "Analyzer", policy.clone(), cfg, 0, app_id)
-        }),
+        Sink::Stream => Box::new(move |v| PackSink::stream(v, "Analyzer", policy.clone(), cfg)),
         Sink::TraceDir(dir) => {
             let dir = dir.clone();
-            Box::new(move |mpi| InstrumentedMpi::init_trace(mpi, &dir, app_id, cfg))
+            Box::new(move |v| {
+                let rank = v.rank() as u32;
+                let path = RecordingFile::Rank { app: app_id, rank }.path(&dir);
+                PackSink::file(&path).map_err(|e| VmpiError::io(&path, e))
+            })
         }
         Sink::Sion(dir) => {
-            let path = dir.join(format!("app{app_id}.sion"));
-            let sion = SionFile::create(&path, ranks as u32).map_err(|e| {
-                SessionError::Config(format!("sion container {}: {e}", path.display()))
-            })?;
-            Box::new(move |mpi| InstrumentedMpi::init_sion(mpi, sion.clone(), app_id, cfg))
+            let path = RecordingFile::Sion { app: app_id }.path(dir);
+            let file = SionFile::create(&path, ranks as u32)
+                .map_err(|e| SessionError::Vmpi(VmpiError::io(&path, e)))?;
+            Box::new(move |v| {
+                let (file, rank) = (file.clone(), v.rank() as u32);
+                Ok(PackSink::Sion { file, rank })
+            })
         }
     })
 }
 
-/// A replay source rank: maps onto the analyzer exactly as an instrumented
-/// rank does, then writes its recorded packs (`recorded` holds every
-/// rank's), one per block, verbatim.
+/// A replay source rank: opens the analyzer's stream exactly as an
+/// instrumented rank does, then writes its recorded packs (`recorded`
+/// holds every rank's), one per block, verbatim.
 pub(crate) fn replay_rank(
     mpi: Mpi,
     recorded: &[Vec<Bytes>],
@@ -70,85 +73,21 @@ pub(crate) fn replay_rank(
     let packs = recorded
         .get(vmpi.rank())
         .ok_or("replay rank outside the recording")?;
-    let mut stream = InstrumentedMpi::open_directed(&vmpi, "Analyzer", policy, cfg, 0)?;
-    let mut block = stream.new_block();
+    let mut sink = PackSink::stream(&vmpi, "Analyzer", policy, cfg)?;
+    let mut block = sink.new_block(cfg.block_size);
     for pack in packs {
         block.extend_from_slice(pack);
-        stream.send_block(&mut block)?;
+        sink.put(&mut block)?;
     }
-    stream.close()?;
+    sink.close()?;
     Ok(())
 }
 
-/// One recorded application's packs, rank by rank.
-pub(crate) type RankPacks = Vec<Vec<Bytes>>;
-
-/// Reads the recording in `dir`: every `app<a>_rank<r>.opmr` trace file
-/// and every `app<a>.sion` container, as `(app id, packs of each rank in
-/// rank order)`, ascending by app id. Files with other extensions are
-/// ignored; a misnamed or truncated recording file, a rank recorded twice,
-/// a rank missing below an app's highest, or no recording at all is a
-/// [`SessionError::Recording`] naming the file.
+/// Reads the recording in `dir` (see [`recording::read_dir`]); a bad one
+/// is a [`SessionError::Recording`] naming the file.
 pub(crate) fn read_recording(dir: &Path) -> Result<Vec<(u16, RankPacks)>, SessionError> {
-    let bad = |path: &Path, what: String| SessionError::Recording {
-        path: path.to_path_buf(),
-        what,
-    };
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| bad(dir, e.to_string()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    paths.sort();
-    let mut apps: BTreeMap<u16, BTreeMap<u32, Vec<Bytes>>> = BTreeMap::new();
-    let mut containers: BTreeMap<u16, &Path> = BTreeMap::new();
-    for path in &paths {
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        let ext = path.extension().and_then(|s| s.to_str()).unwrap_or("");
-        let name_err = |want: &str| bad(path, format!("not named {want}"));
-        let (app, ranks) = match ext {
-            "opmr" => {
-                let (app, rank) = stem
-                    .strip_prefix("app")
-                    .and_then(|s| s.split_once("_rank"))
-                    .and_then(|(a, r)| Some((a.parse().ok()?, r.parse().ok()?)))
-                    .ok_or_else(|| name_err("app<a>_rank<r>.opmr"))?;
-                let packs = read_trace_file(path).map_err(|e| bad(path, e.to_string()))?;
-                (app, vec![(rank, packs)])
-            }
-            "sion" => {
-                let app = stem
-                    .strip_prefix("app")
-                    .and_then(|a| a.parse().ok())
-                    .ok_or_else(|| name_err("app<a>.sion"))?;
-                containers.insert(app, path);
-                (app, read_sion(path).map_err(|e| bad(path, e.to_string()))?)
-            }
-            _ => continue,
-        };
-        let recorded = apps.entry(app).or_default();
-        for (rank, packs) in ranks {
-            if recorded.insert(rank, packs).is_some() {
-                return Err(bad(path, format!("app {app} rank {rank} recorded twice")));
-            }
-        }
-    }
-    if apps.is_empty() {
-        return Err(bad(dir, "no app<a>_rank<r>.opmr or app<a>.sion".into()));
-    }
-    apps.into_iter()
-        .map(|(app, ranks)| {
-            // Ranks come out ascending, so the first gap is the first rank
-            // that differs from its index.
-            if let Some(missing) = (0u32..).zip(ranks.keys()).find(|(i, r)| i != *r) {
-                let path = containers.get(&app).map_or_else(
-                    || dir.join(format!("app{app}_rank{}.opmr", missing.0)),
-                    |p| p.to_path_buf(),
-                );
-                return Err(bad(&path, format!("app {app} has no rank {}", missing.0)));
-            }
-            Ok((app, ranks.into_values().collect()))
-        })
-        .collect()
+    recording::read_dir(dir)
+        .map_err(|RecordingError { path, what }| SessionError::Recording { path, what })
 }
 
 /// The trace-file baseline as a preset: record the applications with a

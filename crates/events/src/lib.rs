@@ -17,7 +17,8 @@
 //! The codec is explicit little-endian rather than a struct memcpy so packs
 //! are valid across any producer/consumer pair and truncation is detected.
 //! [`wire::Reader`] is the checked cursor every decoder in the workspace
-//! outside the per-event kernels reads through.
+//! outside the per-event kernels reads through. [`recording`] says what a
+//! trace-file recording is: its file names, framing and container.
 
 pub mod codec;
 pub mod compress;
@@ -25,6 +26,7 @@ pub mod event;
 pub mod frame;
 pub mod pack;
 pub mod pool;
+pub mod recording;
 pub mod vint;
 pub mod wire;
 

@@ -17,11 +17,9 @@
 pub mod clock;
 pub mod recorder;
 pub mod sink;
-pub mod sion;
 pub mod wrapper;
 
 pub use clock::RankClock;
 pub use recorder::{Recorder, RecorderConfig, RecorderStats};
-pub use sink::{parse_trace, read_trace_file, PackSink};
-pub use sion::{parse_sion, read_sion, SionFile};
+pub use sink::{PackSink, EVENT_STREAM};
 pub use wrapper::{InstrRequest, InstrumentedMpi};

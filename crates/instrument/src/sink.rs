@@ -1,40 +1,63 @@
 //! Pack sinks: where encoded event packs go.
 //!
-//! The paper's point is precisely the difference between these two sinks:
+//! The paper's point is precisely the difference between these sinks:
 //! [`PackSink::Stream`] couples instrumentation to the online analyzer over
-//! the interconnect; [`PackSink::File`] is the classical trace-to-disk
-//! workflow kept as the comparison baseline (length-prefixed packs, one
+//! the interconnect; [`PackSink::File`] and [`PackSink::Sion`] are the
+//! classical trace-to-disk workflow kept as the comparison baseline (one
 //! file per rank — the "task-local files" pattern whose metadata pressure
-//! the paper criticizes).
+//! the paper criticizes — or one container per application). What those
+//! files hold is [`opmr_events::recording`]'s to say.
 
-use bytes::{Bytes, BytesMut};
-use opmr_events::wire::{Reader, Truncated};
-use opmr_vmpi::{Result, VmpiError, WriteStream};
-use std::io::Write;
+use bytes::BytesMut;
+use opmr_events::recording::{self, SionFile};
+use opmr_vmpi::map::map_partitions_directed;
+use opmr_vmpi::{Map, MapPolicy, Result, StreamConfig, Vmpi, VmpiError, WriteStream};
+use std::io::{BufWriter, Write};
+use std::path::PathBuf;
+
+/// The stream id every event stream opens on.
+pub const EVENT_STREAM: u16 = 0;
 
 /// Destination for encoded packs.
 #[allow(clippy::large_enum_variant)] // one sink per rank, size is irrelevant
 pub enum PackSink {
     /// Online coupling: one pack per stream block.
     Stream(WriteStream),
-    /// Classical trace file: `[u32 little-endian length][pack bytes]*`.
-    File(std::io::BufWriter<std::fs::File>),
-    /// SIONlib-style shared container: all ranks multiplex into one file.
-    Sion {
-        file: crate::sion::SionFile,
-        rank: u32,
+    /// Classical trace file, one per rank.
+    File {
+        writer: BufWriter<std::fs::File>,
+        path: PathBuf,
     },
+    /// SIONlib-style shared container: all ranks multiplex into one file.
+    Sion { file: SionFile, rank: u32 },
 }
 
 impl PackSink {
+    /// The event stream of a rank, live or replayed: maps the caller's
+    /// partition onto the analyzer partition (by name) with `policy`, the
+    /// analyzer side mastering the map regardless of partition sizes (the
+    /// policy picks the reduction-tree node for each arriving leaf;
+    /// round-robin over every analyzer rank for direct mapping).
+    pub fn stream(
+        vmpi: &Vmpi,
+        analyzer_partition: &str,
+        policy: MapPolicy,
+        cfg: StreamConfig,
+    ) -> Result<PackSink> {
+        let analyzer = vmpi
+            .partition_by_name(analyzer_partition)
+            .ok_or_else(|| VmpiError::UnknownPartition(analyzer_partition.to_string()))?
+            .id;
+        let mut map = Map::new();
+        map_partitions_directed(vmpi, analyzer, analyzer, policy, &mut map)?;
+        WriteStream::open_map(vmpi, &map, cfg, EVENT_STREAM).map(PackSink::Stream)
+    }
+
     /// Opens a per-rank trace file sink.
-    pub fn file(path: impl Into<std::path::PathBuf>) -> std::io::Result<PackSink> {
+    pub fn file(path: impl Into<PathBuf>) -> std::io::Result<PackSink> {
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = std::fs::File::create(&path)?;
-        Ok(PackSink::File(std::io::BufWriter::new(file)))
+        let writer = BufWriter::new(recording::create(&path)?);
+        Ok(PackSink::File { writer, path })
     }
 
     /// An empty buffer for [`PackSink::put`] to be filled with one pack of
@@ -49,55 +72,42 @@ impl PackSink {
 
     /// Writes the encoded pack behind the headroom of `block` (a buffer
     /// from [`PackSink::new_block`]) and empties it back to that headroom.
+    /// A file's failure is [`VmpiError::Io`] naming the file.
     pub fn put(&mut self, block: &mut BytesMut) -> Result<()> {
         let written = match self {
             // One pack == one block, sent from where it was encoded.
             PackSink::Stream(stream) => return stream.send_block(block),
-            PackSink::File(writer) => {
-                let len = (block.len() as u32).to_le_bytes();
-                writer.write_all(&len).and_then(|_| writer.write_all(block))
+            PackSink::File { writer, path } => {
+                recording::write_pack(writer, block).map_err(|e| VmpiError::io(path, e))
             }
-            PackSink::Sion { file, rank } => file.write(*rank, block),
+            PackSink::Sion { file, rank } => file
+                .write(*rank, block)
+                .map_err(|e| VmpiError::io(file.path(), e)),
         };
         block.clear();
-        written.map_err(|_| VmpiError::StreamClosed)
+        written
     }
 
     /// Closes the sink (EOF markers for streams, flush for files).
     pub fn close(self) -> Result<()> {
         match self {
             PackSink::Stream(stream) => stream.close(),
-            PackSink::File(mut writer) => writer.flush().map_err(|_| VmpiError::StreamClosed),
-            PackSink::Sion { file, .. } => file.close_rank().map_err(|_| VmpiError::StreamClosed),
+            PackSink::File { mut writer, path } => {
+                writer.flush().map_err(|e| VmpiError::io(&path, e))
+            }
+            PackSink::Sion { file, .. } => {
+                file.close_rank().map_err(|e| VmpiError::io(file.path(), e))
+            }
         }
     }
-}
-
-/// Reads every length-prefixed pack back from a trace file.
-pub fn read_trace_file(path: &std::path::Path) -> std::io::Result<Vec<Bytes>> {
-    parse_trace(&std::fs::read(path)?).map_err(|t| {
-        std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            format!("truncated trace {path:?}: {t}"),
-        )
-    })
-}
-
-/// Splits trace-file bytes into their packs. A pack or a length prefix cut
-/// at the tail is [`Truncated`].
-pub fn parse_trace(data: &[u8]) -> std::result::Result<Vec<Bytes>, Truncated> {
-    let mut r = Reader::new(data);
-    let mut out = Vec::new();
-    while r.remaining() > 0 {
-        let len = r.u32()? as usize;
-        out.push(Bytes::copy_from_slice(r.bytes(len)?));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Recorder, RecorderConfig};
+    use bytes::Bytes;
+    use opmr_events::{Event, EventKind, EventPack, PackEncoding};
 
     #[test]
     fn file_sink_roundtrip() {
@@ -117,24 +127,47 @@ mod tests {
             assert!(block.is_empty());
         }
         sink.close().unwrap();
-        let back = read_trace_file(&path).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[0], packs[0]);
-        assert_eq!(back[1], packs[1]);
-        assert_eq!(back[2], packs[2]);
+        assert_eq!(recording::read_trace_file(&path).unwrap(), packs);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A full disk is a typed error naming the file, at the first pack the
+    /// file refuses, not "stream closed".
+    #[cfg(target_os = "linux")]
     #[test]
-    fn truncated_trace_detected() {
-        let dir = std::env::temp_dir().join(format!("opmr_sink_tr_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.opmr");
-        std::fs::write(&path, [10, 0, 0, 0, 1, 2]).unwrap();
-        assert!(read_trace_file(&path).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-        // A length prefix cut at the tail is an error too, not a silent
-        // end of the trace.
-        assert!(parse_trace(&[1, 0, 0, 0, 7, 2, 0]).is_err());
+    fn a_full_disk_fails_the_first_flush_naming_the_file() {
+        let path = std::path::Path::new("/dev/full");
+        let cfg = RecorderConfig::for_block(0, 0, 64 * 1024, PackEncoding::Fixed);
+        let mut rec = Recorder::new(cfg, PackSink::file(path).unwrap());
+        let (n, err) = (1u64..)
+            .find_map(|t| {
+                Some((
+                    t,
+                    rec.record(Event::basic(EventKind::Marker, 0, t, 1)).err()?,
+                ))
+            })
+            .unwrap();
+        let one_pack = EventPack::capacity_for_block_with(64 * 1024, PackEncoding::Fixed);
+        assert_eq!(n, one_pack as u64, "the first flush fails");
+        assert_eq!(
+            err,
+            VmpiError::Io {
+                kind: std::io::ErrorKind::StorageFull,
+                path: path.into(),
+            }
+        );
+        assert!(err.to_string().contains("/dev/full"), "{err}");
+        let sion = SionFile::create(path, 1).unwrap();
+        let mut sink = PackSink::Sion {
+            file: sion,
+            rank: 0,
+        };
+        let mut block = sink.new_block(16);
+        block.extend_from_slice(b"pack");
+        sink.put(&mut block).unwrap(); // buffered
+        assert!(matches!(
+            sink.close(),
+            Err(VmpiError::Io { kind: std::io::ErrorKind::StorageFull, path: p }) if p == path
+        ));
     }
 }

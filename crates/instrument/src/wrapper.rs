@@ -16,8 +16,7 @@ use bytes::Bytes;
 use opmr_events::{Event, EventKind, EventPack};
 use opmr_runtime::collectives::ops as reduce_ops;
 use opmr_runtime::{Comm, CommId, Mpi, Pod, Src, Status, TagSel};
-use opmr_vmpi::map::{map_partitions, map_partitions_directed};
-use opmr_vmpi::{Map, MapPolicy, Result, StreamConfig, Vmpi, VmpiError, WriteStream};
+use opmr_vmpi::{Result, StreamConfig, Vmpi, VmpiError};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -32,24 +31,6 @@ pub struct InstrRequest {
     tag: i32,
     comm: u32,
     bytes: u64,
-}
-
-/// Maps the caller's partition onto the analyzer partition (by name)
-/// with `map_onto` and opens a write stream on that map.
-fn open_mapped(
-    vmpi: &Vmpi,
-    analyzer_partition: &str,
-    stream_cfg: StreamConfig,
-    stream_id: u16,
-    map_onto: impl FnOnce(&Vmpi, usize, &mut Map) -> Result<()>,
-) -> Result<WriteStream> {
-    let analyzer = vmpi
-        .partition_by_name(analyzer_partition)
-        .ok_or_else(|| VmpiError::UnknownPartition(analyzer_partition.to_string()))?
-        .id;
-    let mut map = Map::new();
-    map_onto(vmpi, analyzer, &mut map)?;
-    WriteStream::open_map(vmpi, &map, stream_cfg, stream_id)
 }
 
 /// The instrumented, virtualized MPI handle handed to application code.
@@ -80,104 +61,13 @@ pub struct InstrumentedMpi {
 }
 
 impl InstrumentedMpi {
-    /// Instruments a rank: virtualizes it, maps its partition onto the
-    /// analyzer partition (round-robin, the smaller partition mastering, as
-    /// in Figures 7 and 10) and opens the event stream. Records the
-    /// `MPI_Init` event.
+    /// Instruments a rank: virtualizes it, opens its pack sink with
+    /// `open_sink` (the analyzer's stream, [`PackSink::stream`], or a trace
+    /// file or container) and records `MPI_Init`, timed from the rank's
+    /// entry here. Packs are cut to `stream_cfg`'s block size in its
+    /// encoding, whatever the sink; a block below a header and one row is
+    /// [`VmpiError::InvalidConfig`].
     pub fn init(
-        mpi: Mpi,
-        analyzer_partition: &str,
-        stream_cfg: StreamConfig,
-        stream_id: u16,
-        app_id: u16,
-    ) -> Result<Self> {
-        Self::build(mpi, app_id, stream_cfg, |vmpi| {
-            open_mapped(
-                vmpi,
-                analyzer_partition,
-                stream_cfg,
-                stream_id,
-                |v, a, map| map_partitions(v, a, MapPolicy::RoundRobin, map),
-            )
-            .map(PackSink::Stream)
-        })
-    }
-
-    /// Instruments a rank like [`InstrumentedMpi::init`], but maps onto the
-    /// analyzer partition with an explicit policy and with the *analyzer*
-    /// side mastering the mapping regardless of partition sizes. Sessions
-    /// use this to attach leaves to reduction-tree nodes (the policy picks
-    /// the frontier node for each arriving leaf; round-robin over every
-    /// analyzer rank for direct mapping).
-    pub fn init_directed(
-        mpi: Mpi,
-        analyzer_partition: &str,
-        policy: MapPolicy,
-        stream_cfg: StreamConfig,
-        stream_id: u16,
-        app_id: u16,
-    ) -> Result<Self> {
-        Self::build(mpi, app_id, stream_cfg, |vmpi| {
-            Self::open_directed(vmpi, analyzer_partition, policy, stream_cfg, stream_id)
-                .map(PackSink::Stream)
-        })
-    }
-
-    /// The map-and-open of [`InstrumentedMpi::init_directed`] on its own,
-    /// for a source that already holds encoded packs (a replayed trace).
-    pub fn open_directed(
-        vmpi: &Vmpi,
-        analyzer_partition: &str,
-        policy: MapPolicy,
-        stream_cfg: StreamConfig,
-        stream_id: u16,
-    ) -> Result<WriteStream> {
-        open_mapped(
-            vmpi,
-            analyzer_partition,
-            stream_cfg,
-            stream_id,
-            |v, a, map| map_partitions_directed(v, a, a, policy, map),
-        )
-    }
-
-    /// Instruments a rank writing the classical per-rank trace file instead
-    /// of streaming (the baseline workflow of Figure 1). The trace lands in
-    /// `dir/app<id>_rank<r>.opmr`, in `stream_cfg`'s block size and pack
-    /// encoding.
-    pub fn init_trace(
-        mpi: Mpi,
-        dir: &std::path::Path,
-        app_id: u16,
-        stream_cfg: StreamConfig,
-    ) -> Result<Self> {
-        Self::build(mpi, app_id, stream_cfg, |vmpi| {
-            let path = dir.join(format!("app{app_id}_rank{}.opmr", vmpi.rank()));
-            PackSink::file(path).map_err(|_| VmpiError::StreamClosed)
-        })
-    }
-
-    /// Instruments a rank writing into a shared SIONlib-style container
-    /// (one file for the whole application — the reduced-metadata trace
-    /// baseline the paper's comparisons use via Score-P + SIONlib), in
-    /// `stream_cfg`'s block size and pack encoding.
-    pub fn init_sion(
-        mpi: Mpi,
-        container: crate::sion::SionFile,
-        app_id: u16,
-        stream_cfg: StreamConfig,
-    ) -> Result<Self> {
-        Self::build(mpi, app_id, stream_cfg, |vmpi| {
-            Ok(PackSink::Sion {
-                file: container,
-                rank: vmpi.rank() as u32,
-            })
-        })
-    }
-
-    /// The body of every `init`: virtualizes the rank, opens its pack
-    /// sink and records `MPI_Init`, timed from the rank's entry here.
-    fn build(
         mpi: Mpi,
         app_id: u16,
         stream_cfg: StreamConfig,

@@ -10,10 +10,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 use opmr_events::{EventKind, PackEncoding};
-use opmr_instrument::InstrumentedMpi;
+use opmr_instrument::{InstrumentedMpi, PackSink, EVENT_STREAM};
 use opmr_runtime::Launcher;
 use opmr_vmpi::map::map_partitions;
-use opmr_vmpi::{Balance, Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi};
+use opmr_vmpi::{Balance, Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi, WriteStream};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,6 +63,18 @@ fn cfg() -> StreamConfig {
         .with_read_timeout(Duration::from_secs(30))
 }
 
+/// Opens the event stream onto the "Analyzer" partition, mapped
+/// round-robin with the smaller partition mastering: the mapping these
+/// tests' analyzer sides (`map_partitions`) mirror.
+fn to_analyzer(cfg: StreamConfig) -> impl FnOnce(&Vmpi) -> opmr_vmpi::Result<PackSink> {
+    move |v| {
+        let analyzer = v.partition_by_name("Analyzer").unwrap().id;
+        let mut map = Map::new();
+        map_partitions(v, analyzer, MapPolicy::RoundRobin, &mut map)?;
+        WriteStream::open_map(v, &map, cfg, EVENT_STREAM).map(PackSink::Stream)
+    }
+}
+
 /// The firehose mix: POSIX writes and reads, markers, empty computes.
 fn calls(imp: &InstrumentedMpi, n: u64) {
     for i in 0..n {
@@ -87,7 +99,7 @@ fn a_warm_call_allocates_nothing_and_a_pack_one_frame() {
     let counted = std::sync::Arc::clone(&counted_packs);
     Launcher::new()
         .partition("app", 1, move |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg(), to_analyzer(cfg())).unwrap();
             // Warm-up: enough rows for a few packs, so every buffer the
             // path reuses exists before the count starts.
             calls(&imp, 5_000);
@@ -102,7 +114,7 @@ fn a_warm_call_allocates_nothing_and_a_pack_one_frame() {
             let v = Vmpi::new(mpi).unwrap();
             let mut map = Map::new();
             map_partitions(&v, 0, MapPolicy::RoundRobin, &mut map).unwrap();
-            let mut st = ReadStream::open_map(&v, &map, cfg(), 0).unwrap();
+            let mut st = ReadStream::open_map(&v, &map, cfg(), EVENT_STREAM).unwrap();
             while st.read(ReadMode::Blocking).unwrap().is_some() {}
         })
         .run()

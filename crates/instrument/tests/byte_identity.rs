@@ -8,11 +8,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 use bytes::Bytes;
+use opmr_events::recording::read_trace_file;
 use opmr_events::{
     Compression, Event, EventKind, EventPack, PackEncoding, DELTA_EVENT_MAX_WIRE_SIZE,
     EVENT_WIRE_SIZE, PACK_HEADER_SIZE,
 };
-use opmr_instrument::{read_trace_file, PackSink, Recorder, RecorderConfig};
+use opmr_instrument::{PackSink, Recorder, RecorderConfig};
 use opmr_runtime::Launcher;
 use opmr_vmpi::{Balance, ReadMode, ReadStream, StreamConfig, Vmpi, WriteStream};
 use proptest::prelude::*;

@@ -8,7 +8,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
-use opmr_instrument::{InstrumentedMpi, RankClock};
+use opmr_events::recording::RecordingFile;
+use opmr_instrument::{InstrumentedMpi, PackSink, RankClock};
 use opmr_runtime::Launcher;
 use opmr_vmpi::StreamConfig;
 use std::sync::{Arc, Mutex};
@@ -72,7 +73,11 @@ fn every_rank_counts_from_the_job_origin() {
     };
     Launcher::new()
         .partition("app", RANKS, move |mpi| {
-            let imp = InstrumentedMpi::init_trace(mpi, &d2, 0, cfg).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg, |v| {
+                let rank = v.rank() as u32;
+                Ok(PackSink::file(RecordingFile::Rank { app: 0, rank }.path(&d2)).unwrap())
+            })
+            .unwrap();
             imp.barrier(&imp.comm_world()).unwrap();
             let wall = imp.vmpi().mpi();
             let before = wall.wtime_ns();

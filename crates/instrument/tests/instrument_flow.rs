@@ -3,17 +3,32 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
+use opmr_events::recording::RecordingFile;
 use opmr_events::{EventKind, EventPack, PackEncoding, EVENT_WIRE_SIZE, PACK_HEADER_SIZE};
-use opmr_instrument::InstrumentedMpi;
+use opmr_instrument::{InstrumentedMpi, PackSink, EVENT_STREAM};
 use opmr_runtime::{Launcher, Src, TagSel};
 use opmr_vmpi::map::map_partitions;
-use opmr_vmpi::{Balance, Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError};
+use opmr_vmpi::{
+    Balance, Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError, WriteStream,
+};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 fn cfg() -> StreamConfig {
     StreamConfig::new(4096, 3, Balance::RoundRobin)
+}
+
+/// Opens the event stream onto the "Analyzer" partition, mapped
+/// round-robin with the smaller partition mastering: the mapping these
+/// tests' analyzer sides (`map_partitions`) mirror.
+fn to_analyzer(cfg: StreamConfig) -> impl FnOnce(&Vmpi) -> opmr_vmpi::Result<PackSink> {
+    move |v| {
+        let analyzer = v.partition_by_name("Analyzer").unwrap().id;
+        let mut map = Map::new();
+        map_partitions(v, analyzer, MapPolicy::RoundRobin, &mut map)?;
+        WriteStream::open_map(v, &map, cfg, EVENT_STREAM).map(PackSink::Stream)
+    }
 }
 
 /// Analyzer partition body: drain every mapped stream, decode packs.
@@ -28,7 +43,7 @@ fn analyzer_collect(mpi: opmr_runtime::Mpi, sink: Arc<Mutex<Vec<EventPack>>>) {
     if map.is_empty() {
         return;
     }
-    let mut st = ReadStream::open_map(&v, &map, cfg(), 0).unwrap();
+    let mut st = ReadStream::open_map(&v, &map, cfg(), EVENT_STREAM).unwrap();
     while let Some(block) = st.read(ReadMode::Blocking).unwrap() {
         let pack = EventPack::decode(&block.data).expect("block is one pack");
         sink.lock().unwrap().push(pack);
@@ -41,7 +56,7 @@ fn events_arrive_with_correct_shape() {
     let p2 = Arc::clone(&packs);
     Launcher::new()
         .partition("app", 2, |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg(), to_analyzer(cfg())).unwrap();
             let w = imp.comm_world();
             if imp.rank() == 0 {
                 imp.send(&w, 1, 42, &[1u8, 2, 3][..]).unwrap();
@@ -98,7 +113,7 @@ fn event_counts_scale_with_activity() {
     const ROUNDS: usize = 200;
     Launcher::new()
         .partition("app", 4, |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 3).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 3, cfg(), to_analyzer(cfg())).unwrap();
             let w = imp.comm_world();
             let r = imp.rank();
             let n = imp.size();
@@ -167,7 +182,7 @@ fn hooks_observe_every_event() {
     let p2 = Arc::clone(&packs);
     Launcher::new()
         .partition("app", 1, move |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg(), to_analyzer(cfg())).unwrap();
             let s = Arc::clone(&seen2);
             imp.add_hook(move |_e| {
                 s.fetch_add(1, Ordering::SeqCst);
@@ -209,7 +224,7 @@ fn a_hook_reentering_its_handle_gets_typed_results_not_a_panic() {
     let p2 = Arc::clone(&packs);
     Launcher::new()
         .partition("app", 1, |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg(), to_analyzer(cfg())).unwrap();
             imp.add_hook(|e| {
                 if e.kind == EventKind::Marker && e.tag == 1 {
                     HANDLE.with(|h| {
@@ -261,7 +276,7 @@ fn collectives_and_posix_recorded() {
     let p2 = Arc::clone(&packs);
     Launcher::new()
         .partition("app", 3, |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg(), to_analyzer(cfg())).unwrap();
             let w = imp.comm_world();
             let data = if imp.rank() == 1 {
                 Some(bytes::Bytes::from(vec![5u8; 100]))
@@ -313,7 +328,7 @@ fn posix_with_a_non_posix_kind_is_a_typed_error_and_records_nothing() {
     let p2 = Arc::clone(&packs);
     Launcher::new()
         .partition("app", 1, |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg(), to_analyzer(cfg())).unwrap();
             let d = std::time::Duration::from_micros(1);
             assert_eq!(
                 imp.posix(EventKind::Send, 8, d),
@@ -346,7 +361,7 @@ fn a_ranks_event_timestamps_never_decrease() {
     let p2 = Arc::clone(&packs);
     Launcher::new()
         .partition("app", 2, |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg(), to_analyzer(cfg())).unwrap();
             for i in 0..20_000 {
                 match i % 3 {
                     0 => imp.marker(i).unwrap(),
@@ -385,7 +400,7 @@ fn a_ranks_event_timestamps_never_decrease() {
 fn finalize_twice_errors() {
     Launcher::new()
         .partition("app", 1, |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg(), to_analyzer(cfg())).unwrap();
             imp.finalize().unwrap();
             assert!(imp.finalize().is_err());
             assert!(imp.marker(0).is_err());
@@ -394,7 +409,7 @@ fn finalize_twice_errors() {
             let v = Vmpi::new(mpi).unwrap();
             let mut map = Map::new();
             map_partitions(&v, 0, MapPolicy::RoundRobin, &mut map).unwrap();
-            let mut st = ReadStream::open_map(&v, &map, cfg(), 0).unwrap();
+            let mut st = ReadStream::open_map(&v, &map, cfg(), EVENT_STREAM).unwrap();
             while st.read(ReadMode::Blocking).unwrap().is_some() {}
         })
         .run()
@@ -410,7 +425,7 @@ fn packs_split_exactly_at_capacity() {
     let p2 = Arc::clone(&packs);
     Launcher::new()
         .partition("app", 1, move |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", small, 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, small, to_analyzer(small)).unwrap();
             // Init + 9 markers + Finalize = 11 events → packs of 4/4/3.
             for i in 0..9 {
                 imp.marker(i).unwrap();
@@ -421,7 +436,7 @@ fn packs_split_exactly_at_capacity() {
             let v = Vmpi::new(mpi).unwrap();
             let mut map = Map::new();
             map_partitions(&v, 0, MapPolicy::RoundRobin, &mut map).unwrap();
-            let mut st = ReadStream::open_map(&v, &map, small, 0).unwrap();
+            let mut st = ReadStream::open_map(&v, &map, small, EVENT_STREAM).unwrap();
             while let Some(block) = st.read(ReadMode::Blocking).unwrap() {
                 p2.lock()
                     .unwrap()
@@ -454,7 +469,7 @@ fn blocks_too_small_for_one_row_are_rejected_at_init() {
             let p2 = Arc::clone(&packs);
             Launcher::new()
                 .partition("app", 1, move |mpi| {
-                    match InstrumentedMpi::init(mpi, "Analyzer", cfg, 0, 0) {
+                    match InstrumentedMpi::init(mpi, 0, cfg, to_analyzer(cfg)) {
                         Ok(imp) => {
                             assert!(ok, "{encoding} {block} B accepted");
                             imp.marker(1).unwrap();
@@ -470,7 +485,7 @@ fn blocks_too_small_for_one_row_are_rejected_at_init() {
                     let v = Vmpi::new(mpi).unwrap();
                     let mut map = Map::new();
                     map_partitions(&v, 0, MapPolicy::RoundRobin, &mut map).unwrap();
-                    let mut st = ReadStream::open_map(&v, &map, cfg, 0).unwrap();
+                    let mut st = ReadStream::open_map(&v, &map, cfg, EVENT_STREAM).unwrap();
                     while let Some(block) = st.read(ReadMode::Blocking).unwrap() {
                         p2.lock()
                             .unwrap()
@@ -499,7 +514,9 @@ fn blocks_too_small_for_one_row_are_rejected_at_init() {
     let d2 = dir.clone();
     Launcher::new()
         .partition("app", 1, move |mpi| {
-            let err = InstrumentedMpi::init_trace(mpi, &d2, 0, tiny).err();
+            let path = RecordingFile::Rank { app: 0, rank: 0 }.path(&d2);
+            let err =
+                InstrumentedMpi::init(mpi, 0, tiny, |_| Ok(PackSink::file(path).unwrap())).err();
             assert!(matches!(err, Some(VmpiError::InvalidConfig(_))));
         })
         .run()
@@ -513,7 +530,7 @@ fn waitall_aggregates_pending_requests() {
     let p2 = Arc::clone(&packs);
     Launcher::new()
         .partition("app", 2, move |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg(), to_analyzer(cfg())).unwrap();
             let w = imp.comm_world();
             if imp.rank() == 0 {
                 let reqs: Vec<_> = (0..5)
@@ -561,7 +578,7 @@ fn flush_metrics_move_once_per_pack() {
     let p2 = Arc::clone(&packs);
     Launcher::new()
         .partition("app", 1, |mpi| {
-            let imp = InstrumentedMpi::init(mpi, "Analyzer", cfg(), 0, 0).unwrap();
+            let imp = InstrumentedMpi::init(mpi, 0, cfg(), to_analyzer(cfg())).unwrap();
             for i in 0..500 {
                 imp.marker(i).unwrap();
             }

@@ -68,6 +68,22 @@ pub enum VmpiError {
     /// A one-thread handle was re-entered while it was in use: what it
     /// was doing (an interceptor hook registering another hook).
     Reentered(&'static str),
+    /// A file sink's I/O failed (a full disk is `StorageFull`): what the
+    /// OS said, and the file.
+    Io {
+        kind: std::io::ErrorKind,
+        path: std::path::PathBuf,
+    },
+}
+
+impl VmpiError {
+    /// The typed form of `err`, raised on the file at `path`.
+    pub fn io(path: &std::path::Path, err: std::io::Error) -> VmpiError {
+        VmpiError::Io {
+            kind: err.kind(),
+            path: path.to_path_buf(),
+        }
+    }
 }
 
 impl From<opmr_runtime::RtError> for VmpiError {
@@ -119,6 +135,7 @@ impl std::fmt::Display for VmpiError {
                 )
             }
             VmpiError::Reentered(what) => write!(f, "handle re-entered while {what}"),
+            VmpiError::Io { kind, path } => write!(f, "{}: {kind}", path.display()),
         }
     }
 }

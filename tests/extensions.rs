@@ -6,8 +6,8 @@
 
 use opmr::analysis::Selection;
 use opmr::core::{Coupling, LiveOptions, Session, Sink};
+use opmr::events::recording::{read_sion, read_trace_file, RecordingFile};
 use opmr::events::{EventKind, EventPack};
-use opmr::instrument::read_sion;
 use opmr::netsim::tera100;
 use opmr::reduce::ReduceOp;
 use opmr::runtime::{Src, TagSel};
@@ -113,7 +113,7 @@ fn trace_proxy_writes_selected_events_alongside_online_analysis() {
     assert_eq!(*written, 2, "exactly the two sends survive");
     assert!(*seen > *written, "selection actually filtered");
     // The proxy writes the trace-file format: length-prefixed packs.
-    let packs = opmr::instrument::read_trace_file(path).unwrap();
+    let packs = read_trace_file(path).unwrap();
     let packs: Vec<_> = packs
         .iter()
         .map(|b| EventPack::decode(b).unwrap())
@@ -171,7 +171,7 @@ fn sion_container_equals_per_rank_traces() {
         );
     }
     // The multiplexed container demultiplexes cleanly.
-    let chunks = read_sion(&dir_sion.join("app0.sion")).unwrap();
+    let chunks = read_sion(&RecordingFile::Sion { app: 0 }.path(&dir_sion)).unwrap();
     assert_eq!(chunks.len(), 6);
     assert!(chunks.iter().all(|(_, c)| !c.is_empty()));
 

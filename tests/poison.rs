@@ -494,7 +494,7 @@ fn corrupt_frame_is_a_sticky_typed_error() {
 #[test]
 fn a_bad_recording_is_a_typed_error_naming_the_file() {
     use opmr::core::{Session, SessionError};
-    use opmr::instrument::SionFile;
+    use opmr::events::recording::SionFile;
     use std::path::{Path, PathBuf};
 
     let root = std::env::temp_dir().join(format!("opmr_poison_replay_{}", std::process::id()));

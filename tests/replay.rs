@@ -14,14 +14,18 @@
 use opmr::analysis::report::stable_digest;
 use opmr::analysis::wire::encode_partials;
 use opmr::analysis::{AnalysisEngine, EngineConfig};
-use opmr::core::{Coupling, LiveOptions, Session, SessionBuilder, Sink};
+use opmr::core::{Coupling, LiveOptions, Session, SessionBuilder, SessionOutcome, Sink};
+use opmr::events::recording::{read_dir, read_trace_file, RecordingFile};
 use opmr::events::PackEncoding;
-use opmr::instrument::read_trace_file;
 use opmr::netsim::tera100;
 use opmr::reduce::ReduceOp;
+use opmr::runtime::{Endpoint, SocketConfig};
 use opmr::vmpi::StreamConfig;
 use opmr::workloads::{Benchmark, Class};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+mod common;
 
 /// Metrics windows of 1 ms of application time.
 const WINDOW_NS: u64 = 1_000_000;
@@ -57,30 +61,75 @@ fn direct_fold(dir: &Path, ranks: usize) -> Vec<u8> {
         window_ns: WINDOW_NS,
     });
     engine.start();
-    for r in 0..ranks {
-        for pack in read_trace_file(&dir.join(format!("app0_rank{r}.opmr"))).unwrap() {
+    for rank in 0..ranks as u32 {
+        let path = RecordingFile::Rank { app: 0, rank }.path(dir);
+        for pack in read_trace_file(&path).unwrap() {
             engine.post_block(pack);
         }
     }
     encode_partials(&engine.finish().to_partials()).to_vec()
 }
 
-/// The replays every recording goes through.
-fn replays(dir: &Path) -> Vec<(&'static str, SessionBuilder)> {
-    let replay = || analyzed(Session::replay(dir));
-    let tbon = |op| {
-        replay()
+/// The couplings every recording is replayed through.
+const COUPLINGS: [&str; 5] = [
+    "Direct@1",
+    "Direct@3",
+    "Tbon{2} PassThrough@3",
+    "Tbon{2} Aggregate@3",
+    "Serving@1",
+];
+
+/// The replay of `dir` through `coupling`, one of [`COUPLINGS`].
+fn replay(dir: &Path, coupling: &str) -> SessionBuilder {
+    let replay = analyzed(Session::replay(dir));
+    let tbon = |replay: SessionBuilder, op| {
+        replay
             .analyzer_ranks(3)
             .coupling(Coupling::Tbon { fanout: 2 })
             .reduce_op(op)
     };
-    vec![
-        ("Direct@1", replay()),
-        ("Direct@3", replay().analyzer_ranks(3)),
-        ("Tbon{2} PassThrough@3", tbon(ReduceOp::PassThrough)),
-        ("Tbon{2} Aggregate@3", tbon(ReduceOp::Aggregate)),
-        ("Serving@1", replay().coupling(Coupling::Serving)),
-    ]
+    match coupling {
+        "Direct@1" => replay,
+        "Direct@3" => replay.analyzer_ranks(3),
+        "Tbon{2} PassThrough@3" => tbon(replay, ReduceOp::PassThrough),
+        "Tbon{2} Aggregate@3" => tbon(replay, ReduceOp::Aggregate),
+        "Serving@1" => replay.coupling(Coupling::Serving),
+        other => panic!("no coupling {other}"),
+    }
+}
+
+/// The replays every recording goes through.
+fn replays(dir: &Path) -> Vec<(&'static str, SessionBuilder)> {
+    COUPLINGS.iter().map(|&c| (c, replay(dir, c))).collect()
+}
+
+/// The replay of `dir` through `coupling` as a two-process socket job,
+/// each process hosted on a thread: the recorded ranks run in process 1,
+/// the analyzer in process 0, whose outcome (the one carrying the report)
+/// is returned.
+fn replay_over_sockets(dir: &Path, coupling: &'static str) -> SessionOutcome {
+    let endpoint = common::fresh_unix_endpoint("replay");
+    let run = |endpoint: Endpoint, dir: PathBuf, proc_index| {
+        let socket = SocketConfig::new(endpoint).connect_timeout(Duration::from_secs(20));
+        replay(&dir, coupling).run_multiproc(socket, proc_index, 2)
+    };
+    let worker = {
+        let (endpoint, dir) = (endpoint.clone(), dir.to_path_buf());
+        std::thread::spawn(move || run(endpoint, dir, 1))
+    };
+    let sent = || common::obs_counter("transport_socket_bytes_sent_total");
+    let before = sent();
+    let outcome = run(endpoint, dir.to_path_buf(), 0).unwrap();
+    worker.join().unwrap().unwrap();
+    // Every recorded pack crossed the mesh.
+    let recorded: usize = read_dir(dir)
+        .unwrap()
+        .iter()
+        .flat_map(|(_, ranks)| ranks.iter().flatten())
+        .map(|pack| pack.len())
+        .sum();
+    assert!(sent() - before >= recorded as u64, "{coupling}");
+    outcome
 }
 
 #[test]
@@ -164,4 +213,49 @@ fn sion_recording_replays_to_the_online_digest() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Replay over the socket transport: a trace-file and a SION recording,
+/// their ranks in one thread-hosted process and the analyzer in another,
+/// fold to the in-process replay's partials byte for byte, wait states
+/// and metrics included, and to the online run's digest.
+#[test]
+fn socket_replay_is_the_in_process_replay() {
+    let m = tera100();
+    let make = || Benchmark::Cg.build(Class::S, 8, &m, Some(2)).unwrap();
+    let online = analyzed(Session::builder())
+        .app_workload("cg", make(), LiveOptions::default())
+        .run()
+        .unwrap();
+    for tag in ["trace", "sion"] {
+        let dir = tmpdir(&format!("socket_{tag}"));
+        let sink = match tag {
+            "trace" => Sink::TraceDir(dir.clone()),
+            _ => Sink::Sion(dir.clone()),
+        };
+        Session::builder()
+            .sink(sink)
+            .stream_config(StreamConfig {
+                block_size: BLOCK,
+                ..StreamConfig::default()
+            })
+            .app_workload("cg", make(), LiveOptions::default())
+            .run()
+            .unwrap();
+        for coupling in ["Direct@3", "Tbon{2} Aggregate@3", "Serving@1"] {
+            let inproc = replay(&dir, coupling).run().unwrap();
+            let sock = replay_over_sockets(&dir, coupling);
+            assert!(
+                encode_partials(&sock.report.to_partials())
+                    == encode_partials(&inproc.report.to_partials()),
+                "{tag} {coupling}: the socket replay differs from the in-process one"
+            );
+            assert_eq!(
+                stable_digest(&sock.report),
+                stable_digest(&online.report),
+                "{tag} {coupling}: the socket replay differs from the online run"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -16,9 +16,9 @@ use bytes::Bytes;
 use opmr::analysis::waitstate::{RecvSide, SendSide, WaitStats};
 use opmr::analysis::wire::{self, AppPartial};
 use opmr::analysis::{MpiProfile, Topology};
+use opmr::events::recording::{parse_sion, parse_trace};
 use opmr::events::wire::{check_decoder, note_alloc, Reader};
 use opmr::events::{frame, Event, EventKind, EventPack, FrameBuf, PackEncoding};
-use opmr::instrument::{parse_sion, parse_trace};
 use opmr::metrics::MetricsSeries;
 use opmr::reduce::{decode_partial_set, encode_partial_set, ReducePartial};
 use opmr::runtime::collectives::{pack_parts, unpack_parts};
