@@ -75,7 +75,9 @@ pub(crate) fn replay_rank(
         .ok_or("replay rank outside the recording")?;
     let mut sink = PackSink::stream(&vmpi, "Analyzer", policy, cfg)?;
     let mut block = sink.new_block(cfg.block_size);
+    let head = block.len();
     for pack in packs {
+        block.truncate(head);
         block.extend_from_slice(pack);
         sink.put(&mut block)?;
     }

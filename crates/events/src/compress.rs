@@ -30,6 +30,9 @@ pub const MIN_MATCH: usize = 4;
 pub const MAX_OFFSET: usize = u16::MAX as usize;
 
 const HASH_BITS: u32 = 13;
+/// Bytes a short copy may write past its end: literal runs and matches
+/// are copied in fixed 16-byte steps where the input and output allow.
+const WILD: usize = 16;
 const NIL: u32 = u32::MAX;
 
 /// Whether a stream writer compresses its blocks.
@@ -107,36 +110,73 @@ fn read_u32_at(data: &[u8], i: usize) -> u32 {
     }
 }
 
-fn put_nibble_ext(out: &mut impl BufMut, mut v: usize) {
-    // The nibble held min(v, 15); emit the remainder in 255-chunks.
+/// Writes the extension of a nibble that held `min(v, 15)`: the
+/// remainder in 255-chunks.
+fn put_nibble_ext(o: &mut [u8], op: &mut usize, mut v: usize) {
     if v < 15 {
         return;
     }
     v -= 15;
     while v >= 255 {
-        out.put_u8(255);
+        o[*op] = 255;
+        *op += 1;
         v -= 255;
     }
-    out.put_u8(v as u8);
+    o[*op] = v as u8;
+    *op += 1;
 }
 
-fn emit_sequence(out: &mut impl BufMut, literals: &[u8], m: Option<(u16, usize)>) {
-    let lit = literals.len();
+/// Writes one sequence at `o[*op..]`: the literals `input[anchor..end]`,
+/// then the match `m`, if any. `o` has [`WILD`] bytes of room past the
+/// longest output, so a short literal run is one fixed-size copy.
+fn emit_sequence(
+    o: &mut [u8],
+    op: &mut usize,
+    input: &[u8],
+    (anchor, end): (usize, usize),
+    m: Option<(u16, usize)>,
+) {
+    let lit = end - anchor;
     let ml = m.map(|(_, len)| len - MIN_MATCH).unwrap_or(0);
-    let token = ((lit.min(15) as u8) << 4) | (ml.min(15) as u8);
-    out.put_u8(token);
-    put_nibble_ext(out, lit);
-    out.put_slice(literals);
+    o[*op] = ((lit.min(15) as u8) << 4) | (ml.min(15) as u8);
+    *op += 1;
+    put_nibble_ext(o, op, lit);
+    if lit <= WILD && anchor + WILD <= input.len() {
+        o[*op..*op + WILD].copy_from_slice(&input[anchor..anchor + WILD]);
+    } else {
+        o[*op..*op + lit].copy_from_slice(&input[anchor..end]);
+    }
+    *op += lit;
     if let Some((offset, _)) = m {
-        out.put_u16_le(offset);
-        put_nibble_ext(out, ml);
+        o[*op..*op + 2].copy_from_slice(&offset.to_le_bytes());
+        *op += 2;
+        put_nibble_ext(o, op, ml);
     }
 }
 
-/// Reusable compressor: the 32 KiB hash table is allocated once and kept
-/// across blocks, so steady-state compression allocates nothing.
+/// Length of the common prefix of `a` and `b`, 8 bytes per compare.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut k = 0;
+    while k + 8 <= n && a[k..k + 8] == b[k..k + 8] {
+        k += 8;
+    }
+    while k < n && a[k] == b[k] {
+        k += 1;
+    }
+    k
+}
+
+/// Reusable compressor: the 32 KiB hash table and the sequence buffer are
+/// allocated once and kept across blocks, so steady-state compression
+/// allocates nothing.
 pub struct Lz4Encoder {
-    table: Vec<u32>,
+    /// Fixed size, so the hash (< 2^13) indexes it without a check.
+    table: Box<[u32; 1 << HASH_BITS]>,
+    /// The sequences are written here by index, then appended to the
+    /// caller's buffer in one copy. Only grows.
+    seq: Vec<u8>,
 }
 
 impl Default for Lz4Encoder {
@@ -149,7 +189,8 @@ impl Lz4Encoder {
     /// Allocates the (reused) match table.
     pub fn new() -> Lz4Encoder {
         Lz4Encoder {
-            table: vec![NIL; 1 << HASH_BITS],
+            table: Box::new([NIL; 1 << HASH_BITS]),
+            seq: Vec::new(),
         }
     }
 
@@ -161,11 +202,18 @@ impl Lz4Encoder {
     pub fn compress(&mut self, input: &[u8], out: &mut impl BufMut) {
         vint::put_uvarint(out, input.len() as u64);
         let n = input.len();
+        let o = &mut self.seq;
+        let room = max_compressed_len(n) + WILD;
+        if o.len() < room {
+            o.resize(room, 0);
+        }
+        let mut op = 0usize;
         // Too short to ever contain a match worth encoding.
         if n < MIN_MATCH + 4 {
             if n > 0 {
-                emit_sequence(out, input, None);
+                emit_sequence(o, &mut op, input, (0, n), None);
             }
+            out.put_slice(&o[..op]);
             return;
         }
         self.table.fill(NIL);
@@ -180,11 +228,10 @@ impl Lz4Encoder {
             self.table[h] = ip as u32;
             let cand = cand as usize;
             if cand != NIL as usize && ip - cand <= MAX_OFFSET && read_u32_at(input, cand) == v {
-                let mut mlen = MIN_MATCH;
-                while ip + mlen < n && input[cand + mlen] == input[ip + mlen] {
-                    mlen += 1;
-                }
-                emit_sequence(out, &input[anchor..ip], Some(((ip - cand) as u16, mlen)));
+                let mlen =
+                    MIN_MATCH + common_prefix(&input[cand + MIN_MATCH..], &input[ip + MIN_MATCH..]);
+                let m = Some(((ip - cand) as u16, mlen));
+                emit_sequence(o, &mut op, input, (anchor, ip), m);
                 ip += mlen;
                 anchor = ip;
             } else {
@@ -192,8 +239,9 @@ impl Lz4Encoder {
             }
         }
         if anchor < n {
-            emit_sequence(out, &input[anchor..], None);
+            emit_sequence(o, &mut op, input, (anchor, n), None);
         }
+        out.put_slice(&o[..op]);
     }
 }
 
@@ -217,7 +265,8 @@ fn get_ext(input: &[u8], pos: &mut usize) -> Result<usize, CompressError> {
 
 /// Decompresses `input` (as produced by [`Lz4Encoder::compress`]) onto the
 /// end of `out`, returning the number of raw bytes appended. `max_raw`
-/// caps the declared length before any allocation happens.
+/// caps the declared length before any allocation happens. On error,
+/// `out` is left as it was.
 pub fn decompress_into(
     input: &[u8],
     max_raw: usize,
@@ -231,9 +280,31 @@ pub fn decompress_into(
             max: max_raw,
         });
     }
-    let declared = declared as usize;
     let base = out.len();
-    out.reserve(declared);
+    let end = base + declared as usize;
+    // The declared bytes plus the slack a short copy may overrun; the
+    // slack is cut off again below.
+    out.resize(end + WILD, 0);
+    let decoded = decode_sequences(p, out, base, end);
+    out.truncate(match decoded {
+        Ok(_) => end,
+        Err(_) => base,
+    });
+    decoded
+}
+
+/// Decodes the sequences of `p` into `o[base..end]` (`o` holds [`WILD`]
+/// bytes of slack past `end`) and returns the raw length. Every length
+/// and offset is checked against the input and the declared length before
+/// it is used, so no copy leaves its range.
+fn decode_sequences(
+    p: &[u8],
+    o: &mut [u8],
+    base: usize,
+    end: usize,
+) -> Result<usize, CompressError> {
+    let declared = end - base;
+    let mut op = base;
     let mut pos = 0usize;
     while pos < p.len() {
         let token = p[pos];
@@ -246,13 +317,20 @@ pub fn decompress_into(
         if lit_end > p.len() {
             return Err(CompressError::Truncated);
         }
-        if out.len() - base + lit > declared {
+        if op - base + lit > declared {
             return Err(CompressError::SizeMismatch {
                 declared,
-                actual: out.len() - base + lit,
+                actual: op - base + lit,
             });
         }
-        out.put_slice(&p[pos..lit_end]);
+        if lit <= WILD && pos + WILD <= p.len() {
+            // One fixed-size copy; the bytes past the run are rewritten
+            // by what follows or cut off as slack.
+            o[op..op + WILD].copy_from_slice(&p[pos..pos + WILD]);
+        } else {
+            o[op..op + lit].copy_from_slice(&p[pos..lit_end]);
+        }
+        op += lit;
         pos = lit_end;
         if pos == p.len() {
             break; // final, literals-only sequence
@@ -265,7 +343,7 @@ pub fn decompress_into(
             mlen = mlen.saturating_add(get_ext(p, &mut pos)?);
         }
         mlen += MIN_MATCH;
-        let produced = out.len() - base;
+        let produced = op - base;
         if offset == 0 || offset > produced {
             return Err(CompressError::BadOffset { offset, produced });
         }
@@ -275,26 +353,28 @@ pub fn decompress_into(
                 actual: produced + mlen,
             });
         }
-        // Chunked back-copy: chunks never exceed the offset, so a chunk
-        // never reads bytes it is itself writing (overlapping matches —
-        // offset < length — replicate the pattern chunk by chunk).
-        let mut remaining = mlen;
-        let mut tmp = [0u8; 128];
-        while remaining > 0 {
-            let chunk = remaining.min(offset).min(tmp.len());
-            let start = out.len() - offset;
-            let src = out
-                .get(start..start + chunk)
-                .ok_or(CompressError::BadOffset {
-                    offset,
-                    produced: out.len() - base,
-                })?;
-            tmp[..chunk].copy_from_slice(src);
-            out.put_slice(&tmp[..chunk]);
-            remaining -= chunk;
+        // A match copies from its own output, `offset` back.
+        let src = op - offset;
+        if offset >= WILD {
+            // Each 16-byte step reads only bytes written before it.
+            let mut k = 0;
+            while k < mlen {
+                o.copy_within(src + k..src + k + WILD, op + k);
+                k += WILD;
+            }
+        } else {
+            // Overlapping: everything from `src` on repeats with period
+            // `offset`, so each copy may take all of it, doubling the run.
+            let mut done = 0;
+            while done < mlen {
+                let chunk = (mlen - done).min(op + done - src);
+                o.copy_within(src..src + chunk, op + done);
+                done += chunk;
+            }
         }
+        op += mlen;
     }
-    let actual = out.len() - base;
+    let actual = op - base;
     if actual != declared {
         return Err(CompressError::SizeMismatch { declared, actual });
     }
@@ -334,6 +414,61 @@ mod tests {
         roundtrip(b"abcdabcdabcdabcdabcdabcd");
         let mixed: Vec<u8> = (0..10_000u32).flat_map(|i| i.to_le_bytes()).collect();
         roundtrip(&mixed);
+    }
+
+    /// The encoder's output is pinned: a faster encoder must emit the same
+    /// bytes (the stream's wire size and `codec_bench`'s golden numbers
+    /// depend on it). The hash is FNV-1a 64 over the outputs of the
+    /// reference (byte-at-a-time) encoder.
+    #[test]
+    fn encoder_output_is_pinned() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut enc = Lz4Encoder::new();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for len in [0usize, 1, 7, 8, 9, 16, 17, 300, 4096, 65536] {
+            for shape in 0..4u64 {
+                let data: Vec<u8> = (0..len)
+                    .map(|i| match shape {
+                        0 => next() as u8,
+                        1 => (i % 7) as u8,
+                        2 if next() % 5 == 0 => next() as u8,
+                        2 => (i % 13) as u8,
+                        _ => ((i / 3) % 251) as u8,
+                    })
+                    .collect();
+                let mut packed = BytesMut::new();
+                enc.compress(&data, &mut packed);
+                for &b in packed.iter() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 0xe425_ee2b_a787_99c9);
+    }
+
+    #[test]
+    fn every_match_copy_shape_roundtrips() {
+        // Periods below 16 and from 16 on take the decoder's two match
+        // copies; runs end inside and past a 16-byte step.
+        for period in 1..40usize {
+            for len in [period * 3 + 1, 64, 200 + period] {
+                let data: Vec<u8> = (0..len)
+                    .map(|i| ((i % period) as u8).wrapping_mul(37))
+                    .collect();
+                let mut with_noise = data.clone();
+                with_noise.extend((0..period as u8).map(|b| b.wrapping_mul(101)));
+                with_noise.extend_from_slice(&data);
+                roundtrip(&data);
+                roundtrip(&with_noise);
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! each row is written in place into its window of the block, and a flush
 //! only patches the header's `count` and hands the block over. There is
 //! no staged `Event` batch, no encode pass and no append: the one block
-//! buffer is held at its full length and reused for every pack.
+//! buffer is held at its full length, never re-zeroed, and reused for
+//! every pack.
 //! A pack closes once less than one worst-case row
 //! ([`PackEncoding::max_event_wire_size`]) of its block is left, so a
 //! Delta pack fills the block with real rows (≈ 530 in 4 KiB).
@@ -82,16 +83,15 @@ pub struct Recorder {
     cfg: RecorderConfig,
     sink: PackSink,
     /// The open pack as it will leave, `[sink headroom][header][events]`,
-    /// held at its full length `full`: rows are written into it, not
-    /// appended.
+    /// held at its full length — the headroom and one block (at least one
+    /// header and one worst-case row, so every window fits): rows are
+    /// written into it, not appended, and a flush hands the sink its
+    /// front `[..pos]`.
     block: BytesMut,
     /// Length of the sink's headroom at the front of `block`.
     head: usize,
     /// Bytes of `block` in use: the end of the open pack.
     pos: usize,
-    /// `block`'s full length: the headroom and one block (at least one
-    /// header and one worst-case row, so every window fits).
-    full: usize,
     /// `pos` past which one more worst-case row might not fit.
     limit: usize,
     /// End of the previous flush: the pack's age bounds its oldest row's.
@@ -129,7 +129,6 @@ impl Recorder {
         let mut rec = Recorder {
             head,
             pos: head,
-            full,
             limit: full - max_row,
             opened: Instant::now(),
             block,
@@ -195,10 +194,8 @@ impl Recorder {
         codec::patch_header_count(&mut self.block[self.head..], self.count);
         self.stats.packs += 1;
         self.stats.wire_bytes += (self.pos - self.head) as u64;
-        self.block.truncate(self.pos);
-        let res = self.sink.put(&mut self.block);
-        // Back to full length inside the capacity the block already has.
-        self.block.resize(self.full, 0);
+        // The frame is the block's front; the block stays at full length.
+        let res = self.sink.put(&mut self.block[..self.pos]);
         self.seq += 1;
         self.open_pack();
         let m = obs::m();

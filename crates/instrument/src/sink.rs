@@ -70,22 +70,21 @@ impl PackSink {
         }
     }
 
-    /// Writes the encoded pack behind the headroom of `block` (a buffer
-    /// from [`PackSink::new_block`]) and empties it back to that headroom.
-    /// A file's failure is [`VmpiError::Io`] naming the file.
-    pub fn put(&mut self, block: &mut BytesMut) -> Result<()> {
-        let written = match self {
+    /// Writes the encoded pack behind the headroom of `frame` (the front
+    /// of a buffer from [`PackSink::new_block`]); the caller's buffer is
+    /// left as it was, bar the headroom. A file's failure is
+    /// [`VmpiError::Io`] naming the file.
+    pub fn put(&mut self, frame: &mut [u8]) -> Result<()> {
+        match self {
             // One pack == one block, sent from where it was encoded.
-            PackSink::Stream(stream) => return stream.send_block(block),
+            PackSink::Stream(stream) => stream.send_block(frame),
             PackSink::File { writer, path } => {
-                recording::write_pack(writer, block).map_err(|e| VmpiError::io(path, e))
+                recording::write_pack(writer, frame).map_err(|e| VmpiError::io(path, e))
             }
             PackSink::Sion { file, rank } => file
-                .write(*rank, block)
+                .write(*rank, frame)
                 .map_err(|e| VmpiError::io(file.path(), e)),
-        };
-        block.clear();
-        written
+        }
     }
 
     /// Closes the sink (EOF markers for streams, flush for files).
@@ -122,9 +121,10 @@ mod tests {
         let mut block = sink.new_block(1000);
         assert!(block.is_empty(), "a file sink stamps no headroom");
         for p in &packs {
+            block.clear();
             block.extend_from_slice(p);
             sink.put(&mut block).unwrap();
-            assert!(block.is_empty());
+            assert_eq!(&block[..], &p[..], "the caller keeps its block");
         }
         sink.close().unwrap();
         assert_eq!(recording::read_trace_file(&path).unwrap(), packs);

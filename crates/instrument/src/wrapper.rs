@@ -18,7 +18,6 @@ use opmr_runtime::collectives::ops as reduce_ops;
 use opmr_runtime::{Comm, CommId, Mpi, Pod, Src, Status, TagSel};
 use opmr_vmpi::{Result, StreamConfig, Vmpi, VmpiError};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// Interceptor hook: observes every recorded event (PNMPI-module analogue).
@@ -56,7 +55,9 @@ pub struct InstrumentedMpi {
     world: Comm,
     rec: RefCell<Option<Recorder>>,
     hooks: RefCell<Vec<Hook>>,
-    comms: RefCell<HashMap<CommId, u32>>,
+    /// Communicators in first-use order: one's index is its position (a
+    /// rank uses a handful, so a scan beats a hash).
+    comms: RefCell<Vec<CommId>>,
     clock: RefCell<RankClock>,
 }
 
@@ -91,7 +92,7 @@ impl InstrumentedMpi {
             world,
             rec: RefCell::new(Some(rec)),
             hooks: RefCell::new(Vec::new()),
-            comms: RefCell::new(HashMap::new()),
+            comms: RefCell::new(Vec::new()),
             clock: RefCell::new(RankClock::new()),
         };
         let dur = imp.now_ns().saturating_sub(entered);
@@ -155,8 +156,15 @@ impl InstrumentedMpi {
             .comms
             .try_borrow_mut()
             .map_err(|_| VmpiError::Reentered("indexing a communicator"))?;
-        let next = g.len() as u32;
-        Ok(*g.entry(comm.id()).or_insert(next))
+        let id = comm.id();
+        let at = match g.iter().position(|&c| c == id) {
+            Some(at) => at,
+            None => {
+                g.push(id);
+                g.len() - 1
+            }
+        };
+        Ok(at as u32)
     }
 
     /// Runs the hooks, then encodes the event. No borrow is held while a

@@ -7,6 +7,15 @@
 //!   non-blocking until all asynchronous buffers are full, which preserves
 //!   an adaptation window between producer and consumer and then exerts real
 //!   back-pressure;
+//! * a **compressing** write endpoint owns one sender thread
+//!   ([`SENDER_THREAD`]): the writer's flush copies the block into a
+//!   pooled buffer and queues it, and the sender LZ4-compresses and sends
+//!   it, so no rank thread compresses. A block is pending from the
+//!   hand-off until its send completes, and the writer blocks only while
+//!   `NA` blocks are pending (counted in
+//!   `vmpi_stream_backpressure_waits_total`, timed in
+//!   `vmpi_stream_backpressure_wait_ns`). A plain endpoint sends from the
+//!   writer's thread: its eager `isend` is already the asynchronous send;
 //! * the **read endpoint** keeps `NA` pre-posted receive buffers *per
 //!   incoming stream*, so any arriving block finds a buffer waiting (no
 //!   unexpected messages on the hot path);
@@ -27,9 +36,12 @@
 //! socket link recovers a severed connection underneath. A frame is
 //! therefore one flags byte and the block: no sequence number, no reorder
 //! stash, no duplicate discard, no resend. The FIN frame rides the same
-//! `(source, tag)` lane behind the last data frame, and the mailbox's FIFO
-//! matching keeps it there. A send the transport cannot make fails the
-//! writer with [`opmr_runtime::RtError::Unreachable`]. A reader whose
+//! `(source, tag)` lane behind the last data frame (a compressing stream's
+//! `close` has its sender send every queued block first), and the
+//! mailbox's FIFO matching keeps it there. A send the transport cannot make fails the
+//! writer with [`opmr_runtime::RtError::Unreachable`]; a sender's failure
+//! is latched and returned by the writer's next `write`, `flush`,
+//! `send_block` or `close`, and a failed stream sends no FIN. A reader whose
 //! writer exits without closing observes the rank-liveness flag and
 //! surfaces [`VmpiError::PeerLost`] instead of hanging; the remaining
 //! writers stay readable.
@@ -39,10 +51,13 @@ use crate::virt::Vmpi;
 use crate::{Result, VmpiError};
 use bytes::{Bytes, BytesMut};
 use opmr_events::{compress, Compression, Lz4Encoder, PackEncoding};
-use opmr_runtime::{Comm, Context, Mpi, Request, Src, TagSel};
+use opmr_runtime::{Comm, Context, Mpi, Request, RtError, Src, TagSel};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Load-balancing policy across a stream's endpoints.
@@ -186,6 +201,8 @@ mod obs {
         pub open_writers: Arc<Gauge>,
         pub blocks_in_flight: Arc<Gauge>,
         pub occupancy: Arc<Histogram>,
+        pub backpressure_wait_ns: Arc<Histogram>,
+        pub sender_queue: Arc<Histogram>,
         pub compress_ns: Arc<Histogram>,
         pub decompress_ns: Arc<Histogram>,
     }
@@ -218,6 +235,8 @@ mod obs {
                 open_writers: r.gauge("vmpi_stream_open_writers"),
                 blocks_in_flight: r.gauge("vmpi_stream_blocks_in_flight"),
                 occupancy: r.histogram("vmpi_stream_buffer_occupancy"),
+                backpressure_wait_ns: r.histogram("vmpi_stream_backpressure_wait_ns"),
+                sender_queue: r.histogram("vmpi_stream_sender_queue_depth"),
                 compress_ns: r.histogram("vmpi_stream_compress_ns"),
                 decompress_ns: r.histogram("vmpi_stream_decompress_ns"),
             }
@@ -242,6 +261,9 @@ const MIN_COMPRESS_LEN: usize = 64;
 /// [`WriteStream::send_block`] stamps the frame header (the flags byte)
 /// in place.
 pub const BLOCK_HEADROOM: usize = 1;
+
+/// The name of a compressing stream's sender thread, as the OS lists it.
+pub const SENDER_THREAD: &str = "vmpi-tx";
 
 /// Splits a stream frame into its flags and body. An empty payload has no
 /// header at all: a hostile or corrupt block, surfaced as a typed protocol
@@ -304,26 +326,245 @@ impl EndpointChooser {
 // Write endpoint.
 // ---------------------------------------------------------------------
 
-/// The writing end of a VMPI stream.
-pub struct WriteStream {
+/// The write endpoint's `NA` asynchronous buffers (Figure 9): blocks
+/// handed to a compressing stream's sender and not yet sent, the block
+/// the sender holds, and sends not yet complete. The writer blocks while
+/// `n_async` of them are pending. Shared with the sender thread, when
+/// there is one.
+#[derive(Default)]
+struct Window {
+    state: Mutex<WindowState>,
+    /// Signalled on every change the other side may wait for: a block
+    /// queued, a block sent, a send failed, a stop asked for.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct WindowState {
+    /// Blocks handed to the sender, each framed behind its headroom, with
+    /// the endpoint it goes to.
+    queued: VecDeque<(usize, BytesMut)>,
+    /// The sender is compressing or sending a block it took.
+    busy: bool,
+    /// Sent blocks whose send has not completed (rendezvous).
+    in_flight: VecDeque<Request>,
+    /// Spent block buffers, reused by the next hand-off.
+    spare: Vec<BytesMut>,
+    /// The first send failure: every later call returns it.
+    failed: Option<VmpiError>,
+    /// What `close` (send what is queued, then exit) or `abort` (exit
+    /// now) asked of the sender.
+    stop: Option<Stop>,
+    bytes_on_wire: u64,
+    backpressure_waits: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    Drain,
+    Abort,
+}
+
+impl WindowState {
+    fn pending(&self) -> usize {
+        self.queued.len() + usize::from(self.busy) + self.in_flight.len()
+    }
+
+    /// Latches `e` as the stream's failure (the first one wins) and
+    /// returns the latched one.
+    fn fail(&mut self, e: VmpiError) -> VmpiError {
+        self.failed.get_or_insert(e).clone()
+    }
+
+    fn check(&self) -> Result<()> {
+        self.failed.clone().map_or(Ok(()), Err)
+    }
+
+    /// Takes a completed send off the window.
+    fn retire(&mut self, req: Request) -> Result<()> {
+        obs::m().blocks_in_flight.dec();
+        req.wait().map(drop).map_err(|e| self.fail(e.into()))
+    }
+
+    /// Blocks that will never be sent or waited for: back to the pool.
+    fn discard(&mut self) {
+        let dropped = self.queued.len() + self.in_flight.len();
+        obs::m().blocks_in_flight.add(-(dropped as i64));
+        self.in_flight.clear();
+        let pool = opmr_events::global_pool();
+        for (_, block) in self.queued.drain(..) {
+            pool.put(block);
+        }
+        for block in self.spare.drain(..) {
+            pool.put(block);
+        }
+    }
+}
+
+impl Window {
+    /// Returns the window locked with a free slot, blocking while
+    /// `n_async` blocks are pending (the paper's back-pressure point), or
+    /// the stream's latched failure.
+    fn claim(&self, n_async: usize) -> Result<MutexGuard<'_, WindowState>> {
+        let m = obs::m();
+        let mut g = self.state.lock();
+        // Occupancy as the producer sees it at each block boundary
+        // (0..=n_async).
+        m.occupancy.record(g.pending() as u64);
+        let mut blocked = None;
+        loop {
+            g.check()?;
+            while g.in_flight.front_mut().is_some_and(Request::is_complete) {
+                if let Some(req) = g.in_flight.pop_front() {
+                    g.retire(req)?;
+                }
+            }
+            if g.pending() < n_async {
+                break;
+            }
+            if blocked.is_none() {
+                blocked = Some(Instant::now());
+                g.backpressure_waits += 1;
+                m.backpressure_waits.inc();
+            }
+            match g.in_flight.pop_front() {
+                // The oldest send frees the next slot.
+                Some(req) => {
+                    drop(g);
+                    let done = req.wait();
+                    g = self.state.lock();
+                    m.blocks_in_flight.dec();
+                    done.map_err(|e| g.fail(e.into()))?;
+                }
+                // Every pending block is still with the sender.
+                None => self.changed.wait(&mut g),
+            }
+        }
+        if let Some(t0) = blocked {
+            m.backpressure_wait_ns
+                .record(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(g)
+    }
+}
+
+/// Where a stream's frames go: the writer's rank, its universe and the
+/// stream's tag.
+#[derive(Clone)]
+struct Lane {
     mpi: Mpi,
     universe: Comm,
+    tag: i32,
+}
+
+impl Lane {
+    fn isend(&self, dst: usize, frame: Bytes) -> Result<Request> {
+        Ok(self
+            .mpi
+            .isend_ctx(Context::Stream, &self.universe, dst, self.tag, frame)?)
+    }
+}
+
+/// A compressing stream's sender thread: takes each handed-off block in
+/// order, compresses it with the stream's encoder and sends it, until
+/// `close` has had every queued block sent or `abort` stops it. A failed
+/// send is latched in the window and ends the thread.
+fn run_sender(window: &Window, lane: &Lane) {
+    let mut enc = Lz4Encoder::new();
+    let mut packed = BytesMut::new();
+    loop {
+        let (dst, mut block) = {
+            let mut g = window.state.lock();
+            loop {
+                if g.stop == Some(Stop::Abort) {
+                    return;
+                }
+                if let Some(next) = g.queued.pop_front() {
+                    g.busy = true;
+                    break next;
+                }
+                if g.stop.is_some() {
+                    return;
+                }
+                window.changed.wait(&mut g);
+            }
+        };
+        let frame = compressed_frame(&mut enc, &mut packed, &mut block);
+        let body = (frame.len() - BLOCK_HEADROOM) as u64;
+        let sent = lane.isend(dst, frame);
+        let mut g = window.state.lock();
+        g.busy = false;
+        g.spare.push(block);
+        match sent {
+            Ok(req) => {
+                g.in_flight.push_back(req);
+                g.bytes_on_wire += body;
+                obs::m().bytes_on_wire.add(body);
+            }
+            Err(e) => {
+                // The queued blocks stay until `close` or `abort`
+                // discards them; the failed one is gone.
+                g.fail(e);
+                obs::m().blocks_in_flight.dec();
+            }
+        }
+        window.changed.notify_all();
+        if g.failed.is_some() {
+            return;
+        }
+    }
+}
+
+/// The frame a compressing stream sends for `block` (a block framed
+/// behind its headroom): LZ4 when that is smaller, the block verbatim
+/// when not. The per-frame flag tells the reader which shape arrived, so
+/// an incompressible block falls back to the plain layout with zero
+/// coordination.
+fn compressed_frame(enc: &mut Lz4Encoder, packed: &mut BytesMut, block: &mut [u8]) -> Bytes {
+    let logical = block.len() - BLOCK_HEADROOM;
+    let m = obs::m();
+    if logical >= MIN_COMPRESS_LEN {
+        let t0 = Instant::now();
+        packed.resize(BLOCK_HEADROOM, 0);
+        packed.reserve(compress::max_compressed_len(logical));
+        enc.compress(&block[BLOCK_HEADROOM..], packed);
+        m.compress_ns.record(t0.elapsed().as_nanos() as u64);
+        #[cfg(test)]
+        tests::COMPRESSED_HERE.with(|n| n.set(n.get() + 1));
+        if packed.len() < block.len() {
+            m.blocks_compressed.inc();
+            packed[0] = FLAG_DATA | FLAG_LZ4;
+            return Bytes::copy_from_slice(packed);
+        }
+        m.compress_skipped.inc();
+    }
+    block[0] = FLAG_DATA;
+    Bytes::copy_from_slice(block)
+}
+
+/// The writing end of a VMPI stream.
+///
+/// A plain stream sends each block from the writer's thread: the eager
+/// `isend` hands the mailbox its one copy and returns. A compressing
+/// stream owns one sender thread, which compresses and sends; the
+/// writer's flush only copies the block into a pooled buffer and queues
+/// it. Either way the writer blocks only while `cfg.n_async` blocks are
+/// queued or in flight.
+pub struct WriteStream {
+    lane: Lane,
     endpoints: Vec<usize>,
     cfg: StreamConfig,
-    tag: i32,
     chooser: EndpointChooser,
     /// The block [`WriteStream::write`] fills, payload behind
     /// [`BLOCK_HEADROOM`]: pooled, taken on the first write, truncated to
     /// the headroom after each send, returned on close.
     current: BytesMut,
-    /// Reusable compressor state and its headroom-prefixed output buffer.
-    enc: Option<(Lz4Encoder, BytesMut)>,
-    /// Blocks in flight; bounded by `cfg.n_async` (the shared output
-    /// buffers of Figure 9).
-    in_flight: VecDeque<Request>,
+    window: Arc<Window>,
+    /// A compressing stream's sender thread, joined on close, abort or
+    /// drop.
+    sender: Option<JoinHandle<()>>,
     closed: bool,
     bytes_written: u64,
-    bytes_on_wire: u64,
     blocks_sent: u64,
 }
 
@@ -334,7 +575,8 @@ impl WriteStream {
         Self::open_to(vmpi, map.peers().to_vec(), cfg, stream_id)
     }
 
-    /// Opens a write stream to an explicit list of world ranks.
+    /// Opens a write stream to an explicit list of world ranks. A
+    /// compressing stream starts its sender thread here.
     pub fn open_to(
         vmpi: &Vmpi,
         endpoints: Vec<usize>,
@@ -344,23 +586,34 @@ impl WriteStream {
         if endpoints.is_empty() {
             return Err(VmpiError::InvalidConfig("write stream needs >= 1 endpoint"));
         }
-        obs::m().open_writers.inc();
-        Ok(WriteStream {
+        let lane = Lane {
             mpi: vmpi.mpi().clone(),
             universe: vmpi.comm_universe(),
+            tag: stream_tag(stream_id),
+        };
+        let window = Arc::new(Window::default());
+        let sender = match cfg.compression {
+            Compression::None => None,
+            Compression::Lz4 => {
+                let (window, lane) = (Arc::clone(&window), lane.clone());
+                let thread = std::thread::Builder::new()
+                    .name(SENDER_THREAD.into())
+                    .spawn(move || run_sender(&window, &lane))
+                    .map_err(|_| VmpiError::InvalidConfig("no thread for the stream's sender"))?;
+                Some(thread)
+            }
+        };
+        obs::m().open_writers.inc();
+        Ok(WriteStream {
+            lane,
             chooser: EndpointChooser::new(endpoints.len(), cfg.balance),
             endpoints,
-            tag: stream_tag(stream_id),
             current: BytesMut::new(),
-            enc: match cfg.compression {
-                Compression::Lz4 => Some((Lz4Encoder::new(), BytesMut::new())),
-                Compression::None => None,
-            },
             cfg,
-            in_flight: VecDeque::new(),
+            window,
+            sender,
             closed: false,
             bytes_written: 0,
-            bytes_on_wire: 0,
             blocks_sent: 0,
         })
     }
@@ -373,12 +626,18 @@ impl WriteStream {
         block
     }
 
-    /// Appends bytes to the stream, sending full blocks as they fill
-    /// (`VMPI_Stream_write`). Non-blocking until all async buffers are full.
-    pub fn write(&mut self, mut data: &[u8]) -> Result<()> {
+    /// `StreamClosed` after close or abort, else the latched send failure.
+    fn ensure_open(&self) -> Result<()> {
         if self.closed {
             return Err(VmpiError::StreamClosed);
         }
+        self.window.state.lock().check()
+    }
+
+    /// Appends bytes to the stream, sending full blocks as they fill
+    /// (`VMPI_Stream_write`). Non-blocking until all async buffers are full.
+    pub fn write(&mut self, mut data: &[u8]) -> Result<()> {
+        self.ensure_open()?;
         if self.current.is_empty() {
             self.current = self.new_block();
         }
@@ -398,9 +657,7 @@ impl WriteStream {
 
     /// Sends the current partial block, if any.
     pub fn flush(&mut self) -> Result<()> {
-        if self.closed {
-            return Err(VmpiError::StreamClosed);
-        }
+        self.ensure_open()?;
         self.send_current()
     }
 
@@ -409,115 +666,91 @@ impl WriteStream {
             return Ok(());
         }
         let mut block = std::mem::take(&mut self.current);
-        let res = self.send_framed(&mut block);
+        let res = self.push_block(&mut block);
         block.truncate(BLOCK_HEADROOM);
         self.current = block;
         res
     }
 
-    /// Sends `block[BLOCK_HEADROOM..]` — serialised in place into a buffer
-    /// from [`WriteStream::new_block`] — as one stream block, after anything
-    /// [`WriteStream::write`] still buffers, and truncates `block` back to
-    /// its headroom whatever the outcome. The payload is copied once, into
-    /// the right-sized frame the receiver's mailbox keeps.
-    pub fn send_block(&mut self, block: &mut BytesMut) -> Result<()> {
-        let res = match block.len().checked_sub(BLOCK_HEADROOM) {
-            _ if self.closed => Err(VmpiError::StreamClosed),
+    /// Sends `framed[BLOCK_HEADROOM..]` — serialised in place behind the
+    /// headroom of a buffer from [`WriteStream::new_block`] — as one
+    /// stream block, after anything [`WriteStream::write`] still buffers.
+    /// The caller keeps its buffer as it was (bar the headroom): a plain
+    /// stream copies the payload once, into the right-sized frame the
+    /// receiver's mailbox keeps; a compressing one once, into the pooled
+    /// buffer its sender compresses from.
+    pub fn send_block(&mut self, framed: &mut [u8]) -> Result<()> {
+        self.ensure_open()?;
+        match framed.len().checked_sub(BLOCK_HEADROOM) {
             None => Err(VmpiError::InvalidConfig("block buffer lost its headroom")),
             Some(n) if n > self.cfg.block_size => Err(VmpiError::InvalidConfig(
                 "block exceeds the stream's block size",
             )),
             Some(0) => Ok(()),
-            Some(n) => self.send_current().and_then(|()| {
+            Some(n) => {
+                self.send_current()?;
                 self.bytes_written += n as u64;
                 obs::m().write_bytes.add(n as u64);
-                self.send_framed(block)
-            }),
-        };
-        block.truncate(BLOCK_HEADROOM);
-        res
-    }
-
-    /// Compresses (if configured and worth it) and ships one block.
-    fn send_framed(&mut self, block: &mut [u8]) -> Result<()> {
-        let logical = block.len() - BLOCK_HEADROOM;
-        let m = obs::m();
-        m.bytes_logical.add(logical as u64);
-        // The per-frame flag tells the reader which shape arrived, so an
-        // incompressible block falls back to the plain layout with zero
-        // coordination.
-        let mut enc = self.enc.take();
-        let res = match enc.as_mut() {
-            Some((enc, packed)) if logical >= MIN_COMPRESS_LEN => {
-                let t0 = Instant::now();
-                packed.resize(BLOCK_HEADROOM, 0);
-                packed.reserve(compress::max_compressed_len(logical));
-                enc.compress(&block[BLOCK_HEADROOM..], packed);
-                m.compress_ns.record(t0.elapsed().as_nanos() as u64);
-                if packed.len() - BLOCK_HEADROOM < logical {
-                    m.blocks_compressed.inc();
-                    self.push_block(packed, FLAG_DATA | FLAG_LZ4)
-                } else {
-                    m.compress_skipped.inc();
-                    self.push_block(block, FLAG_DATA)
-                }
+                self.push_block(framed)
             }
-            _ => self.push_block(block, FLAG_DATA),
-        };
-        self.enc = enc;
-        res
+        }
     }
 
-    /// Waits for a free async buffer, stamps the header into the frame's
-    /// headroom and hands the mailbox its one copy.
-    fn push_block(&mut self, framed: &mut [u8], flags: u8) -> Result<()> {
+    /// Ships one framed block once the window has a free slot: sent from
+    /// here by a plain stream, handed to the sender by a compressing one.
+    fn push_block(&mut self, framed: &mut [u8]) -> Result<()> {
+        let m = obs::m();
         let body = (framed.len() - BLOCK_HEADROOM) as u64;
-        self.bytes_on_wire += body;
-        obs::m().bytes_on_wire.add(body);
-        // Occupancy of the async buffer window as the producer sees it at
-        // each block boundary (0..=n_async).
-        obs::m().occupancy.record(self.in_flight.len() as u64);
-        // Reclaim completed buffers first, then block on the oldest if the
-        // window is exhausted (back-pressure point).
-        loop {
-            let ready = match self.in_flight.front_mut() {
-                Some(front) => front.is_complete(),
-                None => false,
-            };
-            if !ready {
-                break;
-            }
-            if let Some(req) = self.in_flight.pop_front() {
-                req.wait()?;
-                obs::m().blocks_in_flight.dec();
-            }
+        m.bytes_logical.add(body);
+        let dst = self.endpoints[self.chooser.pick()];
+        let mut g = self.window.claim(self.cfg.n_async)?;
+        if self.sender.is_none() {
+            framed[0] = FLAG_DATA;
+            let sent = self.lane.isend(dst, Bytes::copy_from_slice(framed));
+            let req = sent.map_err(|e| g.fail(e))?;
+            g.in_flight.push_back(req);
+            g.bytes_on_wire += body;
+            m.bytes_on_wire.add(body);
+        } else {
+            let spare = g.spare.pop();
+            // Copy outside the lock: only this thread adds to the window.
+            drop(g);
+            let mut block = spare.unwrap_or_else(|| self.new_block());
+            block.clear();
+            block.extend_from_slice(framed);
+            g = self.window.state.lock();
+            g.queued.push_back((dst, block));
+            m.sender_queue.record(g.queued.len() as u64);
+            self.window.changed.notify_all();
         }
-        while let Some(req) = (self.in_flight.len() >= self.cfg.n_async)
-            .then(|| self.in_flight.pop_front())
-            .flatten()
-        {
-            obs::m().backpressure_waits.inc();
-            req.wait()?;
-            obs::m().blocks_in_flight.dec();
-        }
-        framed[0] = flags;
-        let req = self.mpi.isend_ctx(
-            Context::Stream,
-            &self.universe,
-            self.endpoints[self.chooser.pick()],
-            self.tag,
-            Bytes::copy_from_slice(framed),
-        )?;
-        self.in_flight.push_back(req);
         self.blocks_sent += 1;
-        let m = obs::m();
         m.blocks_in_flight.inc();
         m.blocks_sent.inc();
         Ok(())
     }
 
-    /// Flushes, signals EOF to every endpoint and drains the send window
-    /// (`VMPI_Stream_close`).
+    /// Stops the sender thread, if any, and joins it: after it has sent
+    /// every queued block (`Drain`) or the one in hand (`Abort`).
+    fn stop_sender(&mut self, stop: Stop) {
+        let Some(thread) = self.sender.take() else {
+            return;
+        };
+        self.window.state.lock().stop = Some(stop);
+        self.window.changed.notify_all();
+        if thread.join().is_err() {
+            self.window
+                .state
+                .lock()
+                .fail(VmpiError::Runtime(RtError::Protocol(
+                    "stream sender thread panicked",
+                )));
+        }
+    }
+
+    /// Flushes, has every block sent, signals EOF to every endpoint and
+    /// drains the send window (`VMPI_Stream_close`). A stream whose send
+    /// failed returns that failure and sends no FIN: its readers see the
+    /// writer lost, not a clean end.
     pub fn close(mut self) -> Result<()> {
         self.close_inner()
     }
@@ -526,43 +759,60 @@ impl WriteStream {
         if self.closed {
             return Ok(());
         }
-        self.send_current()?;
-        // Mark closed before the FIN fan-out: if it fails part-way the
-        // stream is poisoned rather than half-closable again from `Drop`.
+        let flushed = self.send_current();
+        // Closed from here on, whatever the outcome: a failure poisons
+        // the stream rather than leaving it half-closable from `Drop`.
         self.closed = true;
-        obs::m().closes.inc();
-        obs::m().open_writers.dec();
+        let m = obs::m();
+        m.closes.inc();
+        m.open_writers.dec();
+        self.stop_sender(Stop::Drain);
+        let res = flushed
+            .and_then(|()| self.window.state.lock().check())
+            .and_then(|()| self.send_fins());
+        self.release();
+        res
+    }
+
+    /// The FIN fan-out, then the wait for every send still in flight.
+    fn send_fins(&mut self) -> Result<()> {
         for &ep in &self.endpoints {
             // Same (source, tag) lane as the data frames, sent after the
             // last of them: FIFO matching delivers it last.
             let fin = Bytes::from_static(&[FLAG_FIN]);
-            self.mpi
-                .send_ctx(Context::Stream, &self.universe, ep, self.tag, fin)?;
+            let lane = &self.lane;
+            lane.mpi
+                .send_ctx(Context::Stream, &lane.universe, ep, lane.tag, fin)?;
             obs::m().fins_sent.inc();
         }
-        for req in self.in_flight.drain(..) {
-            obs::m().blocks_in_flight.dec();
-            req.wait()?;
+        let mut g = self.window.state.lock();
+        while let Some(req) = g.in_flight.pop_front() {
+            g.retire(req)?;
         }
-        opmr_events::global_pool().put(std::mem::take(&mut self.current));
         Ok(())
     }
 
+    /// Returns every buffer to the pool and forgets unsent blocks.
+    fn release(&mut self) {
+        self.window.state.lock().discard();
+        opmr_events::global_pool().put(std::mem::take(&mut self.current));
+    }
+
     /// Terminates the stream *without* signalling EOF — the model of a
-    /// writer crashing mid-stream. In-flight blocks may or may not arrive;
-    /// readers observe the missing close once this rank exits and surface
-    /// [`VmpiError::PeerLost`] instead of hanging.
+    /// writer crashing mid-stream. Queued blocks are dropped, in-flight
+    /// ones may or may not arrive; readers observe the missing close once
+    /// this rank exits and surface [`VmpiError::PeerLost`] instead of
+    /// hanging.
     pub fn abort(mut self) {
         self.closed = true;
-        opmr_events::global_pool().put(std::mem::take(&mut self.current));
         let m = obs::m();
         m.aborts.inc();
         m.open_writers.dec();
-        m.blocks_in_flight.add(-(self.in_flight.len() as i64));
+        self.stop_sender(Stop::Abort);
         // Dropping the requests abandons their completion handles; any
         // rendezvous blocks still parked are consumed by the reader or
         // reclaimed at job teardown.
-        self.in_flight.clear();
+        self.release();
     }
 
     /// Total payload bytes accepted so far.
@@ -570,15 +820,26 @@ impl WriteStream {
         self.bytes_written
     }
 
-    /// Full/partial blocks sent so far.
+    /// Full/partial blocks sent (handed off, for a compressing stream) so
+    /// far.
     pub fn blocks_sent(&self) -> u64 {
         self.blocks_sent
+    }
+
+    /// Blocks queued for the sender or in flight: at most `cfg.n_async`.
+    pub fn blocks_pending(&self) -> usize {
+        self.window.state.lock().pending()
+    }
+
+    /// Calls that blocked on a full window (the paper's back-pressure).
+    pub fn backpressure_waits(&self) -> u64 {
+        self.window.state.lock().backpressure_waits
     }
 
     /// Block payload bytes actually shipped (after compression); compare
     /// with [`WriteStream::bytes_written`] for the on-wire ratio.
     pub fn bytes_on_wire(&self) -> u64 {
-        self.bytes_on_wire
+        self.window.state.lock().bytes_on_wire
     }
 
     /// Number of remote endpoints.
@@ -589,8 +850,9 @@ impl WriteStream {
 
 impl Drop for WriteStream {
     fn drop(&mut self) {
-        // Best-effort close so readers are never left waiting; errors are
-        // ignored because the universe may already be shutting down.
+        // Best-effort close so readers are never left waiting (and the
+        // sender thread is joined); errors are ignored because the
+        // universe may already be shutting down.
         let _ = self.close_inner();
     }
 }
@@ -879,7 +1141,13 @@ mod tests {
     use super::*;
     use opmr_runtime::Launcher;
     use proptest::prelude::*;
-    use std::sync::{Arc, Mutex};
+    use std::cell::Cell;
+    use std::sync::Mutex;
+
+    thread_local! {
+        /// Blocks LZ4-compressed on this thread.
+        pub(super) static COMPRESSED_HERE: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// The reference frame: the flags byte, then the body.
     fn frame(flags: u8, body: &[u8]) -> Bytes {
@@ -900,9 +1168,14 @@ mod tests {
                 let mut block = st.new_block();
                 for (i, body) in bodies.iter().enumerate() {
                     if i % 2 == 0 {
+                        block.truncate(BLOCK_HEADROOM);
                         block.extend_from_slice(body);
                         st.send_block(&mut block).unwrap();
-                        assert_eq!(block.len(), BLOCK_HEADROOM);
+                        assert_eq!(
+                            &block[BLOCK_HEADROOM..],
+                            &body[..],
+                            "the caller keeps its block"
+                        );
                     } else {
                         st.write(body).unwrap();
                         st.flush().unwrap();
@@ -1007,10 +1280,8 @@ mod tests {
                     st.send_block(&mut block),
                     Err(VmpiError::InvalidConfig(_))
                 ));
-                assert_eq!(block.len(), BLOCK_HEADROOM, "emptied even on refusal");
-                let mut bare = BytesMut::new();
                 assert!(matches!(
-                    st.send_block(&mut bare),
+                    st.send_block(&mut []),
                     Err(VmpiError::InvalidConfig(_))
                 ));
                 assert_eq!(st.blocks_sent(), 0);
@@ -1024,5 +1295,47 @@ mod tests {
             })
             .run()
             .unwrap();
+    }
+
+    /// A compressing stream compresses on its sender thread: the rank
+    /// thread that writes and flushes compresses nothing, yet the blocks
+    /// leave compressed.
+    #[test]
+    fn no_rank_thread_compresses() {
+        let bodies: Vec<Vec<u8>> = (0..8u8).map(|i| body(&[i, 1, 2, 3], 512, true)).collect();
+        let cfg = StreamConfig::new(4096, 3, Balance::None).with_compression(Compression::Lz4);
+        let (w_bodies, n) = (bodies.clone(), bodies.len());
+        Launcher::new()
+            .partition("w", 1, move |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let mut st = WriteStream::open_to(&v, vec![1], cfg, 7).unwrap();
+                let mut block = st.new_block();
+                for body in &w_bodies {
+                    block.truncate(BLOCK_HEADROOM);
+                    block.extend_from_slice(body);
+                    st.send_block(&mut block).unwrap();
+                    st.write(body).unwrap();
+                    st.flush().unwrap();
+                }
+                st.close().unwrap();
+                assert_eq!(COMPRESSED_HERE.with(Cell::get), 0);
+            })
+            .partition("r", 1, move |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let mut st = ReadStream::open_from(&v, vec![0], cfg, 7).unwrap();
+                let mut got = Vec::new();
+                while let Some(b) = st.read(ReadMode::Blocking).unwrap() {
+                    got.push(b.data.to_vec());
+                }
+                assert_eq!(got.len(), 2 * n);
+                assert_eq!(COMPRESSED_HERE.with(Cell::get), 0);
+            })
+            .run()
+            .unwrap();
+        // Every block went out compressed, so some thread compressed them.
+        let frames = raw_frames(cfg, bodies);
+        assert!(frames[..frames.len() - 1]
+            .iter()
+            .all(|f| f[0] == FLAG_DATA | FLAG_LZ4));
     }
 }

@@ -3,13 +3,17 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
-use opmr_runtime::Launcher;
+use opmr_runtime::{Endpoint, FaultPlan, Launcher, MultiprocTopology, RtError, SocketConfig};
 use opmr_vmpi::map::map_partitions;
+use opmr_vmpi::stream::{BLOCK_HEADROOM, SENDER_THREAD};
 use opmr_vmpi::{
-    Balance, Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError, WriteStream,
+    Balance, Compression, Map, MapPolicy, ReadMode, ReadStream, StreamConfig, Vmpi, VmpiError,
+    WriteStream,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 fn small_cfg(block: usize) -> StreamConfig {
     StreamConfig::new(block, 3, Balance::RoundRobin)
@@ -434,6 +438,7 @@ fn backpressure_bounds_inflight_blocks() {
     // Writer floods a slow reader with rendezvous-sized blocks; the bounded
     // async window must prevent unbounded buffering (we can only observe
     // that the transfer completes and all data arrives intact).
+    let _alone = window_tests();
     Launcher::new()
         .eager_limit(512)
         .partition("w", 1, |mpi| {
@@ -715,5 +720,344 @@ fn read_parks() -> u64 {
     opmr_obs::registry()
         .snapshot()
         .counter("vmpi_stream_read_parks_total")
+        .unwrap_or(0)
+}
+
+// ---------------------------------------------------------------------
+// A compressing stream's sender thread.
+// ---------------------------------------------------------------------
+
+/// Held by every test that fills a write window or starts a sender: the
+/// back-pressure counter and the sender threads they look at are
+/// process-wide, and the harness runs tests on parallel threads.
+static WINDOW_TESTS: Mutex<()> = Mutex::new(());
+
+fn window_tests() -> MutexGuard<'static, ()> {
+    WINDOW_TESTS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lz4_cfg(block: usize, n_async: usize) -> StreamConfig {
+    StreamConfig::new(block, n_async, Balance::None)
+        .with_compression(Compression::Lz4)
+        .with_read_timeout(Duration::from_secs(30))
+}
+
+/// `n` bytes, compressible (a short repeating tile) or noise.
+fn payload(seed: u8, n: usize, compressible: bool) -> Vec<u8> {
+    let mut x = 0x9E37_79B9u32 ^ u32::from(seed);
+    (0..n)
+        .map(|i| {
+            if compressible {
+                [seed, 1, 2, 3, 5, 8][i % 6]
+            } else {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (x >> 24) as u8
+            }
+        })
+        .collect()
+}
+
+/// Runs the job in process, then over a Unix-socket mesh of two
+/// thread-hosted processes (partition `i` on process `i % 2`).
+fn on_both_backends(job: impl Fn() -> Launcher) {
+    job().run().unwrap();
+    static JOB: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "opmr-sender-{}-{}",
+        std::process::id(),
+        JOB.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let launcher = job();
+    let placement: Vec<usize> = (0..launcher.partition_count()).map(|i| i % 2).collect();
+    let procs: Vec<_> = (0..2)
+        .map(|p| {
+            let cfg = SocketConfig::new(Endpoint::Unix(dir.join("mesh.sock")))
+                .connect_timeout(Duration::from_secs(20));
+            let topo = MultiprocTopology::new(cfg, p, 2).placement(placement.clone());
+            let l = launcher.clone();
+            std::thread::spawn(move || l.run_multiproc(topo))
+        })
+        .collect();
+    for p in procs {
+        p.join().unwrap().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Sender threads of this process, by the name the OS lists.
+#[cfg(target_os = "linux")]
+fn sender_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == SENDER_THREAD)
+        .count()
+}
+
+/// Whether every sender thread is gone within a few seconds: a joined
+/// thread may stay listed for a moment while the OS reaps it.
+#[cfg(target_os = "linux")]
+fn no_sender_threads() -> bool {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while sender_threads() > 0 {
+        if std::time::Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+#[test]
+fn sender_fin_follows_every_data_block() {
+    // Blocks leave through the sender, the FIN from the closing thread:
+    // the reader must see every block, in order, before its EOF.
+    let _alone = window_tests();
+    const BLOCKS: usize = 40;
+    on_both_backends(|| {
+        let cfg = lz4_cfg(2048, 2);
+        Launcher::new()
+            .partition("w", 1, move |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let mut st = WriteStream::open_to(&v, vec![1], cfg, 20).unwrap();
+                let mut block = st.new_block();
+                for i in 0..BLOCKS {
+                    let body = payload(i as u8, 2048, i % 3 != 0);
+                    if i % 2 == 0 {
+                        block.truncate(BLOCK_HEADROOM);
+                        block.extend_from_slice(&body);
+                        st.send_block(&mut block).unwrap();
+                    } else {
+                        st.write(&body).unwrap();
+                        st.flush().unwrap();
+                    }
+                }
+                st.close().unwrap();
+            })
+            .partition("r", 1, move |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let mut st = ReadStream::open_from(&v, vec![0], cfg, 20).unwrap();
+                let mut i = 0;
+                while let Some(b) = st.read(ReadMode::Blocking).unwrap() {
+                    assert_eq!(
+                        b.data[..],
+                        payload(i as u8, 2048, i % 3 != 0)[..],
+                        "block {i}"
+                    );
+                    i += 1;
+                }
+                assert_eq!(i, BLOCKS, "EOF after every block");
+            })
+    });
+}
+
+#[test]
+fn sender_stalled_transport_blocks_the_writer_at_n_async() {
+    // Noise does not compress, so every frame is a 2 KiB rendezvous send
+    // (eager limit 512 B) that completes only once the reader posts a
+    // receive, and the reader opens its stream only after the writer has
+    // blocked. The writer therefore fills its window with exactly
+    // `n_async` pending blocks, then blocks once on the next.
+    let _alone = window_tests();
+    const N_ASYNC: usize = 3;
+    let cfg = lz4_cfg(2048, N_ASYNC);
+    let gate = Arc::new(Barrier::new(2));
+    let reader_gate = Arc::clone(&gate);
+    Launcher::new()
+        .eager_limit(512)
+        .partition("w", 1, move |mpi| {
+            let v = Vmpi::new(mpi).unwrap();
+            let mut st = WriteStream::open_to(&v, vec![1], cfg, 21).unwrap();
+            for i in 0..N_ASYNC {
+                st.write(&payload(i as u8, 2048, false)).unwrap();
+            }
+            assert_eq!(st.blocks_pending(), N_ASYNC);
+            assert_eq!(st.backpressure_waits(), 0);
+            let before = backpressure_waits();
+            std::thread::scope(|s| {
+                // Opens the reader's gate once this writer has blocked.
+                s.spawn(|| {
+                    while backpressure_waits() == before {
+                        std::thread::yield_now();
+                    }
+                    gate.wait();
+                });
+                st.write(&payload(N_ASYNC as u8, 2048, false)).unwrap();
+            });
+            assert_eq!(st.backpressure_waits(), 1);
+            assert!(st.blocks_pending() <= N_ASYNC);
+            st.close().unwrap();
+        })
+        .partition("r", 1, move |mpi| {
+            let v = Vmpi::new(mpi).unwrap();
+            reader_gate.wait();
+            let mut st = ReadStream::open_from(&v, vec![0], cfg, 21).unwrap();
+            let mut i = 0;
+            while let Some(b) = st.read(ReadMode::Blocking).unwrap() {
+                assert_eq!(b.data[..], payload(i as u8, 2048, false)[..]);
+                i += 1;
+            }
+            assert_eq!(i, N_ASYNC + 1);
+        })
+        .run()
+        .unwrap();
+}
+
+#[test]
+fn sender_busy_block_counts_against_the_window() {
+    // Every send from the writer's rank sleeps 300 ms, so the sender holds
+    // the first block that long. That block is pending too: with it and
+    // two queued the window is full, and the next hand-off blocks until
+    // the sender is done with it.
+    let _alone = window_tests();
+    const N_ASYNC: usize = 3;
+    let cfg = lz4_cfg(2048, N_ASYNC);
+    Launcher::new()
+        .fault_plan(FaultPlan::seeded(7).with_slow_rank(0, Duration::from_millis(300)))
+        .partition("w", 1, move |mpi| {
+            let v = Vmpi::new(mpi).unwrap();
+            let faults = Arc::clone(v.mpi().universe().fault_layer().unwrap());
+            let mut st = WriteStream::open_to(&v, vec![1], cfg, 28).unwrap();
+            st.write(&payload(0, 2048, true)).unwrap();
+            while faults.stats().slow_hits == 0 {
+                std::thread::yield_now();
+            }
+            for i in 1..N_ASYNC {
+                st.write(&payload(i as u8, 2048, true)).unwrap();
+            }
+            assert_eq!(st.blocks_pending(), N_ASYNC);
+            st.write(&payload(N_ASYNC as u8, 2048, true)).unwrap();
+            assert_eq!(st.backpressure_waits(), 1);
+            st.close().unwrap();
+        })
+        .partition("r", 1, move |mpi| {
+            let v = Vmpi::new(mpi).unwrap();
+            let mut st = ReadStream::open_from(&v, vec![0], cfg, 28).unwrap();
+            let mut i = 0;
+            while let Some(b) = st.read(ReadMode::Blocking).unwrap() {
+                assert_eq!(b.data[..], payload(i as u8, 2048, true)[..]);
+                i += 1;
+            }
+            assert_eq!(i, N_ASYNC + 1);
+        })
+        .run()
+        .unwrap();
+}
+
+#[test]
+fn sender_failure_is_typed_on_the_writers_next_call() {
+    // The fault plan makes the writer's third send unreachable. The
+    // sender fails it; the writer hears of it on a later call, on every
+    // call after that and on close, and its reader sees the writer lost
+    // after the two blocks that did leave, not a clean end.
+    let _alone = window_tests();
+    on_both_backends(|| {
+        let cfg = lz4_cfg(2048, 2);
+        Launcher::new()
+            .fault_plan(FaultPlan::seeded(7).with_crash(0, 2))
+            .partition("w", 1, move |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let mut st = WriteStream::open_to(&v, vec![1], cfg, 22).unwrap();
+                let lost = VmpiError::Runtime(RtError::Unreachable { dst: 1 });
+                let first = (0..20u8)
+                    .find_map(|i| {
+                        st.write(&payload(i, 2048, true))
+                            .and_then(|()| st.flush())
+                            .err()
+                    })
+                    .expect("the failure surfaces within the window");
+                assert_eq!(first, lost);
+                assert_eq!(st.flush(), Err(lost.clone()));
+                assert_eq!(st.write(b"more"), Err(lost.clone()));
+                let mut block = st.new_block();
+                block.extend_from_slice(b"more");
+                assert_eq!(st.send_block(&mut block), Err(lost.clone()));
+                assert_eq!(st.close(), Err(lost));
+            })
+            .partition("r", 1, move |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let mut st = ReadStream::open_from(&v, vec![0], cfg, 22).unwrap();
+                let mut blocks = 0;
+                let end = loop {
+                    match st.read(ReadMode::Blocking) {
+                        Ok(Some(_)) => blocks += 1,
+                        other => break other,
+                    }
+                };
+                assert_eq!(blocks, 2);
+                assert_eq!(end, Err(VmpiError::PeerLost { rank: 0 }));
+            })
+    });
+}
+
+#[test]
+fn sender_abort_sends_no_fin() {
+    let _alone = window_tests();
+    on_both_backends(|| {
+        let cfg = lz4_cfg(2048, 2);
+        Launcher::new()
+            .partition("w", 1, move |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let mut st = WriteStream::open_to(&v, vec![1], cfg, 23).unwrap();
+                for i in 0..6u8 {
+                    st.write(&payload(i, 2048, true)).unwrap();
+                }
+                st.abort();
+            })
+            .partition("r", 1, move |mpi| {
+                let v = Vmpi::new(mpi).unwrap();
+                let mut st = ReadStream::open_from(&v, vec![0], cfg, 23).unwrap();
+                let mut blocks = 0;
+                let end = loop {
+                    match st.read(ReadMode::Blocking) {
+                        Ok(Some(_)) => blocks += 1,
+                        other => break other,
+                    }
+                };
+                assert!(blocks <= 6);
+                assert_eq!(end, Err(VmpiError::PeerLost { rank: 0 }));
+            })
+    });
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn sender_thread_is_joined_on_close_abort_and_drop() {
+    let _alone = window_tests();
+    Launcher::new()
+        .partition("w", 1, |mpi| {
+            let v = Vmpi::new(mpi).unwrap();
+            let cfg = lz4_cfg(2048, 2);
+            assert!(no_sender_threads(), "earlier tests' senders are gone");
+            let open = |id| {
+                let mut st = WriteStream::open_to(&v, vec![1], cfg, id).unwrap();
+                st.write(&payload(1, 5000, true)).unwrap();
+                // A sent block shows the sender running, hence named.
+                while st.bytes_on_wire() == 0 {
+                    std::thread::yield_now();
+                }
+                assert_eq!(sender_threads(), 1, "one sender per compressing stream");
+                st
+            };
+            open(24).close().unwrap();
+            assert!(no_sender_threads(), "joined on close");
+            open(25).abort();
+            assert!(no_sender_threads(), "joined on abort");
+            drop(open(26));
+            assert!(no_sender_threads(), "joined on drop");
+            let plain = WriteStream::open_to(&v, vec![1], small_cfg(64), 27).unwrap();
+            assert_eq!(sender_threads(), 0, "a plain stream has no sender");
+            plain.close().unwrap();
+        })
+        .partition("r", 1, |_| {})
+        .run()
+        .unwrap();
+}
+
+fn backpressure_waits() -> u64 {
+    opmr_obs::registry()
+        .snapshot()
+        .counter("vmpi_stream_backpressure_waits_total")
         .unwrap_or(0)
 }
