@@ -494,9 +494,12 @@ impl SessionBuilder {
     /// application→process placement chosen by the caller (typically the
     /// `opmr launch` control plane) instead of the derived round-robin:
     /// `placement[i]` names the process hosting application partition
-    /// `i`, in the order the applications were added. The analyzer,
-    /// client partitions and the self-monitor still live on process 0.
-    /// Every process of the job must pass the identical placement.
+    /// `i`, counting a replay's recorded applications first (in recording
+    /// order), then the live ones in the order they were added. A
+    /// placement of any other length, or naming a process outside
+    /// `0..num_procs`, is a [`SessionError::Config`]. The analyzer, client
+    /// partitions and the self-monitor still live on process 0. Every
+    /// process of the job must pass the identical placement.
     pub fn run_multiproc_placed(
         self,
         socket: opmr_runtime::SocketConfig,
@@ -504,18 +507,6 @@ impl SessionBuilder {
         num_procs: usize,
         placement: Vec<usize>,
     ) -> Result<SessionOutcome, SessionError> {
-        if placement.len() != self.apps.len() {
-            return Err(SessionError::Config(format!(
-                "placement names {} partitions but the session has {} applications",
-                placement.len(),
-                self.apps.len()
-            )));
-        }
-        if let Some(bad) = placement.iter().find(|p| **p >= num_procs) {
-            return Err(SessionError::Config(format!(
-                "placement targets process {bad} but the job has only {num_procs} processes"
-            )));
-        }
         self.run_inner(LaunchPlan::Socket {
             socket,
             proc_index,
@@ -552,6 +543,28 @@ impl SessionBuilder {
         }
         if self.apps.is_empty() {
             return Err(SessionError::Config("no applications added".into()));
+        }
+        // Checked only now: a replay's recorded applications are placed
+        // too, ahead of the live ones.
+        if let LaunchPlan::Socket {
+            num_procs,
+            placement: Some(placement),
+            ..
+        } = &plan
+        {
+            if placement.len() != self.apps.len() {
+                return Err(SessionError::Config(format!(
+                    "placement names {} partitions but the session has {} applications \
+                     (recorded ones first)",
+                    placement.len(),
+                    self.apps.len()
+                )));
+            }
+            if let Some(bad) = placement.iter().find(|p| **p >= *num_procs) {
+                return Err(SessionError::Config(format!(
+                    "placement targets process {bad} but the job has only {num_procs} processes"
+                )));
+            }
         }
         if file_sink && !self.clients.is_empty() {
             return Err(SessionError::Config(

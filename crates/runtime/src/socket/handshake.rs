@@ -77,6 +77,13 @@ pub(super) enum SockListener {
 }
 
 impl SockListener {
+    pub(super) fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
+        match self {
+            SockListener::Tcp(l) => l.set_nonblocking(on),
+            SockListener::Unix(l) => l.set_nonblocking(on),
+        }
+    }
+
     pub(super) fn accept(&self) -> std::io::Result<SockStream> {
         match self {
             SockListener::Tcp(l) => {
@@ -108,8 +115,8 @@ pub(super) fn listen_endpoint(endpoint: &Endpoint, proc_index: usize) -> Endpoin
     }
 }
 
-/// Binds a non-blocking listener (the accept loops poll it) and says how
-/// to advertise it.
+/// Binds a non-blocking listener (the coordinator's hello loop polls it
+/// against its deadline) and says how to advertise it.
 pub(super) fn bind(endpoint: &Endpoint) -> Result<(SockListener, String), SocketError> {
     let bind_err = |e: std::io::Error| SocketError::Bind {
         addr: endpoint.describe(),
@@ -136,7 +143,7 @@ pub(super) fn bind(endpoint: &Endpoint) -> Result<(SockListener, String), Socket
 }
 
 /// One connect attempt, no retry loop.
-fn dial_once(addr: &str) -> Result<SockStream, SocketError> {
+pub(super) fn dial_once(addr: &str) -> Result<SockStream, SocketError> {
     let attempt = if let Some(a) = addr.strip_prefix("tcp:") {
         TcpStream::connect(a).map(|s| {
             let _ = s.set_nodelay(true);
@@ -230,36 +237,31 @@ pub(super) fn write_framed(stream: &mut SockStream, framed: &[u8]) -> std::io::R
     Ok(())
 }
 
-/// One handshaken connection plus the bytes over-read past its handshake
-/// frames (they belong to the data plane).
-pub(super) struct PeerConn {
-    pub(super) proc: usize,
-    pub(super) stream: SockStream,
-    pub(super) residual: FrameBuf,
-}
-
-/// What the coordinator hello / roster exchange yields: the session
-/// epoch, every process's advertised address and the connections to the
-/// coordinator (all of them on process 0, one elsewhere).
+/// What the coordinator hello / roster exchange yields: the session epoch
+/// and every process's advertised address. The hello connections close
+/// after it; every link, the coordinator's included, is dialed.
 pub(super) struct Session {
     pub(super) epoch: u64,
     pub(super) roster: Vec<String>,
-    pub(super) conns: Vec<PeerConn>,
 }
 
-/// The coordinator's accept loop: one hello from each process `1..n`,
-/// with the listen address it advertises. Any other hello — garbled, for
-/// another topology, out of range or for an index already admitted — is
-/// rejected, counted and closed, and the wait goes on until `deadline`.
+/// One admitted hello: the process, its connection and the listen
+/// address it advertises.
+type Hello = (usize, SockStream, String);
+
+/// The coordinator's accept loop: one hello from each process `1..n`.
+/// Any other hello — garbled, for another topology, out of range or for
+/// an index already admitted — is rejected, counted and closed, and the
+/// wait goes on until `deadline`.
 pub(super) fn accept_hellos(
     listener: &SockListener,
     n: usize,
     deadline: Instant,
     topo_hash: u64,
-) -> Result<Vec<(PeerConn, String)>, SocketError> {
+) -> Result<Vec<Hello>, SocketError> {
     let started = Instant::now();
     let admit = 1..n;
-    let mut admitted: Vec<(PeerConn, String)> = Vec::with_capacity(admit.len());
+    let mut admitted: Vec<Hello> = Vec::with_capacity(admit.len());
     while admitted.len() < admit.len() {
         match listener.accept() {
             Ok(mut s) => {
@@ -270,15 +272,9 @@ pub(super) fn accept_hellos(
                     .and_then(|p| decode_hello(&p, topo_hash));
                 match hello {
                     Ok((proc, addr))
-                        if admit.contains(&proc)
-                            && !admitted.iter().any(|(c, _)| c.proc == proc) =>
+                        if admit.contains(&proc) && !admitted.iter().any(|h| h.0 == proc) =>
                     {
-                        let conn = PeerConn {
-                            proc,
-                            stream: s,
-                            residual: fb,
-                        };
-                        admitted.push((conn, addr));
+                        admitted.push((proc, s, addr));
                     }
                     _ => {
                         obs::m().handshake_rejected.inc();
@@ -316,20 +312,15 @@ pub(super) fn coordinate(
     let epoch = session_epoch();
     let mut roster = vec![String::new(); n];
     roster[0] = my_addr;
-    let mut conns = Vec::with_capacity(n - 1);
-    for (conn, addr) in accept_hellos(listener, n, deadline, topo_hash)? {
-        roster[conn.proc] = addr;
-        conns.push(conn);
+    let mut hellos = accept_hellos(listener, n, deadline, topo_hash)?;
+    for (proc, _, addr) in &mut hellos {
+        roster[*proc] = std::mem::take(addr);
     }
     let payload = encode_roster(epoch, &roster);
-    for c in &mut conns {
-        write_frame(&mut c.stream, &payload).map_err(io_err("roster broadcast"))?;
+    for (_, s, _) in &mut hellos {
+        write_frame(s, &payload).map_err(io_err("roster broadcast"))?;
     }
-    Ok(Session {
-        epoch,
-        roster,
-        conns,
-    })
+    Ok(Session { epoch, roster })
 }
 
 /// A non-coordinator's half: dial the coordinator, say hello, learn the
@@ -346,8 +337,7 @@ pub(super) fn join(
     let coord_addr = endpoint.describe();
     let mut coord = dial(&coord_addr, deadline, timeout)?;
     write_frame(&mut coord, &encode_hello(me, topo_hash, my_addr)).map_err(io_err("hello send"))?;
-    let mut residual = FrameBuf::new();
-    let roster_frame = read_one_frame(&mut coord, &mut residual, deadline, &coord_addr)?;
+    let roster_frame = read_one_frame(&mut coord, &mut FrameBuf::new(), deadline, &coord_addr)?;
     let (epoch, roster) = decode_roster(&roster_frame).ok_or_else(|| {
         obs::m().handshake_rejected.inc();
         SocketError::Handshake {
@@ -361,21 +351,11 @@ pub(super) fn join(
             what: format!("roster lists {} processes, expected {n}", roster.len()),
         });
     }
-    let coord = PeerConn {
-        proc: 0,
-        stream: coord,
-        residual,
-    };
-    Ok(Session {
-        epoch,
-        roster,
-        conns: vec![coord],
-    })
+    Ok(Session { epoch, roster })
 }
 
-/// The dialing side's presentation of a link: the session epoch and the
-/// frames received so far (0 on a first connection). Returns the
-/// connection, its over-read bytes and the acceptor's reply frame.
+/// The dialing side's presentation of a link (epoch, frames received):
+/// the connection, its over-read bytes and the acceptor's reply.
 pub(super) fn present(
     addr: &str,
     me: usize,
@@ -391,8 +371,7 @@ pub(super) fn present(
 }
 
 /// The accepting side's read of a presentation: `(proc, epoch, rx_seq)`
-/// and the over-read bytes, or `None` for anything else (the caller
-/// rejects and counts it).
+/// and the over-read bytes, or `None` (rejected and counted).
 pub(super) fn read_presentation(s: &mut SockStream) -> Option<(usize, u64, u64, FrameBuf)> {
     let mut fb = FrameBuf::new();
     let deadline = Instant::now() + HELLO_TIMEOUT;
@@ -429,11 +408,7 @@ fn session_epoch() -> u64 {
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     // Epoch 0 is reserved as "no session" so a zeroed frame never matches.
-    if h == 0 {
-        1
-    } else {
-        h
-    }
+    h.max(1)
 }
 
 #[cfg(test)]
@@ -468,7 +443,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let got: Vec<(usize, &str)> = admitted
             .iter()
-            .map(|(c, addr)| (c.proc, addr.as_str()))
+            .map(|(proc, _, addr)| (*proc, addr.as_str()))
             .collect();
         assert_eq!(got, vec![(2, "unix:/p2"), (1, "unix:/p1")]);
         assert_eq!(obs::m().handshake_rejected.get() - rejected0, 2);

@@ -14,7 +14,9 @@
 use opmr::analysis::report::stable_digest;
 use opmr::analysis::wire::encode_partials;
 use opmr::analysis::{AnalysisEngine, EngineConfig};
-use opmr::core::{Coupling, LiveOptions, Session, SessionBuilder, SessionOutcome, Sink};
+use opmr::core::{
+    Coupling, LiveOptions, Session, SessionBuilder, SessionError, SessionOutcome, Sink,
+};
 use opmr::events::recording::{read_dir, read_trace_file, RecordingFile};
 use opmr::events::PackEncoding;
 use opmr::netsim::tera100;
@@ -258,4 +260,61 @@ fn socket_replay_is_the_in_process_replay() {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A replay's recorded applications are placed like live ones, counted
+/// first: over three thread-hosted processes, with the recorded app on
+/// process 2 and the analyzer on process 0, the replay folds to the
+/// in-process replay's partials and the online digest. A placement that
+/// counts only the live applications (none here) is a typed
+/// configuration error, not a silent fallback to process 0.
+#[test]
+fn placed_socket_replay_counts_the_recorded_apps_first() {
+    let m = tera100();
+    let make = || Benchmark::Cg.build(Class::S, 8, &m, Some(2)).unwrap();
+    let online = analyzed(Session::builder())
+        .app_workload("cg", make(), LiveOptions::default())
+        .run()
+        .unwrap();
+    let dir = tmpdir("placed");
+    Session::builder()
+        .sink(Sink::TraceDir(dir.clone()))
+        .stream_config(StreamConfig {
+            block_size: BLOCK,
+            ..StreamConfig::default()
+        })
+        .app_workload("cg", make(), LiveOptions::default())
+        .run()
+        .unwrap();
+    let inproc = replay(&dir, "Direct@1").run().unwrap();
+
+    let endpoint = common::fresh_unix_endpoint("replay-placed");
+    let run = |endpoint: Endpoint, dir: PathBuf, proc_index, placement: Vec<usize>| {
+        let socket = SocketConfig::new(endpoint).connect_timeout(Duration::from_secs(20));
+        replay(&dir, "Direct@1").run_multiproc_placed(socket, proc_index, 3, placement)
+    };
+    let workers: Vec<_> = [1, 2]
+        .map(|p| {
+            let (endpoint, dir) = (endpoint.clone(), dir.clone());
+            std::thread::spawn(move || run(endpoint, dir, p, vec![2]))
+        })
+        .into_iter()
+        .collect();
+    let placed = run(endpoint, dir.clone(), 0, vec![2]).unwrap();
+    for w in workers {
+        w.join().unwrap().unwrap();
+    }
+    assert!(
+        encode_partials(&placed.report.to_partials())
+            == encode_partials(&inproc.report.to_partials()),
+        "the placed socket replay differs from the in-process one"
+    );
+    assert_eq!(stable_digest(&placed.report), stable_digest(&online.report));
+
+    let endpoint = common::fresh_unix_endpoint("replay-placed-live-only");
+    match run(endpoint, dir.clone(), 0, Vec::new()) {
+        Err(SessionError::Config(msg)) => assert!(msg.contains("placement"), "{msg}"),
+        other => panic!("a live-only placement was not refused: {:?}", other.err()),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -784,3 +784,59 @@ fn truncated_roster_is_a_typed_handshake_failure() {
         "the truncated roster must be counted as rejected"
     );
 }
+
+// ---------------------------------------------------------------------
+// A presentation for a link the listener does not accept — from the
+// listening process's own index (a lower index never dials) or from a
+// process outside the job — is answered with a typed unknown-link NAK
+// and counted, before its epoch is looked at; the real job is unaffected.
+// ---------------------------------------------------------------------
+#[test]
+fn presentation_for_an_unknown_link_is_nakked_typed_and_counted() {
+    let endpoint = fresh_unix_endpoint("unknown-link");
+    let Endpoint::Unix(path) = endpoint.clone() else {
+        unreachable!()
+    };
+    let launcher = Launcher::new()
+        .partition("a", 1, |mpi| {
+            std::thread::sleep(Duration::from_millis(700));
+            let w = mpi.world();
+            mpi.send(&w, 1, 7, vec![1, 2, 3]).unwrap();
+        })
+        .partition("b", 1, |mpi| {
+            let w = mpi.world();
+            let (_, d) = mpi.recv(&w, Src::Rank(0), TagSel::Tag(7)).unwrap();
+            assert_eq!(d, vec![1, 2, 3]);
+        });
+    let spawn_proc = |p: usize| {
+        let l = launcher.clone();
+        let cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
+        let topo = MultiprocTopology::new(cfg, p, 2).placement(vec![0, 1]);
+        std::thread::spawn(move || l.run_multiproc(topo))
+    };
+    let coord = spawn_proc(0);
+    let peer = spawn_proc(1);
+    std::thread::sleep(Duration::from_millis(300));
+    for proc in [0u16, 9] {
+        let before = counter("transport_socket_handshake_rejected_total");
+        let mut rogue = connect_retrying(&path);
+        let mut reconn = handshake_head(8, 5, proc); // K_RECONN, version 5
+        reconn.extend_from_slice(&0u64.to_le_bytes()); // epoch: not this session's
+        reconn.extend_from_slice(&0u64.to_le_bytes()); // rx_seq
+        rogue.write_all(&opmr::events::frame(&reconn)).unwrap();
+        let reply = read_to_close(&mut rogue);
+        assert!(
+            reply.len() >= 10,
+            "process {proc}: {} reply bytes",
+            reply.len()
+        );
+        // [len u32][crc u32][K_RECONN_NAK][NAK_UNKNOWN_LINK]
+        assert_eq!(reply[8..10], [10, 2], "process {proc}");
+        assert!(
+            counter("transport_socket_handshake_rejected_total") > before,
+            "process {proc}: the unknown link must be counted"
+        );
+    }
+    coord.join().unwrap().expect("coordinator finishes its job");
+    peer.join().unwrap().expect("peer finishes its job");
+}
