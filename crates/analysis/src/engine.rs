@@ -28,10 +28,10 @@
 use crate::density::DensityMap;
 use crate::fold::{fold_pack, Aggregates, FoldTarget};
 use crate::profiler::{Metric, MpiProfile};
-use crate::timeline::{AdaptiveTimeline, Timeline};
 use crate::topology::Topology;
 use crate::trace_proxy::{Selection, TraceProxy};
 use crate::waitstate::{WaitStateAnalysis, WaitStats};
+use crate::wire::AppPartial;
 use bytes::Bytes;
 use opmr_blackboard::{type_id, Blackboard, BlackboardConfig, DataEntry, KnowledgeSource, TypeId};
 use opmr_events::recording::RecordingFile;
@@ -39,7 +39,9 @@ use opmr_events::{codec, Event, EventKind, EventPack};
 use opmr_metrics::{MetricsConfig, MetricsSeries};
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 /// Engine sizing.
@@ -49,7 +51,8 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Lock-striped job FIFOs.
     pub queues: usize,
-    /// Temporal-map bins.
+    /// No longer read: the temporal map is drawn from the level's metrics
+    /// series, at most [`opmr_metrics::ADAPTIVE_WINDOWS`] columns wide.
     pub timeline_bins: usize,
 }
 
@@ -67,13 +70,28 @@ impl Default for EngineConfig {
 struct AppData {
     profile: MpiProfile,
     topology: Topology,
-    timeline: Option<AdaptiveTimeline>,
     waitstate: Option<WaitStateAnalysis>,
-    metrics: Option<MetricsSeries>,
+    metrics: MetricsSeries,
     proxy: Option<TraceProxy>,
     packs: u64,
     wire_bytes: u64,
     decode_errors: u64,
+}
+
+impl AppData {
+    /// The level's aggregates as a mergeable partial.
+    fn partial(&self, app_id: u16) -> AppPartial {
+        AppPartial {
+            app_id,
+            packs: self.packs,
+            wire_bytes: self.wire_bytes,
+            decode_errors: self.decode_errors,
+            profile: self.profile.clone(),
+            topology: self.topology.clone(),
+            waitstate: self.waitstate.as_ref().map(|ws| ws.snapshot_stats()),
+            metrics: Some(self.metrics.clone()),
+        }
+    }
 }
 
 impl FoldTarget for AppData {
@@ -83,9 +101,8 @@ impl FoldTarget for AppData {
             wire_bytes: &mut self.wire_bytes,
             profile: &mut self.profile,
             topology: &mut self.topology,
-            timeline: self.timeline.as_mut(),
             waitstate: self.waitstate.as_mut(),
-            metrics: self.metrics.as_mut(),
+            metrics: &mut self.metrics,
         }
     }
 }
@@ -117,14 +134,14 @@ pub struct AppReport {
     pub decode_errors: u64,
     pub profile: MpiProfile,
     pub topology: Topology,
-    pub timeline: Option<Timeline>,
     pub density: Vec<DensityMap>,
     /// Wait-state analysis results, when enabled.
     pub waitstate: Option<WaitStats>,
-    /// Time-resolved standard-metrics series, when enabled.
+    /// The time-resolved series the metrics table and the temporal map
+    /// are drawn from (absent only from a partial that carried none).
     pub metrics: Option<MetricsSeries>,
     /// Selective-trace proxy outcome `(path, seen, written)`, when enabled.
-    pub proxy: Option<(std::path::PathBuf, u64, u64)>,
+    pub proxy: Option<(PathBuf, u64, u64)>,
 }
 
 /// A multi-application report (one chapter per instrumented program).
@@ -135,10 +152,10 @@ pub struct MultiReport {
 impl MultiReport {
     /// Extracts the merge-able partial aggregates of every application
     /// (what a distributed analyzer rank ships to the merge root).
-    pub fn to_partials(&self) -> Vec<crate::wire::AppPartial> {
+    pub fn to_partials(&self) -> Vec<AppPartial> {
         self.apps
             .iter()
-            .map(|a| crate::wire::AppPartial {
+            .map(|a| AppPartial {
                 app_id: a.app_id,
                 packs: a.packs,
                 wire_bytes: a.wire_bytes,
@@ -152,75 +169,55 @@ impl MultiReport {
     }
 
     /// Rebuilds a report by merging partial aggregates from several
-    /// analyzer ranks (Section VI's distributed analysis). Temporal maps
-    /// are a per-rank view and are not merged.
+    /// analyzer ranks (Section VI's distributed analysis), temporal map
+    /// included: it is drawn from the merged series.
     pub fn from_partials(
-        partial_sets: Vec<Vec<crate::wire::AppPartial>>,
+        partial_sets: Vec<Vec<AppPartial>>,
         names: &HashMap<u16, String>,
     ) -> MultiReport {
-        let mut merged: HashMap<u16, crate::wire::AppPartial> = HashMap::new();
-        for set in partial_sets {
-            for p in set {
-                match merged.entry(p.app_id) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(p);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let into = e.get_mut();
-                        into.packs += p.packs;
-                        into.wire_bytes += p.wire_bytes;
-                        into.decode_errors += p.decode_errors;
-                        into.profile.merge(&p.profile);
-                        into.topology.merge(&p.topology);
-                        match (&mut into.waitstate, p.waitstate) {
-                            (Some(a), Some(b)) => crate::wire::merge_waitstats(a, &b),
-                            (slot @ None, Some(b)) => *slot = Some(b),
-                            _ => {}
-                        }
-                        match (&mut into.metrics, p.metrics) {
-                            (Some(a), Some(b)) => a.merge(&b),
-                            (slot @ None, Some(b)) => *slot = Some(b),
-                            _ => {}
-                        }
-                    }
+        let mut merged: BTreeMap<u16, AppPartial> = BTreeMap::new();
+        for p in partial_sets.into_iter().flatten() {
+            match merged.entry(p.app_id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(p);
                 }
+                Entry::Occupied(mut slot) => slot.get_mut().merge(p),
             }
         }
-        let mut apps: Vec<crate::wire::AppPartial> = merged.into_values().collect();
-        apps.sort_by_key(|p| p.app_id);
+        let name = |id| names.get(&id).cloned().unwrap_or_else(|| level_name(id));
         MultiReport {
-            apps: apps
-                .into_iter()
-                .map(|p| {
-                    let density = stock_density_maps(&p.profile);
-                    AppReport {
-                        app_id: p.app_id,
-                        name: names
-                            .get(&p.app_id)
-                            .cloned()
-                            .unwrap_or_else(|| level_name(p.app_id)),
-                        ranks: p.profile.ranks(),
-                        events: p.profile.events(),
-                        packs: p.packs,
-                        wire_bytes: p.wire_bytes,
-                        decode_errors: p.decode_errors,
-                        profile: p.profile,
-                        topology: p.topology,
-                        timeline: None,
-                        density,
-                        waitstate: p.waitstate,
-                        metrics: p.metrics,
-                        proxy: None,
-                    }
-                })
+            apps: merged
+                .into_values()
+                .map(|p| AppReport::new(name(p.app_id), p, None))
                 .collect(),
+        }
+    }
+}
+
+impl AppReport {
+    /// The chapter of one application's whole aggregate.
+    fn new(name: String, p: AppPartial, proxy: Option<(PathBuf, u64, u64)>) -> AppReport {
+        AppReport {
+            app_id: p.app_id,
+            name,
+            ranks: p.profile.ranks(),
+            events: p.profile.events(),
+            packs: p.packs,
+            wire_bytes: p.wire_bytes,
+            decode_errors: p.decode_errors,
+            density: stock_density_maps(&p.profile),
+            profile: p.profile,
+            topology: p.topology,
+            waitstate: p.waitstate,
+            metrics: p.metrics,
+            proxy,
         }
     }
 }
 
 /// Hook invoked with the engine's current partial aggregates at every
 /// publication boundary (see [`AnalysisEngine::attach_snapshot_publisher`]).
-pub type SnapshotHook = Arc<dyn Fn(Vec<crate::wire::AppPartial>) + Send + Sync>;
+pub type SnapshotHook = Arc<dyn Fn(Vec<AppPartial>) + Send + Sync>;
 
 /// A snapshot hook and its cadence: every N folded packs.
 type Publisher = (u64, SnapshotHook);
@@ -229,10 +226,10 @@ type Publisher = (u64, SnapshotHook);
 struct EngineExtras {
     /// Fold wait states on every level.
     waitstate: bool,
-    /// Fold the windowed standard-metrics series on every level.
+    /// The series' fixed window width; adaptive when `None`.
     metrics: Option<MetricsConfig>,
     /// Attach a selective-trace proxy per level, writing under this dir.
-    proxy: Option<(std::path::PathBuf, Selection)>,
+    proxy: Option<(PathBuf, Selection)>,
     /// Publish a report snapshot every N folded packs.
     publisher: Option<Publisher>,
 }
@@ -242,7 +239,6 @@ struct EngineExtras {
 pub struct AnalysisEngine {
     bb: Blackboard,
     apps: Arc<Mutex<HashMap<u16, Arc<AppSlot>>>>,
-    cfg: EngineConfig,
     extras: Arc<Mutex<EngineExtras>>,
     /// Packs folded across every level; drives the publication cadence.
     pack_ticker: Arc<std::sync::atomic::AtomicU64>,
@@ -273,7 +269,6 @@ impl AnalysisEngine {
         let engine = AnalysisEngine {
             bb,
             apps: Arc::new(Mutex::new(HashMap::new())),
-            cfg,
             extras: Arc::new(Mutex::new(EngineExtras::default())),
             pack_ticker: Arc::new(std::sync::atomic::AtomicU64::new(0)),
             publish_gate: Arc::new(Mutex::new(())),
@@ -289,9 +284,9 @@ impl AnalysisEngine {
         self.extras.lock().waitstate = true;
     }
 
-    /// Enables the time-resolved standard metrics on every application
-    /// level: the event stream is folded into per-window, per-rank integer
-    /// cells (see `opmr_metrics`). Call before any packs arrive.
+    /// Fixes the window width of the per-window, per-rank series every
+    /// level folds (see `opmr_metrics`); without it the width is adaptive.
+    /// Call before any packs arrive.
     pub fn enable_metrics(&self, cfg: MetricsConfig) {
         self.extras.lock().metrics = Some(cfg);
     }
@@ -299,7 +294,7 @@ impl AnalysisEngine {
     /// Attaches a selective-trace IO proxy: events surviving `selection`
     /// are re-encoded into `dir/app<N>_selected.opmr`. Call before any
     /// packs arrive.
-    pub fn attach_trace_proxy(&self, dir: impl Into<std::path::PathBuf>, selection: Selection) {
+    pub fn attach_trace_proxy(&self, dir: impl Into<PathBuf>, selection: Selection) {
         self.extras.lock().proxy = Some((dir.into(), selection));
     }
 
@@ -318,24 +313,12 @@ impl AnalysisEngine {
     /// a whole number of packs — the same ones in the pack counters, the
     /// profile, the topology and the series; cross-application skew is
     /// bounded by in-flight jobs.
-    pub fn snapshot_partials(&self) -> Vec<crate::wire::AppPartial> {
+    pub fn snapshot_partials(&self) -> Vec<AppPartial> {
         let mut slots: Vec<Arc<AppSlot>> = self.apps.lock().values().cloned().collect();
         slots.sort_by_key(|s| s.app_id);
         slots
             .into_iter()
-            .map(|slot| {
-                let data = slot.data.lock();
-                crate::wire::AppPartial {
-                    app_id: slot.app_id,
-                    packs: data.packs,
-                    wire_bytes: data.wire_bytes,
-                    decode_errors: data.decode_errors,
-                    profile: data.profile.clone(),
-                    topology: data.topology.clone(),
-                    waitstate: data.waitstate.as_ref().map(|ws| ws.snapshot_stats()),
-                    metrics: data.metrics.clone(),
-                }
-            })
+            .map(|slot| slot.data.lock().partial(slot.app_id))
             .collect()
     }
 
@@ -370,13 +353,7 @@ impl AnalysisEngine {
             app_id,
             ty_events: type_id(&level, "events"),
             name: Mutex::new(level),
-            data: Mutex::new(AppData {
-                timeline: Some(AdaptiveTimeline::new(
-                    self.cfg.timeline_bins,
-                    EventKind::is_mpi,
-                )),
-                ..AppData::default()
-            }),
+            data: Mutex::new(AppData::default()),
             wired: OnceLock::new(),
         });
         apps.insert(app_id, Arc::clone(&slot));
@@ -468,7 +445,7 @@ impl AnalysisEngine {
         {
             let mut data = slot.data.lock();
             data.waitstate = extras.waitstate.then(WaitStateAnalysis::new);
-            data.metrics = extras.metrics.map(|c| MetricsSeries::new(c.window_ns));
+            data.metrics = MetricsSeries::for_level(extras.metrics);
         }
         if let Some((dir, selection)) = extras.proxy.clone() {
             let path = RecordingFile::Selected { app: slot.app_id }.path(&dir);
@@ -499,31 +476,12 @@ impl AnalysisEngine {
         let reports = apps
             .into_iter()
             .map(|slot| {
-                let name = slot.name.lock().clone();
                 let mut data = slot.data.lock();
-                let density = stock_density_maps(&data.profile);
-                let waitstate = data.waitstate.as_mut().map(|ws| ws.finish().clone());
-                let metrics = data.metrics.clone();
                 let proxy = data.proxy.take().map(|p| {
                     let (seen, written) = p.finish(slot.app_id);
                     (p.path().to_path_buf(), seen, written)
                 });
-                AppReport {
-                    app_id: slot.app_id,
-                    name,
-                    ranks: data.profile.ranks(),
-                    events: data.profile.events(),
-                    packs: data.packs,
-                    wire_bytes: data.wire_bytes,
-                    decode_errors: data.decode_errors,
-                    profile: data.profile.clone(),
-                    topology: data.topology.clone(),
-                    timeline: data.timeline.as_ref().map(|t| t.snapshot()),
-                    density,
-                    waitstate,
-                    metrics,
-                    proxy,
-                }
+                AppReport::new(slot.name.lock().clone(), data.partial(slot.app_id), proxy)
             })
             .collect();
         MultiReport { apps: reports }
@@ -618,7 +576,12 @@ mod tests {
         assert_eq!(app.events, 4);
         assert_eq!(app.packs, 4);
         assert_eq!(app.topology.edge_count(), 4);
-        assert!(app.timeline.is_some());
+        let series = app.metrics.as_ref().expect("every level folds a series");
+        assert_eq!(
+            series.window_ns(),
+            opmr_metrics::ADAPTIVE_START_NS,
+            "adaptive"
+        );
         assert!(!app.density.is_empty());
         assert_eq!(app.decode_errors, 0);
     }

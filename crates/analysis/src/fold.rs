@@ -10,7 +10,6 @@
 //! only the cells it touched are merged into the maps under the lock.
 
 use crate::profiler::{CallStats, MpiProfile};
-use crate::timeline::AdaptiveTimeline;
 use crate::topology::{EdgeWeight, Topology};
 use crate::waitstate::WaitStateAnalysis;
 use opmr_events::{Event, EventKind, PackHeader};
@@ -84,9 +83,9 @@ pub struct Aggregates<'a> {
     pub wire_bytes: &'a mut u64,
     pub profile: &'a mut MpiProfile,
     pub topology: &'a mut Topology,
-    pub timeline: Option<&'a mut AdaptiveTimeline>,
     pub waitstate: Option<&'a mut WaitStateAnalysis>,
-    pub metrics: Option<&'a mut MetricsSeries>,
+    /// The level's one time axis: metrics and temporal map.
+    pub metrics: &'a mut MetricsSeries,
 }
 
 /// Whatever holds an application's aggregates (the engine's per-app slot,
@@ -125,16 +124,9 @@ where
             .add_weighted(*src, *dst, w.hits, w.bytes, w.time_ns);
     }
     // The order-dependent folds see the events themselves.
-    if let Some(timeline) = agg.timeline {
-        for e in events {
-            timeline.add(e);
-        }
-    }
     if let Some(waitstate) = agg.waitstate {
         waitstate.add_pack(header.rank, header.seq, events);
     }
-    if let Some(metrics) = agg.metrics {
-        metrics.fold_pack(events);
-    }
+    agg.metrics.fold_pack(events);
     sums
 }

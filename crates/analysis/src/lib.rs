@@ -12,7 +12,6 @@
 //! * [`density`] — the density-map module: per-rank spatial maps of hits /
 //!   time / size for MPI and POSIX calls (Figure 18), rendered as PGM
 //!   images and ASCII heat maps;
-//! * [`timeline`] — temporal maps: time-binned MPI activity per rank;
 //! * [`engine`] — the wiring: a dispatcher KS routes each event pack to
 //!   its application's blackboard level (Figure 5), decodes it (Figure 4)
 //!   and folds it into the level's shared aggregates, one job per pack;
@@ -21,7 +20,8 @@
 //!   aggregate of its application, shared with the reduce tree's frontier;
 //! * [`report`] — the profiling report: one chapter per instrumented
 //!   application, in Markdown and LaTeX (the paper emits a 20-70 page
-//!   LaTeX document).
+//!   LaTeX document); its temporal map is drawn from the level's
+//!   `opmr_metrics` series.
 
 pub mod density;
 pub mod engine;
@@ -29,7 +29,6 @@ pub mod fold;
 pub mod patterns;
 pub mod profiler;
 pub mod report;
-pub mod timeline;
 pub mod topology;
 pub mod trace_proxy;
 pub mod waitstate;
@@ -39,7 +38,6 @@ pub use density::DensityMap;
 pub use engine::{AnalysisEngine, AppReport, EngineConfig, MultiReport};
 pub use patterns::{classify, Pattern, PatternMatch};
 pub use profiler::{CallStats, MpiProfile};
-pub use timeline::Timeline;
 pub use topology::{EdgeWeight, Topology, WeightKind};
 pub use trace_proxy::{Selection, TraceProxy};
 pub use waitstate::{WaitStateAnalysis, WaitStats};

@@ -278,12 +278,27 @@ fn app_markdown(out: &mut String, app: &AppReport) {
         );
     }
 
-    // Temporal map.
-    if let Some(tl) = &app.timeline {
+    // Temporal map from the same series: a glyph per rank and column.
+    if let Some(m) = app.metrics.as_ref().filter(|m| !m.is_empty()) {
+        const RAMP: &[u8] = b" .:-=+*#%@";
+        let (column_ns, rows) = m.activity_map();
         let _ = writeln!(out, "### Temporal map (MPI activity per rank)");
         let _ = writeln!(out);
+        let _ = writeln!(
+            out,
+            "{} column(s) of {}.",
+            rows.first().map_or(0, Vec::len),
+            fmt_ns(column_ns)
+        );
+        let _ = writeln!(out);
         let _ = writeln!(out, "```text");
-        out.push_str(&tl.ascii());
+        for row in &rows {
+            for &ns in row {
+                let f = (ns as f64 / column_ns as f64).min(1.0);
+                out.push(RAMP[(f * (RAMP.len() - 1) as f64).round() as usize] as char);
+            }
+            out.push('\n');
+        }
         let _ = writeln!(out, "```");
         let _ = writeln!(out);
     }

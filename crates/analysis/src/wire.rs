@@ -232,9 +232,29 @@ pub struct AppPartial {
     pub profile: MpiProfile,
     pub topology: Topology,
     pub waitstate: Option<WaitStats>,
-    /// Time-resolved standard-metrics series, when the engine runs the
-    /// metrics knowledge source.
+    /// The level's time-resolved series (every engine level folds one).
     pub metrics: Option<MetricsSeries>,
+}
+
+impl AppPartial {
+    /// Adds another analyzer rank's partial of the same application.
+    pub fn merge(&mut self, p: AppPartial) {
+        self.packs += p.packs;
+        self.wire_bytes += p.wire_bytes;
+        self.decode_errors += p.decode_errors;
+        self.profile.merge(&p.profile);
+        self.topology.merge(&p.topology);
+        match (&mut self.waitstate, p.waitstate) {
+            (Some(a), Some(b)) => merge_waitstats(a, &b),
+            (slot @ None, Some(b)) => *slot = Some(b),
+            _ => {}
+        }
+        match (&mut self.metrics, p.metrics) {
+            (Some(a), Some(b)) => a.merge(&b),
+            (slot @ None, Some(b)) => *slot = Some(b),
+            _ => {}
+        }
+    }
 }
 
 /// Appends one application's section after its id and before its first

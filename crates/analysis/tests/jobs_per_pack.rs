@@ -49,7 +49,15 @@ fn ks_invocations_grow_by_one_per_pack_and_by_one_more_per_events_ks() {
         let report = engine.finish();
         assert_eq!(report.apps[0].events, 200, "{what}");
         assert_eq!(report.apps[0].waitstate.is_some(), extras, "{what}");
-        assert_eq!(report.apps[0].metrics.is_some(), extras, "{what}");
+        // Every level folds a series: `.metrics(w)`'s width, or an
+        // adaptive one (the 40 packs end at 3.9 µs, inside the first).
+        let width = report.apps[0].metrics.as_ref().map(|m| m.window_ns());
+        let want = if extras {
+            1000
+        } else {
+            opmr_metrics::ADAPTIVE_START_NS
+        };
+        assert_eq!(width, Some(want), "{what}");
         let want_seen = if events_ks { 200 } else { 0 };
         assert_eq!(seen.load(Ordering::Relaxed), want_seen, "{what}");
     }

@@ -127,31 +127,26 @@ proptest! {
         prop_assert!(s.cv >= 0.0);
     }
 
-    /// Timeline bin sums conserve the total busy time of filtered events:
-    /// every matching nanosecond lands in exactly one bin (out-of-span mass
-    /// clamps into the last bin rather than vanishing). Spans are integer
-    /// multiples of the bin count so bin edges sit on whole nanoseconds.
+    /// The temporal map conserves the total busy time of MPI calls: every
+    /// nanosecond of a call lands in exactly one column, whatever the
+    /// window width, and at most 64 columns cover the run.
     #[test]
-    fn timeline_bins_conserve_filtered_busy_time(
+    fn temporal_map_columns_conserve_mpi_busy_time(
         events in proptest::collection::vec(arb_event(), 0..150),
-        bins in 1usize..24,
-        bin_ns in 10u64..5_000,
+        window_ns in 1u64..5_000,
     ) {
-        let span = bin_ns * bins as u64;
-        let mut tl = opmr_analysis::Timeline::new(4, bins, span, |k| k.is_mpi());
-        tl.add_all(&events);
-        let expect: f64 = events
+        let mut series = opmr_metrics::MetricsSeries::new(window_ns);
+        for e in &events {
+            series.add(e);
+        }
+        let (_, map) = series.activity_map();
+        let expect: u64 = events
             .iter()
             .filter(|e| e.kind.is_mpi())
-            .map(|e| e.duration_ns as f64)
+            .map(|e| e.duration_ns)
             .sum();
-        let got: f64 = (0..tl.ranks())
-            .map(|r| (0..bins).map(|b| tl.fraction(r, b) * bin_ns as f64).sum::<f64>())
-            .sum();
-        prop_assert!(
-            (got - expect).abs() <= 1e-6 * expect.max(1.0),
-            "bin sums {} vs filtered busy time {}", got, expect
-        );
+        prop_assert_eq!(map.iter().flatten().sum::<u64>(), expect);
+        prop_assert!(map.iter().all(|row| row.len() <= 64));
     }
 
     /// The pattern classifier is total and its coverage is a valid score.

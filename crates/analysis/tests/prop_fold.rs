@@ -1,12 +1,12 @@
 //! The pack fold against its per-event reference: for any event sequence
 //! cut into packs at any points, `fold_pack` leaves every aggregate as
-//! `MpiProfile::add` / `Topology::add` / `AdaptiveTimeline::add` /
-//! `WaitStateAnalysis::add` / `MetricsSeries::add`, event by event, do.
+//! `MpiProfile::add` / `Topology::add` / `WaitStateAnalysis::add` /
+//! `MetricsSeries::add`, event by event, do — and the temporal map drawn
+//! from the series is the reference series' map.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 use opmr_analysis::fold::{fold_pack, Aggregates, FoldTarget};
-use opmr_analysis::timeline::AdaptiveTimeline;
 use opmr_analysis::{AnalysisEngine, EngineConfig, MpiProfile, Topology, WaitStateAnalysis};
 use opmr_events::{Event, EventKind, EventPack};
 use opmr_metrics::{MetricsConfig, MetricsSeries};
@@ -77,6 +77,7 @@ struct Plain {
     wire_bytes: u64,
     profile: MpiProfile,
     topology: Topology,
+    metrics: MetricsSeries,
 }
 
 impl FoldTarget for Plain {
@@ -86,9 +87,8 @@ impl FoldTarget for Plain {
             wire_bytes: &mut self.wire_bytes,
             profile: &mut self.profile,
             topology: &mut self.topology,
-            timeline: None,
             waitstate: None,
-            metrics: None,
+            metrics: &mut self.metrics,
         }
     }
 }
@@ -124,14 +124,17 @@ fn check_plain_fold(events: &[Event], cuts: &[proptest::sample::Index]) {
     }
     let mut profile = MpiProfile::new();
     let mut topology = Topology::new();
+    let mut metrics = MetricsSeries::default();
     for e in events {
         profile.add(e);
         topology.add(e);
+        metrics.add(e);
     }
     assert_eq!(folded.packs, packs.len() as u64);
     assert_eq!(folded.wire_bytes, 7 * packs.len() as u64);
     assert_profiles_equal(&folded.profile, &profile);
     assert_topologies_equal(&folded.topology, &topology);
+    assert_eq!(folded.metrics, metrics);
 }
 
 proptest! {
@@ -154,16 +157,21 @@ proptest! {
     }
 
     /// Through the engine, one block at a time on the calling thread so
-    /// the order-dependent folds see the reference's order.
+    /// the order-dependent folds see the reference's order; the series at
+    /// a fixed width or an adaptive one.
     #[test]
     fn the_engine_folds_every_aggregate_as_the_per_event_reference(
         events in arb_events(false),
         cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..8),
+        fixed in any::<bool>(),
     ) {
         let cfg = EngineConfig { workers: 0, ..EngineConfig::default() };
         let engine = AnalysisEngine::new(cfg);
         engine.enable_waitstate();
-        engine.enable_metrics(MetricsConfig { window_ns: WINDOW_NS });
+        let width = fixed.then_some(MetricsConfig { window_ns: WINDOW_NS });
+        if let Some(width) = width {
+            engine.enable_metrics(width);
+        }
         let packs = cut_into_packs(&events, &cuts);
         let mut wire_bytes = 0;
         for (i, pack) in packs.iter().enumerate() {
@@ -178,13 +186,11 @@ proptest! {
 
         let mut profile = MpiProfile::new();
         let mut topology = Topology::new();
-        let mut timeline = AdaptiveTimeline::new(cfg.timeline_bins, EventKind::is_mpi);
         let mut waitstate = WaitStateAnalysis::new();
-        let mut metrics = MetricsSeries::new(WINDOW_NS);
+        let mut metrics = MetricsSeries::for_level(width);
         for e in &events {
             profile.add(e);
             topology.add(e);
-            timeline.add(e);
             waitstate.add(e);
             metrics.add(e);
         }
@@ -193,12 +199,22 @@ proptest! {
         prop_assert_eq!(app.events, events.len() as u64);
         assert_profiles_equal(&app.profile, &profile);
         assert_topologies_equal(&app.topology, &topology);
-        let (got, want) = (app.timeline.as_ref().unwrap(), timeline.snapshot());
-        prop_assert_eq!((got.ranks(), got.bins()), (want.ranks(), want.bins()));
-        for rank in 0..want.ranks() {
-            for bin in 0..want.bins() {
-                prop_assert_eq!(got.fraction(rank, bin), want.fraction(rank, bin));
-            }
+        // The map: the reference's, at most 64 columns, every MPI
+        // nanosecond of a rank in exactly one of its columns.
+        let series = app.metrics.as_ref().unwrap();
+        let (column_ns, map) = series.activity_map();
+        prop_assert_eq!((column_ns, map.clone()), metrics.activity_map());
+        for (rank, row) in map.iter().enumerate() {
+            prop_assert!(row.len() <= 64);
+            let busy: u64 = events
+                .iter()
+                .filter(|e| e.kind.is_mpi() && e.rank as usize == rank)
+                .map(|e| e.duration_ns)
+                .sum();
+            prop_assert_eq!(row.iter().sum::<u64>(), busy, "rank {}", rank);
+        }
+        if !fixed {
+            prop_assert!(series.len() <= 64, "{} windows", series.len());
         }
         let mut got = bytes::BytesMut::new();
         let mut want = bytes::BytesMut::new();

@@ -294,10 +294,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables the time-resolved standard-metrics plane: the event stream
-    /// is folded into per-window, per-rank series (load balance,
-    /// communication efficiency, serialization/transfer decomposition)
-    /// with windows of `window_ns` nanoseconds of application time. Works
+    /// Fixes the window width of the time-resolved series every level
+    /// folds (load balance, communication efficiency,
+    /// serialization/transfer decomposition, and the temporal map) to
+    /// `window_ns` nanoseconds of application time: one window per
+    /// `window_ns` for as long as the session runs. Without it the width
+    /// is adaptive: 15.625 µs, doubled whenever an MPI call would reach
+    /// window 64, so a series holds at most 64 windows per rank. Works
     /// under every coupling; TBON frontier nodes fold it in-network.
     pub fn metrics(mut self, window_ns: u64) -> Self {
         self.metrics = Some(opmr_metrics::MetricsConfig {

@@ -2,12 +2,16 @@
 //!
 //! The report plane (`opmr-analysis`) answers *"what did the run do
 //! overall"*; this crate answers *"when did it go wrong"*. It folds the
-//! same event stream into fixed-width time windows and keeps, per window
-//! and per rank, a handful of integer accumulators — enough to derive the
+//! same event stream into time windows and keeps, per window and per
+//! rank, a handful of integer accumulators — enough to derive the
 //! standard efficiency metrics of trace-based analyses (POP-style load
 //! balance, communication efficiency, the serialization/transfer
-//! decomposition, waitstate fraction) without retaining a trace, the same
-//! discipline as `analysis::timeline`.
+//! decomposition, waitstate fraction) and the report's temporal map
+//! ([`MetricsSeries::activity_map`]) without retaining a trace.
+//! Every level folds one series: `w` wide under a session's `.metrics(w)`,
+//! else adaptive — [`ADAPTIVE_START_NS`] windows, doubled by an exact
+//! [`MetricsSeries::coarsen`] before a call would touch window
+//! [`ADAPTIVE_WINDOWS`].
 //!
 //! Two design rules make the series safe to ship through every coupling
 //! mode (direct engine, TBON reduction, serve-plane snapshots):
@@ -19,9 +23,10 @@
 //!    and a seeded chaos replay that re-delivers the same events in any
 //!    order produces the same bytes.
 //! 2. **Order-independent merge.** [`MetricsSeries::merge`] is cell-wise
-//!    addition over a canonically ordered map, so a TBON tree merging
-//!    partial series in any shape equals the flat computation, byte for
-//!    byte.
+//!    addition over a canonically ordered map, after coarsening the finer
+//!    operand when the widths differ by a whole factor, so a TBON tree
+//!    merging partial series of any shape and any adaptive width equals
+//!    the flat computation, byte for byte.
 //!
 //! Derived efficiencies ([`WindowMetrics`]) are computed from the integer
 //! cells at presentation time only and never travel on the wire.
@@ -29,7 +34,9 @@
 mod series;
 mod view;
 
-pub use series::{MetricsConfig, MetricsSeries, WindowCell, WindowCells, DEFAULT_WINDOW_NS};
+pub use series::{
+    MetricsConfig, MetricsSeries, WindowCell, WindowCells, ADAPTIVE_START_NS, ADAPTIVE_WINDOWS,
+};
 pub use view::{WindowMetrics, WINDOW_CSV_HEADER};
 
 pub(crate) mod obs {
@@ -41,8 +48,8 @@ pub(crate) mod obs {
         pub windows_opened: Arc<Counter>,
         /// Events folded into some series.
         pub events_folded: Arc<Counter>,
-        /// Series merges that had to drop the other side because its
-        /// window width differed (misconfigured reduction tree).
+        /// Series merges that dropped the other side: neither window width
+        /// is a multiple of the other (misconfigured reduction tree).
         pub merge_mismatches: Arc<Counter>,
         /// Chunks copied because a snapshot still shared them when the
         /// fold (or a merge, or a delta) wrote into them.

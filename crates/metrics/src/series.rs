@@ -8,22 +8,20 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Default window width: 1 ms of application time.
-pub const DEFAULT_WINDOW_NS: u64 = 1_000_000;
+/// Windows an adaptive series spans: a call that would touch window
+/// `ADAPTIVE_WINDOWS` doubles the width first. Also the temporal map's
+/// column count.
+pub const ADAPTIVE_WINDOWS: u64 = 64;
 
-/// Configuration of the windowed fold.
+/// An adaptive series' first width: 1 ms over [`ADAPTIVE_WINDOWS`].
+pub const ADAPTIVE_START_NS: u64 = 1_000_000 / ADAPTIVE_WINDOWS;
+
+/// A fixed window width for the windowed fold (without one, a level's
+/// series is adaptive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsConfig {
     /// Window width in nanoseconds of application time (clamped to ≥ 1).
     pub window_ns: u64,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        MetricsConfig {
-            window_ns: DEFAULT_WINDOW_NS,
-        }
-    }
 }
 
 /// Per-(window, rank) integer accumulators. Everything the derived
@@ -137,29 +135,67 @@ fn chunk_mut(chunks: &mut Chunks, key: u64) -> &mut Chunk {
 }
 
 /// A time-resolved metric series: per-window, per-rank integer cells over
-/// a fixed window width. Windows are kept in canonical order and in
+/// one window width. Windows are kept in canonical order and in
 /// canonical chunks, so the encoding of a given logical state is unique —
 /// the property every byte-identity acceptance test in the serve and
 /// reduce planes leans on. Chunks sit behind `Arc`: cloning a series
 /// (a report snapshot under the engine's slot lock) costs one pointer per
 /// chunk, and only the chunks written afterwards are copied.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The width is fixed, or adaptive: then it doubles before a call would
+/// touch window [`ADAPTIVE_WINDOWS`], so it depends on the latest call alone.
+#[derive(Debug, Clone)]
 pub struct MetricsSeries {
     window_ns: u64,
+    /// Widen rather than open window [`ADAPTIVE_WINDOWS`]. How the series
+    /// folds, not what it holds: not encoded, not compared.
+    adaptive: bool,
     /// `chunks[window / CHUNK_WINDOWS]`; no chunk is ever empty.
     chunks: Chunks,
     /// Highest rank holding a cell, plus one (0 for an empty series).
     ranks: u32,
 }
 
+impl PartialEq for MetricsSeries {
+    fn eq(&self, other: &MetricsSeries) -> bool {
+        (self.window_ns, self.ranks, &self.chunks) == (other.window_ns, other.ranks, &other.chunks)
+    }
+}
+
+impl Eq for MetricsSeries {}
+
+/// An empty adaptive series, a level's without `.metrics(w)`: windows of
+/// [`ADAPTIVE_START_NS`], doubled before a call would touch window
+/// [`ADAPTIVE_WINDOWS`].
+impl Default for MetricsSeries {
+    fn default() -> MetricsSeries {
+        MetricsSeries {
+            adaptive: true,
+            ..MetricsSeries::new(ADAPTIVE_START_NS)
+        }
+    }
+}
+
+/// The last nanosecond an MPI call touches (its start, for a call of no
+/// duration, whose hit still lands in a window).
+fn last_ns(e: &Event) -> u64 {
+    e.time_ns.saturating_add(e.duration_ns.saturating_sub(1))
+}
+
 impl MetricsSeries {
-    /// An empty series with the given window width (clamped to ≥ 1 ns).
+    /// An empty series of a fixed window width (clamped to ≥ 1 ns).
     pub fn new(window_ns: u64) -> MetricsSeries {
         MetricsSeries {
             window_ns: window_ns.max(1),
+            adaptive: false,
             chunks: Chunks::new(),
             ranks: 0,
         }
+    }
+
+    /// The series a level folds: `cfg`'s fixed width, else adaptive.
+    pub fn for_level(cfg: Option<MetricsConfig>) -> MetricsSeries {
+        cfg.map_or_else(MetricsSeries::default, |c| MetricsSeries::new(c.window_ns))
     }
 
     /// Window width, nanoseconds.
@@ -242,14 +278,34 @@ impl MetricsSeries {
     /// Folds `events` in order. MPI calls only; a duration is split
     /// exactly at window boundaries (integer arithmetic, no rounding),
     /// bytes and hit count go to the window the call began in.
-    /// Zero-duration events still count a hit. Events arrive nearly
+    /// Zero-duration events still count a hit. An adaptive series widens
+    /// before the first call that would touch window [`ADAPTIVE_WINDOWS`],
+    /// then folds on from that call.
+    fn fold(&mut self, mut events: &[Event]) {
+        while let Some(at) = self.fold_within(events) {
+            while last_ns(&events[at]) / self.window_ns >= ADAPTIVE_WINDOWS {
+                self.coarsen(2);
+            }
+            events = &events[at..];
+        }
+    }
+
+    /// [`MetricsSeries::fold`] up to the first call past an adaptive
+    /// series' last window, whose index it returns. Events arrive nearly
     /// sorted, so the chunk under the cursor is looked up (and unshared)
     /// once per run of events that stay inside it.
-    fn fold(&mut self, events: &[Event]) {
+    fn fold_within(&mut self, events: &[Event]) -> Option<usize> {
         let wn = self.window_ns;
+        let limit = wn.checked_mul(ADAPTIVE_WINDOWS).filter(|_| self.adaptive);
         let chunks = &mut self.chunks;
         let mut cursor: Option<(u64, &mut Chunk)> = None;
-        for e in events.iter().filter(|e| e.kind.is_mpi()) {
+        for (i, e) in events.iter().enumerate() {
+            if !e.kind.is_mpi() {
+                continue;
+            }
+            if limit.is_some_and(|limit| last_ns(e) >= limit) {
+                return Some(i);
+            }
             self.ranks = self.ranks.max(e.rank.saturating_add(1));
             let wait = e.kind.is_wait();
             let xfer = e.kind.is_transfer();
@@ -283,6 +339,27 @@ impl MetricsSeries {
                 t = w_end;
             }
         }
+        None
+    }
+
+    /// Widens every window `k`-fold: window `w` folds into `w / k`. Exact,
+    /// the fold at the wider width: a call's hit stays with the window it
+    /// began in, and each piece of its duration lies inside one window.
+    pub fn coarsen(&mut self, k: u64) {
+        let k = k.max(1);
+        self.window_ns = self.window_ns.saturating_mul(k);
+        if k == 1 {
+            return;
+        }
+        let old = std::mem::take(&mut self.chunks);
+        for (key, chunk) in &old {
+            for (w, cells) in chunk.iter(*key) {
+                let into = chunk_mut(&mut self.chunks, w / k / CHUNK_WINDOWS);
+                for (r, c) in cells {
+                    into.cell_mut(w / k, *r).absorb(c);
+                }
+            }
+        }
     }
 
     /// Folds one event (see [`MetricsSeries::fold_pack`]).
@@ -302,14 +379,21 @@ impl MetricsSeries {
 
     /// Cell-wise addition — commutative and associative, so any merge
     /// tree (TBON shapes, distributed analyzer ranks) yields the same
-    /// series as the flat fold. A mismatched window width cannot be
-    /// combined meaningfully: when `self` already holds data the other
-    /// side is dropped (counted in `metrics_merge_mismatch_total`); an
-    /// empty `self` adopts the other side's width instead.
+    /// series as the flat fold. The finer operand is coarsened to the
+    /// coarser width when that is a multiple of it (adaptive widths always
+    /// are); otherwise an empty side takes the other's width, or the other
+    /// side is dropped (counted in `metrics_merge_mismatch_total`).
     pub fn merge(&mut self, other: &MetricsSeries) {
-        if self.window_ns != other.window_ns {
-            if self.chunks.is_empty() {
-                self.window_ns = other.window_ns;
+        let (ours, theirs) = (self.window_ns, other.window_ns);
+        if theirs != ours {
+            if theirs % ours == 0 {
+                self.coarsen(theirs / ours);
+            } else if ours % theirs == 0 {
+                let mut other = other.clone();
+                other.coarsen(ours / theirs);
+                return self.merge(&other);
+            } else if self.chunks.is_empty() {
+                self.window_ns = theirs;
             } else if other.chunks.is_empty() {
                 return;
             } else {
@@ -590,10 +674,10 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_window_width_is_dropped_not_mixed() {
+    fn a_width_that_is_no_multiple_is_dropped_not_mixed() {
         let mut a = MetricsSeries::new(100);
         a.add(&ev(EventKind::Send, 0, 10, 10, 1));
-        let mut b = MetricsSeries::new(200);
+        let mut b = MetricsSeries::new(150);
         b.add(&ev(EventKind::Send, 0, 10, 10, 1));
         let before = a.clone();
         a.merge(&b);
@@ -602,6 +686,73 @@ mod tests {
         let mut empty = MetricsSeries::new(100);
         empty.merge(&b);
         assert_eq!(empty, b);
+    }
+
+    #[test]
+    fn a_merge_coarsens_the_finer_operand() {
+        // 100 ns windows 1 and 3 fold into 400 ns window 0.
+        let mut fine = MetricsSeries::new(100);
+        fine.add(&ev(EventKind::Send, 0, 150, 10, 1));
+        fine.add(&ev(EventKind::Wait, 1, 350, 80, 0));
+        let mut coarse = MetricsSeries::new(400);
+        coarse.add(&ev(EventKind::Send, 0, 420, 10, 2));
+        let mut flat = MetricsSeries::new(400);
+        for e in [
+            (EventKind::Send, 0, 150, 10, 1),
+            (EventKind::Wait, 1, 350, 80, 0),
+        ] {
+            flat.add(&ev(e.0, e.1, e.2, e.3, e.4));
+        }
+        flat.add(&ev(EventKind::Send, 0, 420, 10, 2));
+        let mut a = fine.clone();
+        a.merge(&coarse);
+        let mut b = coarse.clone();
+        b.merge(&fine);
+        assert_eq!((a.window_ns(), b.window_ns()), (400, 400));
+        assert_eq!(a, flat);
+        assert_eq!(b, flat);
+    }
+
+    #[test]
+    fn an_adaptive_series_doubles_before_window_64() {
+        let mut s = MetricsSeries::default();
+        assert_eq!(s.window_ns(), ADAPTIVE_START_NS);
+        // The last nanosecond of window 63: no widening.
+        s.add(&ev(EventKind::Send, 0, 0, 64 * ADAPTIVE_START_NS, 1));
+        assert_eq!(s.window_ns(), ADAPTIVE_START_NS);
+        // A call of no duration at window 64 doubles the width once.
+        s.add(&ev(EventKind::Probe, 1, 64 * ADAPTIVE_START_NS, 0, 0));
+        assert_eq!(s.window_ns(), 2 * ADAPTIVE_START_NS);
+        assert_eq!(s.cell(32, 1).unwrap().hits, 1);
+        // Non-MPI calls never widen it, however late.
+        s.add(&ev(EventKind::Compute, 0, u64::MAX / 2, 10, 0));
+        assert_eq!(s.window_ns(), 2 * ADAPTIVE_START_NS);
+    }
+
+    #[test]
+    fn a_ten_second_adaptive_series_holds_at_most_64_windows() {
+        // MPI calls across 10 s of application time, pack by pack.
+        let mut s = MetricsSeries::default();
+        for pack in 0..1_000u64 {
+            let events: Vec<Event> = (0..10u64)
+                .map(|i| {
+                    ev(
+                        EventKind::Isend,
+                        (i % 4) as u32,
+                        (pack * 10 + i) * 1_000_000,
+                        50_000,
+                        8,
+                    )
+                })
+                .collect();
+            s.fold_pack(&events);
+        }
+        assert!(s.len() <= 64, "{} windows", s.len());
+        assert!(s.window_indices().all(|w| w < ADAPTIVE_WINDOWS));
+        // 10 s ≥ 64 × 2^13 × 15.625 µs = 8.19 s: the width is 2^14 × the first.
+        assert_eq!(s.window_ns(), ADAPTIVE_START_NS << 14);
+        let mass: u64 = s.cells().map(|(_, _, c)| c.mpi_ns).sum();
+        assert_eq!(mass, 10_000 * 50_000);
     }
 
     #[test]
@@ -673,7 +824,128 @@ mod tests {
         }
     }
 
+    /// An MPI event of a few ranks and kinds over `0..span` ns.
+    fn arb_events(span: u64) -> impl Strategy<Value = Vec<Event>> {
+        let kinds = [
+            EventKind::Isend,
+            EventKind::Wait,
+            EventKind::Allreduce,
+            EventKind::Probe,
+        ];
+        proptest::collection::vec(
+            (
+                0u64..span,
+                prop_oneof![Just(0u64), 0u64..span / 8],
+                0u32..4,
+                0..kinds.len(),
+                0u64..100,
+            ),
+            0..60,
+        )
+        .prop_map(move |v| {
+            v.into_iter()
+                .map(|(t, d, r, k, b)| ev(kinds[k], r, t, d, b))
+                .collect()
+        })
+    }
+
+    fn fold_at(window_ns: u64, events: &[Event]) -> MetricsSeries {
+        let mut s = MetricsSeries::new(window_ns);
+        s.fold_pack(events);
+        s
+    }
+
+    /// The adaptive rule, stated independently of the fold: the first
+    /// width, doubled until the latest nanosecond any MPI call touches
+    /// lies below window 64.
+    fn adaptive_width(events: &[Event]) -> u64 {
+        let last = events.iter().map(last_ns).max().unwrap_or(0);
+        let mut w = ADAPTIVE_START_NS;
+        while last / w >= ADAPTIVE_WINDOWS {
+            w *= 2;
+        }
+        w
+    }
+
     proptest! {
+        /// Coarsening a fold is the fold at the wider width, exactly.
+        #[test]
+        fn coarsen_is_the_fold_at_the_wider_width(
+            events in arb_events(50_000),
+            window in 1u64..2_000,
+            k in 1u64..40,
+        ) {
+            let mut coarse = fold_at(window, &events);
+            coarse.coarsen(k);
+            let flat = fold_at(window * k, &events);
+            prop_assert_eq!(coarse.encode(), flat.encode());
+            prop_assert_eq!(coarse, flat);
+        }
+
+        /// Merges of series whose widths divide each other are
+        /// commutative and associative, and equal the flat fold at the
+        /// widest width.
+        #[test]
+        fn mixed_width_merges_commute_and_associate(
+            a in arb_events(40_000),
+            b in arb_events(40_000),
+            c in arb_events(40_000),
+            exps in (0u32..4, 0u32..4, 0u32..4),
+            base in 1u64..300,
+        ) {
+            let widths = [base << exps.0, base << exps.1, base << exps.2];
+            let parts = [fold_at(widths[0], &a), fold_at(widths[1], &b), fold_at(widths[2], &c)];
+            let merged = |x: &MetricsSeries, y: &MetricsSeries| {
+                let mut m = x.clone();
+                m.merge(y);
+                m
+            };
+            let [x, y, z] = &parts;
+            prop_assert_eq!(merged(x, y), merged(y, x));
+            let left = merged(&merged(x, y), z);
+            let right = merged(x, &merged(y, z));
+            prop_assert_eq!(&left, &right);
+            let all: Vec<Event> = a.iter().chain(&b).chain(&c).copied().collect();
+            let flat = fold_at(*widths.iter().max().unwrap(), &all);
+            prop_assert_eq!(left.encode(), flat.encode());
+        }
+
+        /// An adaptive fold of any split of the events into packs, in
+        /// any order and merged in any order, is one flat fold at the
+        /// width the adaptive rule gives the whole set — never more than
+        /// 64 windows.
+        #[test]
+        fn an_adaptive_fold_of_any_split_is_the_flat_fold_at_the_final_width(
+            mut events in arb_events(1 << 26),
+            cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..6),
+            seed in any::<u64>(),
+        ) {
+            let width = adaptive_width(&events);
+            let flat = fold_at(width, &events);
+            let mut one = MetricsSeries::default();
+            one.fold_pack(&events);
+            prop_assert_eq!(&one, &flat);
+            // Shuffle, cut into packs, fold each alone, merge.
+            let n = events.len();
+            for i in (1..n).rev() {
+                events.swap(i, (seed.rotate_left(i as u32) as usize) % (i + 1));
+            }
+            let mut at: Vec<usize> = cuts.iter().map(|c| c.index(n + 1)).collect();
+            at.extend([0, n]);
+            at.sort_unstable();
+            let mut merged = MetricsSeries::default();
+            let mut folded = MetricsSeries::default();
+            for w in at.windows(2) {
+                let mut part = MetricsSeries::default();
+                part.fold_pack(&events[w[0]..w[1]]);
+                merged.merge(&part);
+                folded.fold_pack(&events[w[0]..w[1]]);
+            }
+            prop_assert_eq!(&merged, &flat);
+            prop_assert_eq!(&folded, &flat);
+            prop_assert!(flat.window_indices().all(|w| w < ADAPTIVE_WINDOWS));
+        }
+
         /// `changed_since` is the window-by-window comparison, whatever
         /// the two series share.
         #[test]

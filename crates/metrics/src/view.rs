@@ -2,7 +2,7 @@
 //! cells. Nothing here is encoded or merged — floats stay out of the wire
 //! format by construction.
 
-use crate::series::MetricsSeries;
+use crate::series::{MetricsSeries, ADAPTIVE_WINDOWS};
 
 /// CSV header of [`MetricsSeries::to_csv`] (pinned by the bench
 /// golden-shape tests, like the serve/TBON bench headers).
@@ -103,6 +103,19 @@ impl MetricsSeries {
             bytes,
             hits,
         }
+    }
+
+    /// The temporal map: the column width, ns, and per rank the MPI ns of
+    /// each column, which sums the least `2^j` windows that fit the run
+    /// into [`ADAPTIVE_WINDOWS`] columns (one, for an adaptive series).
+    pub fn activity_map(&self) -> (u64, Vec<Vec<u64>>) {
+        let last = self.window_indices().last().unwrap_or(0);
+        let group = (last / ADAPTIVE_WINDOWS + 1).next_power_of_two();
+        let mut rows = vec![vec![0; (last / group + 1) as usize]; self.ranks() as usize];
+        for (w, r, c) in self.cells() {
+            rows[r as usize][(w / group) as usize] += c.mpi_ns;
+        }
+        (group.saturating_mul(self.window_ns()), rows)
     }
 
     /// Renders the derived series as CSV under [`WINDOW_CSV_HEADER`].

@@ -34,6 +34,7 @@ use bytes::Bytes;
 use opmr_analysis::fold::{fold_pack, Aggregates, FoldTarget};
 use opmr_analysis::waitstate::WaitStateAnalysis;
 use opmr_events::{Event, EventPack, PackHeader};
+use opmr_metrics::MetricsSeries;
 use opmr_vmpi::{ReadMode, ReadStream, Result, StreamConfig, Vmpi, VmpiError, WriteStream};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -109,8 +110,8 @@ pub struct NodeConfig {
     pub window_blocks: usize,
     /// Run wait-state analysis over aggregated events at the frontier.
     pub waitstate: bool,
-    /// Fold the time-resolved metrics series at the frontier. The fold is
-    /// commutative, so any tree shape reduces to the same series.
+    /// The frontier's series width, adaptive when `None`. Folds and merges
+    /// commute, so any tree shape reduces to the same series.
     pub metrics: Option<opmr_metrics::MetricsConfig>,
 }
 
@@ -178,12 +179,13 @@ pub struct NodeOutcome {
     pub partials: Vec<ReducePartial>,
 }
 
-/// An empty window partial for `app_id`, with a series when the node
-/// folds metrics.
+/// An empty window partial for `app_id`, its series fixed-width under
+/// `metrics` and adaptive without.
 fn window_partial(app_id: u16, metrics: Option<opmr_metrics::MetricsConfig>) -> ReducePartial {
-    let mut partial = ReducePartial::new(app_id);
-    partial.metrics = metrics.map(|c| opmr_metrics::MetricsSeries::new(c.window_ns));
-    partial
+    ReducePartial {
+        metrics: Some(MetricsSeries::for_level(metrics)),
+        ..ReducePartial::new(app_id)
+    }
 }
 
 /// Folds one leaf pack into a window partial.
@@ -203,9 +205,8 @@ impl FoldTarget for ReducePartial {
             wire_bytes: &mut self.wire_bytes,
             profile: &mut self.profile,
             topology: &mut self.topology,
-            timeline: None,
             waitstate: None,
-            metrics: self.metrics.as_mut(),
+            metrics: self.metrics.get_or_insert_with(Default::default),
         }
     }
 }

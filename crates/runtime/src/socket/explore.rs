@@ -14,9 +14,10 @@
 //!   so the acceptor may read that redial late, or after a newer one;
 //! * abandon a link (set-up failing elsewhere) while its reader still
 //!   drains the peer's `ProcDone`; this counts as a fault;
-//! * close a process in any phase once its application has sent
-//!   everything, as a finalize whose wait timed out does (with a held
-//!   presentation or a dial's reply still pending); a fault as well;
+//! * close a process once its application has sent everything: when its
+//!   link has finished, or (a fault) in any phase, as a finalize whose
+//!   wait timed out does (with a held presentation or a dial's reply
+//!   still pending);
 //! * present a stale session epoch, probed in every state;
 //! * spend the dialer's budget, the grace window or the set-up deadline.
 //!
@@ -24,10 +25,13 @@
 //! send with no stream installed only logs the frame, and a read that
 //! writes nothing from a connection no fault can cut any more touches
 //! nothing another move touches: each commutes with every other move, so
-//! it is the one move explored from a state that has it. And an ack is
-//! applied to the peer's log as it is written, never held in flight: its
-//! only effect is pruning the log, which an install prunes to the peer's
-//! count anyway. Visited states are kept as 64-bit fingerprints.
+//! it is the one move explored from a state that has it. And an ack
+//! written into a live connection is applied to the peer's log at once,
+//! never held in flight: the model takes a cut that would lose it for one
+//! just before the write, which fails it. (A real ack lost after its write
+//! leaves the peer unfinished while this side may close: an early close,
+//! as invariant 7 counts it.) Visited states are kept as 64-bit
+//! fingerprints.
 //!
 //! Checked on every state and transition:
 //!
@@ -42,10 +46,17 @@
 //! 4. an install retransmits exactly the frames the peer lacks: the
 //!    suffix starts right after the peer's received count (when the peer
 //!    will read that connection);
-//! 5. `Lost` is never left, `Done` only when set-up fails and abandons
-//!    the link, the model's writer agrees with the core's `wired`, and a
-//!    closing side installs no stream;
-//! 6. a side runs one reader at a time, so no reader exit is ever stale.
+//! 5. `Lost` is never left, `Done` only for `Recovering` when its reader
+//!    exits or when set-up fails and abandons the link, the model's writer
+//!    agrees with the core's `wired`, and a closing side installs no
+//!    stream;
+//! 6. a side runs one reader at a time, so no reader exit is ever stale;
+//! 7. from every state with no dial budget spent, no side lost (abandoned,
+//!    or out of budget or grace) and none closed early, a terminal state
+//!    in which both sides are `Done` is reachable. A close is early when
+//!    its finalize timed out, or when it came while the peer had not
+//!    finished: no close can wait for the peer's own, so a later cut may
+//!    strand the peer.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
@@ -115,6 +126,10 @@ struct World {
     admitting: Option<(usize, u64)>,
     faults: u8,
     attempts: u8,
+    /// A side closed before both had finished: its finalize timed out, or
+    /// it finished while the peer had not, so a later cut can strand the
+    /// peer (no close can wait for the peer's own).
+    early: bool,
 }
 
 type Check = Result<(), String>;
@@ -140,6 +155,7 @@ impl World {
             admitting: None,
             faults: 0,
             attempts: 0,
+            early: false,
         }
     }
 
@@ -150,7 +166,9 @@ impl World {
         let act = self.side[x].core.step(input.clone());
         let core = &self.side[x].core;
         let abandoned = input == Input::Abandon && core.phase() == Phase::Lost;
-        if before != core.phase() && matches!(before, Phase::Lost | Phase::Done) && !abandoned {
+        let recovers = matches!(input, Input::ReaderExit(_)) && core.phase() == Phase::Recovering;
+        let left = before != core.phase() && matches!(before, Phase::Lost | Phase::Done);
+        if left && !(abandoned || before == Phase::Done && recovers) {
             return Err(format!(
                 "side {x} left {before:?} for {:?} on {input:?}",
                 core.phase()
@@ -192,15 +210,15 @@ impl World {
             self.ack(x, k)?;
         }
         if seq == last {
-            self.step(x, Input::PeerDone)?;
+            if let Act::Ack(k) = self.step(x, Input::PeerDone)? {
+                self.ack(x, k)?;
+            }
         }
         Ok(())
     }
 
-    /// `x` acknowledges `k` frames. An ack's only effect is to prune the
-    /// peer's log, and an install prunes it to the peer's count anyway, so
-    /// an ack is applied as it is written, never in flight: the same
-    /// schedules, without the states that differ only by acks in flight.
+    /// `x` acknowledges `k` frames, applied to the peer's log as it is
+    /// written into a live connection (the module docs say why).
     fn ack(&mut self, x: usize, k: u64) -> Check {
         match self.side[x].writer {
             Some(c) if self.conns[c].shut => self.step(x, Input::WriteFailed).map(drop),
@@ -297,6 +315,16 @@ impl World {
     }
 }
 
+/// The application's send of frame `seq`, `ProcDone` when it is `last`.
+fn send(seq: u8, last: u8) -> Input {
+    let frame = Bytes::from(vec![seq]);
+    if seq == last {
+        Input::SendDone(frame)
+    } else {
+        Input::Send(frame)
+    }
+}
+
 fn is_install(act: Act) -> bool {
     matches!(act, Act::Install { .. })
 }
@@ -320,7 +348,7 @@ fn moves(w: &World, bound: Bound) -> Result<Vec<Move>, String> {
         if s.sent < last && quiet && !s.core.wired() {
             let mut n = w.clone();
             n.side[x].sent += 1;
-            n.step(x, Input::Send(Bytes::from(vec![n.side[x].sent])))?;
+            n.step(x, send(n.side[x].sent, last))?;
             n.collect();
             return Ok(vec![("send", n)]);
         }
@@ -345,7 +373,7 @@ fn moves(w: &World, bound: Bound) -> Result<Vec<Move>, String> {
         if w.side[x].sent < last {
             let mut n = w.clone();
             let seq = n.side[x].sent + 1;
-            let o = n.step(x, Input::Send(Bytes::from(vec![seq])))?;
+            let o = n.step(x, send(seq, last))?;
             if o != Act::Wait {
                 n.side[x].sent = seq;
                 if o == Act::Write {
@@ -400,11 +428,12 @@ fn moves(w: &World, bound: Bound) -> Result<Vec<Move>, String> {
         // This process closes once its link settled, or (a fault) once
         // its wait for that timed out, in any phase.
         let s = &w.side[x];
-        let ended = matches!(s.core.phase(), Phase::Done | Phase::Lost);
+        let ended = s.core.finished();
         if s.sent == last && !s.core.closing() && (ended || w.faults < bound.faults) {
             let mut n = w.clone();
             n.faults += u8::from(!ended);
             n.side[x].timed_out = !ended;
+            n.early |= !ended || !w.side[1 - x].core.finished();
             n.step(x, Input::Close)?;
             out.push((if ended { "close" } else { "timeout" }, n));
         }
@@ -595,9 +624,12 @@ struct Stats {
     ends: usize,
     /// Terminal states in which both sides are `Done`.
     both_done: usize,
-    /// States with no side lost or timed out yet from which no both-`Done` terminal
-    /// is reachable.
+    /// States with no budget spent, no side lost (abandoned or out of
+    /// budget or grace) and none closed early, from which no both-`Done`
+    /// terminal is reachable.
     doomed: usize,
+    /// The moves to the first such state.
+    first_doomed: Option<String>,
 }
 
 /// A 64-bit fingerprint of a state (splitmix64 over its `Hash` words):
@@ -647,7 +679,7 @@ fn explore(bound: Bound) -> Result<Stats, String> {
     // Per state, in discovery order, which is also expansion order.
     let mut parent: Vec<(u32, &'static str)> = vec![(0, "start")];
     let mut depth: Vec<u16> = vec![0];
-    let mut lost = vec![false];
+    let mut spoilt = vec![false];
     let mut first_edge: Vec<u32> = Vec::new();
     let mut edges: Vec<u32> = Vec::new();
     let mut ends = Vec::new();
@@ -683,10 +715,10 @@ fn explore(bound: Bound) -> Result<Stats, String> {
             let j = *index.entry(fingerprint(&n)).or_insert_with(|| {
                 parent.push((i, label));
                 depth.push(depth[i as usize] + 1);
-                lost.push(
-                    n.side
-                        .iter()
-                        .any(|s| s.core.phase() == Phase::Lost || s.timed_out),
+                spoilt.push(
+                    n.attempts >= bound.attempts
+                        || n.early
+                        || n.side.iter().any(|s| s.core.phase() == Phase::Lost),
                 );
                 queue.push_back(n);
                 parent.len() as u32 - 1
@@ -737,7 +769,10 @@ fn explore(bound: Bound) -> Result<Stats, String> {
         depth: depth.iter().copied().max().map_or(0, usize::from),
         ends: ends.len(),
         both_done: ends.iter().filter(|e| e.1).count(),
-        doomed: (0..states).filter(|&i| !to_done[i] && !lost[i]).count(),
+        doomed: (0..states).filter(|&i| !to_done[i] && !spoilt[i]).count(),
+        first_doomed: (0..states)
+            .find(|&i| !to_done[i] && !spoilt[i])
+            .map(|i| path(&parent, i as u32)),
     })
 }
 
@@ -759,7 +794,7 @@ fn run(bound: Bound) {
     let s = s.expect("an invariant broke on the schedule printed above");
     eprintln!(
         "{bound:?}: {} states, {} moves, depth {}, {} ends ({} both done), \
-         {} states with neither side lost or timed out that cannot end both done, in {:.2?}",
+         {} healthy states that cannot end both done, in {:.2?}",
         s.states,
         s.edges,
         s.depth,
@@ -769,6 +804,12 @@ fn run(bound: Bound) {
         t.elapsed()
     );
     assert!(s.both_done > 0, "no schedule ends with both sides done");
+    assert!(
+        s.first_doomed.is_none(),
+        "{} healthy states cannot end both done, the first after: {:?}",
+        s.doomed,
+        s.first_doomed
+    );
 }
 
 #[test]

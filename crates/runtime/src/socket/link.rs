@@ -113,10 +113,15 @@ impl SocketTransport {
     /// logs it for retransmission and writes it through if a stream is
     /// installed — silently queued while the link recovers. `Err` on a
     /// lost link.
-    pub(super) fn send_data(&self, link: &Link, frame: Bytes) -> Result<(), ()> {
+    pub(super) fn send_data(&self, link: &Link, frame: Bytes, last: bool) -> Result<(), ()> {
         let mut st = link.state.lock();
         loop {
-            match st.step(Input::Send(frame.clone())) {
+            let input = if last {
+                Input::SendDone(frame.clone())
+            } else {
+                Input::Send(frame.clone())
+            };
+            match st.step(input) {
                 Act::Wait => link.cv.wait(&mut st),
                 Act::Fail => return Err(()),
                 act => {
@@ -129,10 +134,11 @@ impl SocketTransport {
         }
     }
 
-    /// Sends one data frame on every link.
-    pub(super) fn broadcast(&self, frame: Bytes) {
+    /// Sends one data frame on every link; `last` for this process's
+    /// `ProcDone`.
+    pub(super) fn broadcast(&self, frame: Bytes, last: bool) {
         for link in self.all_links() {
-            let _ = self.send_data(link, frame.clone());
+            let _ = self.send_data(link, frame.clone(), last);
         }
     }
 
@@ -211,7 +217,11 @@ impl SocketTransport {
             // exactly like the in-process teardown.
             Some(K_SHUTDOWN) => self.shutdown_local(),
             Some(K_PROC_DONE) => {
-                link.state.lock().step(Input::PeerDone);
+                let mut st = link.state.lock();
+                if let Act::Ack(n) = st.step(Input::PeerDone) {
+                    st.write(&frame(&encode_count(K_ACK, n)));
+                }
+                drop(st);
                 link.cv.notify_all();
             }
             _ => {}

@@ -7,21 +7,29 @@
 //!
 //! | input | phase → phase | I/O |
 //! |---|---|---|
-//! | `Send` | Connecting | wait |
+//! | `Send`, `SendDone` | Connecting | wait |
 //! | | Up, Recovering, Done | log the frame; write it if a stream is installed |
 //! | | Lost | fail (`Unreachable`) |
 //! | `Received`, `Acked` | — | count it, ack every 32nd / drop the acked prefix |
-//! | `PeerDone` | any but Lost → Done | — |
+//! | `PeerDone` | any but Lost → Done | ack it |
 //! | `Install` | Connecting, Recovering → Up, not closing | drop the peer's count from the log, retransmit the rest, spawn reader g + 1 |
 //! | `Presented` | — | NAK a stale epoch, a lost or closing link; sever and wait while the old reader drains (NAK busy once the grace is spent) |
 //! | | any but Lost → Up (Done stays) | as `Install`, after the reply |
-//! | `ReaderExit(g)` | Up, g current, not closing → Recovering | sever; redial (higher index) or watch the grace window |
+//! | `ReaderExit(g)` | Up, or Done not finished, g current, not closing → Recovering | sever; redial (higher index) or watch the grace window |
 //! | | otherwise | — |
 //! | `Dial` | Connecting, Recovering | present the received count; spent: Recovering → Lost, a first connection fails set-up |
 //! | `Refused` | — | stale epoch or lost link: a spent `Dial`; else retry |
 //! | `Watch` | Recovering → Lost once the grace is spent | wait, or mark the peer dead |
 //! | `WriteFailed`, `Close` | — | sever; after `Close` recovery stands down |
 //! | `Abandon` | any → Lost | sever, drop the log, mark the peer dead |
+//!
+//! An install returns a link whose peer sent `ProcDone` to `Done`. A link
+//! is *finished* ([`LinkCore::finished`]) once it is `Done`, its own
+//! `ProcDone` (`SendDone`) is acknowledged and its ack of the peer's was
+//! written: only then may its process close, and only then is a dropped
+//! stream a normal close rather than a cut that took a `ProcDone` or its
+//! ack (the accepting side that owes only an ack leaves the redial to the
+//! dialer, which makes it if it lacks that ack).
 //!
 //! A chaos fault (`SocketConfig::link_fault`) severs the lower-indexed
 //! side's first stream once that many data frames went either way: the
@@ -89,6 +97,14 @@ pub(super) struct LinkCore {
     wired: bool,
     /// This process is closing: recovery stands down.
     closing: bool,
+    /// The peer's `ProcDone` arrived: an install returns the link to
+    /// `Done`.
+    peer_done: bool,
+    /// This side's `ProcDone` is logged: it sends nothing more.
+    self_done: bool,
+    /// The received count the peer is known to hold: the last ack
+    /// written, or the count an install exchanged.
+    acked: u64,
     /// The higher-indexed side, which dials.
     dials: bool,
     /// Chaos: the lower-indexed side severs its first stream once this
@@ -101,6 +117,8 @@ pub(super) struct LinkCore {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) enum Input {
     Send(Bytes),
+    /// The application's last frame, its `ProcDone`.
+    SendDone(Bytes),
     WriteFailed,
     /// The peer acknowledged this many data frames.
     Acked(u64),
@@ -186,6 +204,9 @@ impl LinkCore {
             rx: 0,
             wired: false,
             closing: false,
+            peer_done: false,
+            self_done: false,
+            acked: 0,
             dials,
             chaos_at: chaos_at.filter(|_| !dials),
             ack_every: ACK_INTERVAL,
@@ -206,6 +227,27 @@ impl LinkCore {
         self.wired
     }
 
+    /// Nothing is left to tell or learn: the link is lost, or done with
+    /// this side's `ProcDone` sent and acknowledged and its own last ack
+    /// written. A finished process may close; a done link that is not
+    /// finished recovers a dropped stream.
+    pub(super) fn finished(&self) -> bool {
+        self.phase == Phase::Lost
+            || self.phase == Phase::Done
+                && self.self_done
+                && self.tx.buf.is_empty()
+                && self.acked == self.rx
+    }
+
+    /// An ack of everything received, when a stream takes it.
+    fn ack(&mut self) -> Act {
+        if !self.wired {
+            return Act::Nothing;
+        }
+        self.acked = self.rx;
+        Act::Ack(self.rx)
+    }
+
     /// The frames not acknowledged yet, in order: right after an install
     /// dropped the peer's count, exactly the frames the peer lacks.
     pub(super) fn suffix(&self) -> impl Iterator<Item = &Bytes> {
@@ -222,10 +264,12 @@ impl LinkCore {
     /// The link's one transition (the table in the module docs).
     pub(super) fn step(&mut self, input: Input) -> Act {
         use Phase::*;
+        let last = matches!(input, Input::SendDone(_));
         let (peer_rx, reply) = match input {
-            Input::Send(_) if self.phase == Connecting => return Act::Wait,
-            Input::Send(_) if self.phase == Lost => return Act::Fail,
-            Input::Send(frame) => {
+            Input::Send(_) | Input::SendDone(_) if self.phase == Connecting => return Act::Wait,
+            Input::Send(_) | Input::SendDone(_) if self.phase == Lost => return Act::Fail,
+            Input::Send(frame) | Input::SendDone(frame) => {
+                self.self_done |= last;
                 let sent = self.tx.push(frame);
                 return if self.chaos(sent) {
                     Act::Severed
@@ -235,8 +279,10 @@ impl LinkCore {
                     Act::Nothing
                 };
             }
+            // The peer may have missed any ack since the last install.
             Input::WriteFailed => {
                 self.wired = false;
+                self.acked = 0;
                 return Act::Nothing;
             }
             Input::Acked(n) => {
@@ -247,17 +293,19 @@ impl LinkCore {
                 self.rx += 1;
                 return if self.chaos(self.rx) {
                     Act::Severed
-                } else if self.wired && self.rx.is_multiple_of(self.ack_every) {
-                    Act::Ack(self.rx)
+                } else if self.rx.is_multiple_of(self.ack_every) {
+                    self.ack()
                 } else {
                     Act::Nothing
                 };
             }
+            // Acknowledged at once, so the peer can finish.
             Input::PeerDone => {
+                self.peer_done = true;
                 if self.phase != Lost {
                     self.phase = Done;
                 }
-                return Act::Nothing;
+                return self.ack();
             }
             // Only a link with no reader left takes a dialed stream (an up
             // one would count the same frames on two streams), and a
@@ -302,7 +350,13 @@ impl LinkCore {
             Input::Refused(_) => return Act::Nothing,
             Input::ReaderExit(gen) => {
                 self.settled = self.settled.max(gen);
-                if self.phase != Up || gen != self.gen || self.closing {
+                // A done link recovers while the peer may lack a frame or
+                // an ack. The accepting side owing only an ack leaves that
+                // to the dialer, which redials if it lacks it.
+                let told = self.self_done && self.tx.buf.is_empty();
+                let live = self.phase == Up
+                    || self.phase == Done && !self.finished() && (self.dials || !told);
+                if !live || gen != self.gen || self.closing {
                     return Act::Nothing;
                 }
                 self.phase = Recovering;
@@ -332,9 +386,8 @@ impl LinkCore {
         };
         // An install: the log keeps exactly the frames the peer lacks.
         self.tx.ack(peer_rx);
-        if self.phase != Done {
-            self.phase = Up;
-        }
+        self.phase = if self.peer_done { Done } else { Up };
+        self.acked = self.rx;
         self.gen += 1;
         self.wired = true;
         Act::Install {
@@ -451,19 +504,19 @@ mod tests {
         assert_eq!(LinkCore::new(true, Some(2)).chaos_at, None);
     }
 
-    /// Only the current stream's reader, on an up link, in a process not
-    /// closing, starts a recovery; the higher-indexed side dials.
+    /// Only the current stream's reader, on an up link or a done one that
+    /// has not finished, in a process not closing, starts a recovery; the
+    /// higher-indexed side dials.
     #[test]
-    fn reader_exit_recovers_only_the_current_stream_of_an_up_link() {
-        for dials in [true, false] {
-            let mut c = core(Phase::Up, 2, dials);
+    fn reader_exit_recovers_only_the_current_stream_of_a_live_link() {
+        for (phase, dials) in [(Phase::Up, true), (Phase::Up, false), (Phase::Done, true)] {
+            let mut c = core(phase, 2, dials);
             assert_eq!(c.step(Input::ReaderExit(2)), Act::Recover(dials));
             assert!(!c.wired);
             assert_eq!((c.phase, c.settled), (Phase::Recovering, 2));
         }
-        // A stale reader, a closing process, and every phase but Up stand
-        // down: recovering and lost links are already handled, a done
-        // peer's close is normal.
+        // A stale reader, a closing process, and the other phases stand
+        // down: recovering and lost links are already handled.
         let mut stale = core(Phase::Up, 2, true);
         assert_eq!(stale.step(Input::ReaderExit(1)), Act::Nothing);
         assert_eq!((stale.phase, stale.settled), (Phase::Up, 1));
@@ -471,15 +524,57 @@ mod tests {
         closing.step(Input::Close);
         assert!(!closing.wired);
         assert_eq!(closing.step(Input::ReaderExit(2)), Act::Nothing);
-        for phase in [
-            Phase::Recovering,
-            Phase::Lost,
-            Phase::Done,
-            Phase::Connecting,
-        ] {
+        for phase in [Phase::Recovering, Phase::Lost, Phase::Connecting] {
             let mut c = core(phase, 2, true);
             assert_eq!(c.step(Input::ReaderExit(2)), Act::Nothing);
             assert_eq!(c.phase, phase);
+        }
+    }
+
+    /// A link finishes once the peer's `ProcDone` is acknowledged and
+    /// its own is: then a dropped stream is a normal close. Until then a
+    /// done link recovers like an up one, and its install returns it to
+    /// `Done`; the accepting side that owes only an ack waits for the
+    /// dialer instead.
+    #[test]
+    fn a_done_link_recovers_until_it_has_finished() {
+        for dials in [true, false] {
+            let mut c = core(Phase::Up, 1, dials);
+            assert_eq!(c.step(Input::SendDone(frame(1))), Act::Write);
+            assert_eq!(c.step(Input::Received), Act::Nothing);
+            assert_eq!(c.step(Input::PeerDone), Act::Ack(1), "acked at once");
+            assert_eq!(c.phase, Phase::Done);
+            assert!(!c.finished(), "our ProcDone is not acknowledged");
+            // The cut took it: recover, and come back done.
+            assert_eq!(c.step(Input::ReaderExit(1)), Act::Recover(dials));
+            let want = Act::Install {
+                gen: 2,
+                reply: None,
+            };
+            assert_eq!(c.step(Input::Install(1)), want);
+            assert_eq!(c.phase, Phase::Done);
+            assert!(
+                c.finished(),
+                "the install pruned the log and told our count"
+            );
+            assert_eq!(c.step(Input::ReaderExit(2)), Act::Nothing);
+            assert_eq!(c.phase, Phase::Done);
+        }
+        // Everything told, but the ack of the peer's ProcDone may be lost.
+        for dials in [true, false] {
+            let mut c = core(Phase::Up, 1, dials);
+            c.step(Input::SendDone(frame(1)));
+            c.step(Input::Acked(1));
+            c.step(Input::Received);
+            c.step(Input::PeerDone);
+            c.step(Input::WriteFailed);
+            assert!(!c.finished());
+            let want = if dials {
+                Act::Recover(true)
+            } else {
+                Act::Nothing
+            };
+            assert_eq!(c.step(Input::ReaderExit(1)), want, "dials {dials}");
         }
     }
 

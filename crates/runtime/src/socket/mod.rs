@@ -519,7 +519,7 @@ impl Transport for SocketTransport {
         })?;
         // A link still connecting holds the send until it is up; one lost
         // for good (set-up failed, redial budget spent) refuses it.
-        self.send_data(link, frame)
+        self.send_data(link, frame, false)
             .map_err(|()| RtError::Unreachable { dst: dst_world })?;
         Ok(Delivery::Complete)
     }
@@ -540,27 +540,26 @@ impl Transport for SocketTransport {
         // Ordered after every envelope the rank wrote (same per-link
         // sequence, same connection): peers observing the flag flip
         // already have all of the rank's data in their mailboxes.
-        self.broadcast(frame(&encode_rank_done(world_rank)));
+        self.broadcast(frame(&encode_rank_done(world_rank)), false);
     }
 
     fn shutdown_all(&self) {
         self.shutdown_local();
         if !self.shutdown_sent.swap(true, Ordering::AcqRel) {
-            self.broadcast(frame(&[K_SHUTDOWN]));
+            self.broadcast(frame(&[K_SHUTDOWN]), false);
         }
     }
 
     fn finalize_local(&self) {
         // 1. Announce clean completion of this process (a link still
         // connecting carries it once up; a lost one drops it)…
-        self.broadcast(frame(&[K_PROC_DONE]));
-        // 2. …wait until every peer has done the same (or vanished)…
+        self.broadcast(frame(&[K_PROC_DONE]), true);
+        // 2. …wait until every link has finished (both sides' `ProcDone`
+        // delivered and acknowledged) or is lost…
         let deadline = Instant::now() + self.config.connect_timeout;
         for link in self.all_links() {
             let mut st = link.state.lock();
-            while !matches!(st.core.phase(), Phase::Done | Phase::Lost)
-                && wait_until(&link.cv, &mut st, deadline)
-            {}
+            while !st.core.finished() && wait_until(&link.cv, &mut st, deadline) {}
         }
         // 3. …then close. Recovery threads and the acceptor stand down;
         // readers (ours and the peers') wake with EOF *after* ProcDone,

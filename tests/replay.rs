@@ -3,17 +3,18 @@
 //! A recording replayed through any coupling — direct mapping over one or
 //! three analyzer ranks, a reduction tree passing packs through or
 //! aggregating them in-network, a serving session — folds to the same
-//! report, byte for byte on every plane (durations, wait states and
-//! metrics included, which a replay holds fixed), as one engine folding
-//! the same packs directly. And every replay's `stable_digest` is the
-//! online run's: "streamed analysis is very close to post-mortem
-//! analysis", on one pipeline.
+//! report, byte for byte on every plane (durations, wait states, metrics
+//! and the temporal map included, which a replay holds fixed), as one
+//! engine folding the same packs directly, with the metrics windows fixed
+//! or adaptive. And every replay's `stable_digest` is the online run's:
+//! "streamed analysis is very close to post-mortem analysis", on one
+//! pipeline.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
-use opmr::analysis::report::stable_digest;
+use opmr::analysis::report::{stable_digest, to_markdown};
 use opmr::analysis::wire::encode_partials;
-use opmr::analysis::{AnalysisEngine, EngineConfig};
+use opmr::analysis::{AnalysisEngine, EngineConfig, MultiReport};
 use opmr::core::{
     Coupling, LiveOptions, Session, SessionBuilder, SessionError, SessionOutcome, Sink,
 };
@@ -32,6 +33,11 @@ mod common;
 /// Metrics windows of 1 ms of application time.
 const WINDOW_NS: u64 = 1_000_000;
 
+/// The series widths every recording is replayed at: `.metrics(1 ms)`, and
+/// none (adaptive, so windows of different partials merge at different
+/// widths).
+const WINDOWS: [Option<u64>; 2] = [Some(WINDOW_NS), None];
+
 /// Small blocks, so every rank records many packs and a replay has many
 /// cross-rank interleavings to get wrong.
 const BLOCK: usize = 256;
@@ -43,7 +49,26 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn analyzed(builder: SessionBuilder) -> SessionBuilder {
-    builder.waitstate().metrics(WINDOW_NS)
+    analyzed_at(builder, Some(WINDOW_NS))
+}
+
+fn analyzed_at(builder: SessionBuilder, window: Option<u64>) -> SessionBuilder {
+    match window {
+        Some(ns) => builder.waitstate().metrics(ns),
+        None => builder.waitstate(),
+    }
+}
+
+/// Two reports are one: the same partials, and the same rendered chapter
+/// (every plane, the temporal map included).
+fn assert_same_report(got: &MultiReport, want: &MultiReport, what: &str) {
+    assert!(
+        encode_partials(&got.to_partials()) == encode_partials(&want.to_partials()),
+        "{what}: partials differ"
+    );
+    let md = to_markdown(got);
+    assert!(md.contains("### Temporal map"), "{what}: no temporal map");
+    assert!(md == to_markdown(want), "{what}: rendered reports differ");
 }
 
 /// Bytes of every file under `dir`.
@@ -56,12 +81,12 @@ fn bytes_on_disk(dir: &Path) -> u64 {
 
 /// The test-side post-mortem fold: every recorded pack, rank file by rank
 /// file, posted into one engine.
-fn direct_fold(dir: &Path, ranks: usize) -> Vec<u8> {
+fn direct_fold(dir: &Path, ranks: usize, window: Option<u64>) -> MultiReport {
     let engine = AnalysisEngine::new(EngineConfig::default());
     engine.enable_waitstate();
-    engine.enable_metrics(opmr::metrics::MetricsConfig {
-        window_ns: WINDOW_NS,
-    });
+    if let Some(window_ns) = window {
+        engine.enable_metrics(opmr::metrics::MetricsConfig { window_ns });
+    }
     engine.start();
     for rank in 0..ranks as u32 {
         let path = RecordingFile::Rank { app: 0, rank }.path(dir);
@@ -69,7 +94,7 @@ fn direct_fold(dir: &Path, ranks: usize) -> Vec<u8> {
             engine.post_block(pack);
         }
     }
-    encode_partials(&engine.finish().to_partials()).to_vec()
+    engine.finish()
 }
 
 /// The couplings every recording is replayed through.
@@ -83,7 +108,12 @@ const COUPLINGS: [&str; 5] = [
 
 /// The replay of `dir` through `coupling`, one of [`COUPLINGS`].
 fn replay(dir: &Path, coupling: &str) -> SessionBuilder {
-    let replay = analyzed(Session::replay(dir));
+    replay_at(dir, coupling, Some(WINDOW_NS))
+}
+
+/// [`replay`] with the series at `window` (adaptive when `None`).
+fn replay_at(dir: &Path, coupling: &str, window: Option<u64>) -> SessionBuilder {
+    let replay = analyzed_at(Session::replay(dir), window);
     let tbon = |replay: SessionBuilder, op| {
         replay
             .analyzer_ranks(3)
@@ -101,8 +131,11 @@ fn replay(dir: &Path, coupling: &str) -> SessionBuilder {
 }
 
 /// The replays every recording goes through.
-fn replays(dir: &Path) -> Vec<(&'static str, SessionBuilder)> {
-    COUPLINGS.iter().map(|&c| (c, replay(dir, c))).collect()
+fn replays(dir: &Path, window: Option<u64>) -> Vec<(&'static str, SessionBuilder)> {
+    COUPLINGS
+        .iter()
+        .map(|&c| (c, replay_at(dir, c, window)))
+        .collect()
 }
 
 /// The replay of `dir` through `coupling` as a two-process socket job,
@@ -164,25 +197,28 @@ fn every_replay_is_the_direct_fold_and_the_online_digest() {
             disk.push(bytes_on_disk(&dir));
             assert!(packs >= 3 * ranks as u64, "{what}: {packs} packs");
 
-            let fold = direct_fold(&dir, ranks);
-            for (coupling, builder) in replays(&dir) {
-                let outcome = builder.run().unwrap();
-                let app = &outcome.report.apps[0];
-                assert_eq!(app.name, "app0", "{what} {coupling}");
-                let (ws, series) = (app.waitstate.as_ref().unwrap(), app.metrics.as_ref());
-                assert!(
-                    ws.matched > 0 && series.is_some_and(|s| !s.is_empty()),
-                    "{what}"
-                );
-                assert!(
-                    encode_partials(&outcome.report.to_partials()) == fold,
-                    "{what}: the {coupling} replay differs from the direct fold"
-                );
-                assert_eq!(
-                    stable_digest(&outcome.report),
-                    stable_digest(&online.report),
-                    "{what}: the {coupling} replay differs from the online run"
-                );
+            for window in WINDOWS {
+                let fold = direct_fold(&dir, ranks, window);
+                for (coupling, builder) in replays(&dir, window) {
+                    let what = format!("{what} {window:?}: the {coupling} replay");
+                    let outcome = builder.run().unwrap();
+                    let app = &outcome.report.apps[0];
+                    assert_eq!(app.name, "app0", "{what}");
+                    let (ws, series) = (app.waitstate.as_ref().unwrap(), app.metrics.as_ref());
+                    assert!(
+                        ws.matched > 0 && series.is_some_and(|s| !s.is_empty()),
+                        "{what}"
+                    );
+                    if window.is_none() {
+                        assert!(series.is_some_and(|s| s.len() <= 64), "{what}");
+                    }
+                    assert_same_report(&outcome.report, &fold, &what);
+                    assert_eq!(
+                        stable_digest(&outcome.report),
+                        stable_digest(&online.report),
+                        "{what} differs from the online run"
+                    );
+                }
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -206,7 +242,7 @@ fn sion_recording_replays_to_the_online_digest() {
         .app_workload("cg", make(), LiveOptions::default())
         .run()
         .unwrap();
-    for (coupling, builder) in replays(&dir) {
+    for (coupling, builder) in replays(&dir, Some(WINDOW_NS)) {
         let outcome = builder.run().unwrap();
         assert_eq!(
             stable_digest(&outcome.report),
@@ -219,8 +255,9 @@ fn sion_recording_replays_to_the_online_digest() {
 
 /// Replay over the socket transport: a trace-file and a SION recording,
 /// their ranks in one thread-hosted process and the analyzer in another,
-/// fold to the in-process replay's partials byte for byte, wait states
-/// and metrics included, and to the online run's digest.
+/// fold to the in-process replay's partials and rendered report byte for
+/// byte, wait states, metrics and temporal map included, and to the
+/// online run's digest.
 #[test]
 fn socket_replay_is_the_in_process_replay() {
     let m = tera100();
@@ -247,10 +284,10 @@ fn socket_replay_is_the_in_process_replay() {
         for coupling in ["Direct@3", "Tbon{2} Aggregate@3", "Serving@1"] {
             let inproc = replay(&dir, coupling).run().unwrap();
             let sock = replay_over_sockets(&dir, coupling);
-            assert!(
-                encode_partials(&sock.report.to_partials())
-                    == encode_partials(&inproc.report.to_partials()),
-                "{tag} {coupling}: the socket replay differs from the in-process one"
+            assert_same_report(
+                &sock.report,
+                &inproc.report,
+                &format!("{tag} {coupling}: the socket replay against the in-process one"),
             );
             assert_eq!(
                 stable_digest(&sock.report),
