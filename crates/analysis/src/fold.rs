@@ -127,6 +127,9 @@ where
     if let Some(waitstate) = agg.waitstate {
         waitstate.add_pack(header.rank, header.seq, events);
     }
-    agg.metrics.fold_pack(events);
+    // A pack with no MPI call (a POSIX or compute burst) adds no window.
+    if sums.cells.iter().any(|(_, kind, _)| kind.is_mpi()) {
+        agg.metrics.fold_pack(events);
+    }
     sums
 }
