@@ -8,9 +8,8 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Windows an adaptive series spans: a call that would touch window
-/// `ADAPTIVE_WINDOWS` doubles the width first. Also the temporal map's
-/// column count.
+/// Windows an adaptive series spans before its width doubles; also the
+/// temporal map's column count.
 pub const ADAPTIVE_WINDOWS: u64 = 64;
 
 /// An adaptive series' first width: 1 ms over [`ADAPTIVE_WINDOWS`].
@@ -164,9 +163,8 @@ impl PartialEq for MetricsSeries {
 
 impl Eq for MetricsSeries {}
 
-/// An empty adaptive series, a level's without `.metrics(w)`: windows of
-/// [`ADAPTIVE_START_NS`], doubled before a call would touch window
-/// [`ADAPTIVE_WINDOWS`].
+/// An empty adaptive series (a level's without `.metrics(w)`): windows of
+/// [`ADAPTIVE_START_NS`], doubled before a call would touch window 64.
 impl Default for MetricsSeries {
     fn default() -> MetricsSeries {
         MetricsSeries {
