@@ -51,7 +51,7 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Lock-striped job FIFOs.
     pub queues: usize,
-    /// No longer read: the temporal map is drawn from the level's metrics
+    /// Read by nothing: the temporal map is drawn from the level's metrics
     /// series, at most [`opmr_metrics::ADAPTIVE_WINDOWS`] columns wide.
     pub timeline_bins: usize,
 }
