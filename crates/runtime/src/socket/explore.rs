@@ -57,6 +57,9 @@
 //!    its finalize timed out, or when it came while the peer had not
 //!    finished: no close can wait for the peer's own, so a later cut may
 //!    strand the peer.
+//! 8. an input whose driver wakes no waiter ([`Input::wakes`]) changes no
+//!    phase and finishes no link, unless it installs a stream: a finalize,
+//!    a held send or presentation and a grace watch sleep until a wake-up.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
@@ -160,11 +163,20 @@ impl World {
     }
 
     /// Steps side `x` and severs its stream the way the driver does;
-    /// checks invariant 5.
+    /// checks invariants 5 and 8.
     fn step(&mut self, x: usize, input: Input) -> Result<Act, String> {
-        let (before, gen) = (self.side[x].core.phase(), self.side[x].core.gen());
+        let core = &self.side[x].core;
+        let (before, gen, finished) = (core.phase(), core.gen(), core.finished());
         let act = self.side[x].core.step(input.clone());
         let core = &self.side[x].core;
+        let woken = before != core.phase() || !finished && core.finished();
+        if woken && !input.wakes() && !is_install(act) {
+            return Err(format!(
+                "side {x} went {before:?} to {:?}, finished {}, on {input:?}, which wakes no waiter",
+                core.phase(),
+                core.finished()
+            ));
+        }
         let abandoned = input == Input::Abandon && core.phase() == Phase::Lost;
         let recovers = matches!(input, Input::ReaderExit(_)) && core.phase() == Phase::Recovering;
         let left = before != core.phase() && matches!(before, Phase::Lost | Phase::Done);

@@ -75,7 +75,7 @@ impl LinkState {
 pub(super) struct Link {
     pub(super) proc: usize,
     pub(super) state: Mutex<LinkState>,
-    /// Signalled on every phase change and reader exit.
+    /// Signalled after every input that [`Input::wakes`] waiters.
     pub(super) cv: Condvar,
 }
 
@@ -113,15 +113,15 @@ impl SocketTransport {
     /// logs it for retransmission and writes it through if a stream is
     /// installed — silently queued while the link recovers. `Err` on a
     /// lost link.
-    pub(super) fn send_data(&self, link: &Link, frame: Bytes, last: bool) -> Result<(), ()> {
+    pub(super) fn send_data(&self, link: &Link, frame: Bytes) -> Result<(), ()> {
+        self.send_as(link, frame, Input::Send)
+    }
+
+    /// [`Self::send_data`], stepping the frame as `input`.
+    fn send_as(&self, link: &Link, frame: Bytes, input: fn(Bytes) -> Input) -> Result<(), ()> {
         let mut st = link.state.lock();
         loop {
-            let input = if last {
-                Input::SendDone(frame.clone())
-            } else {
-                Input::Send(frame.clone())
-            };
-            match st.step(input) {
+            match st.step(input(frame.clone())) {
                 Act::Wait => link.cv.wait(&mut st),
                 Act::Fail => return Err(()),
                 act => {
@@ -134,11 +134,18 @@ impl SocketTransport {
         }
     }
 
-    /// Sends one data frame on every link; `last` for this process's
-    /// `ProcDone`.
-    pub(super) fn broadcast(&self, frame: Bytes, last: bool) {
+    /// Sends one data frame on every link.
+    pub(super) fn broadcast(&self, frame: Bytes) {
         for link in self.all_links() {
-            let _ = self.send_data(link, frame.clone(), last);
+            let _ = self.send_data(link, frame.clone());
+        }
+    }
+
+    /// Sends this process's `ProcDone`, its last frame, on every link.
+    pub(super) fn broadcast_done(&self) {
+        let done = frame(&[K_PROC_DONE]);
+        for link in self.all_links() {
+            let _ = self.send_as(link, done.clone(), Input::SendDone);
         }
     }
 
@@ -257,12 +264,16 @@ impl SocketTransport {
                     // the peer is off-protocol.
                     _ => break 'conn,
                 };
+                let wake = input.wakes();
                 let mut st = link.state.lock();
                 // An ack is unsequenced and never logged.
                 if let Act::Ack(n) = st.step(input) {
                     st.write(&frame(&encode_count(K_ACK, n)));
                 }
                 drop(st);
+                if wake {
+                    link.cv.notify_all();
+                }
                 self.handle_frame(link, &p);
             }
             match stream.read(&mut buf) {

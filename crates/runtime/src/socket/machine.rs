@@ -150,6 +150,23 @@ pub(super) enum Input {
 }
 
 impl Input {
+    /// Whether the driver that steps this input wakes the link's waiters
+    /// (a finalize, a held send or presentation, a grace watch) after it.
+    /// One that does not changes neither the phase nor turns the link
+    /// finished, unless it installs a stream (whose driver wakes them):
+    /// the explorer checks it on every step.
+    pub(super) fn wakes(&self) -> bool {
+        !matches!(
+            self,
+            Input::Send(_)
+                | Input::SendDone(_)
+                | Input::Received
+                | Input::WriteFailed
+                | Input::Watch(false)
+                | Input::Presented { .. }
+        )
+    }
+
     /// The input an acceptor's reply to a presentation makes: `Install`
     /// for an OK, `Refused` for a NAK. Anything else is refused as busy,
     /// which the dialer retries.

@@ -62,7 +62,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use wire::{encode_rank_done, envelope_frame, K_PROC_DONE, K_SHUTDOWN};
+use wire::{encode_rank_done, envelope_frame, K_SHUTDOWN};
 
 // Socket transport metrics (the obs "transport" family): registered once,
 // cached handles, relaxed atomics on the hot path.
@@ -519,7 +519,7 @@ impl Transport for SocketTransport {
         })?;
         // A link still connecting holds the send until it is up; one lost
         // for good (set-up failed, redial budget spent) refuses it.
-        self.send_data(link, frame, false)
+        self.send_data(link, frame)
             .map_err(|()| RtError::Unreachable { dst: dst_world })?;
         Ok(Delivery::Complete)
     }
@@ -540,20 +540,20 @@ impl Transport for SocketTransport {
         // Ordered after every envelope the rank wrote (same per-link
         // sequence, same connection): peers observing the flag flip
         // already have all of the rank's data in their mailboxes.
-        self.broadcast(frame(&encode_rank_done(world_rank)), false);
+        self.broadcast(frame(&encode_rank_done(world_rank)));
     }
 
     fn shutdown_all(&self) {
         self.shutdown_local();
         if !self.shutdown_sent.swap(true, Ordering::AcqRel) {
-            self.broadcast(frame(&[K_SHUTDOWN]), false);
+            self.broadcast(frame(&[K_SHUTDOWN]));
         }
     }
 
     fn finalize_local(&self) {
         // 1. Announce clean completion of this process (a link still
         // connecting carries it once up; a lost one drops it)…
-        self.broadcast(frame(&[K_PROC_DONE]), true);
+        self.broadcast_done();
         // 2. …wait until every link has finished (both sides' `ProcDone`
         // delivered and acknowledged) or is lost…
         let deadline = Instant::now() + self.config.connect_timeout;

@@ -638,6 +638,53 @@ fn socket_first_send_on_a_pairwise_link_waits_for_it_then_delivers_in_order() {
     );
 }
 
+/// A clean teardown takes the `ProcDone` exchange, not the drain bound.
+/// Two processes whose ranks end together (a barrier the thread-hosted
+/// processes share) finalize at the same time, so each writes its
+/// `ProcDone` before it reads the peer's and finishes only on the peer's
+/// ack of its own: each of a few sessions must return well inside a long
+/// `connect_timeout`.
+#[test]
+fn socket_clean_teardown_returns_well_inside_the_connect_timeout() {
+    for session in 0..40 {
+        let together = Arc::new(std::sync::Barrier::new(2));
+        let ended = Arc::new(Mutex::new(Vec::<Instant>::new()));
+        let job = |peer: usize| {
+            let (together, ended) = (Arc::clone(&together), Arc::clone(&ended));
+            move |mpi: opmr::runtime::Mpi| {
+                let w = mpi.world();
+                mpi.send(&w, peer, 3, vec![1]).unwrap();
+                mpi.recv(&w, Src::Rank(peer), TagSel::Tag(3)).unwrap();
+                together.wait();
+                ended.lock().unwrap().push(Instant::now());
+            }
+        };
+        let launcher = Launcher::new()
+            .partition("a", 1, job(1))
+            .partition("b", 1, job(0));
+        let endpoint = common::fresh_unix_endpoint("teardown");
+        let handles: Vec<_> = (0..2)
+            .map(|p| {
+                let l = launcher.clone();
+                let cfg =
+                    SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
+                let topo = MultiprocTopology::new(cfg, p, 2).placement(vec![0, 1]);
+                std::thread::spawn(move || l.run_multiproc(topo).map(|()| Instant::now()))
+            })
+            .collect();
+        let returned: Vec<Instant> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap().expect("a clean run"))
+            .collect();
+        let last_rank = *ended.lock().unwrap().iter().max().expect("both ranks ran");
+        let teardown = *returned.iter().max().unwrap() - last_rank;
+        assert!(
+            teardown < Duration::from_secs(2),
+            "session {session}: teardown took {teardown:?} of a 20 s connect_timeout"
+        );
+    }
+}
+
 /// The TCP flavor of the endpoint, over loopback, with the same job the
 /// Unix-domain scenarios use — proving `Endpoint::Tcp` is not a stub.
 #[test]
