@@ -118,9 +118,8 @@ impl DensityMap {
         out
     }
 
-    /// ASCII heat map using a 10-step ramp.
+    /// ASCII heat map using the 10-step [`glyph`] ramp.
     pub fn ascii(&self) -> String {
-        const RAMP: &[u8] = b" .:-=+*#%@";
         let (cols, _rows) = self.grid_shape();
         if cols == 0 {
             return String::new();
@@ -133,8 +132,7 @@ impl DensityMap {
             self.stats().max
         );
         for (i, v) in norm.iter().enumerate() {
-            let idx = ((v * (RAMP.len() - 1) as f64).round() as usize).min(RAMP.len() - 1);
-            out.push(RAMP[idx] as char);
+            out.push(glyph(*v));
             if (i + 1) % cols == 0 {
                 out.push('\n');
             }
@@ -144,6 +142,14 @@ impl DensityMap {
         }
         out
     }
+}
+
+/// The glyph of a value in `0..=1` on a 10-step ramp, blank to `@`;
+/// values outside it clamp to the nearer end.
+pub(crate) fn glyph(f: f64) -> char {
+    const RAMP: &[u8] = b" .:-=+*#%@";
+    let idx = ((f * (RAMP.len() - 1) as f64).round() as usize).min(RAMP.len() - 1);
+    RAMP[idx] as char
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! renders a [`MultiReport`] the same way — as LaTeX — and additionally as
 //! Markdown for terminals and CI.
 
+use crate::density::glyph;
 use crate::engine::{AppReport, MultiReport};
 use crate::topology::WeightKind;
 use std::fmt::Write as _;
@@ -280,7 +281,6 @@ fn app_markdown(out: &mut String, app: &AppReport) {
 
     // Temporal map from the same series: a glyph per rank and column.
     if let Some(m) = app.metrics.as_ref().filter(|m| !m.is_empty()) {
-        const RAMP: &[u8] = b" .:-=+*#%@";
         let (column_ns, rows) = m.activity_map();
         let _ = writeln!(out, "### Temporal map (MPI activity per rank)");
         let _ = writeln!(out);
@@ -294,8 +294,7 @@ fn app_markdown(out: &mut String, app: &AppReport) {
         let _ = writeln!(out, "```text");
         for row in &rows {
             for &ns in row {
-                let f = (ns as f64 / column_ns as f64).min(1.0);
-                out.push(RAMP[(f * (RAMP.len() - 1) as f64).round() as usize] as char);
+                out.push(glyph(ns as f64 / column_ns as f64));
             }
             out.push('\n');
         }
