@@ -11,7 +11,9 @@
 //!
 //! The token buckets are integer-only: an allowance in nanoseconds capped
 //! at one second of burst, where sending `n` units costs `n / rate`
-//! seconds. A tenant's quota holds across all of its client ranks.
+//! seconds, at most the whole burst: a single update larger than one
+//! second's budget waits for a full bucket and empties it, rather than
+//! never passing. A tenant's quota holds across all of its client ranks.
 
 use crate::proto::QuotaKind;
 use std::collections::HashMap;
@@ -59,7 +61,7 @@ impl RateLimiter {
         self.last_ns = now_ns;
         self.allowance_ns = self.allowance_ns.saturating_add(elapsed).min(NANOS_PER_SEC);
         let cost = ((n as u128 * NANOS_PER_SEC as u128) / self.rate_per_sec as u128)
-            .min(u64::MAX as u128) as u64;
+            .min(NANOS_PER_SEC as u128) as u64;
         if self.allowance_ns >= cost {
             self.allowance_ns -= cost;
             true
@@ -218,6 +220,20 @@ mod tests {
         assert!(t.try_delta_bytes(400, SEC).is_ok());
         assert_eq!(t.try_delta_bytes(1, SEC), Err(QuotaKind::DeltaRate));
         assert!(t.try_delta_bytes(400, 2 * SEC).is_ok());
+    }
+
+    /// An update larger than one second's budget passes once the bucket
+    /// is full, and empties it; a throttled subscriber is never stuck.
+    #[test]
+    fn an_update_above_the_burst_passes_on_a_full_bucket() {
+        let mut t = TenantState::new(TenantQuota {
+            max_delta_bytes_per_sec: 1000,
+            ..TenantQuota::default()
+        });
+        assert!(t.try_delta_bytes(1, SEC).is_ok());
+        assert_eq!(t.try_delta_bytes(5000, SEC), Err(QuotaKind::DeltaRate));
+        assert!(t.try_delta_bytes(5000, 2 * SEC).is_ok());
+        assert_eq!(t.try_delta_bytes(1, 2 * SEC), Err(QuotaKind::DeltaRate));
     }
 
     #[test]
