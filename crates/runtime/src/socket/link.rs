@@ -75,7 +75,7 @@ impl LinkState {
 pub(super) struct Link {
     pub(super) proc: usize,
     pub(super) state: Mutex<LinkState>,
-    /// Signalled after every input that [`Input::wakes`] waiters.
+    /// Signalled after every input for which [`Input::wakes`] holds.
     pub(super) cv: Condvar,
 }
 
