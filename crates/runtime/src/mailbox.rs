@@ -35,6 +35,12 @@
 //! estimate says park, every `PROBE_EVERY`-th wait spins anyway and
 //! reports, so a mailbox returns to spinning once waits are short again.
 //! Deliverers signal only when `Inner::parked` says somebody sleeps.
+//!
+//! One wait has a leg of its own in front of this routine:
+//! `ReadStream::read(Blocking)` (`opmr-vmpi`) spins 64 times and then
+//! yields 192 times on its own before it parks in `wait_delivery`, so a
+//! reader sitting out a quiet stretch yields the CPU in a loop first.
+//! Folding that leg into `wait_for` is ROADMAP item 4(b).
 
 use crate::comm::CommId;
 use crate::envelope::{Context, Envelope, Src, Status, TagSel};

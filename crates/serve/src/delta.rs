@@ -194,14 +194,19 @@ fn encode_app_sparse(
     }
     // Metrics windows only accumulate, so changed (or new) windows travel
     // as per-window replacement values — the "delta chain over windows".
-    // A vanished series or window, or another window width, travels full.
-    let windows = match (&from.metrics, &to.metrics) {
+    // A series at another width (an adaptive series coarsened) travels as
+    // its new width and every window, which the receiver takes as a
+    // restarted series. A vanished series or window travels full.
+    let (windows, restarted) = match (&from.metrics, &to.metrics) {
         (Some(_), None) => return Ok(None),
-        (None, None) => None,
-        (None, Some(m)) => Some(m.window_indices().collect()),
+        (None, None) => (None, false),
+        (None, Some(m)) => (Some(m.window_indices().collect()), false),
+        (Some(prev), Some(m)) if m.window_ns() != prev.window_ns() => {
+            (Some(m.window_indices().collect()), true)
+        }
         (Some(prev), Some(m)) => match m.changed_since(prev) {
             None => return Ok(None),
-            Some(changed) => Some(changed).filter(|c: &Vec<u64>| !c.is_empty()),
+            Some(changed) => (Some(changed).filter(|c: &Vec<u64>| !c.is_empty()), false),
         },
     };
 
@@ -278,6 +283,10 @@ fn encode_app_sparse(
     }
     Ok(Some(match windows {
         None if !head_moved => AppChange::Unchanged,
+        // A restarted series rewrites its whole section.
+        _ if restarted => AppChange::Sparse {
+            windows_from: Some(0),
+        },
         windows => AppChange::Sparse {
             windows_from: windows.and_then(|w| w.first().copied()),
         },
@@ -636,19 +645,47 @@ mod tests {
     }
 
     #[test]
-    fn metrics_window_width_change_falls_back_to_full() {
-        let v1 = vec![partial_at(0, 5)];
-        let mut v2 = vec![partial_at(0, 6)];
-        let mut m = MetricsSeries::new(123);
-        for e in events_at(6) {
-            m.add(&e);
+    fn metrics_window_width_change_travels_sparse_and_smaller() {
+        let v1 = vec![partial_at(0, 40)];
+        let mut v2 = vec![partial_at(0, 41)];
+        // An adaptive doubling, and a width whose windows all lie after
+        // the old series' first ones.
+        let mut doubled = metrics_at(41);
+        doubled.coarsen(2);
+        let mut later = MetricsSeries::new(1_000);
+        for e in events_at(41).iter().filter(|e| e.time_ns >= 20_000) {
+            later.add(e);
         }
-        v2[0].metrics = Some(m);
-        let d = encode_delta(1, &v1, 2, &v2).unwrap();
-        let mut live = v1.clone();
-        apply_delta(&mut live, &d).unwrap();
-        assert_eq!(encode_partials(&live), encode_partials(&v2));
-        assert_eq!(live[0].metrics.as_ref().map(|m| m.window_ns()), Some(123));
+        for series in [doubled, later] {
+            let width = series.window_ns();
+            v2[0].metrics = Some(series);
+            let (d, changes) = encode_delta_changes(1, &v1, 2, &v2).unwrap();
+            assert_eq!(
+                changes,
+                [(
+                    0,
+                    AppChange::Sparse {
+                        windows_from: Some(0)
+                    }
+                )],
+                "a new width rewrites the whole series section"
+            );
+            let mut full = BytesMut::new();
+            encode_app_body(&v2[0], &mut full);
+            assert!(
+                d.len() < full.len(),
+                "{} B against {} B",
+                d.len(),
+                full.len()
+            );
+            let mut live = v1.clone();
+            apply_delta(&mut live, &d).unwrap();
+            assert_eq!(encode_partials(&live), encode_partials(&v2));
+            assert_eq!(live[0].metrics.as_ref().map(|m| m.window_ns()), Some(width));
+            let mut image = SnapshotImage::build(&v1);
+            assert!(image.patch(&v2, &changes).is_some(), "patched, not rebuilt");
+            assert!(image[..] == encode_partials(&v2)[..]);
+        }
     }
 
     #[test]

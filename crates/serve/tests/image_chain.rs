@@ -100,8 +100,8 @@ impl Live {
             7 => app
                 .topology
                 .add_weighted(r % 6, (r + 1 + sel as u32) % 6, 1, p, 1),
-            // Aggregates shrink — the profile, the series' windows, or its
-            // width: only a full per-app replacement says so.
+            // Aggregates shrink — the profile, the series' windows, or the
+            // whole series, restarted at another width.
             8 => match p % 3 {
                 0 => app.profile = MpiProfile::new(),
                 1 => {
@@ -112,6 +112,13 @@ impl Live {
                 }
                 _ => app.metrics = Some(MetricsSeries::new(WINDOW_NS + p)),
             },
+            // An adaptive doubling: the series' windows fold pairwise
+            // into windows twice as wide.
+            10 => {
+                if let Some(m) = app.metrics.as_mut() {
+                    m.coarsen(2);
+                }
+            }
             // An application leaves: no delta can say so.
             9 if n > 1 => {
                 self.apps.remove(sel as usize % n);
@@ -150,7 +157,7 @@ proptest! {
     #[test]
     fn patched_images_equal_the_full_encoding_at_every_version(
         steps in proptest::collection::vec(
-            proptest::collection::vec((0u8..11, 0u16..8, 0u32..8, 0u64..200), 1..5),
+            proptest::collection::vec((0u8..12, 0u16..8, 0u32..8, 0u64..200), 1..5),
             2..24,
         ),
         cut in any::<proptest::sample::Index>(),

@@ -617,35 +617,6 @@ fn link_chaos_session() -> opmr::core::SessionBuilder {
         .app("ring_b", 4, ring)
 }
 
-/// One 3-process run of [`link_chaos_session`] with every link severed
-/// once after `k` data frames. Its one caller runs it inside
-/// `LinkMoves::during`, which holds the process-wide sever lock.
-fn link_chaos_run(k: u64) -> opmr::core::SessionOutcome {
-    use opmr::runtime::{LinkFault, SocketConfig};
-    const PROCS: usize = 3;
-    let endpoint = common::fresh_unix_endpoint("link-chaos");
-    let cfg = move |ep| {
-        SocketConfig::new(ep)
-            .connect_timeout(Duration::from_secs(20))
-            .link_fault(LinkFault {
-                sever_after_frames: k,
-            })
-    };
-    let workers: Vec<_> = (1..PROCS)
-        .map(|p| {
-            let ep = endpoint.clone();
-            std::thread::spawn(move || link_chaos_session().run_multiproc(cfg(ep), p, PROCS))
-        })
-        .collect();
-    let sock = link_chaos_session()
-        .run_multiproc(cfg(endpoint), 0, PROCS)
-        .expect("chaos session, process 0");
-    for w in workers {
-        w.join().unwrap().expect("chaos session, worker");
-    }
-    sock
-}
-
 #[test]
 fn socket_link_chaos_severs_every_busy_link_and_the_report_is_identical() {
     use opmr::analysis::report::stable_digest;
@@ -655,7 +626,12 @@ fn socket_link_chaos_severs_every_busy_link_and_the_report_is_identical() {
 
     let mut retransmits = 0;
     for k in SEVER_SWEEP {
-        let (sock, moved) = LinkMoves::during(|| link_chaos_run(k));
+        // Three thread-hosted processes, every link severed once after
+        // `k` data frames.
+        let (sock, moved) = LinkMoves::during(|| {
+            common::run_session_threads(3, None, Some(k), link_chaos_session)
+                .expect("chaos session")
+        });
         // Transparency: the session layer never saw the link drops.
         assert_eq!(
             stable_digest(&sock.report),

@@ -9,13 +9,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 mod common;
-use common::fresh_unix_endpoint;
+use common::run_session_threads;
 
 use opmr::analysis::report::stable_digest;
 use opmr::core::{Coupling, Session, SessionBuilder};
 use opmr::events::{Compression, PackEncoding};
-use opmr::runtime::{LinkFault, SocketConfig, Src, TagSel};
-use std::time::Duration;
+use opmr::runtime::{Src, TagSel};
 
 /// The seeded workload every run replays: a 4-rank ring with collectives
 /// generating a deterministic event stream.
@@ -128,28 +127,12 @@ fn chaos_replay_over_compressed_socket_path_is_byte_identical() {
     let direct = ring_session().run().expect("in-process session");
     let want = stable_digest(&direct.report);
 
-    const PROCS: usize = 2;
-    let endpoint = fresh_unix_endpoint("codec-chaos");
-    let cfg = |ep| {
-        SocketConfig::new(ep)
-            .connect_timeout(Duration::from_secs(20))
-            .link_fault(LinkFault {
-                sever_after_frames: 5,
-            })
-    };
-    let compressed_session = || {
+    let sock = run_session_threads(2, None, Some(5), || {
         ring_session()
             .pack_encoding(PackEncoding::Delta)
             .compression(Compression::Lz4)
-    };
-    let worker = {
-        let ep = endpoint.clone();
-        std::thread::spawn(move || compressed_session().run_multiproc(cfg(ep), 1, PROCS))
-    };
-    let sock = compressed_session()
-        .run_multiproc(cfg(endpoint), 0, PROCS)
-        .expect("compressed chaos session, process 0");
-    worker.join().unwrap().expect("compressed chaos worker");
+    })
+    .expect("compressed chaos session");
 
     assert_eq!(
         stable_digest(&sock.report),

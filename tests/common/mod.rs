@@ -1,18 +1,21 @@
 //! Helpers shared by the backend-parameterized integration suites
 //! (`transport_conformance`, `chaos`, `metrics_plane`, `poison`,
-//! `socket_negative`) and the suites that start real OS processes
-//! (`launch_plane`, `session_multiproc`).
+//! `socket_negative`), the suites that run sessions over sockets
+//! (`replay`, `codec_paths`, `session_multiproc`) and the suites that
+//! start real OS processes (`launch_plane`, `session_multiproc`).
 //!
-//! The central piece is [`run_socket_threads`]: it runs one job
-//! description on the socket backend with every "process" hosted as a
+//! The central pieces are [`run_socket_threads`] and
+//! [`run_session_threads`]: they run one job description, or one
+//! session, on the socket backend with every "process" hosted as a
 //! thread of the calling test process. Each thread executes a full
-//! `Launcher::run_multiproc` — bind/dial/handshake, framed envelopes,
-//! reader threads, teardown — over a private Unix-domain mesh, exactly
-//! what N separate OS processes would do, while keeping the test's
+//! `run_multiproc` — bind/dial/handshake, framed envelopes, reader
+//! threads, teardown — over a private Unix-domain mesh, exactly what N
+//! separate OS processes would do, while keeping the test's
 //! `Arc<Mutex<_>>` observation collectors addressable.
 
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
+use opmr::core::{SessionBuilder, SessionError, SessionOutcome};
 use opmr::launch::{
     run_job, HeartbeatEmitter, Host, JobReport, JobSpec, LaunchPlaneError, LocalSpawner,
     WorkerCommand, WorkerEnv,
@@ -21,6 +24,7 @@ use opmr::runtime::{
     Endpoint, Launcher, LinkFault, MultiprocError, MultiprocTopology, RankFailure, SocketConfig,
 };
 use std::cell::Cell;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
@@ -37,6 +41,14 @@ pub fn fresh_unix_endpoint(tag: &str) -> Endpoint {
     ));
     std::fs::create_dir_all(&dir).expect("create test socket dir");
     Endpoint::Unix(dir.join("mesh.sock"))
+}
+
+/// A fresh path under the temp directory, private to this process and
+/// `tag`, with nothing at it.
+pub fn tmpdir(tag: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("opmr_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
 }
 
 /// Runs one job across OS processes through the launch plane, on a fresh
@@ -129,6 +141,65 @@ pub fn run_socket_threads_with(
     }
     failures.sort_by_key(|f| f.world_rank);
     failures
+}
+
+/// Runs the session `session` builds as one socket job of `procs`
+/// thread-hosted processes on a fresh Unix-domain mesh, each process
+/// building its own copy as separate OS processes would. `placement`
+/// places the applications (`None`: `run_multiproc`'s derived placement);
+/// `sever` cuts every link once after that many data frames, under the
+/// process-wide sever lock. Returns process 0's outcome, the one carrying
+/// the report. Every other process must end cleanly with no event in its
+/// own report: only process 0 hosts the analysis.
+pub fn run_session_threads(
+    procs: usize,
+    placement: Option<Vec<usize>>,
+    sever: Option<u64>,
+    session: impl Fn() -> SessionBuilder + Sync,
+) -> Result<SessionOutcome, SessionError> {
+    let endpoint = fresh_unix_endpoint("session");
+    let run = |p: usize| {
+        let mut cfg = SocketConfig::new(endpoint.clone()).connect_timeout(Duration::from_secs(20));
+        if let Some(k) = sever {
+            cfg = cfg.link_fault(LinkFault {
+                sever_after_frames: k,
+            });
+        }
+        match &placement {
+            Some(placement) => session().run_multiproc_placed(cfg, p, procs, placement.clone()),
+            None => session().run_multiproc(cfg, p, procs),
+        }
+    };
+    let job = || {
+        std::thread::scope(|s| {
+            let run = &run;
+            let workers: Vec<_> = (1..procs)
+                .map(|p| {
+                    std::thread::Builder::new()
+                        .name(format!("sock-proc{p}"))
+                        .spawn_scoped(s, move || run(p))
+                        .expect("spawn socket proc thread")
+                })
+                .collect();
+            let outcome = run(0);
+            for (p, w) in (1..).zip(workers) {
+                match w.join().expect("socket proc thread panicked") {
+                    Ok(o) => assert!(
+                        o.report.apps.iter().all(|a| a.events == 0 && a.packs == 0),
+                        "process {p} observed events: only process 0 hosts the analysis"
+                    ),
+                    // Process 0's own failure is the one to report.
+                    Err(e) if outcome.is_ok() => panic!("process {p} failed: {e}"),
+                    Err(_) => {}
+                }
+            }
+            outcome
+        })
+    };
+    match sever {
+        Some(_) => severing(job),
+        None => job(),
+    }
 }
 
 /// The sever points of the link-chaos sweeps: every busy mesh link is cut

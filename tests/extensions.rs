@@ -1,24 +1,18 @@
 //! Integration tests for the extension features: wait-state analysis,
-//! selective-trace proxy, SIONlib-style containers and custom knowledge
-//! sources through the session façade.
+//! the selective-trace proxy and custom knowledge sources through the
+//! session façade. SIONlib-style containers and the distributed analyzer
+//! are cells of the equivalence oracle (`tests/replay.rs`).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 use opmr::analysis::Selection;
-use opmr::core::{Coupling, LiveOptions, Session, Sink};
-use opmr::events::recording::{read_sion, read_trace_file, RecordingFile};
+use opmr::core::Session;
+use opmr::events::recording::read_trace_file;
 use opmr::events::{EventKind, EventPack};
-use opmr::netsim::tera100;
-use opmr::reduce::ReduceOp;
 use opmr::runtime::{Src, TagSel};
-use opmr::workloads::{Benchmark, Class};
-use std::path::PathBuf;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("opmr_ext_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
+mod common;
+use common::tmpdir;
 
 #[test]
 fn waitstate_detects_engineered_late_sender() {
@@ -125,61 +119,6 @@ fn trace_proxy_writes_selected_events_alongside_online_analysis() {
 }
 
 #[test]
-fn sion_container_equals_per_rank_traces() {
-    let m = tera100();
-    let make = || Benchmark::EulerMhd.build(Class::S, 6, &m, Some(2)).unwrap();
-
-    let record_and_replay = |sink: Sink, dir: &PathBuf| {
-        Session::builder()
-            .sink(sink)
-            .app_workload("euler", make(), LiveOptions::default())
-            .run()
-            .unwrap();
-        Session::replay(dir).run().unwrap()
-    };
-    let dir_files = tmpdir("files");
-    let per_rank = record_and_replay(Sink::TraceDir(dir_files.clone()), &dir_files);
-    let dir_sion = tmpdir("sion");
-    let sion = record_and_replay(Sink::Sion(dir_sion.clone()), &dir_sion);
-
-    // One container instead of six files.
-    let count_files = |d: &PathBuf, ext: &str| {
-        std::fs::read_dir(d)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .is_some_and(|x| x == ext)
-            })
-            .count()
-    };
-    assert_eq!(count_files(&dir_files, "opmr"), 6);
-    assert_eq!(count_files(&dir_sion, "sion"), 1);
-    assert_eq!(count_files(&dir_sion, "opmr"), 0);
-
-    // Identical analysis results through both containers.
-    let (a, b) = (&per_rank.report.apps[0], &sion.report.apps[0]);
-    assert_eq!(a.events, b.events);
-    for kind in a.profile.kinds() {
-        assert_eq!(
-            a.profile.kind(kind).map(|s| (s.hits, s.bytes)),
-            b.profile.kind(kind).map(|s| (s.hits, s.bytes)),
-            "{}",
-            kind.name()
-        );
-    }
-    // The multiplexed container demultiplexes cleanly.
-    let chunks = read_sion(&RecordingFile::Sion { app: 0 }.path(&dir_sion)).unwrap();
-    assert_eq!(chunks.len(), 6);
-    assert!(chunks.iter().all(|(_, c)| !c.is_empty()));
-
-    std::fs::remove_dir_all(&dir_files).unwrap();
-    std::fs::remove_dir_all(&dir_sion).unwrap();
-}
-
-#[test]
 fn custom_ks_via_engine_setup() {
     use opmr::blackboard::{type_id, KnowledgeSource};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,54 +150,4 @@ fn custom_ks_via_engine_setup() {
         outcome.report.apps[0].events,
         "custom KS saw every event the stock profiler saw"
     );
-}
-
-#[test]
-fn distributed_analyzer_equals_shared_engine() {
-    // Section VI: analysis state held per analyzer rank — each frontier
-    // node of an Aggregate tree folds its own share — and merged up the
-    // tree must produce the same aggregates as the shared engine.
-    let m = tera100();
-    let make = || Benchmark::Cg.build(Class::S, 8, &m, Some(2)).unwrap();
-
-    let shared = Session::builder()
-        .analyzer_ranks(3)
-        .waitstate()
-        .app_workload("cg", make(), LiveOptions::default())
-        .run()
-        .unwrap();
-    let dist = Session::builder()
-        .analyzer_ranks(3)
-        .waitstate()
-        .coupling(Coupling::Tbon { fanout: 2 })
-        .reduce_op(ReduceOp::Aggregate)
-        .app_workload("cg", make(), LiveOptions::default())
-        .run()
-        .unwrap();
-
-    let (a, b) = (&shared.report.apps[0], &dist.report.apps[0]);
-    assert_eq!(a.events, b.events);
-    assert_eq!(a.packs, b.packs);
-    assert_eq!(a.name, b.name);
-    // Two separate live runs: counts and volumes are deterministic, call
-    // durations are wall-clock and are not compared.
-    for kind in a.profile.kinds() {
-        assert_eq!(
-            a.profile.kind(kind).map(|s| (s.hits, s.bytes)),
-            b.profile.kind(kind).map(|s| (s.hits, s.bytes)),
-            "{}",
-            kind.name()
-        );
-    }
-    assert_eq!(a.topology.edge_count(), b.topology.edge_count());
-    for ((s, d), w) in a.topology.sorted_edges() {
-        assert_eq!(
-            b.topology.edge(s, d).map(|x| (x.hits, x.bytes)),
-            Some((w.hits, w.bytes))
-        );
-    }
-    // The merge re-feeds each side's dangling halves through a matcher,
-    // so the tree accounts for the same transfers.
-    let (wa, wb) = (a.waitstate.as_ref().unwrap(), b.waitstate.as_ref().unwrap());
-    assert_eq!(wa.matched + wa.unmatched, wb.matched + wb.unmatched);
 }

@@ -1,14 +1,26 @@
-//! The whole-report oracle: post-mortem analysis is a replay session.
+//! The equivalence oracle: "streamed analysis is very close to
+//! post-mortem analysis", checked as one table over every catalogue
+//! workload, recording, pipeline and transport.
 //!
-//! A recording replayed through any coupling — direct mapping over one or
-//! three analyzer ranks, a reduction tree passing packs through or
-//! aggregating them in-network, a serving session — folds to the same
-//! report, byte for byte on every plane (durations, wait states, metrics
-//! and the temporal map included, which a replay holds fixed), as one
-//! engine folding the same packs directly, with the metrics windows fixed
-//! or adaptive. And every replay's `stable_digest` is the online run's:
-//! "streamed analysis is very close to post-mortem analysis", on one
-//! pipeline.
+//! For each workload of [`BENCHMARKS`] (class S, its smallest valid rank
+//! count of at least 4, two iterations):
+//!
+//! - **the online column** runs the live session through every
+//!   [`ONLINE`] configuration; all of them share one `stable_digest` and
+//!   one count of transfers (matched plus unmatched wait states);
+//! - **the in-process cells** record the workload under every
+//!   [`RECORDINGS`] entry in [`BLOCK`]-byte blocks, and replay each
+//!   recording over every replay-stream compression, [`PIPELINES`] entry
+//!   and [`WIDTHS`] entry;
+//! - **the socket cells** replay the Delta trace recording with LZ4 over
+//!   two thread-hosted processes, the recorded ranks in one and the
+//!   analyzers in the other, through every pipeline at both widths.
+//!
+//! Every cell's report must encode (`encode_partials`) and render
+//! (`to_markdown`, temporal map present) byte for byte as one engine
+//! folding the same packs at the same width, wait states on, and must
+//! carry the online digest. A test gathers every mismatch of its workload
+//! and only then fails, naming each cell.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
@@ -18,285 +30,394 @@ use opmr::analysis::{AnalysisEngine, EngineConfig, MultiReport};
 use opmr::core::{
     Coupling, LiveOptions, Session, SessionBuilder, SessionError, SessionOutcome, Sink,
 };
-use opmr::events::recording::{read_dir, read_trace_file, RecordingFile};
-use opmr::events::PackEncoding;
+use opmr::events::recording::{read_dir, read_sion, RecordingFile};
+use opmr::events::{Compression, PackEncoding};
+use opmr::metrics::MetricsConfig;
 use opmr::netsim::tera100;
 use opmr::reduce::ReduceOp;
-use opmr::runtime::{Endpoint, SocketConfig};
 use opmr::vmpi::StreamConfig;
-use opmr::workloads::{Benchmark, Class};
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+use opmr::workloads::{Benchmark, Class, BENCHMARKS};
+use std::path::Path;
+use std::time::Instant;
 
 mod common;
-
-/// Metrics windows of 1 ms of application time.
-const WINDOW_NS: u64 = 1_000_000;
-
-/// The series widths every recording is replayed at: `.metrics(1 ms)`, and
-/// none (adaptive, so windows of different partials merge at different
-/// widths).
-const WINDOWS: [Option<u64>; 2] = [Some(WINDOW_NS), None];
+use common::{run_session_threads, tmpdir};
 
 /// Small blocks, so every rank records many packs and a replay has many
 /// cross-rank interleavings to get wrong.
 const BLOCK: usize = 256;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("opmr_replay_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
+/// The series widths every recording is replayed at: `.metrics(1 ms)`,
+/// and adaptive (so windows of different partials merge at different
+/// widths).
+const WIDTHS: [Option<u64>; 2] = [Some(1_000_000), None];
 
-fn analyzed(builder: SessionBuilder) -> SessionBuilder {
-    analyzed_at(builder, Some(WINDOW_NS))
-}
+/// A recording: the pack encoding its rows are written in, and whether
+/// the ranks share one SION container instead of a file each.
+type Recording = (PackEncoding, bool);
 
-fn analyzed_at(builder: SessionBuilder, window: Option<u64>) -> SessionBuilder {
-    match window {
-        Some(ns) => builder.waitstate().metrics(ns),
-        None => builder.waitstate(),
-    }
-}
+const RECORDINGS: [Recording; 4] = [
+    (PackEncoding::Fixed, false),
+    (PackEncoding::Fixed, true),
+    (PackEncoding::Delta, false),
+    (PackEncoding::Delta, true),
+];
 
-/// Two reports are one: the same partials, and the same rendered chapter
-/// (every plane, the temporal map included).
-fn assert_same_report(got: &MultiReport, want: &MultiReport, what: &str) {
-    assert!(
-        encode_partials(&got.to_partials()) == encode_partials(&want.to_partials()),
-        "{what}: partials differ"
-    );
-    let md = to_markdown(got);
-    assert!(md.contains("### Temporal map"), "{what}: no temporal map");
-    assert!(md == to_markdown(want), "{what}: rendered reports differ");
-}
+const COMPRESSIONS: [Compression; 2] = [Compression::None, Compression::Lz4];
 
-/// Bytes of every file under `dir`.
-fn bytes_on_disk(dir: &Path) -> u64 {
-    std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().metadata().unwrap().len())
-        .sum()
-}
-
-/// The test-side post-mortem fold: every recorded pack, rank file by rank
-/// file, posted into one engine.
-fn direct_fold(dir: &Path, ranks: usize, window: Option<u64>) -> MultiReport {
-    let engine = AnalysisEngine::new(EngineConfig::default());
-    engine.enable_waitstate();
-    if let Some(window_ns) = window {
-        engine.enable_metrics(opmr::metrics::MetricsConfig { window_ns });
-    }
-    engine.start();
-    for rank in 0..ranks as u32 {
-        let path = RecordingFile::Rank { app: 0, rank }.path(dir);
-        for pack in read_trace_file(&path).unwrap() {
-            engine.post_block(pack);
-        }
-    }
-    engine.finish()
-}
-
-/// The couplings every recording is replayed through.
-const COUPLINGS: [&str; 5] = [
+/// The pipelines every recording is replayed through, as `<shape>@<analyzer
+/// ranks>` (see [`pipeline`]).
+const PIPELINES: [&str; 6] = [
     "Direct@1",
     "Direct@3",
+    "Tbon{0} Aggregate@3",
     "Tbon{2} PassThrough@3",
     "Tbon{2} Aggregate@3",
     "Serving@1",
 ];
 
-/// The replay of `dir` through `coupling`, one of [`COUPLINGS`].
-fn replay(dir: &Path, coupling: &str) -> SessionBuilder {
-    replay_at(dir, coupling, Some(WINDOW_NS))
+/// The online column: the pipeline, pack encoding and stream compression
+/// of each live run.
+const ONLINE: [(&str, PackEncoding, Compression); 8] = {
+    use Compression::{Lz4, None as Plain};
+    use PackEncoding::{Delta, Fixed};
+    [
+        ("Direct@1", Fixed, Plain),
+        ("Direct@2", Fixed, Plain),
+        ("Direct@4", Fixed, Plain),
+        ("Direct@2", Fixed, Lz4),
+        ("Direct@2", Delta, Plain),
+        ("Direct@2", Delta, Lz4),
+        ("Tbon{2} PassThrough@3", Delta, Lz4),
+        ("Tbon{2} Aggregate@3", Fixed, Plain),
+    ]
+};
+
+/// `builder` through the pipeline `name` names.
+fn pipeline(builder: SessionBuilder, name: &str) -> SessionBuilder {
+    let (shape, analyzers) = name.split_once('@').unwrap();
+    let (coupling, op) = match shape {
+        "Direct" => (Coupling::Direct, ReduceOp::PassThrough),
+        "Serving" => (Coupling::Serving, ReduceOp::PassThrough),
+        "Tbon{0} Aggregate" => (Coupling::Tbon { fanout: 0 }, ReduceOp::Aggregate),
+        "Tbon{2} PassThrough" => (Coupling::Tbon { fanout: 2 }, ReduceOp::PassThrough),
+        "Tbon{2} Aggregate" => (Coupling::Tbon { fanout: 2 }, ReduceOp::Aggregate),
+        other => panic!("no pipeline {other}"),
+    };
+    builder
+        .analyzer_ranks(analyzers.parse().unwrap())
+        .coupling(coupling)
+        .reduce_op(op)
 }
 
-/// [`replay`] with the series at `window` (adaptive when `None`).
-fn replay_at(dir: &Path, coupling: &str, window: Option<u64>) -> SessionBuilder {
-    let replay = analyzed_at(Session::replay(dir), window);
-    let tbon = |replay: SessionBuilder, op| {
-        replay
-            .analyzer_ranks(3)
-            .coupling(Coupling::Tbon { fanout: 2 })
-            .reduce_op(op)
-    };
-    match coupling {
-        "Direct@1" => replay,
-        "Direct@3" => replay.analyzer_ranks(3),
-        "Tbon{2} PassThrough@3" => tbon(replay, ReduceOp::PassThrough),
-        "Tbon{2} Aggregate@3" => tbon(replay, ReduceOp::Aggregate),
-        "Serving@1" => replay.coupling(Coupling::Serving),
-        other => panic!("no coupling {other}"),
+/// Wait states on, and the series at `width` (adaptive when `None`).
+fn analyzed(builder: SessionBuilder, width: Option<u64>) -> SessionBuilder {
+    match width {
+        Some(ns) => builder.waitstate().metrics(ns),
+        None => builder.waitstate(),
     }
 }
 
-/// The replays every recording goes through.
-fn replays(dir: &Path, window: Option<u64>) -> Vec<(&'static str, SessionBuilder)> {
-    COUPLINGS
-        .iter()
-        .map(|&c| (c, replay_at(dir, c, window)))
-        .collect()
+/// The replay of the recording in `dir` with the series at `width`, its
+/// stream compressed by `compression`, through the pipeline `name`.
+fn replay(dir: &Path, width: Option<u64>, compression: Compression, name: &str) -> SessionBuilder {
+    let builder = analyzed(Session::replay(dir), width).compression(compression);
+    pipeline(builder, name)
 }
 
-/// The replay of `dir` through `coupling` as a two-process socket job,
-/// each process hosted on a thread: the recorded ranks run in process 1,
-/// the analyzer in process 0, whose outcome (the one carrying the report)
-/// is returned.
-fn replay_over_sockets(dir: &Path, coupling: &'static str) -> SessionOutcome {
-    let endpoint = common::fresh_unix_endpoint("replay");
-    let run = |endpoint: Endpoint, dir: PathBuf, proc_index| {
-        let socket = SocketConfig::new(endpoint).connect_timeout(Duration::from_secs(20));
-        replay(&dir, coupling).run_multiproc(socket, proc_index, 2)
-    };
-    let worker = {
-        let (endpoint, dir) = (endpoint.clone(), dir.to_path_buf());
-        std::thread::spawn(move || run(endpoint, dir, 1))
-    };
-    let sent = || common::obs_counter("transport_socket_bytes_sent_total");
-    let before = sent();
-    let outcome = run(endpoint, dir.to_path_buf(), 0).unwrap();
-    worker.join().unwrap().unwrap();
-    // Every recorded pack crossed the mesh.
-    let recorded: usize = read_dir(dir)
-        .unwrap()
-        .iter()
-        .flat_map(|(_, ranks)| ranks.iter().flatten())
-        .map(|pack| pack.len())
-        .sum();
-    assert!(sent() - before >= recorded as u64, "{coupling}");
-    outcome
+/// One workload of the table: its live session, and the mismatches its
+/// cells have found so far.
+struct Workload {
+    bench: Benchmark,
+    ranks: usize,
+    cells: usize,
+    mismatches: Vec<String>,
 }
 
-#[test]
-fn every_replay_is_the_direct_fold_and_the_online_digest() {
-    let m = tera100();
-    for (bench, ranks, iters) in [(Benchmark::Cg, 8, 2), (Benchmark::EulerMhd, 9, 16)] {
-        let make = || bench.build(Class::S, ranks, &m, Some(iters)).unwrap();
-        let mut disk = Vec::new();
-        for encoding in [PackEncoding::Fixed, PackEncoding::Delta] {
-            let what = format!("{}@{ranks} {encoding}", bench.name());
-            let live = |b: SessionBuilder| {
-                b.stream_config(StreamConfig {
-                    block_size: BLOCK,
-                    pack_encoding: encoding,
-                    ..StreamConfig::default()
-                })
-                .app_workload(bench.name(), make(), LiveOptions::default())
-            };
-            let online = live(analyzed(Session::builder()).analyzer_ranks(2))
-                .run()
-                .unwrap();
-            let dir = tmpdir(&format!("{}_{encoding}", bench.name()));
-            let recorded = live(Session::builder().sink(Sink::TraceDir(dir.clone())))
-                .run()
-                .unwrap();
-            assert!(recorded.report.apps.is_empty(), "{what}: no analyzer");
-            let wire: u64 = recorded.recorders.iter().map(|(_, s)| s.wire_bytes).sum();
-            let packs: u64 = recorded.recorders.iter().map(|(_, s)| s.packs).sum();
-            assert_eq!(bytes_on_disk(&dir), wire + 4 * packs, "{what}");
-            disk.push(bytes_on_disk(&dir));
-            assert!(packs >= 3 * ranks as u64, "{what}: {packs} packs");
+/// What every cell of one recording and width is compared with: one
+/// engine's fold of the recorded packs.
+struct Reference {
+    partials: Vec<u8>,
+    markdown: String,
+}
 
-            for window in WINDOWS {
-                let fold = direct_fold(&dir, ranks, window);
-                for (coupling, builder) in replays(&dir, window) {
-                    let what = format!("{what} {window:?}: the {coupling} replay");
-                    let outcome = builder.run().unwrap();
-                    let app = &outcome.report.apps[0];
-                    assert_eq!(app.name, "app0", "{what}");
-                    let (ws, series) = (app.waitstate.as_ref().unwrap(), app.metrics.as_ref());
-                    assert!(
-                        ws.matched > 0 && series.is_some_and(|s| !s.is_empty()),
-                        "{what}"
-                    );
-                    if window.is_none() {
-                        assert!(series.is_some_and(|s| s.len() <= 64), "{what}");
-                    }
-                    assert_same_report(&outcome.report, &fold, &what);
-                    assert_eq!(
-                        stable_digest(&outcome.report),
-                        stable_digest(&online.report),
-                        "{what} differs from the online run"
-                    );
-                }
-            }
-            std::fs::remove_dir_all(&dir).unwrap();
+impl Workload {
+    fn new(bench: Benchmark) -> Workload {
+        let ranks = (4..).find(|&n| bench.supports_ranks(Class::S, n)).unwrap();
+        Workload {
+            bench,
+            ranks,
+            cells: 0,
+            mismatches: Vec::new(),
         }
-        // File sinks write the session's encoding: Delta rows are smaller.
-        assert!(disk[1] < disk[0], "{}: {disk:?}", bench.name());
     }
-}
 
-#[test]
-fn sion_recording_replays_to_the_online_digest() {
-    let m = tera100();
-    let make = || Benchmark::Cg.build(Class::S, 8, &m, Some(2)).unwrap();
-    let online = Session::builder()
-        .app_workload("cg", make(), LiveOptions::default())
-        .run()
-        .unwrap();
-    let dir = tmpdir("sion");
-    Session::builder()
-        .sink(Sink::Sion(dir.clone()))
-        .pack_encoding(PackEncoding::Delta)
-        .app_workload("cg", make(), LiveOptions::default())
-        .run()
-        .unwrap();
-    for (coupling, builder) in replays(&dir, Some(WINDOW_NS)) {
-        let outcome = builder.run().unwrap();
-        assert_eq!(
-            stable_digest(&outcome.report),
-            stable_digest(&online.report),
-            "SION {coupling} replay"
-        );
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Replay over the socket transport: a trace-file and a SION recording,
-/// their ranks in one thread-hosted process and the analyzer in another,
-/// fold to the in-process replay's partials and rendered report byte for
-/// byte, wait states, metrics and temporal map included, and to the
-/// online run's digest.
-#[test]
-fn socket_replay_is_the_in_process_replay() {
-    let m = tera100();
-    let make = || Benchmark::Cg.build(Class::S, 8, &m, Some(2)).unwrap();
-    let online = analyzed(Session::builder())
-        .app_workload("cg", make(), LiveOptions::default())
-        .run()
-        .unwrap();
-    for tag in ["trace", "sion"] {
-        let dir = tmpdir(&format!("socket_{tag}"));
-        let sink = match tag {
-            "trace" => Sink::TraceDir(dir.clone()),
-            _ => Sink::Sion(dir.clone()),
-        };
-        Session::builder()
-            .sink(sink)
+    /// The live session of the workload, streaming `encoding` rows in
+    /// [`BLOCK`]-byte blocks.
+    fn live(&self, builder: SessionBuilder, encoding: PackEncoding) -> SessionBuilder {
+        let workload = self
+            .bench
+            .build(Class::S, self.ranks, &tera100(), Some(2))
+            .unwrap();
+        builder
             .stream_config(StreamConfig {
                 block_size: BLOCK,
+                pack_encoding: encoding,
                 ..StreamConfig::default()
             })
-            .app_workload("cg", make(), LiveOptions::default())
-            .run()
-            .unwrap();
-        for coupling in ["Direct@3", "Tbon{2} Aggregate@3", "Serving@1"] {
-            let inproc = replay(&dir, coupling).run().unwrap();
-            let sock = replay_over_sockets(&dir, coupling);
-            assert_same_report(
-                &sock.report,
-                &inproc.report,
-                &format!("{tag} {coupling}: the socket replay against the in-process one"),
+            .app_workload(self.bench.name(), workload, LiveOptions::default())
+    }
+
+    fn fail(&mut self, cell: &str, what: impl std::fmt::Display) {
+        self.mismatches.push(format!("{cell}: {what}"));
+    }
+
+    /// Runs the online column; returns its one digest.
+    fn online(&mut self) -> u64 {
+        let mut seen: Option<(u64, u64)> = None;
+        for (name, encoding, compression) in ONLINE {
+            let cell = format!("online {name} {encoding} {compression:?}");
+            let builder = pipeline(analyzed(Session::builder(), None), name);
+            let outcome = match self.live(builder, encoding).compression(compression).run() {
+                Ok(o) => o,
+                Err(e) => {
+                    self.fail(&cell, format!("session failed: {e}"));
+                    continue;
+                }
+            };
+            let app = &outcome.report.apps[0];
+            let transfers = app.waitstate.as_ref().map(|w| w.matched + w.unmatched);
+            let got = (
+                stable_digest(&outcome.report),
+                transfers.unwrap_or(u64::MAX),
             );
-            assert_eq!(
-                stable_digest(&sock.report),
-                stable_digest(&online.report),
-                "{tag} {coupling}: the socket replay differs from the online run"
+            match seen {
+                None => seen = Some(got),
+                Some(want) if want == got => {}
+                Some(want) => {
+                    self.fail(&cell, format!("(digest, transfers) {got:?}, not {want:?}"))
+                }
+            }
+        }
+        seen.map_or(0, |(digest, _)| digest)
+    }
+
+    /// Records the workload into `dir`, checks what lies on disk and
+    /// returns its size.
+    fn record(&mut self, (encoding, sion): Recording, dir: &Path) -> u64 {
+        let cell = format!("recording {encoding} sion={sion}");
+        let sink = match sion {
+            true => Sink::Sion(dir.to_path_buf()),
+            false => Sink::TraceDir(dir.to_path_buf()),
+        };
+        let recorded = self.live(Session::builder().sink(sink), encoding).run();
+        let recorded = recorded.unwrap();
+        if !recorded.report.apps.is_empty() {
+            self.fail(&cell, "a file sink launched an analyzer");
+        }
+        let packs: u64 = recorded.recorders.iter().map(|(_, s)| s.packs).sum();
+        let wire: u64 = recorded.recorders.iter().map(|(_, s)| s.wire_bytes).sum();
+        let (mut files, mut containers, mut bytes) = (0, 0, 0);
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            files += usize::from(path.extension().is_some_and(|x| x == "opmr"));
+            containers += usize::from(path.extension().is_some_and(|x| x == "sion"));
+            bytes += path.metadata().unwrap().len();
+        }
+        if sion {
+            // One container, demultiplexed into one chunk per rank.
+            let chunks = read_sion(&RecordingFile::Sion { app: 0 }.path(dir)).unwrap();
+            if (files, containers, chunks.len()) != (0, 1, self.ranks)
+                || chunks.iter().any(|(_, c)| c.is_empty())
+            {
+                self.fail(&cell, format!("{files} files, {containers} containers"));
+            }
+        } else if (files, containers, bytes) != (self.ranks, 0, wire + 4 * packs) {
+            self.fail(
+                &cell,
+                format!("{files} files of {bytes} B for {packs} packs"),
             );
+        }
+        bytes
+    }
+
+    /// One engine folding every recorded pack, rank by rank, at `width`.
+    fn reference(&mut self, dir: &Path, width: Option<u64>) -> Reference {
+        let engine = AnalysisEngine::new(EngineConfig::default());
+        engine.enable_waitstate();
+        if let Some(window_ns) = width {
+            engine.enable_metrics(MetricsConfig { window_ns });
+        }
+        engine.start();
+        for (_, ranks) in read_dir(dir).unwrap() {
+            for pack in ranks.into_iter().flatten() {
+                engine.post_block(pack);
+            }
+        }
+        let report = engine.finish();
+        let app = &report.apps[0];
+        let series = app.metrics.as_ref().map_or(0, |s| s.len());
+        let markdown = to_markdown(&report);
+        if app.waitstate.is_none()
+            || series == 0
+            || (width.is_none() && series > 64)
+            || !markdown.contains("### Temporal map")
+        {
+            self.fail(&format!("reference {width:?}"), format!("{series} windows"));
+        }
+        Reference {
+            partials: encode_partials(&report.to_partials()).to_vec(),
+            markdown,
+        }
+    }
+
+    /// One cell: its outcome must be the reference, byte for byte, and
+    /// carry the online digest.
+    fn cell(
+        &mut self,
+        cell: String,
+        outcome: Result<SessionOutcome, SessionError>,
+        want: &Reference,
+        online: u64,
+    ) {
+        self.cells += 1;
+        let report: MultiReport = match outcome {
+            Ok(o) => o.report,
+            Err(e) => return self.fail(&cell, format!("session failed: {e}")),
+        };
+        if encode_partials(&report.to_partials())[..] != want.partials[..] {
+            self.fail(&cell, "partials differ from the reference fold");
+        }
+        if to_markdown(&report) != want.markdown {
+            self.fail(&cell, "rendered report differs from the reference fold");
+        }
+        if stable_digest(&report) != online {
+            self.fail(&cell, "digest differs from the online run");
+        }
+    }
+
+    fn finish(self, column: &str, online_runs: usize, start: Instant) {
+        println!(
+            "oracle {} {column}: {} cells and {online_runs} online runs in {:.2} s",
+            self.bench.name(),
+            self.cells,
+            start.elapsed().as_secs_f64()
+        );
+        assert!(
+            self.mismatches.is_empty(),
+            "{} {column}: {} mismatches\n{}",
+            self.bench.name(),
+            self.mismatches.len(),
+            self.mismatches.join("\n")
+        );
+    }
+}
+
+/// The online column and every in-process cell of `bench`.
+fn in_process(bench: Benchmark) {
+    let start = Instant::now();
+    let mut w = Workload::new(bench);
+    let online = w.online();
+    let mut trace_bytes = Vec::new();
+    for recording in RECORDINGS {
+        let (encoding, sion) = recording;
+        let dir = tmpdir(&format!("oracle_{}_{encoding}_{sion}", bench.name()));
+        let bytes = w.record(recording, &dir);
+        if !sion {
+            trace_bytes.push(bytes);
+        }
+        for width in WIDTHS {
+            let want = w.reference(&dir, width);
+            for compression in COMPRESSIONS {
+                for name in PIPELINES {
+                    let cell = format!("{encoding} sion={sion} {width:?} {compression:?} {name}");
+                    let outcome = replay(&dir, width, compression, name).run();
+                    w.cell(cell, outcome, &want, online);
+                }
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+    // File sinks write the session's encoding: Delta rows are smaller.
+    if trace_bytes[1] >= trace_bytes[0] {
+        w.fail(
+            "recordings",
+            format!("Delta is no smaller: {trace_bytes:?}"),
+        );
+    }
+    w.finish("in process", ONLINE.len(), start);
+}
+
+/// The socket cells of `bench`: its Delta trace recording replayed with
+/// LZ4 over two thread-hosted processes, every pack crossing the mesh.
+fn over_sockets(bench: Benchmark) {
+    let start = Instant::now();
+    let mut w = Workload::new(bench);
+    let live = w.live(analyzed(Session::builder(), None), PackEncoding::Delta);
+    let online = stable_digest(&live.run().unwrap().report);
+    let dir = tmpdir(&format!("oracle_{}_socket", bench.name()));
+    w.record((PackEncoding::Delta, false), &dir);
+    let recorded: u64 = read_dir(&dir)
+        .unwrap()
+        .iter()
+        .flat_map(|(_, ranks)| ranks.iter().flatten())
+        .map(|pack| pack.len() as u64)
+        .sum();
+    for width in WIDTHS {
+        let want = w.reference(&dir, width);
+        for name in PIPELINES {
+            let cell = format!("socket {width:?} {name}");
+            let sent = || common::obs_counter("transport_socket_bytes_sent_total");
+            let before = sent();
+            let outcome = run_session_threads(2, None, None, || {
+                replay(&dir, width, Compression::Lz4, name)
+            });
+            if sent() - before < recorded {
+                w.fail(&cell, "the recorded packs did not cross the mesh");
+            }
+            w.cell(cell, outcome, &want, online);
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    w.finish("over sockets", 1, start);
+}
+
+/// One module per catalogue workload, so the harness runs them in
+/// parallel; `socket` in a name selects the socket cells.
+macro_rules! oracle {
+    ($($module:ident: $bench:ident),* $(,)?) => {
+        $(mod $module {
+            use super::Benchmark::$bench;
+
+            #[test]
+            fn in_process() {
+                super::in_process($bench);
+            }
+
+            #[test]
+            fn socket() {
+                super::over_sockets($bench);
+            }
+        })*
+
+        /// The table covers the whole catalogue.
+        #[test]
+        fn every_catalogue_workload_has_a_row() {
+            assert_eq!([$(Benchmark::$bench),*], BENCHMARKS);
+        }
+    };
+}
+
+oracle! {
+    bt: Bt,
+    cg: Cg,
+    ft: Ft,
+    lu: Lu,
+    sp: Sp,
+    euler_mhd: EulerMhd,
+    irregular: Irregular,
+    straggler: Straggler,
+    bursty: Bursty,
 }
 
 /// A replay's recorded applications are placed like live ones, counted
@@ -307,49 +428,28 @@ fn socket_replay_is_the_in_process_replay() {
 /// configuration error, not a silent fallback to process 0.
 #[test]
 fn placed_socket_replay_counts_the_recorded_apps_first() {
-    let m = tera100();
-    let make = || Benchmark::Cg.build(Class::S, 8, &m, Some(2)).unwrap();
-    let online = analyzed(Session::builder())
-        .app_workload("cg", make(), LiveOptions::default())
-        .run()
-        .unwrap();
-    let dir = tmpdir("placed");
-    Session::builder()
-        .sink(Sink::TraceDir(dir.clone()))
-        .stream_config(StreamConfig {
-            block_size: BLOCK,
-            ..StreamConfig::default()
-        })
-        .app_workload("cg", make(), LiveOptions::default())
-        .run()
-        .unwrap();
-    let inproc = replay(&dir, "Direct@1").run().unwrap();
-
-    let endpoint = common::fresh_unix_endpoint("replay-placed");
-    let run = |endpoint: Endpoint, dir: PathBuf, proc_index, placement: Vec<usize>| {
-        let socket = SocketConfig::new(endpoint).connect_timeout(Duration::from_secs(20));
-        replay(&dir, "Direct@1").run_multiproc_placed(socket, proc_index, 3, placement)
-    };
-    let workers: Vec<_> = [1, 2]
-        .map(|p| {
-            let (endpoint, dir) = (endpoint.clone(), dir.clone());
-            std::thread::spawn(move || run(endpoint, dir, p, vec![2]))
-        })
-        .into_iter()
-        .collect();
-    let placed = run(endpoint, dir.clone(), 0, vec![2]).unwrap();
-    for w in workers {
-        w.join().unwrap().unwrap();
-    }
+    let w = Workload::new(Benchmark::Cg);
+    let online = w.live(analyzed(Session::builder(), None), PackEncoding::Fixed);
+    let online = stable_digest(&online.run().unwrap().report);
+    let dir = tmpdir("replay_placed");
+    w.live(
+        Session::builder().sink(Sink::TraceDir(dir.clone())),
+        PackEncoding::Fixed,
+    )
+    .run()
+    .unwrap();
+    let replayed = || replay(&dir, None, Compression::None, "Direct@1");
+    let inproc = replayed().run().unwrap();
+    let placed = run_session_threads(3, Some(vec![2]), None, replayed).unwrap();
     assert!(
         encode_partials(&placed.report.to_partials())
             == encode_partials(&inproc.report.to_partials()),
         "the placed socket replay differs from the in-process one"
     );
-    assert_eq!(stable_digest(&placed.report), stable_digest(&online.report));
+    assert_eq!(stable_digest(&placed.report), online);
 
-    let endpoint = common::fresh_unix_endpoint("replay-placed-live-only");
-    match run(endpoint, dir.clone(), 0, Vec::new()) {
+    let socket = opmr::runtime::SocketConfig::new(common::fresh_unix_endpoint("placed"));
+    match replayed().run_multiproc_placed(socket, 0, 3, Vec::new()) {
         Err(SessionError::Config(msg)) => assert!(msg.contains("placement"), "{msg}"),
         other => panic!("a live-only placement was not refused: {:?}", other.err()),
     }

@@ -16,10 +16,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
 mod common;
-use common::{fresh_unix_endpoint, launched_worker, run_os_peers};
+use common::{fresh_unix_endpoint, launched_worker, run_os_peers, run_session_threads};
 
 use opmr::analysis::report::stable_digest;
-use opmr::core::{Session, SessionBuilder, SessionError, SessionOutcome};
+use opmr::core::{Session, SessionBuilder, SessionError};
 use opmr::launch::JobSpec;
 use opmr::runtime::{Endpoint, SocketConfig, Src, TagSel};
 use std::time::Duration;
@@ -51,46 +51,25 @@ fn socket_cfg(endpoint: Endpoint) -> SocketConfig {
     SocketConfig::new(endpoint).connect_timeout(Duration::from_secs(20))
 }
 
-fn run_proc(endpoint: Endpoint, proc_index: usize) -> Result<SessionOutcome, SessionError> {
-    demo_session().run_multiproc(socket_cfg(endpoint), proc_index, 2)
-}
-
 // ---------------------------------------------------------------------
 // Shape 1 vs shape 2: in-process vs thread-hosted socket processes.
 // ---------------------------------------------------------------------
 #[test]
 fn socket_session_report_is_byte_identical_to_inproc() {
     let direct = demo_session().run().expect("in-process session");
-    let want = stable_digest(&direct.report);
-
-    let endpoint = fresh_unix_endpoint("session");
-    let worker = {
-        let endpoint = endpoint.clone();
-        std::thread::spawn(move || run_proc(endpoint, 1))
-    };
-    let sock = run_proc(endpoint, 0).expect("socket session, process 0");
-    let remote = worker.join().unwrap().expect("socket session, process 1");
-
+    // Every process pre-registers the app chapters by name, but only
+    // process 0's engine ever receives packs: the helper checks that the
+    // worker's report is an empty shell.
+    let sock = run_session_threads(2, None, None, demo_session).expect("socket session");
     assert_eq!(
         stable_digest(&sock.report),
-        want,
+        stable_digest(&direct.report),
         "the socket-transport report must be byte-identical to in-process"
     );
     assert_eq!(
         sock.report.apps.len(),
         direct.report.apps.len(),
         "same chapters in both reports"
-    );
-    // Every process pre-registers the app chapters by name, but only
-    // process 0's engine ever receives packs: the worker's report is an
-    // empty shell.
-    assert!(
-        remote
-            .report
-            .apps
-            .iter()
-            .all(|a| a.events == 0 && a.packs == 0),
-        "only process 0 (which hosts the engine) observes events"
     );
 }
 
@@ -99,22 +78,9 @@ fn socket_session_report_is_byte_identical_to_inproc() {
 // i → process placement[i]) must not change a byte of the analysis, and
 // invalid placements are typed configuration errors, not hangs.
 // ---------------------------------------------------------------------
-/// Runs a three-process job as threads; returns process 0's report digest.
-fn three_procs(
-    tag: &str,
-    run: impl Fn(Endpoint, usize) -> Result<SessionOutcome, SessionError> + Clone + Send + 'static,
-) -> u64 {
-    let endpoint = fresh_unix_endpoint(tag);
-    let workers: Vec<_> = (1..3)
-        .map(|p| {
-            let (endpoint, run) = (endpoint.clone(), run.clone());
-            std::thread::spawn(move || run(endpoint, p))
-        })
-        .collect();
-    let sock = run(endpoint, 0).expect("process 0");
-    for w in workers {
-        w.join().unwrap().expect("worker process");
-    }
+/// Process 0's report digest of a three-process job as threads.
+fn three_procs(placement: Option<Vec<usize>>) -> u64 {
+    let sock = run_session_threads(3, placement, None, demo_session).expect("socket session");
     stable_digest(&sock.report)
 }
 
@@ -126,24 +92,17 @@ fn explicit_placement_keeps_the_report_byte_identical() {
     // Three processes, but the single app partition is pinned to p2 —
     // the derived policy would have used p1, so this exercises a
     // genuinely different mesh shape.
-    let pinned = three_procs("placed", |ep, p| {
-        demo_session().run_multiproc_placed(socket_cfg(ep), p, 3, vec![2])
-    });
     assert_eq!(
-        pinned, want,
+        three_procs(Some(vec![2])),
+        want,
         "explicit placement must not change the analysis output"
     );
 
     // `run_multiproc` is `run_multiproc_placed` with the derived
     // placement: app partition i on process 1 + i % (procs - 1).
-    let derived = three_procs("derived", |ep, p| {
-        demo_session().run_multiproc(socket_cfg(ep), p, 3)
-    });
-    let placed = three_procs("derived-placed", |ep, p| {
-        demo_session().run_multiproc_placed(socket_cfg(ep), p, 3, vec![1])
-    });
+    let derived = three_procs(None);
     assert_eq!(derived, want);
-    assert_eq!(placed, derived);
+    assert_eq!(three_procs(Some(vec![1])), derived);
 }
 
 #[test]
