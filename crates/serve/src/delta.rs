@@ -193,20 +193,29 @@ fn encode_app_sparse(
         return Ok(None);
     }
     // Metrics windows only accumulate, so changed (or new) windows travel
-    // as per-window replacement values — the "delta chain over windows".
-    // A series at another width (an adaptive series coarsened) travels as
+    // as per-window replacement values — the "delta chain over windows" —
+    // and the snapshot section is rewritten from the first of them. A
+    // series at another width (an adaptive series coarsened) travels as
     // its new width and every window, which the receiver takes as a
-    // restarted series. A vanished series or window travels full.
-    let (windows, restarted) = match (&from.metrics, &to.metrics) {
+    // restarted series, so the whole section is rewritten. A vanished
+    // series or window travels full.
+    let (windows, windows_from) = match (&from.metrics, &to.metrics) {
         (Some(_), None) => return Ok(None),
-        (None, None) => (None, false),
-        (None, Some(m)) => (Some(m.window_indices().collect()), false),
+        (None, None) => (None, None),
+        (None, Some(m)) => {
+            let windows: Vec<u64> = m.window_indices().collect();
+            let first = windows.first().copied();
+            (Some(windows), first)
+        }
         (Some(prev), Some(m)) if m.window_ns() != prev.window_ns() => {
-            (Some(m.window_indices().collect()), true)
+            (Some(m.window_indices().collect()), Some(0))
         }
         (Some(prev), Some(m)) => match m.changed_since(prev) {
             None => return Ok(None),
-            Some(changed) => (Some(changed).filter(|c: &Vec<u64>| !c.is_empty()), false),
+            Some(changed) => {
+                let first = changed.first().copied();
+                (first.map(|_| changed), first)
+            }
         },
     };
 
@@ -283,13 +292,7 @@ fn encode_app_sparse(
     }
     Ok(Some(match windows {
         None if !head_moved => AppChange::Unchanged,
-        // A restarted series rewrites its whole section.
-        _ if restarted => AppChange::Sparse {
-            windows_from: Some(0),
-        },
-        windows => AppChange::Sparse {
-            windows_from: windows.and_then(|w| w.first().copied()),
-        },
+        _ => AppChange::Sparse { windows_from },
     }))
 }
 

@@ -31,20 +31,23 @@ use opmr::core::{
     Coupling, LiveOptions, Session, SessionBuilder, SessionError, SessionOutcome, Sink,
 };
 use opmr::events::recording::{read_dir, read_sion, RecordingFile};
-use opmr::events::{Compression, PackEncoding};
+use opmr::events::{Compression, EventKind, PackEncoding};
 use opmr::metrics::MetricsConfig;
 use opmr::netsim::tera100;
 use opmr::reduce::ReduceOp;
 use opmr::vmpi::StreamConfig;
 use opmr::workloads::{Benchmark, Class, BENCHMARKS};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 mod common;
 use common::{run_session_threads, tmpdir};
 
-/// Small blocks, so every rank records many packs and a replay has many
-/// cross-rank interleavings to get wrong.
+/// Small blocks, so every rank of a Fixed recording writes at least two
+/// packs (CG and LU dozens) and a replay has cross-rank interleavings to
+/// get wrong. A Delta recording of a short workload may hold a rank in
+/// one pack.
 const BLOCK: usize = 256;
 
 /// The series widths every recording is replayed at: `.metrics(1 ms)`,
@@ -216,6 +219,10 @@ impl Workload {
             self.fail(&cell, "a file sink launched an analyzer");
         }
         let packs: u64 = recorded.recorders.iter().map(|(_, s)| s.packs).sum();
+        let fewest = recorded.recorders.iter().map(|(_, s)| s.packs).min();
+        if encoding == PackEncoding::Fixed && fewest < Some(2) {
+            self.fail(&cell, format!("a rank recorded {fewest:?} packs"));
+        }
         let wire: u64 = recorded.recorders.iter().map(|(_, s)| s.wire_bytes).sum();
         let (mut files, mut containers, mut bytes) = (0, 0, 0);
         for entry in std::fs::read_dir(dir).unwrap() {
@@ -258,12 +265,19 @@ impl Workload {
         let app = &report.apps[0];
         let series = app.metrics.as_ref().map_or(0, |s| s.len());
         let markdown = to_markdown(&report);
-        if app.waitstate.is_none()
+        // Every workload but FT (collectives only) matches transfers.
+        let p2p = app.profile.kinds().into_iter().any(EventKind::is_p2p);
+        let matched = app.waitstate.as_ref().map(|w| w.matched);
+        if matched.is_none()
+            || (p2p && matched == Some(0))
             || series == 0
             || (width.is_none() && series > 64)
             || !markdown.contains("### Temporal map")
         {
-            self.fail(&format!("reference {width:?}"), format!("{series} windows"));
+            self.fail(
+                &format!("reference {width:?}"),
+                format!("{matched:?} matched, {series} windows"),
+            );
         }
         Reference {
             partials: encode_partials(&report.to_partials()).to_vec(),
@@ -348,6 +362,10 @@ fn in_process(bench: Benchmark) {
     w.finish("in process", ONLINE.len(), start);
 }
 
+/// Held by every socket run of this binary, so the process-wide count of
+/// socket bytes sent moves, over a run, by that run's traffic alone.
+static MESH: Mutex<()> = Mutex::new(());
+
 /// The socket cells of `bench`: its Delta trace recording replayed with
 /// LZ4 over two thread-hosted processes, every pack crossing the mesh.
 fn over_sockets(bench: Benchmark) {
@@ -368,11 +386,14 @@ fn over_sockets(bench: Benchmark) {
         for name in PIPELINES {
             let cell = format!("socket {width:?} {name}");
             let sent = || common::obs_counter("transport_socket_bytes_sent_total");
+            let mesh = MESH.lock().unwrap_or_else(PoisonError::into_inner);
             let before = sent();
             let outcome = run_session_threads(2, None, None, || {
                 replay(&dir, width, Compression::Lz4, name)
             });
-            if sent() - before < recorded {
+            let moved = sent() - before;
+            drop(mesh);
+            if moved < recorded {
                 w.fail(&cell, "the recorded packs did not cross the mesh");
             }
             w.cell(cell, outcome, &want, online);
@@ -440,6 +461,7 @@ fn placed_socket_replay_counts_the_recorded_apps_first() {
     .unwrap();
     let replayed = || replay(&dir, None, Compression::None, "Direct@1");
     let inproc = replayed().run().unwrap();
+    let _mesh = MESH.lock().unwrap_or_else(PoisonError::into_inner);
     let placed = run_session_threads(3, Some(vec![2]), None, replayed).unwrap();
     assert!(
         encode_partials(&placed.report.to_partials())
