@@ -66,7 +66,7 @@ pub use socket::{
 pub use transport::{InProc, Transport};
 
 /// Errors surfaced by the runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RtError {
     /// A rank referenced a peer outside the communicator.
     InvalidRank { rank: usize, comm_size: usize },

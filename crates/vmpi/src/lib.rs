@@ -32,7 +32,7 @@ pub use stream::{Balance, Block, ReadMode, ReadStream, StreamConfig, WriteStream
 pub use virt::Vmpi;
 
 /// Errors produced by the coupling layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum VmpiError {
     /// Underlying runtime failure.
     Runtime(opmr_runtime::RtError),

@@ -905,47 +905,6 @@ fn sender_stalled_transport_blocks_the_writer_at_n_async() {
 }
 
 #[test]
-fn sender_busy_block_counts_against_the_window() {
-    // Every send from the writer's rank sleeps 300 ms, so the sender holds
-    // the first block that long. That block is pending too: with it and
-    // two queued the window is full, and the next hand-off blocks until
-    // the sender is done with it.
-    let _alone = window_tests();
-    const N_ASYNC: usize = 3;
-    let cfg = lz4_cfg(2048, N_ASYNC);
-    Launcher::new()
-        .fault_plan(FaultPlan::seeded(7).with_slow_rank(0, Duration::from_millis(300)))
-        .partition("w", 1, move |mpi| {
-            let v = Vmpi::new(mpi).unwrap();
-            let faults = Arc::clone(v.mpi().universe().fault_layer().unwrap());
-            let mut st = WriteStream::open_to(&v, vec![1], cfg, 28).unwrap();
-            st.write(&payload(0, 2048, true)).unwrap();
-            while faults.stats().slow_hits == 0 {
-                std::thread::yield_now();
-            }
-            for i in 1..N_ASYNC {
-                st.write(&payload(i as u8, 2048, true)).unwrap();
-            }
-            assert_eq!(st.blocks_pending(), N_ASYNC);
-            st.write(&payload(N_ASYNC as u8, 2048, true)).unwrap();
-            assert_eq!(st.backpressure_waits(), 1);
-            st.close().unwrap();
-        })
-        .partition("r", 1, move |mpi| {
-            let v = Vmpi::new(mpi).unwrap();
-            let mut st = ReadStream::open_from(&v, vec![0], cfg, 28).unwrap();
-            let mut i = 0;
-            while let Some(b) = st.read(ReadMode::Blocking).unwrap() {
-                assert_eq!(b.data[..], payload(i as u8, 2048, true)[..]);
-                i += 1;
-            }
-            assert_eq!(i, N_ASYNC + 1);
-        })
-        .run()
-        .unwrap();
-}
-
-#[test]
 fn sender_failure_is_typed_on_the_writers_next_call() {
     // The fault plan makes the writer's third send unreachable. The
     // sender fails it; the writer hears of it on a later call, on every

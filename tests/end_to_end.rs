@@ -156,21 +156,6 @@ fn multi_app_report_renders_everywhere() {
 }
 
 #[test]
-fn analyzer_ratio_sweep_preserves_results() {
-    // The writer/reader ratio changes resources, never results.
-    let m = tera100();
-    let digests: Vec<u64> = [1, 2, 4]
-        .map(|analyzers| {
-            let lu = Benchmark::Lu.build(Class::S, 8, &m, Some(2)).unwrap();
-            let session = Session::builder().analyzer_ranks(analyzers);
-            let outcome = session.app_workload("lu", lu, LiveOptions::default()).run();
-            stable_digest(&outcome.unwrap().report)
-        })
-        .into();
-    assert!(digests.windows(2).all(|d| d[0] == d[1]), "{digests:?}");
-}
-
-#[test]
 fn self_monitoring_streams_registry_through_the_pipeline() {
     // Dogfooding: with self-monitoring enabled, a hidden one-rank app
     // samples the process-wide observability registry and streams the
