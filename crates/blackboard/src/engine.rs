@@ -18,9 +18,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 // Blackboard pressure metrics for the self-monitoring snapshot: posts,
-// drops, KS invocations, and the job backlog depth seen at enqueue time.
+// drops, KS invocations, the job backlog depth seen at enqueue time and
+// the jobs outstanding now (summed over the process's boards).
 mod obs {
-    use opmr_obs::{registry, Counter, Histogram};
+    use opmr_obs::{registry, Counter, Gauge, Histogram};
     use std::sync::{Arc, OnceLock};
 
     pub(super) struct BoardMetrics {
@@ -31,6 +32,7 @@ mod obs {
         pub worker_failures: Arc<Counter>,
         pub worker_wakeups: Arc<Counter>,
         pub backlog: Arc<Histogram>,
+        pub outstanding: Arc<Gauge>,
     }
 
     pub(super) fn m() -> &'static BoardMetrics {
@@ -45,6 +47,7 @@ mod obs {
                 worker_failures: r.counter("blackboard_worker_failures_total"),
                 worker_wakeups: r.counter("blackboard_worker_wakeups_total"),
                 backlog: r.histogram("blackboard_job_backlog"),
+                outstanding: r.gauge("blackboard_jobs_outstanding"),
             }
         })
     }
@@ -147,14 +150,19 @@ struct Inner {
     /// Parked workers wait here; `enqueue` signals it only when
     /// `sleepers` says somebody is parked.
     sleep_cv: Condvar,
-    /// Drainers wait here for `outstanding` to reach zero.
+    /// Drainers wait here for `outstanding` to fall to their bound.
     idle_cv: Condvar,
     /// Workers parked on `sleep_cv` or about to be. Changed only under
     /// `sleep_lock`; `enqueue` reads it without the lock.
     sleepers: AtomicUsize,
     /// Drainers waiting on `idle_cv` or about to. Changed only under
-    /// `sleep_lock`; the last job's `execute` reads it without the lock.
+    /// `sleep_lock`; `execute` reads it without the lock.
     drainers: AtomicUsize,
+    /// At least the largest bound a drainer waits for (see
+    /// [`Blackboard::drain_to`]): raised under `sleep_lock` by each drainer
+    /// before its last look, reset to 0 by the last one out. `execute`
+    /// wakes the drainers once `outstanding` is at or under it.
+    drain_bound: AtomicUsize,
     next_ks: AtomicU64,
     queue_pick: AtomicUsize,
     stat_posted: AtomicU64,
@@ -191,6 +199,7 @@ impl Blackboard {
                 idle_cv: Condvar::new(),
                 sleepers: AtomicUsize::new(0),
                 drainers: AtomicUsize::new(0),
+                drain_bound: AtomicUsize::new(0),
                 next_ks: AtomicU64::new(1),
                 queue_pick: AtomicUsize::new(0),
                 stat_posted: AtomicU64::new(0),
@@ -288,7 +297,9 @@ impl Blackboard {
 
     fn enqueue(&self, job: Job) {
         let backlog = self.inner.outstanding.fetch_add(1, Ordering::SeqCst);
-        obs::m().backlog.record(backlog as u64);
+        let m = obs::m();
+        m.backlog.record(backlog as u64);
+        m.outstanding.inc();
         // "Jobs are randomly pushed in an array of FIFOs": a striding
         // counter spreads jobs without a shared RNG.
         let pick = self.inner.queue_pick.fetch_add(1, Ordering::Relaxed);
@@ -349,14 +360,18 @@ impl Blackboard {
             obs::m().ks_panics.inc();
         }
         self.inner.stat_jobs.fetch_add(1, Ordering::Relaxed);
-        obs::m().ks_invocations.inc();
-        // Quiescent: wake the drainers, if any (a signal is a system call
-        // whether or not anyone waits). No wake-up is lost, as in
-        // `enqueue`: a drainer raises `drainers` under `sleep_lock` before
-        // its last look at `outstanding`, and this load comes after the
-        // decrement; the lock orders the signal after its wait began.
-        if self.inner.outstanding.fetch_sub(1, Ordering::SeqCst) == 1
-            && self.inner.drainers.load(Ordering::SeqCst) > 0
+        let m = obs::m();
+        m.ks_invocations.inc();
+        m.outstanding.dec();
+        // At a drainer's bound: wake the drainers, if any (a signal is a
+        // system call whether or not anyone waits). No wake-up is lost, as
+        // in `enqueue`: a drainer raises `drainers` and `drain_bound`
+        // under `sleep_lock` before its last look at `outstanding`, and
+        // these loads come after the decrement; the lock orders the signal
+        // after its wait began.
+        let left = self.inner.outstanding.fetch_sub(1, Ordering::SeqCst) - 1;
+        if self.inner.drainers.load(Ordering::SeqCst) > 0
+            && left <= self.inner.drain_bound.load(Ordering::SeqCst)
         {
             self.wake_drainers();
         }
@@ -449,30 +464,43 @@ impl Blackboard {
         }
     }
 
-    /// Blocks until no job is queued or executing. Only meaningful once all
-    /// external producers have finished posting.
+    /// Blocks until no job is queued or executing ([`Blackboard::drain_to`]
+    /// 0). Only meaningful once all external producers have finished
+    /// posting.
     pub fn drain(&self) {
+        self.drain_to(0);
+    }
+
+    /// Blocks until at most `n` jobs are queued or executing: a producer
+    /// that calls it after each post keeps the board's backlog bounded,
+    /// and stalls itself (and whatever feeds it) while the workers are
+    /// behind. Must not be called from inside an operation: a worker never
+    /// waits. With no live worker (never started, spawns failed, or all
+    /// died) the caller executes the backlog itself, so it cannot hang.
+    pub fn drain_to(&self, n: usize) {
         loop {
-            if self.inner.outstanding.load(Ordering::SeqCst) == 0 {
+            if self.inner.outstanding.load(Ordering::SeqCst) <= n {
                 return;
             }
-            // No live worker (never started, spawns failed, or all died):
-            // execute the backlog on this thread so drain cannot hang.
             if self.inner.live_workers.load(Ordering::SeqCst) == 0 {
                 self.run_inline();
                 continue;
             }
-            // Announce, then look: the last job's `execute` (or the last
-            // worker's exit) either sees the announcement and signals
-            // after this wait began, or came first and is seen here.
+            // Announce, then look: the job whose `execute` reaches the
+            // bound (or the last worker's exit) either sees the
+            // announcement and signals after this wait began, or came
+            // first and is seen here.
             let mut g = self.inner.sleep_lock.lock();
             self.inner.drainers.fetch_add(1, Ordering::SeqCst);
-            if self.inner.outstanding.load(Ordering::SeqCst) != 0
+            self.inner.drain_bound.fetch_max(n, Ordering::SeqCst);
+            if self.inner.outstanding.load(Ordering::SeqCst) > n
                 && self.inner.live_workers.load(Ordering::SeqCst) != 0
             {
                 self.inner.idle_cv.wait(&mut g);
             }
-            self.inner.drainers.fetch_sub(1, Ordering::SeqCst);
+            if self.inner.drainers.fetch_sub(1, Ordering::SeqCst) == 1 {
+                self.inner.drain_bound.store(0, Ordering::SeqCst);
+            }
         }
     }
 
@@ -515,6 +543,9 @@ impl Blackboard {
         }
     }
 }
+
+#[cfg(test)]
+mod explore;
 
 #[cfg(test)]
 mod tests {

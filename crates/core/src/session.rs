@@ -36,6 +36,19 @@ use std::time::Duration;
 /// [`SessionBuilder::self_monitor`].
 pub const SELF_MONITOR_APP: &str = "__obs";
 
+/// Board jobs a root analyzer lets stand per read credit (a source's
+/// `n_async` receives) before it reads its next block: the last link of
+/// the flow-control chain writer window → receives → board → workers.
+/// Measured on `firehose_packs` (2 writers, `n_async` 4, 2 workers, 2
+/// vCPUs; EXPERIMENTS.md "One flow-control rule"): `events_per_s` read
+/// −17 % against the parent at 1, −13 % at 4, −4.5 % at 16, −1 % at 64
+/// and −5 %…+2 % with no room at all. At 1 and 4 the root parks on the
+/// board at nearly every pack and each job's wake-up costs a context
+/// switch; 16 is the smallest multiple that keeps the median inside the
+/// run-to-run spread, and bounds the board at 128 packs there (its
+/// backlog p99 was 1 024).
+pub const ROOM_PER_CREDIT: usize = 16;
+
 /// How instrumented partitions couple to the analyzer partition.
 ///
 /// A session lowers its coupling once to a reduction [`Tree`] over the
@@ -919,6 +932,13 @@ fn analyzer_rank(
     for pid in 0..n_apps {
         map_partitions_directed(&v, pid, v.partition_id(), policy.clone(), &mut map)?;
     }
+    // A root reads from its leaves and its internal children, `n_async`
+    // receives each: its read credits. It posts a block only while fewer
+    // jobs than that (times `ROOM_PER_CREDIT`) are outstanding, so the
+    // block in its hand and the board's jobs stay within the room, and a
+    // slow KS stalls the reader and, through its receives, the writers.
+    let sources = map.peers().len() + tree.internal_children(v.rank()).count();
+    let room = sources * stream_cfg.n_async * ROOM_PER_CREDIT;
     let outcome = run_node(
         &v,
         tree,
@@ -929,6 +949,7 @@ fn analyzer_rank(
         |block| {
             if let Some(engine) = engine {
                 engine.post_block(block);
+                engine.blackboard().drain_to(room.saturating_sub(1));
             }
         },
     )?;

@@ -63,6 +63,12 @@ impl Gauge {
         self.v.store(n, Ordering::Relaxed);
     }
 
+    /// Raises the level to `n` if it is lower: a high-water mark.
+    #[inline]
+    pub fn raise(&self, n: i64) {
+        self.v.fetch_max(n, Ordering::Relaxed);
+    }
+
     pub fn get(&self) -> i64 {
         self.v.load(Ordering::Relaxed)
     }

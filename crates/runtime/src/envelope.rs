@@ -79,6 +79,12 @@ pub struct EnvelopeHeader {
 pub struct Envelope {
     pub header: EnvelopeHeader,
     pub payload: Bytes,
+    /// The sender waits until a receive holds the message (rendezvous): a
+    /// synchronous-mode send (`MPI_Issend`), or a standard one over
+    /// [`crate::Universe::DEFAULT_EAGER_LIMIT`] bytes. Otherwise the
+    /// send completes at delivery (eager). Local only: a link delivers
+    /// what it carries eagerly, its sender having completed at the link.
+    pub sync: bool,
 }
 
 impl Envelope {
@@ -118,6 +124,7 @@ mod tests {
                 tag,
             },
             payload: Bytes::from_static(b"xy"),
+            sync: false,
         }
     }
 

@@ -62,33 +62,25 @@ impl PartitionInfo {
 pub struct Universe {
     transport: Arc<dyn Transport>,
     partitions: Arc<Vec<PartitionInfo>>,
-    eager_limit: usize,
     epoch: Instant,
     /// Installed fault-injection layer, if the launcher configured one.
     fault: Option<Arc<FaultLayer>>,
 }
 
 impl Universe {
-    /// Default eager/rendezvous protocol switch-over, in bytes.
+    /// The eager/rendezvous switch-over of a standard-mode send, in
+    /// bytes: a larger one waits for a receive, like every
+    /// synchronous-mode send (`Mpi::issend_ctx`, what streams send data
+    /// frames with).
     pub const DEFAULT_EAGER_LIMIT: usize = 64 * 1024;
 
-    pub(crate) fn new(
-        partitions: Vec<PartitionInfo>,
-        eager_limit: usize,
-        fault_plan: Option<FaultPlan>,
-    ) -> Arc<Self> {
+    pub(crate) fn new(partitions: Vec<PartitionInfo>, fault_plan: Option<FaultPlan>) -> Arc<Self> {
         let total: usize = partitions.iter().map(|p| p.size).sum();
-        Self::with_transport(
-            partitions,
-            eager_limit,
-            fault_plan,
-            Arc::new(InProc::new(total)),
-        )
+        Self::with_transport(partitions, fault_plan, Arc::new(InProc::new(total)))
     }
 
     pub(crate) fn with_transport(
         partitions: Vec<PartitionInfo>,
-        eager_limit: usize,
         fault_plan: Option<FaultPlan>,
         transport: Arc<dyn Transport>,
     ) -> Arc<Self> {
@@ -97,7 +89,6 @@ impl Universe {
         Arc::new(Universe {
             transport,
             partitions: Arc::new(partitions),
-            eager_limit,
             epoch: Instant::now(),
             fault: fault_plan.map(|p| Arc::new(FaultLayer::new(p))),
         })
@@ -161,10 +152,6 @@ impl Universe {
 
     pub(crate) fn mark_rank_done(&self, world_rank: usize) {
         self.transport.mark_rank_done(world_rank);
-    }
-
-    pub(crate) fn eager_limit(&self) -> usize {
-        self.eager_limit
     }
 
     /// Seconds since the universe started (the runtime's `MPI_Wtime`).
@@ -271,7 +258,6 @@ impl std::error::Error for LaunchError {}
 #[derive(Clone)]
 pub struct Launcher {
     pub(crate) specs: Vec<PartitionSpec>,
-    pub(crate) eager_limit: usize,
     pub(crate) stack_size: Option<usize>,
     pub(crate) fault_plan: Option<FaultPlan>,
 }
@@ -286,7 +272,6 @@ impl Launcher {
     pub fn new() -> Self {
         Launcher {
             specs: Vec::new(),
-            eager_limit: Universe::DEFAULT_EAGER_LIMIT,
             stack_size: None,
             fault_plan: None,
         }
@@ -296,12 +281,6 @@ impl Launcher {
     /// stream plane of every rank's transport (see [`FaultPlan`]).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Overrides the eager/rendezvous switch-over (bytes).
-    pub fn eager_limit(mut self, bytes: usize) -> Self {
-        self.eager_limit = bytes;
         self
     }
 
@@ -393,11 +372,7 @@ impl Launcher {
     /// Spawns every rank, runs the job to completion and joins all threads.
     pub fn run(self) -> Result<(), LaunchError> {
         assert!(!self.specs.is_empty(), "no partitions configured");
-        let universe = Universe::new(
-            self.build_infos(),
-            self.eager_limit,
-            self.fault_plan.clone(),
-        );
+        let universe = Universe::new(self.build_infos(), self.fault_plan.clone());
         let failures = spawn_and_join(&universe, &self.specs, self.stack_size, |_| true);
         if failures.is_empty() {
             Ok(())
@@ -523,7 +498,6 @@ mod tests {
                     size: 2,
                 },
             ],
-            1024,
             None,
         );
         assert_eq!(uni.world_size(), 5);
@@ -607,7 +581,6 @@ mod tests {
                 first_world_rank: 0,
                 size: 1,
             }],
-            1024,
             None,
         );
         let a = uni.wtime();

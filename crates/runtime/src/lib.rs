@@ -11,7 +11,9 @@
 //! * **point-to-point** messaging with MPI matching rules
 //!   (`(communicator, source, tag)` plus `ANY_SOURCE` / `ANY_TAG`,
 //!   non-overtaking order), an **eager protocol** for small messages and a
-//!   **rendezvous protocol** with real sender back-pressure for large ones;
+//!   **rendezvous protocol** with real sender back-pressure for large ones
+//!   and for every **synchronous-mode** send (`Mpi::issend_ctx`, what
+//!   stream data frames use);
 //! * **non-blocking** operations returning [`Request`] handles;
 //! * **communicators** with `split` / `dup`, and
 //! * the usual **collectives** (barrier, bcast, reduce, allreduce, gather,

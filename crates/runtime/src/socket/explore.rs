@@ -61,7 +61,10 @@
 //!    states that is.
 //! 8. an input whose driver wakes no waiter ([`Input::wakes`]) changes no
 //!    phase and finishes no link, unless it installs a stream: a finalize,
-//!    a held send or presentation and a grace watch sleep until a wake-up.
+//!    a held send or presentation and a grace watch sleep until a wake-up;
+//! 9. a side never logs more than its cap of unacknowledged data frames
+//!    (`ProcDone` is exempt), and an input that lets a send held at the
+//!    cap go on (an ack, an install or a loss) wakes it.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
@@ -87,6 +90,8 @@ struct Bound {
     attempts: u8,
     /// Received frames between acknowledgements.
     ack_every: u64,
+    /// Unacknowledged data frames past which a `Send` waits.
+    tx_cap: usize,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -140,6 +145,8 @@ struct World {
     /// A cut took the dialer's ack of the acceptor's `ProcDone` after its
     /// write, and the dialer has installed no stream since.
     lost_last_ack: bool,
+    /// The bound's cap, for invariant 9.
+    tx_cap: usize,
 }
 
 type Check = Result<(), String>;
@@ -151,7 +158,9 @@ fn fail(what: impl Into<String>) -> Check {
 impl World {
     fn new(bound: Bound) -> Self {
         let side = |dials: bool| Side {
-            core: LinkCore::new(dials, None).with_ack_every(bound.ack_every),
+            core: LinkCore::new(dials, None)
+                .with_ack_every(bound.ack_every)
+                .with_tx_cap(bound.tx_cap),
             sent: 0,
             writer: None,
             // The first connection is dialed like a redial.
@@ -167,16 +176,30 @@ impl World {
             attempts: 0,
             early: false,
             lost_last_ack: false,
+            tx_cap: bound.tx_cap,
         }
     }
 
     /// Steps side `x` and severs its stream the way the driver does;
-    /// checks invariants 5 and 8.
+    /// checks invariants 5, 8 and 9.
     fn step(&mut self, x: usize, input: Input) -> Result<Act, String> {
+        let cap = self.tx_cap;
         let core = &self.side[x].core;
         let (before, gen, finished) = (core.phase(), core.gen(), core.finished());
+        let held = core.at_cap();
         let act = self.side[x].core.step(input.clone());
         let core = &self.side[x].core;
+        let data = core.unacked();
+        if data > cap {
+            return Err(format!(
+                "side {x} logs {data} frames unacknowledged, its cap {cap}"
+            ));
+        }
+        if held && !core.at_cap() && !input.wakes() && !is_install(act) {
+            return Err(format!(
+                "side {x}'s held send may go on after {input:?}, which wakes no waiter"
+            ));
+        }
         let woken = before != core.phase() || !finished && core.finished();
         if woken && !input.wakes() && !is_install(act) {
             return Err(format!(
@@ -365,7 +388,8 @@ fn moves(w: &World, bound: Bound) -> Result<Vec<Move>, String> {
     for x in [A, D] {
         let s = &w.side[x];
         let quiet = matches!(s.core.phase(), Phase::Up | Phase::Recovering | Phase::Done);
-        if s.sent < last && quiet && !s.core.wired() {
+        let free = s.sent + 1 == last || !s.core.at_cap();
+        if s.sent < last && quiet && free && !s.core.wired() {
             let mut n = w.clone();
             n.side[x].sent += 1;
             n.step(x, send(n.side[x].sent, last))?;
@@ -677,12 +701,22 @@ impl Model for Link {
 }
 
 /// The bound CI runs: three data frames and a `ProcDone` each way, two
-/// faults, and a first connection plus two redials.
+/// faults, and a first connection plus two redials, with a cap that never
+/// binds: every frame fits in the log.
 const DEFAULT: Bound = Bound {
     frames: 3,
     faults: 2,
     attempts: 3,
     ack_every: 2,
+    tx_cap: 8,
+};
+
+/// [`DEFAULT`] with the cap binding: a third data frame waits for the ack
+/// of the first two (an ack comes every second frame, so the cap is the
+/// smallest that cannot deadlock).
+const CAPPED: Bound = Bound {
+    tx_cap: 2,
+    ..DEFAULT
 };
 
 /// The states [`Link::spoilt`] excuses only because a cut took the
@@ -708,6 +742,11 @@ fn run(bound: Bound, max_states: usize) {
 #[test]
 fn every_link_schedule_delivers_exactly_once_and_ends_done_or_lost() {
     run(DEFAULT, opmr_explore::MAX_STATES);
+}
+
+#[test]
+fn every_capped_link_schedule_keeps_the_cap_and_wakes_a_held_send() {
+    run(CAPPED, opmr_explore::MAX_STATES);
 }
 
 /// Deeper: three faults. About 5.7 M states with acks in flight, past

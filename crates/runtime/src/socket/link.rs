@@ -109,10 +109,10 @@ pub(super) fn wait_until<T>(
 }
 
 impl SocketTransport {
-    /// Sends one data frame: waits while the link is connecting, then
-    /// logs it for retransmission and writes it through if a stream is
-    /// installed — silently queued while the link recovers. `Err` on a
-    /// lost link.
+    /// Sends one data frame: waits while the link is connecting or holds
+    /// its cap of unacknowledged frames, then logs it for retransmission
+    /// and writes it through if a stream is installed — silently queued
+    /// while the link recovers. `Err` on a lost link.
     pub(super) fn send_data(&self, link: &Link, frame: Bytes) -> Result<(), ()> {
         self.send_as(link, frame, Input::Send)
     }
@@ -122,9 +122,15 @@ impl SocketTransport {
         let mut st = link.state.lock();
         loop {
             match st.step(input(frame.clone())) {
-                Act::Wait => link.cv.wait(&mut st),
+                Act::Wait => {
+                    if st.core.at_cap() {
+                        obs::m().send_waits.inc();
+                    }
+                    link.cv.wait(&mut st);
+                }
                 Act::Fail => return Err(()),
                 act => {
+                    obs::m().unacked_peak.raise(st.core.unacked() as i64);
                     if act == Act::Write {
                         st.write(&frame);
                     }
@@ -207,10 +213,12 @@ impl SocketTransport {
             Some(K_ENVELOPE) => {
                 if let Some((dst, env)) = decode_envelope(payload) {
                     if let Some(Some(mb)) = self.mailboxes.get(dst) {
-                        // Remote deliveries are always eager: the socket's
-                        // flow control *is* the back-pressure. A Shutdown
-                        // error here just means the job is tearing down.
-                        let _ = mb.deliver(env, usize::MAX);
+                        // Eager whatever its size: the sender completed
+                        // once its link logged the frame, and the link's
+                        // cap on unacknowledged frames is what holds it
+                        // back. A Shutdown error here just means the job
+                        // is tearing down.
+                        let _ = mb.deliver(env);
                     }
                 }
             }

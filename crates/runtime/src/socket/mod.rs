@@ -67,7 +67,7 @@ use wire::{encode_rank_done, envelope_frame, K_SHUTDOWN};
 // Socket transport metrics (the obs "transport" family): registered once,
 // cached handles, relaxed atomics on the hot path.
 mod obs {
-    use opmr_obs::{registry, Counter};
+    use opmr_obs::{registry, Counter, Gauge};
     use std::sync::{Arc, OnceLock};
 
     pub(super) struct SocketMetrics {
@@ -84,6 +84,11 @@ mod obs {
         pub reconnect_stale_epoch: Arc<Counter>,
         pub frames_retransmitted: Arc<Counter>,
         pub chaos_severs: Arc<Counter>,
+        /// Sends held because their link logged its cap of unacknowledged
+        /// frames.
+        pub send_waits: Arc<Counter>,
+        /// The most frames any link has logged unacknowledged.
+        pub unacked_peak: Arc<Gauge>,
     }
 
     pub(super) fn m() -> &'static SocketMetrics {
@@ -104,6 +109,8 @@ mod obs {
                 reconnect_stale_epoch: r.counter("transport_socket_reconnect_stale_epoch_total"),
                 frames_retransmitted: r.counter("transport_socket_frames_retransmitted_total"),
                 chaos_severs: r.counter("transport_socket_chaos_severs_total"),
+                send_waits: r.counter("transport_socket_send_waits_total"),
+                unacked_peak: r.gauge("transport_socket_unacked_frames_peak"),
             }
         })
     }
@@ -502,9 +509,9 @@ impl Transport for SocketTransport {
         "socket"
     }
 
-    fn deliver(&self, dst_world: usize, env: Envelope, eager_limit: usize) -> Result<Delivery> {
+    fn deliver(&self, dst_world: usize, env: Envelope) -> Result<Delivery> {
         if let Some(Some(mb)) = self.mailboxes.get(dst_world) {
-            return mb.deliver(env, eager_limit);
+            return mb.deliver(env);
         }
         let proc = *self
             .rank_owner
@@ -536,6 +543,9 @@ impl Transport for SocketTransport {
 
     fn mark_rank_done(&self, world_rank: usize) {
         self.alive[world_rank].store(false, Ordering::Release);
+        if let Some(Some(mb)) = self.mailboxes.get(world_rank) {
+            mb.retire();
+        }
         self.bump_local();
         // Ordered after every envelope the rank wrote (same per-link
         // sequence, same connection): peers observing the flag flip
@@ -592,7 +602,7 @@ impl Launcher {
     /// Runs this job as one of `topo.num_procs` cooperating OS processes.
     ///
     /// Every process must be handed the *same* job description (same
-    /// partitions in the same order, same fault plan and eager limit) and
+    /// partitions in the same order, same fault plan) and
     /// the same topology apart from `proc_index`; the handshake
     /// cross-checks a topology hash and rejects mismatches with a typed
     /// [`SocketError`]. Ranks of partitions placed on `proc_index` run
@@ -654,7 +664,6 @@ impl Launcher {
 
         let universe = Universe::with_transport(
             infos,
-            self.eager_limit,
             self.fault_plan.clone(),
             Arc::clone(&transport) as Arc<dyn Transport>,
         );

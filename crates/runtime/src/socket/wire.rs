@@ -103,6 +103,7 @@ pub(super) fn decode_envelope(p: &Bytes) -> Option<(usize, Envelope)> {
                 tag,
             },
             payload: p.slice(p.len() - r.remaining()..),
+            sync: false,
         },
     ))
 }

@@ -1,7 +1,8 @@
 //! Pluggable envelope transport.
 //!
 //! Everything above this seam — the mailbox matching engine, the
-//! eager/rendezvous protocol split, [`crate::FaultPlan`] injection (it
+//! eager/rendezvous protocol split (the envelope's `sync` flag, set by
+//! the sender), [`crate::FaultPlan`] injection (it
 //! runs in `Mpi::deliver_env`, *before* the transport is asked to move
 //! the envelope), obs counters and the typed `PeerLost`/shutdown
 //! semantics — is backend-independent. A [`Transport`] only has to answer
@@ -29,12 +30,15 @@
 //!   link) recovers them itself.
 //! * FIFO per (source, destination): two envelopes sent by the same rank
 //!   to the same destination arrive in send order (MPI non-overtaking).
-//! * `deliver` to a rank whose mailbox is local applies the
-//!   eager/rendezvous split and may return [`Delivery::Pending`]; the
-//!   sender then blocks on the *local* destination mailbox.
-//! * `deliver` to a remote rank always completes eagerly from the
-//!   sender's point of view ([`Delivery::Complete`]); back-pressure is
-//!   the byte stream's flow control.
+//! * `deliver` to a rank whose mailbox is local returns
+//!   [`Delivery::Pending`] for a `sync` envelope no posted receive took;
+//!   the sender then blocks on the *local* destination mailbox until a
+//!   receive takes it.
+//! * `deliver` to a remote rank completes once the link has logged the
+//!   frame ([`Delivery::Complete`]), whatever `sync` says: a link holds
+//!   at most a fixed number of frames its peer has not acknowledged and
+//!   makes the sender wait past that (`socket/machine.rs`), but no
+//!   receive on the far side is waited for.
 //! * Once `rank_alive(r)` returns `false`, every envelope `r` ever sent
 //!   is already delivered (or the peer connection is gone, which readers
 //!   surface as a typed peer-lost error). Backends must order the
@@ -57,10 +61,9 @@ pub trait Transport: Send + Sync {
     /// Short backend identifier ("inproc", "socket") for diagnostics.
     fn backend_name(&self) -> &'static str;
 
-    /// Delivers one envelope to `dst_world`'s mailbox, applying the
-    /// eager/rendezvous split at `eager_limit` bytes for local
-    /// destinations.
-    fn deliver(&self, dst_world: usize, env: Envelope, eager_limit: usize) -> Result<Delivery>;
+    /// Delivers one envelope to `dst_world`'s mailbox; a local one keeps
+    /// a `sync` envelope's sender waiting for a receive.
+    fn deliver(&self, dst_world: usize, env: Envelope) -> Result<Delivery>;
 
     /// The mailbox of `world_rank` when it is hosted in this process.
     fn local_mailbox(&self, world_rank: usize) -> Option<&Arc<Mailbox>>;
@@ -69,9 +72,11 @@ pub trait Transport: Send + Sync {
     fn rank_alive(&self, world_rank: usize) -> bool;
 
     /// Marks a (local) rank's entry point as returned and propagates the
-    /// fact to every process, *after* all the rank's sends. Wherever the
-    /// flag drops, every local mailbox is [`Mailbox::bump`]ed afterwards,
-    /// so a reader parked in `wait_delivery` re-checks liveness.
+    /// fact to every process, *after* all the rank's sends. The rank's
+    /// own mailbox is [`Mailbox::retire`]d, so no sender waits on it.
+    /// Wherever the flag drops, every local mailbox is [`Mailbox::bump`]ed
+    /// afterwards, so a reader parked in `wait_delivery` re-checks
+    /// liveness.
     fn mark_rank_done(&self, world_rank: usize);
 
     /// Wakes every blocked rank in the whole job with
@@ -113,8 +118,8 @@ impl Transport for InProc {
         "inproc"
     }
 
-    fn deliver(&self, dst_world: usize, env: Envelope, eager_limit: usize) -> Result<Delivery> {
-        self.mailboxes[dst_world].deliver(env, eager_limit)
+    fn deliver(&self, dst_world: usize, env: Envelope) -> Result<Delivery> {
+        self.mailboxes[dst_world].deliver(env)
     }
 
     fn local_mailbox(&self, world_rank: usize) -> Option<&Arc<Mailbox>> {
@@ -127,6 +132,7 @@ impl Transport for InProc {
 
     fn mark_rank_done(&self, world_rank: usize) {
         self.alive[world_rank].store(false, Ordering::Release);
+        self.mailboxes[world_rank].retire();
         // Readers parked on their mailbox learn of the exit now, not at a
         // timeout.
         for mb in &self.mailboxes {
@@ -172,7 +178,7 @@ mod tests {
             7,
             Bytes::from_static(b"hi"),
         );
-        assert!(matches!(t.deliver(1, env, 64), Ok(Delivery::Complete)));
+        assert!(matches!(t.deliver(1, env), Ok(Delivery::Complete)));
         let got = t
             .local_mailbox(1)
             .and_then(|mb| {

@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use opmr_runtime::collectives::ops;
-use opmr_runtime::{Launcher, Mpi, Src, TagSel};
+use opmr_runtime::{Launcher, Mpi, Src, TagSel, Universe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -81,8 +81,8 @@ fn rendezvous_blocks_until_receiver_arrives() {
     // A 1 MB message exceeds the eager limit: the sender must block until
     // the receiver posts, proving back-pressure exists.
     static SEND_DONE_BEFORE_RECV: AtomicUsize = AtomicUsize::new(0);
+    const { assert!(1 << 20 > Universe::DEFAULT_EAGER_LIMIT) };
     Launcher::new()
-        .eager_limit(1024)
         .partition("t", 2, |mpi| {
             let w = mpi.world();
             if w.local_rank() == 0 {
@@ -104,19 +104,19 @@ fn rendezvous_blocks_until_receiver_arrives() {
 
 #[test]
 fn isend_large_completes_after_matching_recv() {
+    const LEN: usize = Universe::DEFAULT_EAGER_LIMIT + 1;
     Launcher::new()
-        .eager_limit(16)
         .partition("t", 2, |mpi| {
             let w = mpi.world();
             if w.local_rank() == 0 {
-                let mut req = mpi.isend(&w, 1, 1, Bytes::from(vec![1u8; 4096])).unwrap();
+                let mut req = mpi.isend(&w, 1, 1, Bytes::from(vec![1u8; LEN])).unwrap();
                 assert!(!req.is_complete());
                 mpi.send(&w, 1, 2, Bytes::new()).unwrap(); // eager go-signal
                 req.wait().unwrap();
             } else {
                 mpi.recv(&w, Src::Rank(0), TagSel::Tag(2)).unwrap();
                 let (_s, data) = mpi.recv(&w, Src::Rank(0), TagSel::Tag(1)).unwrap();
-                assert_eq!(data.len(), 4096);
+                assert_eq!(data.len(), LEN);
             }
         })
         .run()

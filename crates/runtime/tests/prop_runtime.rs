@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use opmr_runtime::pod::{bytes_of_slice, vec_from_bytes};
-use opmr_runtime::{Launcher, Src, TagSel};
+use opmr_runtime::{Launcher, Src, TagSel, Universe};
 use proptest::prelude::*;
 
 proptest! {
@@ -28,15 +28,17 @@ proptest! {
     }
 
     /// Every message injected between a random pair arrives exactly once,
-    /// in order, regardless of eager/rendezvous mix.
+    /// in order, regardless of eager/rendezvous mix: sizes straddle the
+    /// eager limit.
     #[test]
     fn pairwise_delivery_exactly_once(
-        sizes in proptest::collection::vec(0usize..4096, 1..24),
-        eager_limit in 1usize..2048,
+        sizes in proptest::collection::vec(
+            Universe::DEFAULT_EAGER_LIMIT - 2048..Universe::DEFAULT_EAGER_LIMIT + 2048,
+            1..24,
+        ),
     ) {
         let sizes2 = sizes.clone();
         Launcher::new()
-            .eager_limit(eager_limit)
             .partition("p", 2, move |mpi| {
                 let w = mpi.world();
                 if w.local_rank() == 0 {

@@ -41,26 +41,34 @@ impl std::fmt::Debug for MapPolicy {
     }
 }
 
-impl MapPolicy {
-    /// Computes the master-local rank for slave index `i`.
-    ///
-    /// A random policy whose RNG is missing (an internal inconsistency,
-    /// not a caller mistake) degrades to round-robin and counts the event
-    /// in `vmpi_map_rng_fallbacks_total` instead of aborting the pivot. A
-    /// custom policy returning an out-of-range rank is the caller's bug
-    /// and surfaces as [`VmpiError::InvalidAssignment`].
-    fn assign(&self, i: usize, master_size: usize, rng: &mut Option<StdRng>) -> Result<usize> {
+/// A [`MapPolicy`] as the pivot applies it: a random one holds its
+/// seeded RNG.
+enum Assigner<'a> {
+    RoundRobin,
+    Random(StdRng),
+    Fixed,
+    Custom(&'a (dyn Fn(usize) -> usize + Send + Sync)),
+}
+
+impl<'a> Assigner<'a> {
+    fn new(policy: &'a MapPolicy) -> Self {
+        match policy {
+            MapPolicy::RoundRobin => Assigner::RoundRobin,
+            MapPolicy::Random { seed } => Assigner::Random(StdRng::seed_from_u64(*seed)),
+            MapPolicy::Fixed => Assigner::Fixed,
+            MapPolicy::Custom(f) => Assigner::Custom(f.as_ref()),
+        }
+    }
+
+    /// Computes the master-local rank for slave index `i`. A custom
+    /// policy returning an out-of-range rank is the caller's bug and
+    /// surfaces as [`VmpiError::InvalidAssignment`].
+    fn assign(&mut self, i: usize, master_size: usize) -> Result<usize> {
         match self {
-            MapPolicy::RoundRobin => Ok(i % master_size),
-            MapPolicy::Random { .. } => match rng.as_mut() {
-                Some(rng) => Ok(rng.gen_range(0..master_size)),
-                None => {
-                    obs::m().rng_fallbacks.inc();
-                    Ok(i % master_size)
-                }
-            },
-            MapPolicy::Fixed => Ok(i.min(master_size.saturating_sub(1))),
-            MapPolicy::Custom(f) => {
+            Assigner::RoundRobin => Ok(i % master_size),
+            Assigner::Random(rng) => Ok(rng.gen_range(0..master_size)),
+            Assigner::Fixed => Ok(i.min(master_size.saturating_sub(1))),
+            Assigner::Custom(f) => {
                 let m = f(i);
                 if m >= master_size {
                     return Err(VmpiError::InvalidAssignment {
@@ -82,7 +90,6 @@ mod obs {
     use std::sync::{Arc, OnceLock};
 
     pub(super) struct MapMetrics {
-        pub rng_fallbacks: Arc<Counter>,
         pub malformed_replies: Arc<Counter>,
         pub protocol_violations: Arc<Counter>,
     }
@@ -92,7 +99,6 @@ mod obs {
         M.get_or_init(|| {
             let r = registry();
             MapMetrics {
-                rng_fallbacks: r.counter("vmpi_map_rng_fallbacks_total"),
                 malformed_replies: r.counter("vmpi_map_malformed_pivot_total"),
                 protocol_violations: r.counter("vmpi_map_protocol_violations_total"),
             }
@@ -265,10 +271,7 @@ pub fn map_partitions_directed(
 
     // Master side.
     if mpi.world_rank() == pivot {
-        let mut rng = match &policy {
-            MapPolicy::Random { seed } => Some(StdRng::seed_from_u64(*seed)),
-            _ => None,
-        };
+        let mut assigner = Assigner::new(&policy);
         // Per-master-local peer lists; the pivot is master-local 0.
         let mut assigned: Vec<Vec<u64>> = vec![Vec::new(); master.size];
         // Registrations arrive in scheduling order; the policy is applied
@@ -295,7 +298,7 @@ pub fn map_partitions_directed(
         }
         registered.sort_unstable();
         for (i, slave_world) in registered.into_iter().enumerate() {
-            let master_local = policy.assign(i, master.size, &mut rng)?;
+            let master_local = assigner.assign(i, master.size)?;
             let master_world = master.first_world_rank + master_local;
             assigned[master_local].push(slave_world);
             // Reply to the slave with its assigned master rank.
@@ -549,34 +552,10 @@ mod tests {
     }
 
     #[test]
-    fn random_policy_without_rng_falls_back_to_round_robin() {
-        // An unseeded RNG is an internal inconsistency: the pivot keeps
-        // assigning (round-robin) and counts the fallback instead of
-        // panicking.
-        let before = opmr_obs::registry()
-            .counter("vmpi_map_rng_fallbacks_total")
-            .get();
-        let mut rng = None;
-        for i in 0..6 {
-            assert_eq!(
-                MapPolicy::Random { seed: 7 }
-                    .assign(i, 3, &mut rng)
-                    .unwrap(),
-                i % 3
-            );
-        }
-        let after = opmr_obs::registry()
-            .counter("vmpi_map_rng_fallbacks_total")
-            .get();
-        assert_eq!(after - before, 6);
-    }
-
-    #[test]
     fn custom_policy_out_of_range_is_typed() {
-        let mut rng = None;
         let p = MapPolicy::Custom(Arc::new(|_| 99));
         assert!(matches!(
-            p.assign(0, 4, &mut rng),
+            Assigner::new(&p).assign(0, 4),
             Err(VmpiError::InvalidAssignment {
                 index: 99,
                 master_size: 4

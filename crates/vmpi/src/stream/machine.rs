@@ -151,17 +151,25 @@ impl StreamCore {
 mod explore {
     //! Every schedule of one write stream, explored: a writer, a sender (a
     //! thread, or for a plain stream the writer itself) and a reader over a
-    //! model transport, stepping one [`StreamCore`] as the drivers in
+    //! model mailbox, and the board the reader posts to with the worker
+    //! that drains it, stepping one [`StreamCore`] as the drivers in
     //! `stream.rs` do, breadth-first, with no thread.
     //!
     //! The writer hands off `blocks` blocks and then closes, or aborts
     //! between any two calls; one send may fail, and a failed call makes
-    //! the writer close. The transport is FIFO and a send is rendezvous: it
-    //! completes once the reader has taken its frame. The reader reads as
-    //! `ReadStream::read(Blocking)` does: it notes the mailbox's delivery
-    //! count, sweeps, and parks until the count moves. A delivery makes its
-    //! frame visible, then counts it (the order `Mailbox::deliver` keeps);
-    //! a writer's exit counts as a delivery too.
+    //! the writer close. The reader keeps `n_async` receives posted. A
+    //! data frame's send is synchronous: it lands in a free receive and
+    //! completes, or parks as an offer that completes when the reader's
+    //! repost of the receive it just emptied takes it. The FIN is a
+    //! standard send: complete at delivery, parked or not. The reader
+    //! reads as `ReadStream::read(Blocking)` does: it notes the mailbox's
+    //! delivery count, sweeps, and parks until the count moves. A delivery
+    //! makes its frame visible, then counts it (the order `Mailbox::deliver`
+    //! keeps); a writer's exit counts as a delivery too. Each block read is
+    //! posted to a board of room `room`: after the post the reader waits
+    //! until at most `room - 1` jobs are outstanding, as a root analyzer
+    //! does (`Blackboard::drain_to`), and one worker executes the jobs, or
+    //! (`stall`) never runs.
     //!
     //! Checked on every state and move:
     //!
@@ -170,13 +178,21 @@ mod explore {
     //! 3. the reader takes every block once, in order, and EOF only from a
     //!    FIN that follows every block handed off;
     //! 4. a failed stream sends no FIN;
-    //! 5. an input after which a sleeping writer or sender could go on
-    //!    returns `Wake` (no lost wake-up);
+    //! 5. no wake-up is lost: an input after which a sleeping writer or
+    //!    sender could go on returns `Wake`, and a job that leaves the
+    //!    board with room wakes a reader waiting for it;
     //! 6. every schedule ends, close and abort included: the writer done,
-    //!    the sender gone, nothing left on the wire, and the reader at EOF,
-    //!    or, for a failed or aborted stream only, seeing the writer lost;
+    //!    the sender gone, nothing left in the mailbox, the board drained,
+    //!    and the reader at EOF, or, for a failed or aborted stream only,
+    //!    seeing the writer lost;
     //! 7. from every state with no send failed and no abort, EOF after
-    //!    every block is reachable.
+    //!    every block is reachable;
+    //! 8. the data frames held downstream of the writer — in the reader's
+    //!    receives, parked as offers, in the reader's hand and on the
+    //!    board — never exceed `2 n_async + room`;
+    //! 9. with the worker stalled, every schedule ends with the writer
+    //!    blocked, the reader waiting for room and exactly
+    //!    `2 n_async + room` frames held: nothing more is handed off.
 
     #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
@@ -203,6 +219,17 @@ mod explore {
         n_async: usize,
         blocks: u8,
         driver: Driver,
+        /// Jobs the board holds, the reader's block in hand included.
+        room: u8,
+        /// The board's worker never runs.
+        stall: bool,
+    }
+
+    impl Bound {
+        /// What invariant 8 allows downstream of the writer.
+        fn held_max(&self) -> usize {
+            2 * self.n_async + usize::from(self.room)
+        }
     }
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -222,8 +249,8 @@ mod explore {
         Close,
         /// Stopped the sender (`true`: aborted) and joins it.
         Join(bool),
-        /// Sent its FIN; waits for every send in flight.
-        Drain,
+        /// Sent its FIN: exits once the FIN is counted.
+        Exit,
         Done,
     }
 
@@ -249,6 +276,12 @@ mod explore {
         Sweep(u8),
         /// Asleep until the count moves past the one noted.
         Park(u8),
+        /// Holds the block it read: posts it to the board.
+        Post,
+        /// Posted: waits until the board has room.
+        Room,
+        /// Asleep until a job leaves the board with room.
+        RoomAsleep,
         Eof,
         Lost,
     }
@@ -257,6 +290,7 @@ mod explore {
     struct World {
         core: StreamCore,
         n_async: usize,
+        room: u8,
         writer: Writer,
         sender: Sender,
         reader: Reader,
@@ -266,7 +300,16 @@ mod explore {
         /// first.
         queue: VecDeque<u8>,
         sends: VecDeque<u8>,
-        wire: VecDeque<Frame>,
+        /// The reader's filled receives, oldest first, and how many of its
+        /// `n_async` receives are posted and empty.
+        slots: VecDeque<Frame>,
+        free: usize,
+        /// Frames that found no free receive, parked in arrival order.
+        offers: VecDeque<Frame>,
+        /// Data frames a receive has taken: their sends are complete.
+        taken: u8,
+        /// Jobs on the board.
+        board: u8,
         /// The reader's mailbox delivery count.
         deliveries: u8,
         /// The writer (`W`) or the sender (`S`) made a frame visible and
@@ -285,6 +328,7 @@ mod explore {
             World {
                 core: StreamCore::default(),
                 n_async: bound.n_async,
+                room: bound.room,
                 writer: Writer::Idle,
                 sender: match bound.driver {
                     Driver::Thread => Sender::Take,
@@ -294,7 +338,11 @@ mod explore {
                 handed: 0,
                 queue: VecDeque::new(),
                 sends: VecDeque::new(),
-                wire: VecDeque::new(),
+                slots: VecDeque::new(),
+                free: bound.n_async,
+                offers: VecDeque::new(),
+                taken: 0,
+                board: 0,
                 deliveries: 0,
                 uncounted: [false; 2],
                 read: 0,
@@ -324,8 +372,17 @@ mod explore {
             Ok(act)
         }
 
-        /// Invariants 1 and 2.
-        fn check(&self) -> Check {
+        /// Data frames held downstream of the writer (invariant 8).
+        fn held(&self) -> usize {
+            let data = |q: &VecDeque<Frame>| q.iter().filter(|f| **f != Frame::Fin).count();
+            data(&self.slots)
+                + data(&self.offers)
+                + usize::from(self.reader == Reader::Post)
+                + usize::from(self.board)
+        }
+
+        /// Invariants 1, 2, 8 and the room's half of 5.
+        fn check(&self, bound: Bound) -> Check {
             let c = &self.core;
             let held =
                 matches!(self.sender, Sender::Send(_)) || matches!(self.writer, Writer::Send(_));
@@ -342,12 +399,27 @@ mod explore {
                     self.n_async
                 ));
             }
+            if self.held() > bound.held_max() {
+                return Err(format!(
+                    "{} frames held downstream: receives {:?}, offers {:?}, board {}",
+                    self.held(),
+                    self.slots,
+                    self.offers,
+                    self.board
+                ));
+            }
+            if self.reader == Reader::RoomAsleep && self.board < self.room {
+                return Err(format!(
+                    "the reader waits for room on a board of {}: a lost wake-up",
+                    self.board
+                ));
+            }
             Ok(())
         }
 
-        /// The oldest send, if the reader has taken its frame.
+        /// The oldest send, if a receive has taken its frame.
         fn completed(&self) -> bool {
-            self.sends.front().is_some_and(|&b| b <= self.read)
+            self.sends.front().is_some_and(|&b| b <= self.taken)
         }
 
         /// Retires the oldest send; a failure makes the writer close.
@@ -386,11 +458,35 @@ mod explore {
             Ok(())
         }
 
-        /// `who` sends block `b`: made, the frame goes on the wire to be
-        /// counted next; else the stream fails.
+        /// A frame reaches the reader's mailbox: into a free receive (a
+        /// data frame's send completes), else parked as an offer.
+        fn deliver(&mut self, frame: Frame) {
+            if self.free > 0 {
+                self.free -= 1;
+                self.slots.push_back(frame);
+                self.taken += u8::from(frame != Frame::Fin);
+            } else {
+                self.offers.push_back(frame);
+            }
+        }
+
+        /// The reader reposts the receive it emptied: it takes the oldest
+        /// offer, completing its send, or stays posted.
+        fn repost(&mut self) {
+            match self.offers.pop_front() {
+                Some(frame) => {
+                    self.slots.push_back(frame);
+                    self.taken += u8::from(frame != Frame::Fin);
+                }
+                None => self.free += 1,
+            }
+        }
+
+        /// `who` sends block `b`: made, the frame is delivered and counted
+        /// next; else the stream fails.
         fn send(&mut self, who: usize, b: u8, made: bool) -> Result<Act, String> {
             if made {
-                self.wire.push_back(Frame::Data(b));
+                self.deliver(Frame::Data(b));
                 self.sends.push_back(b);
                 self.uncounted[who] = true;
                 self.step(Input::Sent(Ok(())))
@@ -419,6 +515,8 @@ mod explore {
     impl Stream {
         fn writer(&self, w: &World, out: &mut Vec<Move>) -> Check {
             let mut n = w.clone();
+            // A stalled board ends with the writer blocked: no fault.
+            let faults = !self.0.stall;
             let label = match w.writer {
                 _ if w.uncounted[W] => {
                     n.uncounted[W] = false;
@@ -426,11 +524,13 @@ mod explore {
                     "count"
                 }
                 Writer::Idle => {
-                    let mut a = w.clone();
-                    a.aborted = true;
-                    a.step(Input::Abort)?;
-                    a.writer = Writer::Join(true);
-                    out.push(("abort", a));
+                    if faults {
+                        let mut a = w.clone();
+                        a.aborted = true;
+                        a.step(Input::Abort)?;
+                        a.writer = Writer::Join(true);
+                        out.push(("abort", a));
+                    }
                     if w.handed < self.0.blocks {
                         n.claim()?;
                         "write"
@@ -448,10 +548,6 @@ mod explore {
                     n.retire(Writer::Claim)?;
                     "retire"
                 }
-                Writer::Drain if w.completed() => {
-                    n.retire(Writer::Drain)?;
-                    "retire"
-                }
                 Writer::Hand => {
                     n.handed += 1;
                     n.queue.push_back(n.handed);
@@ -460,7 +556,7 @@ mod explore {
                     "hand"
                 }
                 Writer::Send(b) => {
-                    if !w.failed {
+                    if !w.failed && faults {
                         let mut f = w.clone();
                         f.handed = b;
                         f.send(W, b, false)?;
@@ -484,15 +580,15 @@ mod explore {
                         if w.failed {
                             return Err("a failed stream sends a FIN".into());
                         }
-                        n.wire.push_back(Frame::Fin);
+                        n.deliver(Frame::Fin);
                         n.uncounted[W] = true;
-                        n.writer = Writer::Drain;
+                        n.writer = Writer::Exit;
                     } else {
                         n.exit()?;
                     }
                     "join"
                 }
-                Writer::Drain if w.sends.is_empty() => {
+                Writer::Exit => {
                     n.exit()?;
                     "exit"
                 }
@@ -520,7 +616,7 @@ mod explore {
                     "take"
                 }
                 Sender::Send(b) => {
-                    if !w.failed {
+                    if !w.failed && !self.0.stall {
                         let mut f = w.clone();
                         f.sender = Sender::Take;
                         f.send(S, b, false)?;
@@ -544,10 +640,11 @@ mod explore {
                     "snap"
                 }
                 Reader::Sweep(seen) => {
-                    n.reader = match n.wire.pop_front() {
+                    n.reader = match n.slots.pop_front() {
                         Some(Frame::Data(b)) if b == w.read + 1 => {
                             n.read = b;
-                            Reader::Snap
+                            n.repost();
+                            Reader::Post
                         }
                         Some(Frame::Data(b)) => {
                             return Err(format!("the reader takes block {b} after {}", w.read))
@@ -565,10 +662,38 @@ mod explore {
                     n.reader = Reader::Snap;
                     "wake"
                 }
+                Reader::Post => {
+                    n.board += 1;
+                    n.reader = Reader::Room;
+                    "post"
+                }
+                Reader::Room => {
+                    n.reader = if w.board < w.room {
+                        Reader::Snap
+                    } else {
+                        Reader::RoomAsleep
+                    };
+                    "room"
+                }
                 _ => return Ok(()),
             };
             out.push((label, n));
             Ok(())
+        }
+
+        /// The board's worker executes a job; one that leaves the board
+        /// with room wakes the reader waiting for it (the engine's rule:
+        /// at most `room - 1` left).
+        fn worker(&self, w: &World, out: &mut Vec<Move>) {
+            if self.0.stall || w.board == 0 {
+                return;
+            }
+            let mut n = w.clone();
+            n.board -= 1;
+            if n.reader == Reader::RoomAsleep && n.board < n.room {
+                n.reader = Reader::Snap;
+            }
+            out.push(("execute", n));
         }
     }
 
@@ -580,30 +705,45 @@ mod explore {
         }
 
         fn moves(&self, w: &World) -> Result<Vec<Move>, String> {
-            w.check()?;
+            w.check(self.0)?;
             let mut out = Vec::new();
             self.writer(w, &mut out)?;
             self.sender(w, &mut out)?;
             self.reader(w, &mut out)?;
+            self.worker(w, &mut out);
             Ok(out)
         }
 
-        /// Invariant 6.
+        /// Invariants 6 and 9.
         fn end(&self, w: &World) -> Check {
-            let over = w.writer == Writer::Done && w.sender == Sender::Gone && w.wire.is_empty();
+            if self.0.stall {
+                let blocked = matches!(w.writer, Writer::Asleep | Writer::Retire);
+                if blocked && w.reader == Reader::RoomAsleep && w.held() == self.0.held_max() {
+                    return Ok(());
+                }
+                return Err(format!(
+                    "stalled board: writer {:?}, reader {:?}, {} frames held of {}",
+                    w.writer,
+                    w.reader,
+                    w.held(),
+                    self.0.held_max()
+                ));
+            }
+            let empty = w.slots.is_empty() && w.offers.is_empty() && w.board == 0;
+            let over = w.writer == Writer::Done && w.sender == Sender::Gone && empty;
             let lost_ok = w.failed || w.aborted;
             match w.reader {
                 Reader::Eof if over => Ok(()),
                 Reader::Lost if over && lost_ok => Ok(()),
                 _ => Err(format!(
-                    "stuck: writer {:?}, sender {:?}, reader {:?}, wire {:?}",
-                    w.writer, w.sender, w.reader, w.wire
+                    "stuck: writer {:?}, sender {:?}, reader {:?}, receives {:?}, offers {:?}, board {}",
+                    w.writer, w.sender, w.reader, w.slots, w.offers, w.board
                 )),
             }
         }
 
         fn good_end(&self, w: &World) -> bool {
-            w.reader == Reader::Eof && w.read == self.0.blocks
+            self.0.stall || w.reader == Reader::Eof && w.read == self.0.blocks
         }
 
         fn spoilt(&self, w: &World) -> Option<&'static str> {
@@ -615,32 +755,45 @@ mod explore {
         }
     }
 
-    /// Every bound: `n_async` from 1 to 3, both drivers, and two blocks
-    /// more than the window holds, so the writer fills it and blocks.
+    /// Every bound: `n_async` from 1 to 3, both drivers, a room of 1 or 2
+    /// and a live or stalled worker. A live board gets two blocks more
+    /// than the window holds, so the writer fills it and blocks; a
+    /// stalled one a block more than everything downstream holds.
     #[test]
     fn every_stream_schedule_keeps_the_window_and_ends() {
         let t = std::time::Instant::now();
         let mut states = 0;
         for n_async in 1..=3 {
             for driver in [Driver::Inline, Driver::Thread] {
-                let bound = Bound {
-                    n_async,
-                    blocks: n_async as u8 + 2,
-                    driver,
-                };
-                let s = opmr_explore::run(
-                    &format!("{bound:?}"),
-                    &Stream(bound),
-                    opmr_explore::MAX_STATES,
-                )
-                .expect("an invariant broke on the schedule printed above");
-                assert!(s.good_ends > 0, "no schedule ends in a clean EOF");
-                assert_eq!(
-                    s.first_doomed, None,
-                    "{} healthy states cannot end clean",
-                    s.doomed
-                );
-                states += s.states;
+                for room in 1..=2u8 {
+                    for stall in [false, true] {
+                        let blocks = if stall {
+                            2 * n_async as u8 + room + 1
+                        } else {
+                            n_async as u8 + 2
+                        };
+                        let bound = Bound {
+                            n_async,
+                            blocks,
+                            driver,
+                            room,
+                            stall,
+                        };
+                        let s = opmr_explore::run(
+                            &format!("{bound:?}"),
+                            &Stream(bound),
+                            opmr_explore::MAX_STATES,
+                        )
+                        .expect("an invariant broke on the schedule printed above");
+                        assert!(s.good_ends > 0, "no schedule ends in a clean EOF");
+                        assert_eq!(
+                            s.first_doomed, None,
+                            "{} healthy states cannot end clean",
+                            s.doomed
+                        );
+                        states += s.states;
+                    }
+                }
             }
         }
         eprintln!("stream model: {states} states in {:.2?}", t.elapsed());

@@ -435,12 +435,13 @@ fn balance_none_pins_first_endpoint() {
 
 #[test]
 fn backpressure_bounds_inflight_blocks() {
-    // Writer floods a slow reader with rendezvous-sized blocks; the bounded
-    // async window must prevent unbounded buffering (we can only observe
-    // that the transfer completes and all data arrives intact).
+    // Writer floods a slow reader with small blocks. A data frame's send
+    // completes only once one of the reader's two posted receives holds
+    // it, whatever its size, so the writer blocks on its two-block window
+    // instead of buffering in the reader's mailbox, and every block
+    // arrives intact.
     let _alone = window_tests();
     Launcher::new()
-        .eager_limit(512)
         .partition("w", 1, |mpi| {
             let v = Vmpi::new(mpi).unwrap();
             let mut st =
@@ -449,6 +450,11 @@ fn backpressure_bounds_inflight_blocks() {
             st.write(&vec![3u8; 4096 * 50]).unwrap();
             assert_eq!(st.bytes_written(), 4096 * 50);
             assert_eq!(st.blocks_sent(), 50);
+            assert!(st.blocks_pending() <= 2);
+            assert!(
+                st.backpressure_waits() > 0,
+                "50 blocks into a reader that sleeps per block never filled a window of 2"
+            );
             st.close().unwrap();
         })
         .partition("r", 1, |mpi| {
@@ -854,31 +860,38 @@ fn sender_fin_follows_every_data_block() {
 
 #[test]
 fn sender_stalled_transport_blocks_the_writer_at_n_async() {
-    // Noise does not compress, so every frame is a 2 KiB rendezvous send
-    // (eager limit 512 B) that completes only once the reader posts a
-    // receive, and the reader opens its stream only after the writer has
-    // blocked. The writer therefore fills its window with exactly
-    // `n_async` pending blocks, then blocks once on the next.
+    // Every frame (noise, so 2 KiB uncompressed) is a synchronous send
+    // that completes only once a receive holds it, and the reader opens
+    // its stream, posting its receives, only after the writer has blocked.
+    // The writer therefore fills its window with exactly `n_async`
+    // pending blocks, then blocks once on the next.
     let _alone = window_tests();
     const N_ASYNC: usize = 3;
     let cfg = lz4_cfg(2048, N_ASYNC);
     let gate = Arc::new(Barrier::new(2));
     let reader_gate = Arc::clone(&gate);
     Launcher::new()
-        .eager_limit(512)
         .partition("w", 1, move |mpi| {
             let v = Vmpi::new(mpi).unwrap();
             let mut st = WriteStream::open_to(&v, vec![1], cfg, 21).unwrap();
             for i in 0..N_ASYNC {
                 st.write(&payload(i as u8, 2048, false)).unwrap();
             }
+            // Every block sent, not just queued: the window is full of
+            // sends no receive has taken.
+            while st.bytes_on_wire() < N_ASYNC as u64 * 2048 {
+                std::thread::yield_now();
+            }
             assert_eq!(st.blocks_pending(), N_ASYNC);
             assert_eq!(st.backpressure_waits(), 0);
             let before = backpressure_waits();
             std::thread::scope(|s| {
-                // Opens the reader's gate once this writer has blocked.
+                // Opens the reader's gate once this writer has blocked, or
+                // after 10 s, so a writer that never blocks fails the
+                // count below instead of hanging the test.
                 s.spawn(|| {
-                    while backpressure_waits() == before {
+                    let t0 = std::time::Instant::now();
+                    while backpressure_waits() == before && t0.elapsed() < Duration::from_secs(10) {
                         std::thread::yield_now();
                     }
                     gate.wait();

@@ -211,10 +211,19 @@ fn slow_subscriber_degrades_to_counted_resync() {
     for w in seen.windows(2) {
         assert!(w[1].version > w[0].version, "version went backwards");
     }
+    let last = store.current().unwrap();
     assert_eq!(
         last_bytes.lock().as_slice(),
-        store.current().unwrap().encoded.as_ref(),
+        last.encoded.as_ref(),
         "laggard did not converge on the final snapshot"
+    );
+    // The producer never waited on the stalled subscriber: it published
+    // every version while the laggard took fewer updates than that.
+    assert!(
+        (seen.len() as u64) < last.version,
+        "the laggard saw {} updates of {} versions: publication waited for it",
+        seen.len(),
+        last.version
     );
 }
 
