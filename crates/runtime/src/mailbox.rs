@@ -42,12 +42,6 @@
 //! offer wakes it. So a blocked stream writer is not woken by every
 //! delivery into its reader's mailbox, and its waits — which last as long
 //! as the reader is away — do not feed the reader's spin estimate.
-//!
-//! One wait has a leg of its own in front of this routine:
-//! `ReadStream::read(Blocking)` (`opmr-vmpi`) spins 64 times and then
-//! yields 192 times on its own before it parks in `wait_delivery`, so a
-//! reader sitting out a quiet stretch yields the CPU in a loop first.
-//! Folding that leg into `wait_for` is ROADMAP item 4(b).
 
 use crate::comm::CommId;
 use crate::envelope::{Context, Envelope, Src, Status, TagSel};

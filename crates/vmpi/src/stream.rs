@@ -155,8 +155,8 @@ impl StreamConfig {
 /// Read behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadMode {
-    /// Block until a block arrives or every writer closed: a short spin,
-    /// then asleep on this rank's mailbox until the next delivery or
+    /// Block until a block arrives or every writer closed, waiting in this
+    /// rank's mailbox (`Mpi::wait_delivery`) for the next delivery or
     /// liveness change.
     Blocking,
     /// Return [`VmpiError::Again`] when nothing is ready (for callers that
@@ -196,7 +196,6 @@ mod obs {
         pub aborts: Arc<Counter>,
         pub reads: Arc<Counter>,
         pub eagain: Arc<Counter>,
-        pub read_parks: Arc<Counter>,
         pub read_bytes: Arc<Counter>,
         pub blocks_read: Arc<Counter>,
         pub sources_eof: Arc<Counter>,
@@ -229,7 +228,6 @@ mod obs {
                 aborts: r.counter("vmpi_stream_aborts_total"),
                 reads: r.counter("vmpi_stream_reads_total"),
                 eagain: r.counter("vmpi_stream_eagain_total"),
-                read_parks: r.counter("vmpi_stream_read_parks_total"),
                 read_bytes: r.counter("vmpi_stream_read_bytes_total"),
                 blocks_read: r.counter("vmpi_stream_blocks_read_total"),
                 sources_eof: r.counter("vmpi_stream_sources_eof_total"),
@@ -272,19 +270,6 @@ pub const BLOCK_HEADROOM: usize = 1;
 
 /// The name of a compressing stream's sender thread, as the OS lists it.
 pub const SENDER_THREAD: &str = "vmpi-tx";
-
-/// Splits a stream frame into its flags and body. An empty payload has no
-/// header at all: a hostile or corrupt block, surfaced as a typed protocol
-/// violation.
-fn unframe(data: &Bytes) -> Result<(u8, Bytes)> {
-    match data.first() {
-        Some(&flags) => Ok((flags, data.slice(BLOCK_HEADROOM..))),
-        None => Err(VmpiError::ProtocolViolation {
-            expected: "stream frame header of 1 byte",
-            got: "0 bytes".to_string(),
-        }),
-    }
-}
 
 /// A [`Balance`] in use: it picks the endpoint of a writer's next block,
 /// or the source a reader's sweep starts from. A random one holds its
@@ -851,7 +836,8 @@ impl ReadStream {
         Self::open_from(vmpi, map.peers().to_vec(), cfg, stream_id)
     }
 
-    /// Opens a read stream from an explicit list of world ranks.
+    /// Opens a read stream from an explicit list of world ranks, with
+    /// `n_async` receives posted per source.
     pub fn open_from(
         vmpi: &Vmpi,
         sources: Vec<usize>,
@@ -861,36 +847,27 @@ impl ReadStream {
         if sources.is_empty() {
             return Err(VmpiError::InvalidConfig("read stream needs >= 1 source"));
         }
-        let mpi = vmpi.mpi().clone();
-        let universe = vmpi.comm_universe();
-        let tag = stream_tag(stream_id);
-        let mut states = Vec::with_capacity(sources.len());
-        for world in sources {
-            let mut reqs = VecDeque::with_capacity(cfg.n_async);
-            for _ in 0..cfg.n_async {
-                reqs.push_back(mpi.irecv_ctx(
-                    Context::Stream,
-                    &universe,
-                    Src::Rank(world),
-                    TagSel::Tag(tag),
-                )?);
-            }
-            states.push(SourceState {
-                world,
-                reqs,
-                eof: false,
-            });
-        }
-        Ok(ReadStream {
-            mpi,
-            universe,
-            sources: states,
+        let sources = sources.into_iter().map(|world| SourceState {
+            world,
+            reqs: VecDeque::with_capacity(cfg.n_async),
+            eof: false,
+        });
+        let mut rs = ReadStream {
+            mpi: vmpi.mpi().clone(),
+            universe: vmpi.comm_universe(),
+            sources: sources.collect(),
             cfg,
-            tag,
+            tag: stream_tag(stream_id),
             chooser: EndpointChooser::new(cfg.balance),
             bytes_read: 0,
             blocks_read: 0,
-        })
+        };
+        for idx in 0..rs.sources.len() {
+            for _ in 0..cfg.n_async {
+                rs.repost(idx)?;
+            }
+        }
+        Ok(rs)
     }
 
     /// True once every writer has signalled EOF.
@@ -898,6 +875,7 @@ impl ReadStream {
         self.sources.iter().all(|s| s.eof)
     }
 
+    /// Posts one more receive for source `idx`.
     fn repost(&mut self, idx: usize) -> Result<()> {
         let world = self.sources[idx].world;
         let req = self.mpi.irecv_ctx(
@@ -910,48 +888,31 @@ impl ReadStream {
         Ok(())
     }
 
-    /// Validates a frame's flag bits and inflates a compressed body.
-    /// `Ok(None)` is a FIN (the source flips to EOF). Unknown flag bits
-    /// and corrupt compressed payloads are typed, counted protocol
-    /// violations that kill this source while the surviving writers stay
-    /// readable.
-    fn decode_body(&mut self, idx: usize, flags: u8, body: Bytes) -> Result<Option<Bytes>> {
-        if flags == FLAG_FIN {
-            self.sources[idx].eof = true;
-            obs::m().sources_eof.inc();
-            return Ok(None);
-        }
+    /// The block a data frame carries: its flag bits validated, a
+    /// compressed body inflated. A missing header, unknown flag bits and a
+    /// corrupt compressed body are typed protocol violations.
+    fn decode(&self, frame: &Bytes) -> Result<Bytes> {
+        let violation = |expected, got| VmpiError::ProtocolViolation { expected, got };
+        let Some(&flags) = frame.first() else {
+            return Err(violation("stream frame header of 1 byte", "0 bytes".into()));
+        };
         if flags & !FLAG_LZ4 != FLAG_DATA {
-            obs::m().protocol_violations.inc();
-            self.sources[idx].eof = true;
-            return Err(VmpiError::ProtocolViolation {
-                expected: "stream frame flags data, data|lz4 or fin",
-                got: format!("{flags:#04x}"),
-            });
+            let expected = "stream frame flags data, data|lz4 or fin";
+            return Err(violation(expected, format!("{flags:#04x}")));
         }
+        let body = frame.slice(BLOCK_HEADROOM..);
         if flags & FLAG_LZ4 == 0 {
-            return Ok(Some(body));
+            return Ok(body);
         }
+        let m = obs::m();
         let t0 = Instant::now();
         let mut out = BytesMut::new();
-        match compress::decompress_into(&body, self.cfg.block_size, &mut out) {
-            Ok(_) => {
-                obs::m()
-                    .decompress_ns
-                    .record(t0.elapsed().as_nanos() as u64);
-                Ok(Some(out.freeze()))
-            }
-            Err(e) => {
-                let m = obs::m();
-                m.decompress_failures.inc();
-                m.protocol_violations.inc();
-                self.sources[idx].eof = true;
-                Err(VmpiError::ProtocolViolation {
-                    expected: "valid lz4-compressed stream block",
-                    got: e.to_string(),
-                })
-            }
-        }
+        compress::decompress_into(&body, self.cfg.block_size, &mut out).map_err(|e| {
+            m.decompress_failures.inc();
+            violation("valid lz4-compressed stream block", e.to_string())
+        })?;
+        m.decompress_ns.record(t0.elapsed().as_nanos() as u64);
+        Ok(out.freeze())
     }
 
     /// One sweep over the sources from a policy-chosen start: returns the
@@ -963,22 +924,30 @@ impl ReadStream {
         for off in 0..n {
             let idx = (start + off) % n;
             let src = &mut self.sources[idx];
-            let ready = !src.eof && src.reqs.front_mut().is_some_and(|r| r.is_complete());
+            let ready = !src.eof && src.reqs.front_mut().is_some_and(Request::is_complete);
             let Some(req) = ready.then(|| src.reqs.pop_front()).flatten() else {
                 continue;
             };
-            let world = src.world;
-            let frame = req
-                .wait()?
-                .ok_or_else(|| VmpiError::ProtocolViolation {
-                    expected: "payload on completed stream receive",
-                    got: "empty completion".to_string(),
-                })
-                .and_then(|(_st, data)| unframe(&data));
-            let (flags, body) = match frame {
-                Ok(frame) => frame,
+            // A receive completes with a payload; none would read as an
+            // empty frame, which has no header.
+            let frame = req.wait()?.map(|(_st, data)| data).unwrap_or_default();
+            match frame.first() {
+                Some(&FLAG_FIN) => {
+                    // Every data frame before it has been delivered. Stop
+                    // reposting; leftover receives are reclaimed at job end.
+                    self.sources[idx].eof = true;
+                    obs::m().sources_eof.inc();
+                    continue;
+                }
+                // Before inflating: the writer's next parked frame is
+                // taken first.
+                Some(_) => self.repost(idx)?,
+                None => {}
+            }
+            let data = match self.decode(&frame) {
+                Ok(data) => data,
                 Err(e) => {
-                    // A hostile or corrupt block: this source is dead (its
+                    // A hostile or corrupt frame: this source is dead (its
                     // byte offsets can no longer be trusted), but surviving
                     // writers stay readable on later calls.
                     obs::m().protocol_violations.inc();
@@ -986,40 +955,34 @@ impl ReadStream {
                     return Err(e);
                 }
             };
-            if flags != FLAG_FIN {
-                self.repost(idx)?;
-            }
-            let Some(data) = self.decode_body(idx, flags, body)? else {
-                // FIN: every data frame before it has been delivered. Stop
-                // reposting; leftover receives are reclaimed at job end.
-                continue;
-            };
             self.bytes_read += data.len() as u64;
             self.blocks_read += 1;
             let m = obs::m();
             m.read_bytes.add(data.len() as u64);
             m.blocks_read.inc();
             return Ok(Some(Block {
-                source: world,
+                source: self.sources[idx].world,
                 data,
             }));
         }
         Ok(None)
     }
 
-    /// A source whose writer rank has exited without closing and for which
-    /// no deliverable frame remains. Because delivery is synchronous,
-    /// everything the writer ever sent is already in our mailbox when its
-    /// liveness flag drops — so this is loss, not latency.
+    /// Marks lost, and returns, a source whose writer rank has exited
+    /// without closing and for which no deliverable frame remains.
+    /// Because delivery is synchronous, everything the writer ever sent is
+    /// already in our mailbox when its liveness flag drops — so this is
+    /// loss, not latency.
     fn lost_peer(&mut self) -> Option<usize> {
-        let uni = self.mpi.universe().clone();
-        self.sources
+        let uni = self.mpi.universe();
+        let src = self
+            .sources
             .iter_mut()
             .filter(|s| !s.eof && !uni.rank_alive(s.world))
-            .find_map(|s| {
-                let front_ready = s.reqs.front_mut().is_some_and(|r| r.is_complete());
-                (!front_ready).then_some(s.world)
-            })
+            .find_map(|s| (!s.reqs.front_mut().is_some_and(Request::is_complete)).then_some(s))?;
+        src.eof = true;
+        obs::m().peers_lost.inc();
+        Some(src.world)
     }
 
     /// Reads the next block (`VMPI_Stream_read`).
@@ -1033,10 +996,9 @@ impl ReadStream {
     pub fn read(&mut self, mode: ReadMode) -> Result<Option<Block>> {
         obs::m().reads.inc();
         let deadline = self.cfg.read_timeout.map(|t| Instant::now() + t);
-        let mut spins = 0u32;
         loop {
             // Read before the sweep: whatever lands after this line moves
-            // the count (once it can be seen), so the park below returns
+            // the count (once it can be seen), so the wait below returns
             // at once.
             let seen = self.mpi.deliveries()?;
             if let Some(block) = self.sweep()? {
@@ -1046,37 +1008,16 @@ impl ReadStream {
                 return Ok(None);
             }
             if let Some(rank) = self.lost_peer() {
-                if let Some(s) = self.sources.iter_mut().find(|s| s.world == rank) {
-                    s.eof = true;
-                }
-                obs::m().peers_lost.inc();
                 return Err(VmpiError::PeerLost { rank });
             }
-            match mode {
-                ReadMode::NonBlocking => {
-                    obs::m().eagain.inc();
-                    return Err(VmpiError::Again);
-                }
-                ReadMode::Blocking => {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return Err(VmpiError::Timeout);
-                        }
-                    }
-                    // Spin, yield (a saturated box wants the reader to
-                    // find several blocks per turn), then sleep until the
-                    // next delivery or liveness change.
-                    spins += 1;
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else if spins < 256 {
-                        std::thread::yield_now();
-                    } else {
-                        obs::m().read_parks.inc();
-                        self.mpi.wait_delivery(seen, deadline)?;
-                    }
-                }
+            if mode == ReadMode::NonBlocking {
+                obs::m().eagain.inc();
+                return Err(VmpiError::Again);
             }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(VmpiError::Timeout);
+            }
+            self.mpi.wait_delivery(seen, deadline)?;
         }
     }
 

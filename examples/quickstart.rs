@@ -306,11 +306,9 @@ fn main() {
     );
     if let Some(h) = m.histogram("runtime_mailbox_wait_ns") {
         println!(
-            "  waits: {} caught spinning, {} slept ({} of them stream readers), \
-             length p50 ≤ {} ns, p99 ≤ {} ns",
+            "  waits: {} caught spinning, {} slept, length p50 ≤ {} ns, p99 ≤ {} ns",
             m.counter("runtime_mailbox_spin_hits_total").unwrap_or(0),
             m.counter("runtime_mailbox_parks_total").unwrap_or(0),
-            m.counter("vmpi_stream_read_parks_total").unwrap_or(0),
             h.quantile(0.5),
             h.quantile(0.99),
         );

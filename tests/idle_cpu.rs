@@ -55,6 +55,5 @@ fn a_session_whose_application_computes_sits_idle() {
     // The registry is this process's, hence this session's.
     let m = &outcome.metrics;
     assert_eq!(m.counter("vmpi_stream_eagain_total"), Some(0));
-    assert!(m.counter("vmpi_stream_read_parks_total").unwrap() > 0);
     assert!(m.counter("runtime_mailbox_parks_total").unwrap() > 0);
 }

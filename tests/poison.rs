@@ -225,8 +225,9 @@ fn hostile_pivot_truncated_peer_list_is_typed_and_slave_progresses() {
 
 // ---------------------------------------------------------------------
 // Scenario 4: a hostile writer injects a garbage block on the stream tag:
-// a frame whose flags byte sets reserved bits, or an empty payload with
-// no header at all. The reader reports one ProtocolViolation, isolates
+// a frame whose flags byte sets reserved bits, an empty payload with no
+// header at all, or a compressed frame whose body is not LZ4. The reader
+// reports one ProtocolViolation, isolates
 // that source, drains the honest writer in full and terminates with
 // Ok(None). Runs on both backends: over the socket mesh the reader
 // decodes the hostile bytes after a wire hop.
@@ -235,14 +236,26 @@ type GarbageOutcome = Arc<Mutex<(usize, Vec<VmpiError>)>>;
 
 /// The hostile payloads, each with the violation it must produce:
 /// `(bytes, expected, rendering of what the reader got)`.
-const GARBAGE: [(&[u8], &str, &str); 2] = [
+const GARBAGE: [(&[u8], &str, &str); 3] = [
     (
         &[0x80, 0, 0, 0],
         "stream frame flags data, data|lz4 or fin",
         "0x80",
     ),
     (&[], "stream frame header of 1 byte", "0 bytes"),
+    // The data|lz4 flags (0x02), then a length varint that never ends.
+    (
+        &[0x02, 0xde, 0xad, 0xbe, 0xef],
+        LZ4_VIOLATION,
+        "compressed block truncated",
+    ),
 ];
+
+const LZ4_VIOLATION: &str = "valid lz4-compressed stream block";
+
+fn decompress_failures() -> u64 {
+    common::obs_counter("vmpi_stream_decompress_failures_total")
+}
 
 fn garbage_stream_block_job(garbage: &'static [u8]) -> (Launcher, GarbageOutcome) {
     const STREAM_ID: u16 = 7;
@@ -295,7 +308,12 @@ fn garbage_stream_block_job(garbage: &'static [u8]) -> (Launcher, GarbageOutcome
     (launcher, outcome)
 }
 
-fn assert_garbage_stream_outcome(outcome: &GarbageOutcome, want: (&str, &str)) {
+/// `failures_before`: the decompress-failure counter before the job ran.
+fn assert_garbage_stream_outcome(
+    outcome: &GarbageOutcome,
+    want: (&str, &str),
+    failures_before: u64,
+) {
     let (bytes, violations) = std::mem::take(&mut *outcome.lock().unwrap());
     assert_eq!(
         bytes, 768,
@@ -312,24 +330,32 @@ fn assert_garbage_stream_outcome(outcome: &GarbageOutcome, want: (&str, &str)) {
         }
         other => panic!("expected ProtocolViolation, got {other:?}"),
     }
+    if want.0 == LZ4_VIOLATION {
+        assert!(
+            decompress_failures() > failures_before,
+            "the corrupt body is counted as a decompress failure"
+        );
+    }
 }
 
 #[test]
 fn garbage_stream_block_isolates_the_source_and_honest_data_survives() {
     for (garbage, expected, got) in GARBAGE {
+        let failures_before = decompress_failures();
         let (launcher, outcome) = garbage_stream_block_job(garbage);
         launcher.run().unwrap();
-        assert_garbage_stream_outcome(&outcome, (expected, got));
+        assert_garbage_stream_outcome(&outcome, (expected, got), failures_before);
     }
 }
 
 #[test]
 fn socket_garbage_stream_block_is_typed_across_the_wire() {
     for (garbage, expected, got) in GARBAGE {
+        let failures_before = decompress_failures();
         let (launcher, outcome) = garbage_stream_block_job(garbage);
         let failures = common::run_socket_threads(launcher, 2);
         assert!(failures.is_empty(), "no rank may fail: {failures:?}");
-        assert_garbage_stream_outcome(&outcome, (expected, got));
+        assert_garbage_stream_outcome(&outcome, (expected, got), failures_before);
     }
 }
 
