@@ -91,7 +91,6 @@ fn aggregate(per_rank: &[(usize, ServeStats)]) -> ServeStats {
         total.snapshots_sent += s.snapshots_sent;
         total.deltas_sent += s.deltas_sent;
         total.resyncs += s.resyncs;
-        total.acks += s.acks;
         total.bad_requests += s.bad_requests;
         total.clients_lost += s.clients_lost;
         total.quota_rejections += s.quota_rejections;
@@ -284,7 +283,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             serve: ServeConfig {
                 publish_every_packs: 1,
                 ring: 2,
-                subscriber_credits: 1,
                 ..ServeConfig::default()
             },
             subscriber_delay: Duration::from_millis(3),

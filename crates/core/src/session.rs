@@ -441,7 +441,7 @@ impl SessionBuilder {
     }
 
     /// Serve-plane configuration (publication cadence, snapshot ring size,
-    /// subscriber flow-control credits, shards, tenant quotas).
+    /// shards, tenant quotas).
     pub fn serve_config(mut self, cfg: ServeConfig) -> Self {
         self.serve = cfg;
         self
@@ -794,7 +794,6 @@ impl SessionBuilder {
         for spec in std::mem::take(&mut self.clients) {
             let body = spec.body;
             let tenant = spec.name.clone();
-            let serve_for_client = serve_cfg.clone();
             let store_for_client = store.clone();
             let book = Arc::clone(&book);
             let stats_sink = Arc::clone(&serve_stats);
@@ -802,8 +801,7 @@ impl SessionBuilder {
                 let store = store_for_client
                     .clone()
                     .ok_or("client partitions run on a serving session's store")?;
-                let mut client =
-                    ServeClient::new(&mpi, store, Arc::clone(&book), &tenant, &serve_for_client)?;
+                let mut client = ServeClient::new(&mpi, store, Arc::clone(&book), &tenant)?;
                 let result = body(&mut client);
                 let mut stats = client.close();
                 stats.clients_lost = u64::from(result.is_err());

@@ -41,7 +41,9 @@
 //! the handle, and only the take, retirement or shutdown that settles its
 //! offer wakes it. So a blocked stream writer is not woken by every
 //! delivery into its reader's mailbox, and its waits — which last as long
-//! as the reader is away — do not feed the reader's spin estimate.
+//! as the reader is away — do not feed the reader's spin estimate. Its
+//! sleeps are counted apart from a receiver's parks
+//! (`runtime_send_parks_total` against `runtime_mailbox_parks_total`).
 
 use crate::comm::CommId;
 use crate::envelope::{Context, Envelope, Src, Status, TagSel};
@@ -66,6 +68,7 @@ mod obs {
         pub depth: Arc<Histogram>,
         pub spin_hits: Arc<Counter>,
         pub parks: Arc<Counter>,
+        pub send_parks: Arc<Counter>,
         pub wait_ns: Arc<Histogram>,
     }
 
@@ -79,6 +82,7 @@ mod obs {
                 depth: r.histogram("runtime_mailbox_depth"),
                 spin_hits: r.counter("runtime_mailbox_spin_hits_total"),
                 parks: r.counter("runtime_mailbox_parks_total"),
+                send_parks: r.counter("runtime_send_parks_total"),
                 wait_ns: r.histogram("runtime_mailbox_wait_ns"),
             }
         })
@@ -136,7 +140,7 @@ impl SendHandle {
     }
 
     fn park(&self) {
-        obs::m().parks.inc();
+        obs::m().send_parks.inc();
         let mut g = self.lock.lock();
         // Announce, then look: a settler either sees `parked` and signals
         // under the lock, which this wait releases, or came first and is

@@ -11,19 +11,17 @@
 //! [`SnapshotImage`] the client patches from each delta the same way the
 //! store patched its own, so holding them costs what the delta changed.
 //!
-//! Subscriptions use credit-based flow control: a subscriber holds
-//! `ServeConfig::subscriber_credits` credits, selecting an update into its
-//! pending queue spends one, and consuming it in
-//! [`ServeClient::next_update`] returns it and selects again. Selection
-//! also happens at publish: the store hands every attached client inbox
-//! each version it lands, so a subscriber with a free credit gets the next
-//! version when it is published, not when it next asks. A stalled
-//! consumer therefore costs nothing: no queue grows on its behalf, the
-//! store's ring advances, and when it consumes again it either continues
-//! down the retained delta chain or, having fallen off the ring, selects a
-//! typed snapshot **resync** (counted in [`ServeStats::resyncs`]). A client
-//! with nothing to consume parks on its rank's mailbox, which every publish
-//! that lands a version bumps.
+//! Nothing is selected for a subscriber until it asks:
+//! [`ServeClient::next_update`] picks one update per call, visiting the
+//! shards round-robin from the one after the last served. For a shard it
+//! holds, that is the next delta of the chain while that version is still
+//! in the store's ring, and otherwise a typed snapshot **resync** to the
+//! current version (counted in [`ServeStats::resyncs`]). So a slow
+//! subscriber applies the newest version there is when it asks, not one
+//! chosen before it slept, and a stalled one costs nothing: no queue grows
+//! and no version is held on its behalf while the ring advances. A publish
+//! that lands a version only bumps each attached client's mailbox; a
+//! client with nothing to consume parks on it.
 //!
 //! Each client partition is a tenant of the session-wide
 //! [`TenantBook`]; quota refusals surface as [`ServeError::QuotaExceeded`].
@@ -35,7 +33,7 @@ use crate::query::{
 };
 use crate::quota::TenantBook;
 use crate::store::{ShardedStore, SnapshotEntry};
-use crate::{mono_ns, ServeConfig, ServeError};
+use crate::{mono_ns, ServeError};
 use bytes::Bytes;
 use opmr_analysis::profiler::MpiProfile;
 use opmr_analysis::topology::Topology;
@@ -44,13 +42,13 @@ use opmr_analysis::wire::{decode_partials, AppPartial, SnapshotImage, WireError}
 use opmr_runtime::mailbox::Mailbox;
 use opmr_runtime::Mpi;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-// Serve-plane metrics: per-subscriber credit level at each selection,
-// publish-to-select lag of every update, and the counters mirrored from
-// [`ServeStats`] that the self-monitor streams back into the engine.
+// Serve-plane metrics: the lag from a version's publish to its selection
+// at the subscriber's call, and the counters mirrored from [`ServeStats`]
+// that the self-monitor streams back into the engine.
 mod obs {
     use opmr_obs::{registry, Counter, Histogram};
     use std::sync::{Arc, OnceLock};
@@ -62,7 +60,6 @@ mod obs {
         pub resyncs: Arc<Counter>,
         pub quota_rejections: Arc<Counter>,
         pub quota_throttles: Arc<Counter>,
-        pub credits: Arc<Histogram>,
         pub deliver_lag: Arc<Histogram>,
     }
 
@@ -77,7 +74,6 @@ mod obs {
                 resyncs: r.counter("serve_resyncs_total"),
                 quota_rejections: r.counter("serve_quota_rejections_total"),
                 quota_throttles: r.counter("serve_quota_throttles_total"),
-                credits: r.histogram("serve_subscriber_credits"),
                 deliver_lag: r.histogram("serve_publish_to_deliver_lag_ns"),
             }
         })
@@ -104,8 +100,6 @@ pub struct ServeStats {
     /// Slow-consumer degradations: a subscriber fell off the delta ring
     /// and was resynced with a full snapshot instead of a backlog.
     pub resyncs: u64,
-    /// Updates consumed, each returning a flow-control credit.
-    pub acks: u64,
     /// Always 0: clients send no requests that could fail to parse.
     pub bad_requests: u64,
     /// Client bodies that returned an error before closing.
@@ -221,99 +215,30 @@ fn next_shard_update(
     }
 }
 
-struct Subscription {
-    /// Last version selected per shard (0 = nothing yet).
-    synced_to: Vec<u64>,
-    credits: u32,
-    /// Selected, not yet consumed updates, oldest first.
-    pending: VecDeque<(u16, Arc<SnapshotEntry>, Step)>,
-}
-
-/// What a client's rank and the store's publishers share.
-struct Delivery {
-    sub: Option<Subscription>,
-    stats: ServeStats,
-}
-
-/// The part of a client the store reaches. Every publish that lands a
-/// version selects for the subscription what its credits allow — so a
-/// subscriber with a free credit is handed the next version when it is
-/// published, not when it next asks — and then bumps the client's
-/// mailbox.
-pub(crate) struct Inbox {
-    mailbox: Arc<Mailbox>,
-    book: Arc<Mutex<TenantBook>>,
-    /// Tenant name: the client partition's name.
-    tenant: String,
-    max_credits: u32,
-    delivery: Mutex<Delivery>,
-}
-
-impl Inbox {
-    /// Called by the store after each publish that lands a version.
-    pub(crate) fn on_publish(&self, store: &ShardedStore) {
-        self.refill(&mut self.delivery.lock(), store);
-        self.mailbox.bump();
-    }
-
-    /// Selects updates into the pending queue while credits last, shard
-    /// by shard. Returns true when the tenant's delta-byte budget held
-    /// one back.
-    fn refill(&self, d: &mut Delivery, store: &ShardedStore) -> bool {
-        let Some(sub) = d.sub.as_mut() else {
-            return false;
-        };
-        obs::m().credits.record(sub.credits as u64);
-        for s in 0..store.shards() {
-            while sub.credits > 0 {
-                let Some((entry, step)) = next_shard_update(store, s, sub.synced_to[s]) else {
-                    break;
-                };
-                let cost = match step {
-                    Step::Delta => entry.delta.as_ref().map_or(0, Bytes::len),
-                    Step::Snapshot { .. } => entry.encoded.len(),
-                };
-                if self
-                    .book
-                    .lock()
-                    .state(&self.tenant)
-                    .try_delta_bytes(cost as u64, mono_ns())
-                    .is_err()
-                {
-                    d.stats.quota_throttles += 1;
-                    obs::m().quota_throttles.inc();
-                    return true;
-                }
-                match step {
-                    Step::Delta => {
-                        d.stats.deltas_sent += 1;
-                        obs::m().deltas_sent.inc();
-                    }
-                    Step::Snapshot { resync } => {
-                        d.stats.snapshots_sent += 1;
-                        obs::m().snapshots_sent.inc();
-                        if resync {
-                            d.stats.resyncs += 1;
-                            obs::m().resyncs.inc();
-                        }
-                    }
-                }
-                obs::m()
-                    .deliver_lag
-                    .record(mono_ns().saturating_sub(entry.publish_ns));
-                sub.synced_to[s] = entry.version;
-                sub.credits -= 1;
-                sub.pending.push_back((s as u16, entry, step));
-            }
-        }
-        false
-    }
+/// What one selection found.
+enum Selection {
+    /// The next update of a shard, already charged to the tenant.
+    Update(u16, Arc<SnapshotEntry>, Step),
+    /// The tenant's delta-byte budget held the next update back.
+    Throttled,
+    /// Every shard's held version is current.
+    Idle,
 }
 
 /// A serve-plane client: one per client-partition rank.
 pub struct ServeClient {
     store: Arc<ShardedStore>,
-    inbox: Arc<Inbox>,
+    /// This rank's mailbox: every publish that lands a version bumps it.
+    mailbox: Arc<Mailbox>,
+    book: Arc<Mutex<TenantBook>>,
+    /// Tenant name: the client partition's name.
+    tenant: String,
+    stats: ServeStats,
+    /// A subscription is open (admitted under the tenant's quota).
+    subscribed: bool,
+    /// The shard the next selection looks at first: the one after the
+    /// last served.
+    next_shard: usize,
     /// A subscription the tenant's quota refused, not yet surfaced.
     refused: Option<QuotaKind>,
     /// Held report per shard.
@@ -330,46 +255,44 @@ impl ServeClient {
         store: Arc<ShardedStore>,
         book: Arc<Mutex<TenantBook>>,
         tenant: &str,
-        cfg: &ServeConfig,
     ) -> crate::Result<ServeClient> {
-        let inbox = Arc::new(Inbox {
-            mailbox: mpi.mailbox()?,
+        Ok(ServeClient::attached(mpi.mailbox()?, store, book, tenant))
+    }
+
+    /// A client woken through `mailbox`, which it attaches to `store`.
+    fn attached(
+        mailbox: Arc<Mailbox>,
+        store: Arc<ShardedStore>,
+        book: Arc<Mutex<TenantBook>>,
+        tenant: &str,
+    ) -> ServeClient {
+        store.attach(Arc::clone(&mailbox));
+        ServeClient {
+            store,
+            mailbox,
             book,
             tenant: tenant.to_string(),
-            max_credits: cfg.subscriber_credits.max(1),
-            delivery: Mutex::new(Delivery {
-                sub: None,
-                stats: ServeStats {
-                    clients: 1,
-                    ..ServeStats::default()
-                },
-            }),
-        });
-        store.attach(Arc::clone(&inbox));
-        Ok(ServeClient {
-            store,
-            inbox,
+            stats: ServeStats {
+                clients: 1,
+                ..ServeStats::default()
+            },
+            subscribed: false,
+            next_shard: 0,
             refused: None,
             reports: BTreeMap::new(),
             final_shards: BTreeSet::new(),
-        })
+        }
     }
 
     /// Charges one point query to the tenant's quota.
-    fn admit_query(&self) -> crate::Result<()> {
-        let admitted = self
-            .inbox
-            .book
-            .lock()
-            .state(&self.inbox.tenant)
-            .try_query(mono_ns());
-        let mut d = self.inbox.delivery.lock();
+    fn admit_query(&mut self) -> crate::Result<()> {
+        let admitted = self.book.lock().state(&self.tenant).try_query(mono_ns());
         if let Err(kind) = admitted {
-            d.stats.quota_rejections += 1;
+            self.stats.quota_rejections += 1;
             obs::m().quota_rejections.inc();
             return Err(ServeError::QuotaExceeded(kind));
         }
-        d.stats.queries += 1;
+        self.stats.queries += 1;
         obs::m().queries.inc();
         Ok(())
     }
@@ -386,12 +309,12 @@ impl ServeClient {
     /// finished), parked between publishes.
     pub fn wait_version(&mut self, min: u64) -> crate::Result<VersionInfo> {
         loop {
-            let seen = self.inbox.mailbox.deliveries();
+            let seen = self.mailbox.deliveries();
             let info = self.version_info()?;
             if info.current >= min || info.finished {
                 return Ok(info);
             }
-            self.inbox.mailbox.wait_delivery(seen, None)?;
+            self.mailbox.wait_delivery(seen, None)?;
         }
     }
 
@@ -483,75 +406,102 @@ impl ServeClient {
     /// shard); consume it with [`ServeClient::next_update`]. A refusal
     /// under the tenant's subscription quota surfaces there.
     pub fn subscribe(&mut self) -> crate::Result<()> {
-        let inbox = &self.inbox;
-        let mut d = inbox.delivery.lock();
-        let mut book = inbox.book.lock();
-        let tenant = book.state(&inbox.tenant);
-        if d.sub.take().is_some() {
+        let mut book = self.book.lock();
+        let tenant = book.state(&self.tenant);
+        if std::mem::take(&mut self.subscribed) {
             // Re-subscribing replaces the old chains (and slot).
             tenant.release_subscription();
         }
         self.refused = None;
+        self.reports.clear();
         self.final_shards.clear();
         match tenant.try_subscribe() {
             Ok(()) => {
-                d.stats.subscribes += 1;
-                d.sub = Some(Subscription {
-                    synced_to: vec![0; self.store.shards()],
-                    credits: inbox.max_credits,
-                    pending: VecDeque::new(),
-                });
+                self.stats.subscribes += 1;
+                self.subscribed = true;
             }
             Err(kind) => {
-                d.stats.quota_rejections += 1;
+                self.stats.quota_rejections += 1;
                 obs::m().quota_rejections.inc();
                 self.refused = Some(kind);
             }
         }
-        drop(book);
-        inbox.refill(&mut d, &self.store);
         Ok(())
     }
 
-    /// Blocks until the next subscription update, folds it into the held
-    /// per-shard report and returns its credit, selecting again at once.
-    /// `None` without a subscription or once every shard's final version
-    /// was consumed; a typed [`ServeError::QuotaExceeded`] if the
+    /// Blocks until there is an update to select, then selects and folds
+    /// it into the held per-shard report: the newest version's, unless
+    /// the next delta of a shard's chain is still in the ring. `None`
+    /// without a subscription or once every shard's final version was
+    /// consumed; a typed [`ServeError::QuotaExceeded`] if the
     /// subscription was refused.
     pub fn next_update(&mut self) -> crate::Result<Option<Update>> {
         if let Some(kind) = self.refused.take() {
             return Err(ServeError::QuotaExceeded(kind));
         }
         loop {
-            let seen = self.inbox.mailbox.deliveries();
-            let mut d = self.inbox.delivery.lock();
-            let Some(sub) = d.sub.as_mut() else {
+            if !self.subscribed || self.all_final() {
                 return Ok(None);
-            };
-            if let Some((shard, entry, step)) = sub.pending.pop_front() {
-                drop(d);
-                let update = self.fold(shard, &entry, step)?;
-                // The credit comes back once the update is folded, as an
-                // acknowledgement would.
-                let mut d = self.inbox.delivery.lock();
-                if let Some(sub) = d.sub.as_mut() {
-                    sub.credits = (sub.credits + 1).min(self.inbox.max_credits);
+            }
+            let seen = self.mailbox.deliveries();
+            let throttled = match self.select() {
+                Selection::Update(shard, entry, step) => {
+                    return self.fold(shard, &entry, step).map(Some)
                 }
-                d.stats.acks += 1;
-                self.inbox.refill(&mut d, &self.store);
-                return Ok(Some(update));
-            }
-            if self.all_final() {
-                return Ok(None);
-            }
-            let throttled = self.inbox.refill(&mut d, &self.store);
-            if d.sub.as_ref().is_some_and(|s| !s.pending.is_empty()) {
-                continue;
-            }
-            drop(d);
+                Selection::Throttled => true,
+                Selection::Idle => false,
+            };
             let deadline = throttled.then(|| Instant::now() + THROTTLE_RECHECK);
-            self.inbox.mailbox.wait_delivery(seen, deadline)?;
+            self.mailbox.wait_delivery(seen, deadline)?;
         }
+    }
+
+    /// The one place an update is selected. Visits the shards round-robin
+    /// from the one after the last served and takes the first that has an
+    /// update for the held version, charged to the tenant's delta-byte
+    /// budget.
+    fn select(&mut self) -> Selection {
+        let n = self.store.shards();
+        for s in (0..n).map(|i| (self.next_shard + i) % n) {
+            let held = self.reports.get(&(s as u16)).map_or(0, |r| r.version);
+            let Some((entry, step)) = next_shard_update(&self.store, s, held) else {
+                continue;
+            };
+            let cost = match step {
+                Step::Delta => entry.delta.as_ref().map_or(0, Bytes::len),
+                Step::Snapshot { .. } => entry.encoded.len(),
+            };
+            let budget = self
+                .book
+                .lock()
+                .state(&self.tenant)
+                .try_delta_bytes(cost as u64, mono_ns());
+            if budget.is_err() {
+                self.stats.quota_throttles += 1;
+                obs::m().quota_throttles.inc();
+                return Selection::Throttled;
+            }
+            match step {
+                Step::Delta => {
+                    self.stats.deltas_sent += 1;
+                    obs::m().deltas_sent.inc();
+                }
+                Step::Snapshot { resync } => {
+                    self.stats.snapshots_sent += 1;
+                    obs::m().snapshots_sent.inc();
+                    if resync {
+                        self.stats.resyncs += 1;
+                        obs::m().resyncs.inc();
+                    }
+                }
+            }
+            obs::m()
+                .deliver_lag
+                .record(mono_ns().saturating_sub(entry.publish_ns));
+            self.next_shard = (s + 1) % n;
+            return Selection::Update(s as u16, entry, step);
+        }
+        Selection::Idle
     }
 
     /// True once every shard folded its final version.
@@ -611,20 +561,14 @@ impl ServeClient {
     /// Ends the client and returns its counters; dropping it (which this
     /// does) releases its subscription slot.
     pub fn close(self) -> ServeStats {
-        self.inbox.delivery.lock().stats
+        self.stats
     }
 }
 
 impl Drop for ServeClient {
     fn drop(&mut self) {
-        let subscribed = self.inbox.delivery.lock().sub.take().is_some();
-        if subscribed {
-            let inbox = &self.inbox;
-            inbox
-                .book
-                .lock()
-                .state(&inbox.tenant)
-                .release_subscription();
+        if self.subscribed {
+            self.book.lock().state(&self.tenant).release_subscription();
         }
     }
 }
@@ -640,41 +584,80 @@ mod tests {
     use super::*;
     use crate::query::tests::partials_with;
 
+    /// A client of `store` woken through a mailbox of its own, under no
+    /// quota.
+    fn client(store: &Arc<ShardedStore>) -> ServeClient {
+        let book = Arc::new(Mutex::new(TenantBook::default()));
+        ServeClient::attached(Arc::new(Mailbox::default()), Arc::clone(store), book, "t")
+    }
+
+    /// Publishes one single-app version per `hits` value.
+    fn publish(store: &ShardedStore, hits: impl IntoIterator<Item = u64>) {
+        for h in hits {
+            store.publish(vec![partials_with(0, &[h])]).unwrap();
+        }
+    }
+
     #[test]
-    fn a_landing_publish_selects_within_credit_and_wakes() {
-        let store = ShardedStore::new(1, 4, 1);
-        let inbox = Arc::new(Inbox {
-            mailbox: Arc::new(Mailbox::default()),
-            book: Arc::new(Mutex::new(TenantBook::default())),
-            tenant: String::new(),
-            max_credits: 1,
-            delivery: Mutex::new(Delivery {
-                sub: Some(Subscription {
-                    synced_to: vec![0],
-                    credits: 1,
-                    pending: VecDeque::new(),
-                }),
-                stats: ServeStats::default(),
-            }),
-        });
-        store.attach(Arc::clone(&inbox));
-        let pending = || {
-            let d = inbox.delivery.lock();
-            let sub = d.sub.as_ref().unwrap();
-            (sub.pending.len(), sub.credits, inbox.mailbox.deliveries())
+    fn a_publish_only_wakes_the_client() {
+        let store = Arc::new(ShardedStore::new(1, 4, 1));
+        let mut c = client(&store);
+        c.subscribe().unwrap();
+        let woken_selected = |c: &ServeClient| {
+            let selected = c.stats.snapshots_sent + c.stats.deltas_sent;
+            (c.mailbox.deliveries(), selected)
         };
-        // The opener is chosen at publish, spending the one credit.
-        store.publish(vec![partials_with(0, &[1])]).unwrap();
-        assert_eq!(pending(), (1, 0, 1));
-        // Out of credit: nothing more is chosen, but the client is woken.
-        store.publish(vec![partials_with(0, &[2])]).unwrap();
-        assert_eq!(pending(), (1, 0, 2));
+        // A landing publish wakes the client and selects nothing for it.
+        publish(&store, [1]);
+        assert_eq!(woken_selected(&c), (1, 0));
+        publish(&store, [2]);
+        assert_eq!(woken_selected(&c), (2, 0));
         // A publish that lands no version wakes nobody.
-        store.publish(vec![partials_with(0, &[2])]).unwrap();
-        assert_eq!(pending(), (1, 0, 2));
+        publish(&store, [2]);
+        assert_eq!(woken_selected(&c), (2, 0));
         // The final version wakes too.
         store.publish_final(vec![partials_with(0, &[3])]).unwrap();
-        assert_eq!(pending(), (1, 0, 3));
+        assert_eq!(woken_selected(&c), (3, 0));
+        // The subscriber's own call selects: the final version, at once.
+        let u = c.next_update().unwrap().unwrap();
+        assert_eq!((u.version, u.resync, u.finished), (3, false, true));
+        assert_eq!(woken_selected(&c), (3, 1));
+        assert!(c.next_update().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_subscriber_behind_the_ring_takes_the_newest_version() {
+        let store = Arc::new(ShardedStore::new(1, 2, 1));
+        let mut c = client(&store);
+        c.subscribe().unwrap();
+        publish(&store, [1]);
+        assert_eq!(c.next_update().unwrap().unwrap().version, 1);
+        publish(&store, 2..=6);
+        let u = c.next_update().unwrap().unwrap();
+        assert_eq!((u.version, u.resync, u.delta), (6, true, false));
+        let held = &c.report().unwrap().encoded;
+        assert_eq!(held[..], store.current().unwrap().encoded[..]);
+    }
+
+    #[test]
+    fn an_evicted_version_is_freed_before_its_subscriber_asks() {
+        let store = Arc::new(ShardedStore::new(1, 2, 1));
+        let mut c = client(&store);
+        c.subscribe().unwrap();
+        publish(&store, [1]);
+        c.next_update().unwrap().unwrap();
+        publish(&store, [2]);
+        let v2 = Arc::downgrade(&store.get(2).unwrap());
+        publish(&store, [3, 4]);
+        assert!(
+            store.get(2).is_none(),
+            "the two-deep ring evicted version 2"
+        );
+        assert!(
+            v2.upgrade().is_none(),
+            "version 2 outlived the ring for a subscriber that had not asked"
+        );
+        assert_eq!(c.next_update().unwrap().unwrap().version, 4);
     }
 
     #[test]

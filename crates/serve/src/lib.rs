@@ -21,13 +21,12 @@
 //!   rank against the shared store: point queries for profile / topology
 //!   / wait-state / metrics / density by rank range and version, and a
 //!   subscription that folds one full snapshot followed by incremental
-//!   deltas, one chain per shard. Slow consumers are handled with
-//!   **credit-based flow control**: a subscriber selects at most its
-//!   credits' worth of updates ahead of consumption, so nothing is
-//!   buffered for it; when it has fallen off the delta ring it selects a
-//!   typed snapshot **resync** (counted in [`ServeStats::resyncs`])
-//!   instead of an unbounded backlog. A client with nothing to consume
-//!   parks on its rank's mailbox until a publish lands;
+//!   deltas, one chain per shard. A subscriber selects its next update
+//!   when it asks for it, so nothing is selected or buffered on its
+//!   behalf; when it has fallen off the delta ring it takes the **newest
+//!   version** as a typed snapshot **resync** (counted in
+//!   [`ServeStats::resyncs`]) instead of a backlog. A client with nothing
+//!   to consume parks on its rank's mailbox until a publish lands;
 //! * [`proto`] — the query vocabulary: typed not-found reasons, quota
 //!   kinds and the aggregated version info;
 //! * [`quota`] — **per-tenant admission control** on client partitions:
@@ -130,8 +129,9 @@ pub struct ServeConfig {
     /// ring; a subscriber lagging further than this is resynced with a
     /// full snapshot.
     pub ring: usize,
-    /// Flow-control credits per subscriber: a client holds at most this
-    /// many selected updates it has not consumed yet.
+    /// Read by nothing: a subscriber selects one update per
+    /// [`ServeClient::next_update`] call and holds none ahead of it. Kept
+    /// until the benchmark stops setting it (ROADMAP 1(a)).
     pub subscriber_credits: u32,
     /// Snapshot store shards; apps are routed `app_id % shards`. 1 (the
     /// default) reproduces the single-store serve plane exactly.

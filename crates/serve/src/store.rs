@@ -25,16 +25,16 @@
 //! inside the ring advances by deltas; one outside it resyncs from
 //! `current`.
 //!
-//! Clients read this store on their own ranks. Each attaches its inbox,
-//! and every publish that lands a version hands each attached subscription
-//! what its credits allow and then bumps the client's mailbox, so a
-//! client with nothing to consume parks instead of polling.
+//! Clients read this store on their own ranks and select their own
+//! updates when they ask for one. Each attaches its rank's mailbox, and
+//! every publish that lands a version bumps it, so a client with nothing
+//! to consume parks instead of polling.
 
-use crate::client::Inbox;
 use crate::delta::{checked_u16, encode_delta_changes, patch_image, EncodeError};
 use crate::mono_ns;
 use bytes::Bytes;
 use opmr_analysis::wire::{AppChange, AppPartial, SnapshotImage};
+use opmr_runtime::mailbox::Mailbox;
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -283,8 +283,9 @@ pub struct ShardedStore {
     writers: usize,
     writers_done: Mutex<usize>,
     shard_publishes: Vec<Arc<opmr_obs::Counter>>,
-    /// The attached clients, told of every publish that lands a version.
-    inboxes: RwLock<Vec<Arc<Inbox>>>,
+    /// The attached clients' mailboxes, bumped by every publish that
+    /// lands a version.
+    mailboxes: RwLock<Vec<Arc<Mailbox>>>,
 }
 
 impl ShardedStore {
@@ -301,19 +302,21 @@ impl ShardedStore {
             shard_publishes: (0..n)
                 .map(|s| r.counter(&format!("serve_shard_publishes_total{{shard=\"{s}\"}}")))
                 .collect(),
-            inboxes: RwLock::new(Vec::new()),
+            mailboxes: RwLock::new(Vec::new()),
         }
     }
 
-    /// Attaches a client's inbox for every later publish that lands a
-    /// version.
-    pub(crate) fn attach(&self, inbox: Arc<Inbox>) {
-        self.inboxes.write().push(inbox);
+    /// Attaches a client's mailbox, to be bumped by every later publish
+    /// that lands a version.
+    pub(crate) fn attach(&self, mailbox: Arc<Mailbox>) {
+        self.mailboxes.write().push(mailbox);
     }
 
-    fn tell_inboxes(&self) {
-        for inbox in self.inboxes.read().iter() {
-            inbox.on_publish(self);
+    /// Wakes every attached client: what it consumes next it selects
+    /// itself, on its own call.
+    fn wake_clients(&self) {
+        for mailbox in self.mailboxes.read().iter() {
+            mailbox.bump();
         }
     }
 
@@ -348,8 +351,8 @@ impl ShardedStore {
     /// untouched until [`ShardedStore::publish_final`].
     pub fn publish(&self, parts: Vec<AppPartial>) -> Result<(), EncodeError> {
         let mut landed = false;
-        // Evicted versions are freed once the subscribers have been told:
-        // the first frees of a process can take a `munmap` each.
+        // Evicted versions are freed once the clients have been woken: the
+        // first frees of a process can take a `munmap` each.
         let mut evicted = Vec::new();
         for (s, shard_parts) in self.split(parts).into_iter().enumerate() {
             if shard_parts.is_empty() {
@@ -363,7 +366,7 @@ impl ShardedStore {
             }
         }
         if landed {
-            self.tell_inboxes();
+            self.wake_clients();
         }
         drop(evicted);
         Ok(())
@@ -378,7 +381,7 @@ impl ShardedStore {
             evicted.extend(self.shards[s].publish_inner(shard_parts, true, false)?.1);
             self.shard_publishes[s].inc();
         }
-        self.tell_inboxes();
+        self.wake_clients();
         drop(evicted);
         Ok(())
     }

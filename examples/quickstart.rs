@@ -306,11 +306,13 @@ fn main() {
     );
     if let Some(h) = m.histogram("runtime_mailbox_wait_ns") {
         println!(
-            "  waits: {} caught spinning, {} slept, length p50 ≤ {} ns, p99 ≤ {} ns",
+            "  waits: {} caught spinning, {} slept, length p50 ≤ {} ns, p99 ≤ {} ns; \
+             {} sender sleeps",
             m.counter("runtime_mailbox_spin_hits_total").unwrap_or(0),
             m.counter("runtime_mailbox_parks_total").unwrap_or(0),
             h.quantile(0.5),
             h.quantile(0.99),
+            m.counter("runtime_send_parks_total").unwrap_or(0),
         );
     }
     if let Some(h) = m.histogram("reduce_window_merge_latency_ns") {

@@ -664,8 +664,8 @@ struct ServingRun {
 
 /// Serving topology under chaos: the ring app streams into two analyzer
 /// ranks over the fault-injected transport while a deliberately lagging
-/// subscriber (tiny snapshot ring, one flow-control credit, slower than
-/// the publication cadence) reads the store on its own rank. Convergence
+/// subscriber (tiny snapshot ring, slower than the publication cadence)
+/// reads the store on its own rank. Convergence
 /// is asserted inline: whatever mix of deltas and counted resyncs the
 /// subscriber experienced, its folded report must end byte-identical to
 /// the store's final snapshot.
@@ -675,7 +675,6 @@ fn run_serving(plan: Option<FaultPlan>) -> ServingRun {
     let serve = ServeConfig {
         publish_every_packs: 1,
         ring: 2,
-        subscriber_credits: 1,
         ..ServeConfig::default()
     };
     // (resyncs seen, final report bytes, versions in arrival order)

@@ -157,7 +157,6 @@ fn slow_subscriber_degrades_to_counted_resync() {
     let serve = ServeConfig {
         publish_every_packs: 1,
         ring: 2, // tiny ring: a lagging subscriber falls off quickly
-        subscriber_credits: 1,
         ..ServeConfig::default()
     };
     let seen: Arc<Mutex<Vec<Seen>>> = Arc::new(Mutex::new(Vec::new()));
@@ -543,16 +542,20 @@ fn every_subscriber_folds_the_stores_bytes() {
         assert_eq!(*last_v, store.current().unwrap().version);
     }
 
-    // One stats row per subscriber, each counting the deltas it selected
-    // and every update it consumed.
+    // One stats row per subscriber, each counting the deltas it selected;
+    // every update selected is one its subscriber consumed.
     assert_eq!(outcome.serve_stats.len(), 4);
     assert!(outcome
         .serve_stats
         .iter()
         .all(|(_, s)| s.clients == 1 && s.deltas_sent > 0));
-    let acks: u64 = outcome.serve_stats.iter().map(|(_, s)| s.acks).sum();
+    let selected: u64 = outcome
+        .serve_stats
+        .iter()
+        .map(|(_, s)| s.snapshots_sent + s.deltas_sent)
+        .sum();
     let updates: usize = logs.iter().map(Vec::len).sum();
-    assert_eq!(acks as usize, updates);
+    assert_eq!(selected as usize, updates);
 }
 
 #[test]
@@ -665,10 +668,18 @@ fn throttled_subscriber_still_reaches_the_final_version() {
         },
         ..ServeConfig::default()
     };
+    let consumed = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let count = Arc::clone(&consumed);
     let outcome = serving_session(120, serve, None)
-        .client("throttled", 1, |c| {
+        .client("throttled", 1, move |c| {
             c.subscribe().unwrap();
-            while !c.next_update().unwrap().expect("final version").finished {}
+            loop {
+                let u = c.next_update().unwrap().expect("final version");
+                count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if u.finished {
+                    break;
+                }
+            }
             assert!(c.next_update().unwrap().is_none(), "nothing after final");
         })
         .run()
@@ -678,5 +689,8 @@ fn throttled_subscriber_still_reaches_the_final_version() {
         s.quota_throttles > 0,
         "the budget never held an update back"
     );
-    assert_eq!(s.acks, s.snapshots_sent + s.deltas_sent);
+    assert_eq!(
+        consumed.load(std::sync::atomic::Ordering::Relaxed),
+        s.snapshots_sent + s.deltas_sent
+    );
 }
